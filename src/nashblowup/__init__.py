@@ -4,7 +4,6 @@ for their behaviour under contact equivalence."""
 
 from .algebras import (
     InvariantReport,
-    LocalAlgebraPresentation,
     check_inclusions,
     gp_bound,
     invariant_report,
@@ -18,7 +17,6 @@ from .equivalence import (
     HarnessConfig,
     LocalAutomorphism,
     UnitElement,
-    apply_contact,
     apply_to_ideal,
     check_contact_invariance,
     check_right_covariance,
@@ -27,16 +25,12 @@ from .equivalence import (
     random_unit,
     run_invariance_harness,
     samuel_hypothesis,
-    validate_automorphism,
 )
 from .fields import GF, QQ, CoefficientField
 from .ideals import (
     INFINITE,
     Ideal,
     ReducedStandardBasis,
-    ideal_contains,
-    ideal_equal,
-    ideal_membership,
     maximal_ideal_power,
     weak_normal_form,
 )
@@ -73,7 +67,6 @@ __all__ = [
     "InvariantReport",
     "JacobianMatrix",
     "LOCAL_DEGREE",
-    "LocalAlgebraPresentation",
     "LocalAutomorphism",
     "MonomialOrder",
     "Polynomial",
@@ -83,7 +76,6 @@ __all__ = [
     "ReducedStandardBasis",
     "RingContext",
     "UnitElement",
-    "apply_contact",
     "apply_to_ideal",
     "check_contact_invariance",
     "check_inclusions",
@@ -93,9 +85,6 @@ __all__ = [
     "format_polynomial",
     "gp_bound",
     "higher_jacobian_ideal",
-    "ideal_contains",
-    "ideal_equal",
-    "ideal_membership",
     "invariant_report",
     "j2_plane_closed_form",
     "jac_matrix",
@@ -112,6 +101,5 @@ __all__ = [
     "samuel_hypothesis",
     "tjurina_ideal",
     "tjurina_number",
-    "validate_automorphism",
     "weak_normal_form",
 ]

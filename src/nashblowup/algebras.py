@@ -10,25 +10,11 @@ the local quotient; infinite values are first-class, not errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .ideals import INFINITE, Ideal, QuotientDimension, maximal_ideal_power
 from .jacobian import higher_jacobian_ideal, jacobian_ideal
-from .polynomials import Polynomial, RingContext
-
-
-@dataclass
-class LocalAlgebraPresentation:
-    """A quotient of the local ring by a defining ideal, with cached dimension."""
-
-    ring: RingContext
-    defining_ideal: Ideal
-    _dimension: QuotientDimension | None = dc_field(default=None, repr=False)
-
-    def dimension(self) -> QuotientDimension:
-        if self._dimension is None:
-            self._dimension = self.defining_ideal.dimension()
-        return self._dimension
+from .polynomials import Polynomial
 
 
 def _require_germ(f: Polynomial) -> None:
@@ -48,24 +34,12 @@ def nash_ideal_t(f: Polynomial, n: int) -> Ideal:
     return Ideal(f.ring, [f]) + higher_jacobian_ideal(f, n)
 
 
-def nash_algebra_m(f: Polynomial, n: int) -> LocalAlgebraPresentation:
-    return LocalAlgebraPresentation(f.ring, nash_ideal_m(f, n))
-
-
-def nash_algebra_t(f: Polynomial, n: int) -> LocalAlgebraPresentation:
-    return LocalAlgebraPresentation(f.ring, nash_ideal_t(f, n))
-
-
 def tjurina_ideal(f: Polynomial, k: int = 0) -> Ideal:
     """Defining ideal (f) + m^k j(f) of the k-th Tjurina algebra (k = 0 classical)."""
     _require_germ(f)
     if k < 0:
         raise ValueError("k must be >= 0")
     return Ideal(f.ring, [f]) + maximal_ideal_power(f.ring, k) * jacobian_ideal(f)
-
-
-def tjurina_algebra(f: Polynomial, k: int = 0) -> LocalAlgebraPresentation:
-    return LocalAlgebraPresentation(f.ring, tjurina_ideal(f, k))
 
 
 def tjurina_number(f: Polynomial) -> QuotientDimension:

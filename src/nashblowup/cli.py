@@ -151,12 +151,10 @@ def cmd_ideal(args) -> int:
     else:
         if args.n < 1:
             raise ConfigError("n must be >= 1")
-        if args.kind == "jn":
-            ideal = nash_ideal_m(f, args.n)
-        elif args.kind == "mn":
-            ideal = nash_ideal_m(f, args.n)
-        else:
+        if args.kind == "tn":
             ideal = nash_ideal_t(f, args.n)
+        else:
+            ideal = nash_ideal_m(f, args.n)
         label = f"{args.kind}[n={args.n}]"
     _print_ideal(ideal, label, args, config)
     return EXIT_OK
@@ -309,7 +307,7 @@ def build_parser() -> _Parser:
     m.set_defaults(func=cmd_matrix)
 
     i = subs.add_parser("ideal", help="print a derived ideal")
-    i.add_argument("kind", choices=("jn", "mn", "tn", "tjurina"))
+    i.add_argument("kind", choices=("mn", "tn", "tjurina"))
     i.add_argument("f")
     i.add_argument("-n", type=int, default=1)
     i.add_argument("-k", type=int, default=0)

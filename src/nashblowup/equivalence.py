@@ -110,21 +110,11 @@ class ContactTransform:
         return self.unit.u * self.phi.apply(f)
 
 
-def validate_automorphism(phi: LocalAutomorphism) -> bool:
-    return phi.is_valid()
-
-
 def apply_to_ideal(phi: LocalAutomorphism, ideal: Ideal) -> Ideal:
     """Image ideal under the automorphism (generator by generator)."""
     if not phi.is_valid():
         raise ValueError("not a local automorphism")
     return Ideal(ideal.ring, [phi.apply(g) for g in ideal.generators])
-
-
-def apply_contact(f: Polynomial, transform: ContactTransform) -> Polynomial:
-    if not transform.is_valid():
-        raise ValueError("not a contact transform")
-    return transform.apply(f)
 
 
 def check_right_covariance(f: Polynomial, phi: LocalAutomorphism, n: int) -> bool:

@@ -20,14 +20,15 @@ basis is finite, polynomial, and a complete invariant of the ideal: two
 ideals of finite colength are equal iff their reduced bases agree element
 by element.  For infinite colength the reduced basis is normalized
 deterministically (bounded tail reduction) and equality falls back to
-mutual membership, which is always decisive.
+mutual membership.  Membership there escalates a capped refutation and a
+linear certificate for a fixed number of rounds; when neither side settles
+within them it raises RuntimeError instead of answering.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -158,60 +159,34 @@ def weak_normal_form(
     return h
 
 
-def _staircase_box(lead_monomials: Sequence[MultiIndex], nvars: int) -> tuple[int, ...] | None:
-    """Per-variable pure-power degrees in the leading ideal, or None if some variable has none."""
-    box = []
-    for i in range(nvars):
-        pure = None
-        for m in lead_monomials:
-            if all(e == 0 for j, e in enumerate(m) if j != i):
-                pure = m[i] if pure is None else min(pure, m[i])
-        if pure is None:
-            return None
-        box.append(pure)
-    return tuple(box)
+def _staircase(lead_monomials: Sequence[MultiIndex], nvars: int) -> tuple[int, int] | None:
+    """(count, top degree) of the monomials outside the given monomial ideal.
 
-
-def _staircase_stats(
-    lead_monomials: Sequence[MultiIndex], nvars: int
-) -> tuple[int, int] | None:
-    """(count, max degree) of the monomials outside the given monomial ideal.
-
-    None when the complement is infinite (some variable has no pure power).
+    None when the complement is infinite; (0, -1) for the unit ideal.  Slices
+    on the first variable: with c_0 < ... < c_r the distinct first exponents,
+    the slice at x_1-exponent e in [c_i, c_(i+1)) is the staircase, in the
+    remaining variables, of the tails of the generators with first exponent
+    <= c_i (none below c_0), and the slice from c_r on must be empty.  The
+    work is polynomial in the number of generators, not in the box volume.
     """
-    if any(sum(m) == 0 for m in lead_monomials):
-        return (0, -1)
-    box = _staircase_box(lead_monomials, nvars)
-    if box is None:
+    if nvars == 0:
+        return (0, -1) if lead_monomials else (1, 0)
+    count, top, lo = 0, -1, 0
+    tails: list[MultiIndex] = []
+    for m in sorted(lead_monomials):
+        if m[0] > lo:
+            # x_1-exponents lo .. m[0]-1 share the staircase of the tails so far
+            inner = _staircase(tails, nvars - 1)
+            if inner is None:
+                return None
+            if inner[0]:
+                count += (m[0] - lo) * inner[0]
+                top = max(top, m[0] - 1 + inner[1])
+            lo = m[0]
+        tails.append(m[1:])
+    if not any(sum(t) == 0 for t in tails):
         return None
-    count = 0
-    max_deg = -1
-    for alpha in itertools.product(*(range(b) for b in box)):
-        if not any(mi_divides(m, alpha) for m in lead_monomials):
-            count += 1
-            if sum(alpha) > max_deg:
-                max_deg = sum(alpha)
-    return (count, max_deg)
-
-
-def _count_standard_monomials(lead_monomials: Sequence[MultiIndex], nvars: int) -> QuotientDimension:
-    """Number of monomials outside the monomial ideal generated by lead_monomials."""
-    stats = _staircase_stats(lead_monomials, nvars)
-    return INFINITE if stats is None else stats[0]
-
-
-def standard_monomials(lead_monomials: Sequence[MultiIndex], nvars: int) -> list[MultiIndex]:
-    """The finite list of monomials outside the given monomial ideal (must be m-primary)."""
-    box = _staircase_box(lead_monomials, nvars)
-    if box is None:
-        raise ValueError("quotient is infinite dimensional")
-    out = [
-        alpha
-        for alpha in itertools.product(*(range(b) for b in box))
-        if not any(mi_divides(m, alpha) for m in lead_monomials)
-    ]
-    out.sort(key=lambda a: (sum(a), tuple(-e for e in a)))
-    return out
+    return (count, top)
 
 
 def _complete_basis(
@@ -240,7 +215,7 @@ def _complete_basis(
         nonlocal bound
         if not local:
             return
-        stats = _staircase_stats(lms, ring.nvars)
+        stats = _staircase(lms, ring.nvars)
         if stats is None:
             return
         # with s the top standard-monomial degree of the (partial) staircase,
@@ -460,7 +435,9 @@ def _escalated_membership(
     outside I + m^cap is outside I), and an exact linear certificate
     u*f = sum c_i g_i proves.  Krull's intersection theorem makes the
     refutation side complete, and every true member has a polynomial
-    certificate of some finite degree, so the loop always decides.
+    certificate of some finite degree, so enough rounds always decide; but
+    the loop stops after 12 rounds and raises RuntimeError when neither test
+    has settled by then.
     """
     cap = f.total_degree() + 2
     degree_bound = 4
@@ -484,13 +461,18 @@ class ReducedStandardBasis:
     the elements are tail-reduced inside the truncated arithmetic described
     in the module docstring.  ``truncation`` is the degree above which terms
     were dropped (m^truncation lies in the ideal); None for ideals of
-    infinite colength.
+    infinite colength.  ``staircase`` is (count, top degree) of the standard
+    monomials, None when there are infinitely many.
     """
 
     ring: RingContext
     order: MonomialOrder
     elements: tuple[Polynomial, ...]
     truncation: int | None = None
+    staircase: tuple[int, int] | None = dc_field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "staircase", _staircase(self.leading_monomials, self.ring.nvars))
 
     @property
     def leading_monomials(self) -> tuple[MultiIndex, ...]:
@@ -498,13 +480,11 @@ class ReducedStandardBasis:
 
     @property
     def is_unit_ideal(self) -> bool:
-        return any(sum(m) == 0 for m in self.leading_monomials)
+        return self.staircase == (0, -1)
 
     @property
     def is_m_primary(self) -> bool:
-        if not self.elements:
-            return False
-        return _staircase_box(self.leading_monomials, self.ring.nvars) is not None
+        return self.staircase is not None
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
@@ -535,12 +515,7 @@ class ReducedStandardBasis:
         return _escalated_membership(f, certificate_gens, self.elements)
 
     def dimension(self) -> QuotientDimension:
-        if not self.elements:
-            return INFINITE
-        return _count_standard_monomials(self.leading_monomials, self.ring.nvars)
-
-    def standard_monomials(self) -> list[MultiIndex]:
-        return standard_monomials(self.leading_monomials, self.ring.nvars)
+        return INFINITE if self.staircase is None else self.staircase[0]
 
 
 def _finish_primary(
@@ -637,7 +612,7 @@ def try_primary_standard_basis(
         if raw is None:
             return None
         minimal = [p.monic(order) for p in _minimalize(raw, order)]
-        stats = _staircase_stats([p.leading_monomial(order) for p in minimal], ring.nvars)
+        stats = _staircase([p.leading_monomial(order) for p in minimal], ring.nvars)
         if stats is not None and stats[1] + 2 <= cap:
             return _finish_primary(minimal, ring, order, stats[1])
     return None
@@ -658,7 +633,7 @@ def compute_standard_basis(
         raw = _complete_local_by_homogenization(gens, ring)
         minimal = [p.monic(order) for p in _minimalize(raw, order)]
         lms = [p.leading_monomial(order) for p in minimal]
-        stats = _staircase_stats(lms, ring.nvars)
+        stats = _staircase(lms, ring.nvars)
         if stats is not None:
             return _finish_primary(minimal, ring, order, stats[1])
         # infinite colength: cap tail growth at the largest degree present
@@ -810,17 +785,3 @@ def maximal_ideal_power(ring: RingContext, k: int) -> Ideal:
         return Ideal.unit(ring)
     return Ideal(ring, [ring.monomial(alpha) for alpha in multi_indices_in_range(ring.nvars, k, k)])
 
-
-# free-function aliases, convenient for the CLI and scripts
-
-def ideal_membership(f: Polynomial, ideal: Ideal) -> bool:
-    return ideal.contains_element(f)
-
-
-def ideal_equal(a: Ideal, b: Ideal) -> bool:
-    return a.equals(b)
-
-
-def ideal_contains(a: Ideal, b: Ideal) -> bool:
-    """True iff b is a subset of a."""
-    return a.contains_ideal(b)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .ideals import Ideal
 from .polynomials import (
@@ -157,12 +157,9 @@ def _minor_dets(
     col_ids: Sequence[int],
     k: int,
     ring: RingContext,
-    keep_zero: bool,
-) -> Iterator[tuple[tuple[int, ...], Polynomial]]:
+) -> list[tuple[tuple[int, ...], Polynomial]]:
     zero = ring.zero()
     nrows = len(row_ids)
-    full_mask = None
-    targets = list(combinations(range(nrows), k))
     # column c contributes entry(row, c) to states missing that row
 
     def extend(state: dict[int, Polynomial], col: int, pos: int) -> dict[int, Polynomial]:
@@ -191,21 +188,21 @@ def _minor_dets(
         depth = len(chosen)
         if depth == k:
             det = state.get((1 << nrows) - 1, zero)
-            if keep_zero or not det.is_zero():
+            if not det.is_zero():
                 results.append((tuple(col_ids[c] for c in chosen), det))
             return
         remaining = k - depth
         for ci in range(start, len(col_ids) - remaining + 1):
             new_state = extend(state, col_ids[ci], depth)
-            if not new_state and not keep_zero:
+            if not new_state:
                 continue
             chosen.append(ci)
-            walk(ci + 1, new_state if new_state else {})
+            walk(ci + 1, new_state)
             chosen.pop()
 
     one_state = {0: ring.one()}
     walk(0, one_state)
-    return iter(results)
+    return results
 
 
 def minors(matrix: PresentationMatrix | JacobianMatrix, k: int) -> list[Polynomial]:
@@ -217,7 +214,7 @@ def minors(matrix: PresentationMatrix | JacobianMatrix, k: int) -> list[Polynomi
     out: list[Polynomial] = []
     all_cols = list(range(matrix.ncols))
     for row_subset in combinations(range(matrix.nrows), k):
-        for _, det in _minor_dets(matrix.entries, row_subset, all_cols, k, matrix.ring, False):
+        for _, det in _minor_dets(matrix.entries, row_subset, all_cols, k, matrix.ring):
             out.append(det)
     return out
 
@@ -268,7 +265,7 @@ def higher_jacobian_ideal(f: Polynomial, n: int) -> Ideal:
     dets = [
         det
         for _, det in _minor_dets(
-            matrix.entries, range(nrows), range(ncols), nrows, matrix.ring, False
+            matrix.entries, range(nrows), range(ncols), nrows, matrix.ring
         )
     ]
     return Ideal(matrix.ring, _dedup(dets))

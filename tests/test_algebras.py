@@ -3,7 +3,6 @@ import random
 import pytest
 
 from nashblowup.algebras import (
-    LocalAlgebraPresentation,
     check_inclusions,
     gp_bound,
     invariant_report,
@@ -43,11 +42,6 @@ class TestNashIdeals:
         # every second-order minor of the cusp has multiplicity >= 3
         assert not jn.contains_element(f)
         assert nash_ideal_t(f, 2).contains_element(f)
-
-    def test_algebra_presentation_caches_dimension(self, ring_q2):
-        algebra = LocalAlgebraPresentation(ring_q2, ideal(ring_q2, "x", "y"))
-        assert algebra.dimension() == 1
-        assert algebra.dimension() == 1
 
 
 class TestTjurinaIdeal:
@@ -101,6 +95,12 @@ class TestTjurinaNumber:
 
     def test_non_isolated_is_infinite(self, ring_q2):
         assert tjurina_number(P("x^2", ring_q2)) is INFINITE
+
+    def test_high_degree_closed_form(self, ring_q2):
+        # (f) + j(f) = (x^199, y^199) for f = x^200 + y^200 over Q
+        f = P("x^200+y^200", ring_q2)
+        assert tjurina_number(f) == 199**2
+        assert nash_ideal_t(f, 1).dimension() == 39601
 
 
 class TestGpBound:

@@ -58,7 +58,7 @@ class TestIdealCommand:
         assert "dimension: 9" in out
 
     def test_jn_one_variable(self, capsys):
-        code, out, _ = run(capsys, "ideal", "jn", "x^2", "--vars", "x", "-n", "2", "--reduced")
+        code, out, _ = run(capsys, "ideal", "mn", "x^2", "--vars", "x", "-n", "2", "--reduced")
         assert code == 0
         assert out.split("reduced standard basis:")[1].strip() == "x^2"
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nashblowup.fields import GF, QQ
-from nashblowup.ideals import (
-    INFINITE,
-    Ideal,
-    ideal_contains,
-    ideal_equal,
-    ideal_membership,
-    maximal_ideal_power,
-)
+from nashblowup.ideals import INFINITE, Ideal, _staircase, maximal_ideal_power
 from nashblowup.polynomials import GRADED_LEX, RingContext
 
 from conftest import P, brute_standard_monomial_count, linalg_quotient_dim, polynomial_strategy
@@ -81,10 +75,10 @@ class TestNormalForm:
 
 class TestMembership:
     def test_power_member(self, ring_q2):
-        assert ideal_membership(P("x^3", ring_q2), ideal(ring_q2, "x^2"))
+        assert ideal(ring_q2, "x^2").contains_element(P("x^3", ring_q2))
 
     def test_zero_member(self, ring_q2):
-        assert ideal_membership(ring_q2.zero(), ideal(ring_q2, "x^17"))
+        assert ideal(ring_q2, "x^17").contains_element(ring_q2.zero())
 
     def test_low_order_nonmember_char3(self):
         ring = RingContext(("x", "y"), GF(3))
@@ -93,7 +87,7 @@ class TestMembership:
         # of the ideal does too; x^3 has multiplicity 3
         assert min(P(t, ring).multiplicity() for t in gens) == 4
         assert P("x^3", ring).multiplicity() == 3
-        assert not ideal_membership(P("x^3", ring), ideal(ring, *gens))
+        assert not ideal(ring, *gens).contains_element(P("x^3", ring))
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -115,27 +109,27 @@ class TestMembership:
         combo = ring.zero()
         for g, c in zip(gens, cofactors):
             combo = combo + g * c
-        assert ideal_membership(combo, Ideal(ring, gens))
+        assert Ideal(ring, gens).contains_element(combo)
 
 
 class TestEquality:
     def test_linear_change(self, ring_q2):
-        assert ideal_equal(ideal(ring_q2, "x", "y"), ideal(ring_q2, "x+y", "y"))
+        assert ideal(ring_q2, "x", "y").equals(ideal(ring_q2, "x+y", "y"))
 
     def test_quadric_gradient_pair(self, ring_q2):
-        assert ideal_equal(ideal(ring_q2, "x^2+y^2", "2*x", "2*y"), ideal(ring_q2, "x", "y"))
+        assert ideal(ring_q2, "x^2+y^2", "2*x", "2*y").equals(ideal(ring_q2, "x", "y"))
 
     def test_different_powers(self, ring_q2):
-        assert not ideal_equal(ideal(ring_q2, "x^2"), ideal(ring_q2, "x^3"))
+        assert not ideal(ring_q2, "x^2").equals(ideal(ring_q2, "x^3"))
 
     def test_unit_absorption(self, ring_q2):
         for unit_text in ("1+x", "2", "1 - y + x*y"):
             f = P("x^2+y^3", ring_q2)
             u = P(unit_text, ring_q2)
-            assert ideal_equal(Ideal(ring_q2, [u * f]), Ideal(ring_q2, [f]))
+            assert Ideal(ring_q2, [u * f]).equals(Ideal(ring_q2, [f]))
 
     def test_non_primary_equality_via_membership(self, ring_q2):
-        assert ideal_equal(ideal(ring_q2, "x - x*y"), ideal(ring_q2, "x"))
+        assert ideal(ring_q2, "x - x*y").equals(ideal(ring_q2, "x"))
 
     @settings(max_examples=15, deadline=None)
     @given(st.data())
@@ -158,10 +152,10 @@ class TestEquality:
 
 class TestContainment:
     def test_monomial_multiples(self, ring_q2):
-        assert ideal_contains(ideal(ring_q2, "x"), ideal(ring_q2, "x^2", "x*y"))
+        assert ideal(ring_q2, "x").contains_ideal(ideal(ring_q2, "x^2", "x*y"))
 
     def test_strict(self, ring_q2):
-        assert not ideal_contains(ideal(ring_q2, "x^2"), ideal(ring_q2, "x"))
+        assert not ideal(ring_q2, "x^2").contains_ideal(ideal(ring_q2, "x"))
 
 
 class TestInfiniteColengthMembership:
@@ -286,6 +280,66 @@ class TestQuotientDimension:
             bound = sum(p - 1 for p in powers) + 1  # m^bound inside the pure-power part
             expected = linalg_quotient_dim(gens, ring, bound)
             assert Ideal(ring, gens).dimension() == expected
+
+
+def box_staircase(lead_monomials, nvars):
+    """Reference for _staircase: enumerate the pure-power box monomial by monomial."""
+    if any(sum(m) == 0 for m in lead_monomials):
+        return (0, -1)
+    box = []
+    for i in range(nvars):
+        pure = [m[i] for m in lead_monomials if all(e == 0 for j, e in enumerate(m) if j != i)]
+        if not pure:
+            return None
+        box.append(min(pure))
+    outside = [
+        alpha
+        for alpha in itertools.product(*(range(b) for b in box))
+        if not any(all(g <= a for g, a in zip(m, alpha)) for m in lead_monomials)
+    ]
+    return (len(outside), max((sum(a) for a in outside), default=-1))
+
+
+class TestStaircase:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_box_enumeration(self, data):
+        nvars = data.draw(st.integers(1, 3))
+        exponent = st.integers(0, 5)
+        monomial = st.tuples(*[exponent] * nvars)
+        gens = data.draw(st.lists(monomial, max_size=6))
+        # pure powers close the staircase in the variables that get one
+        for i in range(nvars):
+            if data.draw(st.booleans()):
+                power = data.draw(exponent)
+                gens.append(tuple(power if j == i else 0 for j in range(nvars)))
+        # repeated and non-minimal generators change nothing
+        if gens and data.draw(st.booleans()):
+            m = data.draw(st.sampled_from(gens))
+            gens += [m, tuple(e + 1 for e in m)]
+        gens = data.draw(st.permutations(gens))
+        assert _staircase(gens, nvars) == box_staircase(gens, nvars)
+
+    @pytest.mark.parametrize(
+        "gens,nvars,expected",
+        [
+            ([], 0, (1, 0)),
+            ([], 1, None),
+            ([], 3, None),
+            ([()], 0, (0, -1)),
+            ([(0, 0, 0)], 3, (0, -1)),
+            ([(2, 1), (0, 0), (0, 3)], 2, (0, -1)),
+            ([(2, 0)], 2, None),
+            ([(0, 3), (1, 1)], 2, None),
+            ([(4, 0, 0), (0, 4, 0), (1, 1, 1)], 3, None),
+            ([(3,)], 1, (3, 2)),
+            ([(2, 0), (1, 1), (0, 2)], 2, (3, 1)),
+            ([(2, 0), (0, 3), (2, 0)], 2, (6, 3)),
+            ([(1, 0, 0), (0, 2, 0), (0, 0, 2)], 3, (4, 2)),
+        ],
+    )
+    def test_known_staircases(self, gens, nvars, expected):
+        assert _staircase(gens, nvars) == expected
 
 
 class TestLeadingIdeal:
