@@ -10,8 +10,10 @@ order-n Jacobian ideal is generated by its maximal minors.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -20,8 +22,6 @@ from .polynomials import (
     MultiIndex,
     Polynomial,
     RingContext,
-    mi_strictly_above,
-    mi_sub,
     multi_indices_in_range,
 )
 
@@ -128,9 +128,9 @@ def jac_matrix(f: Polynomial, n: int) -> JacobianMatrix:
     derivative_cache: dict[MultiIndex, Polynomial] = {}
 
     def entry(beta: MultiIndex, alpha: MultiIndex) -> Polynomial:
-        if not mi_strictly_above(alpha, beta):
+        gamma = tuple(map(operator.sub, alpha, beta))
+        if min(gamma) < 0 or not any(gamma):
             return zero
-        gamma = mi_sub(alpha, beta)
         got = derivative_cache.get(gamma)
         if got is None:
             got = f.hasse_derivative(gamma)
@@ -148,61 +148,176 @@ def jac_matrix(f: Polynomial, n: int) -> JacobianMatrix:
 # column-prefix subproblems: walking the subsets in lex order while carrying
 # the map {used-row-bitmask -> minor of the chosen column prefix} computes
 # each maximal minor once, with structural zeros pruned for free (empty
-# states cut whole subtrees).
+# states cut whole subtrees).  The walk runs on packed entries (see
+# _PackedMatrix): integer monomial keys and integer coefficients, so a
+# product of two terms is one int addition and one int multiplication.
+
+
+class _PackedMatrix:
+    """A polynomial matrix packed for products of at most k of its entries.
+
+    Each entry becomes {monomial key: int coefficient}.  The exponent of
+    x_i sits in its own bit field, wide enough for k times the largest
+    exponent of x_i in the matrix, so adding keys multiplies monomials
+    without carries.  Over Q every entry is scaled by the lcm D of all
+    denominators, so a product of k entries is D^k times the true one; over
+    F_p coefficients stay in 0..p-1 and sums are reduced once per state.
+    """
+
+    __slots__ = ("ring", "p", "scale", "fields", "cells")
+
+    def __init__(self, entries: Sequence[Sequence[Polynomial]], k: int, ring: RingContext):
+        self.ring = ring
+        self.p = p = ring.field.characteristic
+        # Jacobian matrices repeat one derivative in many cells: pack each once
+        distinct = {id(e): e.terms for row in entries for e in row if e.terms}
+        monomials = [alpha for terms in distinct.values() for alpha in terms]
+        top = [max(column) for column in zip(*monomials)] or [0] * ring.nvars
+        den = 1 if p else math.lcm(*(c.denominator for terms in distinct.values() for c in terms.values()))
+        self.scale = den**k
+        self.fields: list[tuple[int, int]] = []  # (shift, mask) of each variable
+        shifts = []
+        shift = 0
+        for t in top:
+            width = (k * t).bit_length()
+            self.fields.append((shift, (1 << width) - 1))
+            shifts.append(shift)
+            shift += width
+        packed = {
+            cell: tuple(
+                (sum(map(operator.lshift, alpha, shifts)), c if p else c.numerator * (den // c.denominator))
+                for alpha, c in terms.items()
+            )
+            for cell, terms in distinct.items()
+        }
+        self.cells = [[packed.get(id(e), ()) for e in row] for row in entries]
+
+    def polynomial(self, det: dict[int, int]) -> Polynomial:
+        """The true minor of a packed one."""
+        fields, scale = self.fields, self.scale
+        if self.p:
+            coeffs = det.values()
+        elif scale == 1:
+            coeffs = map(Fraction, det.values())
+        else:
+            coeffs = (Fraction(c, scale) for c in det.values())
+        monomials = [tuple([(key >> s) & m for s, m in fields]) for key in det]
+        return Polynomial(self.ring, dict(zip(monomials, coeffs)), _canonical=True)
+
+    def scalar_class(self, det: dict[int, int]) -> frozenset:
+        """The same key for two packed minors iff one is a nonzero multiple of the other."""
+        lead = det[max(det)]
+        p = self.p
+        if p:
+            scalar = pow(lead, -1, p)
+            return frozenset((key, c * scalar % p) for key, c in det.items())
+        g = math.gcd(*det.values())
+        if lead < 0:
+            g = -g
+        return frozenset((key, c // g) for key, c in det.items())
 
 
 def _minor_dets(
-    entries: Sequence[Sequence[Polynomial]],
-    row_ids: Sequence[int],
-    col_ids: Sequence[int],
-    k: int,
-    ring: RingContext,
-) -> list[tuple[tuple[int, ...], Polynomial]]:
-    zero = ring.zero()
-    nrows = len(row_ids)
-    # column c contributes entry(row, c) to states missing that row
+    matrix: _PackedMatrix, row_ids: Sequence[int], col_ids: Sequence[int]
+) -> list[tuple[tuple[int, ...], dict[int, int]]]:
+    """(columns, packed minor) of every nonzero maximal minor on row_ids.
 
-    def extend(state: dict[int, Polynomial], col: int, pos: int) -> dict[int, Polynomial]:
-        out: dict[int, Polynomial] = {}
-        for mask, val in state.items():
-            for ri in range(nrows):
-                bit = 1 << ri
-                if mask & bit:
-                    continue
-                e = entries[row_ids[ri]][col]
-                if e.is_zero():
-                    continue
-                below = bin(mask & (bit - 1)).count("1")
-                term = val * e
-                if (below + pos) % 2:
-                    term = -term
-                new_mask = mask | bit
-                acc = out.get(new_mask)
-                out[new_mask] = term if acc is None else acc + term
-        return {m: v for m, v in out.items() if not v.is_zero()}
-
+    Column subsets of size len(row_ids) come in lex order of col_ids.
+    """
+    p = matrix.p
+    k = len(row_ids)
+    full = (1 << k) - 1
+    ncols = len(col_ids)
+    # column ci contributes entry(row, ci) to states missing that row
+    column = [
+        [(1 << ri, cell) for ri, r in enumerate(row_ids) if (cell := matrix.cells[r][c])]
+        for c in col_ids
+    ]
+    # rows with a nonzero entry right of position ci: a state missing any
+    # other row can never be completed, so it is not kept
+    live = [0] * ncols
+    seen = 0
+    for ci in range(ncols - 1, -1, -1):
+        live[ci] = seen
+        for bit, _ in column[ci]:
+            seen |= bit
     chosen: list[int] = []
-    results: list[tuple[tuple[int, ...], Polynomial]] = []
+    results: list[tuple[tuple[int, ...], dict[int, int]]] = []
 
-    def walk(start: int, state: dict[int, Polynomial]) -> None:
-        depth = len(chosen)
-        if depth == k:
-            det = state.get((1 << nrows) - 1, zero)
-            if not det.is_zero():
-                results.append((tuple(col_ids[c] for c in chosen), det))
-            return
-        remaining = k - depth
-        for ci in range(start, len(col_ids) - remaining + 1):
-            new_state = extend(state, col_ids[ci], depth)
+    def walk(start: int, state: dict[int, dict[int, int]], depth: int) -> None:
+        for ci in range(start, ncols - k + depth + 1):
+            completable = live[ci]
+            if not depth:
+                # the empty prefix has the one state {no rows: 1}, so a first
+                # column's states are its own entries, all with sign +1
+                new_state = {bit: dict(cell) for bit, cell in column[ci] if (bit | completable) == full}
+            else:
+                out: dict[int, dict[int, int]] = {}
+                for mask, val in state.items():
+                    for bit, cell in column[ci]:
+                        if mask & bit or (mask | bit | completable) != full:
+                            continue
+                        negative = ((mask & (bit - 1)).bit_count() + depth) & 1
+                        acc = out.get(mask | bit)
+                        if acc is None:
+                            acc = out[mask | bit] = {}
+                        get = acc.get
+                        for k1, c1 in val.items():
+                            if negative:
+                                c1 = -c1
+                            for k2, c2 in cell:
+                                key = k1 + k2
+                                acc[key] = get(key, 0) + c1 * c2
+                new_state = {}
+                for mask, acc in out.items():
+                    if p:
+                        for key, c in acc.items():
+                            acc[key] = c % p
+                    if 0 in acc.values():
+                        acc = {key: c for key, c in acc.items() if c}
+                        if not acc:
+                            continue
+                    new_state[mask] = acc
             if not new_state:
                 continue
-            chosen.append(ci)
-            walk(ci + 1, new_state)
+            chosen.append(col_ids[ci])
+            if depth + 1 == k:
+                results.append((tuple(chosen), new_state[full]))
+            else:
+                walk(ci + 1, new_state, depth + 1)
             chosen.pop()
 
-    one_state = {0: ring.one()}
-    walk(0, one_state)
+    walk(0, {0: {0: 1}}, 0)
     return results
+
+
+def _packed_minors(
+    entries: Sequence[Sequence[Polynomial]], k: int, ring: RingContext
+) -> tuple[_PackedMatrix, list[dict[int, int]]]:
+    """Every nonzero k x k minor, packed once per matrix: row subsets, then columns, in lex order."""
+    packed = _PackedMatrix(entries, k, ring)
+    cols = range(len(entries[0]))
+    dets = [
+        det
+        for rows in combinations(range(len(entries)), k)
+        for _, det in _minor_dets(packed, rows, cols)
+    ]
+    return packed, dets
+
+
+def _distinct_minors(
+    entries: Sequence[Sequence[Polynomial]], k: int, ring: RingContext
+) -> list[Polynomial]:
+    """The nonzero k x k minors up to a scalar, first occurrence kept, in minors() order."""
+    packed, dets = _packed_minors(entries, k, ring)
+    seen = set()
+    out = []
+    for det in dets:
+        key = packed.scalar_class(det)
+        if key not in seen:
+            seen.add(key)
+            out.append(packed.polynomial(det))
+    return out
 
 
 def minors(matrix: PresentationMatrix | JacobianMatrix, k: int) -> list[Polynomial]:
@@ -211,12 +326,8 @@ def minors(matrix: PresentationMatrix | JacobianMatrix, k: int) -> list[Polynomi
         matrix = matrix.as_presentation()
     if k < 1 or k > min(matrix.nrows, matrix.ncols):
         raise ValueError(f"minor size {k} exceeds matrix dimensions {matrix.nrows}x{matrix.ncols}")
-    out: list[Polynomial] = []
-    all_cols = list(range(matrix.ncols))
-    for row_subset in combinations(range(matrix.nrows), k):
-        for _, det in _minor_dets(matrix.entries, row_subset, all_cols, k, matrix.ring):
-            out.append(det)
-    return out
+    packed, dets = _packed_minors(matrix.entries, k, matrix.ring)
+    return [packed.polynomial(det) for det in dets]
 
 
 def fitting_ideal(matrix: PresentationMatrix | JacobianMatrix, k: int) -> Ideal:
@@ -235,7 +346,7 @@ def fitting_ideal(matrix: PresentationMatrix | JacobianMatrix, k: int) -> Ideal:
         return Ideal.unit(matrix.ring)
     if size > matrix.nrows:
         return Ideal.zero(matrix.ring)
-    return Ideal(matrix.ring, _dedup(minors(matrix, size)))
+    return Ideal(matrix.ring, _distinct_minors(matrix.entries, size, matrix.ring))
 
 
 def _dedup(polys: Sequence[Polynomial]) -> list[Polynomial]:
@@ -253,22 +364,14 @@ def _dedup(polys: Sequence[Polynomial]) -> list[Polynomial]:
     return out
 
 
-@lru_cache(maxsize=512)
 def higher_jacobian_ideal(f: Polynomial, n: int) -> Ideal:
     """The order-n Jacobian ideal: maximal minors of the order-n Jacobian matrix.
 
-    Cached per (f, n): the returned Ideal (and its lazily computed standard
-    basis) is shared, which the read-only access pattern makes safe.
+    Generators are the distinct nonzero minors up to a scalar, in column-lex
+    order.  Every call builds a new Ideal; nothing is shared between calls.
     """
     matrix = jac_matrix(f, n)
-    nrows, ncols = matrix.shape
-    dets = [
-        det
-        for _, det in _minor_dets(
-            matrix.entries, range(nrows), range(ncols), nrows, matrix.ring
-        )
-    ]
-    return Ideal(matrix.ring, _dedup(dets))
+    return Ideal(f.ring, _distinct_minors(matrix.entries, len(matrix.rows), f.ring))
 
 
 def jacobian_ideal(f: Polynomial) -> Ideal:

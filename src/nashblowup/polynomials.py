@@ -41,11 +41,6 @@ def mi_divides(alpha: MultiIndex, beta: MultiIndex) -> bool:
     return all(a <= b for a, b in zip(alpha, beta))
 
 
-def mi_strictly_above(alpha: MultiIndex, beta: MultiIndex) -> bool:
-    """Componentwise partial order: alpha > beta iff alpha != beta and alpha_i >= beta_i."""
-    return alpha != beta and all(a >= b for a, b in zip(alpha, beta))
-
-
 def mi_lcm(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
     return tuple(max(a, b) for a, b in zip(alpha, beta))
 

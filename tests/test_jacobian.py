@@ -1,12 +1,19 @@
 import math
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashblowup.fields import GF, QQ, CoefficientField
 from nashblowup.ideals import Ideal
 from nashblowup.jacobian import (
     PresentationMatrix,
+    _dedup,
+    _minor_dets,
+    _PackedMatrix,
     fitting_ideal,
     higher_jacobian_ideal,
     j2_plane_closed_form,
@@ -14,7 +21,7 @@ from nashblowup.jacobian import (
     jacobian_ideal,
     minors,
 )
-from nashblowup.polynomials import RingContext
+from nashblowup.polynomials import LOCAL_DEGREE, RingContext
 
 from conftest import P, perm_det
 
@@ -103,6 +110,122 @@ class TestMinors:
             if not det.is_zero():
                 expected.append(det)
         assert got == expected
+
+
+@st.composite
+def matrix_strategy(draw):
+    """Random polynomial matrices: rational or F_p coefficients, constants,
+    zero entries, exponents up to 200, and few monomials per matrix so that
+    products collide and minors cancel, over Z or only mod p."""
+    field = draw(st.sampled_from((QQ, GF(2), GF(3), GF(5))))
+    nvars = draw(st.integers(1, 3))
+    ring = RingContext(("x", "y", "z")[:nvars], field)
+    nrows = draw(st.integers(1, 4))
+    ncols = draw(st.integers(nrows, 5))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, 200))
+    pool = draw(st.lists(st.tuples(*[exponent] * nvars), min_size=1, max_size=3))
+    if field.is_prime_field:
+        coeff = st.integers(-6, 6)
+    else:
+        coeff = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 7)))
+
+    def build(terms):
+        return sum((ring.monomial(alpha, c) for alpha, c in terms), ring.zero())
+
+    entry = st.one_of(
+        st.just(ring.zero()),
+        coeff.map(ring.constant),
+        st.lists(st.tuples(st.sampled_from(pool), coeff), min_size=1, max_size=3).map(build),
+    )
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    return PresentationMatrix(ring, draw(st.lists(row, min_size=nrows, max_size=nrows)))
+
+
+def oracle_minors(m, k):
+    """(rows, cols, det) of every nonzero k x k minor by the permutation sum."""
+    out = []
+    for rows in combinations(range(m.nrows), k):
+        for cols in combinations(range(m.ncols), k):
+            det = perm_det([[m.entries[i][j] for j in cols] for i in rows])
+            if not det.is_zero():
+                out.append((rows, cols, det))
+    return out
+
+
+class TestPackedKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(matrix_strategy())
+    def test_maximal_minors_match_permutation_sum(self, m):
+        k = m.nrows
+        packed = _PackedMatrix(m.entries, k, m.ring)
+        got = [(cols, packed.polynomial(det)) for cols, det in _minor_dets(packed, range(k), range(m.ncols))]
+        expected = [(cols, det) for _, cols, det in oracle_minors(m, k)]
+        assert got == expected
+        assert [str(det) for _, det in got] == [str(det) for _, det in expected]
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrix_strategy(), st.data())
+    def test_minors_and_fitting_generators_match_permutation_sum(self, m, data):
+        k = data.draw(st.integers(1, m.nrows))
+        expected = [det for _, _, det in oracle_minors(m, k)]
+        got = minors(m, k)
+        assert got == expected
+        assert [str(det) for det in got] == [str(det) for det in expected]
+        assert fitting_ideal(m, m.ncols - k).generators == tuple(_dedup(expected))
+
+
+# str(g) of every generator, in order: `ideal ... --json` prints these lists,
+# so a kernel change that reorders, rescales or drops one changes CLI output
+PINNED_GENERATORS = [
+    ('x^3+y^5', 3, 0, 'xy', [
+        '729*x^12', '1215*x^10*y^4', '2025*x^8*y^8', '3375*x^6*y^12', '5625*x^4*y^16',
+        '-2430*x^10*y^3 - 2025*x^7*y^8', '9375*x^2*y^20', '-8100*x^8*y^7 - 6750*x^5*y^12',
+        '-6750*x^6*y^11 - 5625*x^3*y^16', '15625*y^24', '-11250*x^4*y^15 - 9375*x*y^20',
+        '-2430*x^10*y^2 - 8100*x^7*y^7 - 5625*x^4*y^12', '4050*x^8*y^6 - 3750*x^2*y^16',
+        '20250*x^6*y^10 + 22500*x^3*y^15 + 3125*y^20',
+    ]),
+    ('x^3+y^5', 3, 5, 'xy', [
+        '4*x^12',
+    ]),
+    ('1/2*x^3+3/7*y^4', 2, 0, 'xy', [
+        '27/8*x^6', '27/7*x^4*y^3', '216/49*x^2*y^6', '1728/343*y^9',
+        '81/14*x^4*y^2 + 216/49*x*y^6',
+    ]),
+    ('x*y*z', 2, 0, 'xyz', [
+        'y^4*z^4', 'x*y^3*z^4', 'x*y^4*z^3', 'x^2*y^2*z^4', 'x^2*y^3*z^3', 'x^2*y^4*z^2',
+        'x^3*y*z^4', 'x^3*y^2*z^3', 'x^3*y^3*z^2', 'x^3*y^4*z', 'x^4*z^4', 'x^4*y*z^3',
+        'x^4*y^2*z^2', 'x^4*y^3*z', 'x^4*y^4', 'x*y^2*z^4', 'x*y^3*z^3', 'x*y^4*z^2',
+        '-x^2*y*z^4', '-x^2*y^2*z^3', '-x^2*y^3*z^2', '-x^2*y^4*z', 'x^3*y^2*z^2', 'x^3*y*z^3',
+        '-x^3*y^3*z', 'x^4*y*z^2', 'x^4*y^2*z',
+    ]),
+    ('x^3+y^5', 3, 2, 'xy', [
+        'x^12', 'x^10*y^4', 'x^8*y^8', 'x^6*y^12', 'x^4*y^16', 'x^7*y^8', 'x^2*y^20',
+        'x^3*y^16', 'x^5*y^12', 'y^24', 'x*y^20', 'x^4*y^12', 'y^20',
+    ]),
+    ('x^2+y^3+x*y^2', 3, 2, 'xy', [
+        'y^12', 'y^10 + x*y^10 + y^11', 'y^8 + x^2*y^8 + y^10',
+    ]),
+    ('x^3+x*y^3', 3, 3, 'xy', [
+        'y^18', '2*x*y^15',
+    ]),
+]
+
+
+class TestGeneratorLists:
+    @pytest.mark.parametrize("text, n, char, names, expected", PINNED_GENERATORS)
+    def test_byte_identical(self, text, n, char, names, expected):
+        ring = RingContext(tuple(names), CoefficientField(char))
+        got = higher_jacobian_ideal(P(text, ring), n)
+        assert [str(g) for g in got.generators] == expected
+
+    def test_calls_share_no_state(self, ring_q2):
+        f = P("x^3+y^4", ring_q2)
+        first = higher_jacobian_ideal(f, 2)
+        second = higher_jacobian_ideal(f, 2)
+        assert first is not second
+        first.standard_basis()
+        assert LOCAL_DEGREE in first._bases
+        assert not second._bases
 
 
 class TestFittingIdeals:
