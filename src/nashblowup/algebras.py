@@ -159,7 +159,8 @@ def invariant_report(f: Polynomial, n_max: int = 2, k_max: int = 1) -> Invariant
     mt = f.multiplicity()
     tau = tjurina_number(f)
     dim_tn = {n: nash_ideal_t(f, n).dimension() for n in range(1, n_max + 1)}
-    dim_tk = {k: tjurina_ideal(f, k).dimension() for k in range(0, k_max + 1)}
+    # the k = 0 ideal is the Tjurina ideal, whose dimension is tau
+    dim_tk = {k: tau if k == 0 else tjurina_ideal(f, k).dimension() for k in range(0, k_max + 1)}
     gp = None
     if tau is not INFINITE and mt >= 2:
         gp = gp_bound(tau, mt, f.ring.field.characteristic)

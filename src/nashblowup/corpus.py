@@ -164,12 +164,12 @@ def tjurina_fixtures() -> Iterable[FixtureResult]:
         )
 
 
-def inclusion_fixtures(field: CoefficientField, orders: tuple[int, ...] = (2, 3)) -> Iterable[FixtureResult]:
+def inclusion_fixtures(field: CoefficientField) -> Iterable[FixtureResult]:
     tag = _field_tag(field)
     for name in INCLUSION_CORPUS_NAMES:
         entry = next(e for e in SINGULARITY_CORPUS if e.name == name)
         f = entry.polynomial(field)
-        for n in orders:
+        for n in (2, 3):
             report = check_inclusions(f, n)
             ok = report.all_asserted_hold()
             failing = [c.name for c in report if c.asserted and not c.holds]
@@ -260,17 +260,15 @@ def gp_bound_fixtures() -> Iterable[FixtureResult]:
 def run_corpus(
     fields: tuple[CoefficientField, ...] = (QQ, GF(3), GF(5)),
     name_filter: str | None = None,
-    heavy: bool = True,
 ) -> list[FixtureResult]:
     """Run every fixture; filter by substring of the fixture id."""
     results: list[FixtureResult] = []
-    orders = (2, 3) if heavy else (2,)
     for field in fields:
         results.extend(second_order_algebra_fixtures(field))
         results.extend(shape_fixtures(field))
         results.extend(gradient_fixtures(field))
         results.extend(closed_form_fixtures(field))
-        results.extend(inclusion_fixtures(field, orders))
+        results.extend(inclusion_fixtures(field))
     results.extend(tjurina_fixtures())
     results.extend(pair_fixtures())
     results.extend(gp_bound_fixtures())

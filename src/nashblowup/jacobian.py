@@ -42,12 +42,6 @@ class JacobianMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.cols))
 
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.entries[i][j]
-
-    def as_presentation(self) -> "PresentationMatrix":
-        return PresentationMatrix(self.ring, self.entries)
-
     def pretty(self) -> str:
         """Aligned text grid with multi-index row/column labels."""
         col_labels = [_label(a) for a in self.cols]
@@ -109,10 +103,6 @@ class PresentationMatrix:
     @property
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    @property
-    def generator_count(self) -> int:
-        return self.ncols
 
 
 def jac_matrix(f: Polynomial, n: int) -> JacobianMatrix:
@@ -322,11 +312,11 @@ def _distinct_minors(
 
 def minors(matrix: PresentationMatrix | JacobianMatrix, k: int) -> list[Polynomial]:
     """All nonzero k x k minors, row subsets then column subsets in lex order."""
-    if isinstance(matrix, JacobianMatrix):
-        matrix = matrix.as_presentation()
-    if k < 1 or k > min(matrix.nrows, matrix.ncols):
-        raise ValueError(f"minor size {k} exceeds matrix dimensions {matrix.nrows}x{matrix.ncols}")
-    packed, dets = _packed_minors(matrix.entries, k, matrix.ring)
+    entries = matrix.entries
+    nrows, ncols = len(entries), len(entries[0]) if entries else 0
+    if k < 1 or k > min(nrows, ncols):
+        raise ValueError(f"minor size {k} exceeds matrix dimensions {nrows}x{ncols}")
+    packed, dets = _packed_minors(entries, k, matrix.ring)
     return [packed.polynomial(det) for det in dets]
 
 
@@ -339,14 +329,13 @@ def fitting_ideal(matrix: PresentationMatrix | JacobianMatrix, k: int) -> Ideal:
     """
     if k < 0:
         raise ValueError("negative Fitting index")
-    if isinstance(matrix, JacobianMatrix):
-        matrix = matrix.as_presentation()
-    size = matrix.generator_count - k
+    entries = matrix.entries
+    size = (len(entries[0]) if entries else 0) - k
     if size <= 0:
         return Ideal.unit(matrix.ring)
-    if size > matrix.nrows:
+    if size > len(entries):
         return Ideal.zero(matrix.ring)
-    return Ideal(matrix.ring, _distinct_minors(matrix.entries, size, matrix.ring))
+    return Ideal(matrix.ring, _distinct_minors(entries, size, matrix.ring))
 
 
 def _dedup(polys: Sequence[Polynomial]) -> list[Polynomial]:

@@ -96,7 +96,6 @@ def _parse_term(tok: _Tokenizer, ring: RingContext, sign: int) -> Polynomial:
         raise PolynomialSyntaxError("expected a term", tok.pos)
     coeff = Fraction(sign)
     exponents = [0] * ring.nvars
-    saw_factor = False
     if ch.isdigit():
         num = tok.take_uint()
         coeff *= num
@@ -108,17 +107,13 @@ def _parse_term(tok: _Tokenizer, ring: RingContext, sign: int) -> Polynomial:
             if den == 0:
                 raise PolynomialSyntaxError("zero denominator", tok.pos)
             coeff /= den
-        saw_factor = True
         if tok.peek() == "*":
             tok.take()
             _parse_monos(tok, ring, exponents)
     elif ch.isalpha() or ch == "_":
         _parse_monos(tok, ring, exponents)
-        saw_factor = True
     else:
         raise PolynomialSyntaxError(f"unexpected character {ch!r}", tok.pos)
-    if not saw_factor:
-        raise PolynomialSyntaxError("empty term", tok.pos)
     return ring.monomial(tuple(exponents), coeff)
 
 

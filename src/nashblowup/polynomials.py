@@ -20,14 +20,6 @@ MultiIndex = tuple[int, ...]
 # multi-index helpers
 
 
-def mi_degree(alpha: MultiIndex) -> int:
-    return sum(alpha)
-
-
-def mi_add(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
-    return tuple(a + b for a, b in zip(alpha, beta))
-
-
 def mi_sub(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
     """Componentwise difference; requires alpha >= beta componentwise."""
     diff = tuple(a - b for a, b in zip(alpha, beta))
@@ -102,9 +94,6 @@ class MonomialOrder:
             return (deg, -sum(rest), rest)
         return (deg, alpha)
 
-    def greater(self, alpha: MultiIndex, beta: MultiIndex) -> bool:
-        return self.key(alpha) > self.key(beta)
-
 
 GRADED_LEX = MonomialOrder("graded_lex")
 LOCAL_DEGREE = MonomialOrder("local_degree")
@@ -156,9 +145,6 @@ class RingContext:
             raise ValueError(f"multi-index length {len(alpha)} != {self.nvars}")
         c = self.field.coerce(coeff)
         return Polynomial(self, {tuple(alpha): c} if c else {})
-
-    def maximal_ideal_generators(self) -> list["Polynomial"]:
-        return [self.variable(i) for i in range(self.nvars)]
 
     def __str__(self) -> str:
         return f"{self.field}[{', '.join(self.variables)}]"

@@ -11,6 +11,7 @@ from nashblowup.algebras import (
     tjurina_ideal,
     tjurina_number,
 )
+from nashblowup import ideals
 from nashblowup.ideals import INFINITE, Ideal, maximal_ideal_power
 from nashblowup.jacobian import jacobian_ideal
 
@@ -196,6 +197,22 @@ class TestInvariantReport:
         assert obj["tau"] == "inf"
         assert obj["dimTn"]["1"] == "inf"
         assert obj["gpBound"] is None
+
+    def test_tjurina_ideal_completed_once(self, ring_q2, monkeypatch):
+        # tau and dim T_0 are the same ideal: one basis for both, then T_1,
+        # and the Nash algebras T_1 and T_2
+        calls = []
+        original = ideals.compute_standard_basis
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ideals, "compute_standard_basis", counted)
+        report = invariant_report(P("x^3+y^5", ring_q2), 2, 1)
+        assert report.dim_tk[0] == report.tau == 8
+        assert list(report.dim_tk) == [0, 1]
+        assert len(calls) == 4
 
     def test_monotone_algebra_dimensions(self, ring_q2):
         # growth follows from the descending chain of defining ideals

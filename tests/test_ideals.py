@@ -1,13 +1,26 @@
+import importlib
 import itertools
+import pkgutil
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nashblowup
 from nashblowup.fields import GF, QQ
-from nashblowup.ideals import INFINITE, Ideal, _staircase, maximal_ideal_power
-from nashblowup.polynomials import GRADED_LEX, RingContext
+from nashblowup.ideals import (
+    INFINITE,
+    Ideal,
+    _complete_local_by_homogenization,
+    _finish_primary,
+    _minimalize,
+    _staircase,
+    maximal_ideal_power,
+    try_primary_standard_basis,
+)
+from nashblowup.polynomials import GRADED_LEX, LOCAL_DEGREE, RingContext, multi_indices_in_range
 
 from conftest import P, brute_standard_monomial_count, linalg_quotient_dim, polynomial_strategy
 
@@ -340,6 +353,44 @@ class TestStaircase:
     )
     def test_known_staircases(self, gens, nvars, expected):
         assert _staircase(gens, nvars) == expected
+
+
+class TestCappedMoraAgainstLazard:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_certified_basis_matches_lazard(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        # all monomials of degree k make every ideal m-primary
+        k = data.draw(st.integers(3, 6))
+        noise = data.draw(st.lists(polynomial_strategy(ring, max_terms=4, max_degree=5), max_size=3))
+        gens = [g for g in noise if not g.is_zero()]
+        gens += [ring.monomial(alpha) for alpha in multi_indices_in_range(nvars, k, k)]
+        capped = try_primary_standard_basis(gens, ring)
+        if capped is None:
+            return
+        raw = _complete_local_by_homogenization(gens, ring)
+        minimal = [p.monic(LOCAL_DEGREE) for p in _minimalize(raw, LOCAL_DEGREE)]
+        stats = _staircase([p.leading_monomial(LOCAL_DEGREE) for p in minimal], nvars)
+        lazard = _finish_primary(minimal, ring, LOCAL_DEGREE, stats[1])
+        assert capped.elements == lazard.elements
+        assert capped.truncation == lazard.truncation
+
+
+def test_no_module_level_caches():
+    # a cache shared by every caller in the process would let one call's
+    # work flatter the next; every result is computed afresh
+    for info in pkgutil.iter_modules(nashblowup.__path__):
+        importlib.import_module(f"nashblowup.{info.name}")
+    cached = [
+        f"{name}.{attr}"
+        for name, module in list(sys.modules.items())
+        if name == "nashblowup" or name.startswith("nashblowup.")
+        for attr, value in vars(module).items()
+        if callable(value) and hasattr(value, "cache_info")
+    ]
+    assert cached == []
 
 
 class TestLeadingIdeal:
