@@ -23,16 +23,44 @@ deterministically (bounded tail reduction) and equality falls back to
 mutual membership.  Membership there escalates a capped refutation and a
 linear certificate for a fixed number of rounds; when neither side settles
 within them it raises RuntimeError instead of answering.
+
+Packed kernel.  The weak normal form, the completion and the tail
+reduction run on packed polynomials: dicts from int monomial keys to int
+coefficients.  A key holds one field of w bits per variable, x_1 highest,
+each with a guard bit above it, and the total degree above all fields:
+``fields + (deg << S)`` under GRADED_LEX and ``fields - (deg << S)`` under
+LOCAL_DEGREE, so under either order the leading term is ``max(keys)``, a
+product of monomials is the sum of their keys, x^a divides x^b iff
+``not (b - a) & guards``, and deg < B is one comparison of the key with a
+threshold.  Coefficients are residues over F_p; over Q a polynomial is
+packed as its positive multiple with coprime integer coefficients, and
+every step keeps coefficients integral (cross-multiplied reductions), which
+changes results only by positive scalars that the unpacked results do not
+show.  Width rule: w is sized from the input's largest total degree (and
+truncation degree) with room for it to double; a stored monomial may not
+exceed degree 2^w - 1, so no exponent reaches its guard bit.  A step that
+could store a monomial past that limit raises _Overflow, and the entry
+point starts over with fields twice as wide, so keys never wrap.
+Conversion boundary: polynomials are packed once on entry to
+weak_normal_form, _complete_basis and the tail reduction of a finished
+basis (a ReducedStandardBasis keeps its elements packed for its queries),
+and unpacked only when a result leaves the kernel, as Fraction or residue
+coefficients; every public signature and every printed result is the one
+the tuple/Fraction arithmetic gives.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from math import gcd, lcm
+from operator import itemgetter, lshift
 from typing import Iterable, Sequence
 
 from .polynomials import (
-    HOMOGENIZED_LOCAL,
+    GRADED_LEX,
     LOCAL_DEGREE,
     MonomialOrder,
     MultiIndex,
@@ -83,23 +111,229 @@ INFINITE = _InfiniteDimension()
 QuotientDimension = int | _InfiniteDimension
 
 
-def _ecart(p: Polynomial, order: MonomialOrder) -> int:
-    return p.total_degree() - sum(p.leading_monomial(order))
+# ---------------------------------------------------------------------------
+# packed kernel (layout, width rule and boundary: see the module docstring)
 
 
-def _reduce_leading(h: Polynomial, g: Polynomial, lm_h: MultiIndex, lm_g: MultiIndex) -> Polynomial:
-    """Cancel the leading term of h against g; lm_g must divide lm_h.
+class _Overflow(Exception):
+    """A step could store a monomial past the packing's degree limit."""
 
-    Over the rationals the reduction is fraction-free (cross-multiplied and
-    content-stripped), which rescales h by a unit but keeps coefficients
-    small; over a prime field it divides by the leading coefficient.
+
+class _Packing:
+    """Monomial keys and integer coefficients for one ring, order and width."""
+
+    __slots__ = ("ring", "p", "local", "width", "limit", "shifts", "deg_shift", "guards", "far")
+
+    def __init__(self, ring: RingContext, local: bool, width: int):
+        self.ring = ring
+        self.p = ring.field.characteristic
+        self.local = local
+        self.width = width
+        # largest total degree of a stored monomial; every exponent is at most
+        # the total degree, so no field of a stored key reaches its guard bit
+        self.limit = (1 << width) - 1
+        step = width + 1
+        d = ring.nvars
+        self.shifts = tuple(step * (d - 1 - i) for i in range(d))
+        self.deg_shift = step * d
+        self.guards = sum(1 << (s + width) for s in self.shifts)
+        # beyond every key a step can form: fields stay below 2^(w+1) and
+        # degrees below 4 * 2^w
+        self.far = 1 << (self.deg_shift + width + 3)
+
+    @classmethod
+    def sized(cls, ring: RingContext, order: MonomialOrder, top: int) -> "_Packing":
+        """Fields for monomials up to total degree ``top``, with room to double."""
+        return cls(ring, order.is_local, max(8, (2 * top + 1).bit_length()))
+
+    def wider(self) -> "_Packing":
+        return _Packing(self.ring, self.local, 2 * self.width)
+
+    def key(self, alpha: MultiIndex) -> int:
+        deg = sum(alpha)
+        if deg > self.limit:
+            raise _Overflow
+        fields = sum(map(lshift, alpha, self.shifts))
+        return fields - (deg << self.deg_shift) if self.local else fields + (deg << self.deg_shift)
+
+    def degree(self, key: int) -> int:
+        return -(key >> self.deg_shift) if self.local else key >> self.deg_shift
+
+    def monomial(self, key: int) -> MultiIndex:
+        mask = self.limit
+        return tuple([(key >> s) & mask for s in self.shifts])
+
+    def window(self, bound: int | None) -> tuple[int, int]:
+        """(lo, hi) such that lo <= key < hi iff the key's degree is below bound."""
+        if bound is None:
+            return -self.far, self.far
+        if self.local:
+            return (1 - bound) << self.deg_shift, self.far
+        return -self.far, bound << self.deg_shift
+
+    def pack(self, poly: Polynomial) -> dict[int, int]:
+        """poly's terms by key; over Q its positive multiple with coprime integer coefficients."""
+        terms = poly.terms
+        if not terms:
+            return {}
+        keys = map(self.key, terms)
+        if self.p:
+            return dict(zip(keys, terms.values()))
+        den = lcm(*(c.denominator for c in terms.values()))
+        nums = [c.numerator * (den // c.denominator) for c in terms.values()]
+        content = gcd(*nums)
+        return dict(zip(keys, (n // content for n in nums)))
+
+    def polynomial(self, terms: dict[int, int], monic: bool = False) -> Polynomial:
+        """The unpacked polynomial, or its monic multiple."""
+        p = self.p
+        coeffs = terms.values()
+        if monic:
+            lc = terms[max(terms)]
+            if p:
+                inv = pow(lc, -1, p)
+                coeffs = [c * inv % p for c in coeffs]
+            else:
+                coeffs = [Fraction(c, lc) for c in coeffs]
+        elif not p:
+            coeffs = map(Fraction, coeffs)
+        return Polynomial(self.ring, dict(zip(map(self.monomial, terms), coeffs)), _canonical=True)
+
+    def element(self, terms: dict[int, int]) -> tuple:
+        """(lead, (ecart, length), lead coefficient, tail items) of nonzero packed terms."""
+        lead = max(terms)
+        # local keys: the lowest key has the highest degree
+        ecart = (lead >> self.deg_shift) - (min(terms) >> self.deg_shift) if self.local else 0
+        return (lead, (ecart, len(terms)), terms[lead], tuple([kv for kv in terms.items() if kv[0] != lead]))
+
+
+_lead = itemgetter(0)
+_rank = itemgetter(1)
+
+
+def _terms(element: tuple) -> dict[int, int]:
+    terms = dict(element[3])
+    terms[element[0]] = element[2]
+    return terms
+
+
+def _normal_form(
+    pk: _Packing,
+    h: dict[int, int],
+    reducers: list[tuple],
+    bound: int | None,
+    step_limit: int | None = None,
+    cost_budget: list[int] | None = None,
+    bits: int | None = None,
+) -> dict[int, int] | None:
+    """Mora's weak normal form of packed h, whose terms lie below bound.
+
+    ``reducers`` are packed elements sorted stably by (ecart, length), so the
+    first divisor is the one of least rank that comes first.  ``bits`` is the
+    size of the lead coefficient at the caller's scale, charged at the first
+    step.  Returns h itself when no step applies, None when a limit runs out.
     """
-    field = h.ring.field
-    shift = mi_sub(lm_h, lm_g)
-    if field.is_prime_field:
-        factor = field.neg(field.div(h.terms[lm_h], g.terms[lm_g]))
-        return h + g.term_mul(factor, shift)
-    return (h.scalar_mul(g.terms[lm_g]) - g.term_mul(h.terms[lm_h], shift)).strip_content()
+    if not h or not reducers:
+        return h
+    p, guards, local, limit, deg_shift = pk.p, pk.guards, pk.local, pk.limit, pk.deg_shift
+    lo, hi = pk.window(bound)
+    # below the limit anyway when the bound truncates everything under it
+    unbounded = bound is None or bound - 1 > limit
+    extra: list[tuple] = []  # intermediate results recorded as reducers, by rank
+    steps = 0
+    while h:
+        if step_limit is not None:
+            steps += 1
+            if steps > step_limit:
+                return None
+        lm = max(h)
+        lc = h[lm]
+        if cost_budget is not None:
+            # weight by coefficient size so bignum blowup hits the budget too
+            if bits is None:
+                bits = lc.bit_length() + 1
+            cost_budget[0] -= len(h) * (1 + bits // 32)
+            bits = None
+            if cost_budget[0] < 0:
+                return None
+        best = None
+        for el in reducers:
+            if not (lm - el[0]) & guards:
+                best = el
+                break
+        for el in extra:
+            # a recorded result comes after every basis element of its rank
+            if best is not None and not el[1] < best[1]:
+                break
+            if not (lm - el[0]) & guards:
+                best = el
+                break
+        if best is None:
+            return h
+        lead_g, (ecart_g, _), lc_g, tail_g = best
+        if local:
+            ecart = (lm >> deg_shift) - (min(h) >> deg_shift)
+            if ecart_g > ecart:
+                tail = tuple([kv for kv in h.items() if kv[0] != lm])
+                insort(extra, (lm, (ecart, len(h)), lc, tail), key=_rank)
+        if unbounded and pk.degree(lm) + ecart_g > limit:
+            raise _Overflow
+        shift = lm - lead_g
+        if p:
+            factor = -lc * pow(lc_g, -1, p) % p
+            h = h.copy()
+            del h[lm]
+            get = h.get
+            for k, c in tail_g:
+                k += shift
+                if lo <= k < hi:
+                    c = (get(k, 0) + c * factor) % p
+                    if c:
+                        h[k] = c
+                    else:
+                        del h[k]
+        else:
+            # lc_g * h - lc * x^shift * g over their gcd, then content-stripped
+            # as a whole: the terms the bound drops count towards the content
+            g0 = gcd(lc_g, lc)
+            a, b = lc_g // g0, lc // g0
+            h = {k: c * a for k, c in h.items()} if a != 1 else h.copy()
+            del h[lm]
+            get = h.get
+            dropped = 0
+            for k, c in tail_g:
+                k += shift
+                if lo <= k < hi:
+                    c = get(k, 0) - b * c
+                    if c:
+                        h[k] = c
+                    else:
+                        del h[k]
+                else:
+                    dropped = gcd(dropped, c)
+            content = gcd(*h.values(), b * dropped)
+            if content > 1:
+                h = {k: c // content for k, c in h.items()}
+    return h
+
+
+class _PackedBasis(tuple):
+    """The polynomials of a basis, with their packed reducers attached once."""
+
+    def __new__(cls, elements: Iterable[Polynomial], order: MonomialOrder, packing: _Packing):
+        self = super().__new__(cls, elements)
+        self.order = order
+        self.packing = packing
+        self.reducers = sorted(map(packing.element, map(packing.pack, self)), key=_rank)
+        return self
+
+    @classmethod
+    def fitted(
+        cls, elements: Sequence[Polynomial], ring: RingContext, order: MonomialOrder, top: int = 0
+    ) -> "_PackedBasis":
+        """Packed with fields sized for the elements' degrees and ``top``."""
+        top = max(top, max((p.total_degree() for p in elements), default=0))
+        return cls(elements, order, _Packing.sized(ring, order, top))
 
 
 def weak_normal_form(
@@ -117,45 +351,38 @@ def weak_normal_form(
     a standard basis.  Local orders use Mora's algorithm: reduce by a
     divisor of minimal ecart and record the intermediate result as an
     extra reducer whenever its ecart is smaller, which forces termination.
+    Among divisors of minimal ecart the shortest, then the first, is used.
     ``bound`` truncates all intermediate terms at that total degree and is
     only sound when m^bound is contained in the ideal.  ``step_limit``
     aborts a long reduction walk and returns None; ``cost_budget`` is a
     shared one-element accumulator doing the same across several calls
-    (both internal).
+    (both internal).  Over Q a reduced result keeps the scale of the
+    fraction-free reduction: coprime integers before its last truncation.
     """
     h = f.truncate_at_degree(bound)
     if h.is_zero() or not basis:
         return h
-    local = order.is_local
-    # among divisors of minimal ecart, prefer short reducers: they add the
-    # fewest new terms per step
-    reducers = [(g.leading_monomial(order), (_ecart(g, order), len(g.terms)), g) for g in basis]
-    steps = 0
-    while not h.is_zero():
-        if step_limit is not None:
-            steps += 1
-            if steps > step_limit:
-                return None
-        lm_h = h.leading_monomial(order)
-        if cost_budget is not None:
-            # weight by coefficient size so bignum blowup hits the budget too
-            lc = h.terms[lm_h]
-            bits = lc.numerator.bit_length() + lc.denominator.bit_length()
-            cost_budget[0] -= len(h.terms) * (1 + bits // 32)
-            if cost_budget[0] < 0:
-                return None
-        best = None
-        for lm_g, rank, g in reducers:
-            if mi_divides(lm_g, lm_h) and (best is None or rank < best[1]):
-                best = (lm_g, rank, g)
-        if best is None:
-            return h
-        if local:
-            ec_h = _ecart(h, order)
-            if best[1][0] > ec_h:
-                reducers.append((lm_h, (ec_h, len(h.terms)), h))
-        h = _reduce_leading(h, best[2], lm_h, best[0]).truncate_at_degree(bound)
-    return h
+    if not (isinstance(basis, _PackedBasis) and basis.order == order):
+        basis = _PackedBasis.fitted(basis, f.ring, order, max(h.total_degree(), (bound or 0) - 1))
+    budget = None if cost_budget is None else cost_budget[0]
+    while True:
+        pk = basis.packing
+        try:
+            packed = pk.pack(h)
+            bits = None
+            if cost_budget is not None and not pk.p:
+                # the first charge reads the input's own coefficient
+                lc = h.terms[pk.monomial(max(packed))]
+                bits = lc.numerator.bit_length() + lc.denominator.bit_length()
+            out = _normal_form(pk, packed, basis.reducers, bound, step_limit, cost_budget, bits)
+        except _Overflow:
+            if cost_budget is not None:
+                cost_budget[0] = budget
+            basis = _PackedBasis(basis, order, pk.wider())
+            continue
+        if out is None:
+            return None
+        return h if out is packed else pk.polynomial(out)
 
 
 def _staircase(lead_monomials: Sequence[MultiIndex], nvars: int) -> tuple[int, int] | None:
@@ -202,18 +429,44 @@ def _complete_basis(
     ``hard_cap`` set, all arithmetic is truncated at that degree from the
     start, so the result is a standard basis of (ideal) + m^hard_cap; the
     caller must certify afterwards that this equals the ideal itself.
-    ``cost_budget`` aborts oversized runs, returning None.
+    ``cost_budget`` aborts oversized runs, returning None.  Over Q the
+    elements are primitive integer polynomials, over F_p monic.
     """
     ring = generators[0].ring
-    local = order.is_local
-    basis: list[Polynomial] = []
+    cap = hard_cap if order.is_local else None
+    gens = [
+        g.truncate_at_degree(cap)
+        for g in sorted(generators, key=lambda p: poly_sort_key(p, order), reverse=True)
+    ]
+    top = max(g.total_degree() for g in gens)
+    # a capped run stores nothing above the cap; an uncapped one has no a
+    # priori bound, and Lazard's homogenized runs reach 11-13 times the
+    # input degree on plane germs, so it starts with room for 16 times
+    pk = _Packing.sized(ring, order, max(top, cap - 1) if cap is not None else 8 * top)
+    budget = None if cost_budget is None else cost_budget[0]
+    while True:
+        try:
+            return _run_completion(pk, gens, cap, cost_budget)
+        except _Overflow:
+            if cost_budget is not None:
+                cost_budget[0] = budget
+            pk = pk.wider()
+
+
+def _run_completion(
+    pk: _Packing, gens: list[Polynomial], bound: int | None, cost_budget: list[int] | None
+) -> list[Polynomial] | None:
+    """The body of _complete_basis on one packing; gens come in processing order."""
+    ring = pk.ring
+    p, local, limit, guards = pk.p, pk.local, pk.limit, pk.guards
+    lo, hi = pk.window(bound)
+    basis: list[tuple] = []  # packed elements, in insertion order
+    ranked: list[tuple] = []  # the same, sorted stably by rank
     lms: list[MultiIndex] = []
-    bound: int | None = hard_cap if local else None
+    pairs: list[tuple[tuple, int, int]] = []
 
     def refresh_bound() -> None:
-        nonlocal bound
-        if not local:
-            return
+        nonlocal bound, lo, hi, ranked
         stats = _staircase(lms, ring.nvars)
         if stats is None:
             return
@@ -223,77 +476,110 @@ def _complete_basis(
         new_bound = max(stats[1] + 1, 1)
         if bound is None or new_bound < bound:
             bound = new_bound
-            for i, p in enumerate(basis):
+            lo, hi = pk.window(bound)
+            for i, el in enumerate(basis):
                 # keep elements whose leading monomial sits above the bound whole
-                if sum(lms[i]) < bound:
-                    basis[i] = p.truncate_at_degree(bound)
+                if lo <= el[0] < hi and not all(lo <= k < hi for k, _ in el[3]):
+                    basis[i] = pk.element({k: c for k, c in _terms(el).items() if lo <= k < hi})
+            ranked = sorted(basis, key=_rank)
 
-    pairs: list[tuple[tuple, int, int]] = []
-
-    aborted = [False]
-
-    def insert(p: Polynomial) -> None:
-        h = weak_normal_form(p, basis, order, bound, cost_budget=cost_budget)
+    def insert(h: dict[int, int], bits: int | None = None) -> bool:
+        """Reduce h (below the bound) and add it to the basis; False when the budget ran out."""
+        h = _normal_form(pk, h, ranked, bound, None, cost_budget, bits)
         if h is None:
-            aborted[0] = True
-            return
-        if h.is_zero():
-            return
+            return False
+        if not h:
+            return True
         if not local and basis:
             # global orders: tail reduction terminates and keeps elements
             # (hence later s-polynomials) small
-            reducers = [(lm, g) for lm, g in zip(lms, basis)]
-            h = _tail_reduce(h, reducers, order, None, None)
-        # primitive over Q (cheap), monic over F_p; unit scale either way
-        h = h.strip_content() if not ring.field.is_prime_field else h.monic(order)
-        lm_new = h.leading_monomial(order)
+            h = _tail_reduce(pk, h, basis, None, None)
+        # primitive over Q, monic over F_p; unit scale either way
+        if p:
+            inv = pow(h[max(h)], -1, p)
+            if inv != 1:
+                h = {k: c * inv % p for k, c in h.items()}
+        else:
+            content = gcd(*h.values())
+            if content != 1:
+                h = {k: c // content for k, c in h.items()}
+        el = pk.element(h)
+        lm_new = pk.monomial(el[0])
         k = len(basis)
-        basis.append(h)
+        basis.append(el)
+        insort(ranked, el, key=_rank)
         lms.append(lm_new)
         for i in range(k):
-            lcm = mi_lcm(lms[i], lm_new)
+            lcm_ = mi_lcm(lms[i], lm_new)
             # product criterion: coprime leading monomials contribute nothing
-            if all(a + b == c for a, b, c in zip(lms[i], lm_new, lcm)):
+            if all(a + b == c for a, b, c in zip(lms[i], lm_new, lcm_)):
                 continue
-            heapq.heappush(pairs, ((sum(lcm), lcm), i, k))
-        refresh_bound()
+            heapq.heappush(pairs, ((sum(lcm_), lcm_), i, k))
+        if local:
+            refresh_bound()
+        return True
 
-    for g in sorted(generators, key=lambda p: poly_sort_key(p, order), reverse=True):
-        insert(g)
-        if aborted[0]:
+    def unit() -> bool:
+        return not any(lms[-1]) if lms else False
+
+    for g in gens:
+        packed = pk.pack(g)
+        if bound is not None:
+            packed = {k: c for k, c in packed.items() if lo <= k < hi}
+        bits = None
+        if packed and not p:
+            # the first charge reads the generator's own coefficient
+            lc = g.terms[pk.monomial(max(packed))]
+            bits = lc.numerator.bit_length() + lc.denominator.bit_length()
+        if not insert(packed, bits):
             return None
-        if any(sum(m) == 0 for m in lms):
+        if unit():
             return [ring.one()]
 
-    def chain_redundant(i: int, j: int, lcm: MultiIndex) -> bool:
+    def chain_redundant(i: int, j: int, lcm_: MultiIndex) -> bool:
         # drop the pair when a third element divides the lcm and both mixed
         # lcms are proper divisors (Buchberger's second criterion)
-        for k in range(len(basis)):
-            if k in (i, j) or not mi_divides(lms[k], lcm):
+        fields = sum(map(lshift, lcm_, pk.shifts))  # divisibility reads the fields alone
+        for k, el in enumerate(basis):
+            if (fields - el[0]) & guards or k == i or k == j:
                 continue
-            lik = mi_lcm(lms[i], lms[k])
-            ljk = mi_lcm(lms[j], lms[k])
-            if lik != lcm and ljk != lcm:
+            if mi_lcm(lms[i], lms[k]) != lcm_ and mi_lcm(lms[j], lms[k]) != lcm_:
                 return True
         return False
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        lm_f, lm_g = lms[i], lms[j]
-        lcm = mi_lcm(lm_f, lm_g)
-        if chain_redundant(i, j, lcm):
+        lcm_ = mi_lcm(lms[i], lms[j])
+        if chain_redundant(i, j, lcm_):
             continue
-        f, g = basis[i], basis[j]
+        _, (ecart_f, _), lc_f, tail_f = basis[i]
+        _, (ecart_g, _), lc_g, tail_g = basis[j]
+        if (bound is None or bound - 1 > limit) and sum(lcm_) + max(ecart_f, ecart_g) > limit:
+            raise _Overflow
         # cross-multiplied s-polynomial: leading terms cancel in any field
-        s = f.term_mul(g.terms[lm_g], mi_sub(lcm, lm_f)) - g.term_mul(
-            f.terms[lm_f], mi_sub(lcm, lm_g)
-        )
-        insert(s)
-        if aborted[0]:
+        shift_f = pk.key(mi_sub(lcm_, lms[i]))
+        shift_g = pk.key(mi_sub(lcm_, lms[j]))
+        s: dict[int, int] = {}
+        for k, c in tail_f:
+            k += shift_f
+            if lo <= k < hi:
+                s[k] = c * lc_g % p if p else c * lc_g
+        get = s.get
+        for k, c in tail_g:
+            k += shift_g
+            if lo <= k < hi:
+                c = get(k, 0) - c * lc_f
+                if p:
+                    c %= p
+                if c:
+                    s[k] = c
+                else:
+                    del s[k]
+        if not insert(s):
             return None
-        if any(sum(m) == 0 for m in lms):
+        if unit():
             return [ring.one()]
-    return basis
+    return [pk.polynomial(_terms(el)) for el in basis]
 
 
 def _minimalize(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
@@ -318,55 +604,88 @@ def _minimalize(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomia
 
 
 def _tail_reduce(
-    p: Polynomial,
-    reducers: Sequence[tuple[MultiIndex, Polynomial]],
-    order: MonomialOrder,
+    pk: _Packing,
+    terms: dict[int, int],
+    reducers: Sequence[tuple],
     bound: int | None,
     cap: int | None,
-) -> Polynomial:
-    """Normal form of the tail of p against the reducers.
+) -> dict[int, int]:
+    """Normal form of the tail of packed terms against packed reducers.
 
-    With ``bound`` set (m-primary case) the result tail is the unique
+    The first reducer whose leading monomial divides a term is used.  With
+    ``bound`` set (m-primary case) the result tail is the unique
     representation in standard monomials below the bound.  Otherwise a
     reduction step is performed only when it cannot raise any term above
     ``cap``, which keeps the procedure terminating on ideals of infinite
-    colength.
+    colength.  Over Q the result is a positive multiple of the field one.
     """
-    ring = p.ring
-    field = ring.field
-    lm_p = p.leading_monomial(order)
-    done = {lm_p: p.terms[lm_p]}
-    work = dict(p.terms)
-    del work[lm_p]
+    p, guards = pk.p, pk.guards
+    lo, hi = pk.window(bound)
+    capped = bound is None and cap is not None
+    lead = max(terms)
+    done = {lead: terms[lead]}
+    work = terms.copy()
+    del work[lead]
     while work:
-        mono = max(work, key=order.key)
+        mono = max(work)
         coeff = work.pop(mono)
-        chosen = None
-        for lm_g, g in reducers:
-            if mi_divides(lm_g, mono):
-                if bound is None and cap is not None:
-                    if sum(mono) - sum(lm_g) + g.total_degree() > cap:
-                        continue
-                chosen = (lm_g, g)
+        for el in reducers:
+            if not (mono - el[0]) & guards and not (capped and pk.degree(mono) + el[1][0] > cap):
                 break
-        if chosen is None:
+        else:
             done[mono] = coeff
             continue
-        lm_g, g = chosen
-        shift = mi_sub(mono, lm_g)
-        factor = field.neg(field.div(coeff, g.terms[lm_g]))
-        for alpha, c in g.terms.items():
-            if alpha == lm_g:
-                continue
-            target = tuple(a + b for a, b in zip(alpha, shift))
-            if bound is not None and sum(target) >= bound:
-                continue
-            s = field.add(work.get(target, 0), field.mul(c, factor)) if target in work else field.mul(c, factor)
-            if s:
-                work[target] = s
-            else:
-                work.pop(target, None)
-    return Polynomial(ring, done, _canonical=True)
+        lead_g, _, lc_g, tail_g = el
+        shift = mono - lead_g
+        if p:
+            factor = -coeff * pow(lc_g, -1, p) % p
+            get = work.get
+            for k, c in tail_g:
+                k += shift
+                if lo <= k < hi:
+                    c = (get(k, 0) + c * factor) % p
+                    if c:
+                        work[k] = c
+                    else:
+                        del work[k]
+            continue
+        # |lc_g| * (done + work) - sign(lc_g) * coeff * x^shift * g, over the gcd
+        g0 = gcd(lc_g, coeff)
+        a, b = abs(lc_g) // g0, coeff // g0 if lc_g > 0 else -coeff // g0
+        if a != 1:
+            done = {k: c * a for k, c in done.items()}
+            work = {k: c * a for k, c in work.items()}
+        get = work.get
+        for k, c in tail_g:
+            k += shift
+            if lo <= k < hi:
+                c = get(k, 0) - b * c
+                if c:
+                    work[k] = c
+                else:
+                    del work[k]
+        if a != 1:
+            content = gcd(*done.values(), *work.values())
+            if content > 1:
+                done = {k: c // content for k, c in done.items()}
+                work = {k: c // content for k, c in work.items()}
+    return done
+
+
+def _reduced_elements(
+    pk: _Packing, polys: Sequence[Polynomial], bound: int | None, cap: int | None
+) -> list[tuple[MultiIndex, Polynomial]]:
+    """(leading monomial, monic tail-reduced element) of a minimal basis, leading-first.
+
+    Every element is tail-reduced against all of them, tried from the
+    largest leading monomial down.  The packing must hold degree
+    max(bound, cap) and the degrees of polys: no step goes past them.
+    """
+    reducers = sorted(map(pk.element, map(pk.pack, polys)), key=_lead, reverse=True)
+    return [
+        (pk.monomial(el[0]), pk.polynomial(_tail_reduce(pk, _terms(el), reducers, bound, cap), monic=True))
+        for el in reducers
+    ]
 
 
 def _linear_membership_certificate(
@@ -460,9 +779,12 @@ class ReducedStandardBasis:
     elements: tuple[Polynomial, ...]
     truncation: int | None = None
     staircase: tuple[int, int] | None = dc_field(init=False, compare=False, repr=False)
+    # the elements with their packed reducers, packed once for every query
+    packed: _PackedBasis = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "staircase", _staircase(self.leading_monomials, self.ring.nvars))
+        object.__setattr__(self, "packed", _PackedBasis.fitted(self.elements, self.ring, self.order))
 
     @property
     def leading_monomials(self) -> tuple[MultiIndex, ...]:
@@ -479,7 +801,7 @@ class ReducedStandardBasis:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise ValueError("polynomial lives in a different ring context")
-        return weak_normal_form(f, self.elements, self.order, self.truncation)
+        return weak_normal_form(f, self.packed, self.order, self.truncation)
 
     def contains(self, f: Polynomial) -> bool:
         """Exact membership of f in the ideal spanned by the basis.
@@ -495,7 +817,7 @@ class ReducedStandardBasis:
             return f.is_zero()
         if self.truncation is not None or not self.order.is_local:
             return self.normal_form(f).is_zero()
-        h = weak_normal_form(f, self.elements, self.order, None, step_limit=120)
+        h = weak_normal_form(f, self.packed, self.order, None, step_limit=120)
         if h is not None:
             return h.is_zero()
         return _escalated_membership(f, self.elements)
@@ -517,16 +839,14 @@ def _finish_primary(
     B = max(top_std_degree + 1, 1)
     kept = [p.truncate_at_degree(B) for p in minimal if sum(p.leading_monomial(order)) < B]
     kept_lms = [p.leading_monomial(order) for p in kept]
-    reducers = sorted(zip(kept_lms, kept), key=lambda t: order.key(t[0]), reverse=True)
-    reduced = [_tail_reduce(p, reducers, order, B, None) for p in kept]
-    extras = [
-        ring.monomial(alpha)
+    elements = _reduced_elements(_Packing.sized(ring, order, B), kept, B, None)
+    elements += [
+        (alpha, ring.monomial(alpha))
         for alpha in multi_indices_in_range(ring.nvars, B, B)
         if not any(mi_divides(m, alpha) for m in kept_lms)
     ]
-    elements = reduced + extras
-    elements.sort(key=lambda p: order.key(p.leading_monomial(order)), reverse=True)
-    return ReducedStandardBasis(ring, order, tuple(elements), B)
+    elements.sort(key=lambda t: order.key(t[0]), reverse=True)
+    return ReducedStandardBasis(ring, order, tuple(p for _, p in elements), B)
 
 
 def _cap_schedule(gens: Sequence[Polynomial]) -> list[int]:
@@ -566,21 +886,41 @@ def _complete_local_by_homogenization(
         # q is homogeneous, so x-parts of distinct terms never collide
         return Polynomial(ring, {a[1:]: c for a, c in q.terms.items()}, _canonical=True)
 
-    raw = _complete_basis([homogenize(g) for g in gens], HOMOGENIZED_LOCAL)
+    # graded lex on (t, x_1, ..., x_d): at a fixed total degree a larger t
+    # is a smaller degree in x, so ties fall to the local order on the x part
+    raw = _complete_basis([homogenize(g) for g in gens], GRADED_LEX)
     return [dehomogenize(q) for q in raw]
 
 
+def _scalar_class(g: Polynomial) -> frozenset:
+    """The same for two nonzero polynomials iff one is a scalar multiple of the other."""
+    terms = g.terms
+    lc = terms[max(terms)]
+    p = g.ring.field.characteristic
+    if p:
+        inv = pow(lc, -1, p)
+        return frozenset((a, c * inv % p) for a, c in terms.items())
+    den = lcm(*(c.denominator for c in terms.values()))
+    nums = [c.numerator * (den // c.denominator) for c in terms.values()]
+    content = gcd(*nums) if lc > 0 else -gcd(*nums)
+    return frozenset(zip(terms, (n // content for n in nums)))
+
+
 def _simplify_generators(gens: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    """Replace each generator of the shape monomial * unit by the monomial."""
-    if not order.is_local:
-        return gens
+    """Replace each generator of the shape monomial * unit by the monomial
+    (local orders), then drop every generator that is a nonzero scalar
+    multiple of an earlier one."""
     out = []
+    seen = set()
     for g in gens:
-        content = tuple(min(a[i] for a in g.terms) for i in range(g.ring.nvars))
-        if sum(content) and content in g.terms:
-            # constant term of the cofactor is nonzero: the cofactor is a unit
-            out.append(g.ring.monomial(content))
-        else:
+        if order.is_local:
+            content = tuple(map(min, zip(*g.terms)))
+            if sum(content) and content in g.terms:
+                # constant term of the cofactor is nonzero: the cofactor is a unit
+                g = g.ring.monomial(content)
+        key = _scalar_class(g)
+        if key not in seen:
+            seen.add(key)
             out.append(g)
     return out
 
@@ -634,10 +974,9 @@ def compute_standard_basis(
             return _finish_primary(minimal, ring, order, stats[1])
         # infinite colength: cap tail growth at the largest degree present
         cap = max(p.total_degree() for p in minimal)
-    reducers = sorted(zip(lms, minimal), key=lambda t: order.key(t[0]), reverse=True)
-    reduced = [_tail_reduce(p, reducers, order, None, cap) for p in minimal]
-    reduced.sort(key=lambda p: order.key(p.leading_monomial(order)), reverse=True)
-    return ReducedStandardBasis(ring, order, tuple(reduced), None)
+    top = max(p.total_degree() for p in minimal)
+    reduced = _reduced_elements(_Packing.sized(ring, order, top), minimal, None, cap)
+    return ReducedStandardBasis(ring, order, tuple(p for _, p in reduced), None)
 
 
 class Ideal:
@@ -654,6 +993,7 @@ class Ideal:
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._bases: dict[MonomialOrder, ReducedStandardBasis] = {}
         self._primary_attempt: ReducedStandardBasis | None | bool = False  # False = not tried
+        self._packed_generators: _PackedBasis | None = None  # packed on the first walk
 
     # -- construction helpers
 
@@ -717,7 +1057,9 @@ class Ideal:
             return basis.contains(f)
         # infinite colength (or a very deep staircase): decide without the
         # full standard basis; a zero of the budgeted walk is a certificate
-        h = weak_normal_form(f, self.generators, LOCAL_DEGREE, None, step_limit=120)
+        if self._packed_generators is None:
+            self._packed_generators = _PackedBasis.fitted(self.generators, self.ring, LOCAL_DEGREE)
+        h = weak_normal_form(f, self._packed_generators, LOCAL_DEGREE, None, step_limit=120)
         if h is not None and h.is_zero():
             return True
         return _escalated_membership(f, self.generators)

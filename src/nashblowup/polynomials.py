@@ -70,15 +70,12 @@ class MonomialOrder:
     ``graded_lex``: degree first, ties lex with the first variable highest;
     a global well-order.  ``local_degree``: lower degree wins, same tie-break;
     the leading monomial of a polynomial has minimal total degree.
-    ``homogenized_local`` is internal: a global order on a ring with one
-    extra leading homogenization variable, breaking total-degree ties by
-    the local order on the remaining variables.
     """
 
     kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in ("graded_lex", "local_degree", "homogenized_local"):
+        if self.kind not in ("graded_lex", "local_degree"):
             raise ValueError(f"unknown monomial order {self.kind!r}")
 
     @property
@@ -89,15 +86,11 @@ class MonomialOrder:
         deg = sum(alpha)
         if self.kind == "local_degree":
             return (-deg, alpha)
-        if self.kind == "homogenized_local":
-            rest = alpha[1:]
-            return (deg, -sum(rest), rest)
         return (deg, alpha)
 
 
 GRADED_LEX = MonomialOrder("graded_lex")
 LOCAL_DEGREE = MonomialOrder("local_degree")
-HOMOGENIZED_LOCAL = MonomialOrder("homogenized_local")
 
 
 # ---------------------------------------------------------------------------

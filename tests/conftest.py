@@ -3,20 +3,28 @@
 The oracles here deliberately avoid the library's own machinery: binomials
 mod p go through Lucas' theorem, determinants through the permutation sum,
 quotient dimensions through dense linear algebra on a truncated monomial
-basis, and derivatives through single-step classical differentiation.
+basis, derivatives through single-step classical differentiation, and the
+Mora normal form through the tuple/Fraction implementation that predates
+the library's packed kernel.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
+
 import pytest
 from hypothesis import strategies as st
 
 from nashblowup.fields import GF, QQ
 from nashblowup.polynomials import (
+    LOCAL_DEGREE,
+    MonomialOrder,
     MultiIndex,
     Polynomial,
     RingContext,
+    mi_divides,
+    mi_sub,
     multi_indices_in_range,
 )
 from nashblowup.parsing import parse_polynomial
@@ -146,6 +154,90 @@ def brute_standard_monomial_count(
         if not any(all(g[i] <= m[i] for i in range(nvars)) for g in monomial_gens):
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# reference weak normal form
+#
+# The tuple-monomial, Fraction-coefficient Mora normal form the library ran
+# before its packed kernel, kept verbatim as the differential reference for
+# ideals.weak_normal_form: same result (None included) and the same charge
+# against cost_budget on every input.
+
+
+def _ecart(p: Polynomial, order: MonomialOrder) -> int:
+    return p.total_degree() - sum(p.leading_monomial(order))
+
+
+def _reduce_leading(h: Polynomial, g: Polynomial, lm_h: MultiIndex, lm_g: MultiIndex) -> Polynomial:
+    """Cancel the leading term of h against g; lm_g must divide lm_h.
+
+    Over the rationals the reduction is fraction-free (cross-multiplied and
+    content-stripped), which rescales h by a unit but keeps coefficients
+    small; over a prime field it divides by the leading coefficient.
+    """
+    field = h.ring.field
+    shift = mi_sub(lm_h, lm_g)
+    if field.is_prime_field:
+        factor = field.neg(field.div(h.terms[lm_h], g.terms[lm_g]))
+        return h + g.term_mul(factor, shift)
+    return (h.scalar_mul(g.terms[lm_g]) - g.term_mul(h.terms[lm_h], shift)).strip_content()
+
+
+def weak_normal_form(
+    f: Polynomial,
+    basis: Sequence[Polynomial],
+    order: MonomialOrder = LOCAL_DEGREE,
+    bound: int | None = None,
+    step_limit: int | None = None,
+    cost_budget: list[int] | None = None,
+) -> Polynomial | None:
+    """Weak normal form of f against basis.
+
+    Returns h with u*f - h in (basis) for some unit u of the local ring
+    (u = 1 for global orders); h = 0 iff f lies in the ideal generated by
+    a standard basis.  Local orders use Mora's algorithm: reduce by a
+    divisor of minimal ecart and record the intermediate result as an
+    extra reducer whenever its ecart is smaller, which forces termination.
+    ``bound`` truncates all intermediate terms at that total degree and is
+    only sound when m^bound is contained in the ideal.  ``step_limit``
+    aborts a long reduction walk and returns None; ``cost_budget`` is a
+    shared one-element accumulator doing the same across several calls
+    (both internal).
+    """
+    h = f.truncate_at_degree(bound)
+    if h.is_zero() or not basis:
+        return h
+    local = order.is_local
+    # among divisors of minimal ecart, prefer short reducers: they add the
+    # fewest new terms per step
+    reducers = [(g.leading_monomial(order), (_ecart(g, order), len(g.terms)), g) for g in basis]
+    steps = 0
+    while not h.is_zero():
+        if step_limit is not None:
+            steps += 1
+            if steps > step_limit:
+                return None
+        lm_h = h.leading_monomial(order)
+        if cost_budget is not None:
+            # weight by coefficient size so bignum blowup hits the budget too
+            lc = h.terms[lm_h]
+            bits = lc.numerator.bit_length() + lc.denominator.bit_length()
+            cost_budget[0] -= len(h.terms) * (1 + bits // 32)
+            if cost_budget[0] < 0:
+                return None
+        best = None
+        for lm_g, rank, g in reducers:
+            if mi_divides(lm_g, lm_h) and (best is None or rank < best[1]):
+                best = (lm_g, rank, g)
+        if best is None:
+            return h
+        if local:
+            ec_h = _ecart(h, order)
+            if best[1][0] > ec_h:
+                reducers.append((lm_h, (ec_h, len(h.terms)), h))
+        h = _reduce_leading(h, best[2], lm_h, best[0]).truncate_at_degree(bound)
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,23 @@ class TestTjurinaIdeal:
         got = tjurina_ideal(P("x^4+y^4", ring_f3), 0)
         assert got.equals(ideal(ring_f3, "x^3", "y^3"))
 
+    def test_repeated_generators_reach_completion_once(self, ring_q2, monkeypatch):
+        # m * j(f) repeats x^2*y up to a scalar; the printed generators keep
+        # every repeat, completion sees each scalar class once
+        ideal = tjurina_ideal(P("x^2*y", ring_q2), 1)
+        assert [str(g) for g in ideal.generators] == ["x^2*y", "2*x^2*y", "x^3", "2*x*y^2", "x^2*y"]
+        sizes = []
+        original = ideals._complete_basis
+
+        def counted(generators, *args, **kwargs):
+            sizes.append(len(generators))
+            return original(generators, *args, **kwargs)
+
+        monkeypatch.setattr(ideals, "_complete_basis", counted)
+        basis = ideal.standard_basis()
+        assert sizes and set(sizes) == {3}
+        assert [str(e) for e in basis.elements] == ["x^3", "x^2*y", "x*y^2"]
+
     def test_positive_k_shrinks(self, ring_q2):
         f = P("x^3+y^2", ring_q2)
         t0 = tjurina_ideal(f, 0)

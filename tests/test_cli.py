@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from nashblowup.cli import main
@@ -170,3 +171,10 @@ class TestCorpusCommand:
         obj = json.loads(out)
         assert obj["pass"] is True
         assert obj["count"] == len(obj["fixtures"]) > 0
+
+    def test_full_json_bytes_pinned(self, capsys):
+        # the whole corpus report, byte for byte: every fixture's ideals,
+        # bases and dimensions as the library has printed them all along
+        code, out, _ = run(capsys, "corpus", "--json")
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == "ef5a7b7f32f18d058f84fbe5f95c2180"

@@ -3,6 +3,7 @@ import itertools
 import pkgutil
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,16 +14,23 @@ from nashblowup.fields import GF, QQ
 from nashblowup.ideals import (
     INFINITE,
     Ideal,
+    ReducedStandardBasis,
+    _complete_basis,
     _complete_local_by_homogenization,
     _finish_primary,
     _minimalize,
+    _Packing,
+    _simplify_generators,
     _staircase,
+    compute_standard_basis,
     maximal_ideal_power,
     try_primary_standard_basis,
+    weak_normal_form,
 )
-from nashblowup.polynomials import GRADED_LEX, LOCAL_DEGREE, RingContext, multi_indices_in_range
+from nashblowup.polynomials import GRADED_LEX, LOCAL_DEGREE, Polynomial, RingContext, multi_indices_in_range
 
 from conftest import P, brute_standard_monomial_count, linalg_quotient_dim, polynomial_strategy
+from conftest import weak_normal_form as reference_weak_normal_form
 
 
 def ideal(ring, *texts):
@@ -84,6 +92,205 @@ class TestNormalForm:
         # x = (1-y)^(-1) * (x - x*y) needs the intermediate-reducer trick
         basis = ideal(ring_q2, "x - x*y").standard_basis()
         assert basis.normal_form(P("x", ring_q2)).is_zero()
+
+
+class TestPackedNormalForm:
+    """The packed kernel against the tuple/Fraction reference in conftest."""
+
+    @staticmethod
+    def both(f, basis, order, bound=None, step_limit=None, budget=None):
+        mine = None if budget is None else [budget]
+        ref = None if budget is None else [budget]
+        got = weak_normal_form(f, basis, order, bound, step_limit, mine)
+        want = reference_weak_normal_form(f, basis, order, bound, step_limit, ref)
+        return got, want, mine, ref
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        order = data.draw(st.sampled_from([LOCAL_DEGREE, GRADED_LEX]))
+        polys = st.lists(polynomial_strategy(ring, max_terms=4, max_degree=5), min_size=1, max_size=4)
+        basis = [g for g in data.draw(polys) if not g.is_zero()]
+        f = data.draw(polynomial_strategy(ring, max_terms=6, max_degree=7))
+        if not field.is_prime_field:
+            # rational and bignum coefficients: the first charge reads the
+            # input's own coefficient, later ones the fraction-free scale
+            scales = st.sampled_from([1, -1, Fraction(1, 2), Fraction(3, 7), Fraction(2**40, 3), 5**30])
+            f = f.scalar_mul(data.draw(scales))
+            basis = [g.scalar_mul(data.draw(scales)) for g in basis]
+        bound = data.draw(st.none() | st.integers(1, 9))
+        step_limit = data.draw(st.none() | st.integers(0, 12))
+        if step_limit is None and bound is None and order.is_local:
+            # Mora's walk terminates but can take millions of steps, for
+            # instance when a unit with a large ecart is a reducer
+            step_limit = 500
+        budget = data.draw(st.none() | st.integers(0, 300))
+        got, want, mine, ref = self.both(f, basis, order, bound, step_limit, budget)
+        assert got == want
+        assert mine == ref
+        if basis:
+            # the same through a basis packed once, as ReducedStandardBasis keeps it
+            packed = ReducedStandardBasis(ring, order, tuple(basis)).packed
+            mine = None if budget is None else [budget]
+            assert weak_normal_form(f, packed, order, bound, step_limit, mine) == want
+            assert mine == ref
+
+    @pytest.mark.parametrize(
+        "f,basis,bound",
+        [
+            # the term the bound drops counts towards the content: -2*y, not -y
+            ("x", ["x+2*y+y^3"], 3),
+            # x*y - y^3 ties a basis element and the recorded x + x*y on
+            # (ecart, length); the basis element comes first
+            ("x+x*y", ["x+y^3", "x*y+x^2*y"], 6),
+        ],
+    )
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
+    def test_pinned_cases(self, f, basis, bound, field):
+        ring = RingContext(("x", "y"), field)
+        got, want, mine, ref = self.both(P(f, ring), [P(g, ring) for g in basis], LOCAL_DEGREE, bound, budget=10**6)
+        assert got == want
+        assert mine == ref
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
+    @pytest.mark.parametrize("budget", [None, 10**6])
+    def test_widening_past_the_default_width(self, field, budget):
+        # each step multiplies by x^100: the walk reaches x^500, past the
+        # fields sized from the input's degree 100
+        ring = RingContext(("x", "y"), field)
+        f, g = P("y^5", ring), P("y - x^100", ring)
+        assert 500 > _Packing.sized(ring, LOCAL_DEGREE, 100).limit
+        got, want, mine, ref = self.both(f, [g], LOCAL_DEGREE, budget=budget)
+        assert got == want
+        assert got.total_degree() >= 500
+        assert mine == ref
+        packed = ReducedStandardBasis(ring, LOCAL_DEGREE, (g,)).packed
+        assert weak_normal_form(f, packed, LOCAL_DEGREE) == want
+
+
+class TestFieldWidening:
+    @staticmethod
+    def narrow(mp, width, widened):
+        """Make every packing start ``width`` bits wide; record each widening."""
+        original_wider = _Packing.wider
+        mp.setattr(_Packing, "sized", classmethod(lambda cls, ring, order, top: cls(ring, order.is_local, width)))
+        mp.setattr(_Packing, "wider", lambda pk: widened.append(pk.width) or original_wider(pk))
+
+    def test_budget_survives_a_midway_restart(self, ring_q2):
+        # the generators fit two-bit fields, an s-polynomial does not: the run
+        # restarts after it has charged the budget, and must charge afresh
+        gens = [P("-x+y+x*y^2", ring_q2), P("2*x^2+3*x*y", ring_q2)]
+        roomy = [10**6]
+        want = _complete_basis(gens, LOCAL_DEGREE, hard_cap=9, cost_budget=roomy)
+        widened = []
+        narrow = [10**6]
+        with pytest.MonkeyPatch.context() as mp:
+            self.narrow(mp, 2, widened)
+            got = _complete_basis(gens, LOCAL_DEGREE, hard_cap=9, cost_budget=narrow)
+        assert widened == [2]
+        assert got == want
+        assert narrow == roomy
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_completion_restarts_to_the_same_basis(self, data):
+        # fields one to three bits wide overflow early or midway: every run
+        # restarts, wider, until the fields hold it, and must end where a
+        # roomy run ends, with the same budget left
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        polys = st.lists(polynomial_strategy(ring, max_terms=4, max_degree=5), min_size=1, max_size=4)
+        # no units: a unit ends the run before the wider generators are packed
+        gens = [g for g in data.draw(polys) if not g.is_zero() and not g.is_unit_at_origin()]
+        if not gens:
+            return
+        order = data.draw(st.sampled_from([LOCAL_DEGREE, GRADED_LEX]))
+        cap = data.draw(st.integers(2, 9)) if order is LOCAL_DEGREE else None
+        budget = data.draw(st.none() | st.integers(0, 2000))
+
+        def run():
+            left = None if budget is None else [budget]
+            return _complete_basis(gens, order, hard_cap=cap, cost_budget=left), left
+
+        want = run()
+        width = data.draw(st.integers(1, 3))
+        widened = []
+        with pytest.MonkeyPatch.context() as mp:
+            self.narrow(mp, width, widened)
+            got = run()
+        assert got == want
+        if want[0] is not None and max(g.truncate_at_degree(cap).total_degree() for g in gens) > 2**width - 1:
+            assert widened
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_simplify_drops_nonzero_scalar_multiples(field):
+    ring = RingContext(("x", "y"), field)
+    gens = [P(t, ring) for t in ("x^2+y^3", "-3*x^2-3*y^3", "x^2+2*y^3", "2*x*y", "x^2+y^3", "-x*y")]
+    assert _simplify_generators(gens, GRADED_LEX) == [gens[0], gens[2], gens[3]]
+
+
+class TestCompletionOutput:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_elements_are_canonical(self, data):
+        # every coefficient the kernel hands back is a nonzero field element
+        # in canonical form: residues in 1..p-1, no zero terms
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        polys = st.lists(polynomial_strategy(ring, max_terms=4, max_degree=4), min_size=1, max_size=4)
+        gens = [g for g in data.draw(polys) if not g.is_zero()]
+        if not gens:
+            return
+        for raw in (_complete_basis(gens, LOCAL_DEGREE, hard_cap=8), _complete_basis(gens, GRADED_LEX)):
+            for q in raw:
+                assert q.terms and q == Polynomial(ring, dict(q.terms))
+                if field.is_prime_field:
+                    assert all(0 < c < field.characteristic for c in q.terms.values())
+
+
+class TestGlobalBasisAgainstSympy:
+    """Reduced graded-lex Groebner bases against sympy's, an independent engine."""
+
+    @staticmethod
+    def assert_matches_sympy(gens, ring):
+        sympy = pytest.importorskip("sympy")
+        syms = sympy.symbols(ring.variables)
+        p = ring.field.characteristic
+        domain = sympy.GF(p) if p else sympy.QQ
+        polys = [sympy.Poly.from_dict({a: int(c) if p else sympy.Rational(c.numerator, c.denominator)
+                                       for a, c in g.terms.items()}, *syms, domain=domain) for g in gens]
+        theirs = sympy.groebner(polys, *syms, order="grlex", domain=domain)
+
+        def coeff(c):
+            return int(c) % p if p else Fraction(int(c.p), int(c.q))
+
+        expected = {frozenset((m, coeff(c)) for m, c in q.terms()) for q in theirs.polys}
+        basis = compute_standard_basis(gens, ring, GRADED_LEX)
+        assert {frozenset(e.terms.items()) for e in basis.elements} == expected
+
+    def test_negative_leading_reducer(self, ring_q2):
+        # the tail reduction inside the completion meets a reducer with a
+        # negative leading coefficient
+        self.assert_matches_sympy([P("-3/7 - 5*x*y + 3*y^2 + 3*y^3", ring_q2), P("-3/7 - y", ring_q2)], ring_q2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_generators(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        polys = st.lists(polynomial_strategy(ring, max_terms=4, max_degree=4), min_size=1, max_size=3)
+        gens = [g for g in data.draw(polys) if not g.is_zero()]
+        if not field.is_prime_field:
+            gens = [g.scalar_mul(data.draw(st.sampled_from([1, -1, Fraction(-3, 7)]))) for g in gens]
+        if gens:
+            self.assert_matches_sympy(gens, ring)
 
 
 class TestMembership:

@@ -220,3 +220,15 @@ class TestMonomialOrders:
     def test_local_tie_break_prefers_first_variable(self, ring_q2):
         f = P("x^2+x*y+y^2", ring_q2)
         assert f.leading_monomial(LOCAL_DEGREE) == (2, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(monomial_strategy(d + 1, 8), max_size=12)))
+    def test_graded_lex_orders_homogenized_monomials_locally(self, monomials):
+        # on (t, x_1, ..., x_d): at a fixed total degree a larger t is a
+        # smaller degree in x, so graded lex breaks degree ties by the local
+        # order on the x part, the key Lazard's route needs
+        def homogenized_local(alpha):
+            rest = alpha[1:]
+            return (sum(alpha), -sum(rest), rest)
+
+        assert sorted(monomials, key=GRADED_LEX.key) == sorted(monomials, key=homogenized_local)
