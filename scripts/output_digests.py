@@ -14,7 +14,6 @@ Usage (compare two checkouts):
     diff old.txt new.txt
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -113,16 +112,10 @@ def digest(argv: list[str]) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--filter", help="only invocations whose command line contains this substring")
-    args = parser.parse_args()
     start = time.perf_counter()
     count = 0
     for argv in invocations():
-        line = " ".join(argv)
-        if args.filter and args.filter not in line:
-            continue
-        print(f"{digest(argv)}  {line}", flush=True)
+        print(f"{digest(argv)}  {' '.join(argv)}", flush=True)
         count += 1
     print(f"{count} invocations in {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
