@@ -930,14 +930,16 @@ def try_primary_standard_basis(
 def compute_standard_basis(
     generators: Sequence[Polynomial], ring: RingContext, order: MonomialOrder
 ) -> ReducedStandardBasis:
+    if order.is_local:
+        # simplifies the generators itself; this function does so again
+        # only for the fallback below
+        basis = try_primary_standard_basis(generators, ring)
+        if basis is not None:
+            return basis
     gens = _simplify_generators([g for g in generators if not g.is_zero()], order)
     if not gens:
         return ReducedStandardBasis(ring, order, ())
-
     if order.is_local:
-        basis = try_primary_standard_basis(gens, ring)
-        if basis is not None:
-            return basis
         # exact fallback for everything else (including infinite colength)
         raw = _complete_local_by_homogenization(gens, ring)
     else:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .ideals import Ideal
+from .ideals import Ideal, _scalar_class
 from .polynomials import (
     MultiIndex,
     Polynomial,
@@ -132,14 +132,15 @@ def jac_matrix(f: Polynomial, n: int) -> JacobianMatrix:
 
 
 # ---------------------------------------------------------------------------
-# exact minors via column-prefix dynamic programming
+# exact minors via a row-by-row Laplace expansion
 #
-# Determinants over all column subsets of a fixed row set share their
-# column-prefix subproblems: walking the subsets in lex order while carrying
-# the map {used-row-bitmask -> minor of the chosen column prefix} computes
-# each maximal minor once, with structural zeros pruned for free (empty
-# states cut whole subtrees).  The walk runs on packed entries (see
-# _PackedMatrix): integer monomial keys and integer coefficients, so a
+# The maximal minors of a fixed row set share their row-suffix subproblems:
+# taking the rows bottom-up while carrying the map {column bitmask -> minor of
+# the rows taken so far on those columns} computes each maximal minor once,
+# as the Laplace expansion along its top row.  Bottom-up suits Jacobian
+# matrices, whose last rows are the sparsest, so the early states stay few;
+# structural zeros are never stored.  The expansion runs on packed entries
+# (see _PackedMatrix): integer monomial keys and integer coefficients, so a
 # product of two terms is one int addition and one int multiplication.
 
 
@@ -207,78 +208,47 @@ class _PackedMatrix:
         return frozenset((key, c // g) for key, c in det.items())
 
 
-def _minor_dets(
-    matrix: _PackedMatrix, row_ids: Sequence[int], col_ids: Sequence[int]
-) -> list[tuple[tuple[int, ...], dict[int, int]]]:
-    """(columns, packed minor) of every nonzero maximal minor on row_ids.
-
-    Column subsets of size len(row_ids) come in lex order of col_ids.
-    """
+def _minor_dets(matrix: _PackedMatrix, row_ids: Sequence[int], col_ids: Sequence[int]) -> list[dict[int, int]]:
+    """The nonzero packed maximal minors on row_ids, column subsets in lex order of col_ids."""
     p = matrix.p
-    k = len(row_ids)
-    full = (1 << k) - 1
     ncols = len(col_ids)
-    # column ci contributes entry(row, ci) to states missing that row
-    column = [
-        [(1 << ri, cell) for ri, r in enumerate(row_ids) if (cell := matrix.cells[r][c])]
-        for c in col_ids
-    ]
-    # rows with a nonzero entry right of position ci: a state missing any
-    # other row can never be completed, so it is not kept
-    live = [0] * ncols
-    seen = 0
-    for ci in range(ncols - 1, -1, -1):
-        live[ci] = seen
-        for bit, _ in column[ci]:
-            seen |= bit
-    chosen: list[int] = []
-    results: list[tuple[tuple[int, ...], dict[int, int]]] = []
-
-    def walk(start: int, state: dict[int, dict[int, int]], depth: int) -> None:
-        for ci in range(start, ncols - k + depth + 1):
-            completable = live[ci]
-            if not depth:
-                # the empty prefix has the one state {no rows: 1}, so a first
-                # column's states are its own entries, all with sign +1
-                new_state = {bit: dict(cell) for bit, cell in column[ci] if (bit | completable) == full}
-            else:
-                out: dict[int, dict[int, int]] = {}
-                for mask, val in state.items():
-                    for bit, cell in column[ci]:
-                        if mask & bit or (mask | bit | completable) != full:
-                            continue
-                        negative = ((mask & (bit - 1)).bit_count() + depth) & 1
-                        acc = out.get(mask | bit)
-                        if acc is None:
-                            acc = out[mask | bit] = {}
-                        get = acc.get
-                        for k1, c1 in val.items():
-                            if negative:
-                                c1 = -c1
-                            for k2, c2 in cell:
-                                key = k1 + k2
-                                acc[key] = get(key, 0) + c1 * c2
-                new_state = {}
-                for mask, acc in out.items():
-                    if p:
-                        for key, c in acc.items():
-                            acc[key] = c % p
-                    if 0 in acc.values():
-                        acc = {key: c for key, c in acc.items() if c}
-                        if not acc:
-                            continue
-                    new_state[mask] = acc
-            if not new_state:
-                continue
-            chosen.append(col_ids[ci])
-            if depth + 1 == k:
-                results.append((tuple(chosen), new_state[full]))
-            else:
-                walk(ci + 1, new_state, depth + 1)
-            chosen.pop()
-
-    walk(0, {0: {0: 1}}, 0)
-    return results
+    # column position ci has bit ncols-1-ci, so the lex order of column
+    # subsets is the descending order of their masks
+    state: dict[int, dict[int, int]] = {0: {0: 1}}
+    for depth, r in enumerate(reversed(row_ids)):
+        # (bit, (cell, -cell)): the new row's entry and its negative
+        row = [
+            (1 << (ncols - 1 - ci), (cell, tuple((key, -c) for key, c in cell)))
+            for ci, c in enumerate(col_ids)
+            if (cell := matrix.cells[r][c])
+        ]
+        out: dict[int, dict[int, int]] = {}
+        for mask, val in state.items():
+            for bit, signed in row:
+                if mask & bit:
+                    continue
+                # the new row is the top row: the sign of its entry is the
+                # parity of its column's position among mask | bit
+                cell = signed[((mask & (bit - 1)).bit_count() + depth) & 1]
+                acc = out.get(mask | bit)
+                if acc is None:
+                    acc = out[mask | bit] = {}
+                get = acc.get
+                for k1, c1 in val.items():
+                    for k2, c2 in cell:
+                        key = k1 + k2
+                        acc[key] = get(key, 0) + c1 * c2
+        state = {}
+        for mask, acc in out.items():
+            if p:
+                for key, c in acc.items():
+                    acc[key] = c % p
+            if 0 in acc.values():
+                acc = {key: c for key, c in acc.items() if c}
+                if not acc:
+                    continue
+            state[mask] = acc
+    return [state[mask] for mask in sorted(state, reverse=True)]
 
 
 def _packed_minors(
@@ -290,7 +260,7 @@ def _packed_minors(
     dets = [
         det
         for rows in combinations(range(len(entries)), k)
-        for _, det in _minor_dets(packed, rows, cols)
+        for det in _minor_dets(packed, rows, cols)
     ]
     return packed, dets
 
@@ -338,21 +308,6 @@ def fitting_ideal(matrix: PresentationMatrix | JacobianMatrix, k: int) -> Ideal:
     return Ideal(matrix.ring, _distinct_minors(entries, size, matrix.ring))
 
 
-def _dedup(polys: Sequence[Polynomial]) -> list[Polynomial]:
-    """Drop zero and repeated generators (up to a scalar), preserving order."""
-    seen = set()
-    out = []
-    for p in polys:
-        if p.is_zero():
-            continue
-        lm = max(p.terms, key=lambda a: (sum(a), a))
-        key = frozenset(p.scalar_mul(p.ring.field.invert(p.terms[lm])).terms.items())
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
-
-
 def higher_jacobian_ideal(f: Polynomial, n: int) -> Ideal:
     """The order-n Jacobian ideal: maximal minors of the order-n Jacobian matrix.
 
@@ -398,5 +353,8 @@ def j2_plane_closed_form(f: Polynomial) -> Ideal:
     fyy = f.hasse_derivative((0, 2)) * two
     fxy = f.hasse_derivative((1, 1))
     hessian_form = fxx * fy * fy - fxy * fx * fy.scalar_mul(2) + fx * fx * fyy
-    gens = [fx**3, fx**2 * fy, fx * fy**2, fy**3, hessian_form]
-    return Ideal(f.ring, _dedup(gens))
+    distinct: dict[frozenset, Polynomial] = {}  # first generator of each scalar class
+    for g in (fx**3, fx**2 * fy, fx * fy**2, fy**3, hessian_form):
+        if not g.is_zero():
+            distinct.setdefault(_scalar_class(g), g)
+    return Ideal(f.ring, distinct.values())

@@ -94,6 +94,20 @@ def perm_det(rows: list[list[Polynomial]]) -> Polynomial:
     return total
 
 
+def first_per_scalar_class(polys: Sequence[Polynomial]) -> list[Polynomial]:
+    """The nonzero polys, each kept only if no earlier one has the same monic form."""
+    out = []
+    seen = set()
+    for p in polys:
+        if p.is_zero():
+            continue
+        m = p.monic(LOCAL_DEGREE)
+        if m not in seen:
+            seen.add(m)
+            out.append(p)
+    return out
+
+
 def classical_partial(f: Polynomial, var: int) -> Polynomial:
     """Single classical partial derivative d/dx_var."""
     ring = f.ring
