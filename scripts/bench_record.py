@@ -9,13 +9,16 @@ For every workload and seed, each checkout runs
 ``python3 perfbench/run.py --trace 0`` once, with its own ``perfbench/`` and
 ``src/``; the checkouts take turns going first, one seed to the next, so
 drift of the machine falls on both sides.  Then each checkout makes one
-``--trace 1`` run per workload at the first seed.  The default workloads
-and run length, the metric names and which direction is better come from
-the ``BENCHMARK.json`` next to this script.
+``--trace 1`` run per workload at the first seed.  The run length, the
+default workloads, the metric names and which direction is better come
+from the ``BENCHMARK.json`` next to this script.
 
-Per checkout and workload the output holds every end-to-end metric's
-values in seed order, their median and quartiles (inclusive method), the
-failed and attempted op counts, and the traced run's per-layer values.
+The output's settings carry the seeds, the run length, and the Python
+version and ``nproc`` the runs reported; each checkout carries the source
+commit (or ``src/`` digest) its runs reported.  Per workload it holds every
+end-to-end metric's values in seed order, their median and quartiles
+(inclusive method), the failed and attempted op counts, and the traced
+run's per-layer values.
 With two or more checkouts, ``versus_<first label>`` compares each later
 checkout with the first, seed by seed: ``wins`` counts the seeds on which
 it was better (ties count for neither) and ``median_gap_exceeds_iqr``
@@ -36,7 +39,7 @@ BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json
 
 
 def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in a checkout: its JSON result plus the source it reported."""
+    """One perfbench run in a checkout: its JSON result plus the fields of its ``run`` line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -45,7 +48,7 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
         raise SystemExit(f"{' '.join(cmd)} in {root} failed:\n{out.stdout}{out.stderr}")
     result = json.loads(lines[-1])
     header = next(line for line in lines if line.startswith("run "))
-    result["source"] = dict(f.split("=", 1) for f in header.split()[1:] if "=" in f).get("source")
+    result["header"] = dict(f.split("=", 1) for f in header.split()[1:] if "=" in f)
     print(f"{root} {workload} seed={seed} trace={trace} failed={result['failed']}", file=sys.stderr)
     return result
 
@@ -60,7 +63,6 @@ def main() -> None:
     parser.add_argument("checkouts", nargs="+", metavar="LABEL=PATH")
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 13, 21])
     parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in BENCHMARK["workloads"]])
-    parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     args = parser.parse_args()
     if len(args.seeds) < 3:
         parser.error("quartiles need at least 3 seeds")
@@ -70,11 +72,12 @@ def main() -> None:
         if not sep or not (Path(path) / "perfbench" / "run.py").is_file():
             parser.error(f"{spec!r} is not LABEL=PATH of a checkout with perfbench/run.py")
         checkouts[label] = Path(path).resolve()
-    seconds = args.seconds
+    seconds = BENCHMARK["run_seconds"]
     better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+    first, *later = checkouts
 
     runs = {label: {w: [] for w in args.workloads} for label in checkouts}
-    sources = {}
+    headers = {}
     for w in args.workloads:
         for i, seed in enumerate(args.seeds):
             order = list(checkouts)
@@ -82,11 +85,17 @@ def main() -> None:
                 order.reverse()
             for label in order:
                 result = run(checkouts[label], w, seed, seconds, 0)
-                sources[label] = result["source"]
+                headers[label] = result["header"]
                 runs[label][w].append(result)
 
     record = {
-        "settings": {"seconds": seconds, "seeds": args.seeds, "trace_seed": args.seeds[0]},
+        "settings": {
+            "seconds": seconds,
+            "seeds": args.seeds,
+            "trace_seed": args.seeds[0],
+            "python": headers[first]["python"],
+            "nproc": headers[first]["nproc"],
+        },
         "checkouts": {},
     }
     for label, root in checkouts.items():
@@ -103,9 +112,8 @@ def main() -> None:
                 },
                 "per_layer": {name: m["value"] for name, m in traced["metrics"].items()},
             }
-        record["checkouts"][label] = {"source": sources[label], "workloads": workloads}
+        record["checkouts"][label] = {"source": headers[label]["source"], "workloads": workloads}
 
-    first, *later = checkouts
     for label in later:
         versus = {}
         for w in args.workloads:

@@ -2,10 +2,11 @@
 
 The oracles here deliberately avoid the library's own machinery: binomials
 mod p go through Lucas' theorem, determinants through the permutation sum,
-quotient dimensions through dense linear algebra on a truncated monomial
-basis, derivatives through single-step classical differentiation, and the
-Mora normal form through the tuple/Fraction implementation that predates
-the library's packed kernel.
+generator deduplication through ``monic`` forms, quotient dimensions
+through dense linear algebra on a truncated monomial basis, derivatives
+through single-step classical differentiation, and the Mora normal form
+through the tuple/Fraction implementation that predates the library's
+packed kernel.
 """
 
 from __future__ import annotations
