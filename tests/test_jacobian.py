@@ -210,8 +210,8 @@ PINNED_GENERATORS = [
     ]),
 ]
 
-# lists too long to spell out, at the largest matrix shapes the CLI
-# benchmarks reach: generator count and the first 16 hex digits of the
+# lists too long to spell out, from the largest matrices the minors kernel
+# meets in practice: generator count and the first 16 hex digits of the
 # sha256 of the generators' str, one per line
 PINNED_GENERATOR_DIGESTS = [
     ('x^2+y^3', 5, 0, 'xy', 432, 'a52fe41de52fd252'),  # 15 x 20
