@@ -9,16 +9,19 @@ For every workload and seed, each checkout runs
 ``python3 perfbench/run.py --trace 0`` once, with its own ``perfbench/`` and
 ``src/``; the checkouts take turns going first, one seed to the next, so
 drift of the machine falls on both sides.  Then each checkout makes one
-``--trace 1`` run per workload at the first seed.  The run length, the
-default workloads, the metric names and which direction is better come
-from the ``BENCHMARK.json`` next to this script.
+``--trace 1`` run per workload at each of the first three seeds, taking
+turns the same way: per-layer values of a single traced run spread by
+about 30 % between runs of the same code, so the record keeps their
+median.  The run length, the default workloads, the metric names and
+which direction is better come from the ``BENCHMARK.json`` next to this
+script.
 
 The output's settings carry the seeds, the run length, and the Python
 version and ``nproc`` the runs reported; each checkout carries the source
 commit (or ``src/`` digest) its runs reported.  Per workload it holds every
 end-to-end metric's values in seed order, their median and quartiles
-(inclusive method), the failed and attempted op counts, and the traced
-run's per-layer values.
+(inclusive method), the failed and attempted op counts, and each per-layer
+value's median and its values over the traced runs, in seed order.
 With two or more checkouts, ``versus_<first label>`` compares each later
 checkout with the first, seed by seed: ``wins`` counts the seeds on which
 it was better (ties count for neither) and ``median_gap_exceeds_iqr``
@@ -58,6 +61,15 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def layer_medians(results: list[dict]) -> dict:
+    """Each per-layer metric's median and its values over the traced runs."""
+    out = {}
+    for name in results[0]["metrics"]:
+        values = [r["metrics"][name]["value"] for r in results]
+        out[name] = {"median": statistics.median(values), "values": values}
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="+", metavar="LABEL=PATH")
@@ -76,32 +88,34 @@ def main() -> None:
     better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
     first, *later = checkouts
 
+    trace_seeds = args.seeds[:3]
     runs = {label: {w: [] for w in args.workloads} for label in checkouts}
+    traced = {label: {w: [] for w in args.workloads} for label in checkouts}
     headers = {}
     for w in args.workloads:
-        for i, seed in enumerate(args.seeds):
-            order = list(checkouts)
-            if i % 2:
-                order.reverse()
-            for label in order:
-                result = run(checkouts[label], w, seed, seconds, 0)
-                headers[label] = result["header"]
-                runs[label][w].append(result)
+        for trace, seeds, into in ((0, args.seeds, runs), (1, trace_seeds, traced)):
+            for i, seed in enumerate(seeds):
+                order = list(checkouts)
+                if i % 2:
+                    order.reverse()
+                for label in order:
+                    result = run(checkouts[label], w, seed, seconds, trace)
+                    headers[label] = result["header"]
+                    into[label][w].append(result)
 
     record = {
         "settings": {
             "seconds": seconds,
             "seeds": args.seeds,
-            "trace_seed": args.seeds[0],
+            "trace_seeds": trace_seeds,
             "python": headers[first]["python"],
             "nproc": headers[first]["nproc"],
         },
         "checkouts": {},
     }
-    for label, root in checkouts.items():
+    for label in checkouts:
         workloads = {}
         for w, results in runs[label].items():
-            traced = run(root, w, args.seeds[0], seconds, 1)
             workloads[w] = {
                 "failed": sum(r["failed"] for r in results),
                 "attempted": sum(r["attempted"] for r in results),
@@ -110,7 +124,7 @@ def main() -> None:
                            **summary([r["metrics"][name]["value"] for r in results])}
                     for name in better
                 },
-                "per_layer": {name: m["value"] for name, m in traced["metrics"].items()},
+                "per_layer": layer_medians(traced[label][w]),
             }
         record["checkouts"][label] = {"source": headers[label]["source"], "workloads": workloads}
 

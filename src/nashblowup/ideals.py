@@ -24,9 +24,9 @@ mutual membership.  Membership there escalates a capped refutation and a
 linear certificate for a fixed number of rounds; when neither side settles
 within them it raises RuntimeError instead of answering.
 
-Packed kernel.  The weak normal form, the completion and the tail
-reduction run on packed polynomials: dicts from int monomial keys to int
-coefficients.  A key holds one field of w bits per variable, x_1 highest,
+Packed kernel.  The weak normal form, the completion, the tail reduction
+and the linear membership certificate run on packed polynomials: dicts
+from int monomial keys to int coefficients.  A key holds one field of w bits per variable, x_1 highest,
 each with a guard bit above it, and the total degree above all fields:
 ``fields + (deg << S)`` under GRADED_LEX and ``fields - (deg << S)`` under
 LOCAL_DEGREE, so under either order the leading term is ``max(keys)``, a
@@ -42,11 +42,17 @@ exceed degree 2^w - 1, so no exponent reaches its guard bit.  A step that
 could store a monomial past that limit raises _Overflow, and the entry
 point starts over with fields twice as wide, so keys never wrap.
 Conversion boundary: polynomials are packed once on entry to
-weak_normal_form, _complete_basis and the tail reduction of a finished
-basis (a ReducedStandardBasis packs its elements on its first query and
-keeps them), and unpacked only when a result leaves the kernel, as
-Fraction or residue coefficients; every public signature and every
-printed result is the one the tuple/Fraction arithmetic gives.
+weak_normal_form, _complete_basis and _linear_membership_certificate (a
+ReducedStandardBasis packs its elements on its first query and keeps
+them).  _complete_basis returns packed elements with their packing;
+minimalization, the staircase read-off, the truncation and the tail
+reduction of a finished basis run on those same keys, and each element is
+unpacked once, monic, when the ReducedStandardBasis is built.  Lazard's
+route moves the keys of its homogeneous completion into a local packing
+by way of their exponent tuples, and the membership escalation unpacks
+its capped basis at its own call site for weak_normal_form.  Every public
+signature and every printed result is the one the tuple/Fraction
+arithmetic gives.
 """
 
 from __future__ import annotations
@@ -67,7 +73,6 @@ from .polynomials import (
     MultiIndex,
     Polynomial,
     RingContext,
-    mi_divides,
     mi_lcm,
     mi_sub,
     multi_indices_in_range,
@@ -425,8 +430,8 @@ def _complete_basis(
     order: MonomialOrder,
     hard_cap: int | None = None,
     cost_budget: list[int] | None = None,
-) -> list[Polynomial] | None:
-    """Buchberger/Mora completion; returns a standard basis.
+) -> tuple[_Packing, list[tuple]] | None:
+    """Buchberger/Mora completion; returns a standard basis as packed elements.
 
     For local orders the truncation bound tightens as the staircase of the
     current leading monomials closes: with s its top standard-monomial
@@ -434,8 +439,9 @@ def _complete_basis(
     ``hard_cap`` set, all arithmetic is truncated at that degree from the
     start, so the result is a standard basis of (ideal) + m^hard_cap; the
     caller must certify afterwards that this equals the ideal itself.
-    ``cost_budget`` aborts oversized runs, returning None.  Over Q the
-    elements are primitive integer polynomials, over F_p monic.
+    ``cost_budget`` aborts oversized runs, returning None.  The elements come
+    with the packing that holds them, in insertion order; over Q they are
+    primitive integer polynomials, over F_p monic.
     """
     ring = generators[0].ring
     cap = hard_cap if order.is_local else None
@@ -460,7 +466,7 @@ def _complete_basis(
 
 def _run_completion(
     pk: _Packing, gens: list[Polynomial], bound: int | None, cost_budget: list[int] | None
-) -> list[Polynomial] | None:
+) -> tuple[_Packing, list[tuple]] | None:
     """The body of _complete_basis on one packing; gens come in processing order."""
     ring = pk.ring
     p, local, limit, guards = pk.p, pk.local, pk.limit, pk.guards
@@ -539,7 +545,7 @@ def _run_completion(
         if not insert(packed, bits):
             return None
         if unit():
-            return [ring.one()]
+            return pk, [pk.element({0: 1})]
 
     def chain_redundant(i: int, j: int, lcm_: MultiIndex) -> bool:
         # drop the pair when a third element divides the lcm and both mixed
@@ -570,28 +576,30 @@ def _run_completion(
         if not insert(s):
             return None
         if unit():
-            return [ring.one()]
-    return [pk.polynomial(_terms(el)) for el in basis]
+            return pk, [pk.element({0: 1})]
+    return pk, basis
 
 
-def _minimalize(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    """Keep one element per minimal generator of the leading-monomial ideal.
+def _minimalize(pk: _Packing, elements: list[tuple]) -> list[tuple]:
+    """Keep one packed element per minimal generator of the leading-monomial ideal.
 
-    Processed by ascending leading degree so divisors are seen first; of
-    several elements sharing a leading monomial (possible after
-    dehomogenization) exactly one deterministic representative survives.
+    Processed by ascending leading degree so divisors are seen first.  Only
+    dehomogenization makes several elements share a leading monomial; of
+    those the one whose term list, sorted by monomial, is least survives.
     """
-    items = sorted(
-        basis, key=lambda p: (sum(p.leading_monomial(order)), poly_sort_key(p, order))
-    )
-    kept: list[Polynomial] = []
-    kept_lms: list[MultiIndex] = []
-    for p in items:
-        lm = p.leading_monomial(order)
-        if any(mi_divides(q, lm) for q in kept_lms):
-            continue
-        kept.append(p)
-        kept_lms.append(lm)
+    guards = pk.guards
+
+    def sorted_terms(el: tuple) -> list:
+        terms = _terms(el)
+        return sorted(zip(map(pk.monomial, terms), terms.values()))
+
+    kept: list[tuple] = []
+    for el in sorted(elements, key=lambda el: (pk.degree(el[0]), el[0])):
+        if kept and kept[-1][0] == el[0]:
+            if sorted_terms(el) < sorted_terms(kept[-1]):
+                kept[-1] = el
+        elif all((el[0] - q[0]) & guards for q in kept):
+            kept.append(el)
     return kept
 
 
@@ -648,17 +656,17 @@ def _tail_reduce(
 
 
 def _reduced_elements(
-    pk: _Packing, polys: Sequence[Polynomial], bound: int | None, cap: int | None
-) -> list[tuple[MultiIndex, Polynomial]]:
-    """(leading monomial, monic tail-reduced element) of a minimal basis, leading-first.
+    pk: _Packing, elements: Sequence[tuple], bound: int | None, cap: int | None
+) -> list[tuple[int, Polynomial]]:
+    """(leading key, monic tail-reduced element) of a packed minimal basis, leading-first.
 
     Every element is tail-reduced against all of them, tried from the
     largest leading monomial down.  The packing must hold degree
-    max(bound, cap) and the degrees of polys: no step goes past them.
+    max(bound, cap) and the degrees of the elements: no step goes past them.
     """
-    reducers = sorted(map(pk.element, map(pk.pack, polys)), key=_lead, reverse=True)
+    reducers = sorted(elements, key=_lead, reverse=True)
     return [
-        (pk.monomial(el[0]), pk.polynomial(_tail_reduce(pk, _terms(el), reducers, bound, cap), monic=True))
+        (el[0], pk.polynomial(_tail_reduce(pk, _terms(el), reducers, bound, cap), monic=True))
         for el in reducers
     ]
 
@@ -672,44 +680,54 @@ def _linear_membership_certificate(
     identity is a finite span problem over the monomial basis, decided by
     exact Gaussian elimination.  A hit proves membership of f in the
     localized ideal; every true member admits such a certificate for some
-    finite bound.
+    finite bound.  The rows are packed once and shifted by key addition;
+    the semi-echelon form maps each pivot's leading key to the pivot, monic
+    over F_p, a primitive integer row over Q reduced fraction-free.
     """
     ring = f.ring
-    field = ring.field
-    one = field.one()
-    multipliers = multi_indices_in_range(ring.nvars, 0, degree_bound)
-    span: list[dict] = []
-    for g in gens:
-        for alpha in multipliers:
-            span.append(g.term_mul(one, alpha).terms)
-    for alpha in multipliers:
-        if sum(alpha) >= 1:
-            span.append(f.term_mul(one, alpha).terms)
+    top = max(g.total_degree() for g in (f, *gens)) + degree_bound
+    pk = _Packing.sized(ring, LOCAL_DEGREE, top)
+    p = pk.p
+    lo, hi = pk.window(None)
+    shifts = [pk.key(alpha) for alpha in multi_indices_in_range(ring.nvars, 0, degree_bound)]
+    pivots: dict[int, tuple[int, tuple]] = {}  # lead key: (lead coefficient, tail items)
 
-    pivots: dict[MultiIndex, dict] = {}
-
-    def echelon_reduce(vec: dict) -> tuple[dict, MultiIndex | None]:
-        vec = dict(vec)
-        while vec:
-            lead = max(vec)
+    def reduce(row: dict[int, int]) -> dict[int, int]:
+        """row minus pivot multiples until no pivot has its lead; {} when it is in the span."""
+        while row:
+            lead = max(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                return vec, lead
-            factor = field.div(vec[lead], pivot[lead])
-            for mono, c in pivot.items():
-                s = field.sub(vec.get(mono, field.zero()), field.mul(factor, c))
-                if s:
-                    vec[mono] = s
-                else:
-                    vec.pop(mono, None)
-        return vec, None
+                return row
+            lc, tail = pivot
+            c = row.pop(lead)
+            if p:
+                _add_shifted(row, tail, 0, p - c, lo, hi, p)
+                continue
+            # lc * row - c * pivot over their gcd, then content-stripped
+            g0 = gcd(lc, c)
+            a = lc // g0
+            if a != 1:
+                row = {k: v * a for k, v in row.items()}
+            _add_shifted(row, tail, 0, -(c // g0), lo, hi, 0)
+            content = gcd(*row.values())
+            if content > 1:
+                row = {k: v // content for k, v in row.items()}
+        return row
 
-    for v in span:
-        reduced, lead = echelon_reduce(v)
-        if lead is not None:
-            pivots[lead] = reduced
-    _, lead = echelon_reduce(f.terms)
-    return lead is None
+    rows = [(pk.pack(g), shifts) for g in gens] + [(pk.pack(f), shifts[1:])]
+    for packed, row_shifts in rows:
+        for shift in row_shifts:
+            row = reduce({k + shift: c for k, c in packed.items()})
+            if row:
+                lead = max(row)
+                lc = row.pop(lead)
+                if p and lc != 1:
+                    inv = pow(lc, -1, p)
+                    row = {k: c * inv % p for k, c in row.items()}
+                    lc = 1
+                pivots[lead] = (lc, tuple(row.items()))
+    return not reduce(pk.pack(f))
 
 
 def _escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
@@ -728,8 +746,8 @@ def _escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
     for _ in range(12):
         if _linear_membership_certificate(f, gens, degree_bound):
             return True
-        capped = _complete_basis(gens, LOCAL_DEGREE, hard_cap=cap)
-        residue = weak_normal_form(f, capped, LOCAL_DEGREE, cap)
+        pk, capped = _complete_basis(gens, LOCAL_DEGREE, hard_cap=cap)
+        residue = weak_normal_form(f, [pk.polynomial(_terms(el)) for el in capped], LOCAL_DEGREE, cap)
         if not residue.is_zero():
             return False
         cap += max(4, cap // 2)
@@ -803,27 +821,56 @@ class ReducedStandardBasis:
         return INFINITE if self.staircase is None else self.staircase[0]
 
 
-def _finish_primary(
-    minimal: list[Polynomial], ring: RingContext, order: MonomialOrder, top_std_degree: int
-) -> ReducedStandardBasis:
-    """Canonical truncated form of an m-primary standard basis.
+def _border(lead_monomials: Sequence[MultiIndex], nvars: int, degree: int) -> list[MultiIndex]:
+    """The monomials of the given total degree outside the monomial ideal.
+
+    Slices on the first variable as _staircase does: x_1^e * x^beta lies
+    outside iff x^beta lies outside the ideal of the tails of the
+    generators with first exponent <= e.  In two variables that is a
+    comparison with the least second exponent among those tails.
+    """
+    if nvars == 1:
+        return [] if any(m[0] <= degree for m in lead_monomials) else [(degree,)]
+    leads = sorted(lead_monomials, reverse=True)
+    tails: list[MultiIndex] = []
+    low = degree + 1  # two variables: the least second exponent among the tails
+    out: list[MultiIndex] = []
+    for e in range(degree + 1):
+        while leads and leads[-1][0] <= e:
+            m = leads.pop()
+            tails.append(m[1:])
+            low = min(low, m[1])
+        if nvars > 2:
+            out += [(e, *beta) for beta in _border(tails, nvars - 1, degree - e)]
+        elif degree - e < low:
+            out.append((e, degree - e))
+        elif not low:
+            break  # x_1^c with c <= e lies in the ideal: so does the rest
+    return out
+
+
+def _finish_primary(pk: _Packing, minimal: list[tuple], top_std_degree: int) -> ReducedStandardBasis:
+    """Canonical truncated form of an m-primary standard basis, from packed elements.
 
     Everything of degree >= B := top_std_degree + 1 lies in the ideal, so
     elements with such leading monomials are bare monomials; that layer is
     regenerated from the staircase, making the result a function of the
-    ideal alone rather than of the generator list.
+    ideal alone rather than of the generator list.  The local packing must
+    hold degree B and the elements' degrees.
     """
+    ring = pk.ring
     B = max(top_std_degree + 1, 1)
-    kept = [p.truncate_at_degree(B) for p in minimal if sum(p.leading_monomial(order)) < B]
-    kept_lms = [p.leading_monomial(order) for p in kept]
-    elements = _reduced_elements(_Packing.sized(ring, order, B), kept, B, None)
-    elements += [
-        (alpha, ring.monomial(alpha))
-        for alpha in multi_indices_in_range(ring.nvars, B, B)
-        if not any(mi_divides(m, alpha) for m in kept_lms)
+    lo, hi = pk.window(B)
+    kept = [
+        pk.element({k: c for k, c in _terms(el).items() if lo <= k < hi})
+        for el in minimal
+        if lo <= el[0] < hi
     ]
-    elements.sort(key=lambda t: order.key(t[0]), reverse=True)
-    return ReducedStandardBasis(ring, order, tuple(p for _, p in elements), B)
+    elements = _reduced_elements(pk, kept, B, None)
+    border = _border([pk.monomial(el[0]) for el in kept], ring.nvars, B)
+    elements += [(pk.key(alpha), ring.monomial(alpha)) for alpha in border]
+    elements.sort(key=_lead, reverse=True)
+    return ReducedStandardBasis(ring, LOCAL_DEGREE, tuple(p for _, p in elements), B)
 
 
 def _cap_schedule(gens: Sequence[Polynomial]) -> list[int]:
@@ -839,14 +886,16 @@ def _cap_schedule(gens: Sequence[Polynomial]) -> list[int]:
 
 def _complete_local_by_homogenization(
     gens: Sequence[Polynomial], ring: RingContext
-) -> list[Polynomial]:
+) -> tuple[_Packing, list[tuple]]:
     """Standard basis via Lazard's route: homogenize, run a global Buchberger,
     dehomogenize.
 
     Every s-polynomial and reduction step stays inside one fixed total
     degree of the homogeneous world, so no reduction can wander the way an
     untruncated ecart-driven walk can.  The dehomogenized Groebner basis of
-    the homogenized generators is a standard basis for the local order.
+    the homogenized generators is a standard basis for the local order,
+    returned as packed elements of a local packing that also holds the
+    border degree of _finish_primary.
     """
     tname = "t"
     while tname in ring.variables:
@@ -859,14 +908,16 @@ def _complete_local_by_homogenization(
             hring, {(top - sum(a),) + a: c for a, c in p.terms.items()}, _canonical=True
         )
 
-    def dehomogenize(q: Polynomial) -> Polynomial:
-        # q is homogeneous, so x-parts of distinct terms never collide
-        return Polynomial(ring, {a[1:]: c for a, c in q.terms.items()}, _canonical=True)
-
     # graded lex on (t, x_1, ..., x_d): at a fixed total degree a larger t
     # is a smaller degree in x, so ties fall to the local order on the x part
-    raw = _complete_basis([homogenize(g) for g in gens], GRADED_LEX)
-    return [dehomogenize(q) for q in raw]
+    hpk, raw = _complete_basis([homogenize(g) for g in gens], GRADED_LEX)
+    # each element is homogeneous, so x-parts of distinct terms never collide
+    dehomogenized = [{hpk.monomial(k)[1:]: c for k, c in _terms(el).items()} for el in raw]
+    # an m-primary leading ideal holds pure powers of degree <= top, so its
+    # staircase ends below degree nvars * top
+    top = max(sum(a) for terms in dehomogenized for a in terms)
+    pk = _Packing.sized(ring, LOCAL_DEGREE, ring.nvars * top)
+    return pk, [pk.element({pk.key(a): c for a, c in terms.items()}) for terms in dehomogenized]
 
 
 def _scalar_class(g: Polynomial) -> frozenset:
@@ -917,13 +968,14 @@ def try_primary_standard_basis(
     if not gens:
         return ReducedStandardBasis(ring, order, ())
     for cap in _cap_schedule(gens):
-        raw = _complete_basis(gens, order, hard_cap=cap, cost_budget=[400_000])
-        if raw is None:
+        completed = _complete_basis(gens, order, hard_cap=cap, cost_budget=[400_000])
+        if completed is None:
             return None
-        minimal = [p.monic(order) for p in _minimalize(raw, order)]
-        stats = _staircase([p.leading_monomial(order) for p in minimal], ring.nvars)
+        pk, raw = completed
+        minimal = _minimalize(pk, raw)
+        stats = _staircase([pk.monomial(el[0]) for el in minimal], ring.nvars)
         if stats is not None and stats[1] + 2 <= cap:
-            return _finish_primary(minimal, ring, order, stats[1])
+            return _finish_primary(pk, minimal, stats[1])
     return None
 
 
@@ -941,20 +993,19 @@ def compute_standard_basis(
         return ReducedStandardBasis(ring, order, ())
     if order.is_local:
         # exact fallback for everything else (including infinite colength)
-        raw = _complete_local_by_homogenization(gens, ring)
+        pk, raw = _complete_local_by_homogenization(gens, ring)
     else:
-        raw = _complete_basis(gens, order)
-    minimal = [p.monic(order) for p in _minimalize(raw, order)]
-    lms = [p.leading_monomial(order) for p in minimal]
+        pk, raw = _complete_basis(gens, order)
+    minimal = _minimalize(pk, raw)
     cap = None
     if order.is_local:
-        stats = _staircase(lms, ring.nvars)
+        stats = _staircase([pk.monomial(el[0]) for el in minimal], ring.nvars)
         if stats is not None:
-            return _finish_primary(minimal, ring, order, stats[1])
+            return _finish_primary(pk, minimal, stats[1])
         # infinite colength: cap tail growth at the largest degree present
-        cap = max(p.total_degree() for p in minimal)
-    top = max(p.total_degree() for p in minimal)
-    reduced = _reduced_elements(_Packing.sized(ring, order, top), minimal, None, cap)
+        # (local keys: the highest degree has the lowest key)
+        cap = pk.degree(min(k for el in minimal for k in _terms(el)))
+    reduced = _reduced_elements(pk, minimal, None, cap)
     return ReducedStandardBasis(ring, order, tuple(p for _, p in reduced), None)
 
 

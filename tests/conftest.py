@@ -5,8 +5,8 @@ mod p go through Lucas' theorem, determinants through the permutation sum,
 generator deduplication through ``monic`` forms, quotient dimensions
 through dense linear algebra on a truncated monomial basis, derivatives
 through single-step classical differentiation, and the Mora normal form
-through the tuple/Fraction implementation that predates the library's
-packed kernel.
+and the linear membership certificate through the tuple/Fraction
+implementations that predate the library's packed kernel.
 """
 
 from __future__ import annotations
@@ -253,6 +253,63 @@ def weak_normal_form(
                 reducers.append((lm_h, (ec_h, len(h.terms)), h))
         h = _reduce_leading(h, best[2], lm_h, best[0]).truncate_at_degree(bound)
     return h
+
+
+# ---------------------------------------------------------------------------
+# reference linear membership certificate
+#
+# The tuple-monomial Gaussian elimination over field elements the library
+# ran before its packed kernel, kept verbatim as the differential reference
+# for ideals._linear_membership_certificate: the same boolean on every input.
+
+
+def linear_membership_certificate(
+    f: Polynomial, gens: Sequence[Polynomial], degree_bound: int
+) -> bool:
+    """Search for a unit u = 1 + (tail in m) and cofactors with u*f = sum c_i g_i.
+
+    With all of u's tail and the cofactors bounded by ``degree_bound``, the
+    identity is a finite span problem over the monomial basis, decided by
+    exact Gaussian elimination.  A hit proves membership of f in the
+    localized ideal; every true member admits such a certificate for some
+    finite bound.
+    """
+    ring = f.ring
+    field = ring.field
+    one = field.one()
+    multipliers = multi_indices_in_range(ring.nvars, 0, degree_bound)
+    span: list[dict] = []
+    for g in gens:
+        for alpha in multipliers:
+            span.append(g.term_mul(one, alpha).terms)
+    for alpha in multipliers:
+        if sum(alpha) >= 1:
+            span.append(f.term_mul(one, alpha).terms)
+
+    pivots: dict[MultiIndex, dict] = {}
+
+    def echelon_reduce(vec: dict) -> tuple[dict, MultiIndex | None]:
+        vec = dict(vec)
+        while vec:
+            lead = max(vec)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                return vec, lead
+            factor = field.div(vec[lead], pivot[lead])
+            for mono, c in pivot.items():
+                s = field.sub(vec.get(mono, field.zero()), field.mul(factor, c))
+                if s:
+                    vec[mono] = s
+                else:
+                    vec.pop(mono, None)
+        return vec, None
+
+    for v in span:
+        reduced, lead = echelon_reduce(v)
+        if lead is not None:
+            pivots[lead] = reduced
+    _, lead = echelon_reduce(f.terms)
+    return lead is None
 
 
 # ---------------------------------------------------------------------------

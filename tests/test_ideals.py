@@ -19,9 +19,12 @@ from nashblowup.ideals import (
     _complete_local_by_homogenization,
     _finish_primary,
     _minimalize,
+    _border,
+    _linear_membership_certificate,
     _Packing,
     _simplify_generators,
     _staircase,
+    _terms,
     compute_standard_basis,
     maximal_ideal_power,
     try_primary_standard_basis,
@@ -30,11 +33,21 @@ from nashblowup.ideals import (
 from nashblowup.polynomials import GRADED_LEX, LOCAL_DEGREE, Polynomial, RingContext, multi_indices_in_range
 
 from conftest import P, brute_standard_monomial_count, linalg_quotient_dim, polynomial_strategy
+from conftest import linear_membership_certificate as reference_certificate
 from conftest import weak_normal_form as reference_weak_normal_form
 
 
 def ideal(ring, *texts):
     return Ideal(ring, [P(t, ring) for t in texts])
+
+
+def complete(*args, **kwargs):
+    """_complete_basis with its packed elements unpacked; None passes through."""
+    completed = _complete_basis(*args, **kwargs)
+    if completed is None:
+        return None
+    pk, elements = completed
+    return [pk.polynomial(_terms(el)) for el in elements]
 
 
 class TestStandardBasis:
@@ -171,6 +184,49 @@ class TestPackedNormalForm:
         assert weak_normal_form(f, packed, LOCAL_DEGREE) == want
 
 
+class TestLinearCertificate:
+    """The packed certificate against the tuple/Fraction reference in conftest."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        # the span has C(degree_bound + nvars, nvars) rows per generator
+        degree_bound = data.draw(st.integers(0, (8, 8, 5)[nvars - 1]))
+        polys = st.lists(polynomial_strategy(ring, max_terms=3, max_degree=4), min_size=1, max_size=3)
+        gens = [g for g in data.draw(polys) if not g.is_zero()] or [ring.variable(0)]
+        inside = data.draw(st.booleans())
+        if inside:
+            # a combination with cofactors inside the degree bound: certified
+            cofactors = st.lists(polynomial_strategy(ring, max_terms=3, max_degree=degree_bound),
+                                 min_size=len(gens), max_size=len(gens))
+            f = sum((g * c for g, c in zip(gens, data.draw(cofactors))), ring.zero())
+        else:
+            f = data.draw(polynomial_strategy(ring, max_terms=4, max_degree=6))
+        if f.is_zero():
+            return
+        if not field.is_prime_field:
+            # rational and bignum coefficients reach the fraction-free rows
+            scales = st.sampled_from([1, -1, Fraction(1, 2), Fraction(-3, 7), Fraction(2**40, 3), 5**30])
+            f = f.scalar_mul(data.draw(scales))
+            gens = [g.scalar_mul(data.draw(scales)) for g in gens]
+        got = _linear_membership_certificate(f, gens, degree_bound)
+        assert got == reference_certificate(f, gens, degree_bound)
+        if inside:
+            assert got
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
+    def test_unit_multiple_needs_the_bound(self, field):
+        # (1 - x) * x^2 = x^2 - x^3 lies in (x^2 - x^3) only through the unit
+        # 1 - x, so f = x^2 needs u's tail x and the certificate at bound 1
+        ring = RingContext(("x", "y"), field)
+        f, g = P("x^2", ring), P("x^2-x^3", ring)
+        assert not _linear_membership_certificate(f, [g], 0)
+        assert _linear_membership_certificate(f, [g], 1)
+
+
 class TestFieldWidening:
     @staticmethod
     def narrow(mp, width, widened):
@@ -184,12 +240,12 @@ class TestFieldWidening:
         # restarts after it has charged the budget, and must charge afresh
         gens = [P("-x+y+x*y^2", ring_q2), P("2*x^2+3*x*y", ring_q2)]
         roomy = [10**6]
-        want = _complete_basis(gens, LOCAL_DEGREE, hard_cap=9, cost_budget=roomy)
+        want = complete(gens, LOCAL_DEGREE, hard_cap=9, cost_budget=roomy)
         widened = []
         narrow = [10**6]
         with pytest.MonkeyPatch.context() as mp:
             self.narrow(mp, 2, widened)
-            got = _complete_basis(gens, LOCAL_DEGREE, hard_cap=9, cost_budget=narrow)
+            got = complete(gens, LOCAL_DEGREE, hard_cap=9, cost_budget=narrow)
         assert widened == [2]
         assert got == want
         assert narrow == roomy
@@ -214,7 +270,7 @@ class TestFieldWidening:
 
         def run():
             left = None if budget is None else [budget]
-            return _complete_basis(gens, order, hard_cap=cap, cost_budget=left), left
+            return complete(gens, order, hard_cap=cap, cost_budget=left), left
 
         want = run()
         width = data.draw(st.integers(1, 3))
@@ -247,7 +303,7 @@ class TestCompletionOutput:
         gens = [g for g in data.draw(polys) if not g.is_zero()]
         if not gens:
             return
-        for raw in (_complete_basis(gens, LOCAL_DEGREE, hard_cap=8), _complete_basis(gens, GRADED_LEX)):
+        for raw in (complete(gens, LOCAL_DEGREE, hard_cap=8), complete(gens, GRADED_LEX)):
             for q in raw:
                 assert q.terms and q == Polynomial(ring, dict(q.terms))
                 if field.is_prime_field:
@@ -478,28 +534,21 @@ class TestQuotientDimension:
             else:
                 assert got is INFINITE
 
-    def test_primary_dimensions_match_linear_algebra(self):
-        rng = random.Random("primary-dims")
-        for trial in range(10):
-            d = rng.choice((1, 2, 3))
-            ring = RingContext(("x", "y", "z")[:d], QQ)
-            powers = [rng.randint(1, 4) for _ in range(d)]
-            gens = [ring.monomial(tuple(p if j == i else 0 for j in range(d)))
-                    for i, p in enumerate(powers)]
-            for _ in range(rng.randint(0, 2)):
-                terms = {}
-                for _ in range(rng.randint(1, 3)):
-                    alpha = tuple(rng.randint(0, 3) for _ in range(d))
-                    if sum(alpha) == 0:
-                        continue
-                    terms[alpha] = rng.choice((-2, -1, 1, 2))
-                from nashblowup.polynomials import Polynomial
-
-                gens.append(Polynomial(ring, terms))
-            gens = [g for g in gens if not g.is_zero()]
-            bound = sum(p - 1 for p in powers) + 1  # m^bound inside the pure-power part
-            expected = linalg_quotient_dim(gens, ring, bound)
-            assert Ideal(ring, gens).dimension() == expected
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_primary_dimensions_match_linear_algebra(self, data):
+        # pure powers make the ideal m-primary; its staircase closes only
+        # through the border layer _finish_primary regenerates
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        d = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:d], field)
+        powers = [data.draw(st.integers(1, 5)) for _ in range(d)]
+        gens = [ring.monomial(tuple(p if j == i else 0 for j in range(d))) for i, p in enumerate(powers)]
+        noise = data.draw(st.lists(polynomial_strategy(ring, max_terms=3, max_degree=4), max_size=3))
+        gens += [g for g in noise if not g.is_zero()]
+        gens = data.draw(st.permutations(gens))
+        bound = sum(p - 1 for p in powers) + 1  # m^bound inside the pure-power part
+        assert Ideal(ring, gens).dimension() == linalg_quotient_dim(gens, ring, bound)
 
 
 def box_staircase(lead_monomials, nvars):
@@ -562,6 +611,41 @@ class TestStaircase:
         assert _staircase(gens, nvars) == expected
 
 
+def box_border(lead_monomials, nvars, degree):
+    """Reference for _border: test every monomial of the degree for divisibility."""
+    return sorted(
+        alpha
+        for alpha in multi_indices_in_range(nvars, degree, degree)
+        if not any(all(g <= a for g, a in zip(m, alpha)) for m in lead_monomials)
+    )
+
+
+class TestBorder:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_box_enumeration(self, data):
+        nvars = data.draw(st.integers(1, 3))
+        degree = data.draw(st.integers(0, 12))
+        monomial = st.tuples(*[st.integers(0, degree + 1)] * nvars)
+        gens = data.draw(st.lists(monomial, max_size=6))
+        assert sorted(_border(gens, nvars, degree)) == box_border(gens, nvars, degree)
+
+    @pytest.mark.parametrize(
+        "gens,nvars,degree,expected",
+        [
+            ([], 2, 2, [(0, 2), (1, 1), (2, 0)]),
+            ([(0, 0)], 2, 3, []),
+            ([(2, 0), (0, 3)], 2, 3, [(1, 2)]),
+            ([(1, 1)], 2, 2, [(0, 2), (2, 0)]),
+            ([(3,)], 1, 2, [(2,)]),
+            ([(3,)], 1, 3, []),
+            ([(1, 0, 0), (0, 2, 0)], 3, 2, [(0, 1, 1), (0, 0, 2)]),
+        ],
+    )
+    def test_known_borders(self, gens, nvars, degree, expected):
+        assert sorted(_border(gens, nvars, degree)) == sorted(expected)
+
+
 class TestCappedMoraAgainstLazard:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -577,10 +661,10 @@ class TestCappedMoraAgainstLazard:
         capped = try_primary_standard_basis(gens, ring)
         if capped is None:
             return
-        raw = _complete_local_by_homogenization(gens, ring)
-        minimal = [p.monic(LOCAL_DEGREE) for p in _minimalize(raw, LOCAL_DEGREE)]
-        stats = _staircase([p.leading_monomial(LOCAL_DEGREE) for p in minimal], nvars)
-        lazard = _finish_primary(minimal, ring, LOCAL_DEGREE, stats[1])
+        pk, raw = _complete_local_by_homogenization(gens, ring)
+        minimal = _minimalize(pk, raw)
+        stats = _staircase([pk.monomial(el[0]) for el in minimal], nvars)
+        lazard = _finish_primary(pk, minimal, stats[1])
         assert capped.elements == lazard.elements
         assert capped.truncation == lazard.truncation
 
