@@ -15,12 +15,12 @@ from nashblowup.ideals import (
     INFINITE,
     Ideal,
     ReducedStandardBasis,
+    _border,
     _complete_basis,
     _complete_local_by_homogenization,
     _finish_primary,
-    _minimalize,
-    _border,
     _linear_membership_certificate,
+    _minimalize,
     _Packing,
     _simplify_generators,
     _staircase,
