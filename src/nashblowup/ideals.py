@@ -25,34 +25,42 @@ linear certificate for a fixed number of rounds; when neither side settles
 within them it raises RuntimeError instead of answering.
 
 Packed kernel.  The weak normal form, the completion, the tail reduction
-and the linear membership certificate run on packed polynomials: dicts
-from int monomial keys to int coefficients.  A key holds one field of w bits per variable, x_1 highest,
-each with a guard bit above it, and the total degree above all fields:
-``fields + (deg << S)`` under GRADED_LEX and ``fields - (deg << S)`` under
-LOCAL_DEGREE, so under either order the leading term is ``max(keys)``, a
-product of monomials is the sum of their keys, x^a divides x^b iff
-``not (b - a) & guards``, and deg < B is one comparison of the key with a
-threshold.  Coefficients are residues over F_p; over Q a polynomial is
-packed as its positive multiple with coprime integer coefficients, and
+and the linear membership certificate run on packed polynomials: dicts from
+int monomial keys to int coefficients.  A key holds one field of w bits per
+variable, x_1 highest, each with a guard bit above it, and the total degree
+above all fields: ``fields + (deg << S)`` under GRADED_LEX and
+``fields - (deg << S)`` under LOCAL_DEGREE, so under either order the
+leading term is ``max(keys)``, a product of monomials is the sum of their
+keys, x^a divides x^b iff ``not (b - a) & guards``, and deg < B is one
+comparison of the key with a threshold.  Coefficients are residues over F_p; over Q a polynomial
+is packed as its positive multiple with coprime integer coefficients, and
 every step keeps coefficients integral (cross-multiplied reductions), which
 changes results only by positive scalars that the unpacked results do not
 show.  Width rule: w is sized from the input's largest total degree (and
 truncation degree) with room for it to double; a stored monomial may not
 exceed degree 2^w - 1, so no exponent reaches its guard bit.  A step that
 could store a monomial past that limit raises _Overflow, and the entry
-point starts over with fields twice as wide, so keys never wrap.
-Conversion boundary: polynomials are packed once on entry to
-weak_normal_form, _complete_basis and _linear_membership_certificate (a
-ReducedStandardBasis packs its elements on its first query and keeps
-them).  _complete_basis returns packed elements with their packing;
+point starts over with fields twice as wide, so keys never wrap.  The
+completion keys a pair by ``(deg << S) | fields`` of its lcm, which sorts
+like (total degree, exponent tuple), from guard-bit arithmetic on the
+fields.  Under LOCAL_DEGREE every term of an s-polynomial has at least its
+lcm's degree, pairs come off the heap by ascending lcm degree and the
+bound only falls, so the loop stops at the first pair whose lcm reaches
+the bound: every pair left would truncate to zero, uncharged.  Conversion
+boundary: polynomials are packed once on entry to weak_normal_form,
+_complete_basis and _linear_membership_certificate (a ReducedStandardBasis
+packs its elements on its first query and keeps them;
+try_primary_standard_basis packs its generators once for all its caps, and
+each capped run cuts them at its key window, over Q making them primitive
+again).  _complete_basis returns packed elements with their packing;
 minimalization, the staircase read-off, the truncation and the tail
 reduction of a finished basis run on those same keys, and each element is
 unpacked once, monic, when the ReducedStandardBasis is built.  Lazard's
-route moves the keys of its homogeneous completion into a local packing
-by way of their exponent tuples, and the membership escalation unpacks
-its capped basis at its own call site for weak_normal_form.  Every public
-signature and every printed result is the one the tuple/Fraction
-arithmetic gives.
+route moves the keys of its homogeneous completion into a local packing by
+way of their exponent tuples, and the membership escalation unpacks its
+capped basis at its own call site for weak_normal_form.  Every public
+signature and every printed result is the one the tuple/Fraction arithmetic
+gives.
 """
 
 from __future__ import annotations
@@ -73,8 +81,6 @@ from .polynomials import (
     MultiIndex,
     Polynomial,
     RingContext,
-    mi_lcm,
-    mi_sub,
     multi_indices_in_range,
     poly_sort_key,
 )
@@ -441,15 +447,14 @@ def _complete_basis(
     caller must certify afterwards that this equals the ideal itself.
     ``cost_budget`` aborts oversized runs, returning None.  The elements come
     with the packing that holds them, in insertion order; over Q they are
-    primitive integer polynomials, over F_p monic.
+    primitive integer polynomials, over F_p monic.  Pairs are keyed by
+    (lcm degree, lcm fields) as one int; a local run stops at the first pair
+    whose lcm degree reaches the bound (see the module docstring) and reads
+    the staircase only once every variable has a pure-power lead.
     """
     ring = generators[0].ring
     cap = hard_cap if order.is_local else None
-    gens = [
-        g.truncate_at_degree(cap)
-        for g in sorted(generators, key=lambda p: poly_sort_key(p, order), reverse=True)
-    ]
-    top = max(g.total_degree() for g in gens)
+    top = max(g.total_degree() for g in generators)
     # a capped run stores nothing above the cap; an uncapped one has no a
     # priori bound, and Lazard's homogenized runs reach 11-13 times the
     # input degree on plane germs, so it starts with room for 16 times
@@ -457,24 +462,50 @@ def _complete_basis(
     budget = None if cost_budget is None else cost_budget[0]
     while True:
         try:
-            return _run_completion(pk, gens, cap, cost_budget)
+            return _run_completion(pk, _intake(pk, generators, order), cap, cost_budget)
         except _Overflow:
             if cost_budget is not None:
                 cost_budget[0] = budget
             pk = pk.wider()
 
 
+def _intake(pk: _Packing, generators: Sequence[Polynomial], order: MonomialOrder) -> list[tuple]:
+    """(packed terms, lead coefficient size over Q for the first charge) per generator, in order."""
+    out = []
+    for g in sorted(generators, key=lambda q: poly_sort_key(q, order), reverse=True):
+        lc = g.leading_coefficient(order)
+        bits = None if pk.p else lc.numerator.bit_length() + lc.denominator.bit_length()
+        out.append((pk.pack(g), bits))
+    return out
+
+
+def _primitive(terms: dict[int, int]) -> dict[int, int]:
+    """Integer terms divided by their content."""
+    content = gcd(*terms.values())
+    return {k: c // content for k, c in terms.items()} if content > 1 else terms
+
+
 def _run_completion(
-    pk: _Packing, gens: list[Polynomial], bound: int | None, cost_budget: list[int] | None
+    pk: _Packing, gens: list[tuple], bound: int | None, cost_budget: list[int] | None
 ) -> tuple[_Packing, list[tuple]] | None:
-    """The body of _complete_basis on one packing; gens come in processing order."""
+    """The body of _complete_basis on one packing; cuts _intake's generators at the cap ``bound``."""
     ring = pk.ring
-    p, local, limit, guards = pk.p, pk.local, pk.limit, pk.guards
+    p, local, limit, guards, width, deg_shift = pk.p, pk.local, pk.limit, pk.guards, pk.width, pk.deg_shift
+    fields_mask = (1 << deg_shift) - 1
+    # the top field of fields * units sums the exponents: at most 2 * limit, no carry
+    units, top_field, degree_mask = sum(1 << s for s in pk.shifts), pk.shifts[0], (1 << (width + 1)) - 1
     lo, hi = pk.window(bound)
     basis: list[tuple] = []  # packed elements, in insertion order
     ranked: list[tuple] = []  # the same, sorted stably by rank
-    lms: list[MultiIndex] = []
-    pairs: list[tuple[tuple, int, int]] = []
+    fields: list[int] = []  # the fields of their leading monomials
+    lms: list[MultiIndex] = []  # local orders: the same as exponent tuples
+    pure: set[int] = set()  # local orders: the variables with a pure-power lead
+    pairs: list[tuple[int, int, int]] = []
+
+    def lcm_fields(a: int, b: int) -> int:
+        ge = ((a | guards) - b) & guards  # a field's guard bit: a's exponent >= b's
+        m = ge - (ge >> width)
+        return (a & m) | (b & ~m)
 
     def refresh_bound() -> None:
         nonlocal bound, lo, hi, ranked
@@ -511,68 +542,69 @@ def _run_completion(
             if inv != 1:
                 h = {k: c * inv % p for k, c in h.items()}
         else:
-            content = gcd(*h.values())
-            if content != 1:
-                h = {k: c // content for k, c in h.items()}
+            h = _primitive(h)
         el = pk.element(h)
-        lm_new = pk.monomial(el[0])
-        k = len(basis)
+        new = el[0] & fields_mask
+        for i, old in enumerate(fields):
+            lcm_ = lcm_fields(old, new)
+            # product criterion: coprime leading monomials contribute nothing
+            if lcm_ != old + new:
+                deg = lcm_ * units >> top_field & degree_mask
+                heapq.heappush(pairs, ((deg << deg_shift) | lcm_, i, len(basis)))
         basis.append(el)
         insort(ranked, el, key=_rank)
-        lms.append(lm_new)
-        for i in range(k):
-            lcm_ = mi_lcm(lms[i], lm_new)
-            # product criterion: coprime leading monomials contribute nothing
-            if all(a + b == c for a, b, c in zip(lms[i], lm_new, lcm_)):
-                continue
-            heapq.heappush(pairs, ((sum(lcm_), lcm_), i, k))
+        fields.append(new)
         if local:
-            refresh_bound()
+            lms.append(pk.monomial(el[0]))
+            # the staircase stays open until every variable has a pure-power lead
+            pure.update(v for v, e in enumerate(lms[-1]) if e == pk.degree(el[0]))
+            if len(pure) == ring.nvars:
+                refresh_bound()
         return True
 
     def unit() -> bool:
-        return not any(lms[-1]) if lms else False
+        return bool(fields) and not fields[-1]
 
-    for g in gens:
-        packed = pk.pack(g)
+    if bound is not None:
+        # at the cap, and over Q primitive again: the generator truncated, then packed
+        gens = [({k: c for k, c in t.items() if lo <= k < hi}, bits) for t, bits in gens]
+        gens = gens if p else [(_primitive(t), bits) for t, bits in gens]
+    for terms, bits in gens:
         if bound is not None:
-            packed = {k: c for k, c in packed.items() if lo <= k < hi}
-        bits = None
-        if packed and not p:
-            # the first charge reads the generator's own coefficient
-            lc = g.terms[pk.monomial(max(packed))]
-            bits = lc.numerator.bit_length() + lc.denominator.bit_length()
-        if not insert(packed, bits):
+            terms = {k: c for k, c in terms.items() if lo <= k < hi}
+        if not insert(terms, bits):
             return None
         if unit():
             return pk, [pk.element({0: 1})]
 
-    def chain_redundant(i: int, j: int, lcm_: MultiIndex) -> bool:
+    def chain_redundant(i: int, j: int, lcm_: int) -> bool:
         # drop the pair when a third element divides the lcm and both mixed
         # lcms are proper divisors (Buchberger's second criterion)
-        fields = sum(map(lshift, lcm_, pk.shifts))  # divisibility reads the fields alone
-        for k, el in enumerate(basis):
-            if (fields - el[0]) & guards or k == i or k == j:
+        for k, f in enumerate(fields):
+            if (lcm_ - f) & guards or k == i or k == j:
                 continue
-            if mi_lcm(lms[i], lms[k]) != lcm_ and mi_lcm(lms[j], lms[k]) != lcm_:
+            if lcm_fields(fields[i], f) != lcm_ and lcm_fields(fields[j], f) != lcm_:
                 return True
         return False
 
     while pairs:
-        _, i, j = heapq.heappop(pairs)
-        lcm_ = mi_lcm(lms[i], lms[j])
+        key, i, j = heapq.heappop(pairs)
+        deg = key >> deg_shift
+        if bound is not None and deg >= bound:
+            break  # only local runs have a bound: this pair and every later one truncate to zero
+        lcm_ = key & fields_mask
         if chain_redundant(i, j, lcm_):
             continue
-        _, (ecart_f, _), lc_f, tail_f = basis[i]
-        _, (ecart_g, _), lc_g, tail_g = basis[j]
-        if (bound is None or bound - 1 > limit) and sum(lcm_) + max(ecart_f, ecart_g) > limit:
+        lead_f, (ecart_f, _), lc_f, tail_f = basis[i]
+        lead_g, (ecart_g, _), lc_g, tail_g = basis[j]
+        if (bound is None or bound - 1 > limit) and deg + max(ecart_f, ecart_g) > limit:
             raise _Overflow
-        # cross-multiplied s-polynomial: leading terms cancel in any field
-        shift_f = pk.key(mi_sub(lcm_, lms[i]))
-        shift_g = pk.key(mi_sub(lcm_, lms[j]))
+        # cross-multiplied s-polynomial: leading terms cancel in any field;
+        # a global pair key is the lcm's own key
+        lcm_key = lcm_ - (deg << deg_shift) if local else key
         s: dict[int, int] = {}
-        _add_shifted(s, tail_f, shift_f, lc_g, lo, hi, p)
-        _add_shifted(s, tail_g, shift_g, -lc_f, lo, hi, p)
+        _add_shifted(s, tail_f, lcm_key - lead_f, lc_g, lo, hi, p)
+        _add_shifted(s, tail_g, lcm_key - lead_g, -lc_f, lo, hi, p)
         if not insert(s):
             return None
         if unit():
@@ -710,9 +742,7 @@ def _linear_membership_certificate(
             if a != 1:
                 row = {k: v * a for k, v in row.items()}
             _add_shifted(row, tail, 0, -(c // g0), lo, hi, 0)
-            content = gcd(*row.values())
-            if content > 1:
-                row = {k: v // content for k, v in row.items()}
+            row = _primitive(row)
         return row
 
     rows = [(pk.pack(g), shifts) for g in gens] + [(pk.pack(f), shifts[1:])]
@@ -967,8 +997,12 @@ def try_primary_standard_basis(
     gens = _simplify_generators([g for g in generators if not g.is_zero()], order)
     if not gens:
         return ReducedStandardBasis(ring, order, ())
-    for cap in _cap_schedule(gens):
-        completed = _complete_basis(gens, order, hard_cap=cap, cost_budget=[400_000])
+    caps = _cap_schedule(gens)
+    # packed once for every cap; the packing holds the last cap, so no run overflows
+    pk = _Packing.sized(ring, order, max(max(g.total_degree() for g in gens), caps[-1] - 1))
+    packed = _intake(pk, gens, order)
+    for cap in caps:
+        completed = _run_completion(pk, packed, cap, [400_000])
         if completed is None:
             return None
         pk, raw = completed

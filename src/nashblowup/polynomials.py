@@ -33,10 +33,6 @@ def mi_divides(alpha: MultiIndex, beta: MultiIndex) -> bool:
     return all(a <= b for a, b in zip(alpha, beta))
 
 
-def mi_lcm(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
-    return tuple(max(a, b) for a, b in zip(alpha, beta))
-
-
 def _exponents_of_degree(d: int, degree: int) -> Iterator[MultiIndex]:
     """All length-d exponent tuples of the given total degree, lex descending."""
     if d == 1:

@@ -6,18 +6,34 @@ generator deduplication through ``monic`` forms, quotient dimensions
 through dense linear algebra on a truncated monomial basis, derivatives
 through single-step classical differentiation, and the Mora normal form
 and the linear membership certificate through the tuple/Fraction
-implementations that predate the library's packed kernel.
+implementations that predate the library's packed kernel.  The
+standard-basis completion is checked against its earlier pair loop on
+exponent tuples.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from bisect import insort
+from math import gcd
+from operator import lshift
 from typing import Sequence
 
 import pytest
 from hypothesis import strategies as st
 
 from nashblowup.fields import GF, QQ
+from nashblowup.ideals import (
+    _add_shifted,
+    _normal_form,
+    _Overflow,
+    _Packing,
+    _rank,
+    _staircase,
+    _tail_reduce,
+    _terms,
+)
 from nashblowup.polynomials import (
     LOCAL_DEGREE,
     MonomialOrder,
@@ -27,6 +43,7 @@ from nashblowup.polynomials import (
     mi_divides,
     mi_sub,
     multi_indices_in_range,
+    poly_sort_key,
 )
 from nashblowup.parsing import parse_polynomial
 
@@ -310,6 +327,178 @@ def linear_membership_certificate(
             pivots[lead] = reduced
     _, lead = echelon_reduce(f.terms)
     return lead is None
+
+
+# ---------------------------------------------------------------------------
+# reference completion
+#
+# The pair loop ideals._complete_basis ran before its pairs were keyed on
+# packed monomials, kept verbatim as the differential reference: exponent
+# tuple lcms, a chain-criterion scan over the whole basis for every popped
+# pair, no cut at the truncation bound, a staircase after every insert, and
+# every generator truncated and packed afresh for each cap.  It runs on the
+# library's packed normal form, so any difference lies in the pair loop or
+# the intake: the same elements in the same insertion order, the same None
+# and the same remaining cost budget on every input.
+
+
+def mi_lcm(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
+    return tuple(max(a, b) for a, b in zip(alpha, beta))
+
+
+def complete_basis(
+    generators: Sequence[Polynomial],
+    order: MonomialOrder,
+    hard_cap: int | None = None,
+    cost_budget: list[int] | None = None,
+) -> tuple[_Packing, list[tuple]] | None:
+    """Buchberger/Mora completion; returns a standard basis as packed elements.
+
+    For local orders the truncation bound tightens as the staircase of the
+    current leading monomials closes: with s its top standard-monomial
+    degree, m^(s+1) already lies inside the ideal spanned so far.  With
+    ``hard_cap`` set, all arithmetic is truncated at that degree from the
+    start, so the result is a standard basis of (ideal) + m^hard_cap; the
+    caller must certify afterwards that this equals the ideal itself.
+    ``cost_budget`` aborts oversized runs, returning None.  The elements come
+    with the packing that holds them, in insertion order; over Q they are
+    primitive integer polynomials, over F_p monic.
+    """
+    ring = generators[0].ring
+    cap = hard_cap if order.is_local else None
+    gens = [
+        g.truncate_at_degree(cap)
+        for g in sorted(generators, key=lambda p: poly_sort_key(p, order), reverse=True)
+    ]
+    top = max(g.total_degree() for g in gens)
+    # a capped run stores nothing above the cap; an uncapped one has no a
+    # priori bound, and Lazard's homogenized runs reach 11-13 times the
+    # input degree on plane germs, so it starts with room for 16 times
+    pk = _Packing.sized(ring, order, max(top, cap - 1) if cap is not None else 8 * top)
+    budget = None if cost_budget is None else cost_budget[0]
+    while True:
+        try:
+            return _run_completion(pk, gens, cap, cost_budget)
+        except _Overflow:
+            if cost_budget is not None:
+                cost_budget[0] = budget
+            pk = pk.wider()
+
+
+def _run_completion(
+    pk: _Packing, gens: list[Polynomial], bound: int | None, cost_budget: list[int] | None
+) -> tuple[_Packing, list[tuple]] | None:
+    """The body of _complete_basis on one packing; gens come in processing order."""
+    ring = pk.ring
+    p, local, limit, guards = pk.p, pk.local, pk.limit, pk.guards
+    lo, hi = pk.window(bound)
+    basis: list[tuple] = []  # packed elements, in insertion order
+    ranked: list[tuple] = []  # the same, sorted stably by rank
+    lms: list[MultiIndex] = []
+    pairs: list[tuple[tuple, int, int]] = []
+
+    def refresh_bound() -> None:
+        nonlocal bound, lo, hi, ranked
+        stats = _staircase(lms, ring.nvars)
+        if stats is None:
+            return
+        # with s the top standard-monomial degree of the (partial) staircase,
+        # the graded pieces of the quotient vanish above s, so by Nakayama
+        # m^(s+1) already lies inside the ideal spanned so far
+        new_bound = max(stats[1] + 1, 1)
+        if bound is None or new_bound < bound:
+            bound = new_bound
+            lo, hi = pk.window(bound)
+            for i, el in enumerate(basis):
+                # keep elements whose leading monomial sits above the bound whole
+                if lo <= el[0] < hi and not all(lo <= k < hi for k, _ in el[3]):
+                    basis[i] = pk.element({k: c for k, c in _terms(el).items() if lo <= k < hi})
+            ranked = sorted(basis, key=_rank)
+
+    def insert(h: dict[int, int], bits: int | None = None) -> bool:
+        """Reduce h (below the bound) and add it to the basis; False when the budget ran out."""
+        h = _normal_form(pk, h, ranked, bound, None, cost_budget, bits)
+        if h is None:
+            return False
+        if not h:
+            return True
+        if not local and basis:
+            # global orders: tail reduction terminates and keeps elements
+            # (hence later s-polynomials) small
+            h = _tail_reduce(pk, h, basis, None, None)
+        # primitive over Q, monic over F_p; unit scale either way
+        if p:
+            inv = pow(h[max(h)], -1, p)
+            if inv != 1:
+                h = {k: c * inv % p for k, c in h.items()}
+        else:
+            content = gcd(*h.values())
+            if content != 1:
+                h = {k: c // content for k, c in h.items()}
+        el = pk.element(h)
+        lm_new = pk.monomial(el[0])
+        k = len(basis)
+        basis.append(el)
+        insort(ranked, el, key=_rank)
+        lms.append(lm_new)
+        for i in range(k):
+            lcm_ = mi_lcm(lms[i], lm_new)
+            # product criterion: coprime leading monomials contribute nothing
+            if all(a + b == c for a, b, c in zip(lms[i], lm_new, lcm_)):
+                continue
+            heapq.heappush(pairs, ((sum(lcm_), lcm_), i, k))
+        if local:
+            refresh_bound()
+        return True
+
+    def unit() -> bool:
+        return not any(lms[-1]) if lms else False
+
+    for g in gens:
+        packed = pk.pack(g)
+        if bound is not None:
+            packed = {k: c for k, c in packed.items() if lo <= k < hi}
+        bits = None
+        if packed and not p:
+            # the first charge reads the generator's own coefficient
+            lc = g.terms[pk.monomial(max(packed))]
+            bits = lc.numerator.bit_length() + lc.denominator.bit_length()
+        if not insert(packed, bits):
+            return None
+        if unit():
+            return pk, [pk.element({0: 1})]
+
+    def chain_redundant(i: int, j: int, lcm_: MultiIndex) -> bool:
+        # drop the pair when a third element divides the lcm and both mixed
+        # lcms are proper divisors (Buchberger's second criterion)
+        fields = sum(map(lshift, lcm_, pk.shifts))  # divisibility reads the fields alone
+        for k, el in enumerate(basis):
+            if (fields - el[0]) & guards or k == i or k == j:
+                continue
+            if mi_lcm(lms[i], lms[k]) != lcm_ and mi_lcm(lms[j], lms[k]) != lcm_:
+                return True
+        return False
+
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        lcm_ = mi_lcm(lms[i], lms[j])
+        if chain_redundant(i, j, lcm_):
+            continue
+        _, (ecart_f, _), lc_f, tail_f = basis[i]
+        _, (ecart_g, _), lc_g, tail_g = basis[j]
+        if (bound is None or bound - 1 > limit) and sum(lcm_) + max(ecart_f, ecart_g) > limit:
+            raise _Overflow
+        # cross-multiplied s-polynomial: leading terms cancel in any field
+        shift_f = pk.key(mi_sub(lcm_, lms[i]))
+        shift_g = pk.key(mi_sub(lcm_, lms[j]))
+        s: dict[int, int] = {}
+        _add_shifted(s, tail_f, shift_f, lc_g, lo, hi, p)
+        _add_shifted(s, tail_g, shift_g, -lc_f, lo, hi, p)
+        if not insert(s):
+            return None
+        if unit():
+            return pk, [pk.element({0: 1})]
+    return pk, basis
 
 
 # ---------------------------------------------------------------------------

@@ -59,17 +59,18 @@ class TestTjurinaIdeal:
 
     def test_repeated_generators_reach_completion_once(self, ring_q2, monkeypatch):
         # m * j(f) repeats x^2*y up to a scalar; the printed generators keep
-        # every repeat, completion sees each scalar class once
+        # every repeat, completion sees each scalar class once: both capped
+        # runs and Lazard's run go through _run_completion
         ideal = tjurina_ideal(P("x^2*y", ring_q2), 1)
         assert [str(g) for g in ideal.generators] == ["x^2*y", "2*x^2*y", "x^3", "2*x*y^2", "x^2*y"]
         sizes = []
-        original = ideals._complete_basis
+        original = ideals._run_completion
 
-        def counted(generators, *args, **kwargs):
+        def counted(pk, generators, *args, **kwargs):
             sizes.append(len(generators))
-            return original(generators, *args, **kwargs)
+            return original(pk, generators, *args, **kwargs)
 
-        monkeypatch.setattr(ideals, "_complete_basis", counted)
+        monkeypatch.setattr(ideals, "_run_completion", counted)
         basis = ideal.standard_basis()
         assert sizes and set(sizes) == {3}
         assert [str(e) for e in basis.elements] == ["x^3", "x^2*y", "x*y^2"]

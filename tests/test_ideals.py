@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nashblowup
+from nashblowup import ideals
 from nashblowup.fields import GF, QQ
 from nashblowup.ideals import (
     INFINITE,
@@ -19,9 +20,11 @@ from nashblowup.ideals import (
     _complete_basis,
     _complete_local_by_homogenization,
     _finish_primary,
+    _intake,
     _linear_membership_certificate,
     _minimalize,
     _Packing,
+    _run_completion,
     _simplify_generators,
     _staircase,
     _terms,
@@ -32,7 +35,8 @@ from nashblowup.ideals import (
 )
 from nashblowup.polynomials import GRADED_LEX, LOCAL_DEGREE, Polynomial, RingContext, multi_indices_in_range
 
-from conftest import P, brute_standard_monomial_count, linalg_quotient_dim, polynomial_strategy
+from conftest import P, brute_standard_monomial_count, linalg_quotient_dim, monomial_strategy, polynomial_strategy
+from conftest import complete_basis as reference_complete_basis
 from conftest import linear_membership_certificate as reference_certificate
 from conftest import weak_normal_form as reference_weak_normal_form
 
@@ -281,6 +285,70 @@ class TestFieldWidening:
         assert got == want
         if want[0] is not None and max(g.truncate_at_degree(cap).total_degree() for g in gens) > 2**width - 1:
             assert widened
+
+
+class TestCompletionAgainstReference:
+    """The pair loop on packed keys, stopped at the truncation bound, against
+    the tuple-keyed loop in conftest that runs every pair."""
+
+    @staticmethod
+    def unpacked(completed):
+        return None if completed is None else [completed[0].polynomial(_terms(el)) for el in completed[1]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_elements_order_and_budget(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        if field is QQ:
+            # rationals and bignums: the first charge reads the fraction's size
+            coeff = st.integers(-4, 4) | st.fractions(max_denominator=50) | st.integers(-(10**40), 10**40)
+        else:
+            coeff = st.integers(0, field.characteristic - 1)
+        term = st.tuples(monomial_strategy(nvars, 5), coeff)
+        polys = st.lists(st.lists(term, min_size=1, max_size=4), min_size=1, max_size=4)
+        gens = [g for g in (sum((ring.monomial(a, c) for a, c in ts), ring.zero()) for ts in data.draw(polys))
+                if not g.is_zero()]
+        if not gens:
+            return
+        if data.draw(st.booleans()):
+            # initial forms: every s-polynomial keeps terms at its lcm degree,
+            # which a cut one degree early would lose
+            gens = [g.truncate_at_degree(g.multiplicity() + 1) for g in gens]
+        order = data.draw(st.sampled_from([LOCAL_DEGREE, GRADED_LEX]))
+        cap = data.draw(st.none() | st.integers(1, 10)) if order is LOCAL_DEGREE else None
+        # a budget stops every run, a wrong one included: each insert charges it
+        budget = data.draw(st.integers(0, 30_000))
+
+        def both(run_mine, run_reference):
+            mine, reference = [budget], [budget]
+            got, want = self.unpacked(run_mine(mine)), self.unpacked(run_reference(reference))
+            assert got == want
+            assert mine == reference
+
+        both(lambda b: _complete_basis(gens, order, cap, b), lambda b: reference_complete_basis(gens, order, cap, b))
+        if order is LOCAL_DEGREE:
+            # the capped route: packed once, for its top degree and last cap,
+            # then truncated at each cap in turn
+            caps = sorted(data.draw(st.lists(st.integers(1, 10), min_size=2, max_size=2)))
+            pk = _Packing.sized(ring, order, max(max(g.total_degree() for g in gens), caps[-1] - 1))
+            packed = _intake(pk, gens, order)
+            for c in caps:
+                both(lambda b: _run_completion(pk, packed, c, b), lambda b: reference_complete_basis(gens, order, c, b))
+
+
+def test_two_cap_give_up_packs_each_generator_once(ring_q3, monkeypatch):
+    # (x*y, x*z + y^3) has infinite colength, so neither cap certifies; the
+    # scalar multiple 2*x*y is dropped before the intake
+    gens = [P(t, ring_q3) for t in ("x*y", "x*z + y^3", "2*x*y")]
+    packed, runs = [], []
+    original_pack, original_run = _Packing.pack, ideals._run_completion
+    monkeypatch.setattr(_Packing, "pack", lambda pk, poly: packed.append(poly) or original_pack(pk, poly))
+    monkeypatch.setattr(ideals, "_run_completion", lambda pk, g, cap, b: runs.append(cap) or original_run(pk, g, cap, b))
+    assert try_primary_standard_basis(gens, ring_q3) is None
+    assert len(runs) == 2
+    assert sorted(map(str, packed)) == sorted(map(str, _simplify_generators(gens, LOCAL_DEGREE)))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
