@@ -470,7 +470,7 @@ def _complete_basis(
 
 
 def _intake(pk: _Packing, generators: Sequence[Polynomial], order: MonomialOrder) -> list[tuple]:
-    """(packed terms, lead coefficient size over Q for the first charge) per generator, in order."""
+    """(packed terms, lead coefficient size over Q for the first charge) per generator, in processing order."""
     out = []
     for g in sorted(generators, key=lambda q: poly_sort_key(q, order), reverse=True):
         lc = g.leading_coefficient(order)
