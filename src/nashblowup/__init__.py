@@ -36,13 +36,10 @@ from .ideals import (
 )
 from .jacobian import (
     JacobianMatrix,
-    PresentationMatrix,
-    fitting_ideal,
     higher_jacobian_ideal,
     j2_plane_closed_form,
     jac_matrix,
     jacobian_ideal,
-    minors,
 )
 from .parsing import PolynomialSyntaxError, format_polynomial, parse_polynomial
 from .polynomials import (
@@ -71,7 +68,6 @@ __all__ = [
     "MonomialOrder",
     "Polynomial",
     "PolynomialSyntaxError",
-    "PresentationMatrix",
     "QQ",
     "ReducedStandardBasis",
     "RingContext",
@@ -81,7 +77,6 @@ __all__ = [
     "check_inclusions",
     "check_right_covariance",
     "check_unit_stability",
-    "fitting_ideal",
     "format_polynomial",
     "gp_bound",
     "higher_jacobian_ideal",
@@ -90,7 +85,6 @@ __all__ = [
     "jac_matrix",
     "jacobian_ideal",
     "maximal_ideal_power",
-    "minors",
     "multi_indices_in_range",
     "nash_ideal_m",
     "nash_ideal_t",

@@ -56,13 +56,6 @@ class LocalAutomorphism:
     def apply(self, f: Polynomial) -> Polynomial:
         return f.substitute(list(self.images))
 
-    def compose(self, inner: "LocalAutomorphism") -> "LocalAutomorphism":
-        """Operator composite: applying the result to a polynomial equals
-        applying ``inner``'s substitution first and then this one's."""
-        return LocalAutomorphism(
-            self.ring, tuple(g.substitute(list(self.images)) for g in inner.images)
-        )
-
 
 def _field_det(matrix, field):
     """Exact determinant of a small square matrix of field elements."""

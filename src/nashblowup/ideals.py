@@ -52,13 +52,17 @@ _complete_basis and _linear_membership_certificate (a ReducedStandardBasis
 packs its elements on its first query and keeps them;
 try_primary_standard_basis packs its generators once for all its caps, and
 each capped run cuts them at its key window, over Q making them primitive
-again).  _complete_basis returns packed elements with their packing;
+again).  Every completion takes its generators through one intake, which
+packs them in the caller's order and drops each that is a nonzero scalar
+multiple of an earlier one, so the capped attempts, the global completion
+and Lazard's homogenized one all complete the first generator of each
+scalar class.  _complete_basis returns packed elements with their packing;
 minimalization, the staircase read-off, the truncation and the tail
 reduction of a finished basis run on those same keys, and each element is
 unpacked once, monic, when the ReducedStandardBasis is built.  Lazard's
 route moves the keys of its homogeneous completion into a local packing by
-way of their exponent tuples, and the membership escalation unpacks its
-capped basis at its own call site for weak_normal_form.  Every public
+way of their exponent tuples, and the membership escalation reduces on the
+packing of its capped completion, which holds the cap.  Every public
 signature and every printed result is the one the tuple/Fraction arithmetic
 gives.
 """
@@ -445,6 +449,8 @@ def _complete_basis(
     ``hard_cap`` set, all arithmetic is truncated at that degree from the
     start, so the result is a standard basis of (ideal) + m^hard_cap; the
     caller must certify afterwards that this equals the ideal itself.
+    The generators must be nonzero; a nonzero scalar multiple of an earlier
+    one is dropped at the intake and charges nothing.
     ``cost_budget`` aborts oversized runs, returning None.  The elements come
     with the packing that holds them, in insertion order; over Q they are
     primitive integer polynomials, over F_p monic.  Pairs are keyed by
@@ -469,13 +475,39 @@ def _complete_basis(
             pk = pk.wider()
 
 
+def _scalar_class(terms: dict[int, int], p: int) -> frozenset:
+    """The same key for two packed polynomials iff one is a nonzero multiple of the other."""
+    lead = terms[max(terms)]
+    if p:
+        scalar = pow(lead, -1, p)
+        return frozenset((key, c * scalar % p) for key, c in terms.items())
+    g = gcd(*terms.values())
+    if lead < 0:
+        g = -g
+    return frozenset((key, c // g) for key, c in terms.items())
+
+
 def _intake(pk: _Packing, generators: Sequence[Polynomial], order: MonomialOrder) -> list[tuple]:
-    """(packed terms, lead coefficient size over Q for the first charge) per generator, in processing order."""
+    """(packed terms, lead coefficient size over Q for the first charge) per generator, in processing order.
+
+    The generators, all nonzero, are packed in the caller's order, and one
+    whose scalar class was seen before is dropped, so the first of each
+    class survives; the survivors are then sorted by poly_sort_key, largest
+    first.
+    """
+    seen = set()
+    kept = []
+    for g in generators:
+        terms = pk.pack(g)
+        key = _scalar_class(terms, pk.p)
+        if key not in seen:
+            seen.add(key)
+            kept.append((g, terms))
     out = []
-    for g in sorted(generators, key=lambda q: poly_sort_key(q, order), reverse=True):
+    for g, terms in sorted(kept, key=lambda item: poly_sort_key(item[0], order), reverse=True):
         lc = g.leading_coefficient(order)
         bits = None if pk.p else lc.numerator.bit_length() + lc.denominator.bit_length()
-        out.append((pk.pack(g), bits))
+        out.append((terms, bits))
     return out
 
 
@@ -777,8 +809,8 @@ def _escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
         if _linear_membership_certificate(f, gens, degree_bound):
             return True
         pk, capped = _complete_basis(gens, LOCAL_DEGREE, hard_cap=cap)
-        residue = weak_normal_form(f, [pk.polynomial(_terms(el)) for el in capped], LOCAL_DEGREE, cap)
-        if not residue.is_zero():
+        # the packing holds the cap, so the normal form cannot overflow
+        if _normal_form(pk, pk.pack(f.truncate_at_degree(cap)), sorted(capped, key=_rank), cap):
             return False
         cap += max(4, cap // 2)
         degree_bound += 4
@@ -950,36 +982,24 @@ def _complete_local_by_homogenization(
     return pk, [pk.element({pk.key(a): c for a, c in terms.items()}) for terms in dehomogenized]
 
 
-def _scalar_class(g: Polynomial) -> frozenset:
-    """The same for two nonzero polynomials iff one is a scalar multiple of the other."""
-    terms = g.terms
-    lc = terms[max(terms)]
-    p = g.ring.field.characteristic
-    if p:
-        inv = pow(lc, -1, p)
-        return frozenset((a, c * inv % p) for a, c in terms.items())
-    den = lcm(*(c.denominator for c in terms.values()))
-    nums = [c.numerator * (den // c.denominator) for c in terms.values()]
-    content = gcd(*nums) if lc > 0 else -gcd(*nums)
-    return frozenset(zip(terms, (n // content for n in nums)))
+def _simplify_generators(gens: Iterable[Polynomial], order: MonomialOrder) -> list[Polynomial]:
+    """The nonzero generators, each of the shape monomial * unit replaced by
+    the monomial under a local order.
 
-
-def _simplify_generators(gens: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    """Replace each generator of the shape monomial * unit by the monomial
-    (local orders), then drop every generator that is a nonzero scalar
-    multiple of an earlier one."""
+    The replacement runs before Lazard's route homogenizes the generators:
+    the printed basis of an ideal of infinite colength depends on the
+    generator list.  Scalar multiples are dropped later, at the intake.
+    """
     out = []
-    seen = set()
     for g in gens:
+        if g.is_zero():
+            continue
         if order.is_local:
             content = tuple(map(min, zip(*g.terms)))
             if sum(content) and content in g.terms:
                 # constant term of the cofactor is nonzero: the cofactor is a unit
                 g = g.ring.monomial(content)
-        key = _scalar_class(g)
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
+        out.append(g)
     return out
 
 
@@ -994,7 +1014,7 @@ def try_primary_standard_basis(
     certifies, which covers every ideal of infinite colength.
     """
     order = LOCAL_DEGREE
-    gens = _simplify_generators([g for g in generators if not g.is_zero()], order)
+    gens = _simplify_generators(generators, order)
     if not gens:
         return ReducedStandardBasis(ring, order, ())
     caps = _cap_schedule(gens)
@@ -1022,7 +1042,7 @@ def compute_standard_basis(
         basis = try_primary_standard_basis(generators, ring)
         if basis is not None:
             return basis
-    gens = _simplify_generators([g for g in generators if not g.is_zero()], order)
+    gens = _simplify_generators(generators, order)
     if not gens:
         return ReducedStandardBasis(ring, order, ())
     if order.is_local:
@@ -1087,10 +1107,6 @@ class Ideal:
 
     def normal_form(self, f: Polynomial, order: MonomialOrder = LOCAL_DEGREE) -> Polynomial:
         return self.standard_basis(order).normal_form(f)
-
-    def leading_ideal(self, order: MonomialOrder = LOCAL_DEGREE) -> "Ideal":
-        basis = self.standard_basis(order)
-        return Ideal(self.ring, [self.ring.monomial(m) for m in basis.leading_monomials])
 
     # -- membership / comparison (local semantics)
 

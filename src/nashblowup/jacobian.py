@@ -1,4 +1,4 @@
-"""Higher Jacobian matrices, minors, Fitting ideals, higher Jacobian ideals.
+"""Higher Jacobian matrices and higher Jacobian ideals.
 
 The order-n Jacobian matrix of f has rows indexed by multi-indices beta
 with 0 <= |beta| <= n-1 and columns by alpha with 1 <= |alpha| <= n, both
@@ -75,34 +75,6 @@ class JacobianMatrix:
 
 def _label(alpha: MultiIndex) -> str:
     return "(" + ",".join(str(e) for e in alpha) + ")"
-
-
-class PresentationMatrix:
-    """Rectangular polynomial matrix presenting a module on its columns.
-
-    Columns correspond to module generators, rows to relations.
-    """
-
-    def __init__(self, ring: RingContext, entries: Sequence[Sequence[Polynomial]]):
-        rows = tuple(tuple(row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged matrix")
-            for r in rows:
-                for e in r:
-                    if e.ring != ring:
-                        raise ValueError("entry lives in a different ring context")
-        self.ring = ring
-        self.entries = rows
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
 
 def jac_matrix(f: Polynomial, n: int) -> JacobianMatrix:
@@ -195,18 +167,6 @@ class _PackedMatrix:
         monomials = [tuple([(key >> s) & m for s, m in fields]) for key in det]
         return Polynomial(self.ring, dict(zip(monomials, coeffs)), _canonical=True)
 
-    def scalar_class(self, det: dict[int, int]) -> frozenset:
-        """The same key for two packed minors iff one is a nonzero multiple of the other."""
-        lead = det[max(det)]
-        p = self.p
-        if p:
-            scalar = pow(lead, -1, p)
-            return frozenset((key, c * scalar % p) for key, c in det.items())
-        g = math.gcd(*det.values())
-        if lead < 0:
-            g = -g
-        return frozenset((key, c // g) for key, c in det.items())
-
 
 def _minor_dets(matrix: _PackedMatrix, row_ids: Sequence[int], col_ids: Sequence[int]) -> list[dict[int, int]]:
     """The nonzero packed maximal minors on row_ids, column subsets in lex order of col_ids."""
@@ -268,44 +228,16 @@ def _packed_minors(
 def _distinct_minors(
     entries: Sequence[Sequence[Polynomial]], k: int, ring: RingContext
 ) -> list[Polynomial]:
-    """The nonzero k x k minors up to a scalar, first occurrence kept, in minors() order."""
+    """The nonzero k x k minors up to a scalar, first occurrence kept, in _packed_minors order."""
     packed, dets = _packed_minors(entries, k, ring)
     seen = set()
     out = []
     for det in dets:
-        key = packed.scalar_class(det)
+        key = _scalar_class(det, packed.p)
         if key not in seen:
             seen.add(key)
             out.append(packed.polynomial(det))
     return out
-
-
-def minors(matrix: PresentationMatrix | JacobianMatrix, k: int) -> list[Polynomial]:
-    """All nonzero k x k minors, row subsets then column subsets in lex order."""
-    entries = matrix.entries
-    nrows, ncols = len(entries), len(entries[0]) if entries else 0
-    if k < 1 or k > min(nrows, ncols):
-        raise ValueError(f"minor size {k} exceeds matrix dimensions {nrows}x{ncols}")
-    packed, dets = _packed_minors(entries, k, matrix.ring)
-    return [packed.polynomial(det) for det in dets]
-
-
-def fitting_ideal(matrix: PresentationMatrix | JacobianMatrix, k: int) -> Ideal:
-    """k-th Fitting ideal of the module presented on the matrix columns.
-
-    With g generators this is the ideal of (g-k) x (g-k) minors; by
-    convention the unit ideal when g - k <= 0 and the zero ideal when the
-    matrix has fewer than g - k rows.
-    """
-    if k < 0:
-        raise ValueError("negative Fitting index")
-    entries = matrix.entries
-    size = (len(entries[0]) if entries else 0) - k
-    if size <= 0:
-        return Ideal.unit(matrix.ring)
-    if size > len(entries):
-        return Ideal.zero(matrix.ring)
-    return Ideal(matrix.ring, _distinct_minors(entries, size, matrix.ring))
 
 
 def higher_jacobian_ideal(f: Polynomial, n: int) -> Ideal:
@@ -353,8 +285,4 @@ def j2_plane_closed_form(f: Polynomial) -> Ideal:
     fyy = f.hasse_derivative((0, 2)) * two
     fxy = f.hasse_derivative((1, 1))
     hessian_form = fxx * fy * fy - fxy * fx * fy.scalar_mul(2) + fx * fx * fyy
-    distinct: dict[frozenset, Polynomial] = {}  # first generator of each scalar class
-    for g in (fx**3, fx**2 * fy, fx * fy**2, fy**3, hessian_form):
-        if not g.is_zero():
-            distinct.setdefault(_scalar_class(g), g)
-    return Ideal(f.ring, distinct.values())
+    return Ideal(f.ring, [fx**3, fx**2 * fy, fx * fy**2, fy**3, hessian_form])

@@ -212,10 +212,8 @@ class Polynomial:
     def leading_coefficient(self, order: MonomialOrder):
         return self.terms[self.leading_monomial(order)]
 
-    def sorted_terms(self, order: MonomialOrder | None = None) -> list[tuple[MultiIndex, object]]:
+    def sorted_terms(self) -> list[tuple[MultiIndex, object]]:
         """Terms sorted reading-order: degree ascending, lex descending within a degree."""
-        if order is not None:
-            return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), tuple(-e for e in t[0])))
 
     # -- arithmetic

@@ -147,15 +147,6 @@ class TestRandomGenerators:
         for seed in range(10):
             assert random_unit(ring, seed).is_valid()
 
-    def test_composition_law(self, ring_q2):
-        ideal = Ideal(ring_q2, [P("x^2+y^3", ring_q2), P("x*y", ring_q2)])
-        for seed in (0, 1, 5):
-            phi = random_automorphism(ring_q2, seed, max_degree=2)
-            psi = random_automorphism(ring_q2, seed + 100, max_degree=2)
-            composed = phi.compose(psi)
-            stepwise = apply_to_ideal(phi, apply_to_ideal(psi, ideal))
-            assert apply_to_ideal(composed, ideal).equals(stepwise)
-
 
 class TestHarness:
     def test_small_run_all_pass(self, ring_q2):

@@ -33,9 +33,24 @@ from nashblowup.ideals import (
     try_primary_standard_basis,
     weak_normal_form,
 )
-from nashblowup.polynomials import GRADED_LEX, LOCAL_DEGREE, Polynomial, RingContext, multi_indices_in_range
+from nashblowup.polynomials import (
+    GRADED_LEX,
+    LOCAL_DEGREE,
+    Polynomial,
+    RingContext,
+    multi_indices_in_range,
+    poly_sort_key,
+)
 
-from conftest import P, brute_standard_monomial_count, linalg_quotient_dim, monomial_strategy, polynomial_strategy
+from conftest import (
+    P,
+    brute_standard_monomial_count,
+    first_per_scalar_class,
+    linalg_quotient_dim,
+    monomial_strategy,
+    nonzero_polynomial_strategy,
+    polynomial_strategy,
+)
 from conftest import complete_basis as reference_complete_basis
 from conftest import linear_membership_certificate as reference_certificate
 from conftest import weak_normal_form as reference_weak_normal_form
@@ -316,6 +331,13 @@ class TestCompletionAgainstReference:
             # initial forms: every s-polynomial keeps terms at its lcm degree,
             # which a cut one degree early would lose
             gens = [g.truncate_at_degree(g.multiplicity() + 1) for g in gens]
+        # nonzero scalar multiples of drawn generators, anywhere in the list:
+        # the intake keeps the first of each class, the reference gets only those
+        nonzero = coeff.filter(bool)
+        for i, c, at in data.draw(st.lists(st.tuples(st.integers(0, len(gens) - 1), nonzero, st.integers(0, 4)),
+                                           max_size=2)):
+            gens.insert(min(at, len(gens)), gens[i].scalar_mul(c))
+        distinct = first_per_scalar_class(gens)
         order = data.draw(st.sampled_from([LOCAL_DEGREE, GRADED_LEX]))
         cap = data.draw(st.none() | st.integers(1, 10)) if order is LOCAL_DEGREE else None
         # a budget stops every run, a wrong one included: each insert charges it
@@ -327,7 +349,7 @@ class TestCompletionAgainstReference:
             assert got == want
             assert mine == reference
 
-        both(lambda b: _complete_basis(gens, order, cap, b), lambda b: reference_complete_basis(gens, order, cap, b))
+        both(lambda b: _complete_basis(gens, order, cap, b), lambda b: reference_complete_basis(distinct, order, cap, b))
         if order is LOCAL_DEGREE:
             # the capped route: packed once, for its top degree and last cap,
             # then truncated at each cap in turn
@@ -335,27 +357,65 @@ class TestCompletionAgainstReference:
             pk = _Packing.sized(ring, order, max(max(g.total_degree() for g in gens), caps[-1] - 1))
             packed = _intake(pk, gens, order)
             for c in caps:
-                both(lambda b: _run_completion(pk, packed, c, b), lambda b: reference_complete_basis(gens, order, c, b))
+                both(lambda b: _run_completion(pk, packed, c, b), lambda b: reference_complete_basis(distinct, order, c, b))
+
+    def test_duplicate_charges_no_budget(self, ring_q2):
+        gens = [P(t, ring_q2) for t in ("x^2 + y^3", "x*y", "-2*x^2 - 2*y^3")]
+        with_duplicate, without = [10**6], [10**6]
+        got = self.unpacked(_complete_basis(gens, LOCAL_DEGREE, 8, with_duplicate))
+        assert got == self.unpacked(_complete_basis(gens[:2], LOCAL_DEGREE, 8, without))
+        assert with_duplicate == without
 
 
 def test_two_cap_give_up_packs_each_generator_once(ring_q3, monkeypatch):
     # (x*y, x*z + y^3) has infinite colength, so neither cap certifies; the
-    # scalar multiple 2*x*y is dropped before the intake
+    # scalar multiple 2*x*y is packed once and dropped at the intake
     gens = [P(t, ring_q3) for t in ("x*y", "x*z + y^3", "2*x*y")]
     packed, runs = [], []
     original_pack, original_run = _Packing.pack, ideals._run_completion
     monkeypatch.setattr(_Packing, "pack", lambda pk, poly: packed.append(poly) or original_pack(pk, poly))
-    monkeypatch.setattr(ideals, "_run_completion", lambda pk, g, cap, b: runs.append(cap) or original_run(pk, g, cap, b))
+    monkeypatch.setattr(ideals, "_run_completion",
+                        lambda pk, g, cap, b: runs.append(len(g)) or original_run(pk, g, cap, b))
     assert try_primary_standard_basis(gens, ring_q3) is None
-    assert len(runs) == 2
-    assert sorted(map(str, packed)) == sorted(map(str, _simplify_generators(gens, LOCAL_DEGREE)))
+    assert runs == [2, 2]
+    assert packed == _simplify_generators(gens, LOCAL_DEGREE)
+
+
+def intake_of(pk, survivors, order):
+    """What _intake returns when exactly ``survivors`` survive its scalar-class check."""
+    out = []
+    for g in sorted(survivors, key=lambda q: poly_sort_key(q, order), reverse=True):
+        lc = g.leading_coefficient(order)
+        out.append((pk.pack(g), None if pk.p else lc.numerator.bit_length() + lc.denominator.bit_length()))
+    return out
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
 def test_simplify_drops_nonzero_scalar_multiples(field):
     ring = RingContext(("x", "y"), field)
     gens = [P(t, ring) for t in ("x^2+y^3", "-3*x^2-3*y^3", "x^2+2*y^3", "2*x*y", "x^2+y^3", "-x*y")]
-    assert _simplify_generators(gens, GRADED_LEX) == [gens[0], gens[2], gens[3]]
+    pk = _Packing.sized(ring, GRADED_LEX, 3)
+    assert _intake(pk, gens, GRADED_LEX) == intake_of(pk, [gens[0], gens[2], gens[3]], GRADED_LEX)
+
+
+class TestIntake:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_keeps_the_first_of_each_scalar_class(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        base = data.draw(st.lists(nonzero_polynomial_strategy(ring, max_terms=3, max_degree=4), min_size=1, max_size=4))
+        if field is QQ:
+            scalar = (st.sampled_from([1, -1]) | st.fractions(max_denominator=50)
+                      | st.integers(-(10**40), 10**40)).filter(bool)
+        else:
+            scalar = st.integers(1, field.characteristic - 1)
+        picks = st.tuples(st.integers(0, len(base) - 1), scalar)
+        gens = [base[i].scalar_mul(c) for i, c in data.draw(st.lists(picks, min_size=1, max_size=8))]
+        order = data.draw(st.sampled_from([LOCAL_DEGREE, GRADED_LEX]))
+        pk = _Packing.sized(ring, order, max(g.total_degree() for g in gens))
+        assert _intake(pk, gens, order) == intake_of(pk, first_per_scalar_class(gens), order)
 
 
 class TestCompletionOutput:
@@ -754,12 +814,10 @@ def test_no_module_level_caches():
 
 class TestLeadingIdeal:
     def test_local_leading_is_low_degree(self, ring_q2):
-        lead = ideal(ring_q2, "x^2+y^3").leading_ideal()
-        assert lead.equals(ideal(ring_q2, "x^2"))
+        assert ideal(ring_q2, "x^2+y^3").standard_basis().leading_monomials == ((2, 0),)
 
     def test_unit_tail(self, ring_q2):
-        lead = ideal(ring_q2, "x+x^2").leading_ideal()
-        assert lead.equals(ideal(ring_q2, "x"))
+        assert ideal(ring_q2, "x+x^2").standard_basis().leading_monomials == ((1, 0),)
 
     def test_zero(self, ring_q2):
-        assert Ideal.zero(ring_q2).leading_ideal().is_zero
+        assert Ideal.zero(ring_q2).standard_basis().leading_monomials == ()

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 from nashblowup.fields import GF, QQ, CoefficientField
 from nashblowup.ideals import Ideal
 from nashblowup.jacobian import (
-    PresentationMatrix,
+    _distinct_minors,
     _minor_dets,
+    _packed_minors,
     _PackedMatrix,
-    fitting_ideal,
     higher_jacobian_ideal,
     j2_plane_closed_form,
     jac_matrix,
     jacobian_ideal,
-    minors,
 )
 from nashblowup.polynomials import LOCAL_DEGREE, RingContext
 
@@ -28,6 +27,12 @@ from conftest import P, first_per_scalar_class, perm_det
 
 def ideal(ring, *texts):
     return Ideal(ring, [P(t, ring) for t in texts])
+
+
+def all_minors(rows, k, ring):
+    """Every nonzero k x k minor of the entry lists, in _packed_minors order."""
+    packed, dets = _packed_minors(rows, k, ring)
+    return [packed.polynomial(det) for det in dets]
 
 
 class TestMatrixConstruction:
@@ -72,11 +77,8 @@ class TestMatrixConstruction:
 
 class TestMinors:
     def test_two_by_two(self, ring_q2):
-        m = PresentationMatrix(
-            ring_q2,
-            [[P("x", ring_q2), P("y", ring_q2)], [P("y", ring_q2), P("x", ring_q2)]],
-        )
-        assert minors(m, 2) == [P("x^2-y^2", ring_q2)]
+        rows = [[P("x", ring_q2), P("y", ring_q2)], [P("y", ring_q2), P("x", ring_q2)]]
+        assert all_minors(rows, 2, ring_q2) == [P("x^2-y^2", ring_q2)]
 
     def test_node_column_minor_matches_hand_value(self, ring_q2):
         # submatrix on columns 3,4,5 of the order-2 matrix of x*y has
@@ -84,26 +86,17 @@ class TestMinors:
         m = jac_matrix(P("x*y", ring_q2), 2)
         sub = [[m.entries[i][j] for j in (2, 3, 4)] for i in range(3)]
         assert perm_det(sub) == P("-x*y", ring_q2)
-        assert P("-x*y", ring_q2) in minors(m, 3)
+        assert P("-x*y", ring_q2) in all_minors(m.entries, 3, ring_q2)
 
     def test_size_one_returns_entries(self, ring_q2):
-        m = PresentationMatrix(
-            ring_q2,
-            [[P("x", ring_q2), P("y", ring_q2)], [P("1+x", ring_q2), P("y^2", ring_q2)]],
-        )
-        assert minors(m, 1) == [P("x", ring_q2), P("y", ring_q2), P("1+x", ring_q2), P("y^2", ring_q2)]
-
-    def test_oversized_rejected(self, ring_q2):
-        m = PresentationMatrix(ring_q2, [[P("x", ring_q2), P("y", ring_q2)]])
-        with pytest.raises(ValueError, match="exceeds"):
-            minors(m, 2)
+        rows = [[P("x", ring_q2), P("y", ring_q2)], [P("1+x", ring_q2), P("y^2", ring_q2)]]
+        assert all_minors(rows, 1, ring_q2) == [P("x", ring_q2), P("y", ring_q2), P("1+x", ring_q2), P("y^2", ring_q2)]
 
     def test_agrees_with_permutation_determinant(self, ring_q3):
         rng = random.Random("minor-oracle")
         texts = ("x", "y", "z", "x+y", "x*z", "y^2", "1", "0", "x-2*z")
         rows = [[P(rng.choice(texts), ring_q3) for _ in range(4)] for _ in range(3)]
-        m = PresentationMatrix(ring_q3, rows)
-        got = minors(m, 3)
+        got = all_minors(rows, 3, ring_q3)
         expected = []
         for cols in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
             det = perm_det([[rows[i][j] for j in cols] for i in range(3)])
@@ -114,9 +107,10 @@ class TestMinors:
 
 @st.composite
 def matrix_strategy(draw):
-    """Random polynomial matrices: rational or F_p coefficients, constants,
-    zero entries, exponents up to 200, and few monomials per matrix so that
-    products collide and minors cancel, over Z or only mod p."""
+    """(ring, entry rows) of random polynomial matrices: rational or F_p
+    coefficients, constants, zero entries, exponents up to 200, and few
+    monomials per matrix so that products collide and minors cancel, over Z
+    or only mod p."""
     field = draw(st.sampled_from((QQ, GF(2), GF(3), GF(5))))
     nvars = draw(st.integers(1, 3))
     ring = RingContext(("x", "y", "z")[:nvars], field)
@@ -138,40 +132,42 @@ def matrix_strategy(draw):
         st.lists(st.tuples(st.sampled_from(pool), coeff), min_size=1, max_size=3).map(build),
     )
     row = st.lists(entry, min_size=ncols, max_size=ncols)
-    return PresentationMatrix(ring, draw(st.lists(row, min_size=nrows, max_size=nrows)))
+    return ring, draw(st.lists(row, min_size=nrows, max_size=nrows))
 
 
-def oracle_minors(m, k):
-    """(rows, cols, det) of every nonzero k x k minor by the permutation sum."""
+def oracle_minors(rows, k):
+    """Every nonzero k x k minor by the permutation sum: row subsets, then columns, in lex order."""
     out = []
-    for rows in combinations(range(m.nrows), k):
-        for cols in combinations(range(m.ncols), k):
-            det = perm_det([[m.entries[i][j] for j in cols] for i in rows])
+    for rs in combinations(range(len(rows)), k):
+        for cs in combinations(range(len(rows[0])), k):
+            det = perm_det([[rows[i][j] for j in cs] for i in rs])
             if not det.is_zero():
-                out.append((rows, cols, det))
+                out.append(det)
     return out
 
 
 class TestPackedKernel:
     @settings(max_examples=150, deadline=None)
     @given(matrix_strategy())
-    def test_maximal_minors_match_permutation_sum(self, m):
-        k = m.nrows
-        packed = _PackedMatrix(m.entries, k, m.ring)
-        got = [packed.polynomial(det) for det in _minor_dets(packed, range(k), range(m.ncols))]
-        expected = [det for _, _, det in oracle_minors(m, k)]
+    def test_maximal_minors_match_permutation_sum(self, matrix):
+        ring, rows = matrix
+        k = len(rows)
+        packed = _PackedMatrix(rows, k, ring)
+        got = [packed.polynomial(det) for det in _minor_dets(packed, range(k), range(len(rows[0])))]
+        expected = oracle_minors(rows, k)
         assert got == expected
         assert [str(det) for det in got] == [str(det) for det in expected]
 
     @settings(max_examples=100, deadline=None)
     @given(matrix_strategy(), st.data())
-    def test_minors_and_fitting_generators_match_permutation_sum(self, m, data):
-        k = data.draw(st.integers(1, m.nrows))
-        expected = [det for _, _, det in oracle_minors(m, k)]
-        got = minors(m, k)
+    def test_minors_and_fitting_generators_match_permutation_sum(self, matrix, data):
+        ring, rows = matrix
+        k = data.draw(st.integers(1, len(rows)))
+        expected = oracle_minors(rows, k)
+        got = all_minors(rows, k, ring)
         assert got == expected
         assert [str(det) for det in got] == [str(det) for det in expected]
-        assert fitting_ideal(m, m.ncols - k).generators == tuple(first_per_scalar_class(expected))
+        assert _distinct_minors(rows, k, ring) == first_per_scalar_class(expected)
 
 
 # str(g) of every generator, in order: `ideal ... --json` prints these lists,
@@ -246,38 +242,26 @@ class TestGeneratorLists:
 
 
 class TestFittingIdeals:
+    """Ideals of the k x k minors: the Fitting ideals of the module the
+    matrix presents on its columns."""
+
+    @staticmethod
+    def minor_ideal(rows, k, ring):
+        return Ideal(ring, _distinct_minors(rows, k, ring))
+
     def test_single_entry(self, ring_q2):
-        m = PresentationMatrix(ring_q2, [[P("x", ring_q2)]])
-        assert fitting_ideal(m, 0).equals(ideal(ring_q2, "x"))
-
-    def test_index_at_or_above_generators_is_unit(self, ring_q2):
-        m = PresentationMatrix(ring_q2, [[P("x", ring_q2), P("y", ring_q2)]])
-        assert fitting_ideal(m, 2).equals(Ideal.unit(ring_q2))
-        assert fitting_ideal(m, 5).equals(Ideal.unit(ring_q2))
-
-    def test_not_enough_relations_gives_zero(self, ring_q2):
-        m = PresentationMatrix(
-            ring_q2,
-            [[P("x", ring_q2), P("y", ring_q2), P("x", ring_q2)],
-             [P("y", ring_q2), P("x", ring_q2), P("y", ring_q2)]],
-        )
-        assert fitting_ideal(m, 0).is_zero
-
-    def test_negative_index_rejected(self, ring_q2):
-        m = PresentationMatrix(ring_q2, [[P("x", ring_q2)]])
-        with pytest.raises(ValueError):
-            fitting_ideal(m, -1)
+        assert self.minor_ideal([[P("x", ring_q2)]], 1, ring_q2).equals(ideal(ring_q2, "x"))
 
     def test_monotone_chain(self, ring_q2):
+        # each k x k minor is a combination of (k-1) x (k-1) minors (Laplace)
         rng = random.Random("fitting-chain")
         texts = ("x", "y", "x+y", "x*y", "2", "0", "y^2")
         for _ in range(5):
             rows = [[P(rng.choice(texts), ring_q2) for _ in range(3)] for _ in range(3)]
-            m = PresentationMatrix(ring_q2, rows)
-            for k in range(0, 3):
-                lower = fitting_ideal(m, k)
-                upper = fitting_ideal(m, k + 1)
-                assert upper.contains_ideal(lower)
+            for k in (3, 2):
+                larger = self.minor_ideal(rows, k, ring_q2)
+                smaller = self.minor_ideal(rows, k - 1, ring_q2)
+                assert smaller.contains_ideal(larger)
 
 
 class TestHigherJacobianIdeals:
@@ -310,20 +294,6 @@ class TestHigherJacobianIdeals:
                 f = P(text, ring)
                 assert higher_jacobian_ideal(f, 1).equals(jacobian_ideal(f))
 
-    def test_route_agreement_with_fitting_ideal(self):
-        cases = [
-            (RingContext(("x", "y"), QQ), "x^3+y^2", (1, 2, 3)),
-            (RingContext(("x", "y"), QQ), "x*y", (1, 2, 3)),
-            (RingContext(("x", "y"), GF(5)), "x^2+y^3", (1, 2)),
-            (RingContext(("x", "y", "z"), QQ), "x^2+y^2+z^2", (1, 2)),
-        ]
-        for ring, text, orders in cases:
-            f = P(text, ring)
-            d = ring.nvars
-            for n in orders:
-                r = math.comb(n + d - 1, d - 1) - 1
-                assert fitting_ideal(jac_matrix(f, n), r).equals(higher_jacobian_ideal(f, n))
-
     def test_row_column_permutation_invariance(self, ring_q2):
         rng = random.Random("perm-invariance")
         for text in ("x^3+y^2", "x*y", "x^2+y^3"):
@@ -334,10 +304,8 @@ class TestHigherJacobianIdeals:
             cols = list(range(5))
             rng.shuffle(rows)
             rng.shuffle(cols)
-            shuffled = PresentationMatrix(
-                ring_q2, [[m.entries[i][j] for j in cols] for i in rows]
-            )
-            assert fitting_ideal(shuffled, 5 - 3).equals(reference)
+            shuffled = [[m.entries[i][j] for j in cols] for i in rows]
+            assert Ideal(ring_q2, _distinct_minors(shuffled, 3, ring_q2)).equals(reference)
 
 
 class TestJacobianIdeal:
