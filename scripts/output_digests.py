@@ -2,11 +2,15 @@
 """Print one md5 per CLI invocation over a fixed list of invocations.
 
 Each digest covers the invocation's standard output, standard error and
-exit code (or the exception that escaped ``main``), so two checkouts that
-print the same file produce byte-identical output for every invocation in
-the list.  The list covers ``ideal tn|mn|tjurina --reduced --dim --json``,
-``invariants``, ``check inclusions`` and ``check samuel`` over Q, F_2, F_3
-and F_5, for isolated and non-isolated plane and space germs.
+exit code (or the exception that escaped ``main``; the ``SystemExit`` of
+``-h`` counts as its exit code), so two checkouts that print the same file
+produce byte-identical output for every invocation in the list.  The list
+covers ``ideal tn|mn|tjurina --reduced --dim --json``, ``invariants``,
+``check inclusions`` and ``check samuel`` over Q, F_2, F_3 and F_5, for
+isolated and non-isolated plane and space germs, then ``matrix`` in text and
+``--json`` form over the plane germs, then help and error text of the top
+level and of every verb.  Help text wraps at the terminal width, so compare
+runs with the same ``COLUMNS`` (or both with output redirected).
 
 Usage (compare two checkouts):
     PYTHONPATH=src python3 scripts/output_digests.py > new.txt
@@ -68,6 +72,35 @@ HIGH_DEGREE = (
     "x^84+y^83",
     "x^40+y^45+x^3*y^4",
 )
+# help and argument errors: the top level and every verb
+PARSER_ERRORS = (
+    (),
+    ("-h",),
+    ("frobnicate", "x"),
+    ("ide", "tn", "x"),
+    ("--", "ideal", "tn", "x"),
+    ("matrix", "-h"),
+    ("matrix",),
+    ("matrix", "x*y", "-n", "two"),
+    ("matrix", "x*y", "--bogus"),
+    ("ideal", "-h"),
+    ("ideal", "xx", "f"),
+    ("ideal", "tn"),
+    ("ideal", "tn", "x^2+y^3", "-n", "2.5"),
+    ("ideal", "tn", "x^2+y^3", "extra"),
+    ("invariants", "-h"),
+    ("invariants",),
+    ("invariants", "x^3+y^2", "--n-max", "x"),
+    ("invariants", "x^3+y^2", "--bogus", "1"),
+    ("check", "-h"),
+    ("check", "xx", "f"),
+    ("check", "inclusions"),
+    ("check", "inclusions", "x^3+y^3", "-n", "x"),
+    ("check", "samuel", "x^3+y^3", "x^3", "y^3"),
+    ("corpus", "-h"),
+    ("corpus", "pair"),
+    ("corpus", "--filter"),
+)
 SAMUEL_PAIRS = (
     ("x^3+y^3", "x^3+y^3+x^5"),
     ("x^2+y^3", "x^2+y^3+x*y^2"),
@@ -97,6 +130,13 @@ def invocations() -> list[list[str]]:
         for f, g in SAMUEL_PAIRS:
             out.append(["check", "samuel", f, g, "--json"] + common)
             out.append(["check", "samuel", f, g] + common)
+    for p in CHARS:
+        common = ["--char", str(p), "--vars", "x,y"]
+        for f, n_max in PLANE_ISOLATED + PLANE_NON_ISOLATED:
+            for n in range(1, n_max + 1):
+                out.append(["matrix", f, "-n", str(n)] + common)
+                out.append(["matrix", f, "-n", str(n), "--json"] + common)
+    out.extend(list(argv) for argv in PARSER_ERRORS)
     return out
 
 
@@ -105,6 +145,8 @@ def digest(argv: list[str]) -> str:
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             outcome = f"exit {cli_main(argv)}"
+        except SystemExit as exc:
+            outcome = f"exit {exc.code}"
         except Exception as exc:  # an escaped error is an outcome to compare too
             outcome = f"raised {type(exc).__name__}: {exc}"
     blob = "\0".join((stdout.getvalue(), stderr.getvalue(), outcome))

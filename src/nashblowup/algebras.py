@@ -56,7 +56,7 @@ def gp_bound(
     dropping to 0 only when the caller asserts the field is algebraically
     closed (closure is not decidable from the field descriptor).
     """
-    if isinstance(tau, type(INFINITE)) or tau is INFINITE:
+    if tau is INFINITE:
         raise ValueError("bound requires a finite Tjurina number")
     if mt < 2:
         raise ValueError("bound requires multiplicity >= 2")
@@ -158,7 +158,8 @@ def invariant_report(f: Polynomial, n_max: int = 2, k_max: int = 1) -> Invariant
     _require_germ(f)
     mt = f.multiplicity()
     tau = tjurina_number(f)
-    dim_tn = {n: nash_ideal_t(f, n).dimension() for n in range(1, n_max + 1)}
+    # the order-1 matrix is the gradient row, so (f) + J_1(f) = (f) + j(f)
+    dim_tn = {n: tau if n == 1 else nash_ideal_t(f, n).dimension() for n in range(1, n_max + 1)}
     # the k = 0 ideal is the Tjurina ideal, whose dimension is tau
     dim_tk = {k: tau if k == 0 else tjurina_ideal(f, k).dimension() for k in range(0, k_max + 1)}
     gp = None

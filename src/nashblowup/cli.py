@@ -296,16 +296,15 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="nashblowup", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
+def _add_matrix(subs) -> None:
     m = subs.add_parser("matrix", help="print a higher Jacobian matrix")
     m.add_argument("f")
     m.add_argument("-n", type=int, default=1)
     _add_common(m)
     m.set_defaults(func=cmd_matrix)
 
+
+def _add_ideal(subs) -> None:
     i = subs.add_parser("ideal", help="print a derived ideal")
     i.add_argument("kind", choices=("mn", "tn", "tjurina"))
     i.add_argument("f")
@@ -316,6 +315,8 @@ def build_parser() -> _Parser:
     _add_common(i)
     i.set_defaults(func=cmd_ideal)
 
+
+def _add_invariants(subs) -> None:
     v = subs.add_parser("invariants", help="numerical profile of a germ")
     v.add_argument("f")
     v.add_argument("--n-max", type=int, default=2)
@@ -323,6 +324,8 @@ def build_parser() -> _Parser:
     _add_common(v)
     v.set_defaults(func=cmd_invariants)
 
+
+def _add_check(subs) -> None:
     c = subs.add_parser("check", help="verify an invariance / inclusion / congruence property")
     c.add_argument("what", choices=("invariance", "inclusions", "samuel"))
     c.add_argument("f")
@@ -334,16 +337,44 @@ def build_parser() -> _Parser:
     _add_common(c)
     c.set_defaults(func=cmd_check)
 
+
+def _add_corpus(subs) -> None:
     r = subs.add_parser("corpus", help="run the built-in verification corpus")
     r.add_argument("--filter", help="substring filter on fixture ids")
     r.add_argument("--json", action="store_true")
     r.set_defaults(func=cmd_corpus)
 
+
+# verb name -> the helper that declares its subparser, in help order
+_VERBS = {
+    "matrix": _add_matrix,
+    "ideal": _add_ideal,
+    "invariants": _add_invariants,
+    "check": _add_check,
+    "corpus": _add_corpus,
+}
+
+
+def _parser(*add_verbs) -> _Parser:
+    parser = _Parser(prog="nashblowup", description=__doc__)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for add in add_verbs:
+        add(subs)
     return parser
 
 
+def build_parser() -> _Parser:
+    return _parser(*_VERBS.values())
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a known verb parses as under the full parser: the other verbs show
+    # only in top-level help and in the invalid-verb error, so anything
+    # but a known verb (none, -h, an unknown name or prefix, --) gets it
+    add_verb = _VERBS.get(argv[0]) if argv else None
+    parser = _parser(add_verb) if add_verb else build_parser()
     try:
         args = parser.parse_args(argv)
     except ConfigError as exc:

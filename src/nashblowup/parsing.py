@@ -144,12 +144,6 @@ def _parse_monos(tok: _Tokenizer, ring: RingContext, exponents: list[int]) -> No
         return
 
 
-def _format_coeff(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    return str(c)
-
-
 def _format_monomial(alpha, variables) -> str:
     parts = []
     for name, e in zip(variables, alpha):
@@ -162,23 +156,26 @@ def _format_monomial(alpha, variables) -> str:
 
 def format_polynomial(p: Polynomial) -> str:
     """Canonical text; parse_polynomial(format_polynomial(p), p.ring) == p."""
-    if p.is_zero():
+    if not p.terms:
         return "0"
     variables = p.ring.variables
     rational = not p.ring.field.is_prime_field
     pieces: list[str] = []
     for alpha, c in p.sorted_terms():
-        negative = rational and c < 0
-        mag = -c if negative else c
+        # a Fraction and an F_p int both carry numerator and denominator
+        num, den = c.numerator, c.denominator
+        negative = rational and num < 0
+        if negative:
+            num = -num
         mono = _format_monomial(alpha, variables)
-        if not mono:
-            body = _format_coeff(mag)
-        elif mag == 1:
+        if mono and num == 1 and den == 1:
             body = mono
         else:
-            body = f"{_format_coeff(mag)}*{mono}"
-        if not pieces:
-            pieces.append(f"-{body}" if negative else body)
-        else:
+            body = str(num) if den == 1 else f"{num}/{den}"
+            if mono:
+                body = f"{body}*{mono}"
+        if pieces:
             pieces.append(f"- {body}" if negative else f"+ {body}")
+        else:
+            pieces.append(f"-{body}" if negative else body)
     return " ".join(pieces)

@@ -214,7 +214,7 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[MultiIndex, object]]:
         """Terms sorted reading-order: degree ascending, lex descending within a degree."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), tuple(-e for e in t[0])))
+        return sorted(self.terms.items(), key=lambda t: (-sum(t[0]), t[0]), reverse=True)
 
     # -- arithmetic
 

@@ -8,7 +8,8 @@ through single-step classical differentiation, and the Mora normal form
 and the linear membership certificate through the tuple/Fraction
 implementations that predate the library's packed kernel.  The
 standard-basis completion is checked against its earlier pair loop on
-exponent tuples.
+exponent tuples, and the text form of a polynomial against its first
+formatter.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import insort
+from fractions import Fraction
 from math import gcd
 from operator import lshift
 from typing import Sequence
@@ -79,6 +81,44 @@ def P(text: str, ring: RingContext) -> Polynomial:
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def reference_format_polynomial(p: Polynomial) -> str:
+    """The text form as first written: Fraction comparisons, a negated key per term."""
+    if p.is_zero():
+        return "0"
+
+    def coeff(c) -> str:
+        if isinstance(c, Fraction):
+            return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        return str(c)
+
+    def monomial(alpha) -> str:
+        parts = []
+        for name, e in zip(p.ring.variables, alpha):
+            if e == 1:
+                parts.append(name)
+            elif e > 1:
+                parts.append(f"{name}^{e}")
+        return "*".join(parts)
+
+    rational = not p.ring.field.is_prime_field
+    pieces: list[str] = []
+    for alpha, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), tuple(-e for e in t[0]))):
+        negative = rational and c < 0
+        mag = -c if negative else c
+        mono = monomial(alpha)
+        if not mono:
+            body = coeff(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{coeff(mag)}*{mono}"
+        if not pieces:
+            pieces.append(f"-{body}" if negative else body)
+        else:
+            pieces.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(pieces)
 
 
 def lucas_binom(n: int, k: int, p: int) -> int:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashblowup.algebras import (
     check_inclusions,
@@ -13,9 +15,11 @@ from nashblowup.algebras import (
 )
 from nashblowup import ideals
 from nashblowup.ideals import INFINITE, Ideal, maximal_ideal_power
+from nashblowup.fields import GF, QQ
 from nashblowup.jacobian import jacobian_ideal
+from nashblowup.polynomials import RingContext
 
-from conftest import P, linalg_quotient_dim
+from conftest import P, linalg_quotient_dim, monomial_strategy
 
 
 def ideal(ring, *texts):
@@ -87,6 +91,32 @@ class TestTjurinaIdeal:
             for text in ("x^3+y^2", "x*y", "x^2+y^5", "x^4+y^4"):
                 f = P(text, ring)
                 assert tjurina_ideal(f, 0).equals(nash_ideal_t(f, 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_first_order_nash_dimension_is_tau(self, data):
+        # backs invariant_report's dim T_1 = tau: the order-1 Jacobian ideal
+        # is computed from the minors, tau from the gradient
+        ring = data.draw(st.sampled_from([
+            RingContext(names, field)
+            for field in (QQ, GF(2), GF(3), GF(5))
+            for names in (("x", "y"), ("x", "y", "z"))
+        ]))
+        # a pure power of every variable keeps most draws isolated; the
+        # extra terms through the origin perturb it
+        powers = data.draw(st.lists(st.integers(2, 6), min_size=ring.nvars, max_size=ring.nvars))
+        extra = data.draw(st.lists(
+            st.tuples(monomial_strategy(ring.nvars, 5), st.integers(-4, 4)), max_size=3
+        ))
+        f = ring.zero()
+        for i, e in enumerate(powers):
+            f = f + ring.monomial(tuple(e if j == i else 0 for j in range(ring.nvars)), 1)
+        for alpha, c in extra:
+            if sum(alpha) >= 2:
+                f = f + ring.monomial(alpha, c)
+        if f.is_zero():
+            f = ring.monomial((2,) + (0,) * (ring.nvars - 1))
+        assert nash_ideal_t(f, 1).dimension() == tjurina_number(f)
 
 
 class TestTjurinaNumber:
@@ -217,8 +247,8 @@ class TestInvariantReport:
         assert obj["gpBound"] is None
 
     def test_tjurina_ideal_completed_once(self, ring_q2, monkeypatch):
-        # tau and dim T_0 are the same ideal: one basis for both, then T_1,
-        # and the Nash algebras T_1 and T_2
+        # tau, dim T_0 and the Nash algebra T_1 are the same ideal: one
+        # basis for all three, then T_1 and the Nash algebra T_2
         calls = []
         original = ideals.compute_standard_basis
 
@@ -230,7 +260,8 @@ class TestInvariantReport:
         report = invariant_report(P("x^3+y^5", ring_q2), 2, 1)
         assert report.dim_tk[0] == report.tau == 8
         assert list(report.dim_tk) == [0, 1]
-        assert len(calls) == 4
+        assert report.dim_tn[1] == report.tau
+        assert len(calls) == 3
 
     def test_monotone_algebra_dimensions(self, ring_q2):
         # growth follows from the descending chain of defining ideals

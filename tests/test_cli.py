@@ -1,6 +1,9 @@
 import hashlib
 import json
 
+import pytest
+
+from nashblowup import cli
 from nashblowup.cli import main
 from nashblowup.fields import QQ
 from nashblowup.ideals import Ideal
@@ -178,3 +181,78 @@ class TestCorpusCommand:
         code, out, _ = run(capsys, "corpus", "--json")
         assert code == 0
         assert hashlib.md5(out.encode()).hexdigest() == "ef5a7b7f32f18d058f84fbe5f95c2180"
+
+
+class TestOneVerbParser:
+    # main builds only the subparser of a known verb; help, usage and
+    # error text must match what the full parser prints
+    CASES = [
+        (),
+        ("-h",),
+        ("--help",),
+        ("frobnicate", "x"),
+        ("ide", "tn", "x"),
+        ("--",),
+        ("--", "ideal", "tn", "x"),
+        ("matrix", "-h"),
+        ("matrix",),
+        ("matrix", "x*y", "-n", "two"),
+        ("matrix", "x*y", "--char", "q"),
+        ("matrix", "x*y", "--bogus"),
+        ("ideal", "-h"),
+        ("ideal", "tn", "x^2+y^3", "--help"),
+        ("ideal", "xx", "f"),
+        ("ideal", "tn"),
+        ("ideal", "tn", "x^2+y^3", "-n", "2.5"),
+        ("ideal", "tn", "x^2+y^3", "extra"),
+        ("invariants", "-h"),
+        ("invariants",),
+        ("invariants", "x^3+y^2", "--n-max", "x"),
+        ("invariants", "x^3+y^2", "--k-max"),
+        ("invariants", "x^3+y^2", "--bogus", "1"),
+        ("check", "-h"),
+        ("check", "xx", "f"),
+        ("check", "inclusions"),
+        ("check", "inclusions", "x^3+y^3", "-n", "x"),
+        ("check", "samuel", "x^3+y^3", "x^3", "y^3"),
+        ("corpus", "-h"),
+        ("corpus", "pair"),
+        ("corpus", "--filter"),
+        ("corpus", "--json", "--bogus"),
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # help exits from inside parse_args
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a) or "<none>")
+    def test_matches_full_parser(self, capsys, monkeypatch, argv):
+        got = self.outcome(capsys, argv)
+        one_verb = cli._parser
+        monkeypatch.setattr(cli, "_parser", lambda *_: one_verb(*cli._VERBS.values()))
+        assert got == self.outcome(capsys, argv)
+        assert got[1] or got[2]
+
+    @pytest.mark.parametrize("verb", ["matrix", "ideal", "invariants", "check", "corpus"])
+    def test_known_verb_builds_its_subparser_only(self, capsys, monkeypatch, verb):
+        built = []
+        one_verb = cli._parser
+
+        def recording(*add_verbs):
+            built.append(add_verbs)
+            return one_verb(*add_verbs)
+
+        monkeypatch.setattr(cli, "_parser", recording)
+        self.outcome(capsys, (verb, "-h"))
+        self.outcome(capsys, ("-h",))
+        assert built == [(cli._VERBS[verb],), tuple(cli._VERBS.values())]
+
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["nashblowup", "invariants", "x^3+y^2", "--json"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["tau"] == 2

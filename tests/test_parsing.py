@@ -1,11 +1,14 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashblowup.fields import GF, QQ
 from nashblowup.parsing import PolynomialSyntaxError, format_polynomial, parse_polynomial
 from nashblowup.polynomials import RingContext
 
-from conftest import P, polynomial_strategy
+from conftest import P, monomial_strategy, polynomial_strategy, reference_format_polynomial
 
 
 def test_basic_two_terms(ring_q2):
@@ -80,3 +83,32 @@ def test_round_trip_rationals(f):
 @given(polynomial_strategy(RingContext(("x", "y", "z"), GF(5)), max_terms=5, max_degree=5))
 def test_round_trip_prime_field(f):
     assert parse_polynomial(format_polynomial(f), f.ring) == f
+
+
+FORMAT_RINGS = [
+    RingContext(names, field)
+    for field in (QQ, GF(2), GF(3), GF(5))
+    for names in (("x", "y"), ("x", "y", "z"))
+]
+
+
+@st.composite
+def fractional_polynomial(draw):
+    """Polynomials over one of FORMAT_RINGS with signed, non-integer coefficients."""
+    ring = draw(st.sampled_from(FORMAT_RINGS))
+    # over F_p a denominator divisible by p has no image
+    p = ring.field.characteristic
+    denominators = [d for d in range(1, 8) if not p or d % p]
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(denominators))
+    terms = draw(st.lists(st.tuples(monomial_strategy(ring.nvars, 6), coeff), max_size=8))
+    out = ring.zero()
+    for alpha, c in terms:
+        out = out + ring.monomial(alpha, c)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(fractional_polynomial())
+def test_format_matches_reference(f):
+    assert format_polynomial(f) == reference_format_polynomial(f)
+    assert str(f) == reference_format_polynomial(f)
