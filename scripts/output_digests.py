@@ -97,6 +97,8 @@ PARSER_ERRORS = (
     ("check", "inclusions"),
     ("check", "inclusions", "x^3+y^3", "-n", "x"),
     ("check", "samuel", "x^3+y^3", "x^3", "y^3"),
+    ("check", "samuel", "x^2+y^3"),
+    ("check", "invariance", "x^2+y^3", "--trials", "-1"),
     ("corpus", "-h"),
     ("corpus", "pair"),
     ("corpus", "--filter"),

@@ -9,7 +9,9 @@ defaulted seed, printed in the report, so failures replay exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import shutil
 import sys
 from dataclasses import dataclass
 
@@ -197,6 +199,8 @@ def cmd_check(args) -> int:
     f = parse_polynomial(args.f, ring)
 
     if args.what == "samuel":
+        if args.g is None:
+            raise ConfigError("samuel needs a second germ g")
         g = parse_polynomial(args.g, ring)
         ok = samuel_hypothesis(f, g)
         verdict = "congruent" if ok else "not congruent"
@@ -226,6 +230,8 @@ def cmd_check(args) -> int:
         return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
     # invariance checks: explicit transform if given, randomized harness otherwise
+    if args.trials < 1:
+        raise ConfigError("trials must be >= 1")
     if args.auto or args.unit:
         n = args.n
         checks = []
@@ -356,8 +362,13 @@ _VERBS = {
 
 
 def _parser(*add_verbs) -> _Parser:
-    parser = _Parser(prog="nashblowup", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True)
+    # argparse makes a HelpFormatter for every argument, and each one reads
+    # the terminal size; read it once (HelpFormatter's own default width)
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="nashblowup", description=__doc__, formatter_class=formatter)
+    subs = parser.add_subparsers(
+        dest="command", required=True, parser_class=functools.partial(_Parser, formatter_class=formatter)
+    )
     for add in add_verbs:
         add(subs)
     return parser

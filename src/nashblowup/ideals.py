@@ -62,7 +62,11 @@ reduction of a finished basis run on those same keys, and each element is
 unpacked once, monic, when the ReducedStandardBasis is built.  Lazard's
 route moves the keys of its homogeneous completion into a local packing by
 way of their exponent tuples, and the membership escalation reduces on the
-packing of its capped completion, which holds the cap.  Every public
+packing of its capped completion, which holds the cap.  The maximal
+minors of a Jacobian matrix (jacobian._minor_dets) run on keys of their own
+packing, just wide enough for a product of k entries (no _Overflow can
+arise), and each minor kept by the scalar-class rule is unpacked once, so
+the intake packs the generators of J_n again.  Every public
 signature and every printed result is the one the tuple/Fraction arithmetic
 gives.
 """

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .ideals import Ideal, _scalar_class
+from .ideals import Ideal, _Packing, _scalar_class
 from .polynomials import (
     MultiIndex,
     Polynomial,
@@ -111,66 +111,39 @@ def jac_matrix(f: Polynomial, n: int) -> JacobianMatrix:
 # the rows taken so far on those columns} computes each maximal minor once,
 # as the Laplace expansion along its top row.  Bottom-up suits Jacobian
 # matrices, whose last rows are the sparsest, so the early states stay few;
-# structural zeros are never stored.  The expansion runs on packed entries
-# (see _PackedMatrix): integer monomial keys and integer coefficients, so a
-# product of two terms is one int addition and one int multiplication.
+# structural zeros are never stored.  The expansion runs on the monomial keys
+# of the completion's packing (ideals._Packing), sized for products of k
+# entries, and on integer coefficients, so a product of two terms is one int
+# addition and one int multiplication.  Over Q every entry is scaled by the
+# lcm D of all denominators, so a minor comes out D^k times the true one;
+# over F_p coefficients stay in 0..p-1 and sums are reduced once per state.
 
 
-class _PackedMatrix:
-    """A polynomial matrix packed for products of at most k of its entries.
-
-    Each entry becomes {monomial key: int coefficient}.  The exponent of
-    x_i sits in its own bit field, wide enough for k times the largest
-    exponent of x_i in the matrix, so adding keys multiplies monomials
-    without carries.  Over Q every entry is scaled by the lcm D of all
-    denominators, so a product of k entries is D^k times the true one; over
-    F_p coefficients stay in 0..p-1 and sums are reduced once per state.
-    """
-
-    __slots__ = ("ring", "p", "scale", "fields", "cells")
-
-    def __init__(self, entries: Sequence[Sequence[Polynomial]], k: int, ring: RingContext):
-        self.ring = ring
-        self.p = p = ring.field.characteristic
-        # Jacobian matrices repeat one derivative in many cells: pack each once
-        distinct = {id(e): e.terms for row in entries for e in row if e.terms}
-        monomials = [alpha for terms in distinct.values() for alpha in terms]
-        top = [max(column) for column in zip(*monomials)] or [0] * ring.nvars
-        den = 1 if p else math.lcm(*(c.denominator for terms in distinct.values() for c in terms.values()))
-        self.scale = den**k
-        self.fields: list[tuple[int, int]] = []  # (shift, mask) of each variable
-        shifts = []
-        shift = 0
-        for t in top:
-            width = (k * t).bit_length()
-            self.fields.append((shift, (1 << width) - 1))
-            shifts.append(shift)
-            shift += width
-        packed = {
-            cell: tuple(
-                (sum(map(operator.lshift, alpha, shifts)), c if p else c.numerator * (den // c.denominator))
-                for alpha, c in terms.items()
-            )
-            for cell, terms in distinct.items()
-        }
-        self.cells = [[packed.get(id(e), ()) for e in row] for row in entries]
-
-    def polynomial(self, det: dict[int, int]) -> Polynomial:
-        """The true minor of a packed one."""
-        fields, scale = self.fields, self.scale
-        if self.p:
-            coeffs = det.values()
-        elif scale == 1:
-            coeffs = map(Fraction, det.values())
-        else:
-            coeffs = (Fraction(c, scale) for c in det.values())
-        monomials = [tuple([(key >> s) & m for s, m in fields]) for key in det]
-        return Polynomial(self.ring, dict(zip(monomials, coeffs)), _canonical=True)
+def _packed_cells(
+    entries: Sequence[Sequence[Polynomial]], k: int, ring: RingContext
+) -> tuple[_Packing, int, list[list[tuple]]]:
+    """(packing, D^k, cells), each entry as (key, int coefficient) pairs, for products of k entries."""
+    # Jacobian matrices repeat one derivative in many cells: pack each once
+    distinct = {id(e): e.terms for row in entries for e in row if e.terms}
+    top = max((sum(alpha) for terms in distinct.values() for alpha in terms), default=0)
+    # a product of k entries has degree at most k * top, within the limit, so
+    # keys add without carries; either order multiplies by adding keys
+    pk = _Packing(ring, False, max(1, (k * top).bit_length()))
+    p = pk.p
+    den = 1 if p else math.lcm(*(c.denominator for terms in distinct.values() for c in terms.values()))
+    packed = {
+        cell: tuple(
+            (pk.key(alpha), c if p else c.numerator * (den // c.denominator)) for alpha, c in terms.items()
+        )
+        for cell, terms in distinct.items()
+    }
+    return pk, den**k, [[packed.get(id(e), ()) for e in row] for row in entries]
 
 
-def _minor_dets(matrix: _PackedMatrix, row_ids: Sequence[int], col_ids: Sequence[int]) -> list[dict[int, int]]:
+def _minor_dets(
+    cells: Sequence[Sequence[tuple]], p: int, row_ids: Sequence[int], col_ids: Sequence[int]
+) -> list[dict[int, int]]:
     """The nonzero packed maximal minors on row_ids, column subsets in lex order of col_ids."""
-    p = matrix.p
     ncols = len(col_ids)
     # column position ci has bit ncols-1-ci, so the lex order of column
     # subsets is the descending order of their masks
@@ -180,7 +153,7 @@ def _minor_dets(matrix: _PackedMatrix, row_ids: Sequence[int], col_ids: Sequence
         row = [
             (1 << (ncols - 1 - ci), (cell, tuple((key, -c) for key, c in cell)))
             for ci, c in enumerate(col_ids)
-            if (cell := matrix.cells[r][c])
+            if (cell := cells[r][c])
         ]
         out: dict[int, dict[int, int]] = {}
         for mask, val in state.items():
@@ -211,32 +184,26 @@ def _minor_dets(matrix: _PackedMatrix, row_ids: Sequence[int], col_ids: Sequence
     return [state[mask] for mask in sorted(state, reverse=True)]
 
 
-def _packed_minors(
-    entries: Sequence[Sequence[Polynomial]], k: int, ring: RingContext
-) -> tuple[_PackedMatrix, list[dict[int, int]]]:
-    """Every nonzero k x k minor, packed once per matrix: row subsets, then columns, in lex order."""
-    packed = _PackedMatrix(entries, k, ring)
-    cols = range(len(entries[0]))
-    dets = [
-        det
-        for rows in combinations(range(len(entries)), k)
-        for det in _minor_dets(packed, rows, cols)
-    ]
-    return packed, dets
-
-
 def _distinct_minors(
     entries: Sequence[Sequence[Polynomial]], k: int, ring: RingContext
 ) -> list[Polynomial]:
-    """The nonzero k x k minors up to a scalar, first occurrence kept, in _packed_minors order."""
-    packed, dets = _packed_minors(entries, k, ring)
+    """The nonzero k x k minors up to a scalar, first kept: row subsets, then columns, in lex order."""
+    pk, scale, cells = _packed_cells(entries, k, ring)
+    p = pk.p
+    cols = range(len(cells[0]))
     seen = set()
     out = []
-    for det in dets:
-        key = _scalar_class(det, packed.p)
-        if key not in seen:
+    for rows in combinations(range(len(cells)), k):
+        for det in _minor_dets(cells, p, rows, cols):
+            key = _scalar_class(det, p)
+            if key in seen:
+                continue
             seen.add(key)
-            out.append(packed.polynomial(det))
+            if scale == 1:
+                out.append(pk.polynomial(det))
+            else:
+                coeffs = [Fraction(c, scale) for c in det.values()]
+                out.append(Polynomial(ring, dict(zip(map(pk.monomial, det), coeffs)), _canonical=True))
     return out
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -160,6 +161,19 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "invariance", "x*y", "--bogus")
         assert code == 3
 
+    def test_samuel_without_g_is_config_error(self, capsys):
+        code, out, err = run(capsys, "check", "samuel", "x^2+y^3")
+        assert code == 3
+        assert out == ""
+        assert "samuel needs a second germ g" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_is_config_error(self, capsys, trials):
+        code, out, err = run(capsys, "check", "invariance", "x^2+y^3", "--trials", trials)
+        assert code == 3
+        assert out == ""
+        assert "trials must be >= 1" in err
+
 
 class TestCorpusCommand:
     def test_filtered_run(self, capsys):
@@ -251,6 +265,21 @@ class TestOneVerbParser:
         self.outcome(capsys, (verb, "-h"))
         self.outcome(capsys, ("-h",))
         assert built == [(cli._VERBS[verb],), tuple(cli._VERBS.values())]
+
+    @pytest.mark.parametrize("add_verbs", [(cli._add_invariants,), tuple(cli._VERBS.values())])
+    def test_terminal_size_read_once_per_build(self, monkeypatch, add_verbs):
+        # argparse's HelpFormatter reads the terminal size whenever it is
+        # built without a width, once per add_argument
+        calls = []
+        get_terminal_size = shutil.get_terminal_size
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return get_terminal_size(*args, **kwargs)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counting)
+        cli._parser(*add_verbs).format_help()
+        assert len(calls) == 1
 
     def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.argv", ["nashblowup", "invariants", "x^3+y^2", "--json"])
