@@ -99,6 +99,7 @@ PARSER_ERRORS = (
     ("check", "samuel", "x^3+y^3", "x^3", "y^3"),
     ("check", "samuel", "x^2+y^3"),
     ("check", "invariance", "x^2+y^3", "--trials", "-1"),
+    ("check", "invariance", "x^2+y^3", "-n", "0"),
     ("corpus", "-h"),
     ("corpus", "pair"),
     ("corpus", "--filter"),

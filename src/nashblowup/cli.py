@@ -232,8 +232,10 @@ def cmd_check(args) -> int:
     # invariance checks: explicit transform if given, randomized harness otherwise
     if args.trials < 1:
         raise ConfigError("trials must be >= 1")
+    n = args.n
+    if n < 1:
+        raise ConfigError("n must be >= 1")
     if args.auto or args.unit:
-        n = args.n
         checks = []
         if args.auto and args.unit:
             transform = ContactTransform(
@@ -260,6 +262,7 @@ def cmd_check(args) -> int:
             covariance_trials=trials,
             unit_trials=trials,
             contact_trials=max(1, trials // 2),
+            orders=tuple(range(1, n + 1)),
         )
         report = run_invariance_harness(ring, harness, germ_pool=(args.f,))
     ok = not report["failures"]

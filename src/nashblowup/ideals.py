@@ -46,27 +46,38 @@ like (total degree, exponent tuple), from guard-bit arithmetic on the
 fields.  Under LOCAL_DEGREE every term of an s-polynomial has at least its
 lcm's degree, pairs come off the heap by ascending lcm degree and the
 bound only falls, so the loop stops at the first pair whose lcm reaches
-the bound: every pair left would truncate to zero, uncharged.  Conversion
-boundary: polynomials are packed once on entry to weak_normal_form,
-_complete_basis and _linear_membership_certificate (a ReducedStandardBasis
-packs its elements on its first query and keeps them;
-try_primary_standard_basis packs its generators once for all its caps, and
-each capped run cuts them at its key window, over Q making them primitive
-again).  Every completion takes its generators through one intake, which
-packs them in the caller's order and drops each that is a nonzero scalar
-multiple of an earlier one, so the capped attempts, the global completion
-and Lazard's homogenized one all complete the first generator of each
-scalar class.  _complete_basis returns packed elements with their packing;
-minimalization, the staircase read-off, the truncation and the tail
-reduction of a finished basis run on those same keys, and each element is
-unpacked once, monic, when the ReducedStandardBasis is built.  Lazard's
+the bound: every pair left would truncate to zero, uncharged.
+
+Conversion boundary.  Polynomials are packed once on entry to
+weak_normal_form, _complete_basis and _linear_membership_certificate (a
+ReducedStandardBasis packs its elements on its first query and keeps
+them).  Every completion takes its generators through one intake, which
+packs them in the caller's order, keeps the terms of those handed over
+already packed, and drops each that is a nonzero scalar multiple of an
+earlier one, so the capped attempts, the global completion and Lazard's
+homogenized one all complete the first generator of each scalar class.
+The maximal minors of a Jacobian matrix (jacobian._minor_dets) run on a
+local packing wide enough for the capped intake's last cap; each minor kept
+by the scalar-class rule is unpacked once, for the printed generators, and
+handed over with its packed terms on the generator tuple (_Generators, kept
+by Ideal.__add__), so (f) + J_n(f) reaches the capped runs without a
+Polynomial round trip.  A packing of another width moves the terms by way
+of their exponent tuples; the width changes no key order, so no result.
+try_primary_standard_basis takes its generators in once for all its caps:
+monomial * unit is replaced by the monomial, the caps are sized and the
+processing order is fixed on the keys, and the capped runs complete the
+first generator of each new pivot of a semi-echelon form (_Echelon, which
+also decides the linear membership certificate): a subset spanning the
+same k-space, hence the same ideal and the same canonical basis.  Each
+capped run cuts them at its key window, over Q making them primitive
+again; Lazard's route, the global route and the membership escalation
+complete the raw list.  _complete_basis returns packed elements with their
+packing; minimalization, the staircase read-off, the truncation and the
+tail reduction of a finished basis run on those same keys, and each element
+is unpacked once, monic, when the ReducedStandardBasis is built.  Lazard's
 route moves the keys of its homogeneous completion into a local packing by
 way of their exponent tuples, and the membership escalation reduces on the
-packing of its capped completion, which holds the cap.  The maximal
-minors of a Jacobian matrix (jacobian._minor_dets) run on keys of their own
-packing, just wide enough for a product of k entries (no _Overflow can
-arise), and each minor kept by the scalar-class rule is unpacked once, so
-the intake packs the generators of J_n again.  Every public
+packing of its capped completion, which holds the cap.  Every public
 signature and every printed result is the one the tuple/Fraction arithmetic
 gives.
 """
@@ -479,8 +490,14 @@ def _complete_basis(
             pk = pk.wider()
 
 
-def _scalar_class(terms: dict[int, int], p: int) -> frozenset:
-    """The same key for two packed polynomials iff one is a nonzero multiple of the other."""
+def _scalar_class(terms: dict[int, int], p: int) -> frozenset | int:
+    """The same key for two packed polynomials iff one is a nonzero multiple of the other.
+
+    A one-term polynomial is keyed by its bare monomial key, which no
+    frozenset equals.
+    """
+    if len(terms) == 1:
+        return next(iter(terms))
     lead = terms[max(terms)]
     if p:
         scalar = pow(lead, -1, p)
@@ -491,26 +508,98 @@ def _scalar_class(terms: dict[int, int], p: int) -> frozenset:
     return frozenset((key, c // g) for key, c in terms.items())
 
 
-def _intake(pk: _Packing, generators: Sequence[Polynomial], order: MonomialOrder) -> list[tuple]:
+class _Generators(tuple):
+    """Generators, some of them handed over already packed.
+
+    ``packed`` holds one entry per generator: None, or (packing, scale,
+    terms, scalar class) with the generator equal to terms / scale on that
+    packing's keys (scale 1 over F_p, a positive integer over Q) and the
+    _scalar_class of the terms.
+    """
+
+    def __new__(cls, polys: Iterable[Polynomial], packed: Sequence[tuple | None]):
+        self = super().__new__(cls, polys)
+        self.packed = tuple(packed)
+        return self
+
+    @staticmethod
+    def join(a: tuple, b: tuple) -> tuple:
+        """a + b, keeping what either side carries packed."""
+        pa, pb = getattr(a, "packed", None), getattr(b, "packed", None)
+        if pa is None and pb is None:
+            return a + b
+        return _Generators(a + b, (pa or (None,) * len(a)) + (pb or (None,) * len(b)))
+
+
+def _intake(
+    pk: _Packing, generators: Sequence[Polynomial], order: MonomialOrder, units: bool = False
+) -> list[tuple]:
     """(packed terms, lead coefficient size over Q for the first charge) per generator, in processing order.
 
-    The generators, all nonzero, are packed in the caller's order, and one
-    whose scalar class was seen before is dropped, so the first of each
+    The generators come in the caller's order: one handed over packed
+    (_Generators) keeps its terms, moved to ``pk``'s keys by way of their
+    exponent tuples when its packing has another width; every other nonzero
+    one is packed here.  With ``units`` (a local order) one of the shape
+    monomial * unit, whose lead divides every term, becomes that monomial.
+    One whose scalar class was seen before is dropped, so the first of each
     class survives; the survivors are then sorted by poly_sort_key, largest
-    first.
+    first.  That order is read from keys: lead keys order like the leads'
+    sort keys, and on equal leads exponent tuples order like ``key &
+    fields_mask``; coefficients compare as integers where the tied
+    generators share one positive scale (every residue over F_p, the minors
+    of one matrix over Q), and by poly_sort_key otherwise.
     """
+    p, guards, fields_mask = pk.p, pk.guards, (1 << pk.deg_shift) - 1
+    handed = getattr(generators, "packed", None) or (None,) * len(generators)
     seen = set()
-    kept = []
-    for g in generators:
-        terms = pk.pack(g)
-        key = _scalar_class(terms, pk.p)
+    kept = []  # (lead, terms, exact values, their scale or None, polynomial or None)
+    for g, given in zip(generators, handed):
+        if given is None:
+            terms = pk.pack(g)
+            if not terms:
+                continue
+            values, scale, key = terms, 1 if p else None, None
+        else:
+            src, scale, values, key = given
+            if src.width != pk.width or src.local != pk.local:
+                values = {pk.key(src.monomial(k)): c for k, c in values.items()}
+                key = None
+            terms = values if p else _primitive(values)
+        lead = max(terms)
+        if units and lead and all(not (k - lead) & guards for k in terms):
+            terms = values = {lead: 1}
+            scale, g, key = 1, None, None
+        if key is None:
+            key = _scalar_class(terms, p)
         if key not in seen:
             seen.add(key)
-            kept.append((g, terms))
+            kept.append((lead, terms, values, scale, g))
+    kept.sort(key=_lead, reverse=True)
+    start = 0
+    for end in range(1, len(kept) + 1):
+        if end < len(kept) and kept[end][0] == kept[start][0]:
+            continue
+        if end - start > 1:
+            tied = kept[start:end]
+            if tied[0][3] is not None and all(item[3] == tied[0][3] for item in tied):
+                tied.sort(key=lambda item: sorted([(k & fields_mask, c) for k, c in item[2].items()]), reverse=True)
+            else:
+                # the monomial of a monomial * unit is built only here
+                tied.sort(key=lambda item: poly_sort_key(
+                    pk.ring.monomial(pk.monomial(item[0])) if item[4] is None else item[4], order), reverse=True)
+            kept[start:end] = tied
+        start = end
     out = []
-    for g, terms in sorted(kept, key=lambda item: poly_sort_key(item[0], order), reverse=True):
-        lc = g.leading_coefficient(order)
-        bits = None if pk.p else lc.numerator.bit_length() + lc.denominator.bit_length()
+    for lead, terms, values, scale, g in kept:
+        bits = None
+        if scale is not None and not p:
+            # lead / scale in lowest terms
+            c = values[lead]
+            common = gcd(c, scale)
+            bits = (abs(c) // common).bit_length() + (scale // common).bit_length()
+        elif not p:
+            lc = g.terms[pk.monomial(lead)]
+            bits = lc.numerator.bit_length() + lc.denominator.bit_length()
         out.append((terms, bits))
     return out
 
@@ -739,6 +828,72 @@ def _reduced_elements(
     ]
 
 
+class _Echelon:
+    """A semi-echelon form of packed rows: each pivot under its lead key.
+
+    A pivot is (lead coefficient, tail items): monic over F_p, a primitive
+    integer row over Q, where rows are reduced fraction-free.
+    """
+
+    __slots__ = ("p", "pivots")
+
+    def __init__(self, p: int):
+        self.p = p
+        self.pivots: dict[int, tuple[int, tuple]] = {}
+
+    def reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """row minus pivot multiples until no pivot has its lead; {} when it is in the span.
+
+        Takes over ``row``.
+        """
+        p, pivots = self.p, self.pivots
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                return row
+            lc, tail = pivot
+            c = row.pop(lead)
+            if p:
+                mult = p - c
+                get = row.get
+                for k, v in tail:
+                    v = (get(k, 0) + mult * v) % p
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
+                continue
+            # lc * row - c * pivot over their gcd, then content-stripped
+            g0 = gcd(lc, c)
+            a, mult = lc // g0, -(c // g0)
+            if a != 1:
+                row = {k: v * a for k, v in row.items()}
+            get = row.get
+            for k, v in tail:
+                v = get(k, 0) + mult * v
+                if v:
+                    row[k] = v
+                else:
+                    del row[k]
+            row = _primitive(row)
+        return row
+
+    def insert(self, row: dict[int, int]) -> bool:
+        """Reduce row and keep it as a pivot; False when it lies in the span.  Takes over ``row``."""
+        row = self.reduce(row)
+        if not row:
+            return False
+        lead = max(row)
+        lc = row.pop(lead)
+        if self.p and lc != 1:
+            inv = pow(lc, -1, self.p)
+            row = {k: c * inv % self.p for k, c in row.items()}
+            lc = 1
+        self.pivots[lead] = (lc, tuple(row.items()))
+        return True
+
+
 def _linear_membership_certificate(
     f: Polynomial, gens: Sequence[Polynomial], degree_bound: int
 ) -> bool:
@@ -748,52 +903,19 @@ def _linear_membership_certificate(
     identity is a finite span problem over the monomial basis, decided by
     exact Gaussian elimination.  A hit proves membership of f in the
     localized ideal; every true member admits such a certificate for some
-    finite bound.  The rows are packed once and shifted by key addition;
-    the semi-echelon form maps each pivot's leading key to the pivot, monic
-    over F_p, a primitive integer row over Q reduced fraction-free.
+    finite bound.  The rows are packed once, shifted by key addition and
+    reduced in one _Echelon.
     """
     ring = f.ring
     top = max(g.total_degree() for g in (f, *gens)) + degree_bound
     pk = _Packing.sized(ring, LOCAL_DEGREE, top)
-    p = pk.p
-    lo, hi = pk.window(None)
     shifts = [pk.key(alpha) for alpha in multi_indices_in_range(ring.nvars, 0, degree_bound)]
-    pivots: dict[int, tuple[int, tuple]] = {}  # lead key: (lead coefficient, tail items)
-
-    def reduce(row: dict[int, int]) -> dict[int, int]:
-        """row minus pivot multiples until no pivot has its lead; {} when it is in the span."""
-        while row:
-            lead = max(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                return row
-            lc, tail = pivot
-            c = row.pop(lead)
-            if p:
-                _add_shifted(row, tail, 0, p - c, lo, hi, p)
-                continue
-            # lc * row - c * pivot over their gcd, then content-stripped
-            g0 = gcd(lc, c)
-            a = lc // g0
-            if a != 1:
-                row = {k: v * a for k, v in row.items()}
-            _add_shifted(row, tail, 0, -(c // g0), lo, hi, 0)
-            row = _primitive(row)
-        return row
-
+    echelon = _Echelon(pk.p)
     rows = [(pk.pack(g), shifts) for g in gens] + [(pk.pack(f), shifts[1:])]
     for packed, row_shifts in rows:
         for shift in row_shifts:
-            row = reduce({k + shift: c for k, c in packed.items()})
-            if row:
-                lead = max(row)
-                lc = row.pop(lead)
-                if p and lc != 1:
-                    inv = pow(lc, -1, p)
-                    row = {k: c * inv % p for k, c in row.items()}
-                    lc = 1
-                pivots[lead] = (lc, tuple(row.items()))
-    return not reduce(pk.pack(f))
+            echelon.insert({k + shift: c for k, c in packed.items()})
+    return not echelon.reduce(pk.pack(f))
 
 
 def _escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
@@ -939,14 +1061,15 @@ def _finish_primary(pk: _Packing, minimal: list[tuple], top_std_degree: int) -> 
     return ReducedStandardBasis(ring, LOCAL_DEGREE, tuple(p for _, p in elements), B)
 
 
-def _cap_schedule(gens: Sequence[Polynomial]) -> list[int]:
+def _cap_schedule(multiplicity: int) -> list[int]:
+    """The caps of the capped runs, from the largest generator multiplicity."""
     # Both caps earn their place (benchmark plans, seed 7): the first certifies
     # most `verdicts` bases, the second most `high-degree` ones.  One pass
     # bounded only by the staircase instead of the first cap took the
     # criterion-5 harness from 0.5 s to 23 s; instead of the second, it made
     # contact checks 10-31 % slower, because on non-isolated germs it runs far
     # longer than the doubled cap takes to give up.
-    base = max(4, 2 + max(g.multiplicity() for g in gens))
+    base = max(4, 2 + multiplicity)
     return [base, 2 * base]
 
 
@@ -1007,6 +1130,31 @@ def _simplify_generators(gens: Iterable[Polynomial], order: MonomialOrder) -> li
     return out
 
 
+def _capped_intake(generators: Sequence[Polynomial], ring: RingContext) -> tuple[_Packing, list[tuple]]:
+    """The packing of the capped runs and their _intake of the generators, monomial * unit replaced.
+
+    The last cap is 2 * max(4, 2 + the largest multiplicity) (_cap_schedule),
+    so 2 * max(4, 2 + D) - 1, with D the largest generator degree, bounds
+    every degree a capped run stores.  A packing handed over with some
+    generators is sized by the same rule for them (jacobian._packed_cells);
+    the widest packing serves, since the width changes no key order.
+    """
+    order = LOCAL_DEGREE
+    handed = getattr(generators, "packed", None) or (None,) * len(generators)
+    top = max((g.total_degree() for g, given in zip(generators, handed) if given is None), default=0)
+    pk = _Packing.sized(ring, order, 2 * max(4, 2 + top) - 1)
+    for given in handed:
+        if given is not None and given[0].width > pk.width:
+            pk = given[0]
+    return pk, _intake(pk, generators, order, units=True)
+
+
+def _span_basis(p: int, gens: list[tuple]) -> list[tuple]:
+    """The intake entries whose packed terms are not in the k-span of those before them."""
+    echelon = _Echelon(p)
+    return [entry for entry in gens if echelon.insert(dict(entry[0]))]
+
+
 def try_primary_standard_basis(
     generators: Sequence[Polynomial], ring: RingContext
 ) -> ReducedStandardBasis | None:
@@ -1015,18 +1163,20 @@ def try_primary_standard_basis(
     Completes modulo m^cap, then certifies m^(cap-1) lies in the ideal (top
     standard degree + 2 <= cap, by Nakayama); on success the capped basis
     is exact and canonical.  Returns None when no cap in the schedule
-    certifies, which covers every ideal of infinite colength.
+    certifies, which covers every ideal of infinite colength.  The runs
+    complete a basis of the generators' k-span, the first generator of each
+    new pivot in processing order: the same ideal, so the same canonical
+    basis.
     """
-    order = LOCAL_DEGREE
-    gens = _simplify_generators(generators, order)
-    if not gens:
-        return ReducedStandardBasis(ring, order, ())
-    caps = _cap_schedule(gens)
     # packed once for every cap; the packing holds the last cap, so no run overflows
-    pk = _Packing.sized(ring, order, max(max(g.total_degree() for g in gens), caps[-1] - 1))
-    packed = _intake(pk, gens, order)
+    pk, gens = _capped_intake(generators, ring)
+    if not gens:
+        return ReducedStandardBasis(ring, LOCAL_DEGREE, ())
+    # processing order puts the largest lead degree, the largest multiplicity, last
+    caps = _cap_schedule(pk.degree(max(gens[-1][0])))
+    gens = _span_basis(pk.p, gens)
     for cap in caps:
-        completed = _run_completion(pk, packed, cap, [400_000])
+        completed = _run_completion(pk, gens, cap, [400_000])
         if completed is None:
             return None
         pk, raw = completed
@@ -1041,8 +1191,8 @@ def compute_standard_basis(
     generators: Sequence[Polynomial], ring: RingContext, order: MonomialOrder
 ) -> ReducedStandardBasis:
     if order.is_local:
-        # simplifies the generators itself; this function does so again
-        # only for the fallback below
+        # replaces monomial * unit on its packed keys; the fallback below
+        # does so on the polynomials, ahead of homogenization
         basis = try_primary_standard_basis(generators, ring)
         if basis is not None:
             return basis
@@ -1072,6 +1222,13 @@ class Ideal:
 
     def __init__(self, ring: RingContext, generators: Iterable[Polynomial]):
         self.ring = ring
+        self._bases: dict[MonomialOrder, ReducedStandardBasis] = {}
+        self._primary_attempt: ReducedStandardBasis | None | bool = False  # False = not tried
+        if isinstance(generators, _Generators):
+            # handed over packed by this package (jacobian minors, sums):
+            # nonzero, in this ring, and they keep their terms
+            self.generators = generators
+            return
         gens = []
         for g in generators:
             if g.ring != ring:
@@ -1079,8 +1236,6 @@ class Ideal:
             if not g.is_zero():
                 gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
-        self._bases: dict[MonomialOrder, ReducedStandardBasis] = {}
-        self._primary_attempt: ReducedStandardBasis | None | bool = False  # False = not tried
 
     # -- construction helpers
 
@@ -1174,7 +1329,7 @@ class Ideal:
 
     def __add__(self, other: "Ideal") -> "Ideal":
         self._check_ring(other)
-        return Ideal(self.ring, self.generators + other.generators)
+        return Ideal(self.ring, _Generators.join(self.generators, other.generators))
 
     def __mul__(self, other: "Ideal") -> "Ideal":
         self._check_ring(other)

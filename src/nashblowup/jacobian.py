@@ -17,8 +17,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .ideals import Ideal, _Packing, _scalar_class
+from .ideals import Ideal, _Generators, _Packing, _scalar_class
 from .polynomials import (
+    LOCAL_DEGREE,
     MultiIndex,
     Polynomial,
     RingContext,
@@ -112,11 +113,14 @@ def jac_matrix(f: Polynomial, n: int) -> JacobianMatrix:
 # as the Laplace expansion along its top row.  Bottom-up suits Jacobian
 # matrices, whose last rows are the sparsest, so the early states stay few;
 # structural zeros are never stored.  The expansion runs on the monomial keys
-# of the completion's packing (ideals._Packing), sized for products of k
-# entries, and on integer coefficients, so a product of two terms is one int
-# addition and one int multiplication.  Over Q every entry is scaled by the
-# lcm D of all denominators, so a minor comes out D^k times the true one;
-# over F_p coefficients stay in 0..p-1 and sums are reduced once per state.
+# of a local ideals._Packing and on integer coefficients, so a product of two
+# terms is one int addition and one int multiplication.  The packing is the
+# one the capped completion of the minors would choose (ideals._capped_intake),
+# so each kept minor is handed over with its packed terms and reaches the
+# capped runs without being packed again.  Over Q every entry is scaled by the
+# lcm D of all denominators, so a minor comes out D^k times the true one, a
+# scale shared by all minors of the matrix; over F_p coefficients stay in
+# 0..p-1 and sums are reduced once per state.
 
 
 def _packed_cells(
@@ -126,9 +130,11 @@ def _packed_cells(
     # Jacobian matrices repeat one derivative in many cells: pack each once
     distinct = {id(e): e.terms for row in entries for e in row if e.terms}
     top = max((sum(alpha) for terms in distinct.values() for alpha in terms), default=0)
-    # a product of k entries has degree at most k * top, within the limit, so
-    # keys add without carries; either order multiplies by adding keys
-    pk = _Packing(ring, False, max(1, (k * top).bit_length()))
+    # a minor has degree at most D = k * top, so keys add without carries;
+    # the capped intake of generators of degree at most D needs fields for
+    # 2 * max(4, 2 + D) - 1 (ideals._capped_intake), so the minors reach it
+    # on its own keys
+    pk = _Packing.sized(ring, LOCAL_DEGREE, 2 * max(4, 2 + k * top) - 1)
     p = pk.p
     den = 1 if p else math.lcm(*(c.denominator for terms in distinct.values() for c in terms.values()))
     packed = {
@@ -186,13 +192,17 @@ def _minor_dets(
 
 def _distinct_minors(
     entries: Sequence[Sequence[Polynomial]], k: int, ring: RingContext
-) -> list[Polynomial]:
-    """The nonzero k x k minors up to a scalar, first kept: row subsets, then columns, in lex order."""
+) -> _Generators:
+    """The nonzero k x k minors up to a scalar, first kept: row subsets, then columns, in lex order.
+
+    Each is unpacked once and handed over with its packed terms.
+    """
     pk, scale, cells = _packed_cells(entries, k, ring)
     p = pk.p
     cols = range(len(cells[0]))
     seen = set()
-    out = []
+    polys = []
+    packed = []
     for rows in combinations(range(len(cells)), k):
         for det in _minor_dets(cells, p, rows, cols):
             key = _scalar_class(det, p)
@@ -200,11 +210,12 @@ def _distinct_minors(
                 continue
             seen.add(key)
             if scale == 1:
-                out.append(pk.polynomial(det))
+                polys.append(pk.polynomial(det))
             else:
                 coeffs = [Fraction(c, scale) for c in det.values()]
-                out.append(Polynomial(ring, dict(zip(map(pk.monomial, det), coeffs)), _canonical=True))
-    return out
+                polys.append(Polynomial(ring, dict(zip(map(pk.monomial, det), coeffs)), _canonical=True))
+            packed.append((pk, scale, det, key))
+    return _Generators(polys, packed)
 
 
 def higher_jacobian_ideal(f: Polynomial, n: int) -> Ideal:

@@ -167,6 +167,23 @@ class TestCheckCommand:
         assert out == ""
         assert "samuel needs a second germ g" in err
 
+    @pytest.mark.parametrize("extra", [(), ("--auto", "x+y^2;y"), ("--unit", "1+x")])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_order_below_one_is_config_error(self, capsys, n, extra):
+        # the randomized harness and an explicit transform reject it alike
+        code, out, err = run(capsys, "check", "invariance", "x^2+y^3", "-n", n, "--json", *extra)
+        assert code == 3
+        assert out == ""
+        assert "configuration error: n must be >= 1" in err
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_randomized_harness_checks_orders_up_to_n(self, capsys, n):
+        # each trial draws its order from 1..n; at this seed all of them come up
+        args = ("check", "invariance", "x^2+y^3", "-n", str(n), "--trials", "4", "--json")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert {c["n"] for c in json.loads(out)["checks"]} == set(range(1, n + 1))
+
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_trials_below_one_is_config_error(self, capsys, trials):
         code, out, err = run(capsys, "check", "invariance", "x^2+y^3", "--trials", trials)

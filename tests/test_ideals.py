@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 import nashblowup
 from nashblowup import ideals
 from nashblowup.fields import GF, QQ
+from nashblowup.algebras import nash_ideal_t
 from nashblowup.ideals import (
     INFINITE,
     Ideal,
     ReducedStandardBasis,
     _border,
+    _capped_intake,
     _complete_basis,
     _complete_local_by_homogenization,
     _finish_primary,
@@ -26,6 +28,7 @@ from nashblowup.ideals import (
     _Packing,
     _run_completion,
     _simplify_generators,
+    _span_basis,
     _staircase,
     _terms,
     compute_standard_basis,
@@ -369,7 +372,8 @@ class TestCompletionAgainstReference:
 
 def test_two_cap_give_up_packs_each_generator_once(ring_q3, monkeypatch):
     # (x*y, x*z + y^3) has infinite colength, so neither cap certifies; the
-    # scalar multiple 2*x*y is packed once and dropped at the intake
+    # scalar multiple 2*x*y is packed once and dropped at the intake, which
+    # replaces monomial * unit on the packed keys, after packing
     gens = [P(t, ring_q3) for t in ("x*y", "x*z + y^3", "2*x*y")]
     packed, runs = [], []
     original_pack, original_run = _Packing.pack, ideals._run_completion
@@ -378,7 +382,7 @@ def test_two_cap_give_up_packs_each_generator_once(ring_q3, monkeypatch):
                         lambda pk, g, cap, b: runs.append(len(g)) or original_run(pk, g, cap, b))
     assert try_primary_standard_basis(gens, ring_q3) is None
     assert runs == [2, 2]
-    assert packed == _simplify_generators(gens, LOCAL_DEGREE)
+    assert packed == gens
 
 
 def intake_of(pk, survivors, order):
@@ -416,6 +420,101 @@ class TestIntake:
         order = data.draw(st.sampled_from([LOCAL_DEGREE, GRADED_LEX]))
         pk = _Packing.sized(ring, order, max(g.total_degree() for g in gens))
         assert _intake(pk, gens, order) == intake_of(pk, first_per_scalar_class(gens), order)
+
+
+class TestHandOver:
+    """J_n's minors reach the capped intake as packed terms, and the capped
+    runs complete a basis of the generators' k-span."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_capped_intake_matches_the_polynomials(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        # three variables at n = 3 take seconds per germ
+        n = data.draw(st.integers(1, 3 if nvars < 3 else 2))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        f = data.draw(nonzero_polynomial_strategy(ring, max_terms=3, max_degree=4))
+        if field is QQ:
+            # denominators make the minors' common scale D^k exceed 1
+            f = f.scalar_mul(Fraction(data.draw(st.integers(-9, 9).filter(bool)), data.draw(st.integers(2, 12))))
+        self.assert_hand_over_exact(f, n)
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
+    @pytest.mark.parametrize("text, scalar, n", [
+        # over Q the minors' common scale shares factors with lead coefficients
+        ("x^2+y^3", Fraction(1, 3), 2),
+        ("x^3+x*y^4", Fraction(-2, 9), 3),
+        ("x^2*y+y^4+x^5", Fraction(5, 6), 3),
+        ("x*y+z^3", Fraction(3, 4), 2),
+    ])
+    def test_pinned_hand_overs(self, field, text, scalar, n):
+        ring = RingContext(("x", "y", "z") if "z" in text else ("x", "y"), field)
+        f = P(text, ring)
+        self.assert_hand_over_exact(f.scalar_mul(scalar) if field is QQ else f, n)
+
+    @staticmethod
+    def assert_hand_over_exact(f, n):
+        """The capped intake of (f) + J_n(f) from handed-over keys, against its polynomials."""
+        generators = nash_ideal_t(f, n).generators
+        survivors = first_per_scalar_class(_simplify_generators(list(generators), LOCAL_DEGREE))
+        pk, got = _capped_intake(generators, f.ring)
+        assert got == intake_of(pk, survivors, LOCAL_DEGREE)
+        # another width: the handed-over keys move by way of exponent tuples
+        wider = pk.wider()
+        assert _intake(wider, generators, LOCAL_DEGREE, units=True) == intake_of(wider, survivors, LOCAL_DEGREE)
+
+    @staticmethod
+    def rank(rows, p):
+        """Rank of the packed rows over F_p or Q, by Gaussian elimination on field elements."""
+        pivots = {}
+        for row in rows:
+            row = {k: Fraction(c) if not p else c % p for k, c in row.items()}
+            while row:
+                lead = max(row)
+                if lead not in pivots:
+                    pivots[lead] = row
+                    break
+                pivot = pivots[lead]
+                factor = row[lead] / pivot[lead] if not p else row[lead] * pow(pivot[lead], -1, p) % p
+                for k, c in pivot.items():
+                    v = row.get(k, 0) - factor * c
+                    if p:
+                        v %= p
+                    if v:
+                        row[k] = v
+                    else:
+                        row.pop(k, None)
+        return len(pivots)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_span_basis_keeps_each_generator_that_raises_the_rank(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        base = data.draw(st.lists(nonzero_polynomial_strategy(ring, max_terms=4, max_degree=4), min_size=1, max_size=5))
+        gens = list(base)
+        scalar = st.integers(-3, 3) if field is QQ else st.integers(0, field.characteristic - 1)
+        # linear combinations of the drawn ones, dependent by construction
+        for picks in data.draw(st.lists(st.lists(st.tuples(st.integers(0, len(base) - 1), scalar),
+                                                 min_size=1, max_size=3), max_size=5)):
+            g = sum((base[i].scalar_mul(c) for i, c in picks), ring.zero())
+            if not g.is_zero():
+                gens.insert(data.draw(st.integers(0, len(gens))), g)
+        pk = _Packing.sized(ring, LOCAL_DEGREE, max(g.total_degree() for g in gens))
+        entries = _intake(pk, gens, LOCAL_DEGREE)
+        rows = [terms for terms, _ in entries]
+        expected = [e for i, e in enumerate(entries) if self.rank(rows[:i + 1], pk.p) > self.rank(rows[:i], pk.p)]
+        assert _span_basis(pk.p, entries) == expected
+
+    def test_capped_route_rescues_a_three_variable_germ(self, ring_q3):
+        # its 3,335 generators span 832 dimensions over Q; on the full list
+        # both capped runs ran out of budget and Lazard's route took 24-55 s
+        ideal = nash_ideal_t(P("x^2+y^3+x*z^3", ring_q3), 3)
+        basis = try_primary_standard_basis(ideal.generators, ring_q3)
+        assert basis is not None
+        assert basis.dimension() == 386
 
 
 class TestCompletionOutput:
