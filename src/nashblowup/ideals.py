@@ -89,6 +89,7 @@ from bisect import insort
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from math import gcd, lcm
 from operator import itemgetter, lshift
 from typing import Iterable, Sequence
@@ -575,32 +576,26 @@ def _intake(
             seen.add(key)
             kept.append((lead, terms, values, scale, g))
     kept.sort(key=_lead, reverse=True)
-    start = 0
-    for end in range(1, len(kept) + 1):
-        if end < len(kept) and kept[end][0] == kept[start][0]:
-            continue
-        if end - start > 1:
-            tied = kept[start:end]
-            if tied[0][3] is not None and all(item[3] == tied[0][3] for item in tied):
-                tied.sort(key=lambda item: sorted([(k & fields_mask, c) for k, c in item[2].items()]), reverse=True)
-            else:
-                # the monomial of a monomial * unit is built only here
-                tied.sort(key=lambda item: poly_sort_key(
-                    pk.ring.monomial(pk.monomial(item[0])) if item[4] is None else item[4], order), reverse=True)
-            kept[start:end] = tied
-        start = end
     out = []
-    for lead, terms, values, scale, g in kept:
-        bits = None
-        if scale is not None and not p:
-            # lead / scale in lowest terms
-            c = values[lead]
-            common = gcd(c, scale)
-            bits = (abs(c) // common).bit_length() + (scale // common).bit_length()
-        elif not p:
-            lc = g.terms[pk.monomial(lead)]
-            bits = lc.numerator.bit_length() + lc.denominator.bit_length()
-        out.append((terms, bits))
+    for _, group in groupby(kept, key=_lead):
+        tied = list(group)
+        if len(tied) > 1 and tied[0][3] is not None and all(item[3] == tied[0][3] for item in tied):
+            tied.sort(key=lambda item: sorted([(k & fields_mask, c) for k, c in item[2].items()]), reverse=True)
+        elif len(tied) > 1:
+            # the monomial of a monomial * unit is built only here
+            tied.sort(key=lambda item: poly_sort_key(
+                pk.ring.monomial(pk.monomial(item[0])) if item[4] is None else item[4], order), reverse=True)
+        for lead, terms, values, scale, g in tied:
+            bits = None
+            if not p and scale is not None:
+                # lead / scale in lowest terms
+                c = values[lead]
+                common = gcd(c, scale)
+                bits = (abs(c) // common).bit_length() + (scale // common).bit_length()
+            elif not p:
+                lc = g.terms[pk.monomial(lead)]
+                bits = lc.numerator.bit_length() + lc.denominator.bit_length()
+            out.append((terms, bits))
     return out
 
 

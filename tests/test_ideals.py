@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import nashblowup
 from nashblowup import ideals
-from nashblowup.fields import GF, QQ
 from nashblowup.algebras import nash_ideal_t
+from nashblowup.fields import GF, QQ
 from nashblowup.ideals import (
     INFINITE,
     Ideal,
