@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Time two checkouts op by op in one process over a benchmark plan.
+
+Usage (run from anywhere; each LABEL=PATH is the root of a checkout):
+    python3 scripts/paired_ops.py parent=../old change=. --workload verdicts --seed 7 --ops 3000
+    python3 scripts/paired_ops.py a=../old b=. --workload high-order --seed 13 --ops 200 --reps 1
+
+The plan comes from the ``perfbench/`` next to this script: the first
+``--ops`` operations of ``workloads.plan(workload, seed)``.  Each
+checkout's ``src/`` is imported as ``nashblowup`` in turn and bound through
+``perfbench/worker.make_runner``; its modules are put back into
+``sys.modules`` before each of its runs, so an import made inside a
+library function resolves to the same checkout.  Every op runs ``--reps``
+times under each checkout, the two alternating and taking turns going
+first from one op to the next, and each side keeps the least of its times
+for that op.  Every answer is checked with ``answers.check``.  Back-to-back
+benchmark runs of the same code spread widely on a small shared machine;
+alternating op by op puts the same drift on both sides.
+
+Prints, per op kind and in total, the op count, each side's summed time,
+and the later side's speed-up over the first (the first's time over its
+time, minus one); then each side's ops per second over the summed times
+and its failed answers.  Exits 1 when an answer is wrong.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from collections import defaultdict
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def is_library(name: str) -> bool:
+    return name == "nashblowup" or name.startswith("nashblowup.")
+
+
+def bind(root: Path, make_runner):
+    """(run, modules) for the ``nashblowup`` under ``root/src``, imported afresh."""
+    for name in [n for n in sys.modules if is_library(n)]:
+        del sys.modules[name]
+    src = str(root / "src")
+    sys.path.insert(0, src)
+    try:
+        import nashblowup
+        from nashblowup import cli  # noqa: F401  (loads every module the CLI uses)
+
+        if Path(nashblowup.__file__).resolve().parent != root / "src" / "nashblowup":
+            raise SystemExit(f"imported nashblowup from {nashblowup.__file__}, not from {root}")
+        run = make_runner()
+    finally:
+        sys.path.remove(src)
+    return run, {n: m for n, m in sys.modules.items() if is_library(n)}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkouts", nargs=2, metavar="LABEL=PATH")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--ops", type=int, required=True)
+    parser.add_argument("--reps", type=int, default=3)
+    args = parser.parse_args()
+    if args.ops < 1 or args.reps < 1:
+        parser.error("--ops and --reps must be at least 1")
+    roots = {}
+    for spec in args.checkouts:
+        label, sep, path = spec.partition("=")
+        if not sep or not (Path(path) / "src" / "nashblowup").is_dir() or label in roots:
+            parser.error(f"{spec!r} is not a distinct LABEL=PATH of a checkout with src/nashblowup")
+        roots[label] = Path(path).resolve()
+
+    sys.path.insert(0, str(PERFBENCH))
+    import answers
+    import workloads
+    from worker import make_runner
+
+    table = answers.load_table()
+    ops = [op for ops in workloads.plan(args.workload, args.seed) for op in ops][: args.ops]
+    if len(ops) < args.ops:
+        raise SystemExit(f"plan holds only {len(ops)} ops, {args.ops} requested")
+    sides = {label: bind(root, make_runner) for label, root in roots.items()}
+
+    first, second = roots
+    best = {label: defaultdict(float) for label in roots}
+    count: dict[str, int] = defaultdict(int)
+    failures = {label: [] for label in roots}
+    for i, op in enumerate(ops):
+        order = [first, second] if i % 2 == 0 else [second, first]
+        times = {label: [] for label in roots}
+        for _ in range(args.reps):
+            for label in order:
+                run, modules = sides[label]
+                sys.modules.update(modules)
+                t0 = time.perf_counter()
+                try:
+                    result = run(op)
+                except Exception as exc:  # a raise fails the op, as in the benchmark
+                    error = f"raised {type(exc).__name__}: {exc}"
+                else:
+                    error = None
+                times[label].append(time.perf_counter() - t0)
+                if error is None:
+                    error = answers.check(op, result, table)
+                if error is not None:
+                    failures[label].append(f"op {i} {op.key} {op.extra}: {error}")
+        count[op.kind] += 1
+        for label in roots:
+            best[label][op.kind] += min(times[label])
+
+    print(f"workload={args.workload} seed={args.seed} ops={len(ops)} reps={args.reps}")
+    print(f"{'kind':<16}{'ops':>6}{first + ' ms':>14}{second + ' ms':>14}{'change':>9}")
+    for kind in sorted(count) + ["total"]:
+        n = len(ops) if kind == "total" else count[kind]
+        a, b = (sum(best[label].values()) if kind == "total" else best[label][kind] for label in roots)
+        print(f"{kind:<16}{n:>6}{a * 1e3:>14.1f}{b * 1e3:>14.1f}{(a / b - 1) * 100:>+8.1f}%")
+    for label in roots:
+        total = sum(best[label].values())
+        print(f"{label}: {len(ops) / total:.1f} ops/s, {len(failures[label])} failed")
+        for line in failures[label][:10]:
+            print(f"  {line}")
+    return 1 if any(failures.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

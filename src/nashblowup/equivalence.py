@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .ideals import Ideal
 from .jacobian import higher_jacobian_ideal
-from .polynomials import Polynomial, RingContext
+from .polynomials import Polynomial, RingContext, _substitute_all
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,10 @@ class ContactTransform:
 
 
 def apply_to_ideal(phi: LocalAutomorphism, ideal: Ideal) -> Ideal:
-    """Image ideal under the automorphism (generator by generator)."""
+    """Image ideal under the automorphism, each image power shared by the generators."""
     if not phi.is_valid():
         raise ValueError("not a local automorphism")
-    return Ideal(ideal.ring, [phi.apply(g) for g in ideal.generators])
+    return Ideal(ideal.ring, _substitute_all(ideal.ring, ideal.generators, phi.images))
 
 
 def check_right_covariance(f: Polynomial, phi: LocalAutomorphism, n: int) -> bool:

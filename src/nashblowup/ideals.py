@@ -20,9 +20,15 @@ basis is finite, polynomial, and a complete invariant of the ideal: two
 ideals of finite colength are equal iff their reduced bases agree element
 by element.  For infinite colength the reduced basis is normalized
 deterministically (bounded tail reduction) and equality falls back to
-mutual membership.  Membership there escalates a capped refutation and a
-linear certificate for a fixed number of rounds; when neither side settles
-within them it raises RuntimeError instead of answering.
+mutual membership.  The coordinate axes decide part of it in one pass over
+the terms: when no generator has a term that is a pure power of some x_v
+(1 counts), every generator lies in the prime (x_i : i != v), so the
+quotient is infinite-dimensional (try_primary_standard_basis returns None
+before packing anything) and an f with a term in k[x_v] lies outside the
+ideal.  Any other membership takes a budgeted Mora walk, then escalates a
+capped refutation and a linear certificate, built up one degree layer at a
+time, for a fixed number of rounds; when neither side settles within them
+it raises RuntimeError instead of answering.
 
 Packed kernel.  The weak normal form, the completion, the tail reduction
 and the linear membership certificate run on packed polynomials: dicts from
@@ -49,13 +55,14 @@ bound only falls, so the loop stops at the first pair whose lcm reaches
 the bound: every pair left would truncate to zero, uncharged.
 
 Conversion boundary.  Polynomials are packed once on entry to
-weak_normal_form, _complete_basis and _linear_membership_certificate (a
-ReducedStandardBasis packs its elements on its first query and keeps
-them).  Every completion takes its generators through one intake, which
-packs them in the caller's order, keeps the terms of those handed over
-already packed, and drops each that is a nonzero scalar multiple of an
-earlier one, so the capped attempts, the global completion and Lazard's
-homogenized one all complete the first generator of each scalar class.
+weak_normal_form, _complete_basis and _linear_membership_certificate; an
+Ideal packs its generators once for all its budgeted walks, reusing the
+terms of those handed over packed.  Every completion takes its generators
+through one intake, which packs them in the caller's order, keeps the terms
+of those handed over already packed, and drops each that is a nonzero
+scalar multiple of an earlier one, so the capped attempts, the global
+completion and Lazard's homogenized one all complete the first generator
+of each scalar class.
 The maximal minors of a Jacobian matrix (jacobian._minor_dets) run on a
 local packing wide enough for the capped intake's last cap; each minor kept
 by the scalar-class rule is unpacked once, for the printed generators, and
@@ -74,12 +81,16 @@ again; Lazard's route, the global route and the membership escalation
 complete the raw list.  _complete_basis returns packed elements with their
 packing; minimalization, the staircase read-off, the truncation and the
 tail reduction of a finished basis run on those same keys, and each element
-is unpacked once, monic, when the ReducedStandardBasis is built.  Lazard's
-route moves the keys of its homogeneous completion into a local packing by
-way of their exponent tuples, and the membership escalation reduces on the
-packing of its capped completion, which holds the cap.  Every public
-signature and every printed result is the one the tuple/Fraction arithmetic
-gives.
+is unpacked once, monic, when the ReducedStandardBasis is built.  The basis
+keeps the tail-reduced terms and builds its reducers from them on its first
+query, each scaled to what packing its monic element gives (monic over F_p,
+primitive with a positive lead over Q), so a computed basis is never packed
+again and its normal forms are the ones a fresh packing gives; its
+membership test reads the packed normal form.  Lazard's route
+moves the keys of its homogeneous completion into a local packing by way of
+their exponent tuples, and the membership escalation reduces on the packing
+of its capped completion, which holds the cap.  Every public signature and
+every printed result is the one the tuple/Fraction arithmetic gives.
 """
 
 from __future__ import annotations
@@ -356,11 +367,20 @@ def _normal_form(
 class _PackedBasis(tuple):
     """The polynomials of a basis, with their packed reducers attached once."""
 
-    def __new__(cls, elements: Iterable[Polynomial], order: MonomialOrder, packing: _Packing):
+    def __new__(
+        cls,
+        elements: Iterable[Polynomial],
+        order: MonomialOrder,
+        packing: _Packing,
+        terms: Iterable[dict[int, int]] | None = None,
+    ):
+        """``terms``, when given, are ``packing.pack`` of each element, in order."""
         self = super().__new__(cls, elements)
         self.order = order
         self.packing = packing
-        self.reducers = sorted(map(packing.element, map(packing.pack, self)), key=_rank)
+        if terms is None:
+            terms = map(packing.pack, self)
+        self.reducers = sorted(map(packing.element, terms), key=_rank)
         return self
 
     @classmethod
@@ -400,6 +420,26 @@ def weak_normal_form(
         return h
     if not (isinstance(basis, _PackedBasis) and basis.order == order):
         basis = _PackedBasis.fitted(basis, f.ring, order, max(h.total_degree(), (bound or 0) - 1))
+    reduced = _packed_weak_normal_form(h, basis, bound, step_limit, cost_budget)
+    if reduced is None:
+        return None
+    pk, packed, out = reduced
+    return h if out is packed else pk.polynomial(out)
+
+
+def _packed_weak_normal_form(
+    h: Polynomial,
+    basis: _PackedBasis,
+    bound: int | None,
+    step_limit: int | None = None,
+    cost_budget: list[int] | None = None,
+) -> tuple[_Packing, dict[int, int], dict[int, int]] | None:
+    """(packing, packed h, packed result) of weak_normal_form for nonzero h below bound.
+
+    The result is the packed h itself when no step applies; None when a
+    limit runs out.  A step past the packing's degree limit starts over on
+    one twice as wide.
+    """
     budget = None if cost_budget is None else cost_budget[0]
     while True:
         pk = basis.packing
@@ -414,11 +454,9 @@ def weak_normal_form(
         except _Overflow:
             if cost_budget is not None:
                 cost_budget[0] = budget
-            basis = _PackedBasis(basis, order, pk.wider())
+            basis = _PackedBasis(basis, basis.order, pk.wider())
             continue
-        if out is None:
-            return None
-        return h if out is packed else pk.polynomial(out)
+        return None if out is None else (pk, packed, out)
 
 
 def _staircase(lead_monomials: Sequence[MultiIndex], nvars: int) -> tuple[int, int] | None:
@@ -561,9 +599,9 @@ def _intake(
                 continue
             values, scale, key = terms, 1 if p else None, None
         else:
-            src, scale, values, key = given
-            if src.width != pk.width or src.local != pk.local:
-                values = {pk.key(src.monomial(k)): c for k, c in values.items()}
+            src, scale, carried, key = given
+            values = _moved(src, pk, carried)
+            if values is not carried:
                 key = None
             terms = values if p else _primitive(values)
         lead = max(terms)
@@ -597,6 +635,22 @@ def _intake(
                 bits = lc.numerator.bit_length() + lc.denominator.bit_length()
             out.append((terms, bits))
     return out
+
+
+def _moved(src: _Packing, pk: _Packing, terms: dict[int, int]) -> dict[int, int]:
+    """Terms packed on ``src`` keyed on ``pk``: the same dict when the layouts agree,
+    else moved by way of their exponent tuples."""
+    if src.width == pk.width and src.local == pk.local:
+        return terms
+    return {pk.key(src.monomial(k)): c for k, c in terms.items()}
+
+
+def _widest(pk: _Packing, handed: Iterable[tuple | None]) -> _Packing:
+    """``pk``, or the widest packing a generator is handed over on when it is wider."""
+    for given in handed:
+        if given is not None and given[0].width > pk.width:
+            pk = given[0]
+    return pk
 
 
 def _primitive(terms: dict[int, int]) -> dict[int, int]:
@@ -809,18 +863,31 @@ def _tail_reduce(
 
 def _reduced_elements(
     pk: _Packing, elements: Sequence[tuple], bound: int | None, cap: int | None
-) -> list[tuple[int, Polynomial]]:
-    """(leading key, monic tail-reduced element) of a packed minimal basis, leading-first.
+) -> list[tuple[int, dict[int, int], Polynomial]]:
+    """(leading key, packed terms, monic element) of a tail-reduced packed minimal basis, leading-first.
 
     Every element is tail-reduced against all of them, tried from the
-    largest leading monomial down.  The packing must hold degree
+    largest leading monomial down; the packed terms are the tail-reduced
+    ones, a nonzero multiple of the element.  The packing must hold degree
     max(bound, cap) and the degrees of the elements: no step goes past them.
     """
     reducers = sorted(elements, key=_lead, reverse=True)
-    return [
-        (el[0], pk.polynomial(_tail_reduce(pk, _terms(el), reducers, bound, cap), monic=True))
-        for el in reducers
-    ]
+    out = []
+    for el in reducers:
+        terms = _tail_reduce(pk, _terms(el), reducers, bound, cap)
+        out.append((el[0], terms, pk.polynomial(terms, monic=True)))
+    return out
+
+
+def _as_packed(pk: _Packing, terms: dict[int, int]) -> dict[int, int]:
+    """The multiple of nonzero packed terms that ``pk.pack`` gives for their monic
+    polynomial: monic over F_p, primitive with a positive lead over Q."""
+    lc = terms[max(terms)]
+    if pk.p:
+        inv = pow(lc, -1, pk.p)
+        return {k: c * inv % pk.p for k, c in terms.items()} if inv != 1 else terms
+    content = gcd(*terms.values()) if lc > 0 else -gcd(*terms.values())
+    return {k: c // content for k, c in terms.items()} if content != 1 else terms
 
 
 class _Echelon:
@@ -899,30 +966,42 @@ def _linear_membership_certificate(
     exact Gaussian elimination.  A hit proves membership of f in the
     localized ideal; every true member admits such a certificate for some
     finite bound.  The rows are packed once, shifted by key addition and
-    reduced in one _Echelon.
+    reduced in one _Echelon, filled one layer at a time: layer e adds the
+    generators, and from e = 1 on f, times every monomial of degree e.
+    Each layer's span lies in the full one, so the search stops at the
+    first layer whose span holds f, with the answer the full span gives.
     """
     ring = f.ring
     top = max(g.total_degree() for g in (f, *gens)) + degree_bound
     pk = _Packing.sized(ring, LOCAL_DEGREE, top)
-    shifts = [pk.key(alpha) for alpha in multi_indices_in_range(ring.nvars, 0, degree_bound)]
     echelon = _Echelon(pk.p)
-    rows = [(pk.pack(g), shifts) for g in gens] + [(pk.pack(f), shifts[1:])]
-    for packed, row_shifts in rows:
-        for shift in row_shifts:
-            echelon.insert({k + shift: c for k, c in packed.items()})
-    return not echelon.reduce(pk.pack(f))
+    target = pk.pack(f)
+    rows = [pk.pack(g) for g in gens]
+    for e in range(degree_bound + 1):
+        for shift in map(pk.key, multi_indices_in_range(ring.nvars, e, e)):
+            for packed in rows:
+                echelon.insert({k + shift: c for k, c in packed.items()})
+        if not echelon.reduce(dict(target)):
+            return True
+        if not e:
+            # u's tail lies in m: f's own rows start at layer 1
+            rows.append(target)
+    return False
 
 
 def _escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
     """Decide membership without long reduction walks (infinite colength).
 
-    Alternates two one-sided tests over the generators g_i of I: a capped
-    normal form refutes (anything outside I + m^cap is outside I), and an
-    exact linear certificate u*f = sum c_i g_i proves.  Krull's intersection
+    Alternates two one-sided tests over the generators g_i of I: an exact
+    linear certificate u*f = sum c_i g_i proves, and a capped normal form
+    refutes (anything outside I + m^cap is outside I).  Krull's intersection
     theorem makes the refutation side complete, and every true member has a
     polynomial certificate of some finite degree, so enough rounds always
     decide; but the loop stops after 12 rounds and raises RuntimeError when
-    neither test has settled by then.
+    neither test has settled by then.  Round r allows the certificate degree
+    4r, which it reaches layer by layer, stopping at the first that
+    certifies: most members need 0 to 2.  The certificate runs first; the
+    opposite order was measured slower on the contact and covariance checks.
     """
     cap = f.total_degree() + 2
     degree_bound = 4
@@ -955,14 +1034,25 @@ class ReducedStandardBasis:
     elements: tuple[Polynomial, ...]
     truncation: int | None = None
     staircase: tuple[int, int] | None = dc_field(init=False, compare=False, repr=False)
+    # (packing, terms) when the elements were computed packed: terms[i] is a
+    # nonzero multiple of elements[i] on packing's keys, or None for a bare
+    # monomial, so the first query packs no other element again
+    _packed_terms: tuple[_Packing, tuple[dict[int, int], ...]] | None = dc_field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "staircase", _staircase(self.leading_monomials, self.ring.nvars))
 
     @cached_property
     def packed(self) -> _PackedBasis:
-        """The elements with their packed reducers, packed on the first query."""
-        return _PackedBasis.fitted(self.elements, self.ring, self.order)
+        """The elements with their packed reducers, built on the first query."""
+        if self._packed_terms is None:
+            return _PackedBasis.fitted(self.elements, self.ring, self.order)
+        pk, terms = self._packed_terms
+        return _PackedBasis(self.elements, self.order, pk, [
+            pk.pack(el) if t is None else _as_packed(pk, t) for el, t in zip(self.elements, terms)
+        ])
 
     @property
     def leading_monomials(self) -> tuple[MultiIndex, ...]:
@@ -987,18 +1077,25 @@ class ReducedStandardBasis:
         Finite colength and global orders use the normal form directly.
         Otherwise a short Mora walk is attempted, and if it does not settle
         quickly the answer is decided by the capped-refutation / linear-
-        certificate escalation over the basis elements.
+        certificate escalation over the basis elements.  Either way the
+        packed normal form is tested for zero without being unpacked.
         """
         if f.ring != self.ring:
             raise ValueError("polynomial lives in a different ring context")
         if not self.elements:
             return f.is_zero()
         if self.truncation is not None or not self.order.is_local:
-            return self.normal_form(f).is_zero()
-        h = weak_normal_form(f, self.packed, self.order, None, step_limit=120)
-        if h is not None:
-            return h.is_zero()
-        return _escalated_membership(f, self.elements)
+            return self._reduces_to_zero(f, None)
+        zero = self._reduces_to_zero(f, 120)
+        return _escalated_membership(f, self.elements) if zero is None else zero
+
+    def _reduces_to_zero(self, f: Polynomial, step_limit: int | None) -> bool | None:
+        """Whether f's normal form is zero; None when ``step_limit`` runs out."""
+        h = f.truncate_at_degree(self.truncation)
+        if h.is_zero():
+            return True
+        reduced = _packed_weak_normal_form(h, self.packed, self.truncation, step_limit)
+        return None if reduced is None else not reduced[2]
 
     def dimension(self) -> QuotientDimension:
         return INFINITE if self.staircase is None else self.staircase[0]
@@ -1051,9 +1148,19 @@ def _finish_primary(pk: _Packing, minimal: list[tuple], top_std_degree: int) -> 
     ]
     elements = _reduced_elements(pk, kept, B, None)
     border = _border([pk.monomial(el[0]) for el in kept], ring.nvars, B)
-    elements += [(pk.key(alpha), ring.monomial(alpha)) for alpha in border]
+    elements += [(pk.key(alpha), None, ring.monomial(alpha)) for alpha in border]
     elements.sort(key=_lead, reverse=True)
-    return ReducedStandardBasis(ring, LOCAL_DEGREE, tuple(p for _, p in elements), B)
+    return _reduced_basis(pk, LOCAL_DEGREE, elements, B)
+
+
+def _reduced_basis(
+    pk: _Packing, order: MonomialOrder, elements: list[tuple], truncation: int | None
+) -> ReducedStandardBasis:
+    """The basis of (leading key, packed terms or None, element) entries, keeping the terms."""
+    return ReducedStandardBasis(
+        pk.ring, order, tuple(el[2] for el in elements), truncation,
+        (pk, tuple(el[1] for el in elements)),
+    )
 
 
 def _cap_schedule(multiplicity: int) -> list[int]:
@@ -1137,10 +1244,7 @@ def _capped_intake(generators: Sequence[Polynomial], ring: RingContext) -> tuple
     order = LOCAL_DEGREE
     handed = getattr(generators, "packed", None) or (None,) * len(generators)
     top = max((g.total_degree() for g, given in zip(generators, handed) if given is None), default=0)
-    pk = _Packing.sized(ring, order, 2 * max(4, 2 + top) - 1)
-    for given in handed:
-        if given is not None and given[0].width > pk.width:
-            pk = given[0]
+    pk = _widest(_Packing.sized(ring, order, 2 * max(4, 2 + top) - 1), handed)
     return pk, _intake(pk, generators, order, units=True)
 
 
@@ -1148,6 +1252,28 @@ def _span_basis(p: int, gens: list[tuple]) -> list[tuple]:
     """The intake entries whose packed terms are not in the k-span of those before them."""
     echelon = _Echelon(p)
     return [entry for entry in gens if echelon.insert(dict(entry[0]))]
+
+
+def _open_axes(polys: Iterable[Polynomial], nvars: int) -> frozenset[int]:
+    """The variables x_v none of whose pure powers is a term of the polys (1 = x_v^0 counts).
+
+    Each such x_v leaves every poly inside the prime P_v = (x_i : i != v):
+    the x_v-axis lies in the zero set of the ideal they generate, whose
+    quotient is therefore infinite-dimensional over any field, and a
+    polynomial with a term in k[x_v] lies outside P_v, hence outside the
+    ideal.  One pass over the terms, stopping once every variable is seen.
+    """
+    axes = set(range(nvars))
+    for g in polys:
+        for alpha in g.terms:
+            if alpha.count(0) >= nvars - 1:
+                top = max(alpha)
+                if not top:
+                    return frozenset()
+                axes.discard(alpha.index(top))
+                if not axes:
+                    return frozenset()
+    return frozenset(axes)
 
 
 def try_primary_standard_basis(
@@ -1158,11 +1284,15 @@ def try_primary_standard_basis(
     Completes modulo m^cap, then certifies m^(cap-1) lies in the ideal (top
     standard degree + 2 <= cap, by Nakayama); on success the capped basis
     is exact and canonical.  Returns None when no cap in the schedule
-    certifies, which covers every ideal of infinite colength.  The runs
+    certifies, which covers every ideal of infinite colength; when some
+    variable has no pure power among the generators' terms (_open_axes),
+    that is decided before anything is packed or completed.  The runs
     complete a basis of the generators' k-span, the first generator of each
     new pivot in processing order: the same ideal, so the same canonical
     basis.
     """
+    if any(g.terms for g in generators) and _open_axes(generators, ring.nvars):
+        return None
     # packed once for every cap; the packing holds the last cap, so no run overflows
     pk, gens = _capped_intake(generators, ring)
     if not gens:
@@ -1208,8 +1338,7 @@ def compute_standard_basis(
         # infinite colength: cap tail growth at the largest degree present
         # (local keys: the highest degree has the lowest key)
         cap = pk.degree(min(k for el in minimal for k in _terms(el)))
-    reduced = _reduced_elements(pk, minimal, None, cap)
-    return ReducedStandardBasis(ring, order, tuple(p for _, p in reduced), None)
+    return _reduced_basis(pk, order, _reduced_elements(pk, minimal, None, cap), None)
 
 
 class Ideal:
@@ -1269,7 +1398,25 @@ class Ideal:
         # packed once: on the `verdicts` workload an ideal of infinite colength
         # takes about 8 budgeted walks, and repacking for each took 14 % of
         # the run time
-        return _PackedBasis.fitted(self.generators, self.ring, LOCAL_DEGREE)
+        gens = self.generators
+        handed = getattr(gens, "packed", None)
+        if handed is None:
+            return _PackedBasis.fitted(gens, self.ring, LOCAL_DEGREE)
+        # terms handed over packed are reused, primitive over Q like pk.pack's
+        top = max((g.total_degree() for g, given in zip(gens, handed) if given is None), default=0)
+        pk = _widest(_Packing.sized(self.ring, LOCAL_DEGREE, top), handed)
+        terms = [
+            pk.pack(g) if given is None
+            else _moved(given[0], pk, given[2] if pk.p else _primitive(given[2]))
+            for g, given in zip(gens, handed)
+        ]
+        return _PackedBasis(gens, LOCAL_DEGREE, pk, terms)
+
+    @cached_property
+    def _axes_in_zero_set(self) -> frozenset[int]:
+        # one pass over the terms, shared by the primary attempt and every
+        # membership query
+        return _open_axes(self.generators, self.ring.nvars)
 
     def _certified_primary_basis(self) -> ReducedStandardBasis | None:
         """Finite-colength basis when cheaply certifiable, else None.
@@ -1282,7 +1429,10 @@ class Ideal:
         if cached is not None:
             return cached if cached.is_m_primary or not cached.elements else None
         if self._primary_attempt is False:
-            self._primary_attempt = try_primary_standard_basis(self.generators, self.ring)
+            if self.generators and self._axes_in_zero_set:
+                self._primary_attempt = None
+            else:
+                self._primary_attempt = try_primary_standard_basis(self.generators, self.ring)
             if self._primary_attempt is not None:
                 self._bases.setdefault(LOCAL_DEGREE, self._primary_attempt)
         return self._primary_attempt
@@ -1295,6 +1445,10 @@ class Ideal:
         basis = self._certified_primary_basis()
         if basis is not None:
             return basis.contains(f)
+        if not self._axes_in_zero_set <= _open_axes((f,), self.ring.nvars):
+            # f has a term in k[x_v] while the x_v-axis lies in V(I): f lies
+            # outside P_v = (x_i : i != v), a prime containing I
+            return False
         # infinite colength (or a very deep staircase): decide without the
         # full standard basis; a zero of the budgeted walk is a certificate
         h = weak_normal_form(f, self._packed_generators, LOCAL_DEGREE, None, step_limit=120)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .fields import QQ, CoefficientField
 
@@ -360,29 +360,40 @@ class Polynomial:
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Exact composition f(images); images share this polynomial's ring."""
-        if len(images) != self.ring.nvars:
-            raise ValueError(f"expected {self.ring.nvars} images, got {len(images)}")
-        for g in images:
-            self._check_ring(g)
-        power_cache: dict[tuple[int, int], Polynomial] = {}
+        return _substitute_all(self.ring, (self,), images)[0]
 
-        def var_power(i: int, e: int) -> Polynomial:
-            if e == 0:
-                return self.ring.one()
-            got = power_cache.get((i, e))
-            if got is None:
-                got = var_power(i, e - 1) * images[i]
-                power_cache[(i, e)] = got
-            return got
 
-        total = self.ring.zero()
-        for alpha, c in self.terms.items():
-            part = self.ring.constant(c)
+def _substitute_all(
+    ring: RingContext, polys: Iterable[Polynomial], images: Sequence[Polynomial]
+) -> list[Polynomial]:
+    """Each of polys (in ``ring``) composed with images, each power of an image computed once."""
+    if len(images) != ring.nvars:
+        raise ValueError(f"expected {ring.nvars} images, got {len(images)}")
+    for g in images:
+        if g.ring != ring:
+            raise ValueError("operands live in different ring contexts")
+    power_cache: dict[tuple[int, int], Polynomial] = {}
+
+    def var_power(i: int, e: int) -> Polynomial:
+        if e == 0:
+            return ring.one()
+        got = power_cache.get((i, e))
+        if got is None:
+            got = var_power(i, e - 1) * images[i]
+            power_cache[(i, e)] = got
+        return got
+
+    out = []
+    for f in polys:
+        total = ring.zero()
+        for alpha, c in f.terms.items():
+            part = ring.constant(c)
             for i, e in enumerate(alpha):
                 if e:
                     part = part * var_power(i, e)
             total = total + part
-        return total
+        out.append(total)
+    return out
 
 
 def poly_sort_key(p: Polynomial, order: MonomialOrder):

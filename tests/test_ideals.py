@@ -239,6 +239,18 @@ class TestLinearCertificate:
         if inside:
             assert got
 
+    def test_stops_at_the_first_certifying_layer(self, ring_q2, monkeypatch):
+        # x^2 = (x^2 - x^3) + x * x^2 is certified at layer 1: the generator's
+        # row at layer 0, then the rows of the generator and of f times x and y
+        f, g = P("x^2", ring_q2), P("x^2-x^3", ring_q2)
+        rows = []
+        original_insert = ideals._Echelon.insert
+        monkeypatch.setattr(ideals._Echelon, "insert", lambda e, row: rows.append(row) or original_insert(e, row))
+        assert not _linear_membership_certificate(f, [g], 0)
+        rows.clear()
+        assert _linear_membership_certificate(f, [g], 4)
+        assert len(rows) == 1 + 2 * 2
+
     @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
     def test_unit_multiple_needs_the_bound(self, field):
         # (1 - x) * x^2 = x^2 - x^3 lies in (x^2 - x^3) only through the unit
@@ -370,19 +382,78 @@ class TestCompletionAgainstReference:
         assert with_duplicate == without
 
 
-def test_two_cap_give_up_packs_each_generator_once(ring_q3, monkeypatch):
-    # (x*y, x*z + y^3) has infinite colength, so neither cap certifies; the
-    # scalar multiple 2*x*y is packed once and dropped at the intake, which
-    # replaces monomial * unit on the packed keys, after packing
-    gens = [P(t, ring_q3) for t in ("x*y", "x*z + y^3", "2*x*y")]
+def record_packs_and_runs(monkeypatch):
+    """Lists that collect each polynomial _Packing.pack sees and each capped run's generator count."""
     packed, runs = [], []
     original_pack, original_run = _Packing.pack, ideals._run_completion
     monkeypatch.setattr(_Packing, "pack", lambda pk, poly: packed.append(poly) or original_pack(pk, poly))
     monkeypatch.setattr(ideals, "_run_completion",
                         lambda pk, g, cap, b: runs.append(len(g)) or original_run(pk, g, cap, b))
+    return packed, runs
+
+
+def test_two_cap_give_up_packs_each_generator_once(ring_q3, monkeypatch):
+    # every variable has a pure power among the terms, but V(I) holds the
+    # line x = y, z = 0, so neither cap certifies; the scalar multiple
+    # 2*x^2 - 2*x*y is packed once and dropped at the intake, which replaces
+    # monomial * unit on the packed keys, after packing
+    gens = [P(t, ring_q3) for t in ("x^2 - x*y", "y^2 - x*y + z^2", "2*x^2 - 2*x*y")]
+    packed, runs = record_packs_and_runs(monkeypatch)
     assert try_primary_standard_basis(gens, ring_q3) is None
     assert runs == [2, 2]
     assert packed == gens
+    assert Ideal(ring_q3, gens).dimension() is INFINITE
+
+
+def test_open_axis_exits_before_packing(ring_q3, monkeypatch):
+    # no term of (x*y, x*z + y^3) is a power of x alone: the x-axis lies in V(I)
+    gens = [P(t, ring_q3) for t in ("x*y", "x*z + y^3", "2*x*y")]
+    packed, runs = record_packs_and_runs(monkeypatch)
+    assert try_primary_standard_basis(gens, ring_q3) is None
+    assert packed == [] and runs == []
+
+
+class TestOpenAxis:
+    """The axis exit and refutation against Lazard's route and the escalation."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_against_lazard_and_escalation(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        polys = st.lists(nonzero_polynomial_strategy(ring, max_terms=3, max_degree=4), min_size=1, max_size=3)
+        gens = data.draw(polys)
+        axes = ideals._open_axes(gens, nvars)
+        powers = [ring.monomial(tuple(data.draw(st.integers(1, 4)) if i == v else 0 for i in range(nvars)))
+                  for v in range(nvars)]
+        assert not ideals._open_axes(gens + powers, nvars)
+        if not axes:
+            return
+        assert try_primary_standard_basis(gens, ring) is None
+        assert compute_standard_basis(gens, ring, LOCAL_DEGREE).staircase is None
+        f = data.draw(nonzero_polynomial_strategy(ring, max_terms=3, max_degree=4))
+        if not axes <= ideals._open_axes([f], nvars):
+            assert not Ideal(ring, gens).contains_element(f)
+            assert not ideals._escalated_membership(f, gens)
+
+    @pytest.mark.parametrize("texts, axes", [
+        (("x*y", "x*z + y^3"), {0, 2}),
+        (("x^2*y",), {0, 1, 2}),
+        (("x*y*z",), {0, 1, 2}),
+        (("x^2 + y^2*z",), {1, 2}),
+        (("x^2 - x*y", "y^2 - x*y + z^2"), set()),
+        (("1 + x*y",), set()),
+    ])
+    def test_known_axes(self, ring_q3, texts, axes):
+        assert ideals._open_axes([P(t, ring_q3) for t in texts], 3) == axes
+
+    def test_refutes_a_term_on_the_axis(self, ring_q3, monkeypatch):
+        # z^3 + x*y lies outside (x^2 + y^2*z), which lies in (x, y); so does 3 + x
+        i = ideal(ring_q3, "x^2 + y^2*z")
+        monkeypatch.setattr(ideals, "_escalated_membership", lambda f, gens: pytest.fail("escalated"))
+        assert not i.contains_element(P("z^3 + x*y", ring_q3))
+        assert not i.contains_element(P("3 + x", ring_q3))
 
 
 def intake_of(pk, survivors, order):
@@ -453,6 +524,20 @@ class TestHandOver:
         f = P(text, ring)
         self.assert_hand_over_exact(f.scalar_mul(scalar) if field is QQ else f, n)
 
+    @pytest.mark.parametrize("field", [QQ, GF(5)])
+    @pytest.mark.parametrize("high", [False, True])
+    def test_packed_generators_reuse_the_handed_terms(self, field, high):
+        ring = RingContext(("x", "y"), field)
+        i = nash_ideal_t(P("x^3+x*y^4", ring).scalar_mul(Fraction(-2, 9) if field is QQ else 1), 3)
+        carried = i.generators.packed[-1][0]
+        if high:
+            # a generator too high for the minors' packing: their terms move
+            i = Ideal(ring, [ring.monomial((0, 300))]) + i
+        packed = i._packed_generators
+        pk = packed.packing
+        assert (pk.width > carried.width) == high
+        assert packed.reducers == sorted(map(pk.element, map(pk.pack, i.generators)), key=ideals._rank)
+
     @staticmethod
     def assert_hand_over_exact(f, n):
         """The capped intake of (f) + J_n(f) from handed-over keys, against its polynomials."""
@@ -515,6 +600,34 @@ class TestHandOver:
         basis = try_primary_standard_basis(ideal.generators, ring_q3)
         assert basis is not None
         assert basis.dimension() == 386
+
+
+class TestPackedOnce:
+    """A computed basis keeps the packed terms of its elements for its queries."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_kept_terms_are_the_packed_elements(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        gens = data.draw(st.lists(nonzero_polynomial_strategy(ring, max_terms=3, max_degree=4), min_size=1, max_size=3))
+        if field is QQ:
+            gens = [g.scalar_mul(data.draw(st.sampled_from([1, -1, Fraction(-3, 7), 5**30]))) for g in gens]
+        if data.draw(st.booleans()):
+            gens += [ring.monomial(alpha) for alpha in multi_indices_in_range(nvars, 4, 4)]
+        order = data.draw(st.sampled_from([LOCAL_DEGREE, GRADED_LEX]))
+        basis = compute_standard_basis(gens, ring, order)
+        if not basis.elements:
+            return
+        assert basis._packed_terms is not None
+        pk = basis.packed.packing
+        assert basis.packed.reducers == sorted(map(pk.element, map(pk.pack, basis.elements)), key=ideals._rank)
+        if basis.truncation is None and order.is_local:
+            return  # an unbounded Mora walk need not end
+        f = data.draw(polynomial_strategy(ring, max_terms=4, max_degree=6))
+        assert basis.normal_form(f) == weak_normal_form(f, list(basis.elements), order, basis.truncation)
+        assert basis.contains(f) == basis.normal_form(f).is_zero()
 
 
 class TestCompletionOutput:
