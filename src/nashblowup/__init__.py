@@ -43,7 +43,6 @@ from .jacobian import (
 )
 from .parsing import PolynomialSyntaxError, format_polynomial, parse_polynomial
 from .polynomials import (
-    GRADED_LEX,
     LOCAL_DEGREE,
     MonomialOrder,
     Polynomial,
@@ -57,7 +56,6 @@ __all__ = [
     "CoefficientField",
     "ContactTransform",
     "GF",
-    "GRADED_LEX",
     "HarnessConfig",
     "INFINITE",
     "Ideal",

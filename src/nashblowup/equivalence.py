@@ -33,10 +33,6 @@ class LocalAutomorphism:
             if g.ring != self.ring:
                 raise ValueError("image lives in a different ring context")
 
-    @classmethod
-    def identity(cls, ring: RingContext) -> "LocalAutomorphism":
-        return cls(ring, tuple(ring.variable(i) for i in range(ring.nvars)))
-
     def linear_part(self) -> list[list]:
         """Matrix of coefficients of x_j in images[i]."""
         d = self.ring.nvars

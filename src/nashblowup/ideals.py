@@ -1,10 +1,12 @@
 """Ideals in the local ring at the origin.
 
 Equality, membership, and containment refer to the localization of the
-polynomial ring at the maximal ideal (x_1, ..., x_d).  The computational
-backbone is a standard-basis completion: Buchberger's algorithm with the
-ordinary division normal form for global orders, and with Mora's weak
-normal form (ecart selection) for local degree orders.
+polynomial ring at the maximal ideal (x_1, ..., x_d), and every standard
+basis is one for the local degree order.  The computational backbone is
+Mora's completion (Buchberger's pairs with the weak normal form and its
+ecart selection), run capped to certify finite colength, and Lazard's
+route for everything else: homogenize, complete under graded lex in a
+private global step, dehomogenize.
 
 Canonical form.  For a local order, the fully tail-reduced standard basis
 of an ideal need not consist of polynomials: reducing the tail of
@@ -34,11 +36,12 @@ Packed kernel.  The weak normal form, the completion, the tail reduction
 and the linear membership certificate run on packed polynomials: dicts from
 int monomial keys to int coefficients.  A key holds one field of w bits per
 variable, x_1 highest, each with a guard bit above it, and the total degree
-above all fields: ``fields + (deg << S)`` under GRADED_LEX and
-``fields - (deg << S)`` under LOCAL_DEGREE, so under either order the
-leading term is ``max(keys)``, a product of monomials is the sum of their
-keys, x^a divides x^b iff ``not (b - a) & guards``, and deg < B is one
-comparison of the key with a threshold.  Coefficients are residues over F_p; over Q a polynomial
+above all fields: ``fields - (deg << S)`` on a local packing and
+``fields + (deg << S)`` on the global (graded lex) one of Lazard's private
+step, so on either the leading term is ``max(keys)``, a product of
+monomials is the sum of their keys, x^a divides x^b iff ``not (b - a) &
+guards``, and deg < B is one comparison of the key with a threshold.
+Coefficients are residues over F_p; over Q a polynomial
 is packed as its positive multiple with coprime integer coefficients, and
 every step keeps coefficients integral (cross-multiplied reductions), which
 changes results only by positive scalars that the unpacked results do not
@@ -49,7 +52,7 @@ could store a monomial past that limit raises _Overflow, and the entry
 point starts over with fields twice as wide, so keys never wrap.  The
 completion keys a pair by ``(deg << S) | fields`` of its lcm, which sorts
 like (total degree, exponent tuple), from guard-bit arithmetic on the
-fields.  Under LOCAL_DEGREE every term of an s-polynomial has at least its
+fields.  On a local packing every term of an s-polynomial has at least its
 lcm's degree, pairs come off the heap by ascending lcm degree and the
 bound only falls, so the loop stops at the first pair whose lcm reaches
 the bound: every pair left would truncate to zero, uncharged.
@@ -60,9 +63,9 @@ Ideal packs its generators once for all its budgeted walks, reusing the
 terms of those handed over packed.  Every completion takes its generators
 through one intake, which packs them in the caller's order, keeps the terms
 of those handed over already packed, and drops each that is a nonzero
-scalar multiple of an earlier one, so the capped attempts, the global
-completion and Lazard's homogenized one all complete the first generator
-of each scalar class.
+scalar multiple of an earlier one, so the capped attempts, the membership
+escalation and Lazard's route all complete the first generator of each
+scalar class.
 The maximal minors of a Jacobian matrix (jacobian._minor_dets) run on a
 local packing wide enough for the capped intake's last cap; each minor kept
 by the scalar-class rule is unpacked once, for the printed generators, and
@@ -77,20 +80,21 @@ first generator of each new pivot of a semi-echelon form (_Echelon, which
 also decides the linear membership certificate): a subset spanning the
 same k-space, hence the same ideal and the same canonical basis.  Each
 capped run cuts them at its key window, over Q making them primitive
-again; Lazard's route, the global route and the membership escalation
-complete the raw list.  _complete_basis returns packed elements with their
-packing; minimalization, the staircase read-off, the truncation and the
-tail reduction of a finished basis run on those same keys, and each element
-is unpacked once, monic, when the ReducedStandardBasis is built.  The basis
-keeps the tail-reduced terms and builds its reducers from them on its first
-query, each scaled to what packing its monic element gives (monic over F_p,
-primitive with a positive lead over Q), so a computed basis is never packed
-again and its normal forms are the ones a fresh packing gives; its
-membership test reads the packed normal form.  Lazard's route
-moves the keys of its homogeneous completion into a local packing by way of
-their exponent tuples, and the membership escalation reduces on the packing
-of its capped completion, which holds the cap.  Every public signature and
-every printed result is the one the tuple/Fraction arithmetic gives.
+again; Lazard's route and the membership escalation complete the raw list.
+Lazard's route takes it through the same intake, monomial * unit replaced,
+homogenizes the keys and processes them in the order graded lex gives the
+homogenized polynomials; it moves the keys of its homogeneous completion
+into a local packing by way of their exponent tuples.  _complete_basis
+returns packed elements with their packing; minimalization, the staircase
+read-off, the truncation and the tail reduction of a finished basis run on
+those same keys, and each element is unpacked once, monic, when the
+ReducedStandardBasis is built.  The basis keeps the tail-reduced terms, a
+nonzero multiple of each element, and builds its reducers from them on its
+first query, so a computed basis is never packed again; its membership test
+reads whether the packed normal form is zero, which no scale changes.  The
+membership escalation reduces on the packing of its capped completion,
+which holds the cap.  Every public signature and every printed result is
+the one the tuple/Fraction arithmetic gives.
 """
 
 from __future__ import annotations
@@ -103,17 +107,14 @@ from functools import cached_property
 from itertools import groupby
 from math import gcd, lcm
 from operator import itemgetter, lshift
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .polynomials import (
-    GRADED_LEX,
     LOCAL_DEGREE,
-    MonomialOrder,
     MultiIndex,
     Polynomial,
     RingContext,
     multi_indices_in_range,
-    poly_sort_key,
 )
 
 
@@ -163,7 +164,7 @@ class _Overflow(Exception):
 
 
 class _Packing:
-    """Monomial keys and integer coefficients for one ring, order and width."""
+    """Monomial keys and integer coefficients for one ring, key layout and width."""
 
     __slots__ = ("ring", "p", "local", "width", "limit", "shifts", "deg_shift", "guards", "far")
 
@@ -185,9 +186,9 @@ class _Packing:
         self.far = 1 << (self.deg_shift + width + 3)
 
     @classmethod
-    def sized(cls, ring: RingContext, order: MonomialOrder, top: int) -> "_Packing":
+    def sized(cls, ring: RingContext, top: int, local: bool = True) -> "_Packing":
         """Fields for monomials up to total degree ``top``, with room to double."""
-        return cls(ring, order.is_local, max(8, (2 * top + 1).bit_length()))
+        return cls(ring, local, max(8, (2 * top + 1).bit_length()))
 
     def wider(self) -> "_Packing":
         return _Packing(self.ring, self.local, 2 * self.width)
@@ -370,13 +371,11 @@ class _PackedBasis(tuple):
     def __new__(
         cls,
         elements: Iterable[Polynomial],
-        order: MonomialOrder,
         packing: _Packing,
         terms: Iterable[dict[int, int]] | None = None,
     ):
-        """``terms``, when given, are ``packing.pack`` of each element, in order."""
+        """``terms``, when given, are a nonzero multiple of each element on ``packing``'s keys, in order."""
         self = super().__new__(cls, elements)
-        self.order = order
         self.packing = packing
         if terms is None:
             terms = map(packing.pack, self)
@@ -384,29 +383,26 @@ class _PackedBasis(tuple):
         return self
 
     @classmethod
-    def fitted(
-        cls, elements: Sequence[Polynomial], ring: RingContext, order: MonomialOrder, top: int = 0
-    ) -> "_PackedBasis":
-        """Packed with fields sized for the elements' degrees and ``top``."""
+    def fitted(cls, elements: Sequence[Polynomial], ring: RingContext, top: int = 0) -> "_PackedBasis":
+        """Packed locally, with fields sized for the elements' degrees and ``top``."""
         top = max(top, max((p.total_degree() for p in elements), default=0))
-        return cls(elements, order, _Packing.sized(ring, order, top))
+        return cls(elements, _Packing.sized(ring, top))
 
 
 def weak_normal_form(
     f: Polynomial,
     basis: Sequence[Polynomial],
-    order: MonomialOrder = LOCAL_DEGREE,
     bound: int | None = None,
     step_limit: int | None = None,
     cost_budget: list[int] | None = None,
 ) -> Polynomial | None:
     """Weak normal form of f against basis.
 
-    Returns h with u*f - h in (basis) for some unit u of the local ring
-    (u = 1 for global orders); h = 0 iff f lies in the ideal generated by
-    a standard basis.  Local orders use Mora's algorithm: reduce by a
-    divisor of minimal ecart and record the intermediate result as an
-    extra reducer whenever its ecart is smaller, which forces termination.
+    Returns h with u*f - h in (basis) for some unit u of the local ring;
+    h = 0 iff f lies in the ideal generated by a standard basis.  Mora's
+    algorithm: reduce by a divisor of minimal ecart and record the
+    intermediate result as an extra reducer whenever its ecart is smaller,
+    which forces termination.
     Among divisors of minimal ecart the shortest, then the first, is used.
     ``bound`` truncates all intermediate terms at that total degree and is
     only sound when m^bound is contained in the ideal.  ``step_limit``
@@ -418,8 +414,8 @@ def weak_normal_form(
     h = f.truncate_at_degree(bound)
     if h.is_zero() or not basis:
         return h
-    if not (isinstance(basis, _PackedBasis) and basis.order == order):
-        basis = _PackedBasis.fitted(basis, f.ring, order, max(h.total_degree(), (bound or 0) - 1))
+    if not isinstance(basis, _PackedBasis):
+        basis = _PackedBasis.fitted(basis, f.ring, max(h.total_degree(), (bound or 0) - 1))
     reduced = _packed_weak_normal_form(h, basis, bound, step_limit, cost_budget)
     if reduced is None:
         return None
@@ -454,7 +450,7 @@ def _packed_weak_normal_form(
         except _Overflow:
             if cost_budget is not None:
                 cost_budget[0] = budget
-            basis = _PackedBasis(basis, basis.order, pk.wider())
+            basis = _PackedBasis(basis, pk.wider())
             continue
         return None if out is None else (pk, packed, out)
 
@@ -491,15 +487,14 @@ def _staircase(lead_monomials: Sequence[MultiIndex], nvars: int) -> tuple[int, i
 
 def _complete_basis(
     generators: Sequence[Polynomial],
-    order: MonomialOrder,
     hard_cap: int | None = None,
     cost_budget: list[int] | None = None,
 ) -> tuple[_Packing, list[tuple]] | None:
-    """Buchberger/Mora completion; returns a standard basis as packed elements.
+    """Mora completion; returns a local standard basis as packed elements.
 
-    For local orders the truncation bound tightens as the staircase of the
-    current leading monomials closes: with s its top standard-monomial
-    degree, m^(s+1) already lies inside the ideal spanned so far.  With
+    The truncation bound tightens as the staircase of the current leading
+    monomials closes: with s its top standard-monomial degree, m^(s+1)
+    already lies inside the ideal spanned so far.  With
     ``hard_cap`` set, all arithmetic is truncated at that degree from the
     start, so the result is a standard basis of (ideal) + m^hard_cap; the
     caller must certify afterwards that this equals the ideal itself.
@@ -508,21 +503,19 @@ def _complete_basis(
     ``cost_budget`` aborts oversized runs, returning None.  The elements come
     with the packing that holds them, in insertion order; over Q they are
     primitive integer polynomials, over F_p monic.  Pairs are keyed by
-    (lcm degree, lcm fields) as one int; a local run stops at the first pair
+    (lcm degree, lcm fields) as one int; the run stops at the first pair
     whose lcm degree reaches the bound (see the module docstring) and reads
     the staircase only once every variable has a pure-power lead.
     """
     ring = generators[0].ring
-    cap = hard_cap if order.is_local else None
     top = max(g.total_degree() for g in generators)
     # a capped run stores nothing above the cap; an uncapped one has no a
-    # priori bound, and Lazard's homogenized runs reach 11-13 times the
-    # input degree on plane germs, so it starts with room for 16 times
-    pk = _Packing.sized(ring, order, max(top, cap - 1) if cap is not None else 8 * top)
+    # priori bound, so it starts with room for 16 times the input degree
+    pk = _Packing.sized(ring, max(top, hard_cap - 1) if hard_cap is not None else 8 * top)
     budget = None if cost_budget is None else cost_budget[0]
     while True:
         try:
-            return _run_completion(pk, _intake(pk, generators, order), cap, cost_budget)
+            return _run_completion(pk, _intake(pk, generators), hard_cap, cost_budget)
         except _Overflow:
             if cost_budget is not None:
                 cost_budget[0] = budget
@@ -570,28 +563,20 @@ class _Generators(tuple):
         return _Generators(a + b, (pa or (None,) * len(a)) + (pb or (None,) * len(b)))
 
 
-def _intake(
-    pk: _Packing, generators: Sequence[Polynomial], order: MonomialOrder, units: bool = False
-) -> list[tuple]:
-    """(packed terms, lead coefficient size over Q for the first charge) per generator, in processing order.
+def _kept(pk: _Packing, generators: Sequence[Polynomial], units: bool) -> list[tuple]:
+    """(lead, terms, exact values, their scale or None, polynomial or None) of the
+    first generator of each scalar class, in the caller's order.
 
-    The generators come in the caller's order: one handed over packed
-    (_Generators) keeps its terms, moved to ``pk``'s keys by way of their
-    exponent tuples when its packing has another width; every other nonzero
-    one is packed here.  With ``units`` (a local order) one of the shape
-    monomial * unit, whose lead divides every term, becomes that monomial.
-    One whose scalar class was seen before is dropped, so the first of each
-    class survives; the survivors are then sorted by poly_sort_key, largest
-    first.  That order is read from keys: lead keys order like the leads'
-    sort keys, and on equal leads exponent tuples order like ``key &
-    fields_mask``; coefficients compare as integers where the tied
-    generators share one positive scale (every residue over F_p, the minors
-    of one matrix over Q), and by poly_sort_key otherwise.
+    One handed over packed (_Generators) keeps its terms, moved to ``pk``'s
+    keys by way of their exponent tuples when its packing has another width;
+    every other nonzero one is packed here.  With ``units`` (a local packing)
+    one of the shape monomial * unit, whose lead divides every term, becomes
+    that monomial, with no polynomial.
     """
-    p, guards, fields_mask = pk.p, pk.guards, (1 << pk.deg_shift) - 1
+    p, guards = pk.p, pk.guards
     handed = getattr(generators, "packed", None) or (None,) * len(generators)
     seen = set()
-    kept = []  # (lead, terms, exact values, their scale or None, polynomial or None)
+    kept = []
     for g, given in zip(generators, handed):
         if given is None:
             terms = pk.pack(g)
@@ -613,16 +598,31 @@ def _intake(
         if key not in seen:
             seen.add(key)
             kept.append((lead, terms, values, scale, g))
-    kept.sort(key=_lead, reverse=True)
+    return kept
+
+
+def _ordered(pk: _Packing, kept: list[tuple], rank: Callable[[tuple], object], mask: int) -> list[tuple]:
+    """(packed terms, lead coefficient size over Q for the first charge) of _kept's
+    generators, largest ``rank`` first.
+
+    Generators of equal rank are ordered by their term lists, largest first,
+    each term as (key & mask, coefficient): coefficients compare as integers
+    where the tied generators share one positive scale (every residue over
+    F_p, the minors of one matrix over Q), and as the generators' own
+    coefficients otherwise.
+    """
+    p = pk.p
+    kept.sort(key=rank, reverse=True)
     out = []
-    for _, group in groupby(kept, key=_lead):
+    for _, group in groupby(kept, key=rank):
         tied = list(group)
         if len(tied) > 1 and tied[0][3] is not None and all(item[3] == tied[0][3] for item in tied):
-            tied.sort(key=lambda item: sorted([(k & fields_mask, c) for k, c in item[2].items()]), reverse=True)
+            tied.sort(key=lambda item: sorted([(k & mask, c) for k, c in item[2].items()]), reverse=True)
         elif len(tied) > 1:
-            # the monomial of a monomial * unit is built only here
-            tied.sort(key=lambda item: poly_sort_key(
-                pk.ring.monomial(pk.monomial(item[0])) if item[4] is None else item[4], order), reverse=True)
+            # the monomial of a monomial * unit has coefficient 1
+            tied.sort(key=lambda item: sorted([
+                (k & mask, 1 if item[4] is None else item[4].terms[pk.monomial(k)]) for k in item[2]
+            ]), reverse=True)
         for lead, terms, values, scale, g in tied:
             bits = None
             if not p and scale is not None:
@@ -635,6 +635,17 @@ def _intake(
                 bits = lc.numerator.bit_length() + lc.denominator.bit_length()
             out.append((terms, bits))
     return out
+
+
+def _intake(pk: _Packing, generators: Sequence[Polynomial], units: bool = False) -> list[tuple]:
+    """(packed terms, lead coefficient size over Q for the first charge) per generator, in processing order.
+
+    The first generator of each scalar class survives (_kept).  The
+    survivors are sorted by lead, largest first, and on equal leads by their
+    sorted lists of (exponent tuple, coefficient), largest first; lead keys
+    order like the leads, and exponent tuples like ``key & fields_mask``.
+    """
+    return _ordered(pk, _kept(pk, generators, units), _lead, (1 << pk.deg_shift) - 1)
 
 
 def _moved(src: _Packing, pk: _Packing, terms: dict[int, int]) -> dict[int, int]:
@@ -662,7 +673,11 @@ def _primitive(terms: dict[int, int]) -> dict[int, int]:
 def _run_completion(
     pk: _Packing, gens: list[tuple], bound: int | None, cost_budget: list[int] | None
 ) -> tuple[_Packing, list[tuple]] | None:
-    """The body of _complete_basis on one packing; cuts _intake's generators at the cap ``bound``."""
+    """The body of _complete_basis on one packing; cuts _intake's generators at the cap ``bound``.
+
+    On a global packing, uncapped, it is the graded-lex Buchberger step of
+    Lazard's route.
+    """
     ring = pk.ring
     p, local, limit, guards, width, deg_shift = pk.p, pk.local, pk.limit, pk.guards, pk.width, pk.deg_shift
     fields_mask = (1 << deg_shift) - 1
@@ -672,8 +687,8 @@ def _run_completion(
     basis: list[tuple] = []  # packed elements, in insertion order
     ranked: list[tuple] = []  # the same, sorted stably by rank
     fields: list[int] = []  # the fields of their leading monomials
-    lms: list[MultiIndex] = []  # local orders: the same as exponent tuples
-    pure: set[int] = set()  # local orders: the variables with a pure-power lead
+    lms: list[MultiIndex] = []  # local packings: the same as exponent tuples
+    pure: set[int] = set()  # local packings: the variables with a pure-power lead
     pairs: list[tuple[int, int, int]] = []
 
     def lcm_fields(a: int, b: int) -> int:
@@ -707,7 +722,7 @@ def _run_completion(
         if not h:
             return True
         if not local and basis:
-            # global orders: tail reduction terminates and keeps elements
+            # global packing: tail reduction terminates and keeps elements
             # (hence later s-polynomials) small
             h = _tail_reduce(pk, h, basis, None, None)
         # primitive over Q, monic over F_p; unit scale either way
@@ -879,17 +894,6 @@ def _reduced_elements(
     return out
 
 
-def _as_packed(pk: _Packing, terms: dict[int, int]) -> dict[int, int]:
-    """The multiple of nonzero packed terms that ``pk.pack`` gives for their monic
-    polynomial: monic over F_p, primitive with a positive lead over Q."""
-    lc = terms[max(terms)]
-    if pk.p:
-        inv = pow(lc, -1, pk.p)
-        return {k: c * inv % pk.p for k, c in terms.items()} if inv != 1 else terms
-    content = gcd(*terms.values()) if lc > 0 else -gcd(*terms.values())
-    return {k: c // content for k, c in terms.items()} if content != 1 else terms
-
-
 class _Echelon:
     """A semi-echelon form of packed rows: each pivot under its lead key.
 
@@ -973,7 +977,7 @@ def _linear_membership_certificate(
     """
     ring = f.ring
     top = max(g.total_degree() for g in (f, *gens)) + degree_bound
-    pk = _Packing.sized(ring, LOCAL_DEGREE, top)
+    pk = _Packing.sized(ring, top)
     echelon = _Echelon(pk.p)
     target = pk.pack(f)
     rows = [pk.pack(g) for g in gens]
@@ -1008,7 +1012,7 @@ def _escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
     for _ in range(12):
         if _linear_membership_certificate(f, gens, degree_bound):
             return True
-        pk, capped = _complete_basis(gens, LOCAL_DEGREE, hard_cap=cap)
+        pk, capped = _complete_basis(gens, hard_cap=cap)
         # the packing holds the cap, so the normal form cannot overflow
         if _normal_form(pk, pk.pack(f.truncate_at_degree(cap)), sorted(capped, key=_rank), cap):
             return False
@@ -1019,10 +1023,9 @@ def _escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
 
 @dataclass(frozen=True)
 class ReducedStandardBasis:
-    """Monic, minimal, tail-reduced standard basis, sorted leading-first.
+    """Monic, minimal, tail-reduced local standard basis, sorted leading-first.
 
-    For global orders this is the reduced Groebner basis; for local orders
-    the elements are tail-reduced inside the truncated arithmetic described
+    The elements are tail-reduced inside the truncated arithmetic described
     in the module docstring.  ``truncation`` is the degree above which terms
     were dropped (m^truncation lies in the ideal); None for ideals of
     infinite colength.  ``staircase`` is (count, top degree) of the standard
@@ -1030,7 +1033,6 @@ class ReducedStandardBasis:
     """
 
     ring: RingContext
-    order: MonomialOrder
     elements: tuple[Polynomial, ...]
     truncation: int | None = None
     staircase: tuple[int, int] | None = dc_field(init=False, compare=False, repr=False)
@@ -1048,15 +1050,15 @@ class ReducedStandardBasis:
     def packed(self) -> _PackedBasis:
         """The elements with their packed reducers, built on the first query."""
         if self._packed_terms is None:
-            return _PackedBasis.fitted(self.elements, self.ring, self.order)
+            return _PackedBasis.fitted(self.elements, self.ring)
         pk, terms = self._packed_terms
-        return _PackedBasis(self.elements, self.order, pk, [
-            pk.pack(el) if t is None else _as_packed(pk, t) for el, t in zip(self.elements, terms)
+        return _PackedBasis(self.elements, pk, [
+            pk.pack(el) if t is None else t for el, t in zip(self.elements, terms)
         ])
 
     @property
     def leading_monomials(self) -> tuple[MultiIndex, ...]:
-        return tuple(p.leading_monomial(self.order) for p in self.elements)
+        return tuple(p.leading_monomial(LOCAL_DEGREE) for p in self.elements)
 
     @property
     def is_unit_ideal(self) -> bool:
@@ -1066,25 +1068,20 @@ class ReducedStandardBasis:
     def is_m_primary(self) -> bool:
         return self.staircase is not None
 
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        if f.ring != self.ring:
-            raise ValueError("polynomial lives in a different ring context")
-        return weak_normal_form(f, self.packed, self.order, self.truncation)
-
     def contains(self, f: Polynomial) -> bool:
         """Exact membership of f in the ideal spanned by the basis.
 
-        Finite colength and global orders use the normal form directly.
-        Otherwise a short Mora walk is attempted, and if it does not settle
-        quickly the answer is decided by the capped-refutation / linear-
-        certificate escalation over the basis elements.  Either way the
-        packed normal form is tested for zero without being unpacked.
+        Finite colength uses the normal form directly.  Otherwise a short
+        Mora walk is attempted, and if it does not settle quickly the answer
+        is decided by the capped-refutation / linear-certificate escalation
+        over the basis elements.  Either way the packed normal form is
+        tested for zero without being unpacked.
         """
         if f.ring != self.ring:
             raise ValueError("polynomial lives in a different ring context")
         if not self.elements:
             return f.is_zero()
-        if self.truncation is not None or not self.order.is_local:
+        if self.truncation is not None:
             return self._reduces_to_zero(f, None)
         zero = self._reduces_to_zero(f, 120)
         return _escalated_membership(f, self.elements) if zero is None else zero
@@ -1150,16 +1147,13 @@ def _finish_primary(pk: _Packing, minimal: list[tuple], top_std_degree: int) -> 
     border = _border([pk.monomial(el[0]) for el in kept], ring.nvars, B)
     elements += [(pk.key(alpha), None, ring.monomial(alpha)) for alpha in border]
     elements.sort(key=_lead, reverse=True)
-    return _reduced_basis(pk, LOCAL_DEGREE, elements, B)
+    return _reduced_basis(pk, elements, B)
 
 
-def _reduced_basis(
-    pk: _Packing, order: MonomialOrder, elements: list[tuple], truncation: int | None
-) -> ReducedStandardBasis:
+def _reduced_basis(pk: _Packing, elements: list[tuple], truncation: int | None) -> ReducedStandardBasis:
     """The basis of (leading key, packed terms or None, element) entries, keeping the terms."""
     return ReducedStandardBasis(
-        pk.ring, order, tuple(el[2] for el in elements), truncation,
-        (pk, tuple(el[1] for el in elements)),
+        pk.ring, tuple(el[2] for el in elements), truncation, (pk, tuple(el[1] for el in elements))
     )
 
 
@@ -1176,7 +1170,7 @@ def _cap_schedule(multiplicity: int) -> list[int]:
 
 
 def _complete_local_by_homogenization(
-    gens: Sequence[Polynomial], ring: RingContext
+    generators: Sequence[Polynomial], ring: RingContext
 ) -> tuple[_Packing, list[tuple]]:
     """Standard basis via Lazard's route: homogenize, run a global Buchberger,
     dehomogenize.
@@ -1186,54 +1180,47 @@ def _complete_local_by_homogenization(
     untruncated ecart-driven walk can.  The dehomogenized Groebner basis of
     the homogenized generators is a standard basis for the local order,
     returned as packed elements of a local packing that also holds the
-    border degree of _finish_primary.
+    border degree of _finish_primary.  The generators come through the
+    capped runs' intake, monomial * unit replaced by the monomial, and are
+    completed in the order graded lex gives their homogenizations: largest
+    top degree T first, then largest local lead; on ties by the term lists,
+    where at the shared T the exponent (T - |b|, b) orders like the local
+    key of b.
     """
+    pk = _capped_packing(generators, ring)
+    # local keys: a generator's lowest key has its top degree
+    gens = _ordered(pk, _kept(pk, generators, units=True), lambda item: (pk.degree(min(item[1])), item[0]), -1)
+    tops = [pk.degree(min(terms)) for terms, _ in gens]
     tname = "t"
     while tname in ring.variables:
         tname += "_"
-    hring = RingContext((tname,) + ring.variables, ring.field)
-
-    def homogenize(p: Polynomial) -> Polynomial:
-        top = p.total_degree()
-        return Polynomial(
-            hring, {(top - sum(a),) + a: c for a, c in p.terms.items()}, _canonical=True
-        )
-
     # graded lex on (t, x_1, ..., x_d): at a fixed total degree a larger t
     # is a smaller degree in x, so ties fall to the local order on the x part
-    hpk, raw = _complete_basis([homogenize(g) for g in gens], GRADED_LEX)
+    hring = RingContext((tname,) + ring.variables, ring.field)
+    # the homogenized runs reach 11-13 times the input degree on plane
+    # germs, so they start with room for 16 times
+    hpk = _Packing.sized(hring, 8 * max(tops), local=False)
+    while True:
+        try:
+            hgens = [
+                ({hpk.key((top - pk.degree(k),) + pk.monomial(k)): c for k, c in terms.items()}, bits)
+                for (terms, bits), top in zip(gens, tops)
+            ]
+            hpk, raw = _run_completion(hpk, hgens, None, None)
+            break
+        except _Overflow:
+            hpk = hpk.wider()
     # each element is homogeneous, so x-parts of distinct terms never collide
     dehomogenized = [{hpk.monomial(k)[1:]: c for k, c in _terms(el).items()} for el in raw]
     # an m-primary leading ideal holds pure powers of degree <= top, so its
     # staircase ends below degree nvars * top
     top = max(sum(a) for terms in dehomogenized for a in terms)
-    pk = _Packing.sized(ring, LOCAL_DEGREE, ring.nvars * top)
+    pk = _Packing.sized(ring, ring.nvars * top)
     return pk, [pk.element({pk.key(a): c for a, c in terms.items()}) for terms in dehomogenized]
 
 
-def _simplify_generators(gens: Iterable[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    """The nonzero generators, each of the shape monomial * unit replaced by
-    the monomial under a local order.
-
-    The replacement runs before Lazard's route homogenizes the generators:
-    the printed basis of an ideal of infinite colength depends on the
-    generator list.  Scalar multiples are dropped later, at the intake.
-    """
-    out = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        if order.is_local:
-            content = tuple(map(min, zip(*g.terms)))
-            if sum(content) and content in g.terms:
-                # constant term of the cofactor is nonzero: the cofactor is a unit
-                g = g.ring.monomial(content)
-        out.append(g)
-    return out
-
-
-def _capped_intake(generators: Sequence[Polynomial], ring: RingContext) -> tuple[_Packing, list[tuple]]:
-    """The packing of the capped runs and their _intake of the generators, monomial * unit replaced.
+def _capped_packing(generators: Sequence[Polynomial], ring: RingContext) -> _Packing:
+    """The packing of the capped runs, which holds every generator and every degree they store.
 
     The last cap is 2 * max(4, 2 + the largest multiplicity) (_cap_schedule),
     so 2 * max(4, 2 + D) - 1, with D the largest generator degree, bounds
@@ -1241,11 +1228,9 @@ def _capped_intake(generators: Sequence[Polynomial], ring: RingContext) -> tuple
     generators is sized by the same rule for them (jacobian._packed_cells);
     the widest packing serves, since the width changes no key order.
     """
-    order = LOCAL_DEGREE
     handed = getattr(generators, "packed", None) or (None,) * len(generators)
     top = max((g.total_degree() for g, given in zip(generators, handed) if given is None), default=0)
-    pk = _widest(_Packing.sized(ring, order, 2 * max(4, 2 + top) - 1), handed)
-    return pk, _intake(pk, generators, order, units=True)
+    return _widest(_Packing.sized(ring, 2 * max(4, 2 + top) - 1), handed)
 
 
 def _span_basis(p: int, gens: list[tuple]) -> list[tuple]:
@@ -1293,10 +1278,12 @@ def try_primary_standard_basis(
     """
     if any(g.terms for g in generators) and _open_axes(generators, ring.nvars):
         return None
-    # packed once for every cap; the packing holds the last cap, so no run overflows
-    pk, gens = _capped_intake(generators, ring)
+    # packed once for every cap, monomial * unit replaced; the packing holds
+    # the last cap, so no run overflows
+    pk = _capped_packing(generators, ring)
+    gens = _intake(pk, generators, units=True)
     if not gens:
-        return ReducedStandardBasis(ring, LOCAL_DEGREE, ())
+        return ReducedStandardBasis(ring, ())
     # processing order puts the largest lead degree, the largest multiplicity, last
     caps = _cap_schedule(pk.degree(max(gens[-1][0])))
     gens = _span_basis(pk.p, gens)
@@ -1312,33 +1299,20 @@ def try_primary_standard_basis(
     return None
 
 
-def compute_standard_basis(
-    generators: Sequence[Polynomial], ring: RingContext, order: MonomialOrder
-) -> ReducedStandardBasis:
-    if order.is_local:
-        # replaces monomial * unit on its packed keys; the fallback below
-        # does so on the polynomials, ahead of homogenization
-        basis = try_primary_standard_basis(generators, ring)
-        if basis is not None:
-            return basis
-    gens = _simplify_generators(generators, order)
-    if not gens:
-        return ReducedStandardBasis(ring, order, ())
-    if order.is_local:
-        # exact fallback for everything else (including infinite colength)
-        pk, raw = _complete_local_by_homogenization(gens, ring)
-    else:
-        pk, raw = _complete_basis(gens, order)
+def compute_standard_basis(generators: Sequence[Polynomial], ring: RingContext) -> ReducedStandardBasis:
+    basis = try_primary_standard_basis(generators, ring)
+    if basis is not None:
+        return basis
+    # exact fallback for everything else (including infinite colength)
+    pk, raw = _complete_local_by_homogenization(generators, ring)
     minimal = _minimalize(pk, raw)
-    cap = None
-    if order.is_local:
-        stats = _staircase([pk.monomial(el[0]) for el in minimal], ring.nvars)
-        if stats is not None:
-            return _finish_primary(pk, minimal, stats[1])
-        # infinite colength: cap tail growth at the largest degree present
-        # (local keys: the highest degree has the lowest key)
-        cap = pk.degree(min(k for el in minimal for k in _terms(el)))
-    return _reduced_basis(pk, order, _reduced_elements(pk, minimal, None, cap), None)
+    stats = _staircase([pk.monomial(el[0]) for el in minimal], ring.nvars)
+    if stats is not None:
+        return _finish_primary(pk, minimal, stats[1])
+    # infinite colength: cap tail growth at the largest degree present
+    # (local keys: the highest degree has the lowest key)
+    cap = pk.degree(min(k for el in minimal for k in _terms(el)))
+    return _reduced_basis(pk, _reduced_elements(pk, minimal, None, cap), None)
 
 
 class Ideal:
@@ -1346,7 +1320,7 @@ class Ideal:
 
     def __init__(self, ring: RingContext, generators: Iterable[Polynomial]):
         self.ring = ring
-        self._bases: dict[MonomialOrder, ReducedStandardBasis] = {}
+        self._basis: ReducedStandardBasis | None = None
         self._primary_attempt: ReducedStandardBasis | None | bool = False  # False = not tried
         if isinstance(generators, _Generators):
             # handed over packed by this package (jacobian minors, sums):
@@ -1364,10 +1338,6 @@ class Ideal:
     # -- construction helpers
 
     @classmethod
-    def zero(cls, ring: RingContext) -> "Ideal":
-        return cls(ring, [])
-
-    @classmethod
     def unit(cls, ring: RingContext) -> "Ideal":
         return cls(ring, [ring.one()])
 
@@ -1375,21 +1345,12 @@ class Ideal:
         inner = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal({inner})"
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.generators
+    # -- standard basis
 
-    # -- standard bases
-
-    def standard_basis(self, order: MonomialOrder = LOCAL_DEGREE) -> ReducedStandardBasis:
-        basis = self._bases.get(order)
-        if basis is None:
-            basis = compute_standard_basis(self.generators, self.ring, order)
-            self._bases[order] = basis
-        return basis
-
-    def normal_form(self, f: Polynomial, order: MonomialOrder = LOCAL_DEGREE) -> Polynomial:
-        return self.standard_basis(order).normal_form(f)
+    def standard_basis(self) -> ReducedStandardBasis:
+        if self._basis is None:
+            self._basis = compute_standard_basis(self.generators, self.ring)
+        return self._basis
 
     # -- membership / comparison (local semantics)
 
@@ -1402,18 +1363,18 @@ class Ideal:
         gens = self.generators
         handed = getattr(gens, "packed", None) or (None,) * len(gens)
         top = max((g.total_degree() for g, given in zip(gens, handed) if given is None), default=0)
-        pk = _widest(_Packing.sized(self.ring, LOCAL_DEGREE, top), handed)
+        pk = _widest(_Packing.sized(self.ring, top), handed)
         terms = [
             pk.pack(g) if given is None
             else _moved(given[0], pk, given[2] if pk.p else _primitive(given[2]))
             for g, given in zip(gens, handed)
         ]
-        return _PackedBasis(gens, LOCAL_DEGREE, pk, terms)
+        return _PackedBasis(gens, pk, terms)
 
     @cached_property
     def _axes_in_zero_set(self) -> frozenset[int]:
-        # one pass over the terms, shared by the primary attempt and every
-        # membership query
+        # one pass over the terms, shared by every membership query that
+        # the primary attempt leaves undecided
         return _open_axes(self.generators, self.ring.nvars)
 
     def _certified_primary_basis(self) -> ReducedStandardBasis | None:
@@ -1423,16 +1384,10 @@ class Ideal:
         standard bases can be enormous; membership and equality never need
         them (they go through the capped / certificate escalation).
         """
-        cached = self._bases.get(LOCAL_DEGREE)
-        if cached is not None:
-            return cached if cached.is_m_primary or not cached.elements else None
+        if self._basis is not None:
+            return self._basis if self._basis.is_m_primary or not self._basis.elements else None
         if self._primary_attempt is False:
-            if self.generators and self._axes_in_zero_set:
-                self._primary_attempt = None
-            else:
-                self._primary_attempt = try_primary_standard_basis(self.generators, self.ring)
-            if self._primary_attempt is not None:
-                self._bases.setdefault(LOCAL_DEGREE, self._primary_attempt)
+            self._primary_attempt = self._basis = try_primary_standard_basis(self.generators, self.ring)
         return self._primary_attempt
 
     def contains_element(self, f: Polynomial) -> bool:
@@ -1449,7 +1404,7 @@ class Ideal:
             return False
         # infinite colength (or a very deep staircase): decide without the
         # full standard basis; a zero of the budgeted walk is a certificate
-        h = weak_normal_form(f, self._packed_generators, LOCAL_DEGREE, None, step_limit=120)
+        h = weak_normal_form(f, self._packed_generators, step_limit=120)
         if h is not None and h.is_zero():
             return True
         return _escalated_membership(f, self.generators)

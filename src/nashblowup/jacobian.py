@@ -18,13 +18,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .ideals import Ideal, _Generators, _Packing, _scalar_class
-from .polynomials import (
-    LOCAL_DEGREE,
-    MultiIndex,
-    Polynomial,
-    RingContext,
-    multi_indices_in_range,
-)
+from .polynomials import MultiIndex, Polynomial, RingContext, multi_indices_in_range
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,7 @@ def jac_matrix(f: Polynomial, n: int) -> JacobianMatrix:
 # structural zeros are never stored.  The expansion runs on the monomial keys
 # of a local ideals._Packing and on integer coefficients, so a product of two
 # terms is one int addition and one int multiplication.  The packing is the
-# one the capped completion of the minors would choose (ideals._capped_intake),
+# one the capped completion of the minors would choose (ideals._capped_packing),
 # so each kept minor is handed over with its packed terms and reaches the
 # capped runs without being packed again.  Over Q every entry is scaled by the
 # lcm D of all denominators, so a minor comes out D^k times the true one, a
@@ -132,9 +126,9 @@ def _packed_cells(
     top = max((sum(alpha) for terms in distinct.values() for alpha in terms), default=0)
     # a minor has degree at most D = k * top, so keys add without carries;
     # the capped intake of generators of degree at most D needs fields for
-    # 2 * max(4, 2 + D) - 1 (ideals._capped_intake), so the minors reach it
+    # 2 * max(4, 2 + D) - 1 (ideals._capped_packing), so the minors reach it
     # on its own keys
-    pk = _Packing.sized(ring, LOCAL_DEGREE, 2 * max(4, 2 + k * top) - 1)
+    pk = _Packing.sized(ring, 2 * max(4, 2 + k * top) - 1)
     p = pk.p
     den = 1 if p else math.lcm(*(c.denominator for terms in distinct.values() for c in terms.values()))
     packed = {

@@ -20,19 +20,6 @@ MultiIndex = tuple[int, ...]
 # multi-index helpers
 
 
-def mi_sub(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
-    """Componentwise difference; requires alpha >= beta componentwise."""
-    diff = tuple(a - b for a, b in zip(alpha, beta))
-    if any(e < 0 for e in diff):
-        raise ValueError(f"multi-index {alpha} does not dominate {beta}")
-    return diff
-
-
-def mi_divides(alpha: MultiIndex, beta: MultiIndex) -> bool:
-    """True iff x^alpha divides x^beta."""
-    return all(a <= b for a, b in zip(alpha, beta))
-
-
 def _exponents_of_degree(d: int, degree: int) -> Iterator[MultiIndex]:
     """All length-d exponent tuples of the given total degree, lex descending."""
     if d == 1:
@@ -73,10 +60,6 @@ class MonomialOrder:
     def __post_init__(self) -> None:
         if self.kind not in ("graded_lex", "local_degree"):
             raise ValueError(f"unknown monomial order {self.kind!r}")
-
-    @property
-    def is_local(self) -> bool:
-        return self.kind == "local_degree"
 
     def key(self, alpha: MultiIndex):
         deg = sum(alpha)
@@ -209,9 +192,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def leading_coefficient(self, order: MonomialOrder):
-        return self.terms[self.leading_monomial(order)]
-
     def sorted_terms(self) -> list[tuple[MultiIndex, object]]:
         """Terms sorted reading-order: degree ascending, lex descending within a degree."""
         return sorted(self.terms.items(), key=lambda t: (-sum(t[0]), t[0]), reverse=True)
@@ -268,17 +248,6 @@ class Polynomial:
         mul = field.mul
         return Polynomial(self.ring, {a: mul(c, c0) for a, c in self.terms.items()}, _canonical=True)
 
-    def term_mul(self, coeff, alpha: MultiIndex) -> "Polynomial":
-        """Multiply by a single term coeff * x^alpha (coeff already in the field)."""
-        if not coeff:
-            return self.ring.zero()
-        mul = self.ring.field.mul
-        return Polynomial(
-            self.ring,
-            {tuple(x + y for x, y in zip(a, alpha)): mul(c, coeff) for a, c in self.terms.items()},
-            _canonical=True,
-        )
-
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
@@ -291,33 +260,6 @@ class Polynomial:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    def monic(self, order: MonomialOrder) -> "Polynomial":
-        lc = self.leading_coefficient(order)
-        one = self.ring.field.one()
-        if lc == one:
-            return self
-        return self.scalar_mul(self.ring.field.invert(lc))
-
-    def strip_content(self) -> "Polynomial":
-        """Scale by a positive rational so coefficients are coprime integers.
-
-        Identity over prime fields and on zero.  Unit scaling, so ideal
-        membership and leading data are unchanged; it keeps coefficient
-        growth polynomial during basis completion over the rationals.
-        """
-        if self.ring.field.is_prime_field or not self.terms:
-            return self
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        if num_gcd == 1 and den_lcm == 1:
-            return self
-        from fractions import Fraction
-
-        return self.scalar_mul(Fraction(den_lcm, num_gcd))
 
     def truncate_at_degree(self, bound: int | None) -> "Polynomial":
         """Drop every term of total degree >= bound (None keeps everything)."""
@@ -395,7 +337,3 @@ def _substitute_all(
         out.append(total)
     return out
 
-
-def poly_sort_key(p: Polynomial, order: MonomialOrder):
-    """Deterministic total key on polynomials; used to fix processing orders."""
-    return (order.key(p.leading_monomial(order)), sorted(p.terms.items()))

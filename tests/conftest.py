@@ -8,44 +8,50 @@ through single-step classical differentiation, and the Mora normal form
 and the linear membership certificate through the tuple/Fraction
 implementations that predate the library's packed kernel.  The
 standard-basis completion is checked against its earlier pair loop on
-exponent tuples, and the text form of a polynomial against its first
-formatter.
+exponent tuples, Lazard's route against its earlier form on polynomials,
+and the text form of a polynomial against its first formatter.  The
+polynomial helpers only these oracles and the tests use live here too.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from bisect import insort
 from fractions import Fraction
 from math import gcd
 from operator import lshift
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
+from nashblowup.equivalence import LocalAutomorphism
 from nashblowup.fields import GF, QQ
 from nashblowup.ideals import (
+    ReducedStandardBasis,
     _add_shifted,
+    _finish_primary,
+    _minimalize,
     _normal_form,
     _Overflow,
     _Packing,
     _rank,
+    _reduced_basis,
+    _reduced_elements,
     _staircase,
     _tail_reduce,
     _terms,
 )
 from nashblowup.polynomials import (
+    GRADED_LEX,
     LOCAL_DEGREE,
     MonomialOrder,
     MultiIndex,
     Polynomial,
     RingContext,
-    mi_divides,
-    mi_sub,
     multi_indices_in_range,
-    poly_sort_key,
 )
 from nashblowup.parsing import parse_polynomial
 
@@ -77,6 +83,72 @@ def ring_f5() -> RingContext:
 
 def P(text: str, ring: RingContext) -> Polynomial:
     return parse_polynomial(text, ring)
+
+
+# ---------------------------------------------------------------------------
+# polynomial helpers used only by tests and oracles
+
+
+def mi_sub(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
+    """Componentwise difference; requires alpha >= beta componentwise."""
+    diff = tuple(a - b for a, b in zip(alpha, beta))
+    if any(e < 0 for e in diff):
+        raise ValueError(f"multi-index {alpha} does not dominate {beta}")
+    return diff
+
+
+def mi_divides(alpha: MultiIndex, beta: MultiIndex) -> bool:
+    """True iff x^alpha divides x^beta."""
+    return all(a <= b for a, b in zip(alpha, beta))
+
+
+def term_mul(p: Polynomial, coeff, alpha: MultiIndex) -> Polynomial:
+    """p times the single term coeff * x^alpha (coeff already in the field)."""
+    if not coeff:
+        return p.ring.zero()
+    mul = p.ring.field.mul
+    return Polynomial(
+        p.ring,
+        {tuple(x + y for x, y in zip(a, alpha)): mul(c, coeff) for a, c in p.terms.items()},
+        _canonical=True,
+    )
+
+
+def leading_coefficient(p: Polynomial, order: MonomialOrder):
+    return p.terms[p.leading_monomial(order)]
+
+
+def monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
+    lc = leading_coefficient(p, order)
+    if lc == p.ring.field.one():
+        return p
+    return p.scalar_mul(p.ring.field.invert(lc))
+
+
+def strip_content(p: Polynomial) -> Polynomial:
+    """p scaled by a positive rational so its coefficients are coprime integers.
+
+    Identity over prime fields and on zero.
+    """
+    if p.ring.field.is_prime_field or not p.terms:
+        return p
+    num_gcd = 0
+    den_lcm = 1
+    for c in p.terms.values():
+        num_gcd = math.gcd(num_gcd, abs(c.numerator))
+        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    if num_gcd == 1 and den_lcm == 1:
+        return p
+    return p.scalar_mul(Fraction(den_lcm, num_gcd))
+
+
+def poly_sort_key(p: Polynomial, order: MonomialOrder):
+    """Deterministic total key on polynomials; it fixed the processing orders of the completions."""
+    return (order.key(p.leading_monomial(order)), sorted(p.terms.items()))
+
+
+def identity_automorphism(ring: RingContext) -> LocalAutomorphism:
+    return LocalAutomorphism(ring, tuple(ring.variable(i) for i in range(ring.nvars)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +231,7 @@ def first_per_scalar_class(polys: Sequence[Polynomial]) -> list[Polynomial]:
     for p in polys:
         if p.is_zero():
             continue
-        m = p.monic(LOCAL_DEGREE)
+        m = monic(p, LOCAL_DEGREE)
         if m not in seen:
             seen.add(m)
             out.append(p)
@@ -196,7 +268,7 @@ def linalg_quotient_dim(gens: list[Polynomial], ring: RingContext, bound: int) -
     one = field.one()
     for g in gens:
         for m in monos:
-            shifted = g.term_mul(one, m)
+            shifted = term_mul(g, one, m)
             row = {
                 index[alpha]: c for alpha, c in shifted.terms.items() if sum(alpha) < bound
             }
@@ -252,8 +324,8 @@ def _reduce_leading(h: Polynomial, g: Polynomial, lm_h: MultiIndex, lm_g: MultiI
     shift = mi_sub(lm_h, lm_g)
     if field.is_prime_field:
         factor = field.neg(field.div(h.terms[lm_h], g.terms[lm_g]))
-        return h + g.term_mul(factor, shift)
-    return (h.scalar_mul(g.terms[lm_g]) - g.term_mul(h.terms[lm_h], shift)).strip_content()
+        return h + term_mul(g, factor, shift)
+    return strip_content(h.scalar_mul(g.terms[lm_g]) - term_mul(g, h.terms[lm_h], shift))
 
 
 def weak_normal_form(
@@ -280,7 +352,7 @@ def weak_normal_form(
     h = f.truncate_at_degree(bound)
     if h.is_zero() or not basis:
         return h
-    local = order.is_local
+    local = order == LOCAL_DEGREE
     # among divisors of minimal ecart, prefer short reducers: they add the
     # fewest new terms per step
     reducers = [(g.leading_monomial(order), (_ecart(g, order), len(g.terms)), g) for g in basis]
@@ -338,10 +410,10 @@ def linear_membership_certificate(
     span: list[dict] = []
     for g in gens:
         for alpha in multipliers:
-            span.append(g.term_mul(one, alpha).terms)
+            span.append(term_mul(g, one, alpha).terms)
     for alpha in multipliers:
         if sum(alpha) >= 1:
-            span.append(f.term_mul(one, alpha).terms)
+            span.append(term_mul(f, one, alpha).terms)
 
     pivots: dict[MultiIndex, dict] = {}
 
@@ -405,7 +477,7 @@ def complete_basis(
     primitive integer polynomials, over F_p monic.
     """
     ring = generators[0].ring
-    cap = hard_cap if order.is_local else None
+    cap = hard_cap if order == LOCAL_DEGREE else None
     gens = [
         g.truncate_at_degree(cap)
         for g in sorted(generators, key=lambda p: poly_sort_key(p, order), reverse=True)
@@ -414,7 +486,7 @@ def complete_basis(
     # a capped run stores nothing above the cap; an uncapped one has no a
     # priori bound, and Lazard's homogenized runs reach 11-13 times the
     # input degree on plane germs, so it starts with room for 16 times
-    pk = _Packing.sized(ring, order, max(top, cap - 1) if cap is not None else 8 * top)
+    pk = _Packing.sized(ring, max(top, cap - 1) if cap is not None else 8 * top, order == LOCAL_DEGREE)
     budget = None if cost_budget is None else cost_budget[0]
     while True:
         try:
@@ -539,6 +611,63 @@ def _run_completion(
         if unit():
             return pk, [pk.element({0: 1})]
     return pk, basis
+
+
+# ---------------------------------------------------------------------------
+# reference Lazard route
+#
+# compute_standard_basis's fallback as it ran on polynomials: monomial * unit
+# replaced by the monomial, then the generators homogenized as polynomials
+# and completed under graded lex in poly_sort_key order (by the reference
+# pair loop above, after the intake's scalar-class check), then
+# dehomogenized and finished by the library's minimalization and tail
+# reduction.  The same basis as the library's keyed route on every input.
+
+
+def simplify_generators(gens: Iterable[Polynomial], order: MonomialOrder) -> list[Polynomial]:
+    """The nonzero generators, each of the shape monomial * unit replaced by
+    the monomial under a local order."""
+    out = []
+    for g in gens:
+        if g.is_zero():
+            continue
+        if order == LOCAL_DEGREE:
+            content = tuple(map(min, zip(*g.terms)))
+            if sum(content) and content in g.terms:
+                # constant term of the cofactor is nonzero: the cofactor is a unit
+                g = g.ring.monomial(content)
+        out.append(g)
+    return out
+
+
+def homogenized_generators(generators: Sequence[Polynomial], ring: RingContext) -> list[Polynomial]:
+    """The nonzero generators, monomial * unit replaced, homogenized by a first variable t."""
+    tname = "t"
+    while tname in ring.variables:
+        tname += "_"
+    hring = RingContext((tname,) + ring.variables, ring.field)
+
+    def homogenize(p: Polynomial) -> Polynomial:
+        top = p.total_degree()
+        return Polynomial(hring, {(top - sum(a),) + a: c for a, c in p.terms.items()}, _canonical=True)
+
+    return [homogenize(g) for g in simplify_generators(generators, LOCAL_DEGREE)]
+
+
+def lazard_standard_basis(generators: Sequence[Polynomial], ring: RingContext) -> ReducedStandardBasis:
+    homogenized = homogenized_generators(generators, ring)
+    if not homogenized:
+        return ReducedStandardBasis(ring, ())
+    hpk, raw = complete_basis(first_per_scalar_class(homogenized), GRADED_LEX)
+    dehomogenized = [{hpk.monomial(k)[1:]: c for k, c in _terms(el).items()} for el in raw]
+    top = max(sum(a) for terms in dehomogenized for a in terms)
+    pk = _Packing.sized(ring, ring.nvars * top)
+    minimal = _minimalize(pk, [pk.element({pk.key(a): c for a, c in terms.items()}) for terms in dehomogenized])
+    stats = _staircase([pk.monomial(el[0]) for el in minimal], ring.nvars)
+    if stats is not None:
+        return _finish_primary(pk, minimal, stats[1])
+    cap = pk.degree(min(k for el in minimal for k in _terms(el)))
+    return _reduced_basis(pk, _reduced_elements(pk, minimal, None, cap), None)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from nashblowup.fields import GF, QQ
 from nashblowup.jacobian import jacobian_ideal
 from nashblowup.polynomials import RingContext
 
-from conftest import P, linalg_quotient_dim, monomial_strategy
+from conftest import P, linalg_quotient_dim, monomial_strategy, term_mul
 
 
 def ideal(ring, *texts):
@@ -213,7 +213,7 @@ class TestSamuelGap:
                     if rng.random() < 0.5:
                         coeff = rng.choice((-2, -1, 1, 2))
                         alpha = (rng.randint(0, 2), rng.randint(0, 2))
-                        combo = combo + g.term_mul(ring_q2.field.coerce(coeff), alpha)
+                        combo = combo + term_mul(g, ring_q2.field.coerce(coeff), alpha)
                 if combo.is_zero():
                     continue
                 assert combo.multiplicity() >= 1 + 2 * (mt - 1)

@@ -18,7 +18,7 @@ from nashblowup.fields import GF
 from nashblowup.ideals import Ideal
 from nashblowup.polynomials import RingContext
 
-from conftest import P
+from conftest import P, identity_automorphism
 
 
 def auto(ring, *texts):
@@ -47,7 +47,7 @@ class TestValidation:
 class TestApplication:
     def test_identity_fixes_ideal(self, ring_q2):
         i = Ideal(ring_q2, [P("x^2+y^3", ring_q2)])
-        assert apply_to_ideal(LocalAutomorphism.identity(ring_q2), i).equals(i)
+        assert apply_to_ideal(identity_automorphism(ring_q2), i).equals(i)
 
     def test_swap(self, ring_q2):
         i = Ideal(ring_q2, [P("x^2", ring_q2)])
@@ -65,13 +65,13 @@ class TestApplication:
 
     def test_contact_application(self, ring_q2):
         f = P("x^2", ring_q2)
-        t1 = ContactTransform(LocalAutomorphism.identity(ring_q2), UnitElement(P("1", ring_q2)))
+        t1 = ContactTransform(identity_automorphism(ring_q2), UnitElement(P("1", ring_q2)))
         assert t1.is_valid()
         assert t1.apply(f) == f
         t2 = ContactTransform(auto(ring_q2, "x+y^2", "y"), UnitElement(P("1", ring_q2)))
         assert t2.is_valid()
         assert t2.apply(f) == P("x^2+2*x*y^2+y^4", ring_q2)
-        t3 = ContactTransform(LocalAutomorphism.identity(ring_q2), UnitElement(P("1+x", ring_q2)))
+        t3 = ContactTransform(identity_automorphism(ring_q2), UnitElement(P("1+x", ring_q2)))
         assert t3.is_valid()
         assert t3.apply(f) == P("x^2+x^3", ring_q2)
 
@@ -85,7 +85,7 @@ class TestIdentityChecks:
 
     def test_covariance_identity(self, ring_q2):
         f = P("x^4-2*x*y^2", ring_q2)
-        assert check_right_covariance(f, LocalAutomorphism.identity(ring_q2), 2)
+        assert check_right_covariance(f, identity_automorphism(ring_q2), 2)
 
     def test_unit_stability(self, ring_q2):
         assert check_unit_stability(P("x^2+y^3", ring_q2), UnitElement(P("1+x", ring_q2)), 2)
@@ -94,7 +94,7 @@ class TestIdentityChecks:
 
     def test_contact_invariance(self, ring_q2):
         f = P("x^2+y^3", ring_q2)
-        t = ContactTransform(LocalAutomorphism.identity(ring_q2), UnitElement(P("1+x", ring_q2)))
+        t = ContactTransform(identity_automorphism(ring_q2), UnitElement(P("1+x", ring_q2)))
         assert check_contact_invariance(f, t, 2)
         t2 = ContactTransform(auto(ring_q2, "x+y^2", "y"), UnitElement(P("1", ring_q2)))
         assert check_contact_invariance(P("x*y", ring_q2), t2, 2)

@@ -1,7 +1,10 @@
-"""Every exported name is used by the program itself, not only by tests."""
+"""Every exported name, and every public method and property of an exported
+class, is used by the program itself, not only by tests."""
 
 import ast
+from functools import cached_property
 from pathlib import Path
+from types import FunctionType
 
 import nashblowup
 
@@ -32,11 +35,35 @@ def loaded_names(tree: ast.AST) -> set[str]:
     return names
 
 
-def test_every_export_is_used_outside_tests():
+def program_names() -> set[str]:
+    """The names loaded anywhere in the program outside its tests and package roots."""
     used: set[str] = set()
     for top in PROGRAM:
         for path in sorted((ROOT / top).rglob("*.py")):
             if path.name == "__init__.py" or "tests" in path.relative_to(ROOT).parts:
                 continue
             used |= loaded_names(ast.parse(path.read_text(), str(path)))
-    assert sorted(set(nashblowup.__all__) - used) == []
+    return used
+
+
+def test_every_export_is_used_outside_tests():
+    assert sorted(set(nashblowup.__all__) - program_names()) == []
+
+
+def public_members(cls: type) -> list[str]:
+    """The public methods and properties a class defines itself."""
+    kinds = (FunctionType, classmethod, staticmethod, property, cached_property)
+    return sorted(name for name, value in vars(cls).items() if not name.startswith("_") and isinstance(value, kinds))
+
+
+def test_every_public_member_of_an_exported_class_is_used_outside_tests():
+    used = program_names()
+    exported = [getattr(nashblowup, name) for name in nashblowup.__all__]
+    unused = [
+        f"{cls.__name__}.{name}"
+        for cls in exported
+        if isinstance(cls, type)
+        for name in public_members(cls)
+        if name not in used
+    ]
+    assert unused == []

@@ -18,16 +18,19 @@ from nashblowup.ideals import (
     Ideal,
     ReducedStandardBasis,
     _border,
-    _capped_intake,
+    _capped_packing,
     _complete_basis,
     _complete_local_by_homogenization,
     _finish_primary,
     _intake,
     _linear_membership_certificate,
     _minimalize,
+    _Overflow,
+    _PackedBasis,
     _Packing,
+    _reduced_elements,
     _run_completion,
-    _simplify_generators,
+    _scalar_class,
     _span_basis,
     _staircase,
     _terms,
@@ -42,17 +45,21 @@ from nashblowup.polynomials import (
     Polynomial,
     RingContext,
     multi_indices_in_range,
-    poly_sort_key,
 )
 
 from conftest import (
     P,
     brute_standard_monomial_count,
     first_per_scalar_class,
+    homogenized_generators,
+    lazard_standard_basis,
+    leading_coefficient,
     linalg_quotient_dim,
     monomial_strategy,
     nonzero_polynomial_strategy,
+    poly_sort_key,
     polynomial_strategy,
+    simplify_generators,
 )
 from conftest import complete_basis as reference_complete_basis
 from conftest import linear_membership_certificate as reference_certificate
@@ -63,13 +70,50 @@ def ideal(ring, *texts):
     return Ideal(ring, [P(t, ring) for t in texts])
 
 
-def complete(*args, **kwargs):
-    """_complete_basis with its packed elements unpacked; None passes through."""
-    completed = _complete_basis(*args, **kwargs)
+def global_completion(gens, cost_budget=None):
+    """The private graded-lex step of Lazard's route on the generators: the
+    intake and the Buchberger run on a global packing, restarted wider on
+    overflow, as packed elements with their packing."""
+    pk = _Packing.sized(gens[0].ring, 8 * max(g.total_degree() for g in gens), local=False)
+    budget = None if cost_budget is None else cost_budget[0]
+    while True:
+        try:
+            return _run_completion(pk, _intake(pk, gens), None, cost_budget)
+        except _Overflow:
+            if cost_budget is not None:
+                cost_budget[0] = budget
+            pk = pk.wider()
+
+
+def global_reduced_basis(gens):
+    """The reduced graded-lex Groebner basis of the private global step, monic."""
+    pk, raw = global_completion(gens)
+    return [el[2] for el in _reduced_elements(pk, _minimalize(pk, raw), None, None)]
+
+
+def completion(gens, order, cap=None, cost_budget=None):
+    """Mora's completion under LOCAL_DEGREE, the private global step under GRADED_LEX."""
+    if order is LOCAL_DEGREE:
+        return _complete_basis(gens, cap, cost_budget)
+    return global_completion(gens, cost_budget)
+
+
+def complete(gens, order=LOCAL_DEGREE, hard_cap=None, cost_budget=None):
+    """completion with its packed elements unpacked; None passes through."""
+    completed = completion(gens, order, hard_cap, cost_budget)
     if completed is None:
         return None
     pk, elements = completed
     return [pk.polynomial(_terms(el)) for el in elements]
+
+
+def normal_form(f, basis, order, bound=None, step_limit=None, cost_budget=None):
+    """weak_normal_form under LOCAL_DEGREE; under GRADED_LEX the same walk on
+    a global packing, as Lazard's private step reduces."""
+    if order is GRADED_LEX:
+        top = max([f.total_degree(), (bound or 0) - 1] + [g.total_degree() for g in basis])
+        basis = _PackedBasis(basis, _Packing.sized(f.ring, top, local=False))
+    return weak_normal_form(f, basis, bound, step_limit, cost_budget)
 
 
 class TestStandardBasis:
@@ -90,7 +134,7 @@ class TestStandardBasis:
         assert [str(e) for e in basis.elements] == ["x"]
 
     def test_zero_ideal(self, ring_q2):
-        basis = Ideal.zero(ring_q2).standard_basis()
+        basis = Ideal(ring_q2, []).standard_basis()
         assert basis.elements == ()
         assert basis.dimension() is INFINITE
 
@@ -100,33 +144,35 @@ class TestStandardBasis:
         assert basis.dimension() == 0
 
     def test_global_reduced_groebner(self, ring_q2):
-        basis = ideal(ring_q2, "x^2-y", "x*y-1").standard_basis(GRADED_LEX)
-        got = {str(e) for e in basis.elements}
+        # the private global step of Lazard's route
+        got = {str(e) for e in global_reduced_basis([P("x^2-y", ring_q2), P("x*y-1", ring_q2)])}
         assert got == {"-y + x^2", "-1 + x*y", "-x + y^2"}
 
 
 class TestNormalForm:
+    """Membership in a computed basis, which reads its packed normal form."""
+
     def test_membership_via_explicit_cofactors(self, ring_q2):
         # oracle first: x^2*y = y*(x^2+y^2) - y^3 exactly
         f = P("x^2*y", ring_q2)
         combo = P("y", ring_q2) * P("x^2+y^2", ring_q2) - P("y^3", ring_q2)
         assert combo == f
         basis = ideal(ring_q2, "x^2+y^2", "x^3", "y^3").standard_basis()
-        assert basis.normal_form(f).is_zero()
+        assert basis.contains(f)
 
     def test_basis_elements_reduce_to_zero(self, ring_q2):
         basis = ideal(ring_q2, "x^2+y^2", "x^3", "y^3").standard_basis()
         for e in basis.elements:
-            assert basis.normal_form(e).is_zero()
+            assert basis.contains(e)
 
     def test_units_never_in_proper_ideal(self, ring_q2):
         basis = ideal(ring_q2, "x", "y").standard_basis()
-        assert basis.normal_form(ring_q2.one()) == ring_q2.one()
+        assert not basis.contains(ring_q2.one())
 
     def test_mora_handles_unit_multiples(self, ring_q2):
         # x = (1-y)^(-1) * (x - x*y) needs the intermediate-reducer trick
         basis = ideal(ring_q2, "x - x*y").standard_basis()
-        assert basis.normal_form(P("x", ring_q2)).is_zero()
+        assert basis.contains(P("x", ring_q2))
 
 
 class TestPackedNormalForm:
@@ -136,7 +182,7 @@ class TestPackedNormalForm:
     def both(f, basis, order, bound=None, step_limit=None, budget=None):
         mine = None if budget is None else [budget]
         ref = None if budget is None else [budget]
-        got = weak_normal_form(f, basis, order, bound, step_limit, mine)
+        got = normal_form(f, basis, order, bound, step_limit, mine)
         want = reference_weak_normal_form(f, basis, order, bound, step_limit, ref)
         return got, want, mine, ref
 
@@ -158,7 +204,7 @@ class TestPackedNormalForm:
             basis = [g.scalar_mul(data.draw(scales)) for g in basis]
         bound = data.draw(st.none() | st.integers(1, 9))
         step_limit = data.draw(st.none() | st.integers(0, 12))
-        if step_limit is None and bound is None and order.is_local:
+        if step_limit is None and bound is None and order == LOCAL_DEGREE:
             # Mora's walk terminates but can take millions of steps, for
             # instance when a unit with a large ecart is a reducer
             step_limit = 500
@@ -167,10 +213,14 @@ class TestPackedNormalForm:
         assert got == want
         assert mine == ref
         if basis:
-            # the same through a basis packed once, as ReducedStandardBasis keeps it
-            packed = ReducedStandardBasis(ring, order, tuple(basis)).packed
+            # the same through a basis packed once, as ReducedStandardBasis
+            # keeps it, or on the narrowest global packing
+            if order is LOCAL_DEGREE:
+                packed = ReducedStandardBasis(ring, tuple(basis)).packed
+            else:
+                packed = _PackedBasis(basis, _Packing.sized(ring, 0, local=False))
             mine = None if budget is None else [budget]
-            assert weak_normal_form(f, packed, order, bound, step_limit, mine) == want
+            assert weak_normal_form(f, packed, bound, step_limit, mine) == want
             assert mine == ref
 
     @pytest.mark.parametrize(
@@ -197,13 +247,13 @@ class TestPackedNormalForm:
         # fields sized from the input's degree 100
         ring = RingContext(("x", "y"), field)
         f, g = P("y^5", ring), P("y - x^100", ring)
-        assert 500 > _Packing.sized(ring, LOCAL_DEGREE, 100).limit
+        assert 500 > _Packing.sized(ring, 100).limit
         got, want, mine, ref = self.both(f, [g], LOCAL_DEGREE, budget=budget)
         assert got == want
         assert got.total_degree() >= 500
         assert mine == ref
-        packed = ReducedStandardBasis(ring, LOCAL_DEGREE, (g,)).packed
-        assert weak_normal_form(f, packed, LOCAL_DEGREE) == want
+        packed = ReducedStandardBasis(ring, (g,)).packed
+        assert weak_normal_form(f, packed) == want
 
 
 class TestLinearCertificate:
@@ -266,7 +316,7 @@ class TestFieldWidening:
     def narrow(mp, width, widened):
         """Make every packing start ``width`` bits wide; record each widening."""
         original_wider = _Packing.wider
-        mp.setattr(_Packing, "sized", classmethod(lambda cls, ring, order, top: cls(ring, order.is_local, width)))
+        mp.setattr(_Packing, "sized", classmethod(lambda cls, ring, top, local=True: cls(ring, local, width)))
         mp.setattr(_Packing, "wider", lambda pk: widened.append(pk.width) or original_wider(pk))
 
     def test_budget_survives_a_midway_restart(self, ring_q2):
@@ -274,12 +324,12 @@ class TestFieldWidening:
         # restarts after it has charged the budget, and must charge afresh
         gens = [P("-x+y+x*y^2", ring_q2), P("2*x^2+3*x*y", ring_q2)]
         roomy = [10**6]
-        want = complete(gens, LOCAL_DEGREE, hard_cap=9, cost_budget=roomy)
+        want = complete(gens, hard_cap=9, cost_budget=roomy)
         widened = []
         narrow = [10**6]
         with pytest.MonkeyPatch.context() as mp:
             self.narrow(mp, 2, widened)
-            got = complete(gens, LOCAL_DEGREE, hard_cap=9, cost_budget=narrow)
+            got = complete(gens, hard_cap=9, cost_budget=narrow)
         assert widened == [2]
         assert got == want
         assert narrow == roomy
@@ -364,21 +414,21 @@ class TestCompletionAgainstReference:
             assert got == want
             assert mine == reference
 
-        both(lambda b: _complete_basis(gens, order, cap, b), lambda b: reference_complete_basis(distinct, order, cap, b))
+        both(lambda b: completion(gens, order, cap, b), lambda b: reference_complete_basis(distinct, order, cap, b))
         if order is LOCAL_DEGREE:
             # the capped route: packed once, for its top degree and last cap,
             # then truncated at each cap in turn
             caps = sorted(data.draw(st.lists(st.integers(1, 10), min_size=2, max_size=2)))
-            pk = _Packing.sized(ring, order, max(max(g.total_degree() for g in gens), caps[-1] - 1))
-            packed = _intake(pk, gens, order)
+            pk = _Packing.sized(ring, max(max(g.total_degree() for g in gens), caps[-1] - 1))
+            packed = _intake(pk, gens)
             for c in caps:
                 both(lambda b: _run_completion(pk, packed, c, b), lambda b: reference_complete_basis(distinct, order, c, b))
 
     def test_duplicate_charges_no_budget(self, ring_q2):
         gens = [P(t, ring_q2) for t in ("x^2 + y^3", "x*y", "-2*x^2 - 2*y^3")]
         with_duplicate, without = [10**6], [10**6]
-        got = self.unpacked(_complete_basis(gens, LOCAL_DEGREE, 8, with_duplicate))
-        assert got == self.unpacked(_complete_basis(gens[:2], LOCAL_DEGREE, 8, without))
+        got = self.unpacked(_complete_basis(gens, 8, with_duplicate))
+        assert got == self.unpacked(_complete_basis(gens[:2], 8, without))
         assert with_duplicate == without
 
 
@@ -431,7 +481,7 @@ class TestOpenAxis:
         if not axes:
             return
         assert try_primary_standard_basis(gens, ring) is None
-        assert compute_standard_basis(gens, ring, LOCAL_DEGREE).staircase is None
+        assert compute_standard_basis(gens, ring).staircase is None
         f = data.draw(nonzero_polynomial_strategy(ring, max_terms=3, max_degree=4))
         if not axes <= ideals._open_axes([f], nvars):
             assert not Ideal(ring, gens).contains_element(f)
@@ -460,7 +510,7 @@ def intake_of(pk, survivors, order):
     """What _intake returns when exactly ``survivors`` survive its scalar-class check."""
     out = []
     for g in sorted(survivors, key=lambda q: poly_sort_key(q, order), reverse=True):
-        lc = g.leading_coefficient(order)
+        lc = leading_coefficient(g, order)
         out.append((pk.pack(g), None if pk.p else lc.numerator.bit_length() + lc.denominator.bit_length()))
     return out
 
@@ -469,8 +519,8 @@ def intake_of(pk, survivors, order):
 def test_simplify_drops_nonzero_scalar_multiples(field):
     ring = RingContext(("x", "y"), field)
     gens = [P(t, ring) for t in ("x^2+y^3", "-3*x^2-3*y^3", "x^2+2*y^3", "2*x*y", "x^2+y^3", "-x*y")]
-    pk = _Packing.sized(ring, GRADED_LEX, 3)
-    assert _intake(pk, gens, GRADED_LEX) == intake_of(pk, [gens[0], gens[2], gens[3]], GRADED_LEX)
+    pk = _Packing.sized(ring, 3, local=False)
+    assert _intake(pk, gens) == intake_of(pk, [gens[0], gens[2], gens[3]], GRADED_LEX)
 
 
 class TestIntake:
@@ -489,8 +539,8 @@ class TestIntake:
         picks = st.tuples(st.integers(0, len(base) - 1), scalar)
         gens = [base[i].scalar_mul(c) for i, c in data.draw(st.lists(picks, min_size=1, max_size=8))]
         order = data.draw(st.sampled_from([LOCAL_DEGREE, GRADED_LEX]))
-        pk = _Packing.sized(ring, order, max(g.total_degree() for g in gens))
-        assert _intake(pk, gens, order) == intake_of(pk, first_per_scalar_class(gens), order)
+        pk = _Packing.sized(ring, max(g.total_degree() for g in gens), order == LOCAL_DEGREE)
+        assert _intake(pk, gens) == intake_of(pk, first_per_scalar_class(gens), order)
 
 
 class TestHandOver:
@@ -542,12 +592,12 @@ class TestHandOver:
     def assert_hand_over_exact(f, n):
         """The capped intake of (f) + J_n(f) from handed-over keys, against its polynomials."""
         generators = nash_ideal_t(f, n).generators
-        survivors = first_per_scalar_class(_simplify_generators(list(generators), LOCAL_DEGREE))
-        pk, got = _capped_intake(generators, f.ring)
-        assert got == intake_of(pk, survivors, LOCAL_DEGREE)
+        survivors = first_per_scalar_class(simplify_generators(generators, LOCAL_DEGREE))
+        pk = _capped_packing(generators, f.ring)
+        assert _intake(pk, generators, units=True) == intake_of(pk, survivors, LOCAL_DEGREE)
         # another width: the handed-over keys move by way of exponent tuples
         wider = pk.wider()
-        assert _intake(wider, generators, LOCAL_DEGREE, units=True) == intake_of(wider, survivors, LOCAL_DEGREE)
+        assert _intake(wider, generators, units=True) == intake_of(wider, survivors, LOCAL_DEGREE)
 
     @staticmethod
     def rank(rows, p):
@@ -587,8 +637,8 @@ class TestHandOver:
             g = sum((base[i].scalar_mul(c) for i, c in picks), ring.zero())
             if not g.is_zero():
                 gens.insert(data.draw(st.integers(0, len(gens))), g)
-        pk = _Packing.sized(ring, LOCAL_DEGREE, max(g.total_degree() for g in gens))
-        entries = _intake(pk, gens, LOCAL_DEGREE)
+        pk = _Packing.sized(ring, max(g.total_degree() for g in gens))
+        entries = _intake(pk, gens)
         rows = [terms for terms, _ in entries]
         expected = [e for i, e in enumerate(entries) if self.rank(rows[:i + 1], pk.p) > self.rank(rows[:i], pk.p)]
         assert _span_basis(pk.p, entries) == expected
@@ -616,18 +666,21 @@ class TestPackedOnce:
             gens = [g.scalar_mul(data.draw(st.sampled_from([1, -1, Fraction(-3, 7), 5**30]))) for g in gens]
         if data.draw(st.booleans()):
             gens += [ring.monomial(alpha) for alpha in multi_indices_in_range(nvars, 4, 4)]
-        order = data.draw(st.sampled_from([LOCAL_DEGREE, GRADED_LEX]))
-        basis = compute_standard_basis(gens, ring, order)
+        basis = compute_standard_basis(gens, ring)
         if not basis.elements:
             return
         assert basis._packed_terms is not None
         pk = basis.packed.packing
-        assert basis.packed.reducers == sorted(map(pk.element, map(pk.pack, basis.elements)), key=ideals._rank)
-        if basis.truncation is None and order.is_local:
+        # each reducer is a nonzero multiple of the element packed afresh
+        fresh = sorted(map(pk.element, map(pk.pack, basis.elements)), key=ideals._rank)
+        assert [(el[0], el[1], _scalar_class(_terms(el), pk.p)) for el in basis.packed.reducers] == [
+            (el[0], el[1], _scalar_class(_terms(el), pk.p)) for el in fresh
+        ]
+        if basis.truncation is None:
             return  # an unbounded Mora walk need not end
         f = data.draw(polynomial_strategy(ring, max_terms=4, max_degree=6))
-        assert basis.normal_form(f) == weak_normal_form(f, list(basis.elements), order, basis.truncation)
-        assert basis.contains(f) == basis.normal_form(f).is_zero()
+        # membership through the kept terms, against a fresh packing's walk
+        assert basis.contains(f) == weak_normal_form(f, list(basis.elements), basis.truncation).is_zero()
 
 
 class TestCompletionOutput:
@@ -643,7 +696,7 @@ class TestCompletionOutput:
         gens = [g for g in data.draw(polys) if not g.is_zero()]
         if not gens:
             return
-        for raw in (complete(gens, LOCAL_DEGREE, hard_cap=8), complete(gens, GRADED_LEX)):
+        for raw in (complete(gens, hard_cap=8), complete(gens, GRADED_LEX)):
             for q in raw:
                 assert q.terms and q == Polynomial(ring, dict(q.terms))
                 if field.is_prime_field:
@@ -651,7 +704,8 @@ class TestCompletionOutput:
 
 
 class TestGlobalBasisAgainstSympy:
-    """Reduced graded-lex Groebner bases against sympy's, an independent engine."""
+    """Reduced graded-lex Groebner bases of the private global step of
+    Lazard's route against sympy's, an independent engine."""
 
     @staticmethod
     def assert_matches_sympy(gens, ring):
@@ -667,8 +721,7 @@ class TestGlobalBasisAgainstSympy:
             return int(c) % p if p else Fraction(int(c.p), int(c.q))
 
         expected = {frozenset((m, coeff(c)) for m, c in q.terms()) for q in theirs.polys}
-        basis = compute_standard_basis(gens, ring, GRADED_LEX)
-        assert {frozenset(e.terms.items()) for e in basis.elements} == expected
+        assert {frozenset(e.terms.items()) for e in global_reduced_basis(gens)} == expected
 
     def test_negative_leading_reducer(self, ring_q2):
         # the tail reduction inside the completion meets a reducer with a
@@ -1009,6 +1062,90 @@ class TestCappedMoraAgainstLazard:
         assert capped.truncation == lazard.truncation
 
 
+class TestLazardRouteAgainstReference:
+    """compute_standard_basis, with the capped route forced off and on, against
+    Lazard's route as it ran on polynomials (conftest): monomial * unit
+    replaced and the generators homogenized as polynomials, completed in
+    poly_sort_key order under graded lex."""
+
+    @staticmethod
+    def assert_same_basis(gens, ring):
+        want = lazard_standard_basis(gens, ring)
+        got = compute_standard_basis(gens, ring)
+        assert (got.elements, got.truncation) == (want.elements, want.truncation)
+        runs = []
+        original_run = ideals._run_completion
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ideals, "try_primary_standard_basis", lambda generators, ring: None)
+            mp.setattr(ideals, "_run_completion", lambda pk, g, *rest: runs.append((pk, g)) or original_run(pk, g, *rest))
+            forced = compute_standard_basis(gens, ring)
+        assert (forced.elements, forced.truncation) == (want.elements, want.truncation)
+        # the homogenized generators reach the global step in the order
+        # poly_sort_key gives the homogenized polynomials, with their charges
+        pk, handed = runs[-1]
+        assert handed == intake_of(pk, first_per_scalar_class(homogenized_generators(gens, ring)), GRADED_LEX)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_same_basis(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        if field is QQ:
+            scale = st.sampled_from([1, -1, 6, Fraction(1, 2), Fraction(-3, 7), Fraction(5, 4)])
+        else:
+            scale = st.integers(1, field.characteristic - 1)
+        gens = data.draw(st.lists(nonzero_polynomial_strategy(ring, max_terms=3, max_degree=4), max_size=3))
+        # monomial * unit: a cofactor with a nonzero constant term
+        for alpha, tail, c in data.draw(st.lists(
+                st.tuples(monomial_strategy(nvars, 3), polynomial_strategy(ring, 2, 2), scale), max_size=2)):
+            unit = ring.constant(c) + Polynomial(ring, {a: v for a, v in tail.terms.items() if sum(a)})
+            gens.append(ring.monomial(alpha if sum(alpha) else (1,) + (0,) * (nvars - 1)) * unit)
+        # tied pairs: the same local lead x^alpha and top degree d = |alpha| + e,
+        # mostly the same monomials, on different scales, so only the
+        # coefficients of their term lists order them
+        for alpha, e, c1, c2 in data.draw(st.lists(
+                st.tuples(monomial_strategy(nvars, 2), st.integers(1, 2), scale, scale), max_size=2)):
+            d = sum(alpha) + e
+            top = st.sampled_from(multi_indices_in_range(nvars, d, d))
+            mid = st.sampled_from(multi_indices_in_range(nvars, d - e + 1, d))
+            monomials = data.draw(st.tuples(top, mid))
+            for c in (c1, c2):
+                if data.draw(st.booleans()):
+                    monomials = data.draw(st.tuples(top, mid))
+                g = ring.monomial(alpha) + sum((ring.monomial(m, data.draw(scale)) for m in monomials), ring.zero())
+                gens.append(g.scalar_mul(c))
+        # nonzero scalar multiples of drawn generators
+        for i, c in data.draw(st.lists(st.tuples(st.integers(0, 9), scale), max_size=2)):
+            if gens:
+                gens.append(gens[i % len(gens)].scalar_mul(c))
+        if data.draw(st.booleans()):
+            # pure powers make the ideal m-primary; without them the colength
+            # is often infinite
+            gens += [ring.monomial(tuple(data.draw(st.integers(1, 5)) if j == i else 0 for j in range(nvars)))
+                     for i in range(nvars)]
+        gens = [g for g in data.draw(st.permutations(gens)) if not g.is_zero()]
+        if gens:
+            self.assert_same_basis(gens, ring)
+
+    def test_tied_leads_order_by_their_own_coefficients(self, ring_q2):
+        # equal local lead x and top degree 3: primitive integers would put
+        # the first ahead (6 > 1 at x*y), the coefficients themselves put the
+        # second ahead (2 > 1/4 at y^3)
+        gens = [P("x + 6*x*y + y^3", ring_q2).scalar_mul(Fraction(1, 4)), P("x + x*y + y^3", ring_q2).scalar_mul(2)]
+        self.assert_same_basis(gens, ring_q2)
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
+    @pytest.mark.parametrize("text, n", [("x^2*y", 2), ("x^3+x^2*y^2", 2), ("x*y^2", 3), ("x^2+y^2*z", 2)])
+    def test_handed_over_generators(self, field, text, n):
+        # (f) + J_n(f) of non-isolated germs reach Lazard's route packed
+        ring = RingContext(("x", "y", "z") if "z" in text else ("x", "y"), field)
+        f = P(text, ring)
+        generators = nash_ideal_t(f.scalar_mul(Fraction(-2, 9)) if field is QQ else f, n).generators
+        assert generators.packed
+        self.assert_same_basis(generators, ring)
+
+
 def test_no_module_level_caches():
     # a cache shared by every caller in the process would let one call's
     # work flatter the next; every result is computed afresh
@@ -1032,4 +1169,4 @@ class TestLeadingIdeal:
         assert ideal(ring_q2, "x+x^2").standard_basis().leading_monomials == ((1, 0),)
 
     def test_zero(self, ring_q2):
-        assert Ideal.zero(ring_q2).standard_basis().leading_monomials == ()
+        assert Ideal(ring_q2, []).standard_basis().leading_monomials == ()
