@@ -19,13 +19,17 @@ alternating op by op puts the same drift on both sides.
 
 Prints, per op kind and in total, the op count, each side's summed time,
 and the later side's speed-up over the first (the first's time over its
-time, minus one); then each side's ops per second over the summed times
-and its failed answers.  Exits 1 when an answer is wrong.
+time, minus one); then each side's ops per second over the summed times,
+the median and 90th percentile of its per-op least times (nearest rank, as
+``perfbench/run.py`` reads ``op_p50_ms`` and ``op_p90_ms``), and its failed
+answers.  Exits 1 when an answer is wrong.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
+import statistics
 import sys
 import time
 from collections import defaultdict
@@ -54,6 +58,12 @@ def bind(root: Path, make_runner):
     finally:
         sys.path.remove(src)
     return run, {n: m for n, m in sys.modules.items() if is_library(n)}
+
+
+def percentile(values: list[float], q: float) -> float:
+    """Nearest-rank percentile."""
+    ordered = sorted(values)
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
 def main() -> int:
@@ -86,6 +96,7 @@ def main() -> int:
 
     first, second = roots
     best = {label: defaultdict(float) for label in roots}
+    least = {label: [] for label in roots}  # per op, in plan order
     count: dict[str, int] = defaultdict(int)
     failures = {label: [] for label in roots}
     for i, op in enumerate(ops):
@@ -110,6 +121,7 @@ def main() -> int:
         count[op.kind] += 1
         for label in roots:
             best[label][op.kind] += min(times[label])
+            least[label].append(min(times[label]))
 
     print(f"workload={args.workload} seed={args.seed} ops={len(ops)} reps={args.reps}")
     print(f"{'kind':<16}{'ops':>6}{first + ' ms':>14}{second + ' ms':>14}{'change':>9}")
@@ -119,7 +131,9 @@ def main() -> int:
         print(f"{kind:<16}{n:>6}{a * 1e3:>14.1f}{b * 1e3:>14.1f}{(a / b - 1) * 100:>+8.1f}%")
     for label in roots:
         total = sum(best[label].values())
-        print(f"{label}: {len(ops) / total:.1f} ops/s, {len(failures[label])} failed")
+        p50, p90 = statistics.median(least[label]) * 1e3, percentile(least[label], 0.9) * 1e3
+        print(f"{label}: {len(ops) / total:.1f} ops/s, p50 {p50:.3f} ms, p90 {p90:.3f} ms, "
+              f"{len(failures[label])} failed")
         for line in failures[label][:10]:
             print(f"  {line}")
     return 1 if any(failures.values()) else 0

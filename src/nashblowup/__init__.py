@@ -30,6 +30,7 @@ from .fields import GF, QQ, CoefficientField
 from .ideals import (
     INFINITE,
     Ideal,
+    MembershipUndecided,
     ReducedStandardBasis,
     maximal_ideal_power,
     weak_normal_form,
@@ -63,6 +64,7 @@ __all__ = [
     "JacobianMatrix",
     "LOCAL_DEGREE",
     "LocalAutomorphism",
+    "MembershipUndecided",
     "MonomialOrder",
     "Polynomial",
     "PolynomialSyntaxError",

@@ -95,6 +95,16 @@ def check_inclusions(f: Polynomial, n: int) -> InclusionReport:
     (iv)  J_n(f) inside J_1(f)^C(d-2+n, d-1)        -- always asserted
 
     Requires mt(f) >= 2 and n >= 2.
+
+    Each inclusion is computed at most once, and one that an earlier result
+    implies is read off the ideal lattice instead.  mt(f) >= 2 puts J_1
+    inside m; let p = C(d-2+n, d-1).  For p >= 3, J_1^p lies in
+    J_1^3 = J_1 * J_1^2, inside m * J_1^2, so (iv) gives (ii); for p <= 2
+    (d = 1, or d = n = 2), m * J_1^2 lies in J_1^2, inside J_1^p, so (ii)
+    gives (iv); and (ii) always gives (iii).  Order: (i); then (iv) when
+    p >= 3; then (ii) unless (iv) gave it; (iii) unless (ii) holds; and
+    (iv) last when p <= 2 and (ii) fails.  m * J_1^2, its sum with (f) and
+    J_1^p are built only when an inclusion is computed against them.
     """
     _require_germ(f)
     if n < 2:
@@ -105,24 +115,24 @@ def check_inclusions(f: Polynomial, n: int) -> InclusionReport:
     ring = f.ring
     d = ring.nvars
     jn = higher_jacobian_ideal(f, n)
-    jn_prev = higher_jacobian_ideal(f, n - 1)
     j1 = jacobian_ideal(f)
-    m_j1_sq = maximal_ideal_power(ring, 1) * (j1 ** 2)
-    f_ideal = Ideal(ring, [f])
     power = math.comb(d - 2 + n, d - 1)
+    descending = higher_jacobian_ideal(f, n - 1).contains_ideal(jn)
+    in_power = power >= 3 and (j1 ** power).contains_ideal(jn)
+    if in_power:
+        in_m_j1_sq = shifted = True
+    else:
+        m_j1_sq = maximal_ideal_power(ring, 1) * (j1 ** 2)
+        in_m_j1_sq = m_j1_sq.contains_ideal(jn)
+        f_ideal = Ideal(ring, [f])
+        shifted = in_m_j1_sq or (f_ideal + m_j1_sq).contains_ideal(f_ideal + jn)
+        if power <= 2:
+            in_power = in_m_j1_sq or (j1 ** power).contains_ideal(jn)
     checks = (
-        InclusionCheck("descending-chain", jn_prev.contains_ideal(jn), True),
-        InclusionCheck(
-            "inside-m-j1-squared",
-            m_j1_sq.contains_ideal(jn),
-            d >= 3 or n >= 3 or mt >= 3,
-        ),
-        InclusionCheck(
-            "shifted-inside-m-j1-squared",
-            (f_ideal + m_j1_sq).contains_ideal(f_ideal + jn),
-            True,
-        ),
-        InclusionCheck(f"inside-j1-power-{power}", (j1 ** power).contains_ideal(jn), True),
+        InclusionCheck("descending-chain", descending, True),
+        InclusionCheck("inside-m-j1-squared", in_m_j1_sq, d >= 3 or n >= 3 or mt >= 3),
+        InclusionCheck("shifted-inside-m-j1-squared", shifted, True),
+        InclusionCheck(f"inside-j1-power-{power}", in_power, True),
     )
     return InclusionReport(f, n, checks)
 

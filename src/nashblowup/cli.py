@@ -29,7 +29,7 @@ from .equivalence import (
     samuel_hypothesis,
 )
 from .fields import CoefficientField
-from .ideals import INFINITE, Ideal
+from .ideals import INFINITE, Ideal, MembershipUndecided
 from .jacobian import jac_matrix
 from .parsing import PolynomialSyntaxError, parse_polynomial
 from .polynomials import RingContext
@@ -38,6 +38,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_CONFIG_ERROR = 3
+# documented in the README, not in the module docstring: that docstring is
+# the top-level help text, which stays byte for byte
+EXIT_UNDECIDED = 4  # a membership test ran out of escalation rounds
 
 DEFAULT_VARIABLE_POOL = ("x", "y", "z", "w")
 
@@ -405,6 +408,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except MembershipUndecided as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
 
 
 if __name__ == "__main__":

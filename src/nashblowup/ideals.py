@@ -30,7 +30,7 @@ before packing anything) and an f with a term in k[x_v] lies outside the
 ideal.  Any other membership takes a budgeted Mora walk, then escalates a
 capped refutation and a linear certificate, built up one degree layer at a
 time, for a fixed number of rounds; when neither side settles within them
-it raises RuntimeError instead of answering.
+it raises MembershipUndecided (a RuntimeError) instead of answering.
 
 Packed kernel.  The weak normal form, the completion, the tail reduction
 and the linear membership certificate run on packed polynomials: dicts from
@@ -104,8 +104,8 @@ from bisect import insort
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
-from math import gcd, lcm
+from itertools import combinations_with_replacement, groupby
+from math import gcd, lcm, prod
 from operator import itemgetter, lshift
 from typing import Callable, Iterable, Sequence
 
@@ -993,6 +993,15 @@ def _linear_membership_certificate(
     return False
 
 
+class MembershipUndecided(RuntimeError):
+    """The membership escalation ran out of rounds with neither side settled."""
+
+    def __init__(self, rounds: int, cap: int):
+        super().__init__(f"membership not decided after {rounds} escalation rounds (last cap {cap})")
+        self.rounds = rounds
+        self.cap = cap
+
+
 def _escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
     """Decide membership without long reduction walks (infinite colength).
 
@@ -1001,24 +1010,26 @@ def _escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
     refutes (anything outside I + m^cap is outside I).  Krull's intersection
     theorem makes the refutation side complete, and every true member has a
     polynomial certificate of some finite degree, so enough rounds always
-    decide; but the loop stops after 12 rounds and raises RuntimeError when
-    neither test has settled by then.  Round r allows the certificate degree
-    4r, which it reaches layer by layer, stopping at the first that
+    decide; but the loop stops after 12 rounds and raises MembershipUndecided
+    when neither test has settled by then.  Round r allows the certificate
+    degree 4r, which it reaches layer by layer, stopping at the first that
     certifies: most members need 0 to 2.  The certificate runs first; the
     opposite order was measured slower on the contact and covariance checks.
     """
+    rounds = 12
     cap = f.total_degree() + 2
     degree_bound = 4
-    for _ in range(12):
+    for r in range(rounds):
+        if r:
+            cap += max(4, cap // 2)
+            degree_bound += 4
         if _linear_membership_certificate(f, gens, degree_bound):
             return True
         pk, capped = _complete_basis(gens, hard_cap=cap)
         # the packing holds the cap, so the normal form cannot overflow
         if _normal_form(pk, pk.pack(f.truncate_at_degree(cap)), sorted(capped, key=_rank), cap):
             return False
-        cap += max(4, cap // 2)
-        degree_bound += 4
-    raise RuntimeError("membership escalation exceeded its safety bound")
+    raise MembershipUndecided(rounds, cap)
 
 
 @dataclass(frozen=True)
@@ -1440,10 +1451,10 @@ class Ideal:
     def __pow__(self, k: int) -> "Ideal":
         if k < 0:
             raise ValueError("negative ideal power")
-        result = Ideal.unit(self.ring)
-        for _ in range(k):
-            result = result * self
-        return result
+        # one product per multiset of generators: J^3 on three generators
+        # takes 10 products where the ordered ones were 27
+        one = self.ring.one()
+        return Ideal(self.ring, [prod(c, start=one) for c in combinations_with_replacement(self.generators, k)])
 
     # -- numerical data
 

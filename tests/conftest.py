@@ -4,9 +4,10 @@ The oracles here deliberately avoid the library's own machinery: binomials
 mod p go through Lucas' theorem, determinants through the permutation sum,
 generator deduplication through ``monic`` forms, quotient dimensions
 through dense linear algebra on a truncated monomial basis, derivatives
-through single-step classical differentiation, and the Mora normal form
-and the linear membership certificate through the tuple/Fraction
-implementations that predate the library's packed kernel.  The
+through single-step classical differentiation, the inclusion report
+through computing every inclusion, and the Mora normal form and the
+linear membership certificate through the tuple/Fraction implementations
+that predate the library's packed kernel.  The
 standard-basis completion is checked against its earlier pair loop on
 exponent tuples, Lazard's route against its earlier form on polynomials,
 and the text form of a polynomial against its first formatter.  The
@@ -27,9 +28,11 @@ from typing import Iterable, Sequence
 import pytest
 from hypothesis import strategies as st
 
+from nashblowup.algebras import InclusionCheck, InclusionReport
 from nashblowup.equivalence import LocalAutomorphism
 from nashblowup.fields import GF, QQ
 from nashblowup.ideals import (
+    Ideal,
     ReducedStandardBasis,
     _add_shifted,
     _finish_primary,
@@ -43,7 +46,9 @@ from nashblowup.ideals import (
     _staircase,
     _tail_reduce,
     _terms,
+    maximal_ideal_power,
 )
+from nashblowup.jacobian import higher_jacobian_ideal, jacobian_ideal
 from nashblowup.polynomials import (
     GRADED_LEX,
     LOCAL_DEGREE,
@@ -668,6 +673,40 @@ def lazard_standard_basis(generators: Sequence[Polynomial], ring: RingContext) -
         return _finish_primary(pk, minimal, stats[1])
     cap = pk.degree(min(k for el in minimal for k in _terms(el)))
     return _reduced_basis(pk, _reduced_elements(pk, minimal, None, cap), None)
+
+
+# ---------------------------------------------------------------------------
+# reference inclusion report
+#
+# check_inclusions as first written: every ideal built up front, powers as
+# repeated products over every ordered tuple of generators, and all four
+# inclusions computed, none read off the ideal lattice.
+
+
+def power_by_products(ideal: Ideal, k: int) -> Ideal:
+    """I^k as k products with I, starting from the unit ideal."""
+    result = Ideal.unit(ideal.ring)
+    for _ in range(k):
+        result = result * ideal
+    return result
+
+
+def reference_inclusions(f: Polynomial, n: int) -> InclusionReport:
+    ring = f.ring
+    d = ring.nvars
+    jn = higher_jacobian_ideal(f, n)
+    jn_prev = higher_jacobian_ideal(f, n - 1)
+    j1 = jacobian_ideal(f)
+    m_j1_sq = maximal_ideal_power(ring, 1) * power_by_products(j1, 2)
+    f_ideal = Ideal(ring, [f])
+    power = math.comb(d - 2 + n, d - 1)
+    mt = f.multiplicity()
+    return InclusionReport(f, n, (
+        InclusionCheck("descending-chain", jn_prev.contains_ideal(jn), True),
+        InclusionCheck("inside-m-j1-squared", m_j1_sq.contains_ideal(jn), d >= 3 or n >= 3 or mt >= 3),
+        InclusionCheck("shifted-inside-m-j1-squared", (f_ideal + m_j1_sq).contains_ideal(f_ideal + jn), True),
+        InclusionCheck(f"inside-j1-power-{power}", power_by_products(j1, power).contains_ideal(jn), True),
+    ))
 
 
 # ---------------------------------------------------------------------------

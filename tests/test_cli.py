@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from nashblowup import cli
+from nashblowup import cli, ideals
 from nashblowup.cli import main
 from nashblowup.fields import QQ
 from nashblowup.ideals import Ideal
@@ -190,6 +190,19 @@ class TestCheckCommand:
         assert code == 3
         assert out == ""
         assert "trials must be >= 1" in err
+
+
+class TestUndecided:
+    def test_escalation_out_of_rounds_exits_4(self, capsys, monkeypatch):
+        # x^2*y + x^3*y against (x^2*y) reaches the membership escalation
+        def out_of_rounds(f, gens):
+            raise ideals.MembershipUndecided(12, 454)
+
+        monkeypatch.setattr(ideals, "_escalated_membership", out_of_rounds)
+        code, out, err = run(capsys, "check", "samuel", "x^2*y", "x^2*y+x^3*y")
+        assert code == cli.EXIT_UNDECIDED == 4
+        assert out == ""
+        assert err == "undecided: membership not decided after 12 escalation rounds (last cap 454)\n"
 
 
 class TestCorpusCommand:

@@ -506,6 +506,23 @@ class TestOpenAxis:
         assert not i.contains_element(P("3 + x", ring_q3))
 
 
+def test_escalation_out_of_rounds_raises_membership_undecided(ring_q2, monkeypatch):
+    # neither side ever settles: no certificate, and nothing left to refute
+    caps = []
+
+    def capped(gens, hard_cap):
+        caps.append(hard_cap)
+        return ideals._Packing.sized(ring_q2, hard_cap), []
+
+    monkeypatch.setattr(ideals, "_linear_membership_certificate", lambda f, gens, bound: False)
+    monkeypatch.setattr(ideals, "_complete_basis", capped)
+    monkeypatch.setattr(ideals, "_normal_form", lambda *args: {})
+    with pytest.raises(ideals.MembershipUndecided) as caught:
+        ideals._escalated_membership(P("x^3*y", ring_q2), [P("x^2*y", ring_q2)])
+    assert isinstance(caught.value, RuntimeError)
+    assert (caught.value.rounds, caught.value.cap) == (len(caps), caps[-1]) == (12, 549)
+
+
 def intake_of(pk, survivors, order):
     """What _intake returns when exactly ``survivors`` survive its scalar-class check."""
     out = []
