@@ -58,36 +58,37 @@ bound only falls, so the loop stops at the first pair whose lcm reaches
 the bound: every pair left would truncate to zero, uncharged.
 
 Conversion boundary.  Polynomials are packed once on entry to
-weak_normal_form, _complete_basis and _linear_membership_certificate; an
-Ideal packs its generators once for all its budgeted walks, reusing the
-terms of those handed over packed.  Every completion takes its generators
-through one intake, which packs them in the caller's order, keeps the terms
-of those handed over already packed, and drops each that is a nonzero
-scalar multiple of an earlier one, so the capped attempts, the membership
-escalation and Lazard's route all complete the first generator of each
+weak_normal_form and _linear_membership_certificate; an Ideal packs its
+generators once for all its budgeted walks, reusing the terms of those
+handed over packed.  Every completion takes its generators through one
+intake, which packs them in the caller's order, keeps the terms of those
+handed over already packed, replaces monomial * unit by the monomial on a
+local packing, and drops each that is a nonzero scalar multiple of an
+earlier one, so every completion starts from the first generator of each
 scalar class.
 The maximal minors of a Jacobian matrix (jacobian._minor_dets) run on a
-local packing wide enough for the capped intake's last cap; each minor kept
-by the scalar-class rule is unpacked once, for the printed generators, and
-handed over with its packed terms on the generator tuple (_Generators, kept
-by Ideal.__add__), so (f) + J_n(f) reaches the capped runs without a
-Polynomial round trip.  A packing of another width moves the terms by way
-of their exponent tuples; the width changes no key order, so no result.
-try_primary_standard_basis takes its generators in once for all its caps:
-monomial * unit is replaced by the monomial, the caps are sized and the
-processing order is fixed on the keys, and the capped runs complete the
-first generator of each new pivot of a semi-echelon form (_Echelon, which
-also decides the linear membership certificate): a subset spanning the
-same k-space, hence the same ideal and the same canonical basis.  Each
-capped run cuts them at its key window, over Q making them primitive
-again; Lazard's route and the membership escalation complete the raw list.
-Lazard's route takes it through the same intake, monomial * unit replaced,
-homogenizes the keys and processes them in the order graded lex gives the
-homogenized polynomials; it moves the keys of its homogeneous completion
-into a local packing by way of their exponent tuples.  _complete_basis
-returns packed elements with their packing; minimalization, the staircase
-read-off, the truncation and the tail reduction of a finished basis run on
-those same keys, and each element is unpacked once, monic, when the
+local packing wide enough for the capped runs' last cap (_Packing.capped);
+each minor kept by the scalar-class rule is unpacked once, for the printed
+generators, and handed over with its packed terms on the generator tuple
+(_Generators, kept by Ideal.__add__), so (f) + J_n(f) reaches the capped
+runs without a Polynomial round trip.  A packing of another width moves the
+terms by way of their exponent tuples; the width changes no key order, so
+no result.  try_primary_standard_basis and the membership escalation take
+their generators in once, by one capped intake (_capped_intake): the
+intake on a packing that holds the last cap, the processing order fixed on
+the keys, and cut to the first generator of each new pivot of a
+semi-echelon form (_Echelon, which also decides the linear membership
+certificate): a subset spanning the same k-space, hence the same ideal and
+the same canonical basis.  Each capped run cuts them at its key window,
+over Q making them primitive again; the escalation moves them to a wider
+packing only when its cap outgrows the one they came in on.  Lazard's
+route takes its generators through the same intake, homogenizes the keys
+and processes them in the order graded lex gives the homogenized
+polynomials; it moves the keys of its homogeneous completion into a local
+packing by way of their exponent tuples.  Completions return packed
+elements with their packing; minimalization, the staircase read-off, the
+truncation and the tail reduction of a finished basis run on those same
+keys, and each element is unpacked once, monic, when the
 ReducedStandardBasis is built.  The basis keeps the tail-reduced terms, a
 nonzero multiple of each element, and builds its reducers from them on its
 first query, so a computed basis is never packed again; its membership test
@@ -189,6 +190,12 @@ class _Packing:
     def sized(cls, ring: RingContext, top: int, local: bool = True) -> "_Packing":
         """Fields for monomials up to total degree ``top``, with room to double."""
         return cls(ring, local, max(8, (2 * top + 1).bit_length()))
+
+    @classmethod
+    def capped(cls, ring: RingContext, top: int) -> "_Packing":
+        """Local fields for generators up to total degree ``top`` and every degree a
+        capped run on them stores: below the last cap of _cap_schedule(top)."""
+        return cls.sized(ring, _cap_schedule(top)[-1] - 1)
 
     def wider(self) -> "_Packing":
         return _Packing(self.ring, self.local, 2 * self.width)
@@ -394,7 +401,6 @@ def weak_normal_form(
     basis: Sequence[Polynomial],
     bound: int | None = None,
     step_limit: int | None = None,
-    cost_budget: list[int] | None = None,
 ) -> Polynomial | None:
     """Weak normal form of f against basis.
 
@@ -406,17 +412,16 @@ def weak_normal_form(
     Among divisors of minimal ecart the shortest, then the first, is used.
     ``bound`` truncates all intermediate terms at that total degree and is
     only sound when m^bound is contained in the ideal.  ``step_limit``
-    aborts a long reduction walk and returns None; ``cost_budget`` is a
-    shared one-element accumulator doing the same across several calls
-    (both internal).  Over Q a reduced result keeps the scale of the
-    fraction-free reduction: coprime integers before its last truncation.
+    (internal) aborts a long reduction walk and returns None.  Over Q a
+    reduced result keeps the scale of the fraction-free reduction: coprime
+    integers before its last truncation.
     """
     h = f.truncate_at_degree(bound)
     if h.is_zero() or not basis:
         return h
     if not isinstance(basis, _PackedBasis):
         basis = _PackedBasis.fitted(basis, f.ring, max(h.total_degree(), (bound or 0) - 1))
-    reduced = _packed_weak_normal_form(h, basis, bound, step_limit, cost_budget)
+    reduced = _packed_weak_normal_form(h, basis, bound, step_limit)
     if reduced is None:
         return None
     pk, packed, out = reduced
@@ -424,32 +429,20 @@ def weak_normal_form(
 
 
 def _packed_weak_normal_form(
-    h: Polynomial,
-    basis: _PackedBasis,
-    bound: int | None,
-    step_limit: int | None = None,
-    cost_budget: list[int] | None = None,
+    h: Polynomial, basis: _PackedBasis, bound: int | None, step_limit: int | None = None
 ) -> tuple[_Packing, dict[int, int], dict[int, int]] | None:
     """(packing, packed h, packed result) of weak_normal_form for nonzero h below bound.
 
-    The result is the packed h itself when no step applies; None when a
-    limit runs out.  A step past the packing's degree limit starts over on
-    one twice as wide.
+    The result is the packed h itself when no step applies; None when the
+    step limit runs out.  A step past the packing's degree limit starts over
+    on one twice as wide.
     """
-    budget = None if cost_budget is None else cost_budget[0]
     while True:
         pk = basis.packing
         try:
             packed = pk.pack(h)
-            bits = None
-            if cost_budget is not None and not pk.p:
-                # the first charge reads the input's own coefficient
-                lc = h.terms[pk.monomial(max(packed))]
-                bits = lc.numerator.bit_length() + lc.denominator.bit_length()
-            out = _normal_form(pk, packed, basis.reducers, bound, step_limit, cost_budget, bits)
+            out = _normal_form(pk, packed, basis.reducers, bound, step_limit)
         except _Overflow:
-            if cost_budget is not None:
-                cost_budget[0] = budget
             basis = _PackedBasis(basis, pk.wider())
             continue
         return None if out is None else (pk, packed, out)
@@ -483,43 +476,6 @@ def _staircase(lead_monomials: Sequence[MultiIndex], nvars: int) -> tuple[int, i
     if not any(sum(t) == 0 for t in tails):
         return None
     return (count, top)
-
-
-def _complete_basis(
-    generators: Sequence[Polynomial],
-    hard_cap: int | None = None,
-    cost_budget: list[int] | None = None,
-) -> tuple[_Packing, list[tuple]] | None:
-    """Mora completion; returns a local standard basis as packed elements.
-
-    The truncation bound tightens as the staircase of the current leading
-    monomials closes: with s its top standard-monomial degree, m^(s+1)
-    already lies inside the ideal spanned so far.  With
-    ``hard_cap`` set, all arithmetic is truncated at that degree from the
-    start, so the result is a standard basis of (ideal) + m^hard_cap; the
-    caller must certify afterwards that this equals the ideal itself.
-    The generators must be nonzero; a nonzero scalar multiple of an earlier
-    one is dropped at the intake and charges nothing.
-    ``cost_budget`` aborts oversized runs, returning None.  The elements come
-    with the packing that holds them, in insertion order; over Q they are
-    primitive integer polynomials, over F_p monic.  Pairs are keyed by
-    (lcm degree, lcm fields) as one int; the run stops at the first pair
-    whose lcm degree reaches the bound (see the module docstring) and reads
-    the staircase only once every variable has a pure-power lead.
-    """
-    ring = generators[0].ring
-    top = max(g.total_degree() for g in generators)
-    # a capped run stores nothing above the cap; an uncapped one has no a
-    # priori bound, so it starts with room for 16 times the input degree
-    pk = _Packing.sized(ring, max(top, hard_cap - 1) if hard_cap is not None else 8 * top)
-    budget = None if cost_budget is None else cost_budget[0]
-    while True:
-        try:
-            return _run_completion(pk, _intake(pk, generators), hard_cap, cost_budget)
-        except _Overflow:
-            if cost_budget is not None:
-                cost_budget[0] = budget
-            pk = pk.wider()
 
 
 def _scalar_class(terms: dict[int, int], p: int) -> frozenset | int:
@@ -563,17 +519,17 @@ class _Generators(tuple):
         return _Generators(a + b, (pa or (None,) * len(a)) + (pb or (None,) * len(b)))
 
 
-def _kept(pk: _Packing, generators: Sequence[Polynomial], units: bool) -> list[tuple]:
+def _kept(pk: _Packing, generators: Sequence[Polynomial]) -> list[tuple]:
     """(lead, terms, exact values, their scale or None, polynomial or None) of the
     first generator of each scalar class, in the caller's order.
 
     One handed over packed (_Generators) keeps its terms, moved to ``pk``'s
     keys by way of their exponent tuples when its packing has another width;
-    every other nonzero one is packed here.  With ``units`` (a local packing)
-    one of the shape monomial * unit, whose lead divides every term, becomes
-    that monomial, with no polynomial.
+    every other nonzero one is packed here.  On a local packing one of the
+    shape monomial * unit, whose lead divides every term, becomes that
+    monomial, with no polynomial.
     """
-    p, guards = pk.p, pk.guards
+    p, guards, local = pk.p, pk.guards, pk.local
     handed = getattr(generators, "packed", None) or (None,) * len(generators)
     seen = set()
     kept = []
@@ -590,7 +546,7 @@ def _kept(pk: _Packing, generators: Sequence[Polynomial], units: bool) -> list[t
                 key = None
             terms = values if p else _primitive(values)
         lead = max(terms)
-        if units and lead and all(not (k - lead) & guards for k in terms):
+        if local and lead and all(not (k - lead) & guards for k in terms):
             terms = values = {lead: 1}
             scale, g, key = 1, None, None
         if key is None:
@@ -637,15 +593,16 @@ def _ordered(pk: _Packing, kept: list[tuple], rank: Callable[[tuple], object], m
     return out
 
 
-def _intake(pk: _Packing, generators: Sequence[Polynomial], units: bool = False) -> list[tuple]:
+def _intake(pk: _Packing, generators: Sequence[Polynomial]) -> list[tuple]:
     """(packed terms, lead coefficient size over Q for the first charge) per generator, in processing order.
 
-    The first generator of each scalar class survives (_kept).  The
+    The first generator of each scalar class survives (_kept), on a local
+    packing after monomial * unit is replaced by the monomial.  The
     survivors are sorted by lead, largest first, and on equal leads by their
     sorted lists of (exponent tuple, coefficient), largest first; lead keys
     order like the leads, and exponent tuples like ``key & fields_mask``.
     """
-    return _ordered(pk, _kept(pk, generators, units), _lead, (1 << pk.deg_shift) - 1)
+    return _ordered(pk, _kept(pk, generators), _lead, (1 << pk.deg_shift) - 1)
 
 
 def _moved(src: _Packing, pk: _Packing, terms: dict[int, int]) -> dict[int, int]:
@@ -673,10 +630,16 @@ def _primitive(terms: dict[int, int]) -> dict[int, int]:
 def _run_completion(
     pk: _Packing, gens: list[tuple], bound: int | None, cost_budget: list[int] | None
 ) -> tuple[_Packing, list[tuple]] | None:
-    """The body of _complete_basis on one packing; cuts _intake's generators at the cap ``bound``.
+    """Mora's completion of _intake's generators on one packing, as packed elements.
 
-    On a global packing, uncapped, it is the graded-lex Buchberger step of
-    Lazard's route.
+    With the cap ``bound`` set, the generators are cut at it and the result
+    is a standard basis of (ideal) + m^bound, which the caller must certify
+    equals the ideal; the bound falls as the staircase of the leads closes.
+    ``cost_budget`` aborts an oversized run, returning None.  The elements,
+    in insertion order, are primitive over Q and monic over F_p.  A step past
+    the packing's degree limit raises _Overflow; no packing that holds the
+    cap meets one.  On a global packing, uncapped, it is the graded-lex
+    Buchberger step of Lazard's route.
     """
     ring = pk.ring
     p, local, limit, guards, width, deg_shift = pk.p, pk.local, pk.limit, pk.guards, pk.width, pk.deg_shift
@@ -1010,26 +973,35 @@ def _escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
     refutes (anything outside I + m^cap is outside I).  Krull's intersection
     theorem makes the refutation side complete, and every true member has a
     polynomial certificate of some finite degree, so enough rounds always
-    decide; but the loop stops after 12 rounds and raises MembershipUndecided
-    when neither test has settled by then.  Round r allows the certificate
-    degree 4r, which it reaches layer by layer, stopping at the first that
-    certifies: most members need 0 to 2.  The certificate runs first; the
-    opposite order was measured slower on the contact and covariance checks.
+    decide; but the loop stops after _ESCALATION_ROUNDS rounds and raises
+    MembershipUndecided when neither test has settled by then.  Round r
+    allows the certificate degree 4r, which it reaches layer by layer,
+    stopping at the first that certifies: most members need 0 to 2.  The
+    certificate runs first; the opposite order was measured slower on the
+    contact and covariance checks.  The refutations complete the capped
+    runs' intake (_capped_intake), taken in once for every round: a basis of
+    I + m^cap from any generators of I decides membership modulo m^cap.
     """
-    rounds = 12
     cap = f.total_degree() + 2
     degree_bound = 4
-    for r in range(rounds):
+    for r in range(_ESCALATION_ROUNDS):
         if r:
             cap += max(4, cap // 2)
             degree_bound += 4
         if _linear_membership_certificate(f, gens, degree_bound):
             return True
-        pk, capped = _complete_basis(gens, hard_cap=cap)
-        # the packing holds the cap, so the normal form cannot overflow
+        if not r:
+            pk, _, span = _capped_intake(gens, f.ring)
+        if cap - 1 > pk.limit:
+            # the packing holds every degree below the cap, so neither the
+            # run nor the normal form can overflow
+            wider = _Packing.sized(f.ring, cap - 1)
+            span = [(_moved(pk, wider, terms), bits) for terms, bits in span]
+            pk = wider
+        _, capped = _run_completion(pk, span, cap, None)
         if _normal_form(pk, pk.pack(f.truncate_at_degree(cap)), sorted(capped, key=_rank), cap):
             return False
-    raise MembershipUndecided(rounds, cap)
+    raise MembershipUndecided(_ESCALATION_ROUNDS, cap)
 
 
 @dataclass(frozen=True)
@@ -1094,7 +1066,7 @@ class ReducedStandardBasis:
             return f.is_zero()
         if self.truncation is not None:
             return self._reduces_to_zero(f, None)
-        zero = self._reduces_to_zero(f, 120)
+        zero = self._reduces_to_zero(f, _WALK_STEPS)
         return _escalated_membership(f, self.elements) if zero is None else zero
 
     def _reduces_to_zero(self, f: Polynomial, step_limit: int | None) -> bool | None:
@@ -1180,6 +1152,14 @@ def _cap_schedule(multiplicity: int) -> list[int]:
     return [base, 2 * base]
 
 
+# The fixed limits: a membership walk escalates after _WALK_STEPS steps, the
+# escalation gives up after _ESCALATION_ROUNDS rounds, and a capped run after
+# charging _CAPPED_BUDGET units.
+_WALK_STEPS = 120
+_ESCALATION_ROUNDS = 12
+_CAPPED_BUDGET = 400_000
+
+
 def _complete_local_by_homogenization(
     generators: Sequence[Polynomial], ring: RingContext
 ) -> tuple[_Packing, list[tuple]]:
@@ -1200,7 +1180,7 @@ def _complete_local_by_homogenization(
     """
     pk = _capped_packing(generators, ring)
     # local keys: a generator's lowest key has its top degree
-    gens = _ordered(pk, _kept(pk, generators, units=True), lambda item: (pk.degree(min(item[1])), item[0]), -1)
+    gens = _ordered(pk, _kept(pk, generators), lambda item: (pk.degree(min(item[1])), item[0]), -1)
     tops = [pk.degree(min(terms)) for terms, _ in gens]
     tname = "t"
     while tname in ring.variables:
@@ -1233,21 +1213,29 @@ def _complete_local_by_homogenization(
 def _capped_packing(generators: Sequence[Polynomial], ring: RingContext) -> _Packing:
     """The packing of the capped runs, which holds every generator and every degree they store.
 
-    The last cap is 2 * max(4, 2 + the largest multiplicity) (_cap_schedule),
-    so 2 * max(4, 2 + D) - 1, with D the largest generator degree, bounds
-    every degree a capped run stores.  A packing handed over with some
-    generators is sized by the same rule for them (jacobian._packed_cells);
-    the widest packing serves, since the width changes no key order.
+    No multiplicity exceeds the largest generator degree D, so
+    _Packing.capped(ring, D) holds the last cap of the schedule.  A packing
+    handed over with some generators is sized by the same rule for them
+    (jacobian._packed_cells); the widest packing serves, since the width
+    changes no key order.
     """
     handed = getattr(generators, "packed", None) or (None,) * len(generators)
     top = max((g.total_degree() for g, given in zip(generators, handed) if given is None), default=0)
-    return _widest(_Packing.sized(ring, 2 * max(4, 2 + top) - 1), handed)
+    return _widest(_Packing.capped(ring, top), handed)
 
 
 def _span_basis(p: int, gens: list[tuple]) -> list[tuple]:
     """The intake entries whose packed terms are not in the k-span of those before them."""
     echelon = _Echelon(p)
     return [entry for entry in gens if echelon.insert(dict(entry[0]))]
+
+
+def _capped_intake(generators: Sequence[Polynomial], ring: RingContext) -> tuple[_Packing, int, list[tuple]]:
+    """(packing, largest lead degree or -1, span basis) of the generators' intake for the capped runs."""
+    pk = _capped_packing(generators, ring)
+    gens = _intake(pk, generators)
+    # processing order puts the largest lead degree, the largest multiplicity, last
+    return pk, pk.degree(max(gens[-1][0])) if gens else -1, _span_basis(pk.p, gens)
 
 
 def _open_axes(polys: Iterable[Polynomial], nvars: int) -> frozenset[int]:
@@ -1289,17 +1277,13 @@ def try_primary_standard_basis(
     """
     if any(g.terms for g in generators) and _open_axes(generators, ring.nvars):
         return None
-    # packed once for every cap, monomial * unit replaced; the packing holds
-    # the last cap, so no run overflows
-    pk = _capped_packing(generators, ring)
-    gens = _intake(pk, generators, units=True)
+    # taken in once for every cap; the packing holds the last cap, so no
+    # run overflows
+    pk, multiplicity, gens = _capped_intake(generators, ring)
     if not gens:
         return ReducedStandardBasis(ring, ())
-    # processing order puts the largest lead degree, the largest multiplicity, last
-    caps = _cap_schedule(pk.degree(max(gens[-1][0])))
-    gens = _span_basis(pk.p, gens)
-    for cap in caps:
-        completed = _run_completion(pk, gens, cap, [400_000])
+    for cap in _cap_schedule(multiplicity):
+        completed = _run_completion(pk, gens, cap, [_CAPPED_BUDGET])
         if completed is None:
             return None
         pk, raw = completed
@@ -1415,7 +1399,7 @@ class Ideal:
             return False
         # infinite colength (or a very deep staircase): decide without the
         # full standard basis; a zero of the budgeted walk is a certificate
-        h = weak_normal_form(f, self._packed_generators, step_limit=120)
+        h = weak_normal_form(f, self._packed_generators, step_limit=_WALK_STEPS)
         if h is not None and h.is_zero():
             return True
         return _escalated_membership(f, self.generators)

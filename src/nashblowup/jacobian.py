@@ -125,10 +125,9 @@ def _packed_cells(
     distinct = {id(e): e.terms for row in entries for e in row if e.terms}
     top = max((sum(alpha) for terms in distinct.values() for alpha in terms), default=0)
     # a minor has degree at most D = k * top, so keys add without carries;
-    # the capped intake of generators of degree at most D needs fields for
-    # 2 * max(4, 2 + D) - 1 (ideals._capped_packing), so the minors reach it
-    # on its own keys
-    pk = _Packing.sized(ring, 2 * max(4, 2 + k * top) - 1)
+    # the packing of the capped runs on generators of degree at most D
+    # (ideals._capped_packing) holds it, so the minors reach them on its keys
+    pk = _Packing.capped(ring, k * top)
     p = pk.p
     den = 1 if p else math.lcm(*(c.denominator for terms in distinct.values() for c in terms.values()))
     packed = {

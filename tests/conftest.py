@@ -309,9 +309,8 @@ def brute_standard_monomial_count(
 # reference weak normal form
 #
 # The tuple-monomial, Fraction-coefficient Mora normal form the library ran
-# before its packed kernel, kept verbatim as the differential reference for
-# ideals.weak_normal_form: same result (None included) and the same charge
-# against cost_budget on every input.
+# before its packed kernel, kept as the differential reference for
+# ideals.weak_normal_form: the same result, None included, on every input.
 
 
 def _ecart(p: Polynomial, order: MonomialOrder) -> int:
@@ -339,7 +338,6 @@ def weak_normal_form(
     order: MonomialOrder = LOCAL_DEGREE,
     bound: int | None = None,
     step_limit: int | None = None,
-    cost_budget: list[int] | None = None,
 ) -> Polynomial | None:
     """Weak normal form of f against basis.
 
@@ -350,9 +348,7 @@ def weak_normal_form(
     extra reducer whenever its ecart is smaller, which forces termination.
     ``bound`` truncates all intermediate terms at that total degree and is
     only sound when m^bound is contained in the ideal.  ``step_limit``
-    aborts a long reduction walk and returns None; ``cost_budget`` is a
-    shared one-element accumulator doing the same across several calls
-    (both internal).
+    aborts a long reduction walk and returns None.
     """
     h = f.truncate_at_degree(bound)
     if h.is_zero() or not basis:
@@ -368,13 +364,6 @@ def weak_normal_form(
             if steps > step_limit:
                 return None
         lm_h = h.leading_monomial(order)
-        if cost_budget is not None:
-            # weight by coefficient size so bignum blowup hits the budget too
-            lc = h.terms[lm_h]
-            bits = lc.numerator.bit_length() + lc.denominator.bit_length()
-            cost_budget[0] -= len(h.terms) * (1 + bits // 32)
-            if cost_budget[0] < 0:
-                return None
         best = None
         for lm_g, rank, g in reducers:
             if mi_divides(lm_g, lm_h) and (best is None or rank < best[1]):
@@ -449,7 +438,7 @@ def linear_membership_certificate(
 # ---------------------------------------------------------------------------
 # reference completion
 #
-# The pair loop ideals._complete_basis ran before its pairs were keyed on
+# The pair loop ideals._run_completion ran before its pairs were keyed on
 # packed monomials, kept verbatim as the differential reference: exponent
 # tuple lcms, a chain-criterion scan over the whole basis for every popped
 # pair, no cut at the truncation bound, a staircase after every insert, and
@@ -505,7 +494,7 @@ def complete_basis(
 def _run_completion(
     pk: _Packing, gens: list[Polynomial], bound: int | None, cost_budget: list[int] | None
 ) -> tuple[_Packing, list[tuple]] | None:
-    """The body of _complete_basis on one packing; gens come in processing order."""
+    """The body of complete_basis on one packing; gens come in processing order."""
     ring = pk.ring
     p, local, limit, guards = pk.p, pk.local, pk.limit, pk.guards
     lo, hi = pk.window(bound)

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import nashblowup
@@ -19,7 +19,6 @@ from nashblowup.ideals import (
     ReducedStandardBasis,
     _border,
     _capped_packing,
-    _complete_basis,
     _complete_local_by_homogenization,
     _finish_primary,
     _intake,
@@ -91,29 +90,25 @@ def global_reduced_basis(gens):
     return [el[2] for el in _reduced_elements(pk, _minimalize(pk, raw), None, None)]
 
 
-def completion(gens, order, cap=None, cost_budget=None):
-    """Mora's completion under LOCAL_DEGREE, the private global step under GRADED_LEX."""
-    if order is LOCAL_DEGREE:
-        return _complete_basis(gens, cap, cost_budget)
-    return global_completion(gens, cost_budget)
+def capped_completion(gens, cap, cost_budget=None):
+    """One capped run on the intake of the generators, on a local packing that
+    holds them and the cap, so no step overflows."""
+    pk = _Packing.sized(gens[0].ring, max(max(g.total_degree() for g in gens), cap - 1))
+    return _run_completion(pk, _intake(pk, gens), cap, cost_budget)
 
 
-def complete(gens, order=LOCAL_DEGREE, hard_cap=None, cost_budget=None):
-    """completion with its packed elements unpacked; None passes through."""
-    completed = completion(gens, order, hard_cap, cost_budget)
-    if completed is None:
-        return None
-    pk, elements = completed
-    return [pk.polynomial(_terms(el)) for el in elements]
+def unpacked(completed):
+    """A completion's packed elements as polynomials; None passes through."""
+    return None if completed is None else [completed[0].polynomial(_terms(el)) for el in completed[1]]
 
 
-def normal_form(f, basis, order, bound=None, step_limit=None, cost_budget=None):
+def normal_form(f, basis, order, bound=None, step_limit=None):
     """weak_normal_form under LOCAL_DEGREE; under GRADED_LEX the same walk on
     a global packing, as Lazard's private step reduces."""
     if order is GRADED_LEX:
         top = max([f.total_degree(), (bound or 0) - 1] + [g.total_degree() for g in basis])
         basis = _PackedBasis(basis, _Packing.sized(f.ring, top, local=False))
-    return weak_normal_form(f, basis, bound, step_limit, cost_budget)
+    return weak_normal_form(f, basis, bound, step_limit)
 
 
 class TestStandardBasis:
@@ -179,12 +174,9 @@ class TestPackedNormalForm:
     """The packed kernel against the tuple/Fraction reference in conftest."""
 
     @staticmethod
-    def both(f, basis, order, bound=None, step_limit=None, budget=None):
-        mine = None if budget is None else [budget]
-        ref = None if budget is None else [budget]
-        got = normal_form(f, basis, order, bound, step_limit, mine)
-        want = reference_weak_normal_form(f, basis, order, bound, step_limit, ref)
-        return got, want, mine, ref
+    def both(f, basis, order, bound=None, step_limit=None):
+        got = normal_form(f, basis, order, bound, step_limit)
+        return got, reference_weak_normal_form(f, basis, order, bound, step_limit)
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
@@ -197,8 +189,7 @@ class TestPackedNormalForm:
         basis = [g for g in data.draw(polys) if not g.is_zero()]
         f = data.draw(polynomial_strategy(ring, max_terms=6, max_degree=7))
         if not field.is_prime_field:
-            # rational and bignum coefficients: the first charge reads the
-            # input's own coefficient, later ones the fraction-free scale
+            # rational and bignum coefficients reach the fraction-free steps
             scales = st.sampled_from([1, -1, Fraction(1, 2), Fraction(3, 7), Fraction(2**40, 3), 5**30])
             f = f.scalar_mul(data.draw(scales))
             basis = [g.scalar_mul(data.draw(scales)) for g in basis]
@@ -208,10 +199,8 @@ class TestPackedNormalForm:
             # Mora's walk terminates but can take millions of steps, for
             # instance when a unit with a large ecart is a reducer
             step_limit = 500
-        budget = data.draw(st.none() | st.integers(0, 300))
-        got, want, mine, ref = self.both(f, basis, order, bound, step_limit, budget)
+        got, want = self.both(f, basis, order, bound, step_limit)
         assert got == want
-        assert mine == ref
         if basis:
             # the same through a basis packed once, as ReducedStandardBasis
             # keeps it, or on the narrowest global packing
@@ -219,9 +208,7 @@ class TestPackedNormalForm:
                 packed = ReducedStandardBasis(ring, tuple(basis)).packed
             else:
                 packed = _PackedBasis(basis, _Packing.sized(ring, 0, local=False))
-            mine = None if budget is None else [budget]
-            assert weak_normal_form(f, packed, bound, step_limit, mine) == want
-            assert mine == ref
+            assert weak_normal_form(f, packed, bound, step_limit) == want
 
     @pytest.mark.parametrize(
         "f,basis,bound",
@@ -236,22 +223,21 @@ class TestPackedNormalForm:
     @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
     def test_pinned_cases(self, f, basis, bound, field):
         ring = RingContext(("x", "y"), field)
-        got, want, mine, ref = self.both(P(f, ring), [P(g, ring) for g in basis], LOCAL_DEGREE, bound, budget=10**6)
+        got, want = self.both(P(f, ring), [P(g, ring) for g in basis], LOCAL_DEGREE, bound)
         assert got == want
-        assert mine == ref
 
     @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
-    @pytest.mark.parametrize("budget", [None, 10**6])
-    def test_widening_past_the_default_width(self, field, budget):
+    @pytest.mark.parametrize("step_limit", [None, 10**6])
+    def test_widening_past_the_default_width(self, field, step_limit):
         # each step multiplies by x^100: the walk reaches x^500, past the
-        # fields sized from the input's degree 100
+        # fields sized from the input's degree 100, and restarts wider with
+        # its step count afresh
         ring = RingContext(("x", "y"), field)
         f, g = P("y^5", ring), P("y - x^100", ring)
         assert 500 > _Packing.sized(ring, 100).limit
-        got, want, mine, ref = self.both(f, [g], LOCAL_DEGREE, budget=budget)
+        got, want = self.both(f, [g], LOCAL_DEGREE, step_limit=step_limit)
         assert got == want
         assert got.total_degree() >= 500
-        assert mine == ref
         packed = ReducedStandardBasis(ring, (g,)).packed
         assert weak_normal_form(f, packed) == want
 
@@ -319,27 +305,12 @@ class TestFieldWidening:
         mp.setattr(_Packing, "sized", classmethod(lambda cls, ring, top, local=True: cls(ring, local, width)))
         mp.setattr(_Packing, "wider", lambda pk: widened.append(pk.width) or original_wider(pk))
 
-    def test_budget_survives_a_midway_restart(self, ring_q2):
-        # the generators fit two-bit fields, an s-polynomial does not: the run
-        # restarts after it has charged the budget, and must charge afresh
-        gens = [P("-x+y+x*y^2", ring_q2), P("2*x^2+3*x*y", ring_q2)]
-        roomy = [10**6]
-        want = complete(gens, hard_cap=9, cost_budget=roomy)
-        widened = []
-        narrow = [10**6]
-        with pytest.MonkeyPatch.context() as mp:
-            self.narrow(mp, 2, widened)
-            got = complete(gens, hard_cap=9, cost_budget=narrow)
-        assert widened == [2]
-        assert got == want
-        assert narrow == roomy
-
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_completion_restarts_to_the_same_basis(self, data):
-        # fields one to three bits wide overflow early or midway: every run
-        # restarts, wider, until the fields hold it, and must end where a
-        # roomy run ends, with the same budget left
+        # fields one to three bits wide overflow early or midway: the global
+        # step of Lazard's route restarts, wider, until the fields hold it,
+        # and must end where a roomy run ends, with the same budget left
         field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
         nvars = data.draw(st.integers(1, 3))
         ring = RingContext(("x", "y", "z")[:nvars], field)
@@ -348,13 +319,11 @@ class TestFieldWidening:
         gens = [g for g in data.draw(polys) if not g.is_zero() and not g.is_unit_at_origin()]
         if not gens:
             return
-        order = data.draw(st.sampled_from([LOCAL_DEGREE, GRADED_LEX]))
-        cap = data.draw(st.integers(2, 9)) if order is LOCAL_DEGREE else None
         budget = data.draw(st.none() | st.integers(0, 2000))
 
         def run():
             left = None if budget is None else [budget]
-            return complete(gens, order, hard_cap=cap, cost_budget=left), left
+            return unpacked(global_completion(gens, left)), left
 
         want = run()
         width = data.draw(st.integers(1, 3))
@@ -363,17 +332,13 @@ class TestFieldWidening:
             self.narrow(mp, width, widened)
             got = run()
         assert got == want
-        if want[0] is not None and max(g.truncate_at_degree(cap).total_degree() for g in gens) > 2**width - 1:
+        if want[0] is not None and max(g.total_degree() for g in gens) > 2**width - 1:
             assert widened
 
 
 class TestCompletionAgainstReference:
     """The pair loop on packed keys, stopped at the truncation bound, against
     the tuple-keyed loop in conftest that runs every pair."""
-
-    @staticmethod
-    def unpacked(completed):
-        return None if completed is None else [completed[0].polynomial(_terms(el)) for el in completed[1]]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -402,33 +367,34 @@ class TestCompletionAgainstReference:
         for i, c, at in data.draw(st.lists(st.tuples(st.integers(0, len(gens) - 1), nonzero, st.integers(0, 4)),
                                            max_size=2)):
             gens.insert(min(at, len(gens)), gens[i].scalar_mul(c))
-        distinct = first_per_scalar_class(gens)
         order = data.draw(st.sampled_from([LOCAL_DEGREE, GRADED_LEX]))
-        cap = data.draw(st.none() | st.integers(1, 10)) if order is LOCAL_DEGREE else None
         # a budget stops every run, a wrong one included: each insert charges it
         budget = data.draw(st.integers(0, 30_000))
 
         def both(run_mine, run_reference):
             mine, reference = [budget], [budget]
-            got, want = self.unpacked(run_mine(mine)), self.unpacked(run_reference(reference))
+            got, want = unpacked(run_mine(mine)), unpacked(run_reference(reference))
             assert got == want
             assert mine == reference
 
-        both(lambda b: completion(gens, order, cap, b), lambda b: reference_complete_basis(distinct, order, cap, b))
-        if order is LOCAL_DEGREE:
-            # the capped route: packed once, for its top degree and last cap,
-            # then truncated at each cap in turn
-            caps = sorted(data.draw(st.lists(st.integers(1, 10), min_size=2, max_size=2)))
-            pk = _Packing.sized(ring, max(max(g.total_degree() for g in gens), caps[-1] - 1))
-            packed = _intake(pk, gens)
-            for c in caps:
-                both(lambda b: _run_completion(pk, packed, c, b), lambda b: reference_complete_basis(distinct, order, c, b))
+        if order is GRADED_LEX:
+            distinct = first_per_scalar_class(gens)
+            both(lambda b: global_completion(gens, b), lambda b: reference_complete_basis(distinct, order, None, b))
+            return
+        # the capped route: monomial * unit replaced, packed once for the top
+        # degree and the last cap, then truncated at each cap in turn
+        distinct = first_per_scalar_class(simplify_generators(gens, LOCAL_DEGREE))
+        caps = sorted(data.draw(st.lists(st.integers(1, 10), min_size=2, max_size=2)))
+        pk = _Packing.sized(ring, max(max(g.total_degree() for g in gens), caps[-1] - 1))
+        packed = _intake(pk, gens)
+        for c in caps:
+            both(lambda b: _run_completion(pk, packed, c, b), lambda b: reference_complete_basis(distinct, order, c, b))
 
     def test_duplicate_charges_no_budget(self, ring_q2):
         gens = [P(t, ring_q2) for t in ("x^2 + y^3", "x*y", "-2*x^2 - 2*y^3")]
         with_duplicate, without = [10**6], [10**6]
-        got = self.unpacked(_complete_basis(gens, 8, with_duplicate))
-        assert got == self.unpacked(_complete_basis(gens[:2], 8, without))
+        got = unpacked(capped_completion(gens, 8, with_duplicate))
+        assert got == unpacked(capped_completion(gens[:2], 8, without))
         assert with_duplicate == without
 
 
@@ -507,20 +473,71 @@ class TestOpenAxis:
 
 
 def test_escalation_out_of_rounds_raises_membership_undecided(ring_q2, monkeypatch):
-    # neither side ever settles: no certificate, and nothing left to refute
-    caps = []
+    # neither side ever settles: no certificate, and nothing left to refute;
+    # the generators are taken in once for every round, on a packing that
+    # holds each round's cap
+    caps, intakes = [], []
+    original_intake = ideals._intake
 
-    def capped(gens, hard_cap):
-        caps.append(hard_cap)
-        return ideals._Packing.sized(ring_q2, hard_cap), []
+    def capped(pk, gens, cap, budget):
+        assert cap - 1 <= pk.limit
+        caps.append(cap)
+        return pk, []
 
     monkeypatch.setattr(ideals, "_linear_membership_certificate", lambda f, gens, bound: False)
-    monkeypatch.setattr(ideals, "_complete_basis", capped)
+    monkeypatch.setattr(ideals, "_intake", lambda pk, gens: intakes.append(gens) or original_intake(pk, gens))
+    monkeypatch.setattr(ideals, "_run_completion", capped)
     monkeypatch.setattr(ideals, "_normal_form", lambda *args: {})
     with pytest.raises(ideals.MembershipUndecided) as caught:
         ideals._escalated_membership(P("x^3*y", ring_q2), [P("x^2*y", ring_q2)])
     assert isinstance(caught.value, RuntimeError)
     assert (caught.value.rounds, caught.value.cap) == (len(caps), caps[-1]) == (12, 549)
+    assert len(intakes) == 1
+
+
+class TestEscalationAgainstReference:
+    """_escalated_membership against membership read off Lazard's route as it
+    ran on polynomials (conftest): f lies in the ideal iff its weak normal
+    form against that standard basis is zero."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_same_answer(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        gens = data.draw(st.lists(nonzero_polynomial_strategy(ring, max_terms=3, max_degree=4), min_size=1, max_size=3))
+        if data.draw(st.booleans()):
+            # pure powers make the colength finite; without them it is often infinite
+            gens += [ring.monomial(tuple(data.draw(st.integers(2, 5)) if j == i else 0 for j in range(nvars)))
+                     for i in range(nvars)]
+        member = data.draw(st.booleans())
+        if member:
+            # a combination of the generators times a unit
+            scale = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 7)]) if field is QQ else \
+                st.integers(1, field.characteristic - 1)
+            tail = data.draw(polynomial_strategy(ring, max_terms=2, max_degree=2))
+            unit = ring.constant(data.draw(scale)) + Polynomial(ring, {a: c for a, c in tail.terms.items() if sum(a)})
+            cofactors = data.draw(st.lists(polynomial_strategy(ring, max_terms=2, max_degree=2),
+                                           min_size=len(gens), max_size=len(gens)))
+            f = unit * sum((g * c for g, c in zip(gens, cofactors)), ring.zero())
+        elif data.draw(st.booleans()):
+            f = data.draw(polynomial_strategy(ring, max_terms=4, max_degree=5))
+        else:
+            # some terms of a generator: often in I + m^cap for the first caps
+            # without lying in I, so the refutation needs later rounds
+            g = data.draw(st.sampled_from(gens))
+            part = data.draw(st.lists(st.sampled_from(sorted(g.terms)), min_size=1, unique=True))
+            f = Polynomial(ring, {a: g.terms[a] for a in part})
+        basis = lazard_standard_basis(gens, ring)
+        # on infinite colength Mora's walk can run long, its coefficients
+        # growing over Q; nearly every example decides within 25 steps
+        reduced = reference_weak_normal_form(f, basis.elements, LOCAL_DEGREE, basis.truncation, step_limit=200)
+        if reduced is None:
+            reject()
+        if member:
+            assert reduced.is_zero()
+        assert ideals._escalated_membership(f, gens) == reduced.is_zero()
 
 
 def intake_of(pk, survivors, order):
@@ -557,7 +574,7 @@ class TestIntake:
         gens = [base[i].scalar_mul(c) for i, c in data.draw(st.lists(picks, min_size=1, max_size=8))]
         order = data.draw(st.sampled_from([LOCAL_DEGREE, GRADED_LEX]))
         pk = _Packing.sized(ring, max(g.total_degree() for g in gens), order == LOCAL_DEGREE)
-        assert _intake(pk, gens) == intake_of(pk, first_per_scalar_class(gens), order)
+        assert _intake(pk, gens) == intake_of(pk, first_per_scalar_class(simplify_generators(gens, order)), order)
 
 
 class TestHandOver:
@@ -611,10 +628,10 @@ class TestHandOver:
         generators = nash_ideal_t(f, n).generators
         survivors = first_per_scalar_class(simplify_generators(generators, LOCAL_DEGREE))
         pk = _capped_packing(generators, f.ring)
-        assert _intake(pk, generators, units=True) == intake_of(pk, survivors, LOCAL_DEGREE)
+        assert _intake(pk, generators) == intake_of(pk, survivors, LOCAL_DEGREE)
         # another width: the handed-over keys move by way of exponent tuples
         wider = pk.wider()
-        assert _intake(wider, generators, units=True) == intake_of(wider, survivors, LOCAL_DEGREE)
+        assert _intake(wider, generators) == intake_of(wider, survivors, LOCAL_DEGREE)
 
     @staticmethod
     def rank(rows, p):
@@ -713,7 +730,7 @@ class TestCompletionOutput:
         gens = [g for g in data.draw(polys) if not g.is_zero()]
         if not gens:
             return
-        for raw in (complete(gens, hard_cap=8), complete(gens, GRADED_LEX)):
+        for raw in (unpacked(capped_completion(gens, 8)), unpacked(global_completion(gens))):
             for q in raw:
                 assert q.terms and q == Polynomial(ring, dict(q.terms))
                 if field.is_prime_field:
