@@ -44,8 +44,6 @@ from .jacobian import (
 )
 from .parsing import PolynomialSyntaxError, format_polynomial, parse_polynomial
 from .polynomials import (
-    LOCAL_DEGREE,
-    MonomialOrder,
     Polynomial,
     RingContext,
     multi_indices_in_range,
@@ -62,10 +60,8 @@ __all__ = [
     "Ideal",
     "InvariantReport",
     "JacobianMatrix",
-    "LOCAL_DEGREE",
     "LocalAutomorphism",
     "MembershipUndecided",
-    "MonomialOrder",
     "Polynomial",
     "PolynomialSyntaxError",
     "QQ",

@@ -111,7 +111,6 @@ from operator import itemgetter, lshift
 from typing import Callable, Iterable, Sequence
 
 from .polynomials import (
-    LOCAL_DEGREE,
     MultiIndex,
     Polynomial,
     RingContext,
@@ -1012,40 +1011,24 @@ class ReducedStandardBasis:
     in the module docstring.  ``truncation`` is the degree above which terms
     were dropped (m^truncation lies in the ideal); None for ideals of
     infinite colength.  ``staircase`` is (count, top degree) of the standard
-    monomials, None when there are infinitely many.
+    monomials, None when there are infinitely many: the count the completion
+    took of the minimal leading monomials, which are the elements' leads.
+    Built only by _reduced_basis.
     """
 
     ring: RingContext
     elements: tuple[Polynomial, ...]
-    truncation: int | None = None
-    staircase: tuple[int, int] | None = dc_field(init=False, compare=False, repr=False)
-    # (packing, terms) when the elements were computed packed: terms[i] is a
-    # nonzero multiple of elements[i] on packing's keys, or None for a bare
-    # monomial, so the first query packs no other element again
-    _packed_terms: tuple[_Packing, tuple[dict[int, int], ...]] | None = dc_field(
-        default=None, compare=False, repr=False
-    )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "staircase", _staircase(self.leading_monomials, self.ring.nvars))
+    truncation: int | None
+    staircase: tuple[int, int] | None = dc_field(compare=False, repr=False)
+    # (packing, terms): terms[i] is a nonzero multiple of elements[i] on the
+    # packing's keys, so no query packs an element again
+    _packed_terms: tuple[_Packing, tuple[dict[int, int], ...]] = dc_field(compare=False, repr=False)
 
     @cached_property
     def packed(self) -> _PackedBasis:
         """The elements with their packed reducers, built on the first query."""
-        if self._packed_terms is None:
-            return _PackedBasis.fitted(self.elements, self.ring)
         pk, terms = self._packed_terms
-        return _PackedBasis(self.elements, pk, [
-            pk.pack(el) if t is None else t for el, t in zip(self.elements, terms)
-        ])
-
-    @property
-    def leading_monomials(self) -> tuple[MultiIndex, ...]:
-        return tuple(p.leading_monomial(LOCAL_DEGREE) for p in self.elements)
-
-    @property
-    def is_unit_ideal(self) -> bool:
-        return self.staircase == (0, -1)
+        return _PackedBasis(self.elements, pk, terms)
 
     @property
     def is_m_primary(self) -> bool:
@@ -1081,62 +1064,37 @@ class ReducedStandardBasis:
         return INFINITE if self.staircase is None else self.staircase[0]
 
 
-def _border(lead_monomials: Sequence[MultiIndex], nvars: int, degree: int) -> list[MultiIndex]:
-    """The monomials of the given total degree outside the monomial ideal.
+def _finish_primary(pk: _Packing, minimal: list[tuple], staircase: tuple[int, int]) -> ReducedStandardBasis:
+    """Canonical truncated form of an m-primary standard basis, from its minimal packed elements.
 
-    Slices on the first variable as _staircase does: x_1^e * x^beta lies
-    outside iff x^beta lies outside the ideal of the tails of the
-    generators with first exponent <= e.  In two variables that is a
-    comparison with the least second exponent among those tails.
+    ``staircase`` is the (count, top degree) of their leading monomials.
+    Everything of degree >= B := top + 1 lies in the ideal (Nakayama), and
+    m^B in the leading ideal, so no minimal lead has degree above B.  The
+    elements led below B are truncated at B and tail-reduced; those led at
+    B enter as their bare monic leads, the monomials of degree B outside
+    the ideal of the lower leads, making the result a function of the ideal
+    alone rather than of the generator list.  The local packing must hold
+    degree B and the elements' degrees.
     """
-    if nvars == 1:
-        return [] if any(m[0] <= degree for m in lead_monomials) else [(degree,)]
-    leads = sorted(lead_monomials, reverse=True)
-    tails: list[MultiIndex] = []
-    low = degree + 1  # two variables: the least second exponent among the tails
-    out: list[MultiIndex] = []
-    for e in range(degree + 1):
-        while leads and leads[-1][0] <= e:
-            m = leads.pop()
-            tails.append(m[1:])
-            low = min(low, m[1])
-        if nvars > 2:
-            out += [(e, *beta) for beta in _border(tails, nvars - 1, degree - e)]
-        elif degree - e < low:
-            out.append((e, degree - e))
-        elif not low:
-            break  # x_1^c with c <= e lies in the ideal: so does the rest
-    return out
-
-
-def _finish_primary(pk: _Packing, minimal: list[tuple], top_std_degree: int) -> ReducedStandardBasis:
-    """Canonical truncated form of an m-primary standard basis, from packed elements.
-
-    Everything of degree >= B := top_std_degree + 1 lies in the ideal, so
-    elements with such leading monomials are bare monomials; that layer is
-    regenerated from the staircase, making the result a function of the
-    ideal alone rather than of the generator list.  The local packing must
-    hold degree B and the elements' degrees.
-    """
-    ring = pk.ring
-    B = max(top_std_degree + 1, 1)
+    B = max(staircase[1] + 1, 1)
     lo, hi = pk.window(B)
-    kept = [
+    below = [
         pk.element({k: c for k, c in _terms(el).items() if lo <= k < hi})
         for el in minimal
         if lo <= el[0] < hi
     ]
-    elements = _reduced_elements(pk, kept, B, None)
-    border = _border([pk.monomial(el[0]) for el in kept], ring.nvars, B)
-    elements += [(pk.key(alpha), None, ring.monomial(alpha)) for alpha in border]
+    elements = _reduced_elements(pk, below, B, None)
+    elements += [(el[0], {el[0]: 1}, pk.polynomial({el[0]: 1})) for el in minimal if el[0] < lo]
     elements.sort(key=_lead, reverse=True)
-    return _reduced_basis(pk, elements, B)
+    return _reduced_basis(pk, elements, B, staircase)
 
 
-def _reduced_basis(pk: _Packing, elements: list[tuple], truncation: int | None) -> ReducedStandardBasis:
-    """The basis of (leading key, packed terms or None, element) entries, keeping the terms."""
+def _reduced_basis(
+    pk: _Packing, elements: list[tuple], truncation: int | None, staircase: tuple[int, int] | None
+) -> ReducedStandardBasis:
+    """The basis of (leading key, packed terms, element) entries, keeping the terms and the staircase."""
     return ReducedStandardBasis(
-        pk.ring, tuple(el[2] for el in elements), truncation, (pk, tuple(el[1] for el in elements))
+        pk.ring, tuple(el[2] for el in elements), truncation, staircase, (pk, tuple(el[1] for el in elements))
     )
 
 
@@ -1281,7 +1239,7 @@ def try_primary_standard_basis(
     # run overflows
     pk, multiplicity, gens = _capped_intake(generators, ring)
     if not gens:
-        return ReducedStandardBasis(ring, ())
+        return _reduced_basis(pk, [], None, None)
     for cap in _cap_schedule(multiplicity):
         completed = _run_completion(pk, gens, cap, [_CAPPED_BUDGET])
         if completed is None:
@@ -1290,7 +1248,7 @@ def try_primary_standard_basis(
         minimal = _minimalize(pk, raw)
         stats = _staircase([pk.monomial(el[0]) for el in minimal], ring.nvars)
         if stats is not None and stats[1] + 2 <= cap:
-            return _finish_primary(pk, minimal, stats[1])
+            return _finish_primary(pk, minimal, stats)
     return None
 
 
@@ -1303,11 +1261,11 @@ def compute_standard_basis(generators: Sequence[Polynomial], ring: RingContext) 
     minimal = _minimalize(pk, raw)
     stats = _staircase([pk.monomial(el[0]) for el in minimal], ring.nvars)
     if stats is not None:
-        return _finish_primary(pk, minimal, stats[1])
+        return _finish_primary(pk, minimal, stats)
     # infinite colength: cap tail growth at the largest degree present
     # (local keys: the highest degree has the lowest key)
     cap = pk.degree(min(k for el in minimal for k in _terms(el)))
-    return _reduced_basis(pk, _reduced_elements(pk, minimal, None, cap), None)
+    return _reduced_basis(pk, _reduced_elements(pk, minimal, None, cap), None, None)
 
 
 class Ideal:
@@ -1386,6 +1344,8 @@ class Ideal:
         return self._primary_attempt
 
     def contains_element(self, f: Polynomial) -> bool:
+        if f.ring != self.ring:
+            raise ValueError("polynomial lives in a different ring context")
         if f.is_zero():
             return True
         if not self.generators:

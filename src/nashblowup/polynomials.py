@@ -43,36 +43,6 @@ def multi_indices_in_range(d: int, lo: int, hi: int) -> list[MultiIndex]:
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Total order on monomials of one ring, via a sort key (max = leading).
-
-    ``graded_lex``: degree first, ties lex with the first variable highest;
-    a global well-order.  ``local_degree``: lower degree wins, same tie-break;
-    the leading monomial of a polynomial has minimal total degree.
-    """
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("graded_lex", "local_degree"):
-            raise ValueError(f"unknown monomial order {self.kind!r}")
-
-    def key(self, alpha: MultiIndex):
-        deg = sum(alpha)
-        if self.kind == "local_degree":
-            return (-deg, alpha)
-        return (deg, alpha)
-
-
-GRADED_LEX = MonomialOrder("graded_lex")
-LOCAL_DEGREE = MonomialOrder("local_degree")
-
-
-# ---------------------------------------------------------------------------
 # ring context and polynomials
 
 
@@ -186,11 +156,6 @@ class Polynomial:
 
     def is_unit_at_origin(self) -> bool:
         return bool(self.constant_coefficient())
-
-    def leading_monomial(self, order: MonomialOrder) -> MultiIndex:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
 
     def sorted_terms(self) -> list[tuple[MultiIndex, object]]:
         """Terms sorted reading-order: degree ascending, lex descending within a degree."""

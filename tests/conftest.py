@@ -10,7 +10,9 @@ linear membership certificate through the tuple/Fraction implementations
 that predate the library's packed kernel.  The
 standard-basis completion is checked against its earlier pair loop on
 exponent tuples, Lazard's route against its earlier form on polynomials,
-and the text form of a polynomial against its first formatter.  The
+the text form of a polynomial against its first formatter, and a finished
+basis's staircase and degree-B layer against a recount of its leads and
+the slicing walk that built that layer.  The monomial orders and the
 polynomial helpers only these oracles and the tests use live here too.
 """
 
@@ -20,6 +22,7 @@ import heapq
 import itertools
 import math
 from bisect import insort
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import lshift
@@ -50,9 +53,6 @@ from nashblowup.ideals import (
 )
 from nashblowup.jacobian import higher_jacobian_ideal, jacobian_ideal
 from nashblowup.polynomials import (
-    GRADED_LEX,
-    LOCAL_DEGREE,
-    MonomialOrder,
     MultiIndex,
     Polynomial,
     RingContext,
@@ -91,6 +91,46 @@ def P(text: str, ring: RingContext) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
+# monomial orders
+#
+# The orders the library's packed keys encode (see the ideals docstring),
+# spelled on exponent tuples for the reference walk, Lazard's reference and
+# the expected intakes: the library itself reads leads off keys.
+
+
+@dataclass(frozen=True)
+class MonomialOrder:
+    """Total order on monomials of one ring, via a sort key (max = leading).
+
+    ``graded_lex``: degree first, ties lex with the first variable highest;
+    a global well-order.  ``local_degree``: lower degree wins, same tie-break;
+    the leading monomial of a polynomial has minimal total degree.
+    """
+
+    kind: str
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("graded_lex", "local_degree"):
+            raise ValueError(f"unknown monomial order {self.kind!r}")
+
+    def key(self, alpha: MultiIndex):
+        deg = sum(alpha)
+        if self.kind == "local_degree":
+            return (-deg, alpha)
+        return (deg, alpha)
+
+
+GRADED_LEX = MonomialOrder("graded_lex")
+LOCAL_DEGREE = MonomialOrder("local_degree")
+
+
+def leading_monomial(p: Polynomial, order: MonomialOrder) -> MultiIndex:
+    if not p.terms:
+        raise ValueError("zero polynomial has no leading monomial")
+    return max(p.terms, key=order.key)
+
+
+# ---------------------------------------------------------------------------
 # polynomial helpers used only by tests and oracles
 
 
@@ -120,7 +160,7 @@ def term_mul(p: Polynomial, coeff, alpha: MultiIndex) -> Polynomial:
 
 
 def leading_coefficient(p: Polynomial, order: MonomialOrder):
-    return p.terms[p.leading_monomial(order)]
+    return p.terms[leading_monomial(p, order)]
 
 
 def monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -149,7 +189,7 @@ def strip_content(p: Polynomial) -> Polynomial:
 
 def poly_sort_key(p: Polynomial, order: MonomialOrder):
     """Deterministic total key on polynomials; it fixed the processing orders of the completions."""
-    return (order.key(p.leading_monomial(order)), sorted(p.terms.items()))
+    return (order.key(leading_monomial(p, order)), sorted(p.terms.items()))
 
 
 def identity_automorphism(ring: RingContext) -> LocalAutomorphism:
@@ -314,7 +354,7 @@ def brute_standard_monomial_count(
 
 
 def _ecart(p: Polynomial, order: MonomialOrder) -> int:
-    return p.total_degree() - sum(p.leading_monomial(order))
+    return p.total_degree() - sum(leading_monomial(p, order))
 
 
 def _reduce_leading(h: Polynomial, g: Polynomial, lm_h: MultiIndex, lm_g: MultiIndex) -> Polynomial:
@@ -356,14 +396,14 @@ def weak_normal_form(
     local = order == LOCAL_DEGREE
     # among divisors of minimal ecart, prefer short reducers: they add the
     # fewest new terms per step
-    reducers = [(g.leading_monomial(order), (_ecart(g, order), len(g.terms)), g) for g in basis]
+    reducers = [(leading_monomial(g, order), (_ecart(g, order), len(g.terms)), g) for g in basis]
     steps = 0
     while not h.is_zero():
         if step_limit is not None:
             steps += 1
             if steps > step_limit:
                 return None
-        lm_h = h.leading_monomial(order)
+        lm_h = leading_monomial(h, order)
         best = None
         for lm_g, rank, g in reducers:
             if mi_divides(lm_g, lm_h) and (best is None or rank < best[1]):
@@ -651,7 +691,7 @@ def homogenized_generators(generators: Sequence[Polynomial], ring: RingContext) 
 def lazard_standard_basis(generators: Sequence[Polynomial], ring: RingContext) -> ReducedStandardBasis:
     homogenized = homogenized_generators(generators, ring)
     if not homogenized:
-        return ReducedStandardBasis(ring, ())
+        return _reduced_basis(_Packing.sized(ring, 0), [], None, None)
     hpk, raw = complete_basis(first_per_scalar_class(homogenized), GRADED_LEX)
     dehomogenized = [{hpk.monomial(k)[1:]: c for k, c in _terms(el).items()} for el in raw]
     top = max(sum(a) for terms in dehomogenized for a in terms)
@@ -659,9 +699,52 @@ def lazard_standard_basis(generators: Sequence[Polynomial], ring: RingContext) -
     minimal = _minimalize(pk, [pk.element({pk.key(a): c for a, c in terms.items()}) for terms in dehomogenized])
     stats = _staircase([pk.monomial(el[0]) for el in minimal], ring.nvars)
     if stats is not None:
-        return _finish_primary(pk, minimal, stats[1])
+        return _finish_primary(pk, minimal, stats)
     cap = pk.degree(min(k for el in minimal for k in _terms(el)))
-    return _reduced_basis(pk, _reduced_elements(pk, minimal, None, cap), None)
+    return _reduced_basis(pk, _reduced_elements(pk, minimal, None, cap), None, None)
+
+
+# ---------------------------------------------------------------------------
+# reference staircase read-off
+#
+# A finished basis carries the staircase its completion counted on the
+# minimal leads, and _finish_primary takes the degree-B layer of an m-primary
+# basis off those leads.  The leads recounted from the elements, and the
+# slicing walk that built that layer before, kept verbatim, are the
+# references for both.
+
+
+def leading_monomials(basis: ReducedStandardBasis) -> tuple[MultiIndex, ...]:
+    """The local leading monomials of the basis elements, read off the polynomials."""
+    return tuple(leading_monomial(p, LOCAL_DEGREE) for p in basis.elements)
+
+
+def border(lead_monomials: Sequence[MultiIndex], nvars: int, degree: int) -> list[MultiIndex]:
+    """The monomials of the given total degree outside the monomial ideal.
+
+    Slices on the first variable as _staircase does: x_1^e * x^beta lies
+    outside iff x^beta lies outside the ideal of the tails of the
+    generators with first exponent <= e.  In two variables that is a
+    comparison with the least second exponent among those tails.
+    """
+    if nvars == 1:
+        return [] if any(m[0] <= degree for m in lead_monomials) else [(degree,)]
+    leads = sorted(lead_monomials, reverse=True)
+    tails: list[MultiIndex] = []
+    low = degree + 1  # two variables: the least second exponent among the tails
+    out: list[MultiIndex] = []
+    for e in range(degree + 1):
+        while leads and leads[-1][0] <= e:
+            m = leads.pop()
+            tails.append(m[1:])
+            low = min(low, m[1])
+        if nvars > 2:
+            out += [(e, *beta) for beta in border(tails, nvars - 1, degree - e)]
+        elif degree - e < low:
+            out.append((e, degree - e))
+        elif not low:
+            break  # x_1^c with c <= e lies in the ideal: so does the rest
+    return out
 
 
 # ---------------------------------------------------------------------------

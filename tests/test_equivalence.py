@@ -123,6 +123,19 @@ class TestSamuelHypothesis:
         with pytest.raises(ValueError, match="proper"):
             samuel_hypothesis(P("x", ring_q2), P("x", ring_q2))
 
+    @pytest.mark.parametrize("text", ["x^2+y", "y+x*y"])
+    def test_unit_after_the_first_jacobian_generator_rejected(self, ring_q2, text):
+        # j(f) = (2*x, 1) and (y, 1 + x): a unit at the origin, not a constant first
+        f = P(text, ring_q2)
+        with pytest.raises(ValueError, match="proper"):
+            samuel_hypothesis(f, f)
+
+    def test_constant_germ_has_a_proper_jacobian_ideal(self, ring_q2):
+        # j(3) has no generators: the zero ideal, proper, and m * 0 holds only 0
+        f = ring_q2.constant(3)
+        assert samuel_hypothesis(f, f)
+        assert not samuel_hypothesis(f, f + P("x^5", ring_q2))
+
 
 class TestRandomGenerators:
     def test_deterministic(self, ring_q2):

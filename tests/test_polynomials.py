@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 from nashblowup.fields import GF, QQ, CoefficientField
 from nashblowup.polynomials import (
-    GRADED_LEX,
-    LOCAL_DEGREE,
     RingContext,
     multi_indices_in_range,
 )
 
 from conftest import (
+    GRADED_LEX,
     P,
     classical_iterated_partial,
     lucas_binom,
@@ -209,18 +208,6 @@ class TestMultiIndexEnumeration:
 
 
 class TestMonomialOrders:
-    def test_graded_lex_leading(self, ring_q2):
-        f = P("x^2+x*y+y^3", ring_q2)
-        assert f.leading_monomial(GRADED_LEX) == (0, 3)
-
-    def test_local_leading_is_lowest_degree(self, ring_q2):
-        f = P("x^2+y^3", ring_q2)
-        assert f.leading_monomial(LOCAL_DEGREE) == (2, 0)
-
-    def test_local_tie_break_prefers_first_variable(self, ring_q2):
-        f = P("x^2+x*y+y^2", ring_q2)
-        assert f.leading_monomial(LOCAL_DEGREE) == (2, 0)
-
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda d: st.lists(monomial_strategy(d + 1, 8), max_size=12)))
     def test_graded_lex_orders_homogenized_monomials_locally(self, monomials):
