@@ -89,8 +89,8 @@ def _build_config(args, poly_texts: list[str]) -> CommandConfig:
     return CommandConfig(
         variables=variables,
         characteristic=args.char,
-        json_output=getattr(args, "json", False),
-        seed=getattr(args, "seed", 0) or 0,
+        json_output=args.json,
+        seed=args.seed,
     )
 
 
@@ -192,10 +192,10 @@ def _parse_images(text: str, ring: RingContext) -> LocalAutomorphism:
 
 
 def cmd_check(args) -> int:
-    texts = [t for t in (getattr(args, "f", None), getattr(args, "g", None)) if t]
-    if getattr(args, "auto", None):
+    texts = [t for t in (args.f, args.g) if t]
+    if args.auto:
         texts.extend(args.auto.split(";"))
-    if getattr(args, "unit", None):
+    if args.unit:
         texts.append(args.unit)
     config = _build_config(args, texts)
     ring = config.ring
@@ -394,10 +394,6 @@ def main(argv=None) -> int:
     parser = _parser(add_verb) if add_verb else build_parser()
     try:
         args = parser.parse_args(argv)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -12,9 +12,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .ideals import Ideal
-from .jacobian import higher_jacobian_ideal
-from .polynomials import Polynomial, RingContext, _substitute_all
+from .ideals import Ideal, maximal_ideal_power
+from .jacobian import higher_jacobian_ideal, jacobian_ideal
+from .parsing import parse_polynomial
+from .polynomials import Polynomial, RingContext, _substitute_all, multi_indices_in_range
 
 
 @dataclass(frozen=True)
@@ -139,9 +140,6 @@ def check_contact_invariance(f: Polynomial, transform: ContactTransform, n: int)
 
 def samuel_hypothesis(f: Polynomial, g: Polynomial) -> bool:
     """Whether g - f lies in m * j(f)^2; requires j(f) proper."""
-    from .ideals import maximal_ideal_power
-    from .jacobian import jacobian_ideal
-
     if f.is_zero():
         raise ValueError("zero polynomial")
     jac = jacobian_ideal(f)
@@ -166,8 +164,6 @@ def _random_coeff(rng: random.Random, ring: RingContext):
 
 
 def _random_tail(rng: random.Random, ring: RingContext, lo: int, hi: int, max_terms: int = 2) -> Polynomial:
-    from .polynomials import multi_indices_in_range
-
     tail = ring.zero()
     if hi < lo:
         return tail
@@ -233,38 +229,25 @@ def run_invariance_harness(
     germ_pool: tuple[str, ...] = DEFAULT_GERM_POOL,
 ) -> dict:
     """Run the seeded covariance / unit / contact checks; JSON-ready report."""
-    from .parsing import parse_polynomial
-
     germs = [parse_polynomial(text, ring) for text in germ_pool]
-    checks: list[dict] = []
-
-    def record(kind: str, seed: int, f: Polynomial, n: int, ok: bool) -> None:
-        checks.append({"kind": kind, "seed": seed, "f": str(f), "n": n, "pass": ok})
-
-    for t in range(config.covariance_trials):
-        seed = config.seed + t
-        rng = random.Random(f"pick:{seed}")
-        f = rng.choice(germs)
-        n = rng.choice(config.orders)
-        phi = random_automorphism(ring, seed, config.max_degree)
-        record("right-covariance", seed, f, n, check_right_covariance(f, phi, n))
-    for t in range(config.unit_trials):
-        seed = config.seed + t
-        rng = random.Random(f"pick-u:{seed}")
-        f = rng.choice(germs)
-        n = rng.choice(config.orders)
-        unit = random_unit(ring, seed, config.max_degree)
-        record("unit-stability", seed, f, n, check_unit_stability(f, unit, n))
-    for t in range(config.contact_trials):
-        seed = config.seed + t
-        rng = random.Random(f"pick-c:{seed}")
-        f = rng.choice(germs)
-        n = rng.choice(config.orders)
-        transform = ContactTransform(
-            random_automorphism(ring, seed, config.max_degree),
-            random_unit(ring, seed + 10**6, config.max_degree),
-        )
-        record("contact-invariance", seed, f, n, check_contact_invariance(f, transform, n))
+    degree = config.max_degree
+    # (kind, trials, prefix of the seed that picks f and n, check of one trial)
+    kinds = (
+        ("right-covariance", config.covariance_trials, "pick",
+         lambda f, n, seed: check_right_covariance(f, random_automorphism(ring, seed, degree), n)),
+        ("unit-stability", config.unit_trials, "pick-u",
+         lambda f, n, seed: check_unit_stability(f, random_unit(ring, seed, degree), n)),
+        ("contact-invariance", config.contact_trials, "pick-c",
+         lambda f, n, seed: check_contact_invariance(f, ContactTransform(
+             random_automorphism(ring, seed, degree), random_unit(ring, seed + 10**6, degree)), n)),
+    )
+    checks = []
+    for kind, trials, prefix, check in kinds:
+        for seed in range(config.seed, config.seed + trials):
+            rng = random.Random(f"{prefix}:{seed}")
+            f = rng.choice(germs)
+            n = rng.choice(config.orders)
+            checks.append({"kind": kind, "seed": seed, "f": str(f), "n": n, "pass": check(f, n, seed)})
     return {
         "checks": checks,
         "failures": [c for c in checks if not c["pass"]],

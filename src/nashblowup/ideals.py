@@ -57,15 +57,19 @@ lcm's degree, pairs come off the heap by ascending lcm degree and the
 bound only falls, so the loop stops at the first pair whose lcm reaches
 the bound: every pair left would truncate to zero, uncharged.
 
-Conversion boundary.  Polynomials are packed once on entry to
-weak_normal_form and _linear_membership_certificate; an Ideal packs its
-generators once for all its budgeted walks, reusing the terms of those
-handed over packed.  Every completion takes its generators through one
-intake, which packs them in the caller's order, keeps the terms of those
-handed over already packed, replaces monomial * unit by the monomial on a
-local packing, and drops each that is a nonzero scalar multiple of an
-earlier one, so every completion starts from the first generator of each
-scalar class.
+Conversion boundary.  A basis of polynomials is packed once on entry to
+weak_normal_form; an Ideal packs its generators once, on the capped runs'
+packing (_capped_packing), for all its budgeted walks and membership
+escalations, reusing the terms of those handed over packed.  The
+escalation reads that packed basis as it is: its terms are the linear
+certificate's rows, their span basis is what the refutations complete, and
+they move to a wider packing only when a round outgrows the one they came
+on, so only f is packed inside an escalation.  Every completion takes its
+generators through one intake, which packs them in the caller's order,
+keeps the terms of those handed over already packed, replaces monomial *
+unit by the monomial on a local packing, and drops each that is a nonzero
+scalar multiple of an earlier one, so every completion starts from the
+first generator of each scalar class.
 The maximal minors of a Jacobian matrix (jacobian._minor_dets) run on a
 local packing wide enough for the capped runs' last cap (_Packing.capped);
 each minor kept by the scalar-class rule is unpacked once, for the printed
@@ -73,17 +77,15 @@ generators, and handed over with its packed terms on the generator tuple
 (_Generators, kept by Ideal.__add__), so (f) + J_n(f) reaches the capped
 runs without a Polynomial round trip.  A packing of another width moves the
 terms by way of their exponent tuples; the width changes no key order, so
-no result.  try_primary_standard_basis and the membership escalation take
-their generators in once, by one capped intake (_capped_intake): the
-intake on a packing that holds the last cap, the processing order fixed on
-the keys, and cut to the first generator of each new pivot of a
-semi-echelon form (_Echelon, which also decides the linear membership
-certificate): a subset spanning the same k-space, hence the same ideal and
-the same canonical basis.  Each capped run cuts them at its key window,
-over Q making them primitive again; the escalation moves them to a wider
-packing only when its cap outgrows the one they came in on.  Lazard's
-route takes its generators through the same intake, homogenizes the keys
-and processes them in the order graded lex gives the homogenized
+no result.  try_primary_standard_basis takes its generators in once, by
+one capped intake (_capped_intake): the intake on a packing that holds the
+last cap, the processing order fixed on the keys, and cut to the first
+generator of each new pivot of a semi-echelon form (_Echelon, which also
+decides the linear membership certificate): a subset spanning the same
+k-space, hence the same ideal and the same canonical basis.  Each capped
+run cuts them at its key window, over Q making them primitive again.
+Lazard's route takes its generators through the same intake, homogenizes
+the keys and processes them in the order graded lex gives the homogenized
 polynomials; it moves the keys of its homogeneous completion into a local
 packing by way of their exponent tuples.  Completions return packed
 elements with their packing; minimalization, the staircase read-off, the
@@ -92,10 +94,11 @@ keys, and each element is unpacked once, monic, when the
 ReducedStandardBasis is built.  The basis keeps the tail-reduced terms, a
 nonzero multiple of each element, and builds its reducers from them on its
 first query, so a computed basis is never packed again; its membership test
-reads whether the packed normal form is zero, which no scale changes.  The
-membership escalation reduces on the packing of its capped completion,
-which holds the cap.  Every public signature and every printed result is
-the one the tuple/Fraction arithmetic gives.
+reads whether the packed normal form is zero, which no scale changes, and
+escalates over those reducers.  The membership escalation reduces on the
+packing of its capped completion, which holds the cap.  Every public
+signature and every printed result is the one the tuple/Fraction
+arithmetic gives.
 """
 
 from __future__ import annotations
@@ -371,33 +374,26 @@ def _normal_form(
     return h
 
 
-class _PackedBasis(tuple):
-    """The polynomials of a basis, with their packed reducers attached once."""
+class _PackedBasis:
+    """A basis on one packing: its packed reducers, sorted stably by rank."""
 
-    def __new__(
-        cls,
-        elements: Iterable[Polynomial],
-        packing: _Packing,
-        terms: Iterable[dict[int, int]] | None = None,
-    ):
-        """``terms``, when given, are a nonzero multiple of each element on ``packing``'s keys, in order."""
-        self = super().__new__(cls, elements)
+    __slots__ = ("packing", "reducers")
+
+    def __init__(self, packing: _Packing, terms: Iterable[dict[int, int]]):
+        """``terms`` are a nonzero multiple of each basis element on ``packing``'s keys, in order."""
         self.packing = packing
-        if terms is None:
-            terms = map(packing.pack, self)
         self.reducers = sorted(map(packing.element, terms), key=_rank)
-        return self
 
-    @classmethod
-    def fitted(cls, elements: Sequence[Polynomial], ring: RingContext, top: int = 0) -> "_PackedBasis":
-        """Packed locally, with fields sized for the elements' degrees and ``top``."""
-        top = max(top, max((p.total_degree() for p in elements), default=0))
-        return cls(elements, _Packing.sized(ring, top))
+    def wider(self) -> "_PackedBasis":
+        """The same reducers on a packing twice as wide; the width changes no rank."""
+        pk = self.packing
+        wide = pk.wider()
+        return _PackedBasis(wide, [_moved(pk, wide, _terms(el)) for el in self.reducers])
 
 
 def weak_normal_form(
     f: Polynomial,
-    basis: Sequence[Polynomial],
+    basis: Sequence[Polynomial] | _PackedBasis,
     bound: int | None = None,
     step_limit: int | None = None,
 ) -> Polynomial | None:
@@ -413,38 +409,35 @@ def weak_normal_form(
     only sound when m^bound is contained in the ideal.  ``step_limit``
     (internal) aborts a long reduction walk and returns None.  Over Q a
     reduced result keeps the scale of the fraction-free reduction: coprime
-    integers before its last truncation.
+    integers before its last truncation.  Zero basis polynomials are
+    skipped; one from another ring raises ValueError.  A basis handed over
+    packed (_PackedBasis, internal) is walked on its own reducers, and a
+    plain one is packed here; a step past the packing's degree limit starts
+    over on one twice as wide.
     """
     h = f.truncate_at_degree(bound)
-    if h.is_zero() or not basis:
-        return h
-    if not isinstance(basis, _PackedBasis):
-        basis = _PackedBasis.fitted(basis, f.ring, max(h.total_degree(), (bound or 0) - 1))
-    reduced = _packed_weak_normal_form(h, basis, bound, step_limit)
-    if reduced is None:
-        return None
-    pk, packed, out = reduced
-    return h if out is packed else pk.polynomial(out)
-
-
-def _packed_weak_normal_form(
-    h: Polynomial, basis: _PackedBasis, bound: int | None, step_limit: int | None = None
-) -> tuple[_Packing, dict[int, int], dict[int, int]] | None:
-    """(packing, packed h, packed result) of weak_normal_form for nonzero h below bound.
-
-    The result is the packed h itself when no step applies; None when the
-    step limit runs out.  A step past the packing's degree limit starts over
-    on one twice as wide.
-    """
+    if isinstance(basis, _PackedBasis):
+        if basis.packing.ring != f.ring:
+            raise ValueError("polynomial lives in a different ring context")
+    else:
+        if any(g.ring != f.ring for g in basis):
+            raise ValueError("polynomial lives in a different ring context")
+        basis = [g for g in basis if not g.is_zero()]
+        if h.is_zero() or not basis:
+            return h
+        pk = _Packing.sized(f.ring, max(h.total_degree(), (bound or 0) - 1, *(g.total_degree() for g in basis)))
+        basis = _PackedBasis(pk, map(pk.pack, basis))
     while True:
         pk = basis.packing
         try:
             packed = pk.pack(h)
             out = _normal_form(pk, packed, basis.reducers, bound, step_limit)
         except _Overflow:
-            basis = _PackedBasis(basis, pk.wider())
+            basis = basis.wider()
             continue
-        return None if out is None else (pk, packed, out)
+        if out is None:
+            return None
+        return h if out is packed else pk.polynomial(out)
 
 
 def _staircase(lead_monomials: Sequence[MultiIndex], nvars: int) -> tuple[int, int] | None:
@@ -923,35 +916,32 @@ class _Echelon:
 
 
 def _linear_membership_certificate(
-    f: Polynomial, gens: Sequence[Polynomial], degree_bound: int
+    pk: _Packing, target: dict[int, int], rows: Sequence[dict[int, int]], degree_bound: int
 ) -> bool:
     """Search for a unit u = 1 + (tail in m) and cofactors with u*f = sum c_i g_i.
 
-    With all of u's tail and the cofactors bounded by ``degree_bound``, the
-    identity is a finite span problem over the monomial basis, decided by
-    exact Gaussian elimination.  A hit proves membership of f in the
-    localized ideal; every true member admits such a certificate for some
-    finite bound.  The rows are packed once, shifted by key addition and
-    reduced in one _Echelon, filled one layer at a time: layer e adds the
-    generators, and from e = 1 on f, times every monomial of degree e.
-    Each layer's span lies in the full one, so the search stops at the
-    first layer whose span holds f, with the answer the full span gives.
+    ``target`` is f and ``rows`` are the generators g_i, packed on ``pk``,
+    which must hold their degrees plus ``degree_bound``.  With all of u's
+    tail and the cofactors bounded by ``degree_bound``, the identity is a
+    finite span problem over the monomial basis, decided by exact Gaussian
+    elimination.  A hit proves membership of f in the localized ideal;
+    every true member admits such a certificate for some finite bound.  The
+    rows are shifted by key addition and reduced in one _Echelon, filled
+    one layer at a time: layer e adds the generators, and from e = 1 on f,
+    times every monomial of degree e.  Each layer's span lies in the full
+    one, so the search stops at the first layer whose span holds f, with
+    the answer the full span gives.
     """
-    ring = f.ring
-    top = max(g.total_degree() for g in (f, *gens)) + degree_bound
-    pk = _Packing.sized(ring, top)
     echelon = _Echelon(pk.p)
-    target = pk.pack(f)
-    rows = [pk.pack(g) for g in gens]
     for e in range(degree_bound + 1):
-        for shift in map(pk.key, multi_indices_in_range(ring.nvars, e, e)):
+        for shift in map(pk.key, multi_indices_in_range(pk.ring.nvars, e, e)):
             for packed in rows:
                 echelon.insert({k + shift: c for k, c in packed.items()})
         if not echelon.reduce(dict(target)):
             return True
         if not e:
             # u's tail lies in m: f's own rows start at layer 1
-            rows.append(target)
+            rows = [*rows, target]
     return False
 
 
@@ -964,39 +954,48 @@ class MembershipUndecided(RuntimeError):
         self.cap = cap
 
 
-def _escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
+def _escalated_membership(f: Polynomial, gens: _PackedBasis) -> bool:
     """Decide membership without long reduction walks (infinite colength).
 
-    Alternates two one-sided tests over the generators g_i of I: an exact
-    linear certificate u*f = sum c_i g_i proves, and a capped normal form
-    refutes (anything outside I + m^cap is outside I).  Krull's intersection
-    theorem makes the refutation side complete, and every true member has a
-    polynomial certificate of some finite degree, so enough rounds always
-    decide; but the loop stops after _ESCALATION_ROUNDS rounds and raises
+    Alternates two one-sided tests over the generators g_i of I, the
+    reducers of a walk's packed basis: an exact linear certificate
+    u*f = sum c_i g_i proves, and a capped normal form refutes (anything
+    outside I + m^cap is outside I).  Krull's intersection theorem makes the
+    refutation side complete, and every true member has a polynomial
+    certificate of some finite degree, so enough rounds always decide; but
+    the loop stops after _ESCALATION_ROUNDS rounds and raises
     MembershipUndecided when neither test has settled by then.  Round r
     allows the certificate degree 4r, which it reaches layer by layer,
     stopping at the first that certifies: most members need 0 to 2.  The
     certificate runs first; the opposite order was measured slower on the
-    contact and covariance checks.  The refutations complete the capped
-    runs' intake (_capped_intake), taken in once for every round: a basis of
-    I + m^cap from any generators of I decides membership modulo m^cap.
+    contact and covariance checks.  Its rows are the reducers' terms.  The
+    refutations complete their span basis (_span_basis), taken once for
+    every round: a basis of I + m^cap from any generators of I decides
+    membership modulo m^cap.  Only f is packed here; the generators move to
+    a wider packing when a round outgrows the one they came on.
     """
+    pk = gens.packing
+    rows = [_terms(el) for el in gens.reducers]
+    top = max([f.total_degree(), *(pk.degree(min(terms)) for terms in rows)])
+    span = []
     cap = f.total_degree() + 2
     degree_bound = 4
     for r in range(_ESCALATION_ROUNDS):
         if r:
             cap += max(4, cap // 2)
             degree_bound += 4
-        if _linear_membership_certificate(f, gens, degree_bound):
-            return True
-        if not r:
-            pk, _, span = _capped_intake(gens, f.ring)
-        if cap - 1 > pk.limit:
-            # the packing holds every degree below the cap, so neither the
-            # run nor the normal form can overflow
-            wider = _Packing.sized(f.ring, cap - 1)
+        need = max(cap - 1, top + degree_bound)
+        if need > pk.limit:
+            # the packing holds the certificate's shifts and every degree
+            # below the cap, so neither side can overflow
+            wider = _Packing.sized(f.ring, need)
+            rows = [_moved(pk, wider, terms) for terms in rows]
             span = [(_moved(pk, wider, terms), bits) for terms, bits in span]
             pk = wider
+        if _linear_membership_certificate(pk, pk.pack(f), rows, degree_bound):
+            return True
+        if not r:
+            span = _span_basis(pk.p, [(terms, None) for terms in rows])
         _, capped = _run_completion(pk, span, cap, None)
         if _normal_form(pk, pk.pack(f.truncate_at_degree(cap)), sorted(capped, key=_rank), cap):
             return False
@@ -1026,9 +1025,8 @@ class ReducedStandardBasis:
 
     @cached_property
     def packed(self) -> _PackedBasis:
-        """The elements with their packed reducers, built on the first query."""
-        pk, terms = self._packed_terms
-        return _PackedBasis(self.elements, pk, terms)
+        """The elements' packed reducers, built on the first query."""
+        return _PackedBasis(*self._packed_terms)
 
     @property
     def is_m_primary(self) -> bool:
@@ -1037,28 +1035,24 @@ class ReducedStandardBasis:
     def contains(self, f: Polynomial) -> bool:
         """Exact membership of f in the ideal spanned by the basis.
 
-        Finite colength uses the normal form directly.  Otherwise a short
-        Mora walk is attempted, and if it does not settle quickly the answer
-        is decided by the capped-refutation / linear-certificate escalation
-        over the basis elements.  Either way the packed normal form is
-        tested for zero without being unpacked.
+        Finite colength reads whether the packed normal form of f, truncated
+        at the truncation degree, is zero; the packing holds that degree.
+        Otherwise a short Mora walk is attempted, and if it does not settle
+        quickly the answer is decided by the capped-refutation /
+        linear-certificate escalation over the kept terms of the elements.
         """
         if f.ring != self.ring:
             raise ValueError("polynomial lives in a different ring context")
         if not self.elements:
             return f.is_zero()
         if self.truncation is not None:
-            return self._reduces_to_zero(f, None)
-        zero = self._reduces_to_zero(f, _WALK_STEPS)
-        return _escalated_membership(f, self.elements) if zero is None else zero
-
-    def _reduces_to_zero(self, f: Polynomial, step_limit: int | None) -> bool | None:
-        """Whether f's normal form is zero; None when ``step_limit`` runs out."""
-        h = f.truncate_at_degree(self.truncation)
-        if h.is_zero():
-            return True
-        reduced = _packed_weak_normal_form(h, self.packed, self.truncation, step_limit)
-        return None if reduced is None else not reduced[2]
+            h = f.truncate_at_degree(self.truncation)
+            if h.is_zero():
+                return True
+            pk = self.packed.packing
+            return not _normal_form(pk, pk.pack(h), self.packed.reducers, self.truncation)
+        h = weak_normal_form(f, self.packed, step_limit=_WALK_STEPS)
+        return _escalated_membership(f, self.packed) if h is None else h.is_zero()
 
     def dimension(self) -> QuotientDimension:
         return INFINITE if self.staircase is None else self.staircase[0]
@@ -1315,14 +1309,12 @@ class Ideal:
         # terms handed over packed are reused, primitive over Q like pk.pack's
         gens = self.generators
         handed = getattr(gens, "packed", None) or (None,) * len(gens)
-        top = max((g.total_degree() for g, given in zip(gens, handed) if given is None), default=0)
-        pk = _widest(_Packing.sized(self.ring, top), handed)
-        terms = [
+        pk = _capped_packing(gens, self.ring)
+        return _PackedBasis(pk, [
             pk.pack(g) if given is None
             else _moved(given[0], pk, given[2] if pk.p else _primitive(given[2]))
             for g, given in zip(gens, handed)
-        ]
-        return _PackedBasis(gens, pk, terms)
+        ])
 
     @cached_property
     def _axes_in_zero_set(self) -> frozenset[int]:
@@ -1362,7 +1354,7 @@ class Ideal:
         h = weak_normal_form(f, self._packed_generators, step_limit=_WALK_STEPS)
         if h is not None and h.is_zero():
             return True
-        return _escalated_membership(f, self.generators)
+        return _escalated_membership(f, self._packed_generators)
 
     def contains_ideal(self, other: "Ideal") -> bool:
         self._check_ring(other)

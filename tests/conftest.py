@@ -34,12 +34,18 @@ from hypothesis import strategies as st
 from nashblowup.algebras import InclusionCheck, InclusionReport
 from nashblowup.equivalence import LocalAutomorphism
 from nashblowup.fields import GF, QQ
+from nashblowup import ideals
 from nashblowup.ideals import (
+    _ESCALATION_ROUNDS,
     Ideal,
+    MembershipUndecided,
     ReducedStandardBasis,
     _add_shifted,
+    _capped_intake,
+    _Echelon,
     _finish_primary,
     _minimalize,
+    _moved,
     _normal_form,
     _Overflow,
     _Packing,
@@ -473,6 +479,89 @@ def linear_membership_certificate(
             pivots[lead] = reduced
     _, lead = echelon_reduce(f.terms)
     return lead is None
+
+
+# ---------------------------------------------------------------------------
+# reference membership escalation
+#
+# ideals._escalated_membership and its linear certificate as they ran on
+# polynomials before the escalation read the walk's packed generators, kept
+# verbatim as the differential reference: the certificate packs f and every
+# generator afresh in every round, and the refutations complete the capped
+# runs' intake of the generators.  The same boolean, or MembershipUndecided
+# with the same rounds and cap, on every input.
+
+
+def packed_membership_certificate(
+    f: Polynomial, gens: Sequence[Polynomial], degree_bound: int
+) -> bool:
+    """Search for a unit u = 1 + (tail in m) and cofactors with u*f = sum c_i g_i.
+
+    With all of u's tail and the cofactors bounded by ``degree_bound``, the
+    identity is a finite span problem over the monomial basis, decided by
+    exact Gaussian elimination.  A hit proves membership of f in the
+    localized ideal; every true member admits such a certificate for some
+    finite bound.  The rows are packed once, shifted by key addition and
+    reduced in one _Echelon, filled one layer at a time: layer e adds the
+    generators, and from e = 1 on f, times every monomial of degree e.
+    Each layer's span lies in the full one, so the search stops at the
+    first layer whose span holds f, with the answer the full span gives.
+    """
+    ring = f.ring
+    top = max(g.total_degree() for g in (f, *gens)) + degree_bound
+    pk = _Packing.sized(ring, top)
+    echelon = _Echelon(pk.p)
+    target = pk.pack(f)
+    rows = [pk.pack(g) for g in gens]
+    for e in range(degree_bound + 1):
+        for shift in map(pk.key, multi_indices_in_range(ring.nvars, e, e)):
+            for packed in rows:
+                echelon.insert({k + shift: c for k, c in packed.items()})
+        if not echelon.reduce(dict(target)):
+            return True
+        if not e:
+            # u's tail lies in m: f's own rows start at layer 1
+            rows.append(target)
+    return False
+
+
+def escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
+    """Decide membership without long reduction walks (infinite colength).
+
+    Alternates two one-sided tests over the generators g_i of I: an exact
+    linear certificate u*f = sum c_i g_i proves, and a capped normal form
+    refutes (anything outside I + m^cap is outside I).  Krull's intersection
+    theorem makes the refutation side complete, and every true member has a
+    polynomial certificate of some finite degree, so enough rounds always
+    decide; but the loop stops after _ESCALATION_ROUNDS rounds and raises
+    MembershipUndecided when neither test has settled by then.  Round r
+    allows the certificate degree 4r, which it reaches layer by layer,
+    stopping at the first that certifies: most members need 0 to 2.  The
+    certificate runs first; the opposite order was measured slower on the
+    contact and covariance checks.  The refutations complete the capped
+    runs' intake (_capped_intake), taken in once for every round: a basis of
+    I + m^cap from any generators of I decides membership modulo m^cap.
+    """
+    cap = f.total_degree() + 2
+    degree_bound = 4
+    for r in range(_ESCALATION_ROUNDS):
+        if r:
+            cap += max(4, cap // 2)
+            degree_bound += 4
+        if packed_membership_certificate(f, gens, degree_bound):
+            return True
+        if not r:
+            pk, _, span = _capped_intake(gens, f.ring)
+        if cap - 1 > pk.limit:
+            # the packing holds every degree below the cap, so neither the
+            # run nor the normal form can overflow
+            wider = _Packing.sized(f.ring, cap - 1)
+            span = [(_moved(pk, wider, terms), bits) for terms, bits in span]
+            pk = wider
+        _, capped = ideals._run_completion(pk, span, cap, None)
+        if _normal_form(pk, pk.pack(f.truncate_at_degree(cap)), sorted(capped, key=_rank), cap):
+            return False
+    raise MembershipUndecided(_ESCALATION_ROUNDS, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ from conftest import (
     simplify_generators,
 )
 from conftest import complete_basis as reference_complete_basis
+from conftest import escalated_membership as reference_escalation
 from conftest import linear_membership_certificate as reference_certificate
 from conftest import weak_normal_form as reference_weak_normal_form
 
@@ -102,13 +103,25 @@ def unpacked(completed):
     return None if completed is None else [completed[0].polynomial(_terms(el)) for el in completed[1]]
 
 
+def packed_basis(basis, pk):
+    """The polynomials packed on ``pk``, as weak_normal_form takes a packed basis."""
+    return _PackedBasis(pk, map(pk.pack, basis))
+
+
 def normal_form(f, basis, order, bound=None, step_limit=None):
     """weak_normal_form under LOCAL_DEGREE; under GRADED_LEX the same walk on
     a global packing, as Lazard's private step reduces."""
     if order is GRADED_LEX:
         top = max([f.total_degree(), (bound or 0) - 1] + [g.total_degree() for g in basis])
-        basis = _PackedBasis(basis, _Packing.sized(f.ring, top, local=False))
+        basis = packed_basis(basis, _Packing.sized(f.ring, top, local=False))
     return weak_normal_form(f, basis, bound, step_limit)
+
+
+def certificate(f, gens, degree_bound):
+    """_linear_membership_certificate on f and the generators packed on a
+    packing that holds their degrees plus the bound."""
+    pk = _Packing.sized(f.ring, max(g.total_degree() for g in (f, *gens)) + degree_bound)
+    return _linear_membership_certificate(pk, pk.pack(f), [pk.pack(g) for g in gens], degree_bound)
 
 
 class TestStandardBasis:
@@ -202,13 +215,13 @@ class TestPackedNormalForm:
         got, want = self.both(f, basis, order, bound, step_limit)
         assert got == want
         if basis:
-            # the same through a basis packed once, or on the narrowest
-            # global packing
+            # the same through a basis packed once, sized for the basis
+            # alone, or on the narrowest global packing
             if order is LOCAL_DEGREE:
-                packed = _PackedBasis.fitted(basis, ring)
+                pk = _Packing.sized(ring, max(g.total_degree() for g in basis))
             else:
-                packed = _PackedBasis(basis, _Packing.sized(ring, 0, local=False))
-            assert weak_normal_form(f, packed, bound, step_limit) == want
+                pk = _Packing.sized(ring, 0, local=False)
+            assert weak_normal_form(f, packed_basis(basis, pk), bound, step_limit) == want
 
     @pytest.mark.parametrize(
         "f,basis,bound",
@@ -238,8 +251,36 @@ class TestPackedNormalForm:
         got, want = self.both(f, [g], LOCAL_DEGREE, step_limit=step_limit)
         assert got == want
         assert got.total_degree() >= 500
-        packed = _PackedBasis.fitted((g,), ring)
-        assert weak_normal_form(f, packed) == want
+        assert weak_normal_form(f, packed_basis([g], _Packing.sized(ring, 100))) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_wider_basis_moves_the_reducers(self, data):
+        # the restart's basis: the reducers moved, as if packed afresh
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        basis = data.draw(st.lists(nonzero_polynomial_strategy(ring, max_terms=4, max_degree=5), max_size=4))
+        if field is QQ:
+            basis = [g.scalar_mul(data.draw(st.sampled_from([1, -1, Fraction(3, 7), 5**30]))) for g in basis]
+        pk = _Packing.sized(ring, 5, local=data.draw(st.booleans()))
+        wider = packed_basis(basis, pk).wider()
+        assert wider.packing.width == 2 * pk.width and wider.packing.local == pk.local
+        assert wider.reducers == packed_basis(basis, wider.packing).reducers
+
+    @pytest.mark.parametrize("foreign", [RingContext(("x", "y", "z"), QQ), RingContext(("x", "y"), GF(5))])
+    def test_basis_from_another_ring_is_refused(self, ring_q2, foreign):
+        # x^2*z from Q[x,y,z] once reduced x^2 of Q[x,y] to zero
+        f, g = P("x^2", ring_q2), P("x^2*z" if "z" in foreign.variables else "x^2", foreign)
+        with pytest.raises(ValueError, match="different ring context"):
+            weak_normal_form(f, [P("y", ring_q2), g])
+        with pytest.raises(ValueError, match="different ring context"):
+            weak_normal_form(f, packed_basis([g], _Packing.sized(foreign, 3)))
+
+    def test_zero_basis_polynomials_are_skipped(self, ring_q2):
+        f, zero = P("x^2+y^3", ring_q2), ring_q2.zero()
+        assert weak_normal_form(f, [zero]) == f
+        assert weak_normal_form(f, [zero, P("x^2", ring_q2), zero], bound=3) == ring_q2.zero()
 
 
 class TestLinearCertificate:
@@ -270,7 +311,7 @@ class TestLinearCertificate:
             scales = st.sampled_from([1, -1, Fraction(1, 2), Fraction(-3, 7), Fraction(2**40, 3), 5**30])
             f = f.scalar_mul(data.draw(scales))
             gens = [g.scalar_mul(data.draw(scales)) for g in gens]
-        got = _linear_membership_certificate(f, gens, degree_bound)
+        got = certificate(f, gens, degree_bound)
         assert got == reference_certificate(f, gens, degree_bound)
         if inside:
             assert got
@@ -282,9 +323,9 @@ class TestLinearCertificate:
         rows = []
         original_insert = ideals._Echelon.insert
         monkeypatch.setattr(ideals._Echelon, "insert", lambda e, row: rows.append(row) or original_insert(e, row))
-        assert not _linear_membership_certificate(f, [g], 0)
+        assert not certificate(f, [g], 0)
         rows.clear()
-        assert _linear_membership_certificate(f, [g], 4)
+        assert certificate(f, [g], 4)
         assert len(rows) == 1 + 2 * 2
 
     @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
@@ -293,8 +334,8 @@ class TestLinearCertificate:
         # 1 - x, so f = x^2 needs u's tail x and the certificate at bound 1
         ring = RingContext(("x", "y"), field)
         f, g = P("x^2", ring), P("x^2-x^3", ring)
-        assert not _linear_membership_certificate(f, [g], 0)
-        assert _linear_membership_certificate(f, [g], 1)
+        assert not certificate(f, [g], 0)
+        assert certificate(f, [g], 1)
 
 
 class TestFieldWidening:
@@ -451,7 +492,7 @@ class TestOpenAxis:
         f = data.draw(nonzero_polynomial_strategy(ring, max_terms=3, max_degree=4))
         if not axes <= ideals._open_axes([f], nvars):
             assert not Ideal(ring, gens).contains_element(f)
-            assert not ideals._escalated_membership(f, gens)
+            assert not ideals._escalated_membership(f, Ideal(ring, gens)._packed_generators)
 
     @pytest.mark.parametrize("texts, axes", [
         (("x*y", "x*z + y^3"), {0, 2}),
@@ -472,27 +513,62 @@ class TestOpenAxis:
         assert not i.contains_element(P("3 + x", ring_q3))
 
 
+def record_packs_inside_escalations(monkeypatch):
+    """A list that collects each polynomial _Packing.pack sees inside _escalated_membership."""
+    packed, depth = [], []
+    original_pack, original_escalation = _Packing.pack, ideals._escalated_membership
+
+    def pack(pk, poly):
+        if depth:
+            packed.append(poly)
+        return original_pack(pk, poly)
+
+    def escalation(f, gens):
+        depth.append(f)
+        try:
+            return original_escalation(f, gens)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(_Packing, "pack", pack)
+    monkeypatch.setattr(ideals, "_escalated_membership", escalation)
+    return packed
+
+
 def test_escalation_out_of_rounds_raises_membership_undecided(ring_q2, monkeypatch):
     # neither side ever settles: no certificate, and nothing left to refute;
-    # the generators are taken in once for every round, on a packing that
-    # holds each round's cap
-    caps, intakes = [], []
-    original_intake = ideals._intake
+    # the generators come packed, on a packing that is widened to hold each
+    # round's cap, and no generator is packed inside the escalation
+    caps = []
+    f = P("x^3*y", ring_q2)
+    gens = Ideal(ring_q2, [P("x^2*y", ring_q2)])._packed_generators
 
-    def capped(pk, gens, cap, budget):
+    def capped(pk, span, cap, budget):
         assert cap - 1 <= pk.limit
         caps.append(cap)
         return pk, []
 
-    monkeypatch.setattr(ideals, "_linear_membership_certificate", lambda f, gens, bound: False)
-    monkeypatch.setattr(ideals, "_intake", lambda pk, gens: intakes.append(gens) or original_intake(pk, gens))
+    monkeypatch.setattr(ideals, "_linear_membership_certificate", lambda pk, target, rows, bound: False)
     monkeypatch.setattr(ideals, "_run_completion", capped)
     monkeypatch.setattr(ideals, "_normal_form", lambda *args: {})
+    packed = record_packs_inside_escalations(monkeypatch)
     with pytest.raises(ideals.MembershipUndecided) as caught:
-        ideals._escalated_membership(P("x^3*y", ring_q2), [P("x^2*y", ring_q2)])
+        ideals._escalated_membership(f, gens)
     assert isinstance(caught.value, RuntimeError)
     assert (caught.value.rounds, caught.value.cap) == (len(caps), caps[-1]) == (12, 549)
-    assert len(intakes) == 1
+    # only f, the certificate's target and its truncation at each cap
+    assert packed and all(poly == f for poly in packed)
+
+
+def test_escalation_packs_only_f(ring_q2, monkeypatch):
+    # T_2 of x^2*y has infinite colength, and x^3 lies outside it: the
+    # escalation decides, packing x^3 and its truncations but no generator
+    f = P("x^3", ring_q2)
+    ideal = nash_ideal_t(P("x^2*y", ring_q2), 2)
+    packed = record_packs_inside_escalations(monkeypatch)
+    assert not ideal.contains_element(f)
+    assert packed
+    assert all(poly in [f.truncate_at_degree(d) for d in range(f.total_degree() + 2)] for poly in packed)
 
 
 class TestEscalationAgainstReference:
@@ -537,7 +613,50 @@ class TestEscalationAgainstReference:
             reject()
         if member:
             assert reduced.is_zero()
-        assert ideals._escalated_membership(f, gens) == reduced.is_zero()
+        assert ideals._escalated_membership(f, Ideal(ring, gens)._packed_generators) == reduced.is_zero()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_same_verdict_as_the_polynomial_escalation(self, data):
+        # against the escalation that packed its generators afresh each
+        # round (conftest), over ideals of infinite colength: the zero ideal
+        # in one variable, generators with a common nonunit factor in more
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        gens = []
+        if nvars > 1:
+            common = Polynomial(ring, {a: c for a, c in data.draw(
+                nonzero_polynomial_strategy(ring, max_terms=2, max_degree=2)).terms.items() if sum(a)})
+            if common.is_zero():
+                common = ring.variable(0)
+            gens = [common * g for g in data.draw(
+                st.lists(nonzero_polynomial_strategy(ring, max_terms=3, max_degree=3), min_size=1, max_size=3))]
+        if gens and data.draw(st.booleans()):
+            # a member: a combination of the generators times a unit
+            tail = data.draw(polynomial_strategy(ring, max_terms=2, max_degree=2))
+            unit = ring.one() + Polynomial(ring, {a: c for a, c in tail.terms.items() if sum(a)})
+            cofactors = data.draw(st.lists(polynomial_strategy(ring, max_terms=2, max_degree=2),
+                                           min_size=len(gens), max_size=len(gens)))
+            f = unit * sum((g * c for g, c in zip(gens, cofactors)), ring.zero())
+        elif gens and data.draw(st.booleans()):
+            # some terms of a generator: the refutation may need later rounds
+            g = data.draw(st.sampled_from(gens))
+            part = data.draw(st.lists(st.sampled_from(sorted(g.terms)), min_size=1, unique=True))
+            f = Polynomial(ring, {a: g.terms[a] for a in part})
+        else:
+            f = data.draw(polynomial_strategy(ring, max_terms=4, max_degree=5))
+        if f.is_zero():
+            return
+
+        def verdict(escalate, basis):
+            try:
+                return escalate(f, basis)
+            except ideals.MembershipUndecided as undecided:
+                return undecided.rounds, undecided.cap
+
+        assert verdict(ideals._escalated_membership, Ideal(ring, gens)._packed_generators) == verdict(
+            reference_escalation, gens)
 
 
 def intake_of(pk, survivors, order):
