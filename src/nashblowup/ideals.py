@@ -5,8 +5,9 @@ polynomial ring at the maximal ideal (x_1, ..., x_d), and every standard
 basis is one for the local degree order.  The computational backbone is
 Mora's completion (Buchberger's pairs with the weak normal form and its
 ecart selection), run capped to certify finite colength, and Lazard's
-route for everything else: homogenize, complete under graded lex in a
-private global step, dehomogenize.
+route for everything else: homogenize, complete uncapped (on homogeneous
+input every ecart is 0, so the run is Buchberger's under graded lex),
+dehomogenize.
 
 Canonical form.  For a local order, the fully tail-reduced standard basis
 of an ideal need not consist of polynomials: reducing the tail of
@@ -34,62 +35,62 @@ it raises MembershipUndecided (a RuntimeError) instead of answering.
 
 Packed kernel.  The weak normal form, the completion, the tail reduction
 and the linear membership certificate run on packed polynomials: dicts from
-int monomial keys to int coefficients.  A key holds one field of w bits per
-variable, x_1 highest, each with a guard bit above it, and the total degree
-above all fields: ``fields - (deg << S)`` on a local packing and
-``fields + (deg << S)`` on the global (graded lex) one of Lazard's private
-step, so on either the leading term is ``max(keys)``, a product of
-monomials is the sum of their keys, x^a divides x^b iff ``not (b - a) &
-guards``, and deg < B is one comparison of the key with a threshold.
-Coefficients are residues over F_p; over Q a polynomial
-is packed as its positive multiple with coprime integer coefficients, and
-every step keeps coefficients integral (cross-multiplied reductions), which
-changes results only by positive scalars that the unpacked results do not
-show.  Width rule: w is sized from the input's largest total degree (and
-truncation degree) with room for it to double; a stored monomial may not
-exceed degree 2^w - 1, so no exponent reaches its guard bit.  A step that
-could store a monomial past that limit raises _Overflow, and the entry
-point starts over with fields twice as wide, so keys never wrap.  The
-completion keys a pair by ``(deg << S) | fields`` of its lcm, which sorts
-like (total degree, exponent tuple), from guard-bit arithmetic on the
-fields.  On a local packing every term of an s-polynomial has at least its
-lcm's degree, pairs come off the heap by ascending lcm degree and the
-bound only falls, so the loop stops at the first pair whose lcm reaches
-the bound: every pair left would truncate to zero, uncharged.
+int monomial keys to int coefficients.  There is one key layout: one field
+of w bits per variable, x_1 highest, each with a guard bit above it, less
+the total degree shifted above all fields, ``fields - (deg << S)``.  So the
+local leading term is ``max(keys)``, a product of monomials is the sum of
+their keys, x^a divides x^b iff ``not (b - a) & guards``, and deg < B iff
+the key is at least one threshold, ``(1 - B) << S`` (_Packing.floor).  The
+terms of a homogeneous polynomial share one degree, so these keys order
+them by their fields, as graded lex does, and Lazard's homogenized
+completion runs on them too.  Coefficients are residues over F_p; over Q a
+polynomial is packed as its positive multiple with coprime integer
+coefficients, and every step keeps coefficients integral (cross-multiplied
+reductions), which changes results only by positive scalars that the
+unpacked results do not show.  Width rule: w is sized from the input's
+largest total degree (and truncation degree) with room for it to double; a
+stored monomial may not exceed degree 2^w - 1, so no exponent reaches its
+guard bit.  A step that could store a monomial past that limit raises
+_Overflow, and the entry point starts over with fields twice as wide, so
+keys never wrap.  The completion keys a pair by ``(deg << S) | fields`` of
+its lcm, which sorts like (total degree, exponent tuple), from guard-bit
+arithmetic on the fields.  Every term of an s-polynomial has at least its
+lcm's degree, pairs come off the heap by ascending lcm degree and the bound
+only falls, so the loop stops at the first pair whose lcm reaches the
+bound: every pair left would truncate to zero, uncharged.
 
 Conversion boundary.  A basis of polynomials is packed once on entry to
 weak_normal_form; an Ideal packs its generators once, on the capped runs'
 packing (_capped_packing), for all its budgeted walks and membership
-escalations, reusing the terms of those handed over packed.  The
-escalation reads that packed basis as it is: its terms are the linear
-certificate's rows, their span basis is what the refutations complete, and
-they move to a wider packing only when a round outgrows the one they came
-on, so only f is packed inside an escalation.  Every completion takes its
-generators through one intake, which packs them in the caller's order,
-keeps the terms of those handed over already packed, replaces monomial *
-unit by the monomial on a local packing, and drops each that is a nonzero
-scalar multiple of an earlier one, so every completion starts from the
-first generator of each scalar class.
-The maximal minors of a Jacobian matrix (jacobian._minor_dets) run on a
-local packing wide enough for the capped runs' last cap (_Packing.capped);
-each minor kept by the scalar-class rule is unpacked once, for the printed
-generators, and handed over with its packed terms on the generator tuple
-(_Generators, kept by Ideal.__add__), so (f) + J_n(f) reaches the capped
-runs without a Polynomial round trip.  A packing of another width moves the
-terms by way of their exponent tuples; the width changes no key order, so
-no result.  try_primary_standard_basis takes its generators in once, by
-one capped intake (_capped_intake): the intake on a packing that holds the
-last cap, the processing order fixed on the keys, and cut to the first
-generator of each new pivot of a semi-echelon form (_Echelon, which also
-decides the linear membership certificate): a subset spanning the same
-k-space, hence the same ideal and the same canonical basis.  Each capped
-run cuts them at its key window, over Q making them primitive again.
-Lazard's route takes its generators through the same intake, homogenizes
-the keys and processes them in the order graded lex gives the homogenized
-polynomials; it moves the keys of its homogeneous completion into a local
-packing by way of their exponent tuples.  Completions return packed
-elements with their packing; minimalization, the staircase read-off, the
-truncation and the tail reduction of a finished basis run on those same
+escalations, reusing the terms of those handed over packed.  The escalation
+reads that packed basis as it is: its terms are the linear certificate's
+rows, their span basis is what the refutations complete, and they move to a
+wider packing only when a round outgrows the one they came on, so only f is
+packed inside an escalation.  Every completion takes its generators through
+one intake, which packs them in the caller's order, keeps the terms of
+those handed over already packed, replaces monomial * unit by the monomial,
+and drops each that is a nonzero scalar multiple of an earlier one, so
+every completion starts from the first generator of each scalar class.  The
+maximal minors of a Jacobian matrix (jacobian._minor_dets) run on a packing
+wide enough for the capped runs' last cap (_Packing.capped); each minor
+kept by the scalar-class rule is unpacked once, for the printed generators,
+and handed over with its packed terms on the generator tuple (_Generators,
+kept by Ideal.__add__), so (f) + J_n(f) reaches the capped runs without a
+Polynomial round trip.  A packing of another width moves the terms by way
+of their exponent tuples; the width changes no key order, so no result.
+try_primary_standard_basis takes its generators in once, by one capped
+intake (_capped_intake): the intake on a packing that holds the last cap,
+the processing order fixed on the keys, and cut to the first generator of
+each new pivot of a semi-echelon form (_Echelon, which also decides the
+linear membership certificate): a subset spanning the same k-space, hence
+the same ideal and the same canonical basis.  Each capped run cuts them at
+its key floor, over Q making them primitive again.  Lazard's route takes
+its generators through the same intake, homogenizes the keys and processes
+them in the order graded lex gives the homogenized polynomials; it moves
+the keys from the packing of (t, x_1, ..., x_d) its completion runs on to
+one of the ring's by way of their exponent tuples.  Completions return
+packed elements with their packing; minimalization, the staircase read-off,
+the truncation and the tail reduction of a finished basis run on those same
 keys, and each element is unpacked once, monic, when the
 ReducedStandardBasis is built.  The basis keeps the tail-reduced terms, a
 nonzero multiple of each element, and builds its reducers from them on its
@@ -97,8 +98,8 @@ first query, so a computed basis is never packed again; its membership test
 reads whether the packed normal form is zero, which no scale changes, and
 escalates over those reducers.  The membership escalation reduces on the
 packing of its capped completion, which holds the cap.  Every public
-signature and every printed result is the one the tuple/Fraction
-arithmetic gives.
+signature and every printed result is the one the tuple/Fraction arithmetic
+gives.
 """
 
 from __future__ import annotations
@@ -167,14 +168,13 @@ class _Overflow(Exception):
 
 
 class _Packing:
-    """Monomial keys and integer coefficients for one ring, key layout and width."""
+    """Local monomial keys and integer coefficients for one ring and width."""
 
-    __slots__ = ("ring", "p", "local", "width", "limit", "shifts", "deg_shift", "guards", "far")
+    __slots__ = ("ring", "p", "width", "limit", "shifts", "deg_shift", "guards", "far")
 
-    def __init__(self, ring: RingContext, local: bool, width: int):
+    def __init__(self, ring: RingContext, width: int):
         self.ring = ring
         self.p = ring.field.characteristic
-        self.local = local
         self.width = width
         # largest total degree of a stored monomial; every exponent is at most
         # the total degree, so no field of a stored key reaches its guard bit
@@ -184,45 +184,40 @@ class _Packing:
         self.shifts = tuple(step * (d - 1 - i) for i in range(d))
         self.deg_shift = step * d
         self.guards = sum(1 << (s + width) for s in self.shifts)
-        # beyond every key a step can form: fields stay below 2^(w+1) and
-        # degrees below 4 * 2^w
+        # -far lies below every key a step can form: fields are nonnegative
+        # and degrees stay below 4 * 2^w
         self.far = 1 << (self.deg_shift + width + 3)
 
     @classmethod
-    def sized(cls, ring: RingContext, top: int, local: bool = True) -> "_Packing":
+    def sized(cls, ring: RingContext, top: int) -> "_Packing":
         """Fields for monomials up to total degree ``top``, with room to double."""
-        return cls(ring, local, max(8, (2 * top + 1).bit_length()))
+        return cls(ring, max(8, (2 * top + 1).bit_length()))
 
     @classmethod
     def capped(cls, ring: RingContext, top: int) -> "_Packing":
-        """Local fields for generators up to total degree ``top`` and every degree a
+        """Fields for generators up to total degree ``top`` and every degree a
         capped run on them stores: below the last cap of _cap_schedule(top)."""
         return cls.sized(ring, _cap_schedule(top)[-1] - 1)
 
     def wider(self) -> "_Packing":
-        return _Packing(self.ring, self.local, 2 * self.width)
+        return _Packing(self.ring, 2 * self.width)
 
     def key(self, alpha: MultiIndex) -> int:
         deg = sum(alpha)
         if deg > self.limit:
             raise _Overflow
-        fields = sum(map(lshift, alpha, self.shifts))
-        return fields - (deg << self.deg_shift) if self.local else fields + (deg << self.deg_shift)
+        return sum(map(lshift, alpha, self.shifts)) - (deg << self.deg_shift)
 
     def degree(self, key: int) -> int:
-        return -(key >> self.deg_shift) if self.local else key >> self.deg_shift
+        return -(key >> self.deg_shift)
 
     def monomial(self, key: int) -> MultiIndex:
         mask = self.limit
         return tuple([(key >> s) & mask for s in self.shifts])
 
-    def window(self, bound: int | None) -> tuple[int, int]:
-        """(lo, hi) such that lo <= key < hi iff the key's degree is below bound."""
-        if bound is None:
-            return -self.far, self.far
-        if self.local:
-            return (1 - bound) << self.deg_shift, self.far
-        return -self.far, bound << self.deg_shift
+    def floor(self, bound: int | None) -> int:
+        """The threshold such that key >= it iff the key's degree is below bound."""
+        return -self.far if bound is None else (1 - bound) << self.deg_shift
 
     def pack(self, poly: Polynomial) -> dict[int, int]:
         """poly's terms by key; over Q its positive multiple with coprime integer coefficients."""
@@ -255,8 +250,8 @@ class _Packing:
     def element(self, terms: dict[int, int]) -> tuple:
         """(lead, (ecart, length), lead coefficient, tail items) of nonzero packed terms."""
         lead = max(terms)
-        # local keys: the lowest key has the highest degree
-        ecart = (lead >> self.deg_shift) - (min(terms) >> self.deg_shift) if self.local else 0
+        # the lowest key has the highest degree
+        ecart = (lead >> self.deg_shift) - (min(terms) >> self.deg_shift)
         return (lead, (ecart, len(terms)), terms[lead], tuple([kv for kv in terms.items() if kv[0] != lead]))
 
 
@@ -271,17 +266,17 @@ def _terms(element: tuple) -> dict[int, int]:
 
 
 def _add_shifted(
-    h: dict[int, int], tail: tuple, shift: int, mult: int, lo: int, hi: int, p: int
+    h: dict[int, int], tail: tuple, shift: int, mult: int, floor: int, p: int
 ) -> int:
-    """h += mult * x^shift * tail on the keys in [lo, hi), mod p when p is set.
+    """h += mult * x^shift * tail on the keys at or above floor, mod p when p is set.
 
-    Returns the gcd of the tail coefficients whose keys fall outside.
+    Returns the gcd of the tail coefficients whose keys fall below.
     """
     get = h.get
     dropped = 0
     for k, c in tail:
         k += shift
-        if lo <= k < hi:
+        if k >= floor:
             c = get(k, 0) + mult * c
             if p:
                 c %= p
@@ -312,8 +307,8 @@ def _normal_form(
     """
     if not h or not reducers:
         return h
-    p, guards, local, limit, deg_shift = pk.p, pk.guards, pk.local, pk.limit, pk.deg_shift
-    lo, hi = pk.window(bound)
+    p, guards, limit, deg_shift = pk.p, pk.guards, pk.limit, pk.deg_shift
+    floor = pk.floor(bound)
     # below the limit anyway when the bound truncates everything under it
     unbounded = bound is None or bound - 1 > limit
     extra: list[tuple] = []  # intermediate results recorded as reducers, by rank
@@ -348,7 +343,8 @@ def _normal_form(
         if best is None:
             return h
         lead_g, (ecart_g, _), lc_g, tail_g = best
-        if local:
+        if ecart_g:
+            # no ecart is below 0, so only a reducer of positive ecart records h
             ecart = (lm >> deg_shift) - (min(h) >> deg_shift)
             if ecart_g > ecart:
                 tail = tuple([kv for kv in h.items() if kv[0] != lm])
@@ -359,7 +355,7 @@ def _normal_form(
         if p:
             h = h.copy()
             del h[lm]
-            _add_shifted(h, tail_g, shift, -lc * pow(lc_g, -1, p) % p, lo, hi, p)
+            _add_shifted(h, tail_g, shift, -lc * pow(lc_g, -1, p) % p, floor, p)
         else:
             # lc_g * h - lc * x^shift * g over their gcd, then content-stripped
             # as a whole: the terms the bound drops count towards the content
@@ -367,7 +363,7 @@ def _normal_form(
             a, b = lc_g // g0, lc // g0
             h = {k: c * a for k, c in h.items()} if a != 1 else h.copy()
             del h[lm]
-            dropped = _add_shifted(h, tail_g, shift, -b, lo, hi, 0)
+            dropped = _add_shifted(h, tail_g, shift, -b, floor, 0)
             content = gcd(*h.values(), b * dropped)
             if content > 1:
                 h = {k: c // content for k, c in h.items()}
@@ -517,11 +513,11 @@ def _kept(pk: _Packing, generators: Sequence[Polynomial]) -> list[tuple]:
 
     One handed over packed (_Generators) keeps its terms, moved to ``pk``'s
     keys by way of their exponent tuples when its packing has another width;
-    every other nonzero one is packed here.  On a local packing one of the
-    shape monomial * unit, whose lead divides every term, becomes that
-    monomial, with no polynomial.
+    every other nonzero one is packed here.  One of the shape monomial *
+    unit, whose lead divides every term, becomes that monomial, with no
+    polynomial.
     """
-    p, guards, local = pk.p, pk.guards, pk.local
+    p, guards = pk.p, pk.guards
     handed = getattr(generators, "packed", None) or (None,) * len(generators)
     seen = set()
     kept = []
@@ -538,7 +534,7 @@ def _kept(pk: _Packing, generators: Sequence[Polynomial]) -> list[tuple]:
                 key = None
             terms = values if p else _primitive(values)
         lead = max(terms)
-        if local and lead and all(not (k - lead) & guards for k in terms):
+        if lead and all(not (k - lead) & guards for k in terms):
             terms = values = {lead: 1}
             scale, g, key = 1, None, None
         if key is None:
@@ -588,19 +584,19 @@ def _ordered(pk: _Packing, kept: list[tuple], rank: Callable[[tuple], object], m
 def _intake(pk: _Packing, generators: Sequence[Polynomial]) -> list[tuple]:
     """(packed terms, lead coefficient size over Q for the first charge) per generator, in processing order.
 
-    The first generator of each scalar class survives (_kept), on a local
-    packing after monomial * unit is replaced by the monomial.  The
-    survivors are sorted by lead, largest first, and on equal leads by their
-    sorted lists of (exponent tuple, coefficient), largest first; lead keys
-    order like the leads, and exponent tuples like ``key & fields_mask``.
+    The first generator of each scalar class survives (_kept), after
+    monomial * unit is replaced by the monomial.  The survivors are sorted
+    by lead, largest first, and on equal leads by their sorted lists of
+    (exponent tuple, coefficient), largest first; lead keys order like the
+    leads, and exponent tuples like ``key & fields_mask``.
     """
     return _ordered(pk, _kept(pk, generators), _lead, (1 << pk.deg_shift) - 1)
 
 
 def _moved(src: _Packing, pk: _Packing, terms: dict[int, int]) -> dict[int, int]:
-    """Terms packed on ``src`` keyed on ``pk``: the same dict when the layouts agree,
+    """Terms packed on ``src`` keyed on ``pk``: the same dict when the widths agree,
     else moved by way of their exponent tuples."""
-    if src.width == pk.width and src.local == pk.local:
+    if src.width == pk.width:
         return terms
     return {pk.key(src.monomial(k)): c for k, c in terms.items()}
 
@@ -626,24 +622,29 @@ def _run_completion(
 
     With the cap ``bound`` set, the generators are cut at it and the result
     is a standard basis of (ideal) + m^bound, which the caller must certify
-    equals the ideal; the bound falls as the staircase of the leads closes.
-    ``cost_budget`` aborts an oversized run, returning None.  The elements,
-    in insertion order, are primitive over Q and monic over F_p.  A step past
-    the packing's degree limit raises _Overflow; no packing that holds the
-    cap meets one.  On a global packing, uncapped, it is the graded-lex
-    Buchberger step of Lazard's route.
+    equals the ideal.  Either way the bound falls as the staircase of the
+    leads closes.  ``cost_budget`` aborts an oversized run, returning None.
+    The elements, in insertion order, are primitive over Q and monic over
+    F_p.  A step past the packing's degree limit raises _Overflow; no
+    packing that holds the cap meets one.  Uncapped, it is the Buchberger
+    step of Lazard's route, and each new element is tail-reduced: its
+    generators must be homogeneous, so every ecart is 0, Mora's normal form
+    is Buchberger's, the local keys order each element's terms (all of one
+    degree) as graded lex does, and each tail reduction stays in one degree
+    and terminates.
     """
     ring = pk.ring
-    p, local, limit, guards, width, deg_shift = pk.p, pk.local, pk.limit, pk.guards, pk.width, pk.deg_shift
+    p, limit, guards, width, deg_shift = pk.p, pk.limit, pk.guards, pk.width, pk.deg_shift
+    homogeneous = bound is None
     fields_mask = (1 << deg_shift) - 1
     # the top field of fields * units sums the exponents: at most 2 * limit, no carry
     units, top_field, degree_mask = sum(1 << s for s in pk.shifts), pk.shifts[0], (1 << (width + 1)) - 1
-    lo, hi = pk.window(bound)
+    floor = pk.floor(bound)
     basis: list[tuple] = []  # packed elements, in insertion order
     ranked: list[tuple] = []  # the same, sorted stably by rank
     fields: list[int] = []  # the fields of their leading monomials
-    lms: list[MultiIndex] = []  # local packings: the same as exponent tuples
-    pure: set[int] = set()  # local packings: the variables with a pure-power lead
+    lms: list[MultiIndex] = []  # the same as exponent tuples
+    pure: set[int] = set()  # the variables with a pure-power lead
     pairs: list[tuple[int, int, int]] = []
 
     def lcm_fields(a: int, b: int) -> int:
@@ -652,7 +653,7 @@ def _run_completion(
         return (a & m) | (b & ~m)
 
     def refresh_bound() -> None:
-        nonlocal bound, lo, hi, ranked
+        nonlocal bound, floor, ranked
         stats = _staircase(lms, ring.nvars)
         if stats is None:
             return
@@ -662,11 +663,11 @@ def _run_completion(
         new_bound = max(stats[1] + 1, 1)
         if bound is None or new_bound < bound:
             bound = new_bound
-            lo, hi = pk.window(bound)
+            floor = pk.floor(bound)
             for i, el in enumerate(basis):
                 # keep elements whose leading monomial sits above the bound whole
-                if lo <= el[0] < hi and not all(lo <= k < hi for k, _ in el[3]):
-                    basis[i] = pk.element({k: c for k, c in _terms(el).items() if lo <= k < hi})
+                if el[0] >= floor and not all(k >= floor for k, _ in el[3]):
+                    basis[i] = pk.element({k: c for k, c in _terms(el).items() if k >= floor})
             ranked = sorted(basis, key=_rank)
 
     def insert(h: dict[int, int], bits: int | None = None) -> bool:
@@ -676,9 +677,9 @@ def _run_completion(
             return False
         if not h:
             return True
-        if not local and basis:
-            # global packing: tail reduction terminates and keeps elements
-            # (hence later s-polynomials) small
+        if homogeneous and basis:
+            # homogeneous elements: tail reduction terminates and keeps
+            # elements (hence later s-polynomials) small
             h = _tail_reduce(pk, h, basis, None, None)
         # primitive over Q, monic over F_p; unit scale either way
         if p:
@@ -698,12 +699,11 @@ def _run_completion(
         basis.append(el)
         insort(ranked, el, key=_rank)
         fields.append(new)
-        if local:
-            lms.append(pk.monomial(el[0]))
-            # the staircase stays open until every variable has a pure-power lead
-            pure.update(v for v, e in enumerate(lms[-1]) if e == pk.degree(el[0]))
-            if len(pure) == ring.nvars:
-                refresh_bound()
+        lms.append(pk.monomial(el[0]))
+        # the staircase stays open until every variable has a pure-power lead
+        pure.update(v for v, e in enumerate(lms[-1]) if e == pk.degree(el[0]))
+        if len(pure) == ring.nvars:
+            refresh_bound()
         return True
 
     def unit() -> bool:
@@ -711,11 +711,11 @@ def _run_completion(
 
     if bound is not None:
         # at the cap, and over Q primitive again: the generator truncated, then packed
-        gens = [({k: c for k, c in t.items() if lo <= k < hi}, bits) for t, bits in gens]
+        gens = [({k: c for k, c in t.items() if k >= floor}, bits) for t, bits in gens]
         gens = gens if p else [(_primitive(t), bits) for t, bits in gens]
     for terms, bits in gens:
         if bound is not None:
-            terms = {k: c for k, c in terms.items() if lo <= k < hi}
+            terms = {k: c for k, c in terms.items() if k >= floor}
         if not insert(terms, bits):
             return None
         if unit():
@@ -735,7 +735,7 @@ def _run_completion(
         key, i, j = heapq.heappop(pairs)
         deg = key >> deg_shift
         if bound is not None and deg >= bound:
-            break  # only local runs have a bound: this pair and every later one truncate to zero
+            break  # this pair and every later one truncate to zero
         lcm_ = key & fields_mask
         if chain_redundant(i, j, lcm_):
             continue
@@ -743,12 +743,11 @@ def _run_completion(
         lead_g, (ecart_g, _), lc_g, tail_g = basis[j]
         if (bound is None or bound - 1 > limit) and deg + max(ecart_f, ecart_g) > limit:
             raise _Overflow
-        # cross-multiplied s-polynomial: leading terms cancel in any field;
-        # a global pair key is the lcm's own key
-        lcm_key = lcm_ - (deg << deg_shift) if local else key
+        # cross-multiplied s-polynomial: leading terms cancel in any field
+        lcm_key = lcm_ - (deg << deg_shift)
         s: dict[int, int] = {}
-        _add_shifted(s, tail_f, lcm_key - lead_f, lc_g, lo, hi, p)
-        _add_shifted(s, tail_g, lcm_key - lead_g, -lc_f, lo, hi, p)
+        _add_shifted(s, tail_f, lcm_key - lead_f, lc_g, floor, p)
+        _add_shifted(s, tail_g, lcm_key - lead_g, -lc_f, floor, p)
         if not insert(s):
             return None
         if unit():
@@ -796,7 +795,7 @@ def _tail_reduce(
     colength.  Over Q the result is a positive multiple of the field one.
     """
     p, guards = pk.p, pk.guards
-    lo, hi = pk.window(bound)
+    floor = pk.floor(bound)
     capped = bound is None and cap is not None
     lead = max(terms)
     done = {lead: terms[lead]}
@@ -814,7 +813,7 @@ def _tail_reduce(
         lead_g, _, lc_g, tail_g = el
         shift = mono - lead_g
         if p:
-            _add_shifted(work, tail_g, shift, -coeff * pow(lc_g, -1, p) % p, lo, hi, p)
+            _add_shifted(work, tail_g, shift, -coeff * pow(lc_g, -1, p) % p, floor, p)
             continue
         # |lc_g| * (done + work) - sign(lc_g) * coeff * x^shift * g, over the gcd
         g0 = gcd(lc_g, coeff)
@@ -822,7 +821,7 @@ def _tail_reduce(
         if a != 1:
             done = {k: c * a for k, c in done.items()}
             work = {k: c * a for k, c in work.items()}
-        _add_shifted(work, tail_g, shift, -b, lo, hi, 0)
+        _add_shifted(work, tail_g, shift, -b, floor, 0)
         if a != 1:
             content = gcd(*done.values(), *work.values())
             if content > 1:
@@ -1067,18 +1066,14 @@ def _finish_primary(pk: _Packing, minimal: list[tuple], staircase: tuple[int, in
     elements led below B are truncated at B and tail-reduced; those led at
     B enter as their bare monic leads, the monomials of degree B outside
     the ideal of the lower leads, making the result a function of the ideal
-    alone rather than of the generator list.  The local packing must hold
-    degree B and the elements' degrees.
+    alone rather than of the generator list.  The packing must hold degree
+    B and the elements' degrees.
     """
     B = max(staircase[1] + 1, 1)
-    lo, hi = pk.window(B)
-    below = [
-        pk.element({k: c for k, c in _terms(el).items() if lo <= k < hi})
-        for el in minimal
-        if lo <= el[0] < hi
-    ]
+    floor = pk.floor(B)
+    below = [pk.element({k: c for k, c in _terms(el).items() if k >= floor}) for el in minimal if el[0] >= floor]
     elements = _reduced_elements(pk, below, B, None)
-    elements += [(el[0], {el[0]: 1}, pk.polynomial({el[0]: 1})) for el in minimal if el[0] < lo]
+    elements += [(el[0], {el[0]: 1}, pk.polynomial({el[0]: 1})) for el in minimal if el[0] < floor]
     elements.sort(key=_lead, reverse=True)
     return _reduced_basis(pk, elements, B, staircase)
 
@@ -1115,15 +1110,18 @@ _CAPPED_BUDGET = 400_000
 def _complete_local_by_homogenization(
     generators: Sequence[Polynomial], ring: RingContext
 ) -> tuple[_Packing, list[tuple]]:
-    """Standard basis via Lazard's route: homogenize, run a global Buchberger,
+    """Standard basis via Lazard's route: homogenize, complete uncapped,
     dehomogenize.
 
     Every s-polynomial and reduction step stays inside one fixed total
     degree of the homogeneous world, so no reduction can wander the way an
-    untruncated ecart-driven walk can.  The dehomogenized Groebner basis of
-    the homogenized generators is a standard basis for the local order,
-    returned as packed elements of a local packing that also holds the
-    border degree of _finish_primary.  The generators come through the
+    untruncated ecart-driven walk can.  The homogenized generators are
+    completed by _run_completion with no cap on the keys of (t, x_1, ...,
+    x_d): every ecart is 0 and those keys order each homogeneous element as
+    graded lex does, so the run is Buchberger's, tail reduction included.
+    The dehomogenized Groebner basis is a standard basis for the local
+    order, returned as packed elements of a packing of the ring that also
+    holds the border degree of _finish_primary.  The generators come through the
     capped runs' intake, monomial * unit replaced by the monomial, and are
     completed in the order graded lex gives their homogenizations: largest
     top degree T first, then largest local lead; on ties by the term lists,
@@ -1131,7 +1129,7 @@ def _complete_local_by_homogenization(
     key of b.
     """
     pk = _capped_packing(generators, ring)
-    # local keys: a generator's lowest key has its top degree
+    # a generator's lowest key has its top degree
     gens = _ordered(pk, _kept(pk, generators), lambda item: (pk.degree(min(item[1])), item[0]), -1)
     tops = [pk.degree(min(terms)) for terms, _ in gens]
     tname = "t"
@@ -1142,7 +1140,7 @@ def _complete_local_by_homogenization(
     hring = RingContext((tname,) + ring.variables, ring.field)
     # the homogenized runs reach 11-13 times the input degree on plane
     # germs, so they start with room for 16 times
-    hpk = _Packing.sized(hring, 8 * max(tops), local=False)
+    hpk = _Packing.sized(hring, 8 * max(tops))
     while True:
         try:
             hgens = [
@@ -1269,18 +1267,15 @@ class Ideal:
         self.ring = ring
         self._basis: ReducedStandardBasis | None = None
         self._primary_attempt: ReducedStandardBasis | None | bool = False  # False = not tried
-        if isinstance(generators, _Generators):
-            # handed over packed by this package (jacobian minors, sums):
-            # nonzero, in this ring, and they keep their terms
-            self.generators = generators
-            return
-        gens = []
-        for g in generators:
-            if g.ring != ring:
-                raise ValueError("generator lives in a different ring context")
-            if not g.is_zero():
-                gens.append(g)
-        self.generators: tuple[Polynomial, ...] = tuple(gens)
+        handed = isinstance(generators, _Generators)
+        gens = generators if handed else tuple(generators)
+        # identity first: the dataclass comparison alone took 1 % of the
+        # high-order benchmark, on tens of thousands of handed-over minors
+        if any(g.ring is not ring and g.ring != ring for g in gens):
+            raise ValueError("generator lives in a different ring context")
+        # those handed over packed by this package (jacobian minors, sums)
+        # are nonzero and keep their terms
+        self.generators: tuple[Polynomial, ...] = gens if handed else tuple(g for g in gens if not g.is_zero())
 
     # -- construction helpers
 

@@ -99,9 +99,10 @@ def P(text: str, ring: RingContext) -> Polynomial:
 # ---------------------------------------------------------------------------
 # monomial orders
 #
-# The orders the library's packed keys encode (see the ideals docstring),
-# spelled on exponent tuples for the reference walk, Lazard's reference and
-# the expected intakes: the library itself reads leads off keys.
+# The local degree order the library's packed keys encode, and graded lex,
+# which those keys agree with on homogeneous polynomials (see the ideals
+# docstring), spelled on exponent tuples for the reference walk, Lazard's
+# reference and the expected intakes: the library itself reads leads off keys.
 
 
 @dataclass(frozen=True)
@@ -587,17 +588,21 @@ def complete_basis(
     hard_cap: int | None = None,
     cost_budget: list[int] | None = None,
 ) -> tuple[_Packing, list[tuple]] | None:
-    """Buchberger/Mora completion; returns a standard basis as packed elements.
+    """Buchberger/Mora completion on local keys; returns a standard basis as packed elements.
 
-    For local orders the truncation bound tightens as the staircase of the
-    current leading monomials closes: with s its top standard-monomial
-    degree, m^(s+1) already lies inside the ideal spanned so far.  With
-    ``hard_cap`` set, all arithmetic is truncated at that degree from the
-    start, so the result is a standard basis of (ideal) + m^hard_cap; the
-    caller must certify afterwards that this equals the ideal itself.
-    ``cost_budget`` aborts oversized runs, returning None.  The elements come
-    with the packing that holds them, in insertion order; over Q they are
-    primitive integer polynomials, over F_p monic.
+    ``order`` fixes the processing order (poly_sort_key, largest first); a
+    graded-lex run ignores ``hard_cap``.  The truncation bound tightens as
+    the staircase of the current leading monomials closes: with s its top
+    standard-monomial degree, m^(s+1) already lies inside the ideal spanned
+    so far.  With ``hard_cap`` set, all arithmetic is truncated at that
+    degree from the start, so the result is a standard basis of (ideal) +
+    m^hard_cap; the caller must certify afterwards that this equals the
+    ideal itself.  ``cost_budget`` aborts oversized runs, returning None.
+    The elements come with the packing that holds them, in insertion order;
+    over Q they are primitive integer polynomials, over F_p monic.  An
+    uncapped run is the Buchberger step of Lazard's route and tail-reduces
+    each new element; its generators must be homogeneous, so the local keys
+    order their terms as graded lex does.
     """
     ring = generators[0].ring
     cap = hard_cap if order == LOCAL_DEGREE else None
@@ -609,7 +614,7 @@ def complete_basis(
     # a capped run stores nothing above the cap; an uncapped one has no a
     # priori bound, and Lazard's homogenized runs reach 11-13 times the
     # input degree on plane germs, so it starts with room for 16 times
-    pk = _Packing.sized(ring, max(top, cap - 1) if cap is not None else 8 * top, order == LOCAL_DEGREE)
+    pk = _Packing.sized(ring, max(top, cap - 1) if cap is not None else 8 * top)
     budget = None if cost_budget is None else cost_budget[0]
     while True:
         try:
@@ -625,15 +630,16 @@ def _run_completion(
 ) -> tuple[_Packing, list[tuple]] | None:
     """The body of complete_basis on one packing; gens come in processing order."""
     ring = pk.ring
-    p, local, limit, guards = pk.p, pk.local, pk.limit, pk.guards
-    lo, hi = pk.window(bound)
+    p, limit, guards = pk.p, pk.limit, pk.guards
+    homogeneous = bound is None
+    floor = pk.floor(bound)
     basis: list[tuple] = []  # packed elements, in insertion order
     ranked: list[tuple] = []  # the same, sorted stably by rank
     lms: list[MultiIndex] = []
     pairs: list[tuple[tuple, int, int]] = []
 
     def refresh_bound() -> None:
-        nonlocal bound, lo, hi, ranked
+        nonlocal bound, floor, ranked
         stats = _staircase(lms, ring.nvars)
         if stats is None:
             return
@@ -643,11 +649,11 @@ def _run_completion(
         new_bound = max(stats[1] + 1, 1)
         if bound is None or new_bound < bound:
             bound = new_bound
-            lo, hi = pk.window(bound)
+            floor = pk.floor(bound)
             for i, el in enumerate(basis):
                 # keep elements whose leading monomial sits above the bound whole
-                if lo <= el[0] < hi and not all(lo <= k < hi for k, _ in el[3]):
-                    basis[i] = pk.element({k: c for k, c in _terms(el).items() if lo <= k < hi})
+                if el[0] >= floor and not all(k >= floor for k, _ in el[3]):
+                    basis[i] = pk.element({k: c for k, c in _terms(el).items() if k >= floor})
             ranked = sorted(basis, key=_rank)
 
     def insert(h: dict[int, int], bits: int | None = None) -> bool:
@@ -657,9 +663,9 @@ def _run_completion(
             return False
         if not h:
             return True
-        if not local and basis:
-            # global orders: tail reduction terminates and keeps elements
-            # (hence later s-polynomials) small
+        if homogeneous and basis:
+            # homogeneous elements: tail reduction terminates and keeps
+            # elements (hence later s-polynomials) small
             h = _tail_reduce(pk, h, basis, None, None)
         # primitive over Q, monic over F_p; unit scale either way
         if p:
@@ -682,8 +688,7 @@ def _run_completion(
             if all(a + b == c for a, b, c in zip(lms[i], lm_new, lcm_)):
                 continue
             heapq.heappush(pairs, ((sum(lcm_), lcm_), i, k))
-        if local:
-            refresh_bound()
+        refresh_bound()
         return True
 
     def unit() -> bool:
@@ -692,7 +697,7 @@ def _run_completion(
     for g in gens:
         packed = pk.pack(g)
         if bound is not None:
-            packed = {k: c for k, c in packed.items() if lo <= k < hi}
+            packed = {k: c for k, c in packed.items() if k >= floor}
         bits = None
         if packed and not p:
             # the first charge reads the generator's own coefficient
@@ -727,8 +732,8 @@ def _run_completion(
         shift_f = pk.key(mi_sub(lcm_, lms[i]))
         shift_g = pk.key(mi_sub(lcm_, lms[j]))
         s: dict[int, int] = {}
-        _add_shifted(s, tail_f, shift_f, lc_g, lo, hi, p)
-        _add_shifted(s, tail_g, shift_g, -lc_f, lo, hi, p)
+        _add_shifted(s, tail_f, shift_f, lc_g, floor, p)
+        _add_shifted(s, tail_g, shift_g, -lc_f, floor, p)
         if not insert(s):
             return None
         if unit():
@@ -763,8 +768,8 @@ def simplify_generators(gens: Iterable[Polynomial], order: MonomialOrder) -> lis
     return out
 
 
-def homogenized_generators(generators: Sequence[Polynomial], ring: RingContext) -> list[Polynomial]:
-    """The nonzero generators, monomial * unit replaced, homogenized by a first variable t."""
+def homogenized(polys: Sequence[Polynomial], ring: RingContext) -> list[Polynomial]:
+    """The polys of ``ring`` homogenized by a new first variable t (t_ when t is taken)."""
     tname = "t"
     while tname in ring.variables:
         tname += "_"
@@ -774,7 +779,12 @@ def homogenized_generators(generators: Sequence[Polynomial], ring: RingContext) 
         top = p.total_degree()
         return Polynomial(hring, {(top - sum(a),) + a: c for a, c in p.terms.items()}, _canonical=True)
 
-    return [homogenize(g) for g in simplify_generators(generators, LOCAL_DEGREE)]
+    return [homogenize(g) for g in polys]
+
+
+def homogenized_generators(generators: Sequence[Polynomial], ring: RingContext) -> list[Polynomial]:
+    """The nonzero generators, monomial * unit replaced, homogenized by a first variable t."""
+    return homogenized(simplify_generators(generators, LOCAL_DEGREE), ring)
 
 
 def lazard_standard_basis(generators: Sequence[Polynomial], ring: RingContext) -> ReducedStandardBasis:
@@ -905,3 +915,18 @@ def polynomial_strategy(ring: RingContext, max_terms: int = 6, max_degree: int =
 
 def nonzero_polynomial_strategy(ring: RingContext, max_terms: int = 6, max_degree: int = 6):
     return polynomial_strategy(ring, max_terms, max_degree).filter(lambda p: not p.is_zero())
+
+
+@st.composite
+def homogeneous_polynomial_strategy(draw, ring: RingContext, max_terms: int = 6, max_degree: int = 6):
+    """Polynomials whose terms share one total degree, at most ``max_degree``; zero included.
+
+    The last exponent takes what the others leave of the degree, so no draw
+    is filtered out.
+    """
+    degree = draw(st.integers(0, max_degree))
+    term = st.tuples(monomial_strategy(ring.nvars - 1, degree), st.integers(-4, 4))
+    out = ring.zero()
+    for alpha, c in draw(st.lists(term, max_size=max_terms)):
+        out = out + ring.monomial(alpha + (degree - sum(alpha),), c)
+    return out

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import nashblowup
 from nashblowup import ideals
 from nashblowup.algebras import nash_ideal_t
+from nashblowup.jacobian import higher_jacobian_ideal
 from nashblowup.fields import GF, QQ
 from nashblowup.ideals import (
     INFINITE,
@@ -49,9 +50,12 @@ from conftest import (
     border,
     brute_standard_monomial_count,
     first_per_scalar_class,
+    homogeneous_polynomial_strategy,
+    homogenized,
     homogenized_generators,
     lazard_standard_basis,
     leading_coefficient,
+    leading_monomial,
     leading_monomials,
     linalg_quotient_dim,
     monomial_strategy,
@@ -70,24 +74,26 @@ def ideal(ring, *texts):
     return Ideal(ring, [P(t, ring) for t in texts])
 
 
-def global_completion(gens, cost_budget=None):
-    """The private graded-lex step of Lazard's route on the generators: the
-    intake and the Buchberger run on a global packing, restarted wider on
-    overflow, as packed elements with their packing."""
-    pk = _Packing.sized(gens[0].ring, 8 * max(g.total_degree() for g in gens), local=False)
+def homogenized_completion(gens, cost_budget=None):
+    """The Buchberger step of Lazard's route on the generators homogenized by
+    a first variable t: the intake and the uncapped run on a local packing,
+    restarted wider on overflow, as packed elements with their packing."""
+    hgens = homogenized(gens, gens[0].ring)
+    pk = _Packing.sized(hgens[0].ring, 8 * max(g.total_degree() for g in hgens))
     budget = None if cost_budget is None else cost_budget[0]
     while True:
         try:
-            return _run_completion(pk, _intake(pk, gens), None, cost_budget)
+            return _run_completion(pk, _intake(pk, hgens), None, cost_budget)
         except _Overflow:
             if cost_budget is not None:
                 cost_budget[0] = budget
             pk = pk.wider()
 
 
-def global_reduced_basis(gens):
-    """The reduced graded-lex Groebner basis of the private global step, monic."""
-    pk, raw = global_completion(gens)
+def homogenized_reduced_basis(gens):
+    """The reduced graded-lex Groebner basis of the homogenized generators, monic,
+    as the uncapped run on local keys completes it."""
+    pk, raw = homogenized_completion(gens)
     return [el[2] for el in _reduced_elements(pk, _minimalize(pk, raw), None, None)]
 
 
@@ -106,15 +112,6 @@ def unpacked(completed):
 def packed_basis(basis, pk):
     """The polynomials packed on ``pk``, as weak_normal_form takes a packed basis."""
     return _PackedBasis(pk, map(pk.pack, basis))
-
-
-def normal_form(f, basis, order, bound=None, step_limit=None):
-    """weak_normal_form under LOCAL_DEGREE; under GRADED_LEX the same walk on
-    a global packing, as Lazard's private step reduces."""
-    if order is GRADED_LEX:
-        top = max([f.total_degree(), (bound or 0) - 1] + [g.total_degree() for g in basis])
-        basis = packed_basis(basis, _Packing.sized(f.ring, top, local=False))
-    return weak_normal_form(f, basis, bound, step_limit)
 
 
 def certificate(f, gens, degree_bound):
@@ -152,9 +149,10 @@ class TestStandardBasis:
         assert basis.dimension() == 0
 
     def test_global_reduced_groebner(self, ring_q2):
-        # the private global step of Lazard's route
-        got = {str(e) for e in global_reduced_basis([P("x^2-y", ring_q2), P("x*y-1", ring_q2)])}
-        assert got == {"-y + x^2", "-1 + x*y", "-x + y^2"}
+        # the Buchberger step of Lazard's route on (x^2 - t*y, x*y - t^2):
+        # the reduced graded-lex Groebner basis in (t, x, y), as sympy gives it
+        got = {str(e) for e in homogenized_reduced_basis([P("x^2-y", ring_q2), P("x*y-1", ring_q2)])}
+        assert got == {"t^2 - x*y", "t*y - x^2", "t*x^2 - x*y^2", "x^4 - x*y^3"}
 
 
 class TestNormalForm:
@@ -183,12 +181,25 @@ class TestNormalForm:
         assert basis.contains(P("x", ring_q2))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_local_keys_lead_homogeneous_polynomials_as_graded_lex(data):
+    # the fact Lazard's route rests on: the terms of a homogeneous polynomial
+    # share one degree, so its largest local key is its graded-lex lead
+    field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    nvars = data.draw(st.integers(1, 4))
+    ring = RingContext(("t", "x", "y", "z")[:nvars], field)
+    p = data.draw(homogeneous_polynomial_strategy(ring, max_terms=6, max_degree=8).filter(bool))
+    pk = _Packing.sized(ring, p.total_degree())
+    assert pk.monomial(max(pk.pack(p))) == leading_monomial(p, GRADED_LEX)
+
+
 class TestPackedNormalForm:
     """The packed kernel against the tuple/Fraction reference in conftest."""
 
     @staticmethod
     def both(f, basis, order, bound=None, step_limit=None):
-        got = normal_form(f, basis, order, bound, step_limit)
+        got = weak_normal_form(f, basis, bound, step_limit)
         return got, reference_weak_normal_form(f, basis, order, bound, step_limit)
 
     @settings(max_examples=400, deadline=None)
@@ -197,10 +208,13 @@ class TestPackedNormalForm:
         field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
         nvars = data.draw(st.integers(1, 3))
         ring = RingContext(("x", "y", "z")[:nvars], field)
+        # on homogeneous input every ecart is 0, and the walk on local keys is
+        # Buchberger's graded-lex normal form, as Lazard's route reduces
         order = data.draw(st.sampled_from([LOCAL_DEGREE, GRADED_LEX]))
-        polys = st.lists(polynomial_strategy(ring, max_terms=4, max_degree=5), min_size=1, max_size=4)
+        strategy = polynomial_strategy if order is LOCAL_DEGREE else homogeneous_polynomial_strategy
+        polys = st.lists(strategy(ring, max_terms=4, max_degree=5), min_size=1, max_size=4)
         basis = [g for g in data.draw(polys) if not g.is_zero()]
-        f = data.draw(polynomial_strategy(ring, max_terms=6, max_degree=7))
+        f = data.draw(strategy(ring, max_terms=6, max_degree=7))
         if not field.is_prime_field:
             # rational and bignum coefficients reach the fraction-free steps
             scales = st.sampled_from([1, -1, Fraction(1, 2), Fraction(3, 7), Fraction(2**40, 3), 5**30])
@@ -215,12 +229,8 @@ class TestPackedNormalForm:
         got, want = self.both(f, basis, order, bound, step_limit)
         assert got == want
         if basis:
-            # the same through a basis packed once, sized for the basis
-            # alone, or on the narrowest global packing
-            if order is LOCAL_DEGREE:
-                pk = _Packing.sized(ring, max(g.total_degree() for g in basis))
-            else:
-                pk = _Packing.sized(ring, 0, local=False)
+            # the same through a basis packed once, sized for the basis alone
+            pk = _Packing.sized(ring, max(g.total_degree() for g in basis))
             assert weak_normal_form(f, packed_basis(basis, pk), bound, step_limit) == want
 
     @pytest.mark.parametrize(
@@ -263,9 +273,9 @@ class TestPackedNormalForm:
         basis = data.draw(st.lists(nonzero_polynomial_strategy(ring, max_terms=4, max_degree=5), max_size=4))
         if field is QQ:
             basis = [g.scalar_mul(data.draw(st.sampled_from([1, -1, Fraction(3, 7), 5**30]))) for g in basis]
-        pk = _Packing.sized(ring, 5, local=data.draw(st.booleans()))
+        pk = _Packing.sized(ring, 5)
         wider = packed_basis(basis, pk).wider()
-        assert wider.packing.width == 2 * pk.width and wider.packing.local == pk.local
+        assert wider.packing.width == 2 * pk.width
         assert wider.reducers == packed_basis(basis, wider.packing).reducers
 
     @pytest.mark.parametrize("foreign", [RingContext(("x", "y", "z"), QQ), RingContext(("x", "y"), GF(5))])
@@ -343,15 +353,15 @@ class TestFieldWidening:
     def narrow(mp, width, widened):
         """Make every packing start ``width`` bits wide; record each widening."""
         original_wider = _Packing.wider
-        mp.setattr(_Packing, "sized", classmethod(lambda cls, ring, top, local=True: cls(ring, local, width)))
+        mp.setattr(_Packing, "sized", classmethod(lambda cls, ring, top: cls(ring, width)))
         mp.setattr(_Packing, "wider", lambda pk: widened.append(pk.width) or original_wider(pk))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_completion_restarts_to_the_same_basis(self, data):
-        # fields one to three bits wide overflow early or midway: the global
-        # step of Lazard's route restarts, wider, until the fields hold it,
-        # and must end where a roomy run ends, with the same budget left
+        # fields one to three bits wide overflow early or midway: the
+        # homogenized step of Lazard's route restarts, wider, until the fields
+        # hold it, and must end where a roomy run ends, with the same budget left
         field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
         nvars = data.draw(st.integers(1, 3))
         ring = RingContext(("x", "y", "z")[:nvars], field)
@@ -364,7 +374,7 @@ class TestFieldWidening:
 
         def run():
             left = None if budget is None else [budget]
-            return unpacked(global_completion(gens, left)), left
+            return unpacked(homogenized_completion(gens, left)), left
 
         want = run()
         width = data.draw(st.integers(1, 3))
@@ -408,7 +418,7 @@ class TestCompletionAgainstReference:
         for i, c, at in data.draw(st.lists(st.tuples(st.integers(0, len(gens) - 1), nonzero, st.integers(0, 4)),
                                            max_size=2)):
             gens.insert(min(at, len(gens)), gens[i].scalar_mul(c))
-        order = data.draw(st.sampled_from([LOCAL_DEGREE, GRADED_LEX]))
+        capped = data.draw(st.booleans())
         # a budget stops every run, a wrong one included: each insert charges it
         budget = data.draw(st.integers(0, 30_000))
 
@@ -418,9 +428,12 @@ class TestCompletionAgainstReference:
             assert got == want
             assert mine == reference
 
-        if order is GRADED_LEX:
-            distinct = first_per_scalar_class(gens)
-            both(lambda b: global_completion(gens, b), lambda b: reference_complete_basis(distinct, order, None, b))
+        if not capped:
+            # the Buchberger step of Lazard's route: the generators
+            # homogenized, a single term replaced by its monomial, uncapped
+            distinct = first_per_scalar_class(simplify_generators(homogenized(gens, ring), LOCAL_DEGREE))
+            both(lambda b: homogenized_completion(gens, b),
+                 lambda b: reference_complete_basis(distinct, LOCAL_DEGREE, None, b))
             return
         # the capped route: monomial * unit replaced, packed once for the top
         # degree and the last cap, then truncated at each cap in turn
@@ -429,7 +442,8 @@ class TestCompletionAgainstReference:
         pk = _Packing.sized(ring, max(max(g.total_degree() for g in gens), caps[-1] - 1))
         packed = _intake(pk, gens)
         for c in caps:
-            both(lambda b: _run_completion(pk, packed, c, b), lambda b: reference_complete_basis(distinct, order, c, b))
+            both(lambda b: _run_completion(pk, packed, c, b),
+                 lambda b: reference_complete_basis(distinct, LOCAL_DEGREE, c, b))
 
     def test_duplicate_charges_no_budget(self, ring_q2):
         gens = [P(t, ring_q2) for t in ("x^2 + y^3", "x*y", "-2*x^2 - 2*y^3")]
@@ -672,8 +686,10 @@ def intake_of(pk, survivors, order):
 def test_simplify_drops_nonzero_scalar_multiples(field):
     ring = RingContext(("x", "y"), field)
     gens = [P(t, ring) for t in ("x^2+y^3", "-3*x^2-3*y^3", "x^2+2*y^3", "2*x*y", "x^2+y^3", "-x*y")]
-    pk = _Packing.sized(ring, 3, local=False)
-    assert _intake(pk, gens) == intake_of(pk, [gens[0], gens[2], gens[3]], GRADED_LEX)
+    pk = _Packing.sized(ring, 3)
+    # 2*x*y enters as its monomial x*y, which -x*y repeats
+    survivors = simplify_generators([gens[0], gens[2], gens[3]], LOCAL_DEGREE)
+    assert _intake(pk, gens) == intake_of(pk, survivors, LOCAL_DEGREE)
 
 
 class TestIntake:
@@ -691,9 +707,9 @@ class TestIntake:
             scalar = st.integers(1, field.characteristic - 1)
         picks = st.tuples(st.integers(0, len(base) - 1), scalar)
         gens = [base[i].scalar_mul(c) for i, c in data.draw(st.lists(picks, min_size=1, max_size=8))]
-        order = data.draw(st.sampled_from([LOCAL_DEGREE, GRADED_LEX]))
-        pk = _Packing.sized(ring, max(g.total_degree() for g in gens), order == LOCAL_DEGREE)
-        assert _intake(pk, gens) == intake_of(pk, first_per_scalar_class(simplify_generators(gens, order)), order)
+        pk = _Packing.sized(ring, max(g.total_degree() for g in gens))
+        survivors = first_per_scalar_class(simplify_generators(gens, LOCAL_DEGREE))
+        assert _intake(pk, gens) == intake_of(pk, survivors, LOCAL_DEGREE)
 
 
 class TestHandOver:
@@ -850,32 +866,34 @@ class TestCompletionOutput:
         gens = [g for g in data.draw(polys) if not g.is_zero()]
         if not gens:
             return
-        for raw in (unpacked(capped_completion(gens, 8)), unpacked(global_completion(gens))):
+        for raw in (unpacked(capped_completion(gens, 8)), unpacked(homogenized_completion(gens))):
             for q in raw:
-                assert q.terms and q == Polynomial(ring, dict(q.terms))
+                assert q.terms and q == Polynomial(q.ring, dict(q.terms))
                 if field.is_prime_field:
                     assert all(0 < c < field.characteristic for c in q.terms.values())
 
 
 class TestGlobalBasisAgainstSympy:
-    """Reduced graded-lex Groebner bases of the private global step of
-    Lazard's route against sympy's, an independent engine."""
+    """Reduced graded-lex Groebner bases of the homogenized generators, as the
+    Buchberger step of Lazard's route completes them on local keys, against
+    sympy's, an independent engine."""
 
     @staticmethod
     def assert_matches_sympy(gens, ring):
         sympy = pytest.importorskip("sympy")
-        syms = sympy.symbols(ring.variables)
+        hgens = homogenized(gens, ring)
+        syms = sympy.symbols(hgens[0].ring.variables)
         p = ring.field.characteristic
         domain = sympy.GF(p) if p else sympy.QQ
         polys = [sympy.Poly.from_dict({a: int(c) if p else sympy.Rational(c.numerator, c.denominator)
-                                       for a, c in g.terms.items()}, *syms, domain=domain) for g in gens]
+                                       for a, c in g.terms.items()}, *syms, domain=domain) for g in hgens]
         theirs = sympy.groebner(polys, *syms, order="grlex", domain=domain)
 
         def coeff(c):
             return int(c) % p if p else Fraction(int(c.p), int(c.q))
 
         expected = {frozenset((m, coeff(c)) for m, c in q.terms()) for q in theirs.polys}
-        assert {frozenset(e.terms.items()) for e in global_reduced_basis(gens)} == expected
+        assert {frozenset(e.terms.items()) for e in homogenized_reduced_basis(gens)} == expected
 
     def test_negative_leading_reducer(self, ring_q2):
         # the tail reduction inside the completion meets a reducer with a
@@ -1052,6 +1070,18 @@ class TestIdealArithmetic:
         assert [str(g) for g in maximal_ideal_power(ring_q1, 3).generators] == ["x^3"]
         assert {str(g) for g in maximal_ideal_power(ring_q3, 1).generators} == {"x", "y", "z"}
         assert maximal_ideal_power(ring_q2, 0).equals(Ideal.unit(ring_q2))
+
+    @pytest.mark.parametrize("foreign", [RingContext(("x", "y", "z"), QQ), RingContext(("x", "y"), GF(5))])
+    def test_generators_from_another_ring_are_refused(self, ring_q2, foreign):
+        # handed over packed or as a plain list: J_2(x^30 + y^31) from Q[x,y]
+        # once gave Q[x,y,z] an ideal of dimension 0 with z, and (f) + J_2(f)
+        # of x^3/5 + y^4 made F_5[x,y] raise TypeError on its Fractions
+        f = P("x^30+y^31" if foreign.nvars == 3 else "1/5*x^3+y^4", ring_q2)
+        generators = (higher_jacobian_ideal(f, 2) if foreign.nvars == 3 else nash_ideal_t(f, 2)).generators
+        assert generators.packed
+        for handed in (generators, list(generators)):
+            with pytest.raises(ValueError, match="different ring context"):
+                Ideal(foreign, handed)
 
 
 class TestQuotientDimension:
@@ -1283,7 +1313,7 @@ class TestLazardRouteAgainstReference:
             mp.setattr(ideals, "_run_completion", lambda pk, g, *rest: runs.append((pk, g)) or original_run(pk, g, *rest))
             forced = compute_standard_basis(gens, ring)
         assert (forced.elements, forced.truncation) == (want.elements, want.truncation)
-        # the homogenized generators reach the global step in the order
+        # the homogenized generators reach the uncapped run in the order
         # poly_sort_key gives the homogenized polynomials, with their charges
         pk, handed = runs[-1]
         assert handed == intake_of(pk, first_per_scalar_class(homogenized_generators(gens, ring)), GRADED_LEX)
