@@ -60,46 +60,46 @@ only falls, so the loop stops at the first pair whose lcm reaches the
 bound: every pair left would truncate to zero, uncharged.
 
 Conversion boundary.  A basis of polynomials is packed once on entry to
-weak_normal_form; an Ideal packs its generators once, on the capped runs'
-packing (_capped_packing), for all its budgeted walks and membership
-escalations, reusing the terms of those handed over packed.  The escalation
-reads that packed basis as it is: its terms are the linear certificate's
-rows, their span basis is what the refutations complete, and they move to a
-wider packing only when a round outgrows the one they came on, so only f is
-packed inside an escalation.  Every completion takes its generators through
-one intake, which packs them in the caller's order, keeps the terms of
-those handed over already packed, replaces monomial * unit by the monomial,
-and drops each that is a nonzero scalar multiple of an earlier one, so
-every completion starts from the first generator of each scalar class.  The
-maximal minors of a Jacobian matrix (jacobian._minor_dets) run on a packing
-wide enough for the capped runs' last cap (_Packing.capped); each minor
-kept by the scalar-class rule is unpacked once, for the printed generators,
-and handed over with its packed terms on the generator tuple (_Generators,
-kept by Ideal.__add__), so (f) + J_n(f) reaches the capped runs without a
-Polynomial round trip.  A packing of another width moves the terms by way
-of their exponent tuples; the width changes no key order, so no result.
-try_primary_standard_basis takes its generators in once, by one capped
-intake (_capped_intake): the intake on a packing that holds the last cap,
-the processing order fixed on the keys, and cut to the first generator of
-each new pivot of a semi-echelon form (_Echelon, which also decides the
-linear membership certificate): a subset spanning the same k-space, hence
-the same ideal and the same canonical basis.  Each capped run cuts them at
-its key floor, over Q making them primitive again.  Lazard's route takes
-its generators through the same intake, homogenizes the keys and processes
-them in the order graded lex gives the homogenized polynomials; it moves
-the keys from the packing of (t, x_1, ..., x_d) its completion runs on to
-one of the ring's by way of their exponent tuples.  Completions return
-packed elements with their packing; minimalization, the staircase read-off,
-the truncation and the tail reduction of a finished basis run on those same
-keys, and each element is unpacked once, monic, when the
-ReducedStandardBasis is built.  The basis keeps the tail-reduced terms, a
-nonzero multiple of each element, and builds its reducers from them on its
-first query, so a computed basis is never packed again; its membership test
-reads whether the packed normal form is zero, which no scale changes, and
-escalates over those reducers.  The membership escalation reduces on the
-packing of its capped completion, which holds the cap.  Every public
-signature and every printed result is the one the tuple/Fraction arithmetic
-gives.
+weak_normal_form.  An Ideal keeps its generators in one tuple (_Generators)
+that resolves them once, on first use: one packing, which holds the capped
+runs' last cap (_Packing.capped) or the widest packing a generator was
+handed over on, each nonzero generator's terms on it, and the survivors of
+the intake's scalar-class rule.  The capped runs, Lazard's route, the
+budgeted walks and the membership escalation all read that one resolution,
+so each generator is packed at most once per tuple.  The maximal minors of
+a Jacobian matrix (jacobian._minor_dets) run on a packing wide enough for
+the capped runs' last cap; each minor kept by the scalar-class rule is
+unpacked once, for the printed generators, and handed over with its packed
+terms on the tuple (kept by Ideal.__add__), so (f) + J_n(f) reaches the
+capped runs without a Polynomial round trip.  Terms handed over on another
+width move by way of their exponent tuples; the width changes no key order,
+so no result.  The escalation reads the walks' packed basis as it is: its
+terms are the linear certificate's rows, their span basis is what the
+refutations complete, and they move to a wider packing only when a round
+outgrows the one they came on, so only f is packed inside an escalation.
+Every completion takes its generators through one intake, which keeps the
+first generator of each scalar class in the caller's order, monomial * unit
+replaced by the monomial.  try_primary_standard_basis reads it once
+(_capped_intake): the processing order fixed on the keys, and cut to the
+first generator of each new pivot of a semi-echelon form (_Echelon, which
+also decides the linear membership certificate): a subset spanning the same
+k-space, hence the same ideal and the same canonical basis.  Each capped
+run cuts them at its key floor.  Every step of a capped run charges its
+budget by one rule, on the packed lead coefficient.  Lazard's route reads
+the same survivors, homogenizes their keys and processes them in the order
+graded lex gives the homogenized polynomials; it moves the keys from the
+packing of (t, x_1, ..., x_d) its completion runs on to one of the ring's
+by way of their exponent tuples.  Completions return packed elements with
+their packing; minimalization, the staircase read-off, the truncation and
+the tail reduction of a finished basis run on those same keys, and each
+element is unpacked once, monic, when the ReducedStandardBasis is built.
+The basis keeps the tail-reduced terms, a nonzero multiple of each element,
+and builds its reducers from them on its first query, so a computed basis
+is never packed again; its membership test reads whether the packed normal
+form is zero, which no scale changes, and escalates over those reducers.
+The membership escalation reduces on the packing of its capped completion,
+which holds the cap.  Every public signature and every printed result is
+the one the tuple/Fraction arithmetic gives.
 """
 
 from __future__ import annotations
@@ -296,14 +296,14 @@ def _normal_form(
     bound: int | None,
     step_limit: int | None = None,
     cost_budget: list[int] | None = None,
-    bits: int | None = None,
 ) -> dict[int, int] | None:
     """Mora's weak normal form of packed h, whose terms lie below bound.
 
     ``reducers`` are packed elements sorted stably by (ecart, length), so the
-    first divisor is the one of least rank that comes first.  ``bits`` is the
-    size of the lead coefficient at the caller's scale, charged at the first
-    step.  Returns h itself when no step applies, None when a limit runs out.
+    first divisor is the one of least rank that comes first.  Every step
+    charges ``cost_budget`` by one rule: the length of h times the word count
+    of its packed lead coefficient.  Returns h itself when no step applies,
+    None when a limit runs out.
     """
     if not h or not reducers:
         return h
@@ -322,10 +322,7 @@ def _normal_form(
         lc = h[lm]
         if cost_budget is not None:
             # weight by coefficient size so bignum blowup hits the budget too
-            if bits is None:
-                bits = lc.bit_length() + 1
-            cost_budget[0] -= len(h) * (1 + bits // 32)
-            bits = None
+            cost_budget[0] -= len(h) * (1 + (lc.bit_length() + 1) // 32)
             if cost_budget[0] < 0:
                 return None
         best = None
@@ -485,69 +482,96 @@ def _scalar_class(terms: dict[int, int], p: int) -> frozenset | int:
 
 
 class _Generators(tuple):
-    """Generators, some of them handed over already packed.
+    """An ideal's generators, packed once, on first use, for every completion and walk.
 
-    ``packed`` holds one entry per generator: None, or (packing, scale,
+    ``handed`` holds one entry per generator: None, or (packing, scale,
     terms, scalar class) with the generator equal to terms / scale on that
     packing's keys (scale 1 over F_p, a positive integer over Q) and the
-    _scalar_class of the terms.
+    _scalar_class of the terms, as jacobian._distinct_minors hands over its
+    minors.  ``packing`` holds every generator and every degree the capped
+    runs on them store: _Packing.capped for the highest degree among the
+    generators packed here (no multiplicity exceeds it, so it holds the last
+    cap of the schedule), or the widest packing a generator came on when
+    that is wider; the width changes no key order.  ``packed`` has each
+    nonzero generator on it, and ``kept`` the survivors of _kept.
     """
 
-    def __new__(cls, polys: Iterable[Polynomial], packed: Sequence[tuple | None]):
+    def __new__(cls, ring: RingContext, polys: Iterable[Polynomial], handed: Sequence[tuple | None] = ()):
         self = super().__new__(cls, polys)
-        self.packed = tuple(packed)
+        self.ring = ring
+        self.handed = tuple(handed) or (None,) * len(self)
         return self
 
-    @staticmethod
-    def join(a: tuple, b: tuple) -> tuple:
-        """a + b, keeping what either side carries packed."""
-        pa, pb = getattr(a, "packed", None), getattr(b, "packed", None)
-        if pa is None and pb is None:
-            return a + b
-        return _Generators(a + b, (pa or (None,) * len(a)) + (pb or (None,) * len(b)))
+    @classmethod
+    def of(cls, ring: RingContext, generators: Sequence[Polynomial]) -> "_Generators":
+        """``generators`` when it is a _Generators, else them with none handed over."""
+        return generators if isinstance(generators, cls) else cls(ring, generators)
+
+    def join(self, other: "_Generators") -> "_Generators":
+        """self + other, keeping what either side carries packed."""
+        return _Generators(self.ring, self + other, self.handed + other.handed)
+
+    @cached_property
+    def packing(self) -> _Packing:
+        handed = self.handed
+        top = max((g.total_degree() for g, given in zip(self, handed) if given is None), default=0)
+        pk = _Packing.capped(self.ring, top)
+        for given in handed:
+            if given is not None and given[0].width > pk.width:
+                pk = given[0]
+        return pk
+
+    @cached_property
+    def packed(self) -> list[tuple]:
+        """(polynomial, terms, exact values, their scale or None, scalar class or None)
+        per nonzero generator, in order: terms on ``packing``'s keys, primitive
+        over Q, and values a positive multiple of the generator, scale times it
+        when the scale is set."""
+        pk = self.packing
+        packed = []
+        for g, given in zip(self, self.handed):
+            if given is None:
+                terms = pk.pack(g)
+                if terms:
+                    packed.append((g, terms, terms, 1 if pk.p else None, None))
+            else:
+                src, scale, carried, key = given
+                values = _moved(src, pk, carried)
+                terms = values if pk.p else _primitive(values)
+                packed.append((g, terms, values, scale, key if values is carried else None))
+        return packed
+
+    @cached_property
+    def kept(self) -> list[tuple]:
+        return _kept(self.packing, self.packed)
 
 
-def _kept(pk: _Packing, generators: Sequence[Polynomial]) -> list[tuple]:
+def _kept(pk: _Packing, packed: list[tuple]) -> list[tuple]:
     """(lead, terms, exact values, their scale or None, polynomial or None) of the
-    first generator of each scalar class, in the caller's order.
+    first generator of each scalar class among _Generators.packed, in order.
 
-    One handed over packed (_Generators) keeps its terms, moved to ``pk``'s
-    keys by way of their exponent tuples when its packing has another width;
-    every other nonzero one is packed here.  One of the shape monomial *
-    unit, whose lead divides every term, becomes that monomial, with no
-    polynomial.
+    One of the shape monomial * unit, whose lead divides every term, becomes
+    that monomial, with no polynomial.  Read once per generator tuple, by the
+    capped runs and by Lazard's route.
     """
-    p, guards = pk.p, pk.guards
-    handed = getattr(generators, "packed", None) or (None,) * len(generators)
+    guards = pk.guards
     seen = set()
     kept = []
-    for g, given in zip(generators, handed):
-        if given is None:
-            terms = pk.pack(g)
-            if not terms:
-                continue
-            values, scale, key = terms, 1 if p else None, None
-        else:
-            src, scale, carried, key = given
-            values = _moved(src, pk, carried)
-            if values is not carried:
-                key = None
-            terms = values if p else _primitive(values)
+    for g, terms, values, scale, key in packed:
         lead = max(terms)
         if lead and all(not (k - lead) & guards for k in terms):
             terms = values = {lead: 1}
             scale, g, key = 1, None, None
         if key is None:
-            key = _scalar_class(terms, p)
+            key = _scalar_class(terms, pk.p)
         if key not in seen:
             seen.add(key)
             kept.append((lead, terms, values, scale, g))
     return kept
 
 
-def _ordered(pk: _Packing, kept: list[tuple], rank: Callable[[tuple], object], mask: int) -> list[tuple]:
-    """(packed terms, lead coefficient size over Q for the first charge) of _kept's
-    generators, largest ``rank`` first.
+def _ordered(pk: _Packing, kept: list[tuple], rank: Callable[[tuple], object], mask: int) -> list[dict[int, int]]:
+    """The packed terms of _kept's generators, largest ``rank`` first.
 
     Generators of equal rank are ordered by their term lists, largest first,
     each term as (key & mask, coefficient): coefficients compare as integers
@@ -555,10 +579,8 @@ def _ordered(pk: _Packing, kept: list[tuple], rank: Callable[[tuple], object], m
     F_p, the minors of one matrix over Q), and as the generators' own
     coefficients otherwise.
     """
-    p = pk.p
-    kept.sort(key=rank, reverse=True)
     out = []
-    for _, group in groupby(kept, key=rank):
+    for _, group in groupby(sorted(kept, key=rank, reverse=True), key=rank):
         tied = list(group)
         if len(tied) > 1 and tied[0][3] is not None and all(item[3] == tied[0][3] for item in tied):
             tied.sort(key=lambda item: sorted([(k & mask, c) for k, c in item[2].items()]), reverse=True)
@@ -567,30 +589,22 @@ def _ordered(pk: _Packing, kept: list[tuple], rank: Callable[[tuple], object], m
             tied.sort(key=lambda item: sorted([
                 (k & mask, 1 if item[4] is None else item[4].terms[pk.monomial(k)]) for k in item[2]
             ]), reverse=True)
-        for lead, terms, values, scale, g in tied:
-            bits = None
-            if not p and scale is not None:
-                # lead / scale in lowest terms
-                c = values[lead]
-                common = gcd(c, scale)
-                bits = (abs(c) // common).bit_length() + (scale // common).bit_length()
-            elif not p:
-                lc = g.terms[pk.monomial(lead)]
-                bits = lc.numerator.bit_length() + lc.denominator.bit_length()
-            out.append((terms, bits))
+        out += [item[1] for item in tied]
     return out
 
 
-def _intake(pk: _Packing, generators: Sequence[Polynomial]) -> list[tuple]:
-    """(packed terms, lead coefficient size over Q for the first charge) per generator, in processing order.
+def _intake(generators: _Generators) -> list[dict[int, int]]:
+    """The packed terms of the generators on their packing, in processing order.
 
     The first generator of each scalar class survives (_kept), after
     monomial * unit is replaced by the monomial.  The survivors are sorted
     by lead, largest first, and on equal leads by their sorted lists of
     (exponent tuple, coefficient), largest first; lead keys order like the
-    leads, and exponent tuples like ``key & fields_mask``.
+    leads, and exponent tuples like ``key & fields_mask``.  A completion
+    charges its budget on these terms as on every later step.
     """
-    return _ordered(pk, _kept(pk, generators), _lead, (1 << pk.deg_shift) - 1)
+    pk = generators.packing
+    return _ordered(pk, generators.kept, _lead, (1 << pk.deg_shift) - 1)
 
 
 def _moved(src: _Packing, pk: _Packing, terms: dict[int, int]) -> dict[int, int]:
@@ -601,14 +615,6 @@ def _moved(src: _Packing, pk: _Packing, terms: dict[int, int]) -> dict[int, int]
     return {pk.key(src.monomial(k)): c for k, c in terms.items()}
 
 
-def _widest(pk: _Packing, handed: Iterable[tuple | None]) -> _Packing:
-    """``pk``, or the widest packing a generator is handed over on when it is wider."""
-    for given in handed:
-        if given is not None and given[0].width > pk.width:
-            pk = given[0]
-    return pk
-
-
 def _primitive(terms: dict[int, int]) -> dict[int, int]:
     """Integer terms divided by their content."""
     content = gcd(*terms.values())
@@ -616,22 +622,24 @@ def _primitive(terms: dict[int, int]) -> dict[int, int]:
 
 
 def _run_completion(
-    pk: _Packing, gens: list[tuple], bound: int | None, cost_budget: list[int] | None
+    pk: _Packing, gens: list[dict[int, int]], bound: int | None, cost_budget: list[int] | None
 ) -> tuple[_Packing, list[tuple]] | None:
-    """Mora's completion of _intake's generators on one packing, as packed elements.
+    """Mora's completion of _intake's packed generators on one packing, as packed elements.
 
-    With the cap ``bound`` set, the generators are cut at it and the result
-    is a standard basis of (ideal) + m^bound, which the caller must certify
-    equals the ideal.  Either way the bound falls as the staircase of the
-    leads closes.  ``cost_budget`` aborts an oversized run, returning None.
-    The elements, in insertion order, are primitive over Q and monic over
-    F_p.  A step past the packing's degree limit raises _Overflow; no
-    packing that holds the cap meets one.  Uncapped, it is the Buchberger
-    step of Lazard's route, and each new element is tail-reduced: its
-    generators must be homogeneous, so every ecart is 0, Mora's normal form
-    is Buchberger's, the local keys order each element's terms (all of one
-    degree) as graded lex does, and each tail reduction stays in one degree
-    and terminates.
+    With the cap ``bound`` set, each generator is cut at the current bound
+    as it enters and the result is a standard basis of (ideal) + m^bound,
+    which the caller must certify equals the ideal.  Either way the bound
+    falls as the staircase of the leads closes.  ``cost_budget`` aborts an
+    oversized run, returning None; every reduction step charges it by the
+    one rule of _normal_form, the first step of a generator on its cut
+    packed terms.  The elements, in insertion order, are primitive over Q
+    and monic over F_p.  A step past the packing's degree limit raises
+    _Overflow; no packing that holds the cap meets one.  Uncapped, it is the
+    Buchberger step of Lazard's route, and each new element is
+    tail-reduced: its generators must be homogeneous, so every ecart is 0,
+    Mora's normal form is Buchberger's, the local keys order each element's
+    terms (all of one degree) as graded lex does, and each tail reduction
+    stays in one degree and terminates.
     """
     ring = pk.ring
     p, limit, guards, width, deg_shift = pk.p, pk.limit, pk.guards, pk.width, pk.deg_shift
@@ -654,13 +662,11 @@ def _run_completion(
 
     def refresh_bound() -> None:
         nonlocal bound, floor, ranked
-        stats = _staircase(lms, ring.nvars)
-        if stats is None:
-            return
-        # with s the top standard-monomial degree of the (partial) staircase,
-        # the graded pieces of the quotient vanish above s, so by Nakayama
-        # m^(s+1) already lies inside the ideal spanned so far
-        new_bound = max(stats[1] + 1, 1)
+        # every variable has a pure-power lead, so the staircase is closed;
+        # with s its top standard-monomial degree, the graded pieces of the
+        # quotient vanish above s, so by Nakayama m^(s+1) already lies
+        # inside the ideal spanned so far
+        new_bound = max(_staircase(lms, ring.nvars)[1] + 1, 1)
         if bound is None or new_bound < bound:
             bound = new_bound
             floor = pk.floor(bound)
@@ -670,9 +676,9 @@ def _run_completion(
                     basis[i] = pk.element({k: c for k, c in _terms(el).items() if k >= floor})
             ranked = sorted(basis, key=_rank)
 
-    def insert(h: dict[int, int], bits: int | None = None) -> bool:
+    def insert(h: dict[int, int]) -> bool:
         """Reduce h (below the bound) and add it to the basis; False when the budget ran out."""
-        h = _normal_form(pk, h, ranked, bound, None, cost_budget, bits)
+        h = _normal_form(pk, h, ranked, bound, None, cost_budget)
         if h is None:
             return False
         if not h:
@@ -709,14 +715,10 @@ def _run_completion(
     def unit() -> bool:
         return bool(fields) and not fields[-1]
 
-    if bound is not None:
-        # at the cap, and over Q primitive again: the generator truncated, then packed
-        gens = [({k: c for k, c in t.items() if k >= floor}, bits) for t, bits in gens]
-        gens = gens if p else [(_primitive(t), bits) for t, bits in gens]
-    for terms, bits in gens:
+    for terms in gens:
         if bound is not None:
             terms = {k: c for k, c in terms.items() if k >= floor}
-        if not insert(terms, bits):
+        if not insert(terms):
             return None
         if unit():
             return pk, [pk.element({0: 1})]
@@ -989,12 +991,12 @@ def _escalated_membership(f: Polynomial, gens: _PackedBasis) -> bool:
             # below the cap, so neither side can overflow
             wider = _Packing.sized(f.ring, need)
             rows = [_moved(pk, wider, terms) for terms in rows]
-            span = [(_moved(pk, wider, terms), bits) for terms, bits in span]
+            span = [_moved(pk, wider, terms) for terms in span]
             pk = wider
         if _linear_membership_certificate(pk, pk.pack(f), rows, degree_bound):
             return True
         if not r:
-            span = _span_basis(pk.p, [(terms, None) for terms in rows])
+            span = _span_basis(pk.p, rows)
         _, capped = _run_completion(pk, span, cap, None)
         if _normal_form(pk, pk.pack(f.truncate_at_degree(cap)), sorted(capped, key=_rank), cap):
             return False
@@ -1107,9 +1109,7 @@ _ESCALATION_ROUNDS = 12
 _CAPPED_BUDGET = 400_000
 
 
-def _complete_local_by_homogenization(
-    generators: Sequence[Polynomial], ring: RingContext
-) -> tuple[_Packing, list[tuple]]:
+def _complete_local_by_homogenization(generators: _Generators) -> tuple[_Packing, list[tuple]]:
     """Standard basis via Lazard's route: homogenize, complete uncapped,
     dehomogenize.
 
@@ -1121,17 +1121,17 @@ def _complete_local_by_homogenization(
     graded lex does, so the run is Buchberger's, tail reduction included.
     The dehomogenized Groebner basis is a standard basis for the local
     order, returned as packed elements of a packing of the ring that also
-    holds the border degree of _finish_primary.  The generators come through the
-    capped runs' intake, monomial * unit replaced by the monomial, and are
-    completed in the order graded lex gives their homogenizations: largest
-    top degree T first, then largest local lead; on ties by the term lists,
-    where at the shared T the exponent (T - |b|, b) orders like the local
-    key of b.
+    holds the border degree of _finish_primary.  The generators are the
+    capped runs' survivors of _kept, monomial * unit replaced by the
+    monomial, read from the generator tuple, and are completed in the order
+    graded lex gives their homogenizations: largest top degree T first, then
+    largest local lead; on ties by the term lists, where at the shared T the
+    exponent (T - |b|, b) orders like the local key of b.
     """
-    pk = _capped_packing(generators, ring)
+    pk, ring = generators.packing, generators.ring
     # a generator's lowest key has its top degree
-    gens = _ordered(pk, _kept(pk, generators), lambda item: (pk.degree(min(item[1])), item[0]), -1)
-    tops = [pk.degree(min(terms)) for terms, _ in gens]
+    gens = _ordered(pk, generators.kept, lambda item: (pk.degree(min(item[1])), item[0]), -1)
+    tops = [pk.degree(min(terms)) for terms in gens]
     tname = "t"
     while tname in ring.variables:
         tname += "_"
@@ -1144,8 +1144,8 @@ def _complete_local_by_homogenization(
     while True:
         try:
             hgens = [
-                ({hpk.key((top - pk.degree(k),) + pk.monomial(k)): c for k, c in terms.items()}, bits)
-                for (terms, bits), top in zip(gens, tops)
+                {hpk.key((top - pk.degree(k),) + pk.monomial(k)): c for k, c in terms.items()}
+                for terms, top in zip(gens, tops)
             ]
             hpk, raw = _run_completion(hpk, hgens, None, None)
             break
@@ -1160,32 +1160,18 @@ def _complete_local_by_homogenization(
     return pk, [pk.element({pk.key(a): c for a, c in terms.items()}) for terms in dehomogenized]
 
 
-def _capped_packing(generators: Sequence[Polynomial], ring: RingContext) -> _Packing:
-    """The packing of the capped runs, which holds every generator and every degree they store.
-
-    No multiplicity exceeds the largest generator degree D, so
-    _Packing.capped(ring, D) holds the last cap of the schedule.  A packing
-    handed over with some generators is sized by the same rule for them
-    (jacobian._packed_cells); the widest packing serves, since the width
-    changes no key order.
-    """
-    handed = getattr(generators, "packed", None) or (None,) * len(generators)
-    top = max((g.total_degree() for g, given in zip(generators, handed) if given is None), default=0)
-    return _widest(_Packing.capped(ring, top), handed)
-
-
-def _span_basis(p: int, gens: list[tuple]) -> list[tuple]:
-    """The intake entries whose packed terms are not in the k-span of those before them."""
+def _span_basis(p: int, gens: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The packed generators that are not in the k-span of those before them."""
     echelon = _Echelon(p)
-    return [entry for entry in gens if echelon.insert(dict(entry[0]))]
+    return [terms for terms in gens if echelon.insert(dict(terms))]
 
 
-def _capped_intake(generators: Sequence[Polynomial], ring: RingContext) -> tuple[_Packing, int, list[tuple]]:
+def _capped_intake(generators: _Generators) -> tuple[_Packing, int, list[dict[int, int]]]:
     """(packing, largest lead degree or -1, span basis) of the generators' intake for the capped runs."""
-    pk = _capped_packing(generators, ring)
-    gens = _intake(pk, generators)
+    pk = generators.packing
+    gens = _intake(generators)
     # processing order puts the largest lead degree, the largest multiplicity, last
-    return pk, pk.degree(max(gens[-1][0])) if gens else -1, _span_basis(pk.p, gens)
+    return pk, pk.degree(max(gens[-1])) if gens else -1, _span_basis(pk.p, gens)
 
 
 def _open_axes(polys: Iterable[Polynomial], nvars: int) -> frozenset[int]:
@@ -1229,7 +1215,7 @@ def try_primary_standard_basis(
         return None
     # taken in once for every cap; the packing holds the last cap, so no
     # run overflows
-    pk, multiplicity, gens = _capped_intake(generators, ring)
+    pk, multiplicity, gens = _capped_intake(_Generators.of(ring, generators))
     if not gens:
         return _reduced_basis(pk, [], None, None)
     for cap in _cap_schedule(multiplicity):
@@ -1245,11 +1231,13 @@ def try_primary_standard_basis(
 
 
 def compute_standard_basis(generators: Sequence[Polynomial], ring: RingContext) -> ReducedStandardBasis:
+    # one generator tuple, packed once for both routes
+    generators = _Generators.of(ring, generators)
     basis = try_primary_standard_basis(generators, ring)
     if basis is not None:
         return basis
     # exact fallback for everything else (including infinite colength)
-    pk, raw = _complete_local_by_homogenization(generators, ring)
+    pk, raw = _complete_local_by_homogenization(generators)
     minimal = _minimalize(pk, raw)
     stats = _staircase([pk.monomial(el[0]) for el in minimal], ring.nvars)
     if stats is not None:
@@ -1267,15 +1255,15 @@ class Ideal:
         self.ring = ring
         self._basis: ReducedStandardBasis | None = None
         self._primary_attempt: ReducedStandardBasis | None | bool = False  # False = not tried
-        handed = isinstance(generators, _Generators)
-        gens = generators if handed else tuple(generators)
-        # identity first: the dataclass comparison alone took 1 % of the
-        # high-order benchmark, on tens of thousands of handed-over minors
-        if any(g.ring is not ring and g.ring != ring for g in gens):
+        if not isinstance(generators, _Generators):
+            generators = tuple(generators)
+            if any(g.ring != ring for g in generators):
+                raise ValueError("generator lives in a different ring context")
+            generators = _Generators(ring, [g for g in generators if not g.is_zero()])
+        elif generators.ring != ring:
+            # a tuple this package built (jacobian minors, sums): nonzero, all of its ring
             raise ValueError("generator lives in a different ring context")
-        # those handed over packed by this package (jacobian minors, sums)
-        # are nonzero and keep their terms
-        self.generators: tuple[Polynomial, ...] = gens if handed else tuple(g for g in gens if not g.is_zero())
+        self.generators: _Generators = generators
 
     # -- construction helpers
 
@@ -1298,18 +1286,10 @@ class Ideal:
 
     @cached_property
     def _packed_generators(self) -> _PackedBasis:
-        # packed once: on the `verdicts` workload an ideal of infinite colength
-        # takes about 8 budgeted walks, and repacking for each took 14 % of
-        # the run time
-        # terms handed over packed are reused, primitive over Q like pk.pack's
+        # on the `verdicts` workload an ideal of infinite colength takes about
+        # 8 budgeted walks, and repacking for each took 14 % of the run time
         gens = self.generators
-        handed = getattr(gens, "packed", None) or (None,) * len(gens)
-        pk = _capped_packing(gens, self.ring)
-        return _PackedBasis(pk, [
-            pk.pack(g) if given is None
-            else _moved(given[0], pk, given[2] if pk.p else _primitive(given[2]))
-            for g, given in zip(gens, handed)
-        ])
+        return _PackedBasis(gens.packing, [entry[1] for entry in gens.packed])
 
     @cached_property
     def _axes_in_zero_set(self) -> frozenset[int]:
@@ -1373,7 +1353,7 @@ class Ideal:
 
     def __add__(self, other: "Ideal") -> "Ideal":
         self._check_ring(other)
-        return Ideal(self.ring, _Generators.join(self.generators, other.generators))
+        return Ideal(self.ring, self.generators.join(other.generators))
 
     def __mul__(self, other: "Ideal") -> "Ideal":
         self._check_ring(other)

@@ -109,7 +109,7 @@ def jac_matrix(f: Polynomial, n: int) -> JacobianMatrix:
 # structural zeros are never stored.  The expansion runs on the monomial keys
 # of a local ideals._Packing and on integer coefficients, so a product of two
 # terms is one int addition and one int multiplication.  The packing is the
-# one the capped completion of the minors would choose (ideals._capped_packing),
+# one the capped completion of the minors would choose (ideals._Generators.packing),
 # so each kept minor is handed over with its packed terms and reaches the
 # capped runs without being packed again.  Over Q every entry is scaled by the
 # lcm D of all denominators, so a minor comes out D^k times the true one, a
@@ -126,7 +126,7 @@ def _packed_cells(
     top = max((sum(alpha) for terms in distinct.values() for alpha in terms), default=0)
     # a minor has degree at most D = k * top, so keys add without carries;
     # the packing of the capped runs on generators of degree at most D
-    # (ideals._capped_packing) holds it, so the minors reach them on its keys
+    # (ideals._Generators.packing) holds it, so the minors reach them on its keys
     pk = _Packing.capped(ring, k * top)
     p = pk.p
     den = 1 if p else math.lcm(*(c.denominator for terms in distinct.values() for c in terms.values()))
@@ -208,7 +208,7 @@ def _distinct_minors(
                 coeffs = [Fraction(c, scale) for c in det.values()]
                 polys.append(Polynomial(ring, dict(zip(map(pk.monomial, det), coeffs)), _canonical=True))
             packed.append((pk, scale, det, key))
-    return _Generators(polys, packed)
+    return _Generators(ring, polys, packed)
 
 
 def higher_jacobian_ideal(f: Polynomial, n: int) -> Ideal:

@@ -62,6 +62,14 @@ class RingContext:
             if not name.isidentifier():
                 raise ValueError(f"invalid variable name {name!r}")
 
+    def __eq__(self, other) -> bool:
+        # identity first: nearly every comparison is of a ring with itself
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.variables, self.field) == (other.variables, other.field)
+
     @property
     def nvars(self) -> int:
         return len(self.variables)

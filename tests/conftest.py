@@ -42,6 +42,7 @@ from nashblowup.ideals import (
     ReducedStandardBasis,
     _add_shifted,
     _capped_intake,
+    _Generators,
     _Echelon,
     _finish_primary,
     _minimalize,
@@ -552,12 +553,12 @@ def escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
         if packed_membership_certificate(f, gens, degree_bound):
             return True
         if not r:
-            pk, _, span = _capped_intake(gens, f.ring)
+            pk, _, span = _capped_intake(_Generators(f.ring, gens))
         if cap - 1 > pk.limit:
             # the packing holds every degree below the cap, so neither the
             # run nor the normal form can overflow
             wider = _Packing.sized(f.ring, cap - 1)
-            span = [(_moved(pk, wider, terms), bits) for terms, bits in span]
+            span = [_moved(pk, wider, terms) for terms in span]
             pk = wider
         _, capped = ideals._run_completion(pk, span, cap, None)
         if _normal_form(pk, pk.pack(f.truncate_at_degree(cap)), sorted(capped, key=_rank), cap):
@@ -572,7 +573,8 @@ def escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
 # packed monomials, kept verbatim as the differential reference: exponent
 # tuple lcms, a chain-criterion scan over the whole basis for every popped
 # pair, no cut at the truncation bound, a staircase after every insert, and
-# every generator truncated and packed afresh for each cap.  It runs on the
+# every generator packed afresh for each cap and cut at the current bound
+# as it enters, the first charge on the cut terms.  It runs on the
 # library's packed normal form, so any difference lies in the pair loop or
 # the intake: the same elements in the same insertion order, the same None
 # and the same remaining cost budget on every input.
@@ -606,10 +608,7 @@ def complete_basis(
     """
     ring = generators[0].ring
     cap = hard_cap if order == LOCAL_DEGREE else None
-    gens = [
-        g.truncate_at_degree(cap)
-        for g in sorted(generators, key=lambda p: poly_sort_key(p, order), reverse=True)
-    ]
+    gens = sorted(generators, key=lambda p: poly_sort_key(p, order), reverse=True)
     top = max(g.total_degree() for g in gens)
     # a capped run stores nothing above the cap; an uncapped one has no a
     # priori bound, and Lazard's homogenized runs reach 11-13 times the
@@ -656,9 +655,9 @@ def _run_completion(
                     basis[i] = pk.element({k: c for k, c in _terms(el).items() if k >= floor})
             ranked = sorted(basis, key=_rank)
 
-    def insert(h: dict[int, int], bits: int | None = None) -> bool:
+    def insert(h: dict[int, int]) -> bool:
         """Reduce h (below the bound) and add it to the basis; False when the budget ran out."""
-        h = _normal_form(pk, h, ranked, bound, None, cost_budget, bits)
+        h = _normal_form(pk, h, ranked, bound, None, cost_budget)
         if h is None:
             return False
         if not h:
@@ -697,13 +696,9 @@ def _run_completion(
     for g in gens:
         packed = pk.pack(g)
         if bound is not None:
+            # the packed terms cut at the current bound; the first charge reads them
             packed = {k: c for k, c in packed.items() if k >= floor}
-        bits = None
-        if packed and not p:
-            # the first charge reads the generator's own coefficient
-            lc = g.terms[pk.monomial(max(packed))]
-            bits = lc.numerator.bit_length() + lc.denominator.bit_length()
-        if not insert(packed, bits):
+        if not insert(packed):
             return None
         if unit():
             return pk, [pk.element({0: 1})]

@@ -17,12 +17,13 @@ from nashblowup.fields import GF, QQ
 from nashblowup.ideals import (
     INFINITE,
     Ideal,
-    _capped_packing,
     _complete_local_by_homogenization,
     _finish_primary,
+    _Generators,
     _intake,
     _linear_membership_certificate,
     _minimalize,
+    _moved,
     _Overflow,
     _PackedBasis,
     _Packing,
@@ -54,7 +55,6 @@ from conftest import (
     homogenized,
     homogenized_generators,
     lazard_standard_basis,
-    leading_coefficient,
     leading_monomial,
     leading_monomials,
     linalg_quotient_dim,
@@ -74,16 +74,22 @@ def ideal(ring, *texts):
     return Ideal(ring, [P(t, ring) for t in texts])
 
 
-def homogenized_completion(gens, cost_budget=None):
-    """The Buchberger step of Lazard's route on the generators homogenized by
-    a first variable t: the intake and the uncapped run on a local packing,
-    restarted wider on overflow, as packed elements with their packing."""
+def homogenized_tuple(gens):
+    """The generators homogenized by a first variable t, as one generator tuple."""
     hgens = homogenized(gens, gens[0].ring)
-    pk = _Packing.sized(hgens[0].ring, 8 * max(g.total_degree() for g in hgens))
+    return _Generators(hgens[0].ring, hgens)
+
+
+def homogenized_completion(hgens, cost_budget=None):
+    """The Buchberger step of Lazard's route on a homogenized_tuple: its intake
+    moved to a local packing and the uncapped run there, restarted wider on
+    overflow, as packed elements with their packing."""
+    entries = _intake(hgens)
+    pk = _Packing.sized(hgens.ring, 8 * max(g.total_degree() for g in hgens))
     budget = None if cost_budget is None else cost_budget[0]
     while True:
         try:
-            return _run_completion(pk, _intake(pk, hgens), None, cost_budget)
+            return _run_completion(pk, [_moved(hgens.packing, pk, terms) for terms in entries], None, cost_budget)
         except _Overflow:
             if cost_budget is not None:
                 cost_budget[0] = budget
@@ -93,15 +99,16 @@ def homogenized_completion(gens, cost_budget=None):
 def homogenized_reduced_basis(gens):
     """The reduced graded-lex Groebner basis of the homogenized generators, monic,
     as the uncapped run on local keys completes it."""
-    pk, raw = homogenized_completion(gens)
+    pk, raw = homogenized_completion(homogenized_tuple(gens))
     return [el[2] for el in _reduced_elements(pk, _minimalize(pk, raw), None, None)]
 
 
 def capped_completion(gens, cap, cost_budget=None):
-    """One capped run on the intake of the generators, on a local packing that
-    holds them and the cap, so no step overflows."""
-    pk = _Packing.sized(gens[0].ring, max(max(g.total_degree() for g in gens), cap - 1))
-    return _run_completion(pk, _intake(pk, gens), cap, cost_budget)
+    """One capped run on the intake of the generators, on their packing, which
+    holds them and every cap of their schedule, so no step overflows."""
+    generators = _Generators(gens[0].ring, gens)
+    assert cap - 1 <= generators.packing.limit
+    return _run_completion(generators.packing, _intake(generators), cap, cost_budget)
 
 
 def unpacked(completed):
@@ -371,10 +378,13 @@ class TestFieldWidening:
         if not gens:
             return
         budget = data.draw(st.none() | st.integers(0, 2000))
+        # the first run resolves the tuple's intake on roomy fields, the
+        # second reads it and moves it to the narrow ones
+        hgens = homogenized_tuple(gens)
 
         def run():
             left = None if budget is None else [budget]
-            return unpacked(homogenized_completion(gens, left)), left
+            return unpacked(homogenized_completion(hgens, left)), left
 
         want = run()
         width = data.draw(st.integers(1, 3))
@@ -398,7 +408,7 @@ class TestCompletionAgainstReference:
         nvars = data.draw(st.integers(1, 3))
         ring = RingContext(("x", "y", "z")[:nvars], field)
         if field is QQ:
-            # rationals and bignums: the first charge reads the fraction's size
+            # rationals and bignums: every charge reads the packed coefficient's size
             coeff = st.integers(-4, 4) | st.fractions(max_denominator=50) | st.integers(-(10**40), 10**40)
         else:
             coeff = st.integers(0, field.characteristic - 1)
@@ -432,15 +442,15 @@ class TestCompletionAgainstReference:
             # the Buchberger step of Lazard's route: the generators
             # homogenized, a single term replaced by its monomial, uncapped
             distinct = first_per_scalar_class(simplify_generators(homogenized(gens, ring), LOCAL_DEGREE))
-            both(lambda b: homogenized_completion(gens, b),
+            both(lambda b: homogenized_completion(homogenized_tuple(gens), b),
                  lambda b: reference_complete_basis(distinct, LOCAL_DEGREE, None, b))
             return
-        # the capped route: monomial * unit replaced, packed once for the top
-        # degree and the last cap, then truncated at each cap in turn
+        # the capped route: monomial * unit replaced, packed once on a packing
+        # that holds the top degree and the last cap, then cut at each cap in turn
         distinct = first_per_scalar_class(simplify_generators(gens, LOCAL_DEGREE))
         caps = sorted(data.draw(st.lists(st.integers(1, 10), min_size=2, max_size=2)))
-        pk = _Packing.sized(ring, max(max(g.total_degree() for g in gens), caps[-1] - 1))
-        packed = _intake(pk, gens)
+        generators = _Generators(ring, gens)
+        pk, packed = generators.packing, _intake(generators)
         for c in caps:
             both(lambda b: _run_completion(pk, packed, c, b),
                  lambda b: reference_complete_basis(distinct, LOCAL_DEGREE, c, b))
@@ -674,22 +684,18 @@ class TestEscalationAgainstReference:
 
 
 def intake_of(pk, survivors, order):
-    """What _intake returns when exactly ``survivors`` survive its scalar-class check."""
-    out = []
-    for g in sorted(survivors, key=lambda q: poly_sort_key(q, order), reverse=True):
-        lc = leading_coefficient(g, order)
-        out.append((pk.pack(g), None if pk.p else lc.numerator.bit_length() + lc.denominator.bit_length()))
-    return out
+    """What _intake returns on ``pk`` when exactly ``survivors`` survive its scalar-class check."""
+    return [pk.pack(g) for g in sorted(survivors, key=lambda q: poly_sort_key(q, order), reverse=True)]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
 def test_simplify_drops_nonzero_scalar_multiples(field):
     ring = RingContext(("x", "y"), field)
     gens = [P(t, ring) for t in ("x^2+y^3", "-3*x^2-3*y^3", "x^2+2*y^3", "2*x*y", "x^2+y^3", "-x*y")]
-    pk = _Packing.sized(ring, 3)
+    generators = _Generators(ring, gens)
     # 2*x*y enters as its monomial x*y, which -x*y repeats
     survivors = simplify_generators([gens[0], gens[2], gens[3]], LOCAL_DEGREE)
-    assert _intake(pk, gens) == intake_of(pk, survivors, LOCAL_DEGREE)
+    assert _intake(generators) == intake_of(generators.packing, survivors, LOCAL_DEGREE)
 
 
 class TestIntake:
@@ -707,9 +713,9 @@ class TestIntake:
             scalar = st.integers(1, field.characteristic - 1)
         picks = st.tuples(st.integers(0, len(base) - 1), scalar)
         gens = [base[i].scalar_mul(c) for i, c in data.draw(st.lists(picks, min_size=1, max_size=8))]
-        pk = _Packing.sized(ring, max(g.total_degree() for g in gens))
+        generators = _Generators(ring, gens)
         survivors = first_per_scalar_class(simplify_generators(gens, LOCAL_DEGREE))
-        assert _intake(pk, gens) == intake_of(pk, survivors, LOCAL_DEGREE)
+        assert _intake(generators) == intake_of(generators.packing, survivors, LOCAL_DEGREE)
 
 
 class TestHandOver:
@@ -748,7 +754,7 @@ class TestHandOver:
     def test_packed_generators_reuse_the_handed_terms(self, field, high):
         ring = RingContext(("x", "y"), field)
         i = nash_ideal_t(P("x^3+x*y^4", ring).scalar_mul(Fraction(-2, 9) if field is QQ else 1), 3)
-        carried = i.generators.packed[-1][0]
+        carried = i.generators.handed[-1][0]
         if high:
             # a generator too high for the minors' packing: their terms move
             i = Ideal(ring, [ring.monomial((0, 300))]) + i
@@ -760,13 +766,17 @@ class TestHandOver:
     @staticmethod
     def assert_hand_over_exact(f, n):
         """The capped intake of (f) + J_n(f) from handed-over keys, against its polynomials."""
-        generators = nash_ideal_t(f, n).generators
+        ideal = nash_ideal_t(f, n)
+        generators = ideal.generators
         survivors = first_per_scalar_class(simplify_generators(generators, LOCAL_DEGREE))
-        pk = _capped_packing(generators, f.ring)
-        assert _intake(pk, generators) == intake_of(pk, survivors, LOCAL_DEGREE)
-        # another width: the handed-over keys move by way of exponent tuples
-        wider = pk.wider()
-        assert _intake(wider, generators) == intake_of(wider, survivors, LOCAL_DEGREE)
+        assert _intake(generators) == intake_of(generators.packing, survivors, LOCAL_DEGREE)
+        # another width: a generator too high for the minors' packing moves
+        # the handed-over keys by way of exponent tuples
+        ring = f.ring
+        high = (ideal + Ideal(ring, [ring.monomial((0,) * (ring.nvars - 1) + (300,))])).generators
+        assert high.packing.width > generators.packing.width
+        survivors = first_per_scalar_class(simplify_generators(high, LOCAL_DEGREE))
+        assert _intake(high) == intake_of(high.packing, survivors, LOCAL_DEGREE)
 
     @staticmethod
     def rank(rows, p):
@@ -806,11 +816,11 @@ class TestHandOver:
             g = sum((base[i].scalar_mul(c) for i, c in picks), ring.zero())
             if not g.is_zero():
                 gens.insert(data.draw(st.integers(0, len(gens))), g)
-        pk = _Packing.sized(ring, max(g.total_degree() for g in gens))
-        entries = _intake(pk, gens)
-        rows = [terms for terms, _ in entries]
-        expected = [e for i, e in enumerate(entries) if self.rank(rows[:i + 1], pk.p) > self.rank(rows[:i], pk.p)]
-        assert _span_basis(pk.p, entries) == expected
+        generators = _Generators(ring, gens)
+        p = generators.packing.p
+        rows = _intake(generators)
+        expected = [e for i, e in enumerate(rows) if self.rank(rows[:i + 1], p) > self.rank(rows[:i], p)]
+        assert _span_basis(p, rows) == expected
 
     def test_capped_route_rescues_a_three_variable_germ(self, ring_q3):
         # its 3,335 generators span 832 dimensions over Q; on the full list
@@ -819,6 +829,24 @@ class TestHandOver:
         basis = try_primary_standard_basis(ideal.generators, ring_q3)
         assert basis is not None
         assert basis.dimension() == 386
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+@pytest.mark.parametrize("kind", ["principal", "nash"])
+def test_an_ideal_packs_each_generator_once(field, kind, monkeypatch):
+    # (x^2 + y^2) and T_2(x^2*y) have infinite colength: the capped runs,
+    # the walks, the escalations and Lazard's route all read the one
+    # resolution of the generator tuple, so the plain generator is packed once
+    ring = RingContext(("x", "y"), field)
+    ideal = Ideal(ring, [P("x^2+y^2", ring)]) if kind == "principal" else nash_ideal_t(P("x^2*y", ring), 2)
+    g = ideal.generators[0]
+    packed = []
+    original = _Packing.pack
+    monkeypatch.setattr(_Packing, "pack", lambda pk, poly: packed.append(poly) or original(pk, poly))
+    assert not ideal.contains_element(P("x", ring))
+    assert ideal.standard_basis().dimension() is INFINITE
+    assert not ideal.contains_element(P("y^3", ring))
+    assert sum(poly is g for poly in packed) == 1
 
 
 class TestPackedOnce:
@@ -866,7 +894,7 @@ class TestCompletionOutput:
         gens = [g for g in data.draw(polys) if not g.is_zero()]
         if not gens:
             return
-        for raw in (unpacked(capped_completion(gens, 8)), unpacked(homogenized_completion(gens))):
+        for raw in (unpacked(capped_completion(gens, 8)), unpacked(homogenized_completion(homogenized_tuple(gens)))):
             for q in raw:
                 assert q.terms and q == Polynomial(q.ring, dict(q.terms))
                 if field.is_prime_field:
@@ -1078,7 +1106,7 @@ class TestIdealArithmetic:
         # of x^3/5 + y^4 made F_5[x,y] raise TypeError on its Fractions
         f = P("x^30+y^31" if foreign.nvars == 3 else "1/5*x^3+y^4", ring_q2)
         generators = (higher_jacobian_ideal(f, 2) if foreign.nvars == 3 else nash_ideal_t(f, 2)).generators
-        assert generators.packed
+        assert any(generators.handed)
         for handed in (generators, list(generators)):
             with pytest.raises(ValueError, match="different ring context"):
                 Ideal(foreign, handed)
@@ -1246,7 +1274,7 @@ class TestCappedMoraAgainstLazard:
         capped = try_primary_standard_basis(gens, ring)
         if capped is None:
             return
-        pk, raw = _complete_local_by_homogenization(gens, ring)
+        pk, raw = _complete_local_by_homogenization(_Generators(ring, gens))
         minimal = _minimalize(pk, raw)
         stats = _staircase([pk.monomial(el[0]) for el in minimal], nvars)
         lazard = _finish_primary(pk, minimal, stats)
@@ -1275,7 +1303,7 @@ class TestFinishedBasis:
             # pure powers: a staircase with corners
             gens += [ring.monomial(tuple(data.draw(st.integers(1, 5)) if j == i else 0 for j in range(nvars)))
                      for i in range(nvars)]
-        pk, raw = _complete_local_by_homogenization(gens, ring)
+        pk, raw = _complete_local_by_homogenization(_Generators(ring, gens))
         minimal = _minimalize(pk, raw)
         stats = _staircase([pk.monomial(el[0]) for el in minimal], nvars)
         bases = [_finish_primary(pk, minimal, stats)]
@@ -1375,7 +1403,7 @@ class TestLazardRouteAgainstReference:
         ring = RingContext(("x", "y", "z") if "z" in text else ("x", "y"), field)
         f = P(text, ring)
         generators = nash_ideal_t(f.scalar_mul(Fraction(-2, 9)) if field is QQ else f, n).generators
-        assert generators.packed
+        assert any(generators.handed)
         self.assert_same_basis(generators, ring)
 
 

@@ -54,6 +54,18 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             P("x", ring_q2) + P("x", ring_f3)
 
+    @pytest.mark.parametrize("field", [QQ, GF(5)])
+    def test_equal_distinct_rings_stay_interchangeable(self, field):
+        # equality tests identity first; two equal rings that are distinct
+        # objects still compare and hash equal, and so do their polynomials
+        a, b = RingContext(("x", "y"), field), RingContext(("x", "y"), field)
+        assert a is not b
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != RingContext(("x", "z"), field) and a != RingContext(("x", "y"), GF(3))
+        assert len({a, b}) == 1
+        assert P("x+y", a) + P("x^2", b) == P("x^2+x+y", b)
+        assert P("x*y", a) == P("x*y", b)
+
     def test_negative_power_rejected(self, ring_q2):
         with pytest.raises(ValueError):
             P("x", ring_q2) ** -1
