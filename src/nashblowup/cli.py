@@ -103,7 +103,7 @@ def _dim_json(value):
 
 
 def _print_ideal(ideal: Ideal, label: str, args, config: CommandConfig) -> None:
-    basis = ideal.standard_basis() if (args.reduced or args.dim) else None
+    basis = ideal.standard_basis() if args.reduced else None
     if config.json_output:
         obj = {
             "kind": label,
@@ -114,7 +114,7 @@ def _print_ideal(ideal: Ideal, label: str, args, config: CommandConfig) -> None:
         if args.reduced:
             obj["reduced_basis"] = [str(e) for e in basis.elements]
         if args.dim:
-            obj["dimension"] = _dim_json(basis.dimension())
+            obj["dimension"] = _dim_json(ideal.dimension())
         print(json.dumps(obj, sort_keys=True))
         return
     print(f"{label} generators:")
@@ -129,7 +129,7 @@ def _print_ideal(ideal: Ideal, label: str, args, config: CommandConfig) -> None:
         for e in basis.elements:
             print(f"  {e}")
     if args.dim:
-        print(f"dimension: {_dim_str(basis.dimension())}")
+        print(f"dimension: {_dim_str(ideal.dimension())}")
 
 
 def cmd_matrix(args) -> int:

@@ -23,15 +23,23 @@ basis is finite, polynomial, and a complete invariant of the ideal: two
 ideals of finite colength are equal iff their reduced bases agree element
 by element.  For infinite colength the reduced basis is normalized
 deterministically (bounded tail reduction) and equality falls back to
-mutual membership.  The coordinate axes decide part of it in one pass over
-the terms: when no generator has a term that is a pure power of some x_v
-(1 counts), every generator lies in the prime (x_i : i != v), so the
-quotient is infinite-dimensional (try_primary_standard_basis returns None
-before packing anything) and an f with a term in k[x_v] lies outside the
-ideal.  Any other membership takes a budgeted Mora walk, then escalates a
-capped refutation and a linear certificate, built up one degree layer at a
-time, for a fixed number of rounds; when neither side settles within them
-it raises MembershipUndecided (a RuntimeError) instead of answering.
+mutual membership.
+
+Colength record.  An ideal's generator tuple (_Generators) is the one
+record of what is known about its colength, each fact taken at most once:
+its open axes and the capped runs' certified basis, or None.  The
+coordinate axes decide part of it in one pass over the terms: when no
+generator has a term that is a pure power of some x_v (1 counts), every
+generator lies in the prime (x_i : i != v), so the quotient is
+infinite-dimensional (Ideal.dimension answers with no completion, and the
+capped runs give up before packing anything) and an f with a term in
+k[x_v] lies outside the ideal.  When no m-primary basis decides a
+membership, an ideal and its basis of infinite colength take one route
+over the generators (_uncertified_membership): that axis refutation, a
+budgeted Mora walk, then an escalation of a capped refutation and a linear
+certificate, built up one degree layer at a time, for a fixed number of
+rounds; when neither side settles within them it raises
+MembershipUndecided (a RuntimeError) instead of answering.
 
 Packed kernel.  The weak normal form, the completion, the tail reduction
 and the linear membership certificate run on packed polynomials: dicts from
@@ -63,10 +71,11 @@ Conversion boundary.  A basis of polynomials is packed once on entry to
 weak_normal_form.  An Ideal keeps its generators in one tuple (_Generators)
 that resolves them once, on first use: one packing, which holds the capped
 runs' last cap (_Packing.capped) or the widest packing a generator was
-handed over on, each nonzero generator's terms on it, and the survivors of
-the intake's scalar-class rule.  The capped runs, Lazard's route, the
-budgeted walks and the membership escalation all read that one resolution,
-so each generator is packed at most once per tuple.  The maximal minors of
+handed over on, each nonzero generator's terms on it, the survivors of the
+intake's scalar-class rule, and the walks' packed basis of those terms.
+The capped runs, Lazard's route, the budgeted walks and the membership
+escalation all read that one resolution, so each generator is packed at
+most once per tuple.  The maximal minors of
 a Jacobian matrix (jacobian._minor_dets) run on a packing wide enough for
 the capped runs' last cap; each minor kept by the scalar-class rule is
 unpacked once, for the printed generators, and handed over with its packed
@@ -96,7 +105,8 @@ element is unpacked once, monic, when the ReducedStandardBasis is built.
 The basis keeps the tail-reduced terms, a nonzero multiple of each element,
 and builds its reducers from them on its first query, so a computed basis
 is never packed again; its membership test reads whether the packed normal
-form is zero, which no scale changes, and escalates over those reducers.
+form is zero, which no scale changes.  A basis of infinite colength
+decides membership over the generator tuple it was completed from.
 The membership escalation reduces on the packing of its capped completion,
 which holds the cap.  Every public signature and every printed result is
 the one the tuple/Fraction arithmetic gives.
@@ -482,7 +492,8 @@ def _scalar_class(terms: dict[int, int], p: int) -> frozenset | int:
 
 
 class _Generators(tuple):
-    """An ideal's generators, packed once, on first use, for every completion and walk.
+    """An ideal's generators, packed once, on first use, for every completion and walk,
+    and the one record of what is known about their colength.
 
     ``handed`` holds one entry per generator: None, or (packing, scale,
     terms, scalar class) with the generator equal to terms / scale on that
@@ -493,7 +504,12 @@ class _Generators(tuple):
     generators packed here (no multiplicity exceeds it, so it holds the last
     cap of the schedule), or the widest packing a generator came on when
     that is wider; the width changes no key order.  ``packed`` has each
-    nonzero generator on it, and ``kept`` the survivors of _kept.
+    nonzero generator on it, ``kept`` the survivors of _kept, and
+    ``reducers`` the walks' packed basis of them.  The colength record is
+    ``open_axes`` (_open_axes of the generators) and ``certified`` (the
+    capped runs' basis or None); each is taken at most once per tuple.  A
+    tuple is one ideal's generators, so its facts hold for every ideal that
+    shares it.
     """
 
     def __new__(cls, ring: RingContext, polys: Iterable[Polynomial], handed: Sequence[tuple | None] = ()):
@@ -544,6 +560,20 @@ class _Generators(tuple):
     @cached_property
     def kept(self) -> list[tuple]:
         return _kept(self.packing, self.packed)
+
+    @cached_property
+    def reducers(self) -> _PackedBasis:
+        # on the `verdicts` workload an ideal of infinite colength takes about
+        # 8 budgeted walks, and repacking for each took 14 % of the run time
+        return _PackedBasis(self.packing, [entry[1] for entry in self.packed])
+
+    @cached_property
+    def open_axes(self) -> frozenset[int]:
+        return _open_axes(self, self.ring.nvars)
+
+    @cached_property
+    def certified(self) -> ReducedStandardBasis | None:
+        return try_primary_standard_basis(self, self.ring)
 
 
 def _kept(pk: _Packing, packed: list[tuple]) -> list[tuple]:
@@ -1003,6 +1033,22 @@ def _escalated_membership(f: Polynomial, gens: _PackedBasis) -> bool:
     raise MembershipUndecided(_ESCALATION_ROUNDS, cap)
 
 
+def _uncertified_membership(f: Polynomial, generators: _Generators) -> bool:
+    """Membership of f in the ideal of the generators when no m-primary basis decides it.
+
+    An open axis of the generators on which f has a term refutes: f lies
+    outside the prime (x_i : i != v), which contains the ideal.  Otherwise
+    a budgeted Mora walk over the generators certifies a zero, and the
+    escalation decides the rest over the same packed generators.
+    """
+    if not generators.open_axes <= _open_axes((f,), generators.ring.nvars):
+        return False
+    h = weak_normal_form(f, generators.reducers, step_limit=_WALK_STEPS)
+    if h is not None and h.is_zero():
+        return True
+    return _escalated_membership(f, generators.reducers)
+
+
 @dataclass(frozen=True)
 class ReducedStandardBasis:
     """Monic, minimal, tail-reduced local standard basis, sorted leading-first.
@@ -1013,6 +1059,7 @@ class ReducedStandardBasis:
     infinite colength.  ``staircase`` is (count, top degree) of the standard
     monomials, None when there are infinitely many: the count the completion
     took of the minimal leading monomials, which are the elements' leads.
+    A basis of infinite colength keeps the generators it was completed from.
     Built only by _reduced_basis.
     """
 
@@ -1023,6 +1070,7 @@ class ReducedStandardBasis:
     # (packing, terms): terms[i] is a nonzero multiple of elements[i] on the
     # packing's keys, so no query packs an element again
     _packed_terms: tuple[_Packing, tuple[dict[int, int], ...]] = dc_field(compare=False, repr=False)
+    _generators: _Generators | None = dc_field(default=None, compare=False, repr=False)
 
     @cached_property
     def packed(self) -> _PackedBasis:
@@ -1038,22 +1086,20 @@ class ReducedStandardBasis:
 
         Finite colength reads whether the packed normal form of f, truncated
         at the truncation degree, is zero; the packing holds that degree.
-        Otherwise a short Mora walk is attempted, and if it does not settle
-        quickly the answer is decided by the capped-refutation /
-        linear-certificate escalation over the kept terms of the elements.
+        Infinite colength is decided as the ideal decides it, over the
+        generators the basis was completed from (_uncertified_membership).
         """
         if f.ring != self.ring:
             raise ValueError("polynomial lives in a different ring context")
         if not self.elements:
             return f.is_zero()
-        if self.truncation is not None:
-            h = f.truncate_at_degree(self.truncation)
-            if h.is_zero():
-                return True
-            pk = self.packed.packing
-            return not _normal_form(pk, pk.pack(h), self.packed.reducers, self.truncation)
-        h = weak_normal_form(f, self.packed, step_limit=_WALK_STEPS)
-        return _escalated_membership(f, self.packed) if h is None else h.is_zero()
+        if not self.is_m_primary:
+            return _uncertified_membership(f, self._generators)
+        h = f.truncate_at_degree(self.truncation)
+        if h.is_zero():
+            return True
+        pk = self.packed.packing
+        return not _normal_form(pk, pk.pack(h), self.packed.reducers, self.truncation)
 
     def dimension(self) -> QuotientDimension:
         return INFINITE if self.staircase is None else self.staircase[0]
@@ -1081,11 +1127,17 @@ def _finish_primary(pk: _Packing, minimal: list[tuple], staircase: tuple[int, in
 
 
 def _reduced_basis(
-    pk: _Packing, elements: list[tuple], truncation: int | None, staircase: tuple[int, int] | None
+    pk: _Packing,
+    elements: list[tuple],
+    truncation: int | None,
+    staircase: tuple[int, int] | None,
+    generators: _Generators | None = None,
 ) -> ReducedStandardBasis:
-    """The basis of (leading key, packed terms, element) entries, keeping the terms and the staircase."""
+    """The basis of (leading key, packed terms, element) entries, keeping the terms, the staircase
+    and, for infinite colength, the generators."""
     return ReducedStandardBasis(
-        pk.ring, tuple(el[2] for el in elements), truncation, staircase, (pk, tuple(el[1] for el in elements))
+        pk.ring, tuple(el[2] for el in elements), truncation, staircase, (pk, tuple(el[1] for el in elements)),
+        generators,
     )
 
 
@@ -1205,17 +1257,19 @@ def try_primary_standard_basis(
     standard degree + 2 <= cap, by Nakayama); on success the capped basis
     is exact and canonical.  Returns None when no cap in the schedule
     certifies, which covers every ideal of infinite colength; when some
-    variable has no pure power among the generators' terms (_open_axes),
-    that is decided before anything is packed or completed.  The runs
-    complete a basis of the generators' k-span, the first generator of each
-    new pivot in processing order: the same ideal, so the same canonical
-    basis.
+    variable has no pure power among the generators' terms (the tuple's
+    open_axes), that is decided before anything is packed or completed.
+    The runs complete a basis of the generators' k-span, the first
+    generator of each new pivot in processing order: the same ideal, so the
+    same canonical basis.  Each call runs the capped runs afresh; a
+    generator tuple's ``certified`` keeps the one result its ideal reads.
     """
-    if any(g.terms for g in generators) and _open_axes(generators, ring.nvars):
+    generators = _Generators.of(ring, generators)
+    if any(g.terms for g in generators) and generators.open_axes:
         return None
     # taken in once for every cap; the packing holds the last cap, so no
     # run overflows
-    pk, multiplicity, gens = _capped_intake(_Generators.of(ring, generators))
+    pk, multiplicity, gens = _capped_intake(generators)
     if not gens:
         return _reduced_basis(pk, [], None, None)
     for cap in _cap_schedule(multiplicity):
@@ -1231,9 +1285,14 @@ def try_primary_standard_basis(
 
 
 def compute_standard_basis(generators: Sequence[Polynomial], ring: RingContext) -> ReducedStandardBasis:
-    # one generator tuple, packed once for both routes
+    """The reduced standard basis: the capped runs' basis when they certify one, else Lazard's route.
+
+    One generator tuple, packed once, serves both routes; the capped runs
+    are read from its record, so they run at most once per tuple.  A basis
+    of infinite colength keeps that tuple for its membership queries.
+    """
     generators = _Generators.of(ring, generators)
-    basis = try_primary_standard_basis(generators, ring)
+    basis = generators.certified
     if basis is not None:
         return basis
     # exact fallback for everything else (including infinite colength)
@@ -1245,7 +1304,7 @@ def compute_standard_basis(generators: Sequence[Polynomial], ring: RingContext) 
     # infinite colength: cap tail growth at the largest degree present
     # (local keys: the highest degree has the lowest key)
     cap = pk.degree(min(k for el in minimal for k in _terms(el)))
-    return _reduced_basis(pk, _reduced_elements(pk, minimal, None, cap), None, None)
+    return _reduced_basis(pk, _reduced_elements(pk, minimal, None, cap), None, None, generators)
 
 
 class Ideal:
@@ -1254,7 +1313,6 @@ class Ideal:
     def __init__(self, ring: RingContext, generators: Iterable[Polynomial]):
         self.ring = ring
         self._basis: ReducedStandardBasis | None = None
-        self._primary_attempt: ReducedStandardBasis | None | bool = False  # False = not tried
         if not isinstance(generators, _Generators):
             generators = tuple(generators)
             if any(g.ring != ring for g in generators):
@@ -1284,31 +1342,18 @@ class Ideal:
 
     # -- membership / comparison (local semantics)
 
-    @cached_property
-    def _packed_generators(self) -> _PackedBasis:
-        # on the `verdicts` workload an ideal of infinite colength takes about
-        # 8 budgeted walks, and repacking for each took 14 % of the run time
-        gens = self.generators
-        return _PackedBasis(gens.packing, [entry[1] for entry in gens.packed])
-
-    @cached_property
-    def _axes_in_zero_set(self) -> frozenset[int]:
-        # one pass over the terms, shared by every membership query that
-        # the primary attempt leaves undecided
-        return _open_axes(self.generators, self.ring.nvars)
-
     def _certified_primary_basis(self) -> ReducedStandardBasis | None:
         """Finite-colength basis when cheaply certifiable, else None.
 
+        A computed basis that turned out m-primary answers; otherwise the
+        generator tuple's record does, whose capped runs run at most once.
         Avoids the full completion for ideals of infinite colength, whose
         standard bases can be enormous; membership and equality never need
-        them (they go through the capped / certificate escalation).
+        them (they go through _uncertified_membership).
         """
-        if self._basis is not None:
-            return self._basis if self._basis.is_m_primary or not self._basis.elements else None
-        if self._primary_attempt is False:
-            self._primary_attempt = self._basis = try_primary_standard_basis(self.generators, self.ring)
-        return self._primary_attempt
+        if self._basis is not None and self._basis.is_m_primary:
+            return self._basis
+        return self.generators.certified
 
     def contains_element(self, f: Polynomial) -> bool:
         if f.ring != self.ring:
@@ -1320,16 +1365,9 @@ class Ideal:
         basis = self._certified_primary_basis()
         if basis is not None:
             return basis.contains(f)
-        if not self._axes_in_zero_set <= _open_axes((f,), self.ring.nvars):
-            # f has a term in k[x_v] while the x_v-axis lies in V(I): f lies
-            # outside P_v = (x_i : i != v), a prime containing I
-            return False
         # infinite colength (or a very deep staircase): decide without the
-        # full standard basis; a zero of the budgeted walk is a certificate
-        h = weak_normal_form(f, self._packed_generators, step_limit=_WALK_STEPS)
-        if h is not None and h.is_zero():
-            return True
-        return _escalated_membership(f, self._packed_generators)
+        # full standard basis
+        return _uncertified_membership(f, self.generators)
 
     def contains_ideal(self, other: "Ideal") -> bool:
         self._check_ring(other)
@@ -1370,7 +1408,13 @@ class Ideal:
     # -- numerical data
 
     def dimension(self) -> QuotientDimension:
-        """k-dimension of (local ring)/I; INFINITE when the staircase is open."""
+        """k-dimension of (local ring)/I; INFINITE when the staircase is open.
+
+        An open axis of the generators (the zero ideal's included) proves it
+        infinite without a completion.
+        """
+        if self.generators.open_axes:
+            return INFINITE
         return self.standard_basis().dimension()
 
 

@@ -82,6 +82,31 @@ class TestIdealCommand:
 
         assert reparsed.equals(nash_ideal_t(parse_polynomial("x^3+x*y^3", ring), 2))
 
+    @pytest.mark.parametrize("argv, completes", [
+        # the z-axis lies in V(T_3): the dimension needs no completion
+        (("tn", "x^2+y^2*z", "-n", "3"), False),
+        (("tn", "x^3+y^4", "-n", "2"), True),
+        (("tjurina", "x^4+y^4+x^3", "-k", "0", "--char", "3"), True),
+    ])
+    @pytest.mark.parametrize("json_output", [False, True])
+    def test_dim_alone_prints_the_reduced_output_less_the_basis(self, capsys, monkeypatch, argv, completes, json_output):
+        extra = ("--json",) if json_output else ()
+        code, reduced, _ = run(capsys, "ideal", *argv, "--reduced", "--dim", *extra)
+        assert code == 0
+        runs = []
+        original = ideals._run_completion
+        monkeypatch.setattr(ideals, "_run_completion", lambda *args: runs.append(args[2]) or original(*args))
+        code, alone, _ = run(capsys, "ideal", *argv, "--dim", *extra)
+        assert code == 0
+        assert bool(runs) == completes
+        if json_output:
+            obj = json.loads(reduced)
+            del obj["reduced_basis"]
+            assert alone == json.dumps(obj, sort_keys=True) + "\n"
+        else:
+            head, rest = reduced.split("reduced standard basis:\n")
+            assert alone == head + rest[rest.index("dimension: "):]
+
 
 class TestInvariantsCommand:
     def test_cusp_text(self, capsys):

@@ -3,6 +3,7 @@ import itertools
 import pkgutil
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -516,7 +517,7 @@ class TestOpenAxis:
         f = data.draw(nonzero_polynomial_strategy(ring, max_terms=3, max_degree=4))
         if not axes <= ideals._open_axes([f], nvars):
             assert not Ideal(ring, gens).contains_element(f)
-            assert not ideals._escalated_membership(f, Ideal(ring, gens)._packed_generators)
+            assert not ideals._escalated_membership(f, Ideal(ring, gens).generators.reducers)
 
     @pytest.mark.parametrize("texts, axes", [
         (("x*y", "x*z + y^3"), {0, 2}),
@@ -565,7 +566,7 @@ def test_escalation_out_of_rounds_raises_membership_undecided(ring_q2, monkeypat
     # round's cap, and no generator is packed inside the escalation
     caps = []
     f = P("x^3*y", ring_q2)
-    gens = Ideal(ring_q2, [P("x^2*y", ring_q2)])._packed_generators
+    gens = Ideal(ring_q2, [P("x^2*y", ring_q2)]).generators.reducers
 
     def capped(pk, span, cap, budget):
         assert cap - 1 <= pk.limit
@@ -637,7 +638,7 @@ class TestEscalationAgainstReference:
             reject()
         if member:
             assert reduced.is_zero()
-        assert ideals._escalated_membership(f, Ideal(ring, gens)._packed_generators) == reduced.is_zero()
+        assert ideals._escalated_membership(f, Ideal(ring, gens).generators.reducers) == reduced.is_zero()
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -679,7 +680,7 @@ class TestEscalationAgainstReference:
             except ideals.MembershipUndecided as undecided:
                 return undecided.rounds, undecided.cap
 
-        assert verdict(ideals._escalated_membership, Ideal(ring, gens)._packed_generators) == verdict(
+        assert verdict(ideals._escalated_membership, Ideal(ring, gens).generators.reducers) == verdict(
             reference_escalation, gens)
 
 
@@ -758,7 +759,7 @@ class TestHandOver:
         if high:
             # a generator too high for the minors' packing: their terms move
             i = Ideal(ring, [ring.monomial((0, 300))]) + i
-        packed = i._packed_generators
+        packed = i.generators.reducers
         pk = packed.packing
         assert (pk.width > carried.width) == high
         assert packed.reducers == sorted(map(pk.element, map(pk.pack, i.generators)), key=ideals._rank)
@@ -847,6 +848,105 @@ def test_an_ideal_packs_each_generator_once(field, kind, monkeypatch):
     assert ideal.standard_basis().dimension() is INFINITE
     assert not ideal.contains_element(P("y^3", ring))
     assert sum(poly is g for poly in packed) == 1
+
+
+@pytest.mark.parametrize("field, kind", [(QQ, "principal"), (GF(5), "principal"), (QQ, "nash")])
+def test_each_capped_run_happens_once_per_ideal(field, kind, monkeypatch):
+    # only the capped route passes a budget; a failed attempt is kept in the
+    # generator tuple's record, so standard_basis() goes on to Lazard's route
+    ring = RingContext(("x", "y"), field)
+    ideal = Ideal(ring, [P("x^2+y^2", ring)]) if kind == "principal" else nash_ideal_t(P("x^2*y", ring), 2)
+    caps = []
+    original = ideals._run_completion
+
+    def run(pk, gens, cap, budget):
+        if budget is not None:
+            caps.append(cap)
+        return original(pk, gens, cap, budget)
+
+    monkeypatch.setattr(ideals, "_run_completion", run)
+    assert not ideal.contains_element(P("x", ring))
+    ideal.standard_basis()
+    assert ideal.dimension() is INFINITE
+    assert not ideal.contains_element(P("y^3", ring))
+    assert len(caps) == len(set(caps))
+    if kind == "principal":
+        assert caps == [4, 8]
+
+
+def test_an_open_axis_answers_dimension_without_completing(ring_q3, monkeypatch):
+    # no term of T_2(x^2 + y^2*z) is a power of z alone: the z-axis lies in V(I)
+    ideal = nash_ideal_t(P("x^2+y^2*z", ring_q3), 2)
+    assert ideal.generators.open_axes
+    runs = []
+    original = ideals._run_completion
+    monkeypatch.setattr(ideals, "_run_completion", lambda *args: runs.append(args[2]) or original(*args))
+    assert ideal.dimension() is INFINITE
+    assert runs == []
+    fresh = nash_ideal_t(P("x^2+y^2*z", ring_q3), 2).standard_basis()
+    assert ideal.standard_basis().elements == fresh.elements
+    assert Ideal(ring_q3, []).dimension() is INFINITE
+
+
+class TestInfiniteColengthBasisMembership:
+    """A basis of infinite colength decides membership as its ideal does,
+    over the generators it was completed from."""
+
+    GENERATORS = ("3*y - 2*x*y + 4*x^2*z^2", "3*y^2 - 2*x*y^2*z + 4*y^3*z")
+
+    # (u, a, b): the member (u/7) * ((a/7) * g1 + (b/7) * g2)
+    @pytest.mark.parametrize("u, a, b", [
+        ("7+x+2*z", "7*x+z", "2+7*y"),
+        ("7+3*x-y", "z^2+7*x", "x"),
+        ("7+x*y+z", "1", "z"),
+        ("7+2*x+3*y+z^2", "x*z+2*y", "3+x^2"),
+    ])
+    def test_members_decide_over_the_generators(self, ring_q3, monkeypatch, u, a, b):
+        g1, g2 = (P(t, ring_q3) for t in self.GENERATORS)
+        seventh = ring_q3.constant(Fraction(1, 7))
+        f = P(u, ring_q3) * seventh * (P(a, ring_q3) * seventh * g1 + P(b, ring_q3) * seventh * g2)
+        ideal = Ideal(ring_q3, [g1, g2])
+        basis = ideal.standard_basis()
+        assert basis.staircase is None
+        seen = []
+        for name in ("weak_normal_form", "_escalated_membership"):
+            original = getattr(ideals, name)
+            monkeypatch.setattr(ideals, name, lambda poly, gens, *args, _run=original, **kw: (
+                seen.append(gens) or _run(poly, gens, *args, **kw)))
+        start = time.perf_counter()
+        assert basis.contains(f) is True
+        # on the tail-reduced elements these took 4.5 s to more than 270 s
+        assert time.perf_counter() - start < 1.0
+        assert seen and all(gens is ideal.generators.reducers for gens in seen)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_same_verdict_as_the_polynomial_escalation(self, data):
+        # generators with a common nonunit factor: no cap certifies them
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(2, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        common = Polynomial(ring, {a: c for a, c in data.draw(
+            nonzero_polynomial_strategy(ring, max_terms=2, max_degree=2)).terms.items() if sum(a)})
+        if common.is_zero():
+            common = ring.variable(0)
+        gens = [common * g for g in data.draw(
+            st.lists(nonzero_polynomial_strategy(ring, max_terms=3, max_degree=3), min_size=1, max_size=3))]
+        if data.draw(st.booleans()):
+            tail = data.draw(polynomial_strategy(ring, max_terms=2, max_degree=2))
+            unit = ring.one() + Polynomial(ring, {a: c for a, c in tail.terms.items() if sum(a)})
+            cofactors = data.draw(st.lists(polynomial_strategy(ring, max_terms=2, max_degree=2),
+                                           min_size=len(gens), max_size=len(gens)))
+            f = unit * sum((g * c for g, c in zip(gens, cofactors)), ring.zero())
+        else:
+            f = data.draw(polynomial_strategy(ring, max_terms=4, max_degree=5))
+        basis = compute_standard_basis(gens, ring)
+        assert try_primary_standard_basis(gens, ring) is None and basis.staircase is None
+        try:
+            expected = reference_escalation(f, gens)
+        except ideals.MembershipUndecided:
+            reject()
+        assert basis.contains(f) == expected
 
 
 class TestPackedOnce:
