@@ -36,10 +36,11 @@ capped runs give up before packing anything) and an f with a term in
 k[x_v] lies outside the ideal.  When no m-primary basis decides a
 membership, an ideal and its basis of infinite colength take one route
 over the generators (_uncertified_membership): that axis refutation, a
-budgeted Mora walk, then an escalation of a capped refutation and a linear
-certificate, built up one degree layer at a time, for a fixed number of
-rounds; when neither side settles within them it raises
-MembershipUndecided (a RuntimeError) instead of answering.
+budgeted Mora walk, then an escalation of a budgeted capped refutation and
+a linear certificate, built up one degree layer at a time, for a fixed
+number of rounds; when neither side settles within them, or a refutation
+runs out of budget, it raises MembershipUndecided (a RuntimeError) instead
+of answering.
 
 Packed kernel.  The weak normal form, the completion, the tail reduction
 and the linear membership certificate run on packed polynomials: dicts from
@@ -75,12 +76,13 @@ handed over on, each nonzero generator's terms on it, the survivors of the
 intake's scalar-class rule, and the walks' packed basis of those terms.
 The capped runs, Lazard's route, the budgeted walks and the membership
 escalation all read that one resolution, so each generator is packed at
-most once per tuple.  The maximal minors of
-a Jacobian matrix (jacobian._minor_dets) run on a packing wide enough for
-the capped runs' last cap; each minor kept by the scalar-class rule is
-unpacked once, for the printed generators, and handed over with its packed
-terms on the tuple (kept by Ideal.__add__), so (f) + J_n(f) reaches the
-capped runs without a Polynomial round trip.  Terms handed over on another
+most once per tuple.  The maximal minors of a Jacobian matrix
+(jacobian._minor_dets) run on a packing wide enough for the capped runs'
+last cap; each minor kept by the scalar-class rule is unpacked once, for
+the printed generators, and handed over with its packed terms, a positive
+multiple of it, on the tuple (kept by Ideal.__add__), so (f) + J_n(f)
+reaches the capped runs without a Polynomial round trip; the multiple's
+scale stays in jacobian.  Terms handed over on another
 width move by way of their exponent tuples; the width changes no key order,
 so no result.  The escalation reads the walks' packed basis as it is: its
 terms are the linear certificate's rows, their span basis is what the
@@ -89,16 +91,18 @@ outgrows the one they came on, so only f is packed inside an escalation.
 Every completion takes its generators through one intake, which keeps the
 first generator of each scalar class in the caller's order, monomial * unit
 replaced by the monomial.  try_primary_standard_basis reads it once
-(_capped_intake): the processing order fixed on the keys, and cut to the
-first generator of each new pivot of a semi-echelon form (_Echelon, which
-also decides the linear membership certificate): a subset spanning the same
-k-space, hence the same ideal and the same canonical basis.  Each capped
+(_capped_intake): sorted by lead key alone, the caller's order kept on
+equal leads, and cut to the first generator of each new pivot of a
+semi-echelon form (_Echelon, which also decides the linear membership
+certificate): a subset spanning the same k-space, hence the same ideal and
+the same canonical basis, which no processing order changes.  Each capped
 run cuts them at its key floor.  Every step of a capped run charges its
 budget by one rule, on the packed lead coefficient.  Lazard's route reads
 the same survivors, homogenizes their keys and processes them in the order
-graded lex gives the homogenized polynomials; it moves the keys from the
-packing of (t, x_1, ..., x_d) its completion runs on to one of the ring's
-by way of their exponent tuples.  Completions return packed elements with
+graded lex gives the homogenized polynomials, ties broken by each
+generator's own term list; it moves the keys from the packing of (t, x_1,
+..., x_d) its completion runs on to one of the ring's by way of their
+exponent tuples.  Completions return packed elements with
 their packing; minimalization, the staircase read-off, the truncation and
 the tail reduction of a finished basis run on those same keys, and each
 element is unpacked once, monic, when the ReducedStandardBasis is built.
@@ -119,10 +123,10 @@ from bisect import insort
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 from math import gcd, lcm, prod
 from operator import itemgetter, lshift
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .polynomials import (
     MultiIndex,
@@ -495,9 +499,9 @@ class _Generators(tuple):
     """An ideal's generators, packed once, on first use, for every completion and walk,
     and the one record of what is known about their colength.
 
-    ``handed`` holds one entry per generator: None, or (packing, scale,
-    terms, scalar class) with the generator equal to terms / scale on that
-    packing's keys (scale 1 over F_p, a positive integer over Q) and the
+    ``handed`` holds one entry per generator: None, or (packing, terms,
+    scalar class) with the terms a positive multiple of the generator on
+    that packing's keys (the generator itself over F_p) and the
     _scalar_class of the terms, as jacobian._distinct_minors hands over its
     minors.  ``packing`` holds every generator and every degree the capped
     runs on them store: _Packing.capped for the highest degree among the
@@ -539,22 +543,19 @@ class _Generators(tuple):
 
     @cached_property
     def packed(self) -> list[tuple]:
-        """(polynomial, terms, exact values, their scale or None, scalar class or None)
-        per nonzero generator, in order: terms on ``packing``'s keys, primitive
-        over Q, and values a positive multiple of the generator, scale times it
-        when the scale is set."""
+        """(polynomial, terms, scalar class or None) per nonzero generator, in
+        order: terms on ``packing``'s keys, primitive over Q."""
         pk = self.packing
         packed = []
         for g, given in zip(self, self.handed):
             if given is None:
                 terms = pk.pack(g)
                 if terms:
-                    packed.append((g, terms, terms, 1 if pk.p else None, None))
+                    packed.append((g, terms, None))
             else:
-                src, scale, carried, key = given
-                values = _moved(src, pk, carried)
-                terms = values if pk.p else _primitive(values)
-                packed.append((g, terms, values, scale, key if values is carried else None))
+                src, carried, key = given
+                terms = _moved(src, pk, carried)
+                packed.append((g, terms if pk.p else _primitive(terms), key if terms is carried else None))
         return packed
 
     @cached_property
@@ -577,8 +578,8 @@ class _Generators(tuple):
 
 
 def _kept(pk: _Packing, packed: list[tuple]) -> list[tuple]:
-    """(lead, terms, exact values, their scale or None, polynomial or None) of the
-    first generator of each scalar class among _Generators.packed, in order.
+    """(lead, terms, polynomial or None) of the first generator of each scalar
+    class among _Generators.packed, in order.
 
     One of the shape monomial * unit, whose lead divides every term, becomes
     that monomial, with no polynomial.  Read once per generator tuple, by the
@@ -587,40 +588,16 @@ def _kept(pk: _Packing, packed: list[tuple]) -> list[tuple]:
     guards = pk.guards
     seen = set()
     kept = []
-    for g, terms, values, scale, key in packed:
+    for g, terms, key in packed:
         lead = max(terms)
         if lead and all(not (k - lead) & guards for k in terms):
-            terms = values = {lead: 1}
-            scale, g, key = 1, None, None
+            terms, g, key = {lead: 1}, None, None
         if key is None:
             key = _scalar_class(terms, pk.p)
         if key not in seen:
             seen.add(key)
-            kept.append((lead, terms, values, scale, g))
+            kept.append((lead, terms, g))
     return kept
-
-
-def _ordered(pk: _Packing, kept: list[tuple], rank: Callable[[tuple], object], mask: int) -> list[dict[int, int]]:
-    """The packed terms of _kept's generators, largest ``rank`` first.
-
-    Generators of equal rank are ordered by their term lists, largest first,
-    each term as (key & mask, coefficient): coefficients compare as integers
-    where the tied generators share one positive scale (every residue over
-    F_p, the minors of one matrix over Q), and as the generators' own
-    coefficients otherwise.
-    """
-    out = []
-    for _, group in groupby(sorted(kept, key=rank, reverse=True), key=rank):
-        tied = list(group)
-        if len(tied) > 1 and tied[0][3] is not None and all(item[3] == tied[0][3] for item in tied):
-            tied.sort(key=lambda item: sorted([(k & mask, c) for k, c in item[2].items()]), reverse=True)
-        elif len(tied) > 1:
-            # the monomial of a monomial * unit has coefficient 1
-            tied.sort(key=lambda item: sorted([
-                (k & mask, 1 if item[4] is None else item[4].terms[pk.monomial(k)]) for k in item[2]
-            ]), reverse=True)
-        out += [item[1] for item in tied]
-    return out
 
 
 def _intake(generators: _Generators) -> list[dict[int, int]]:
@@ -628,13 +605,10 @@ def _intake(generators: _Generators) -> list[dict[int, int]]:
 
     The first generator of each scalar class survives (_kept), after
     monomial * unit is replaced by the monomial.  The survivors are sorted
-    by lead, largest first, and on equal leads by their sorted lists of
-    (exponent tuple, coefficient), largest first; lead keys order like the
-    leads, and exponent tuples like ``key & fields_mask``.  A completion
-    charges its budget on these terms as on every later step.
+    by lead, largest first, in the caller's order on equal leads.  A
+    completion charges its budget on these terms as on every later step.
     """
-    pk = generators.packing
-    return _ordered(pk, generators.kept, _lead, (1 << pk.deg_shift) - 1)
+    return [item[1] for item in sorted(generators.kept, key=_lead, reverse=True)]
 
 
 def _moved(src: _Packing, pk: _Packing, terms: dict[int, int]) -> dict[int, int]:
@@ -977,7 +951,8 @@ def _linear_membership_certificate(
 
 
 class MembershipUndecided(RuntimeError):
-    """The membership escalation ran out of rounds with neither side settled."""
+    """The membership escalation ran out of rounds, or a refutation ran out of
+    its budget, with neither side settled."""
 
     def __init__(self, rounds: int, cap: int):
         super().__init__(f"membership not decided after {rounds} escalation rounds (last cap {cap})")
@@ -995,15 +970,17 @@ def _escalated_membership(f: Polynomial, gens: _PackedBasis) -> bool:
     refutation side complete, and every true member has a polynomial
     certificate of some finite degree, so enough rounds always decide; but
     the loop stops after _ESCALATION_ROUNDS rounds and raises
-    MembershipUndecided when neither test has settled by then.  Round r
-    allows the certificate degree 4r, which it reaches layer by layer,
-    stopping at the first that certifies: most members need 0 to 2.  The
-    certificate runs first; the opposite order was measured slower on the
-    contact and covariance checks.  Its rows are the reducers' terms.  The
-    refutations complete their span basis (_span_basis), taken once for
-    every round: a basis of I + m^cap from any generators of I decides
-    membership modulo m^cap.  Only f is packed here; the generators move to
-    a wider packing when a round outgrows the one they came on.
+    MembershipUndecided when neither test has settled by then, or as soon
+    as a refutation run spends _CAPPED_BUDGET, the capped runs' budget,
+    without finishing.  Round r allows the certificate degree 4r, which it
+    reaches layer by layer, stopping at the first that certifies: most
+    members need 0 to 2.  The certificate runs first; the opposite order was
+    measured slower on the contact and covariance checks.  Its rows are the
+    reducers' terms.  The refutations complete their span basis
+    (_span_basis), taken once for every round: a basis of I + m^cap from any
+    generators of I decides membership modulo m^cap.  Only f is packed here;
+    the generators move to a wider packing when a round outgrows the one
+    they came on.
     """
     pk = gens.packing
     rows = [_terms(el) for el in gens.reducers]
@@ -1027,8 +1004,10 @@ def _escalated_membership(f: Polynomial, gens: _PackedBasis) -> bool:
             return True
         if not r:
             span = _span_basis(pk.p, rows)
-        _, capped = _run_completion(pk, span, cap, None)
-        if _normal_form(pk, pk.pack(f.truncate_at_degree(cap)), sorted(capped, key=_rank), cap):
+        completed = _run_completion(pk, span, cap, [_CAPPED_BUDGET])
+        if completed is None:
+            raise MembershipUndecided(r + 1, cap)
+        if _normal_form(pk, pk.pack(f.truncate_at_degree(cap)), sorted(completed[1], key=_rank), cap):
             return False
     raise MembershipUndecided(_ESCALATION_ROUNDS, cap)
 
@@ -1154,8 +1133,8 @@ def _cap_schedule(multiplicity: int) -> list[int]:
 
 
 # The fixed limits: a membership walk escalates after _WALK_STEPS steps, the
-# escalation gives up after _ESCALATION_ROUNDS rounds, and a capped run after
-# charging _CAPPED_BUDGET units.
+# escalation gives up after _ESCALATION_ROUNDS rounds, and a capped run (the
+# escalation's refutation runs included) after charging _CAPPED_BUDGET units.
 _WALK_STEPS = 120
 _ESCALATION_ROUNDS = 12
 _CAPPED_BUDGET = 400_000
@@ -1175,14 +1154,23 @@ def _complete_local_by_homogenization(generators: _Generators) -> tuple[_Packing
     order, returned as packed elements of a packing of the ring that also
     holds the border degree of _finish_primary.  The generators are the
     capped runs' survivors of _kept, monomial * unit replaced by the
-    monomial, read from the generator tuple, and are completed in the order
-    graded lex gives their homogenizations: largest top degree T first, then
-    largest local lead; on ties by the term lists, where at the shared T the
-    exponent (T - |b|, b) orders like the local key of b.
+    monomial, read from the generator tuple.  The basis of an ideal of
+    infinite colength depends on their order, which is the one graded lex
+    gives their homogenizations: largest top degree T first, then largest
+    local lead, then the largest list of (key, coefficient) over the
+    generator's own terms, where at the shared T the exponent (T - |b|, b)
+    orders like the local key of b.
     """
     pk, ring = generators.packing, generators.ring
-    # a generator's lowest key has its top degree
-    gens = _ordered(pk, generators.kept, lambda item: (pk.degree(min(item[1])), item[0]), -1)
+
+    def rank(item: tuple) -> tuple:
+        lead, terms, g = item
+        # a generator's lowest key has its top degree; the monomial of a
+        # monomial * unit has coefficient 1
+        own = sorted([(k, 1 if g is None else g.terms[pk.monomial(k)]) for k in terms])
+        return pk.degree(min(terms)), lead, own
+
+    gens = [item[1] for item in sorted(generators.kept, key=rank, reverse=True)]
     tops = [pk.degree(min(terms)) for terms in gens]
     tname = "t"
     while tname in ring.variables:

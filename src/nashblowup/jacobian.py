@@ -112,9 +112,10 @@ def jac_matrix(f: Polynomial, n: int) -> JacobianMatrix:
 # one the capped completion of the minors would choose (ideals._Generators.packing),
 # so each kept minor is handed over with its packed terms and reaches the
 # capped runs without being packed again.  Over Q every entry is scaled by the
-# lcm D of all denominators, so a minor comes out D^k times the true one, a
-# scale shared by all minors of the matrix; over F_p coefficients stay in
-# 0..p-1 and sums are reduced once per state.
+# lcm D of all denominators, so a minor comes out D^k times the true one: the
+# packed terms are handed over as they are, a positive multiple of the minor,
+# and D^k serves only to build the printed Fractions.  Over F_p coefficients
+# stay in 0..p-1 and sums are reduced once per state.
 
 
 def _packed_cells(
@@ -207,7 +208,7 @@ def _distinct_minors(
             else:
                 coeffs = [Fraction(c, scale) for c in det.values()]
                 polys.append(Polynomial(ring, dict(zip(map(pk.monomial, det), coeffs)), _canonical=True))
-            packed.append((pk, scale, det, key))
+            packed.append((pk, det, key))
     return _Generators(ring, polys, packed)
 
 

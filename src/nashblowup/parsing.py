@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomials import Polynomial, RingContext
+from .polynomials import MultiIndex, Polynomial, RingContext
 
 
 class PolynomialSyntaxError(ValueError):
@@ -70,16 +70,18 @@ class _Tokenizer:
 def parse_polynomial(text: str, ring: RingContext) -> Polynomial:
     """Parse text in the grammar above into a canonical polynomial."""
     tok = _Tokenizer(text)
-    result = ring.zero()
+    terms: dict[MultiIndex, Fraction] = {}
     sign = 1
     # optional leading sign
     if tok.peek() in ("+", "-"):
         sign = -1 if tok.take() == "-" else 1
     while True:
-        result = result + _parse_term(tok, ring, sign)
+        alpha, coeff = _parse_term(tok, ring, sign)
+        terms[alpha] = terms.get(alpha, 0) + coeff
         ch = tok.peek()
         if ch is None:
-            return result
+            # the constructor coerces into the field and drops zeros
+            return Polynomial(ring, terms)
         if ch == "+":
             tok.take()
             sign = 1
@@ -90,7 +92,8 @@ def parse_polynomial(text: str, ring: RingContext) -> Polynomial:
             raise PolynomialSyntaxError(f"unexpected character {ch!r}", tok.pos)
 
 
-def _parse_term(tok: _Tokenizer, ring: RingContext, sign: int) -> Polynomial:
+def _parse_term(tok: _Tokenizer, ring: RingContext, sign: int) -> tuple[MultiIndex, Fraction]:
+    """(exponent tuple, coefficient) of the next term, its sign applied."""
     ch = tok.peek()
     if ch is None:
         raise PolynomialSyntaxError("expected a term", tok.pos)
@@ -114,7 +117,7 @@ def _parse_term(tok: _Tokenizer, ring: RingContext, sign: int) -> Polynomial:
         _parse_monos(tok, ring, exponents)
     else:
         raise PolynomialSyntaxError(f"unexpected character {ch!r}", tok.pos)
-    return ring.monomial(tuple(exponents), coeff)
+    return tuple(exponents), coeff
 
 
 def _parse_monos(tok: _Tokenizer, ring: RingContext, exponents: list[int]) -> None:

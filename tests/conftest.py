@@ -36,6 +36,7 @@ from nashblowup.equivalence import LocalAutomorphism
 from nashblowup.fields import GF, QQ
 from nashblowup import ideals
 from nashblowup.ideals import (
+    _CAPPED_BUDGET,
     _ESCALATION_ROUNDS,
     Ideal,
     MembershipUndecided,
@@ -196,7 +197,7 @@ def strip_content(p: Polynomial) -> Polynomial:
 
 
 def poly_sort_key(p: Polynomial, order: MonomialOrder):
-    """Deterministic total key on polynomials; it fixed the processing orders of the completions."""
+    """Deterministic total key on polynomials; it fixes the processing order of Lazard's route."""
     return (order.key(leading_monomial(p, order)), sorted(p.terms.items()))
 
 
@@ -536,11 +537,12 @@ def escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
     theorem makes the refutation side complete, and every true member has a
     polynomial certificate of some finite degree, so enough rounds always
     decide; but the loop stops after _ESCALATION_ROUNDS rounds and raises
-    MembershipUndecided when neither test has settled by then.  Round r
-    allows the certificate degree 4r, which it reaches layer by layer,
-    stopping at the first that certifies: most members need 0 to 2.  The
-    certificate runs first; the opposite order was measured slower on the
-    contact and covariance checks.  The refutations complete the capped
+    MembershipUndecided when neither test has settled by then, or when a
+    refutation run spends _CAPPED_BUDGET.  Round r allows the certificate
+    degree 4r, which it reaches layer by layer, stopping at the first that
+    certifies: most members need 0 to 2.  The certificate runs first; the
+    opposite order was measured slower on the contact and covariance
+    checks.  The refutations complete the capped
     runs' intake (_capped_intake), taken in once for every round: a basis of
     I + m^cap from any generators of I decides membership modulo m^cap.
     """
@@ -560,7 +562,10 @@ def escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
             wider = _Packing.sized(f.ring, cap - 1)
             span = [_moved(pk, wider, terms) for terms in span]
             pk = wider
-        _, capped = ideals._run_completion(pk, span, cap, None)
+        completed = ideals._run_completion(pk, span, cap, [_CAPPED_BUDGET])
+        if completed is None:
+            raise MembershipUndecided(r + 1, cap)
+        _, capped = completed
         if _normal_form(pk, pk.pack(f.truncate_at_degree(cap)), sorted(capped, key=_rank), cap):
             return False
     raise MembershipUndecided(_ESCALATION_ROUNDS, cap)
@@ -592,14 +597,14 @@ def complete_basis(
 ) -> tuple[_Packing, list[tuple]] | None:
     """Buchberger/Mora completion on local keys; returns a standard basis as packed elements.
 
-    ``order`` fixes the processing order (poly_sort_key, largest first); a
-    graded-lex run ignores ``hard_cap``.  The truncation bound tightens as
-    the staircase of the current leading monomials closes: with s its top
-    standard-monomial degree, m^(s+1) already lies inside the ideal spanned
-    so far.  With ``hard_cap`` set, all arithmetic is truncated at that
-    degree from the start, so the result is a standard basis of (ideal) +
-    m^hard_cap; the caller must certify afterwards that this equals the
-    ideal itself.  ``cost_budget`` aborts oversized runs, returning None.
+    ``order`` fixes the processing order: by leading monomial, largest
+    first, in the given order on equal leads; a graded-lex run ignores
+    ``hard_cap``.  The truncation bound tightens as the staircase of the
+    current leading monomials closes: with s its top standard-monomial
+    degree, m^(s+1) already lies inside the ideal spanned so far.  With
+    ``hard_cap`` set, all arithmetic is truncated at that degree from the
+    start, so the result is a standard basis of (ideal) + m^hard_cap; the
+    caller must certify afterwards that this equals the ideal itself.  ``cost_budget`` aborts oversized runs, returning None.
     The elements come with the packing that holds them, in insertion order;
     over Q they are primitive integer polynomials, over F_p monic.  An
     uncapped run is the Buchberger step of Lazard's route and tail-reduces
@@ -608,7 +613,7 @@ def complete_basis(
     """
     ring = generators[0].ring
     cap = hard_cap if order == LOCAL_DEGREE else None
-    gens = sorted(generators, key=lambda p: poly_sort_key(p, order), reverse=True)
+    gens = sorted(generators, key=lambda p: order.key(leading_monomial(p, order)), reverse=True)
     top = max(g.total_degree() for g in gens)
     # a capped run stores nothing above the cap; an uncapped one has no a
     # priori bound, and Lazard's homogenized runs reach 11-13 times the
@@ -786,7 +791,9 @@ def lazard_standard_basis(generators: Sequence[Polynomial], ring: RingContext) -
     homogenized = homogenized_generators(generators, ring)
     if not homogenized:
         return _reduced_basis(_Packing.sized(ring, 0), [], None, None)
-    hpk, raw = complete_basis(first_per_scalar_class(homogenized), GRADED_LEX)
+    # on equal leads, the generators' own term lists order them
+    homogenized = sorted(first_per_scalar_class(homogenized), key=lambda p: poly_sort_key(p, GRADED_LEX), reverse=True)
+    hpk, raw = complete_basis(homogenized, GRADED_LEX)
     dehomogenized = [{hpk.monomial(k)[1:]: c for k, c in _terms(el).items()} for el in raw]
     top = max(sum(a) for terms in dehomogenized for a in terms)
     pk = _Packing.sized(ring, ring.nvars * top)

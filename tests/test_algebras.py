@@ -218,9 +218,8 @@ class _OverTime(Exception):
 def rejected_after(seconds: float):
     """Reject the running Hypothesis example once its body has run for `seconds`.
 
-    Some germs keep a containment busy for minutes (CHANGES.md lists four
-    plane germs at n = 3 over Q); a differential can only compare the
-    examples that finish.
+    Some germs keep a containment busy for minutes; a differential can only
+    compare the examples that finish.
     """
     def expire(signum, frame):
         raise _OverTime
@@ -288,8 +287,13 @@ class TestInclusionsAgainstReference:
     def test_same_report(self, germ):
         f, n = germ
         with rejected_after(2.0):
-            want = reference_inclusions(f, n)
-            got = check_inclusions(f, n)
+            try:
+                want = reference_inclusions(f, n)
+                got = check_inclusions(f, n)
+            except ideals.MembershipUndecided:
+                # an undecided containment, like one past the bound, leaves
+                # nothing to compare (the plane wedge germs of CHANGES.md)
+                reject()
         assert got == want
 
     @pytest.mark.parametrize(

@@ -685,8 +685,13 @@ class TestEscalationAgainstReference:
 
 
 def intake_of(pk, survivors, order):
-    """What _intake returns on ``pk`` when exactly ``survivors`` survive its scalar-class check."""
-    return [pk.pack(g) for g in sorted(survivors, key=lambda q: poly_sort_key(q, order), reverse=True)]
+    """What the intake returns on ``pk`` when exactly ``survivors`` survive its scalar-class check:
+    under the local order sorted by lead alone, in the survivors' order on equal leads (_intake);
+    under graded lex by poly_sort_key (Lazard's route)."""
+    def key(q):
+        return order.key(leading_monomial(q, order)) if order == LOCAL_DEGREE else poly_sort_key(q, order)
+
+    return [pk.pack(g) for g in sorted(survivors, key=key, reverse=True)]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
@@ -852,19 +857,29 @@ def test_an_ideal_packs_each_generator_once(field, kind, monkeypatch):
 
 @pytest.mark.parametrize("field, kind", [(QQ, "principal"), (GF(5), "principal"), (QQ, "nash")])
 def test_each_capped_run_happens_once_per_ideal(field, kind, monkeypatch):
-    # only the capped route passes a budget; a failed attempt is kept in the
-    # generator tuple's record, so standard_basis() goes on to Lazard's route
+    # outside the escalation's refutations only the capped route passes a
+    # budget; a failed attempt is kept in the generator tuple's record, so
+    # standard_basis() goes on to Lazard's route
     ring = RingContext(("x", "y"), field)
     ideal = Ideal(ring, [P("x^2+y^2", ring)]) if kind == "principal" else nash_ideal_t(P("x^2*y", ring), 2)
     caps = []
-    original = ideals._run_completion
+    escalating = []
+    original, original_escalation = ideals._run_completion, ideals._escalated_membership
 
     def run(pk, gens, cap, budget):
-        if budget is not None:
+        if budget is not None and not escalating:
             caps.append(cap)
         return original(pk, gens, cap, budget)
 
+    def escalation(f, gens):
+        escalating.append(f)
+        try:
+            return original_escalation(f, gens)
+        finally:
+            escalating.pop()
+
     monkeypatch.setattr(ideals, "_run_completion", run)
+    monkeypatch.setattr(ideals, "_escalated_membership", escalation)
     assert not ideal.contains_element(P("x", ring))
     ideal.standard_basis()
     assert ideal.dimension() is INFINITE
@@ -1109,23 +1124,36 @@ class TestEquality:
     def test_non_primary_equality_via_membership(self, ring_q2):
         assert ideal(ring_q2, "x - x*y").equals(ideal(ring_q2, "x"))
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_equivalence_relation_and_shuffle_invariance(self, data):
-        ring = RingContext(("x", "y"), QQ)
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
         # m-primary ideals: pure powers plus random noise
-        a = data.draw(st.integers(1, 4))
-        b = data.draw(st.integers(1, 4))
-        noise = data.draw(st.lists(polynomial_strategy(ring, 3, 4), max_size=2))
-        gens = [ring.monomial((a, 0)), ring.monomial((0, b))] + [
-            g for g in noise if not g.is_zero()
-        ]
+        gens = [ring.monomial(tuple(data.draw(st.integers(1, 4)) if j == i else 0 for j in range(nvars)))
+                for i in range(nvars)]
+        gens += [g for g in data.draw(st.lists(polynomial_strategy(ring, 3, 4), max_size=2)) if not g.is_zero()]
+        # pairs that share a lead x^alpha but differ in tail or scale, so
+        # only the order among equal leads tells them apart
+        if field is QQ:
+            scalar = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 7)])
+        else:
+            scalar = st.integers(1, field.characteristic - 1)
+        tails = st.lists(polynomial_strategy(ring, 2, 4), min_size=2, max_size=2)
+        for alpha, (t1, t2), c in data.draw(st.lists(st.tuples(monomial_strategy(nvars, 2), tails, scalar),
+                                                      min_size=1, max_size=2)):
+            t1, t2 = (Polynomial(ring, {a: v for a, v in t.terms.items() if sum(a) > sum(alpha)}) for t in (t1, t2))
+            lead = ring.monomial(alpha)
+            gens += [lead + t1, (lead + (t2 if data.draw(st.booleans()) else t1)).scalar_mul(c)]
         generator_permutation = data.draw(st.permutations(gens))
         duplicated = list(generator_permutation) + [gens[0]]
         i1, i2, i3 = Ideal(ring, gens), Ideal(ring, generator_permutation), Ideal(ring, duplicated)
         assert i1.standard_basis().elements == i2.standard_basis().elements
         assert i2.standard_basis().elements == i3.standard_basis().elements
         assert i1.equals(i2) and i2.equals(i3) and i1.equals(i3)
+        capped = [try_primary_standard_basis(g, ring) for g in (gens, generator_permutation, duplicated)]
+        assert len({None if b is None else b.elements for b in capped}) == 1
 
 
 class TestContainment:
