@@ -951,13 +951,16 @@ def _linear_membership_certificate(
 
 
 class MembershipUndecided(RuntimeError):
-    """The membership escalation ran out of rounds, or a refutation ran out of
-    its budget, with neither side settled."""
+    """The membership escalation ran out of rounds, or (``budget`` set) a
+    refutation ran out of that budget, with neither side settled."""
 
-    def __init__(self, rounds: int, cap: int):
-        super().__init__(f"membership not decided after {rounds} escalation rounds (last cap {cap})")
+    def __init__(self, rounds: int, cap: int, budget: int | None = None):
+        cause = (f" after {rounds} escalation rounds (last cap {cap})" if budget is None else
+                 f": the refutation at cap {cap} ran out of its budget of {budget} in escalation round {rounds}")
+        super().__init__(f"membership not decided{cause}")
         self.rounds = rounds
         self.cap = cap
+        self.budget = budget
 
 
 def _escalated_membership(f: Polynomial, gens: _PackedBasis) -> bool:
@@ -1006,7 +1009,8 @@ def _escalated_membership(f: Polynomial, gens: _PackedBasis) -> bool:
             span = _span_basis(pk.p, rows)
         completed = _run_completion(pk, span, cap, [_CAPPED_BUDGET])
         if completed is None:
-            raise MembershipUndecided(r + 1, cap)
+            # later certificates could still prove a member, in tens of seconds over Q
+            raise MembershipUndecided(r + 1, cap, _CAPPED_BUDGET)
         if _normal_form(pk, pk.pack(f.truncate_at_degree(cap)), sorted(completed[1], key=_rank), cap):
             return False
     raise MembershipUndecided(_ESCALATION_ROUNDS, cap)

@@ -94,6 +94,32 @@ def ring_f5() -> RingContext:
     return RingContext(("x", "y"), GF(5))
 
 
+@pytest.fixture
+def completion_runs(monkeypatch) -> list[tuple]:
+    """A list that collects (cap, budget, inside an escalation) for each ideals._run_completion call.
+
+    ``budget`` is the list the run was charged to, None for an unbudgeted
+    run; the third field tells the escalation's refutations apart.
+    """
+    runs, escalating = [], []
+    original_run, original_escalation = ideals._run_completion, ideals._escalated_membership
+
+    def run(pk, gens, cap, budget):
+        runs.append((cap, budget, bool(escalating)))
+        return original_run(pk, gens, cap, budget)
+
+    def escalation(f, gens):
+        escalating.append(f)
+        try:
+            return original_escalation(f, gens)
+        finally:
+            escalating.pop()
+
+    monkeypatch.setattr(ideals, "_run_completion", run)
+    monkeypatch.setattr(ideals, "_escalated_membership", escalation)
+    return runs
+
+
 def P(text: str, ring: RingContext) -> Polynomial:
     return parse_polynomial(text, ring)
 
@@ -564,7 +590,7 @@ def escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
             pk = wider
         completed = ideals._run_completion(pk, span, cap, [_CAPPED_BUDGET])
         if completed is None:
-            raise MembershipUndecided(r + 1, cap)
+            raise MembershipUndecided(r + 1, cap, _CAPPED_BUDGET)
         _, capped = completed
         if _normal_form(pk, pk.pack(f.truncate_at_degree(cap)), sorted(capped, key=_rank), cap):
             return False

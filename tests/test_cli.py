@@ -229,30 +229,16 @@ class TestUndecided:
         assert out == ""
         assert err == "undecided: membership not decided after 12 escalation rounds (last cap 454)\n"
 
-    def test_refutation_out_of_budget_exits_4(self, capsys, monkeypatch):
+    def test_refutation_out_of_budget_exits_4(self, capsys, completion_runs):
         # over Q the coefficients of this germ's refutations grow past the
         # capped runs' budget, which every run inside the escalation receives
-        escalating = []
-        original_run, original_escalation = ideals._run_completion, ideals._escalated_membership
-
-        def refutation(pk, span, cap, budget):
-            if escalating and budget is None:
-                pytest.fail("an escalation ran a completion without a budget")
-            return original_run(pk, span, cap, budget)
-
-        def escalation(f, gens):
-            escalating.append(f)
-            try:
-                return original_escalation(f, gens)
-            finally:
-                escalating.pop()
-
-        monkeypatch.setattr(ideals, "_run_completion", refutation)
-        monkeypatch.setattr(ideals, "_escalated_membership", escalation)
         code, out, err = run(capsys, "check", "inclusions", "3*y^4+x^5*y^2+2*x^2*y^2", "-n", "3")
         assert code == cli.EXIT_UNDECIDED == 4
         assert out == ""
-        assert err.startswith("undecided: membership not decided after ")
+        assert err == ("undecided: membership not decided: the refutation at cap 57 ran out of its budget"
+                       " of 400000 in escalation round 2\n")
+        refutations = [budget for _, budget, escalating in completion_runs if escalating]
+        assert refutations and None not in refutations
 
 
 class TestCorpusCommand:

@@ -678,7 +678,7 @@ class TestEscalationAgainstReference:
             try:
                 return escalate(f, basis)
             except ideals.MembershipUndecided as undecided:
-                return undecided.rounds, undecided.cap
+                return undecided.rounds, undecided.cap, undecided.budget
 
         assert verdict(ideals._escalated_membership, Ideal(ring, gens).generators.reducers) == verdict(
             reference_escalation, gens)
@@ -856,34 +856,17 @@ def test_an_ideal_packs_each_generator_once(field, kind, monkeypatch):
 
 
 @pytest.mark.parametrize("field, kind", [(QQ, "principal"), (GF(5), "principal"), (QQ, "nash")])
-def test_each_capped_run_happens_once_per_ideal(field, kind, monkeypatch):
+def test_each_capped_run_happens_once_per_ideal(field, kind, completion_runs):
     # outside the escalation's refutations only the capped route passes a
     # budget; a failed attempt is kept in the generator tuple's record, so
     # standard_basis() goes on to Lazard's route
     ring = RingContext(("x", "y"), field)
     ideal = Ideal(ring, [P("x^2+y^2", ring)]) if kind == "principal" else nash_ideal_t(P("x^2*y", ring), 2)
-    caps = []
-    escalating = []
-    original, original_escalation = ideals._run_completion, ideals._escalated_membership
-
-    def run(pk, gens, cap, budget):
-        if budget is not None and not escalating:
-            caps.append(cap)
-        return original(pk, gens, cap, budget)
-
-    def escalation(f, gens):
-        escalating.append(f)
-        try:
-            return original_escalation(f, gens)
-        finally:
-            escalating.pop()
-
-    monkeypatch.setattr(ideals, "_run_completion", run)
-    monkeypatch.setattr(ideals, "_escalated_membership", escalation)
     assert not ideal.contains_element(P("x", ring))
     ideal.standard_basis()
     assert ideal.dimension() is INFINITE
     assert not ideal.contains_element(P("y^3", ring))
+    caps = [cap for cap, budget, escalating in completion_runs if budget is not None and not escalating]
     assert len(caps) == len(set(caps))
     if kind == "principal":
         assert caps == [4, 8]
