@@ -40,7 +40,7 @@ EXIT_PARSE_ERROR = 2
 EXIT_CONFIG_ERROR = 3
 # documented in the README, not in the module docstring: that docstring is
 # the top-level help text, which stays byte for byte
-EXIT_UNDECIDED = 4  # a membership test ran out of escalation rounds
+EXIT_UNDECIDED = 4  # a membership test ran out of escalation rounds or of a refutation's budget
 
 DEFAULT_VARIABLE_POOL = ("x", "y", "z", "w")
 

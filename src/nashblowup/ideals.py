@@ -35,12 +35,12 @@ infinite-dimensional (Ideal.dimension answers with no completion, and the
 capped runs give up before packing anything) and an f with a term in
 k[x_v] lies outside the ideal.  When no m-primary basis decides a
 membership, an ideal and its basis of infinite colength take one route
-over the generators (_uncertified_membership): that axis refutation, a
-budgeted Mora walk, then an escalation of a budgeted capped refutation and
-a linear certificate, built up one degree layer at a time, for a fixed
-number of rounds; when neither side settles within them, or a refutation
-runs out of budget, it raises MembershipUndecided (a RuntimeError) instead
-of answering.
+over the generators' survivors (_uncertified_membership): that axis
+refutation, a budgeted Mora walk, then an escalation of a budgeted capped
+refutation and a linear certificate, built up one degree layer at a time,
+for a fixed number of rounds; when neither side settles within them, or a
+refutation runs out of budget, it raises MembershipUndecided (a
+RuntimeError) instead of answering.
 
 Packed kernel.  The weak normal form, the completion, the tail reduction
 and the linear membership certificate run on packed polynomials: dicts from
@@ -70,39 +70,36 @@ bound: every pair left would truncate to zero, uncharged.
 
 Conversion boundary.  A basis of polynomials is packed once on entry to
 weak_normal_form.  An Ideal keeps its generators in one tuple (_Generators)
-that resolves them once, on first use: one packing, which holds the capped
-runs' last cap (_Packing.capped) or the widest packing a generator was
-handed over on, each nonzero generator's terms on it, the survivors of the
-intake's scalar-class rule, and the walks' packed basis of those terms.
-The capped runs, Lazard's route, the budgeted walks and the membership
-escalation all read that one resolution, so each generator is packed at
+that resolves them once, on first use, into one view: one packing, which
+holds the capped runs' last cap (_Packing.capped) or the widest packing a
+generator was handed over on, and on it the survivors of the scalar-class
+rule (kept): the first generator of each scalar class in the caller's
+order, monomial * unit replaced by the monomial.  The budgeted walks read
+their packed basis (reducers), the escalation's linear certificate takes
+them as its rows, and Lazard's route reads them too.  The capped runs and
+the escalation's refutations complete their one span basis (span): sorted
+by lead key alone, the caller's order kept on equal leads (_intake), and
+cut to the first generator of each new pivot of a semi-echelon form
+(_Echelon, which also decides the linear membership certificate): a subset
+spanning the same k-space, hence the same ideal and the same canonical
+basis, which no processing order changes.  So each generator is packed at
 most once per tuple.  The maximal minors of a Jacobian matrix
 (jacobian._minor_dets) run on a packing wide enough for the capped runs'
 last cap; each minor kept by the scalar-class rule is unpacked once, for
 the printed generators, and handed over with its packed terms, a positive
 multiple of it, on the tuple (kept by Ideal.__add__), so (f) + J_n(f)
 reaches the capped runs without a Polynomial round trip; the multiple's
-scale stays in jacobian.  Terms handed over on another
-width move by way of their exponent tuples; the width changes no key order,
-so no result.  The escalation reads the walks' packed basis as it is: its
-terms are the linear certificate's rows, their span basis is what the
-refutations complete, and they move to a wider packing only when a round
-outgrows the one they came on, so only f is packed inside an escalation.
-Every completion takes its generators through one intake, which keeps the
-first generator of each scalar class in the caller's order, monomial * unit
-replaced by the monomial.  try_primary_standard_basis reads it once
-(_capped_intake): sorted by lead key alone, the caller's order kept on
-equal leads, and cut to the first generator of each new pivot of a
-semi-echelon form (_Echelon, which also decides the linear membership
-certificate): a subset spanning the same k-space, hence the same ideal and
-the same canonical basis, which no processing order changes.  Each capped
-run cuts them at its key floor.  Every step of a capped run charges its
-budget by one rule, on the packed lead coefficient.  Lazard's route reads
-the same survivors, homogenizes their keys and processes them in the order
-graded lex gives the homogenized polynomials, ties broken by each
-generator's own term list; it moves the keys from the packing of (t, x_1,
-..., x_d) its completion runs on to one of the ring's by way of their
-exponent tuples.  Completions return packed elements with
+scale stays in jacobian.  Terms handed over on another width move by way of
+their exponent tuples; the width changes no key order, so no result.  The
+escalation moves the survivors and their span basis to a wider packing
+only when a round outgrows the one they came on, so only f is packed inside
+an escalation.  Each capped run cuts the span basis at its key floor.
+Every step of a capped run charges its budget by one rule, on the packed
+lead coefficient.  Lazard's route homogenizes the survivors' keys and
+processes them in the order graded lex gives the homogenized polynomials,
+ties broken by each generator's own term list; it moves the keys from the
+packing of (t, x_1, ..., x_d) its completion runs on to one of the ring's
+by way of their exponent tuples.  Completions return packed elements with
 their packing; minimalization, the staircase read-off, the truncation and
 the tail reduction of a finished basis run on those same keys, and each
 element is unpacked once, monic, when the ReducedStandardBasis is built.
@@ -507,9 +504,10 @@ class _Generators(tuple):
     runs on them store: _Packing.capped for the highest degree among the
     generators packed here (no multiplicity exceeds it, so it holds the last
     cap of the schedule), or the widest packing a generator came on when
-    that is wider; the width changes no key order.  ``packed`` has each
-    nonzero generator on it, ``kept`` the survivors of _kept, and
-    ``reducers`` the walks' packed basis of them.  The colength record is
+    that is wider; the width changes no key order.  ``kept`` is the one
+    generator list every consumer reads, ``span`` its one span basis, which
+    the capped runs and the escalation's refutations complete, and
+    ``reducers`` the walks' packed basis of ``kept``.  The colength record is
     ``open_axes`` (_open_axes of the generators) and ``certified`` (the
     capped runs' basis or None); each is taken at most once per tuple.  A
     tuple is one ideal's generators, so its facts hold for every ideal that
@@ -542,31 +540,52 @@ class _Generators(tuple):
         return pk
 
     @cached_property
-    def packed(self) -> list[tuple]:
-        """(polynomial, terms, scalar class or None) per nonzero generator, in
-        order: terms on ``packing``'s keys, primitive over Q."""
+    def kept(self) -> list[tuple]:
+        """(lead, terms, polynomial or None) of the first generator of each
+        scalar class, in order: terms on ``packing``'s keys, primitive over Q.
+
+        One of the shape monomial * unit, whose lead divides every term,
+        becomes that monomial, with no polynomial.  A generator handed over on
+        a packing of this width brings its scalar class along.
+        """
         pk = self.packing
-        packed = []
+        guards = pk.guards
+        seen = set()
+        kept = []
         for g, given in zip(self, self.handed):
             if given is None:
-                terms = pk.pack(g)
-                if terms:
-                    packed.append((g, terms, None))
+                terms, key = pk.pack(g), None
+                if not terms:
+                    continue
             else:
                 src, carried, key = given
                 terms = _moved(src, pk, carried)
-                packed.append((g, terms if pk.p else _primitive(terms), key if terms is carried else None))
-        return packed
+                if terms is not carried:
+                    key = None
+                if not pk.p:
+                    terms = _primitive(terms)
+            lead = max(terms)
+            if lead and all(not (k - lead) & guards for k in terms):
+                terms, g, key = {lead: 1}, None, None
+            if key is None:
+                key = _scalar_class(terms, pk.p)
+            if key not in seen:
+                seen.add(key)
+                kept.append((lead, terms, g))
+        return kept
 
     @cached_property
-    def kept(self) -> list[tuple]:
-        return _kept(self.packing, self.packed)
+    def span(self) -> tuple[int, list[dict[int, int]]]:
+        """(largest lead degree or -1, span basis) of ``kept`` in processing order (_intake)."""
+        gens = _intake(self)
+        # processing order puts the largest lead degree, the largest multiplicity, last
+        return self.packing.degree(max(gens[-1])) if gens else -1, _span_basis(self.packing.p, gens)
 
     @cached_property
     def reducers(self) -> _PackedBasis:
         # on the `verdicts` workload an ideal of infinite colength takes about
         # 8 budgeted walks, and repacking for each took 14 % of the run time
-        return _PackedBasis(self.packing, [entry[1] for entry in self.packed])
+        return _PackedBasis(self.packing, [item[1] for item in self.kept])
 
     @cached_property
     def open_axes(self) -> frozenset[int]:
@@ -577,37 +596,10 @@ class _Generators(tuple):
         return try_primary_standard_basis(self, self.ring)
 
 
-def _kept(pk: _Packing, packed: list[tuple]) -> list[tuple]:
-    """(lead, terms, polynomial or None) of the first generator of each scalar
-    class among _Generators.packed, in order.
-
-    One of the shape monomial * unit, whose lead divides every term, becomes
-    that monomial, with no polynomial.  Read once per generator tuple, by the
-    capped runs and by Lazard's route.
-    """
-    guards = pk.guards
-    seen = set()
-    kept = []
-    for g, terms, key in packed:
-        lead = max(terms)
-        if lead and all(not (k - lead) & guards for k in terms):
-            terms, g, key = {lead: 1}, None, None
-        if key is None:
-            key = _scalar_class(terms, pk.p)
-        if key not in seen:
-            seen.add(key)
-            kept.append((lead, terms, g))
-    return kept
-
-
 def _intake(generators: _Generators) -> list[dict[int, int]]:
-    """The packed terms of the generators on their packing, in processing order.
-
-    The first generator of each scalar class survives (_kept), after
-    monomial * unit is replaced by the monomial.  The survivors are sorted
-    by lead, largest first, in the caller's order on equal leads.  A
-    completion charges its budget on these terms as on every later step.
-    """
+    """The terms of the generators' survivors (_Generators.kept) in processing
+    order: by lead, largest first, in the caller's order on equal leads.  A
+    completion charges its budget on these terms as on every later step."""
     return [item[1] for item in sorted(generators.kept, key=_lead, reverse=True)]
 
 
@@ -963,32 +955,30 @@ class MembershipUndecided(RuntimeError):
         self.budget = budget
 
 
-def _escalated_membership(f: Polynomial, gens: _PackedBasis) -> bool:
+def _escalated_membership(f: Polynomial, generators: _Generators) -> bool:
     """Decide membership without long reduction walks (infinite colength).
 
     Alternates two one-sided tests over the generators g_i of I, the
-    reducers of a walk's packed basis: an exact linear certificate
-    u*f = sum c_i g_i proves, and a capped normal form refutes (anything
-    outside I + m^cap is outside I).  Krull's intersection theorem makes the
-    refutation side complete, and every true member has a polynomial
-    certificate of some finite degree, so enough rounds always decide; but
-    the loop stops after _ESCALATION_ROUNDS rounds and raises
+    survivors of the generator tuple (_Generators.kept): an exact linear
+    certificate u*f = sum c_i g_i proves, and a capped normal form refutes
+    (anything outside I + m^cap is outside I).  Krull's intersection theorem
+    makes the refutation side complete, and every true member has a
+    polynomial certificate of some finite degree, so enough rounds always
+    decide; but the loop stops after _ESCALATION_ROUNDS rounds and raises
     MembershipUndecided when neither test has settled by then, or as soon
     as a refutation run spends _CAPPED_BUDGET, the capped runs' budget,
     without finishing.  Round r allows the certificate degree 4r, which it
     reaches layer by layer, stopping at the first that certifies: most
     members need 0 to 2.  The certificate runs first; the opposite order was
-    measured slower on the contact and covariance checks.  Its rows are the
-    reducers' terms.  The refutations complete their span basis
-    (_span_basis), taken once for every round: a basis of I + m^cap from any
-    generators of I decides membership modulo m^cap.  Only f is packed here;
-    the generators move to a wider packing when a round outgrows the one
-    they came on.
+    measured slower on the contact and covariance checks.  The refutations
+    complete the tuple's span basis (_Generators.span): a basis of I + m^cap
+    from any generators of I decides membership modulo m^cap.  Only f is
+    packed here; the generators move to a wider packing when a round
+    outgrows the one they came on.
     """
-    pk = gens.packing
-    rows = [_terms(el) for el in gens.reducers]
+    src = pk = generators.packing
+    rows = [item[1] for item in generators.kept]
     top = max([f.total_degree(), *(pk.degree(min(terms)) for terms in rows)])
-    span = []
     cap = f.total_degree() + 2
     degree_bound = 4
     for r in range(_ESCALATION_ROUNDS):
@@ -999,14 +989,11 @@ def _escalated_membership(f: Polynomial, gens: _PackedBasis) -> bool:
         if need > pk.limit:
             # the packing holds the certificate's shifts and every degree
             # below the cap, so neither side can overflow
-            wider = _Packing.sized(f.ring, need)
-            rows = [_moved(pk, wider, terms) for terms in rows]
-            span = [_moved(pk, wider, terms) for terms in span]
-            pk = wider
-        if _linear_membership_certificate(pk, pk.pack(f), rows, degree_bound):
+            pk = _Packing.sized(f.ring, need)
+        certificate_rows = [_moved(src, pk, terms) for terms in rows]
+        if _linear_membership_certificate(pk, pk.pack(f), certificate_rows, degree_bound):
             return True
-        if not r:
-            span = _span_basis(pk.p, rows)
+        span = [_moved(src, pk, terms) for terms in generators.span[1]]
         completed = _run_completion(pk, span, cap, [_CAPPED_BUDGET])
         if completed is None:
             # later certificates could still prove a member, in tens of seconds over Q
@@ -1029,7 +1016,7 @@ def _uncertified_membership(f: Polynomial, generators: _Generators) -> bool:
     h = weak_normal_form(f, generators.reducers, step_limit=_WALK_STEPS)
     if h is not None and h.is_zero():
         return True
-    return _escalated_membership(f, generators.reducers)
+    return _escalated_membership(f, generators)
 
 
 @dataclass(frozen=True)
@@ -1157,13 +1144,12 @@ def _complete_local_by_homogenization(generators: _Generators) -> tuple[_Packing
     The dehomogenized Groebner basis is a standard basis for the local
     order, returned as packed elements of a packing of the ring that also
     holds the border degree of _finish_primary.  The generators are the
-    capped runs' survivors of _kept, monomial * unit replaced by the
-    monomial, read from the generator tuple.  The basis of an ideal of
-    infinite colength depends on their order, which is the one graded lex
-    gives their homogenizations: largest top degree T first, then largest
-    local lead, then the largest list of (key, coefficient) over the
-    generator's own terms, where at the shared T the exponent (T - |b|, b)
-    orders like the local key of b.
+    tuple's survivors (_Generators.kept), monomial * unit replaced by the
+    monomial.  The basis of an ideal of infinite colength depends on their
+    order, which is the one graded lex gives their homogenizations: largest
+    top degree T first, then largest local lead, then the largest list of
+    (key, coefficient) over the generator's own terms, where at the shared
+    T the exponent (T - |b|, b) orders like the local key of b.
     """
     pk, ring = generators.packing, generators.ring
 
@@ -1210,14 +1196,6 @@ def _span_basis(p: int, gens: list[dict[int, int]]) -> list[dict[int, int]]:
     return [terms for terms in gens if echelon.insert(dict(terms))]
 
 
-def _capped_intake(generators: _Generators) -> tuple[_Packing, int, list[dict[int, int]]]:
-    """(packing, largest lead degree or -1, span basis) of the generators' intake for the capped runs."""
-    pk = generators.packing
-    gens = _intake(generators)
-    # processing order puts the largest lead degree, the largest multiplicity, last
-    return pk, pk.degree(max(gens[-1])) if gens else -1, _span_basis(pk.p, gens)
-
-
 def _open_axes(polys: Iterable[Polynomial], nvars: int) -> frozenset[int]:
     """The variables x_v none of whose pure powers is a term of the polys (1 = x_v^0 counts).
 
@@ -1251,17 +1229,18 @@ def try_primary_standard_basis(
     certifies, which covers every ideal of infinite colength; when some
     variable has no pure power among the generators' terms (the tuple's
     open_axes), that is decided before anything is packed or completed.
-    The runs complete a basis of the generators' k-span, the first
-    generator of each new pivot in processing order: the same ideal, so the
+    The runs complete the tuple's span basis (_Generators.span), the first
+    survivor of each new pivot in processing order: the same ideal, so the
     same canonical basis.  Each call runs the capped runs afresh; a
     generator tuple's ``certified`` keeps the one result its ideal reads.
     """
     generators = _Generators.of(ring, generators)
     if any(g.terms for g in generators) and generators.open_axes:
         return None
-    # taken in once for every cap; the packing holds the last cap, so no
+    # one span basis for every cap; the packing holds the last cap, so no
     # run overflows
-    pk, multiplicity, gens = _capped_intake(generators)
+    pk = generators.packing
+    multiplicity, gens = generators.span
     if not gens:
         return _reduced_basis(pk, [], None, None)
     for cap in _cap_schedule(multiplicity):

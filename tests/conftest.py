@@ -42,7 +42,6 @@ from nashblowup.ideals import (
     MembershipUndecided,
     ReducedStandardBasis,
     _add_shifted,
-    _capped_intake,
     _Generators,
     _Echelon,
     _finish_primary,
@@ -516,9 +515,9 @@ def linear_membership_certificate(
 # ideals._escalated_membership and its linear certificate as they ran on
 # polynomials before the escalation read the walk's packed generators, kept
 # verbatim as the differential reference: the certificate packs f and every
-# generator afresh in every round, and the refutations complete the capped
-# runs' intake of the generators.  The same boolean, or MembershipUndecided
-# with the same rounds and cap, on every input.
+# generator afresh in every round, and the refutations complete the span
+# basis of the generators.  The same boolean, or MembershipUndecided with the
+# same rounds and cap, on every input.
 
 
 def packed_membership_certificate(
@@ -568,9 +567,9 @@ def escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
     degree 4r, which it reaches layer by layer, stopping at the first that
     certifies: most members need 0 to 2.  The certificate runs first; the
     opposite order was measured slower on the contact and covariance
-    checks.  The refutations complete the capped
-    runs' intake (_capped_intake), taken in once for every round: a basis of
-    I + m^cap from any generators of I decides membership modulo m^cap.
+    checks.  The refutations complete the span basis of the generators
+    (_Generators.span), taken once for every round: a basis of I + m^cap
+    from any generators of I decides membership modulo m^cap.
     """
     cap = f.total_degree() + 2
     degree_bound = 4
@@ -581,7 +580,8 @@ def escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
         if packed_membership_certificate(f, gens, degree_bound):
             return True
         if not r:
-            pk, _, span = _capped_intake(_Generators(f.ring, gens))
+            generators = _Generators(f.ring, gens)
+            pk, span = generators.packing, generators.span[1]
         if cap - 1 > pk.limit:
             # the packing holds every degree below the cap, so neither the
             # run nor the normal form can overflow

@@ -517,7 +517,7 @@ class TestOpenAxis:
         f = data.draw(nonzero_polynomial_strategy(ring, max_terms=3, max_degree=4))
         if not axes <= ideals._open_axes([f], nvars):
             assert not Ideal(ring, gens).contains_element(f)
-            assert not ideals._escalated_membership(f, Ideal(ring, gens).generators.reducers)
+            assert not ideals._escalated_membership(f, Ideal(ring, gens).generators)
 
     @pytest.mark.parametrize("texts, axes", [
         (("x*y", "x*z + y^3"), {0, 2}),
@@ -566,7 +566,9 @@ def test_escalation_out_of_rounds_raises_membership_undecided(ring_q2, monkeypat
     # round's cap, and no generator is packed inside the escalation
     caps = []
     f = P("x^3*y", ring_q2)
-    gens = Ideal(ring_q2, [P("x^2*y", ring_q2)]).generators.reducers
+    gens = Ideal(ring_q2, [P("x^2*y", ring_q2)]).generators
+    # packed as the walk before every escalation packs them
+    assert gens.reducers.reducers
 
     def capped(pk, span, cap, budget):
         assert cap - 1 <= pk.limit
@@ -638,7 +640,7 @@ class TestEscalationAgainstReference:
             reject()
         if member:
             assert reduced.is_zero()
-        assert ideals._escalated_membership(f, Ideal(ring, gens).generators.reducers) == reduced.is_zero()
+        assert ideals._escalated_membership(f, Ideal(ring, gens).generators) == reduced.is_zero()
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -680,8 +682,10 @@ class TestEscalationAgainstReference:
             except ideals.MembershipUndecided as undecided:
                 return undecided.rounds, undecided.cap, undecided.budget
 
-        assert verdict(ideals._escalated_membership, Ideal(ring, gens).generators.reducers) == verdict(
-            reference_escalation, gens)
+        # both sides escalate over the survivors of the scalar-class check
+        survivors = first_per_scalar_class(simplify_generators(gens, LOCAL_DEGREE))
+        assert verdict(ideals._escalated_membership, Ideal(ring, gens).generators) == verdict(
+            reference_escalation, survivors)
 
 
 def intake_of(pk, survivors, order):
@@ -909,13 +913,15 @@ class TestInfiniteColengthBasisMembership:
         seen = []
         for name in ("weak_normal_form", "_escalated_membership"):
             original = getattr(ideals, name)
-            monkeypatch.setattr(ideals, name, lambda poly, gens, *args, _run=original, **kw: (
-                seen.append(gens) or _run(poly, gens, *args, **kw)))
+            monkeypatch.setattr(ideals, name, lambda poly, gens, *args, _name=name, _run=original, **kw: (
+                seen.append((_name, gens)) or _run(poly, gens, *args, **kw)))
         start = time.perf_counter()
         assert basis.contains(f) is True
         # on the tail-reduced elements these took 4.5 s to more than 270 s
         assert time.perf_counter() - start < 1.0
-        assert seen and all(gens is ideal.generators.reducers for gens in seen)
+        # the walks read the tuple's packed basis, the escalations the tuple
+        read = {"weak_normal_form": ideal.generators.reducers, "_escalated_membership": ideal.generators}
+        assert seen and all(gens is read[name] for name, gens in seen)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -1393,6 +1399,63 @@ class TestCappedMoraAgainstLazard:
         assert capped.truncation == lazard.truncation
 
 
+class TestLazardFallback:
+    """Lazard's route where the capped route gives up on its budget, and where
+    its own homogenized run outgrows its first packing."""
+
+    # m-primary, staircases (43, 12) and (45, 14)
+    GERMS = [("x^5+y^7", "x^4*y^3+y^9"), ("x^6+x^2*y^5", "x*y^6+y^8")]
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        """A list that collects what each call of ideals.<name> returns."""
+        results = []
+        original = getattr(ideals, name)
+
+        def call(*args):
+            results.append(original(*args))
+            return results[-1]
+
+        monkeypatch.setattr(ideals, name, call)
+        return results
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)])
+    @pytest.mark.parametrize("texts", GERMS)
+    def test_capped_route_out_of_budget(self, field, texts, monkeypatch):
+        ring = RingContext(("x", "y"), field)
+        gens = [P(t, ring) for t in texts]
+        want = compute_standard_basis(gens, ring)
+        assert want.staircase is not None
+        monkeypatch.setattr(ideals, "_CAPPED_BUDGET", 3)
+        runs = self.spy(monkeypatch, "_run_completion")
+        assert try_primary_standard_basis(gens, ring) is None
+        # the last run gave up on its budget, not for want of certifying
+        assert runs and runs[-1] is None
+        lazard = self.spy(monkeypatch, "_complete_local_by_homogenization")
+        got = compute_standard_basis(gens, ring)
+        assert len(lazard) == 1
+        assert (got.elements, got.truncation, got.staircase) == (want.elements, want.truncation, want.staircase)
+        assert Ideal(ring, gens).dimension() == want.staircase[0]
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)])
+    @pytest.mark.parametrize("texts", GERMS + [("x^9*y+y^11", "x^7*y^3")])
+    def test_overflow_restarts_wider(self, field, texts, monkeypatch):
+        # the homogenized ring's first packing gets 4-bit fields, which its
+        # run outgrows (degree 15): the run starts over once, 8 bits wide
+        ring = RingContext(("x", "y"), field)
+        gens = [P(t, ring) for t in texts]
+        want = compute_standard_basis(gens, ring)
+        sized, wider = _Packing.sized.__func__, _Packing.wider
+        fired = []
+        monkeypatch.setattr(_Packing, "sized", classmethod(
+            lambda cls, r, top: cls(r, 4) if r.nvars == ring.nvars + 1 else sized(cls, r, top)))
+        monkeypatch.setattr(_Packing, "wider", lambda pk: fired.append(pk.width) or wider(pk))
+        monkeypatch.setattr(ideals, "try_primary_standard_basis", lambda generators, ring: None)
+        got = compute_standard_basis(gens, ring)
+        assert fired == [4]
+        assert (got.elements, got.truncation, got.staircase) == (want.elements, want.truncation, want.staircase)
+
+
 class TestFinishedBasis:
     """An m-primary basis, finished by either route, against its leads recounted
     from the elements and the slicing walk that built its degree-B layer
@@ -1457,12 +1520,26 @@ class TestLazardRouteAgainstReference:
         pk, handed = runs[-1]
         assert handed == intake_of(pk, first_per_scalar_class(homogenized_generators(gens, ring)), GRADED_LEX)
 
+    @staticmethod
+    def assert_same_basis_renamed(gens, ring):
+        """The basis on a ring whose variables include t, as on x, y, z: Lazard's
+        route homogenizes by a variable of another name."""
+        plain = RingContext(("x", "y", "z")[:ring.nvars], ring.field)
+        want = compute_standard_basis([Polynomial(plain, dict(g.terms)) for g in gens], plain)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ideals, "try_primary_standard_basis", lambda generators, ring: None)
+            got = compute_standard_basis(gens, ring)
+        assert [g.terms for g in got.elements] == [g.terms for g in want.elements]
+        assert (got.truncation, got.staircase) == (want.truncation, want.staircase)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_same_basis(self, data):
         field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
         nvars = data.draw(st.integers(1, 3))
-        ring = RingContext(("x", "y", "z")[:nvars], field)
+        # a ring that already has a t makes the homogenizing variable t_ or t__
+        names = data.draw(st.sampled_from([("x", "y", "z")[:nvars], (("t",), ("t", "x"), ("x", "t", "t_"))[nvars - 1]]))
+        ring = RingContext(names, field)
         if field is QQ:
             scale = st.sampled_from([1, -1, 6, Fraction(1, 2), Fraction(-3, 7), Fraction(5, 4)])
         else:
@@ -1499,6 +1576,8 @@ class TestLazardRouteAgainstReference:
         gens = [g for g in data.draw(st.permutations(gens)) if not g.is_zero()]
         if gens:
             self.assert_same_basis(gens, ring)
+            if "t" in names:
+                self.assert_same_basis_renamed(gens, ring)
 
     def test_tied_leads_order_by_their_own_coefficients(self, ring_q2):
         # equal local lead x and top degree 3: primitive integers would put
