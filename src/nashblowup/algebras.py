@@ -137,6 +137,11 @@ def check_inclusions(f: Polynomial, n: int) -> InclusionReport:
     return InclusionReport(f, n, checks)
 
 
+def dimension_json(value: QuotientDimension) -> int | str:
+    """A quotient dimension as JSON reads it: the int, or "inf"."""
+    return "inf" if value is INFINITE else value
+
+
 @dataclass(frozen=True)
 class InvariantReport:
     """Numerical profile of a germ: pure function of the polynomial and field."""
@@ -149,16 +154,13 @@ class InvariantReport:
     gp: int | None
 
     def to_json_obj(self) -> dict:
-        def enc(v):
-            return "inf" if v is INFINITE else v
-
         return {
             "f": str(self.f),
             "char": self.f.ring.field.characteristic,
             "mt": self.mt,
-            "tau": enc(self.tau),
-            "dimTn": {str(n): enc(v) for n, v in self.dim_tn.items()},
-            "dimTk": {str(k): enc(v) for k, v in self.dim_tk.items()},
+            "tau": dimension_json(self.tau),
+            "dimTn": {str(n): dimension_json(v) for n, v in self.dim_tn.items()},
+            "dimTk": {str(k): dimension_json(v) for k, v in self.dim_tk.items()},
             "gpBound": self.gp,
         }
 

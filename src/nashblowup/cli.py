@@ -15,7 +15,7 @@ import shutil
 import sys
 from dataclasses import dataclass
 
-from .algebras import check_inclusions, invariant_report, nash_ideal_m, nash_ideal_t, tjurina_ideal
+from .algebras import check_inclusions, dimension_json, invariant_report, nash_ideal_m, nash_ideal_t, tjurina_ideal
 from .corpus import run_corpus
 from .equivalence import (
     ContactTransform,
@@ -29,7 +29,7 @@ from .equivalence import (
     samuel_hypothesis,
 )
 from .fields import CoefficientField
-from .ideals import INFINITE, Ideal, MembershipUndecided
+from .ideals import Ideal, MembershipUndecided
 from .jacobian import jac_matrix
 from .parsing import PolynomialSyntaxError, parse_polynomial
 from .polynomials import RingContext
@@ -94,14 +94,6 @@ def _build_config(args, poly_texts: list[str]) -> CommandConfig:
     )
 
 
-def _dim_str(value) -> str:
-    return "infinite" if value is INFINITE else str(value)
-
-
-def _dim_json(value):
-    return "inf" if value is INFINITE else value
-
-
 def _print_ideal(ideal: Ideal, label: str, args, config: CommandConfig) -> None:
     basis = ideal.standard_basis() if args.reduced else None
     if config.json_output:
@@ -114,7 +106,7 @@ def _print_ideal(ideal: Ideal, label: str, args, config: CommandConfig) -> None:
         if args.reduced:
             obj["reduced_basis"] = [str(e) for e in basis.elements]
         if args.dim:
-            obj["dimension"] = _dim_json(ideal.dimension())
+            obj["dimension"] = dimension_json(ideal.dimension())
         print(json.dumps(obj, sort_keys=True))
         return
     print(f"{label} generators:")
@@ -129,7 +121,7 @@ def _print_ideal(ideal: Ideal, label: str, args, config: CommandConfig) -> None:
         for e in basis.elements:
             print(f"  {e}")
     if args.dim:
-        print(f"dimension: {_dim_str(ideal.dimension())}")
+        print(f"dimension: {ideal.dimension()}")
 
 
 def cmd_matrix(args) -> int:
@@ -176,11 +168,11 @@ def cmd_invariants(args) -> int:
         return EXIT_OK
     print(f"f = {report.f}   (char {config.characteristic})")
     print(f"mt  = {report.mt}")
-    print(f"tau = {_dim_str(report.tau)}")
+    print(f"tau = {report.tau}")
     for n, v in report.dim_tn.items():
-        print(f"dim T_{n} (order-{n} algebra) = {_dim_str(v)}")
+        print(f"dim T_{n} (order-{n} algebra) = {v}")
     for k, v in report.dim_tk.items():
-        print(f"dim T[k={k}] = {_dim_str(v)}")
+        print(f"dim T[k={k}] = {v}")
     if report.gp is not None:
         print(f"contact-order bound = {report.gp}")
     return EXIT_OK

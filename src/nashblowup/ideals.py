@@ -36,11 +36,13 @@ capped runs give up before packing anything) and an f with a term in
 k[x_v] lies outside the ideal.  When no m-primary basis decides a
 membership, an ideal and its basis of infinite colength take one route
 over the generators' survivors (_uncertified_membership): that axis
-refutation, a budgeted Mora walk, then an escalation of a budgeted capped
-refutation and a linear certificate, built up one degree layer at a time,
-for a fixed number of rounds; when neither side settles within them, or a
-refutation runs out of budget, it raises MembershipUndecided (a
-RuntimeError) instead of answering.
+refutation, a Mora walk, then an escalation of a capped refutation and a
+linear certificate, built up one degree layer at a time, for a fixed number
+of rounds.  The walk and each refutation run are charged one work budget
+(_WORK_BUDGET), as the capped runs are; a walk that spends it escalates,
+and when neither side settles within the rounds, or a refutation spends
+it, the route raises MembershipUndecided (a RuntimeError) instead of
+answering.
 
 Packed kernel.  The weak normal form, the completion, the tail reduction
 and the linear membership certificate run on packed polynomials: dicts from
@@ -94,12 +96,12 @@ their exponent tuples; the width changes no key order, so no result.  The
 escalation moves the survivors and their span basis to a wider packing
 only when a round outgrows the one they came on, so only f is packed inside
 an escalation.  Each capped run cuts the span basis at its key floor.
-Every step of a capped run charges its budget by one rule, on the packed
-lead coefficient.  Lazard's route homogenizes the survivors' keys and
-processes them in the order graded lex gives the homogenized polynomials,
-ties broken by each generator's own term list; it moves the keys from the
-packing of (t, x_1, ..., x_d) its completion runs on to one of the ring's
-by way of their exponent tuples.  Completions return packed elements with
+Every step of a budgeted walk or capped run charges its budget by one
+rule, on the packed lead coefficient.  Lazard's route homogenizes the
+survivors' keys and processes them in the order graded lex gives the
+homogenized polynomials, ties broken by each generator's own term list; it
+moves the keys from the packing of (t, x_1, ..., x_d) its completion runs
+on to one of the ring's by way of their exponent tuples.  Completions return packed elements with
 their packing; minimalization, the staircase read-off, the truncation and
 the tail reduction of a finished basis run on those same keys, and each
 element is unpacked once, monic, when the ReducedStandardBasis is built.
@@ -121,7 +123,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from math import gcd, lcm, prod
+from math import gcd, inf, lcm, prod
 from operator import itemgetter, lshift
 from typing import Iterable, Sequence
 
@@ -305,16 +307,16 @@ def _normal_form(
     h: dict[int, int],
     reducers: list[tuple],
     bound: int | None,
-    step_limit: int | None = None,
-    cost_budget: list[int] | None = None,
+    budget: list[int] | None = None,
 ) -> dict[int, int] | None:
     """Mora's weak normal form of packed h, whose terms lie below bound.
 
     ``reducers`` are packed elements sorted stably by (ecart, length), so the
     first divisor is the one of least rank that comes first.  Every step
-    charges ``cost_budget`` by one rule: the length of h times the word count
-    of its packed lead coefficient.  Returns h itself when no step applies,
-    None when a limit runs out.
+    charges ``budget`` by one rule: the length of h times the 32-bit word
+    count of its packed lead coefficient, so coefficient growth over Q
+    spends it as length does.  Returns h itself when no step applies, None
+    when the budget runs out.
     """
     if not h or not reducers:
         return h
@@ -323,18 +325,12 @@ def _normal_form(
     # below the limit anyway when the bound truncates everything under it
     unbounded = bound is None or bound - 1 > limit
     extra: list[tuple] = []  # intermediate results recorded as reducers, by rank
-    steps = 0
     while h:
-        if step_limit is not None:
-            steps += 1
-            if steps > step_limit:
-                return None
         lm = max(h)
         lc = h[lm]
-        if cost_budget is not None:
-            # weight by coefficient size so bignum blowup hits the budget too
-            cost_budget[0] -= len(h) * (1 + (lc.bit_length() + 1) // 32)
-            if cost_budget[0] < 0:
+        if budget is not None:
+            budget[0] -= len(h) * (1 + (lc.bit_length() + 1) // 32)
+            if budget[0] < 0:
                 return None
         best = None
         for el in reducers:
@@ -399,7 +395,7 @@ def weak_normal_form(
     f: Polynomial,
     basis: Sequence[Polynomial] | _PackedBasis,
     bound: int | None = None,
-    step_limit: int | None = None,
+    budget: int | None = None,
 ) -> Polynomial | None:
     """Weak normal form of f against basis.
 
@@ -410,14 +406,18 @@ def weak_normal_form(
     which forces termination.
     Among divisors of minimal ecart the shortest, then the first, is used.
     ``bound`` truncates all intermediate terms at that total degree and is
-    only sound when m^bound is contained in the ideal.  ``step_limit``
-    (internal) aborts a long reduction walk and returns None.  Over Q a
+    only sound when m^bound is contained in the ideal.  ``budget`` bounds
+    the walk's work in the units the capped runs are charged: each step
+    costs the length of h times the 32-bit word count of its lead
+    coefficient, over Q read on the walk's integer multiple of h (f's
+    primitive one at the first step).  The walk returns None when the
+    budget runs out; None walks without a limit.  Over Q a
     reduced result keeps the scale of the fraction-free reduction: coprime
     integers before its last truncation.  Zero basis polynomials are
     skipped; one from another ring raises ValueError.  A basis handed over
     packed (_PackedBasis, internal) is walked on its own reducers, and a
     plain one is packed here; a step past the packing's degree limit starts
-    over on one twice as wide.
+    over on one twice as wide, with the budget afresh.
     """
     h = f.truncate_at_degree(bound)
     if isinstance(basis, _PackedBasis):
@@ -435,7 +435,7 @@ def weak_normal_form(
         pk = basis.packing
         try:
             packed = pk.pack(h)
-            out = _normal_form(pk, packed, basis.reducers, bound, step_limit)
+            out = _normal_form(pk, packed, basis.reducers, bound, None if budget is None else [budget])
         except _Overflow:
             basis = basis.wider()
             continue
@@ -618,14 +618,14 @@ def _primitive(terms: dict[int, int]) -> dict[int, int]:
 
 
 def _run_completion(
-    pk: _Packing, gens: list[dict[int, int]], bound: int | None, cost_budget: list[int] | None
+    pk: _Packing, gens: list[dict[int, int]], bound: int | None, budget: list[int] | None
 ) -> tuple[_Packing, list[tuple]] | None:
     """Mora's completion of _intake's packed generators on one packing, as packed elements.
 
     With the cap ``bound`` set, each generator is cut at the current bound
     as it enters and the result is a standard basis of (ideal) + m^bound,
     which the caller must certify equals the ideal.  Either way the bound
-    falls as the staircase of the leads closes.  ``cost_budget`` aborts an
+    falls as the staircase of the leads closes.  ``budget`` aborts an
     oversized run, returning None; every reduction step charges it by the
     one rule of _normal_form, the first step of a generator on its cut
     packed terms.  The elements, in insertion order, are primitive over Q
@@ -674,7 +674,7 @@ def _run_completion(
 
     def insert(h: dict[int, int]) -> bool:
         """Reduce h (below the bound) and add it to the basis; False when the budget ran out."""
-        h = _normal_form(pk, h, ranked, bound, None, cost_budget)
+        h = _normal_form(pk, h, ranked, bound, budget)
         if h is None:
             return False
         if not h:
@@ -873,27 +873,14 @@ class _Echelon:
             lc, tail = pivot
             c = row.pop(lead)
             if p:
-                mult = p - c
-                get = row.get
-                for k, v in tail:
-                    v = (get(k, 0) + mult * v) % p
-                    if v:
-                        row[k] = v
-                    else:
-                        del row[k]
+                _add_shifted(row, tail, 0, p - c, -inf, p)
                 continue
             # lc * row - c * pivot over their gcd, then content-stripped
             g0 = gcd(lc, c)
-            a, mult = lc // g0, -(c // g0)
+            a = lc // g0
             if a != 1:
                 row = {k: v * a for k, v in row.items()}
-            get = row.get
-            for k, v in tail:
-                v = get(k, 0) + mult * v
-                if v:
-                    row[k] = v
-                else:
-                    del row[k]
+            _add_shifted(row, tail, 0, -(c // g0), -inf, 0)
             row = _primitive(row)
         return row
 
@@ -966,11 +953,12 @@ def _escalated_membership(f: Polynomial, generators: _Generators) -> bool:
     polynomial certificate of some finite degree, so enough rounds always
     decide; but the loop stops after _ESCALATION_ROUNDS rounds and raises
     MembershipUndecided when neither test has settled by then, or as soon
-    as a refutation run spends _CAPPED_BUDGET, the capped runs' budget,
-    without finishing.  Round r allows the certificate degree 4r, which it
-    reaches layer by layer, stopping at the first that certifies: most
-    members need 0 to 2.  The certificate runs first; the opposite order was
-    measured slower on the contact and covariance checks.  The refutations
+    as a refutation run spends _WORK_BUDGET, the one work budget of the
+    walks and capped runs, without finishing.  Round r allows the
+    certificate degree 4r, which it reaches layer by layer, stopping at the
+    first that certifies: most members need 0 to 2.  The certificate runs
+    first; the opposite order was measured slower on the contact and
+    covariance checks.  The refutations
     complete the tuple's span basis (_Generators.span): a basis of I + m^cap
     from any generators of I decides membership modulo m^cap.  Only f is
     packed here; the generators move to a wider packing when a round
@@ -994,10 +982,10 @@ def _escalated_membership(f: Polynomial, generators: _Generators) -> bool:
         if _linear_membership_certificate(pk, pk.pack(f), certificate_rows, degree_bound):
             return True
         span = [_moved(src, pk, terms) for terms in generators.span[1]]
-        completed = _run_completion(pk, span, cap, [_CAPPED_BUDGET])
+        completed = _run_completion(pk, span, cap, [_WORK_BUDGET])
         if completed is None:
             # later certificates could still prove a member, in tens of seconds over Q
-            raise MembershipUndecided(r + 1, cap, _CAPPED_BUDGET)
+            raise MembershipUndecided(r + 1, cap, _WORK_BUDGET)
         if _normal_form(pk, pk.pack(f.truncate_at_degree(cap)), sorted(completed[1], key=_rank), cap):
             return False
     raise MembershipUndecided(_ESCALATION_ROUNDS, cap)
@@ -1008,12 +996,12 @@ def _uncertified_membership(f: Polynomial, generators: _Generators) -> bool:
 
     An open axis of the generators on which f has a term refutes: f lies
     outside the prime (x_i : i != v), which contains the ideal.  Otherwise
-    a budgeted Mora walk over the generators certifies a zero, and the
-    escalation decides the rest over the same packed generators.
+    a Mora walk over the generators, charged _WORK_BUDGET, certifies a zero,
+    and the escalation decides the rest over the same packed generators.
     """
     if not generators.open_axes <= _open_axes((f,), generators.ring.nvars):
         return False
-    h = weak_normal_form(f, generators.reducers, step_limit=_WALK_STEPS)
+    h = weak_normal_form(f, generators.reducers, budget=_WORK_BUDGET)
     if h is not None and h.is_zero():
         return True
     return _escalated_membership(f, generators)
@@ -1123,12 +1111,11 @@ def _cap_schedule(multiplicity: int) -> list[int]:
     return [base, 2 * base]
 
 
-# The fixed limits: a membership walk escalates after _WALK_STEPS steps, the
-# escalation gives up after _ESCALATION_ROUNDS rounds, and a capped run (the
-# escalation's refutation runs included) after charging _CAPPED_BUDGET units.
-_WALK_STEPS = 120
+# The fixed limits: the escalation gives up after _ESCALATION_ROUNDS rounds,
+# and a membership walk, a capped run and an escalation's refutation run each
+# stop after charging _WORK_BUDGET units by _normal_form's one rule.
 _ESCALATION_ROUNDS = 12
-_CAPPED_BUDGET = 400_000
+_WORK_BUDGET = 400_000
 
 
 def _complete_local_by_homogenization(generators: _Generators) -> tuple[_Packing, list[tuple]]:
@@ -1244,7 +1231,7 @@ def try_primary_standard_basis(
     if not gens:
         return _reduced_basis(pk, [], None, None)
     for cap in _cap_schedule(multiplicity):
-        completed = _run_completion(pk, gens, cap, [_CAPPED_BUDGET])
+        completed = _run_completion(pk, gens, cap, [_WORK_BUDGET])
         if completed is None:
             return None
         pk, raw = completed

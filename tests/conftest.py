@@ -36,8 +36,8 @@ from nashblowup.equivalence import LocalAutomorphism
 from nashblowup.fields import GF, QQ
 from nashblowup import ideals
 from nashblowup.ideals import (
-    _CAPPED_BUDGET,
     _ESCALATION_ROUNDS,
+    _WORK_BUDGET,
     Ideal,
     MembershipUndecided,
     ReducedStandardBasis,
@@ -411,7 +411,7 @@ def weak_normal_form(
     basis: Sequence[Polynomial],
     order: MonomialOrder = LOCAL_DEGREE,
     bound: int | None = None,
-    step_limit: int | None = None,
+    budget: int | None = None,
 ) -> Polynomial | None:
     """Weak normal form of f against basis.
 
@@ -421,8 +421,11 @@ def weak_normal_form(
     divisor of minimal ecart and record the intermediate result as an
     extra reducer whenever its ecart is smaller, which forces termination.
     ``bound`` truncates all intermediate terms at that total degree and is
-    only sound when m^bound is contained in the ideal.  ``step_limit``
-    aborts a long reduction walk and returns None.
+    only sound when m^bound is contained in the ideal.  ``budget`` aborts
+    a long reduction walk and returns None: every step charges the length
+    of h times the 32-bit word count of its lead coefficient as the kernel
+    holds h, f's primitive integer multiple over Q before the first step
+    and each fraction-free reduction's integer result after it.
     """
     h = f.truncate_at_degree(bound)
     if h.is_zero() or not basis:
@@ -431,13 +434,14 @@ def weak_normal_form(
     # among divisors of minimal ecart, prefer short reducers: they add the
     # fewest new terms per step
     reducers = [(leading_monomial(g, order), (_ecart(g, order), len(g.terms)), g) for g in basis]
-    steps = 0
+    held = strip_content(h)
     while not h.is_zero():
-        if step_limit is not None:
-            steps += 1
-            if steps > step_limit:
-                return None
         lm_h = leading_monomial(h, order)
+        if budget is not None:
+            lc = held.terms[lm_h].numerator
+            budget -= len(h.terms) * (1 + (lc.bit_length() + 1) // 32)
+            if budget < 0:
+                return None
         best = None
         for lm_g, rank, g in reducers:
             if mi_divides(lm_g, lm_h) and (best is None or rank < best[1]):
@@ -448,7 +452,7 @@ def weak_normal_form(
             ec_h = _ecart(h, order)
             if best[1][0] > ec_h:
                 reducers.append((lm_h, (ec_h, len(h.terms)), h))
-        h = _reduce_leading(h, best[2], lm_h, best[0]).truncate_at_degree(bound)
+        h = held = _reduce_leading(h, best[2], lm_h, best[0]).truncate_at_degree(bound)
     return h
 
 
@@ -563,7 +567,7 @@ def escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
     polynomial certificate of some finite degree, so enough rounds always
     decide; but the loop stops after _ESCALATION_ROUNDS rounds and raises
     MembershipUndecided when neither test has settled by then, or when a
-    refutation run spends _CAPPED_BUDGET.  Round r allows the certificate
+    refutation run spends _WORK_BUDGET.  Round r allows the certificate
     degree 4r, which it reaches layer by layer, stopping at the first that
     certifies: most members need 0 to 2.  The certificate runs first; the
     opposite order was measured slower on the contact and covariance
@@ -588,9 +592,9 @@ def escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
             wider = _Packing.sized(f.ring, cap - 1)
             span = [_moved(pk, wider, terms) for terms in span]
             pk = wider
-        completed = ideals._run_completion(pk, span, cap, [_CAPPED_BUDGET])
+        completed = ideals._run_completion(pk, span, cap, [_WORK_BUDGET])
         if completed is None:
-            raise MembershipUndecided(r + 1, cap, _CAPPED_BUDGET)
+            raise MembershipUndecided(r + 1, cap, _WORK_BUDGET)
         _, capped = completed
         if _normal_form(pk, pk.pack(f.truncate_at_degree(cap)), sorted(capped, key=_rank), cap):
             return False
@@ -688,7 +692,7 @@ def _run_completion(
 
     def insert(h: dict[int, int]) -> bool:
         """Reduce h (below the bound) and add it to the basis; False when the budget ran out."""
-        h = _normal_form(pk, h, ranked, bound, None, cost_budget)
+        h = _normal_form(pk, h, ranked, bound, cost_budget)
         if h is None:
             return False
         if not h:

@@ -206,9 +206,9 @@ class TestPackedNormalForm:
     """The packed kernel against the tuple/Fraction reference in conftest."""
 
     @staticmethod
-    def both(f, basis, order, bound=None, step_limit=None):
-        got = weak_normal_form(f, basis, bound, step_limit)
-        return got, reference_weak_normal_form(f, basis, order, bound, step_limit)
+    def both(f, basis, order, bound=None, budget=None):
+        got = weak_normal_form(f, basis, bound, budget)
+        return got, reference_weak_normal_form(f, basis, order, bound, budget)
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
@@ -229,17 +229,17 @@ class TestPackedNormalForm:
             f = f.scalar_mul(data.draw(scales))
             basis = [g.scalar_mul(data.draw(scales)) for g in basis]
         bound = data.draw(st.none() | st.integers(1, 9))
-        step_limit = data.draw(st.none() | st.integers(0, 12))
-        if step_limit is None and bound is None and order == LOCAL_DEGREE:
+        budget = data.draw(st.none() | st.integers(0, 300))
+        if budget is None and bound is None and order == LOCAL_DEGREE:
             # Mora's walk terminates but can take millions of steps, for
             # instance when a unit with a large ecart is a reducer
-            step_limit = 500
-        got, want = self.both(f, basis, order, bound, step_limit)
+            budget = 20_000
+        got, want = self.both(f, basis, order, bound, budget)
         assert got == want
         if basis:
             # the same through a basis packed once, sized for the basis alone
             pk = _Packing.sized(ring, max(g.total_degree() for g in basis))
-            assert weak_normal_form(f, packed_basis(basis, pk), bound, step_limit) == want
+            assert weak_normal_form(f, packed_basis(basis, pk), bound, budget) == want
 
     @pytest.mark.parametrize(
         "f,basis,bound",
@@ -258,15 +258,15 @@ class TestPackedNormalForm:
         assert got == want
 
     @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
-    @pytest.mark.parametrize("step_limit", [None, 10**6])
-    def test_widening_past_the_default_width(self, field, step_limit):
+    @pytest.mark.parametrize("budget", [None, 10**6])
+    def test_widening_past_the_default_width(self, field, budget):
         # each step multiplies by x^100: the walk reaches x^500, past the
         # fields sized from the input's degree 100, and restarts wider with
-        # its step count afresh
+        # its budget afresh
         ring = RingContext(("x", "y"), field)
         f, g = P("y^5", ring), P("y - x^100", ring)
         assert 500 > _Packing.sized(ring, 100).limit
-        got, want = self.both(f, [g], LOCAL_DEGREE, step_limit=step_limit)
+        got, want = self.both(f, [g], LOCAL_DEGREE, budget=budget)
         assert got == want
         assert got.total_degree() >= 500
         assert weak_normal_form(f, packed_basis([g], _Packing.sized(ring, 100))) == want
@@ -299,6 +299,37 @@ class TestPackedNormalForm:
         f, zero = P("x^2+y^3", ring_q2), ring_q2.zero()
         assert weak_normal_form(f, [zero]) == f
         assert weak_normal_form(f, [zero, P("x^2", ring_q2), zero], bound=3) == ring_q2.zero()
+
+    WEDGES = [
+        ("1 + y^2 + y^5", "1 + x^3 - x^5"),
+        ("7*x*y^2 + x^6 - x*y^5 + 5*x^7", "4 - x^3 + 3*x^5"),
+    ]
+
+    @pytest.mark.parametrize("f,g", WEDGES)
+    def test_budget_bounds_coefficient_growth(self, ring_q2, f, g):
+        # a step limit let these walks run 2.7 s at 300 steps and 42 s at 350
+        # as their coefficients grew; the budget charges that growth
+        start = time.perf_counter()
+        assert weak_normal_form(P(f, ring_q2), [P(g, ring_q2)], budget=ideals._WORK_BUDGET) is None
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("bound", [12, 16])
+    @pytest.mark.parametrize("f,g", WEDGES)
+    def test_least_budget_matches_reference(self, ring_q2, f, g, bound):
+        # truncated, these walks end after their lead coefficients outgrow
+        # one word, so the least budget that lets each end counts the words
+        f, g = P(f, ring_q2), P(g, ring_q2)
+
+        def least(walk):
+            lo, hi = 0, 10**5
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (mid + 1, hi) if walk(mid) is None else (lo, mid)
+            return lo
+
+        got = least(lambda budget: weak_normal_form(f, [g], bound, budget))
+        assert 0 < got < 10**5
+        assert got == least(lambda budget: reference_weak_normal_form(f, [g], LOCAL_DEGREE, bound, budget))
 
 
 class TestLinearCertificate:
@@ -635,7 +666,7 @@ class TestEscalationAgainstReference:
         basis = lazard_standard_basis(gens, ring)
         # on infinite colength Mora's walk can run long, its coefficients
         # growing over Q; nearly every example decides within 25 steps
-        reduced = reference_weak_normal_form(f, basis.elements, LOCAL_DEGREE, basis.truncation, step_limit=200)
+        reduced = reference_weak_normal_form(f, basis.elements, LOCAL_DEGREE, basis.truncation, budget=20_000)
         if reduced is None:
             reject()
         if member:
@@ -1426,7 +1457,7 @@ class TestLazardFallback:
         gens = [P(t, ring) for t in texts]
         want = compute_standard_basis(gens, ring)
         assert want.staircase is not None
-        monkeypatch.setattr(ideals, "_CAPPED_BUDGET", 3)
+        monkeypatch.setattr(ideals, "_WORK_BUDGET", 3)
         runs = self.spy(monkeypatch, "_run_completion")
         assert try_primary_standard_basis(gens, ring) is None
         # the last run gave up on its budget, not for want of certifying
