@@ -17,12 +17,17 @@ for that op.  Every answer is checked with ``answers.check``.  Back-to-back
 benchmark runs of the same code spread widely on a small shared machine;
 alternating op by op puts the same drift on both sides.
 
-Prints, per op kind and in total, the op count, each side's summed time,
-and the later side's speed-up over the first (the first's time over its
-time, minus one); then each side's ops per second over the summed times,
-the median and 90th percentile of its per-op least times (nearest rank, as
+The plan runs twice.  The first pass binds the checkouts in the order
+given and lets the first go first on even ops; the second binds them the
+other way round and lets the second go first on even ops, since readings
+shift by about 1 % with the naming order.  For each pass it prints, per op
+kind and in total, the op count, each side's summed time, and the second
+label's speed-up over the first (the first's time over its time, minus
+one); then each side's ops per second over the summed times, the median and
+90th percentile of its per-op least times (nearest rank, as
 ``perfbench/run.py`` reads ``op_p50_ms`` and ``op_p90_ms``), and its failed
-answers.  Exits 1 when an answer is wrong.
+answers.  Last, per op kind and in total, the two passes' speed-ups and
+their mean.  Exits 1 when an answer is wrong.
 """
 
 from __future__ import annotations
@@ -92,18 +97,52 @@ def main() -> int:
     ops = [op for ops in workloads.plan(args.workload, args.seed) for op in ops][: args.ops]
     if len(ops) < args.ops:
         raise SystemExit(f"plan holds only {len(ops)} ops, {args.ops} requested")
-    sides = {label: bind(root, make_runner) for label, root in roots.items()}
-
     first, second = roots
-    best = {label: defaultdict(float) for label in roots}
-    least = {label: [] for label in roots}  # per op, in plan order
+    print(f"workload={args.workload} seed={args.seed} ops={len(ops)} reps={args.reps}")
+    changes = []
+    failed = False
+    for bound in ([first, second], [second, first]):
+        # the side bound first also goes first on even ops
+        sides = {label: bind(roots[label], make_runner) for label in bound}
+        best, least, count, failures = time_ops(ops, sides, bound, args.reps, answers, table)
+        del sides
+        failed = failed or any(failures.values())
+        print(f"{bound[0]} bound first")
+        print(f"{'kind':<16}{'ops':>6}{first + ' ms':>14}{second + ' ms':>14}{'change':>9}")
+        change = {}
+        for kind in sorted(count) + ["total"]:
+            n = len(ops) if kind == "total" else count[kind]
+            a, b = (sum(best[label].values()) if kind == "total" else best[label][kind] for label in roots)
+            change[kind] = (a / b - 1) * 100
+            print(f"{kind:<16}{n:>6}{a * 1e3:>14.1f}{b * 1e3:>14.1f}{change[kind]:>+8.1f}%")
+        for label in roots:
+            total = sum(best[label].values())
+            p50, p90 = statistics.median(least[label]) * 1e3, percentile(least[label], 0.9) * 1e3
+            print(f"{label}: {len(ops) / total:.1f} ops/s, p50 {p50:.3f} ms, p90 {p90:.3f} ms, "
+                  f"{len(failures[label])} failed")
+            for line in failures[label][:10]:
+                print(f"  {line}")
+        changes.append(change)
+    print(f"{second} over {first}, both orders")
+    print(f"{'kind':<16}{first + ' first':>16}{second + ' first':>16}{'mean':>9}")
+    for kind in changes[0]:
+        a, b = changes[0][kind], changes[1][kind]
+        print(f"{kind:<16}{a:>+15.1f}%{b:>+15.1f}%{(a + b) / 2:>+8.1f}%")
+    return 1 if failed else 0
+
+
+def time_ops(ops, sides, order, reps, answers, table):
+    """(best, least, count, failures): per label the summed least time per op kind,
+    the least time of each op in plan order, the op count per kind, and the
+    failed answers.  ``order[0]`` goes first on even ops."""
+    best = {label: defaultdict(float) for label in sides}
+    least = {label: [] for label in sides}
     count: dict[str, int] = defaultdict(int)
-    failures = {label: [] for label in roots}
+    failures = {label: [] for label in sides}
     for i, op in enumerate(ops):
-        order = [first, second] if i % 2 == 0 else [second, first]
-        times = {label: [] for label in roots}
-        for _ in range(args.reps):
-            for label in order:
+        times = {label: [] for label in sides}
+        for _ in range(reps):
+            for label in (order if i % 2 == 0 else order[::-1]):
                 run, modules = sides[label]
                 sys.modules.update(modules)
                 t0 = time.perf_counter()
@@ -119,24 +158,10 @@ def main() -> int:
                 if error is not None:
                     failures[label].append(f"op {i} {op.key} {op.extra}: {error}")
         count[op.kind] += 1
-        for label in roots:
+        for label in sides:
             best[label][op.kind] += min(times[label])
             least[label].append(min(times[label]))
-
-    print(f"workload={args.workload} seed={args.seed} ops={len(ops)} reps={args.reps}")
-    print(f"{'kind':<16}{'ops':>6}{first + ' ms':>14}{second + ' ms':>14}{'change':>9}")
-    for kind in sorted(count) + ["total"]:
-        n = len(ops) if kind == "total" else count[kind]
-        a, b = (sum(best[label].values()) if kind == "total" else best[label][kind] for label in roots)
-        print(f"{kind:<16}{n:>6}{a * 1e3:>14.1f}{b * 1e3:>14.1f}{(a / b - 1) * 100:>+8.1f}%")
-    for label in roots:
-        total = sum(best[label].values())
-        p50, p90 = statistics.median(least[label]) * 1e3, percentile(least[label], 0.9) * 1e3
-        print(f"{label}: {len(ops) / total:.1f} ops/s, p50 {p50:.3f} ms, p90 {p90:.3f} ms, "
-              f"{len(failures[label])} failed")
-        for line in failures[label][:10]:
-            print(f"  {line}")
-    return 1 if any(failures.values()) else 0
+    return best, least, count, failures
 
 
 if __name__ == "__main__":

@@ -199,7 +199,8 @@ def cmd_check(args) -> int:
         g = parse_polynomial(args.g, ring)
         ok = samuel_hypothesis(f, g)
         verdict = "congruent" if ok else "not congruent"
-        print(f"samuel hypothesis for g - f: {verdict}")
+        print(json.dumps({"f": str(f), "g": str(g), "verdict": verdict}, sort_keys=True) if config.json_output
+              else f"samuel hypothesis for g - f: {verdict}")
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
     if args.what == "inclusions":

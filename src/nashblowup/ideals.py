@@ -35,14 +35,14 @@ infinite-dimensional (Ideal.dimension answers with no completion, and the
 capped runs give up before packing anything) and an f with a term in
 k[x_v] lies outside the ideal.  When no m-primary basis decides a
 membership, an ideal and its basis of infinite colength take one route
-over the generators' survivors (_uncertified_membership): that axis
+over the generators' span basis (_uncertified_membership): that axis
 refutation, a Mora walk, then an escalation of a capped refutation and a
-linear certificate, built up one degree layer at a time, for a fixed number
-of rounds.  The walk and each refutation run are charged one work budget
-(_WORK_BUDGET), as the capped runs are; a walk that spends it escalates,
-and when neither side settles within the rounds, or a refutation spends
-it, the route raises MembershipUndecided (a RuntimeError) instead of
-answering.
+linear certificate for a fixed number of rounds, the certificate's one
+echelon growing by a degree layer at a time across them.  The walk and
+each refutation run are charged one work budget (_WORK_BUDGET), as the
+capped runs are; a walk that spends it escalates, and when neither side
+settles within the rounds, or a refutation spends it, the route raises
+MembershipUndecided (a RuntimeError) instead of answering.
 
 Packed kernel.  The weak normal form, the completion, the tail reduction
 and the linear membership certificate run on packed polynomials: dicts from
@@ -76,42 +76,42 @@ that resolves them once, on first use, into one view: one packing, which
 holds the capped runs' last cap (_Packing.capped) or the widest packing a
 generator was handed over on, and on it the survivors of the scalar-class
 rule (kept): the first generator of each scalar class in the caller's
-order, monomial * unit replaced by the monomial.  The budgeted walks read
-their packed basis (reducers), the escalation's linear certificate takes
-them as its rows, and Lazard's route reads them too.  The capped runs and
-the escalation's refutations complete their one span basis (span): sorted
-by lead key alone, the caller's order kept on equal leads (_intake), and
-cut to the first generator of each new pivot of a semi-echelon form
-(_Echelon, which also decides the linear membership certificate): a subset
-spanning the same k-space, hence the same ideal and the same canonical
-basis, which no processing order changes.  So each generator is packed at
-most once per tuple.  The maximal minors of a Jacobian matrix
+order, monomial * unit replaced by the monomial.  The survivors feed only
+their span basis (span) and Lazard's route, whose printed bases of
+infinite colength depend on the full list.  The span basis is the
+survivors sorted by lead key alone, the caller's order kept on equal leads
+(_intake), cut to the first generator of each new pivot of a semi-echelon
+form (_Echelon): a subset spanning the same k-space, hence the same ideal
+and canonical basis, which no processing order changes.  Every membership
+test reads it: the capped runs and the escalation's refutations complete
+it, the budgeted walks reduce by it (reducers), and the escalation's
+certificate takes it as its rows.  So each generator is packed at most
+once per tuple.  The maximal minors of a Jacobian matrix
 (jacobian._minor_dets) run on a packing wide enough for the capped runs'
 last cap; each minor kept by the scalar-class rule is unpacked once, for
 the printed generators, and handed over with its packed terms, a positive
 multiple of it, on the tuple (kept by Ideal.__add__), so (f) + J_n(f)
 reaches the capped runs without a Polynomial round trip; the multiple's
-scale stays in jacobian.  Terms handed over on another width move by way of
-their exponent tuples; the width changes no key order, so no result.  The
-escalation moves the survivors and their span basis to a wider packing
-only when a round outgrows the one they came on, so only f is packed inside
-an escalation.  Each capped run cuts the span basis at its key floor.
-Every step of a budgeted walk or capped run charges its budget by one
+scale stays in jacobian.  Terms handed over on another width move by way
+of their exponent tuples; the width changes no key order, so no result.
+The escalation's caps depend only on deg f, so it moves the span basis at
+most once, to one packing that holds its last cap and certificate layer,
+and packs only f.  Each capped run cuts the span basis at its key floor,
+and every step of a budgeted walk or capped run charges its budget by one
 rule, on the packed lead coefficient.  Lazard's route homogenizes the
 survivors' keys and processes them in the order graded lex gives the
 homogenized polynomials, ties broken by each generator's own term list; it
 moves the keys from the packing of (t, x_1, ..., x_d) its completion runs
-on to one of the ring's by way of their exponent tuples.  Completions return packed elements with
-their packing; minimalization, the staircase read-off, the truncation and
-the tail reduction of a finished basis run on those same keys, and each
-element is unpacked once, monic, when the ReducedStandardBasis is built.
-The basis keeps the tail-reduced terms, a nonzero multiple of each element,
-and builds its reducers from them on its first query, so a computed basis
-is never packed again; its membership test reads whether the packed normal
-form is zero, which no scale changes.  A basis of infinite colength
-decides membership over the generator tuple it was completed from.
-The membership escalation reduces on the packing of its capped completion,
-which holds the cap.  Every public signature and every printed result is
+on to one of the ring's by way of their exponent tuples.  Completions
+return packed elements, with the staircase of their leads; minimalization,
+the truncation and the tail reduction of a finished basis run on those
+same keys, and each element is unpacked once, monic, when the
+ReducedStandardBasis is built.  The basis keeps the tail-reduced terms, a
+nonzero multiple of each element, and builds its reducers from them on its
+first query, so a computed basis is never packed again; its membership
+test reads whether the packed normal form is zero, which no scale changes.
+A basis of infinite colength decides membership over the generator tuple
+it was completed from.  Every public signature and every printed result is
 the one the tuple/Fraction arithmetic gives.
 """
 
@@ -122,10 +122,10 @@ from bisect import insort
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count, islice
 from math import gcd, inf, lcm, prod
 from operator import itemgetter, lshift
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .polynomials import (
     MultiIndex,
@@ -504,14 +504,14 @@ class _Generators(tuple):
     runs on them store: _Packing.capped for the highest degree among the
     generators packed here (no multiplicity exceeds it, so it holds the last
     cap of the schedule), or the widest packing a generator came on when
-    that is wider; the width changes no key order.  ``kept`` is the one
-    generator list every consumer reads, ``span`` its one span basis, which
-    the capped runs and the escalation's refutations complete, and
-    ``reducers`` the walks' packed basis of ``kept``.  The colength record is
-    ``open_axes`` (_open_axes of the generators) and ``certified`` (the
-    capped runs' basis or None); each is taken at most once per tuple.  A
-    tuple is one ideal's generators, so its facts hold for every ideal that
-    shares it.
+    that is wider; the width changes no key order.  ``kept``, the survivors,
+    feeds only ``span`` and Lazard's route; ``span``, its one span basis, is
+    what every membership test reads: the capped runs, the escalation and,
+    packed and sorted stably by rank as ``reducers``, the walks.  The
+    colength record is ``open_axes`` (_open_axes of the generators) and
+    ``certified`` (the capped runs' basis or None); each is taken at most
+    once per tuple.  A tuple is one ideal's generators, so its facts hold
+    for every ideal that shares it.
     """
 
     def __new__(cls, ring: RingContext, polys: Iterable[Polynomial], handed: Sequence[tuple | None] = ()):
@@ -583,9 +583,10 @@ class _Generators(tuple):
 
     @cached_property
     def reducers(self) -> _PackedBasis:
-        # on the `verdicts` workload an ideal of infinite colength takes about
-        # 8 budgeted walks, and repacking for each took 14 % of the run time
-        return _PackedBasis(self.packing, [item[1] for item in self.kept])
+        # the walks reduce by the span basis, packed once per tuple: on the
+        # `verdicts` workload an ideal of infinite colength takes about 8
+        # budgeted walks, and repacking for each took 14 % of the run time
+        return _PackedBasis(self.packing, self.span[1])
 
     @cached_property
     def open_axes(self) -> frozenset[int]:
@@ -619,23 +620,25 @@ def _primitive(terms: dict[int, int]) -> dict[int, int]:
 
 def _run_completion(
     pk: _Packing, gens: list[dict[int, int]], bound: int | None, budget: list[int] | None
-) -> tuple[_Packing, list[tuple]] | None:
-    """Mora's completion of _intake's packed generators on one packing, as packed elements.
+) -> tuple[list[tuple], tuple[int, int] | None] | None:
+    """Mora's completion of _intake's packed generators on one packing: (packed elements, staircase).
 
     With the cap ``bound`` set, each generator is cut at the current bound
     as it enters and the result is a standard basis of (ideal) + m^bound,
     which the caller must certify equals the ideal.  Either way the bound
-    falls as the staircase of the leads closes.  ``budget`` aborts an
-    oversized run, returning None; every reduction step charges it by the
+    falls as the staircase of the leads closes, and the staircase returned
+    is the (count, top degree) of every lead the last fall read, None while
+    open: the minimal leads span the same monomial ideal.  ``budget`` aborts
+    an oversized run, returning None; every reduction step charges it by the
     one rule of _normal_form, the first step of a generator on its cut
     packed terms.  The elements, in insertion order, are primitive over Q
     and monic over F_p.  A step past the packing's degree limit raises
     _Overflow; no packing that holds the cap meets one.  Uncapped, it is the
-    Buchberger step of Lazard's route, and each new element is
-    tail-reduced: its generators must be homogeneous, so every ecart is 0,
-    Mora's normal form is Buchberger's, the local keys order each element's
-    terms (all of one degree) as graded lex does, and each tail reduction
-    stays in one degree and terminates.
+    Buchberger step of Lazard's route, and each new element is tail-reduced:
+    its generators must be homogeneous, so every ecart is 0, Mora's normal
+    form is Buchberger's, the local keys order each element's terms (all of
+    one degree) as graded lex does, and each tail reduction stays in one
+    degree and terminates.
     """
     ring = pk.ring
     p, limit, guards, width, deg_shift = pk.p, pk.limit, pk.guards, pk.width, pk.deg_shift
@@ -649,6 +652,7 @@ def _run_completion(
     fields: list[int] = []  # the fields of their leading monomials
     lms: list[MultiIndex] = []  # the same as exponent tuples
     pure: set[int] = set()  # the variables with a pure-power lead
+    stairs = None  # the staircase of lms once it closes
     pairs: list[tuple[int, int, int]] = []
 
     def lcm_fields(a: int, b: int) -> int:
@@ -657,12 +661,13 @@ def _run_completion(
         return (a & m) | (b & ~m)
 
     def refresh_bound() -> None:
-        nonlocal bound, floor, ranked
+        nonlocal bound, floor, ranked, stairs
         # every variable has a pure-power lead, so the staircase is closed;
         # with s its top standard-monomial degree, the graded pieces of the
         # quotient vanish above s, so by Nakayama m^(s+1) already lies
         # inside the ideal spanned so far
-        new_bound = max(_staircase(lms, ring.nvars)[1] + 1, 1)
+        stairs = _staircase(lms, ring.nvars)
+        new_bound = max(stairs[1] + 1, 1)
         if bound is None or new_bound < bound:
             bound = new_bound
             floor = pk.floor(bound)
@@ -717,7 +722,7 @@ def _run_completion(
         if not insert(terms):
             return None
         if unit():
-            return pk, [pk.element({0: 1})]
+            return [pk.element({0: 1})], stairs
 
     def chain_redundant(i: int, j: int, lcm_: int) -> bool:
         # drop the pair when a third element divides the lcm and both mixed
@@ -749,8 +754,8 @@ def _run_completion(
         if not insert(s):
             return None
         if unit():
-            return pk, [pk.element({0: 1})]
-    return pk, basis
+            return [pk.element({0: 1})], stairs
+    return basis, stairs
 
 
 def _minimalize(pk: _Packing, elements: list[tuple]) -> list[tuple]:
@@ -899,34 +904,30 @@ class _Echelon:
         return True
 
 
-def _linear_membership_certificate(
-    pk: _Packing, target: dict[int, int], rows: Sequence[dict[int, int]], degree_bound: int
-) -> bool:
-    """Search for a unit u = 1 + (tail in m) and cofactors with u*f = sum c_i g_i.
+def _certificate_layers(
+    pk: _Packing, target: dict[int, int], rows: Sequence[dict[int, int]]
+) -> Iterator[bool]:
+    """Search for a unit u = 1 + (tail in m) and cofactors with u*f = sum c_i g_i, layer by layer.
 
-    ``target`` is f and ``rows`` are the generators g_i, packed on ``pk``,
-    which must hold their degrees plus ``degree_bound``.  With all of u's
-    tail and the cofactors bounded by ``degree_bound``, the identity is a
-    finite span problem over the monomial basis, decided by exact Gaussian
-    elimination.  A hit proves membership of f in the localized ideal;
-    every true member admits such a certificate for some finite bound.  The
-    rows are shifted by key addition and reduced in one _Echelon, filled
-    one layer at a time: layer e adds the generators, and from e = 1 on f,
-    times every monomial of degree e.  Each layer's span lies in the full
-    one, so the search stops at the first layer whose span holds f, with
-    the answer the full span gives.
+    Yields, after each layer e = 0, 1, ..., whether such a certificate
+    exists with u's tail and the cofactors of degree at most e.  ``target``
+    is f and ``rows`` are the generators g_i, packed on ``pk``, which must
+    hold their degrees plus the last layer drawn.  The identity
+    is a finite span problem over the monomial basis, decided by exact
+    Gaussian elimination in one _Echelon for every layer: layer e adds the
+    generators, and from e = 1 on f, times every monomial of degree e.  A
+    hit proves membership of f in the localized ideal; every true member
+    admits such a certificate at some finite layer.
     """
     echelon = _Echelon(pk.p)
-    for e in range(degree_bound + 1):
+    for e in count():
         for shift in map(pk.key, multi_indices_in_range(pk.ring.nvars, e, e)):
             for packed in rows:
                 echelon.insert({k + shift: c for k, c in packed.items()})
-        if not echelon.reduce(dict(target)):
-            return True
+        yield not echelon.reduce(dict(target))
         if not e:
             # u's tail lies in m: f's own rows start at layer 1
             rows = [*rows, target]
-    return False
 
 
 class MembershipUndecided(RuntimeError):
@@ -945,50 +946,48 @@ class MembershipUndecided(RuntimeError):
 def _escalated_membership(f: Polynomial, generators: _Generators) -> bool:
     """Decide membership without long reduction walks (infinite colength).
 
-    Alternates two one-sided tests over the generators g_i of I, the
-    survivors of the generator tuple (_Generators.kept): an exact linear
-    certificate u*f = sum c_i g_i proves, and a capped normal form refutes
-    (anything outside I + m^cap is outside I).  Krull's intersection theorem
-    makes the refutation side complete, and every true member has a
-    polynomial certificate of some finite degree, so enough rounds always
-    decide; but the loop stops after _ESCALATION_ROUNDS rounds and raises
-    MembershipUndecided when neither test has settled by then, or as soon
-    as a refutation run spends _WORK_BUDGET, the one work budget of the
-    walks and capped runs, without finishing.  Round r allows the
-    certificate degree 4r, which it reaches layer by layer, stopping at the
-    first that certifies: most members need 0 to 2.  The certificate runs
-    first; the opposite order was measured slower on the contact and
-    covariance checks.  The refutations
-    complete the tuple's span basis (_Generators.span): a basis of I + m^cap
-    from any generators of I decides membership modulo m^cap.  Only f is
-    packed here; the generators move to a wider packing when a round
-    outgrows the one they came on.
+    Alternates two one-sided tests over the span basis g_i of the generator
+    tuple (_Generators.span), which spans the k-space of all generators of
+    I: an exact linear certificate u*f = sum c_i g_i proves, and a capped
+    normal form refutes (anything outside I + m^cap is outside I).  Krull's
+    intersection theorem makes the refutation side complete, and every true
+    member has a polynomial certificate of some finite degree, so enough
+    rounds always decide; but the loop stops after _ESCALATION_ROUNDS rounds
+    and raises MembershipUndecided when neither test has settled by then, or
+    as soon as a refutation run spends _WORK_BUDGET, the one work budget of
+    the walks and capped runs, without finishing.  Round r draws the
+    certificate's layers up to degree 4r + 4 from one echelon kept for the
+    whole escalation (_certificate_layers), stopping at the first that
+    certifies: most members need 0 to 2.  The certificate runs first; the
+    opposite order was measured slower on the contact and covariance checks.
+    A basis of I + m^cap from any generators of I decides membership modulo
+    m^cap.  The caps depend only on deg f, so one packing, chosen here,
+    holds the last cap and certificate layer; only f is packed here.
     """
-    src = pk = generators.packing
-    rows = [item[1] for item in generators.kept]
-    top = max([f.total_degree(), *(pk.degree(min(terms)) for terms in rows)])
-    cap = f.total_degree() + 2
-    degree_bound = 4
-    for r in range(_ESCALATION_ROUNDS):
-        if r:
-            cap += max(4, cap // 2)
-            degree_bound += 4
-        need = max(cap - 1, top + degree_bound)
-        if need > pk.limit:
-            # the packing holds the certificate's shifts and every degree
-            # below the cap, so neither side can overflow
-            pk = _Packing.sized(f.ring, need)
-        certificate_rows = [_moved(src, pk, terms) for terms in rows]
-        if _linear_membership_certificate(pk, pk.pack(f), certificate_rows, degree_bound):
+    src = generators.packing
+    span = generators.span[1]
+    caps = [f.total_degree() + 2]
+    while len(caps) < _ESCALATION_ROUNDS:
+        caps.append(caps[-1] + max(4, caps[-1] // 2))
+    top = max([f.total_degree(), *(src.degree(min(terms)) for terms in span)])
+    # neither side overflows: every degree below the last cap, and the last layer's shifts
+    need = max(caps[-1] - 1, top + 4 * _ESCALATION_ROUNDS)
+    pk = src if need <= src.limit else _Packing.sized(f.ring, need)
+    span = [_moved(src, pk, terms) for terms in span]
+    target = pk.pack(f)
+    layers = _certificate_layers(pk, target, span)
+    for r, cap in enumerate(caps):
+        # round r draws the layers up to degree 4r + 4
+        if any(islice(layers, 4 if r else 5)):
             return True
-        span = [_moved(src, pk, terms) for terms in generators.span[1]]
         completed = _run_completion(pk, span, cap, [_WORK_BUDGET])
         if completed is None:
             # later certificates could still prove a member, in tens of seconds over Q
             raise MembershipUndecided(r + 1, cap, _WORK_BUDGET)
-        if _normal_form(pk, pk.pack(f.truncate_at_degree(cap)), sorted(completed[1], key=_rank), cap):
+        floor = pk.floor(cap)
+        if _normal_form(pk, {k: c for k, c in target.items() if k >= floor}, sorted(completed[0], key=_rank), cap):
             return False
-    raise MembershipUndecided(_ESCALATION_ROUNDS, cap)
+    raise MembershipUndecided(_ESCALATION_ROUNDS, caps[-1])
 
 
 def _uncertified_membership(f: Polynomial, generators: _Generators) -> bool:
@@ -1016,9 +1015,9 @@ class ReducedStandardBasis:
     were dropped (m^truncation lies in the ideal); None for ideals of
     infinite colength.  ``staircase`` is (count, top degree) of the standard
     monomials, None when there are infinitely many: the count the completion
-    took of the minimal leading monomials, which are the elements' leads.
-    A basis of infinite colength keeps the generators it was completed from.
-    Built only by _reduced_basis.
+    took of its leads, which generate the monomial ideal of the elements'
+    leads.  A basis of infinite colength keeps the generators it was
+    completed from.  Built only by _reduced_basis.
     """
 
     ring: RingContext
@@ -1164,7 +1163,7 @@ def _complete_local_by_homogenization(generators: _Generators) -> tuple[_Packing
                 {hpk.key((top - pk.degree(k),) + pk.monomial(k)): c for k, c in terms.items()}
                 for terms, top in zip(gens, tops)
             ]
-            hpk, raw = _run_completion(hpk, hgens, None, None)
+            raw, _ = _run_completion(hpk, hgens, None, None)
             break
         except _Overflow:
             hpk = hpk.wider()
@@ -1211,11 +1210,12 @@ def try_primary_standard_basis(
     """Capped completion attempts that certify a finite-colength basis.
 
     Completes modulo m^cap, then certifies m^(cap-1) lies in the ideal (top
-    standard degree + 2 <= cap, by Nakayama); on success the capped basis
-    is exact and canonical.  Returns None when no cap in the schedule
-    certifies, which covers every ideal of infinite colength; when some
-    variable has no pure power among the generators' terms (the tuple's
-    open_axes), that is decided before anything is packed or completed.
+    standard degree + 2 <= cap, by Nakayama, on the staircase the run
+    counted); on success the capped basis, minimalized, is exact and
+    canonical.  Returns None when no cap in the schedule certifies, which
+    covers every ideal of infinite colength; when some variable has no pure
+    power among the generators' terms (the tuple's open_axes), that is
+    decided before anything is packed or completed.
     The runs complete the tuple's span basis (_Generators.span), the first
     survivor of each new pivot in processing order: the same ideal, so the
     same canonical basis.  Each call runs the capped runs afresh; a
@@ -1234,11 +1234,9 @@ def try_primary_standard_basis(
         completed = _run_completion(pk, gens, cap, [_WORK_BUDGET])
         if completed is None:
             return None
-        pk, raw = completed
-        minimal = _minimalize(pk, raw)
-        stats = _staircase([pk.monomial(el[0]) for el in minimal], ring.nvars)
-        if stats is not None and stats[1] + 2 <= cap:
-            return _finish_primary(pk, minimal, stats)
+        raw, stairs = completed
+        if stairs is not None and stairs[1] + 2 <= cap:
+            return _finish_primary(pk, _minimalize(pk, raw), stairs)
     return None
 
 

@@ -461,7 +461,8 @@ def weak_normal_form(
 #
 # The tuple-monomial Gaussian elimination over field elements the library
 # ran before its packed kernel, kept verbatim as the differential reference
-# for ideals._linear_membership_certificate: the same boolean on every input.
+# for ideals._certificate_layers: on every input, the same boolean as the
+# layers up to the degree bound.
 
 
 def linear_membership_certificate(
@@ -519,9 +520,10 @@ def linear_membership_certificate(
 # ideals._escalated_membership and its linear certificate as they ran on
 # polynomials before the escalation read the walk's packed generators, kept
 # verbatim as the differential reference: the certificate packs f and every
-# generator afresh in every round, and the refutations complete the span
-# basis of the generators.  The same boolean, or MembershipUndecided with the
-# same rounds and cap, on every input.
+# generator afresh in every round and rebuilds its echelon from layer 0, and
+# the refutations complete the span basis of the generators.  The same
+# boolean, or MembershipUndecided with the same rounds, cap and budget, on
+# every input.
 
 
 def packed_membership_certificate(
@@ -595,7 +597,7 @@ def escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
         completed = ideals._run_completion(pk, span, cap, [_WORK_BUDGET])
         if completed is None:
             raise MembershipUndecided(r + 1, cap, _WORK_BUDGET)
-        _, capped = completed
+        capped, _ = completed
         if _normal_form(pk, pk.pack(f.truncate_at_degree(cap)), sorted(capped, key=_rank), cap):
             return False
     raise MembershipUndecided(_ESCALATION_ROUNDS, cap)
@@ -611,8 +613,9 @@ def escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
 # every generator packed afresh for each cap and cut at the current bound
 # as it enters, the first charge on the cut terms.  It runs on the
 # library's packed normal form, so any difference lies in the pair loop or
-# the intake: the same elements in the same insertion order, the same None
-# and the same remaining cost budget on every input.
+# the intake: the same elements in the same insertion order, the same
+# staircase, the same None and the same remaining cost budget on every
+# input.
 
 
 def mi_lcm(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
@@ -624,7 +627,7 @@ def complete_basis(
     order: MonomialOrder,
     hard_cap: int | None = None,
     cost_budget: list[int] | None = None,
-) -> tuple[_Packing, list[tuple]] | None:
+) -> tuple[_Packing, list[tuple], tuple[int, int] | None] | None:
     """Buchberger/Mora completion on local keys; returns a standard basis as packed elements.
 
     ``order`` fixes the processing order: by leading monomial, largest
@@ -635,8 +638,9 @@ def complete_basis(
     ``hard_cap`` set, all arithmetic is truncated at that degree from the
     start, so the result is a standard basis of (ideal) + m^hard_cap; the
     caller must certify afterwards that this equals the ideal itself.  ``cost_budget`` aborts oversized runs, returning None.
-    The elements come with the packing that holds them, in insertion order;
-    over Q they are primitive integer polynomials, over F_p monic.  An
+    The elements come with the packing that holds them, in insertion order,
+    and the staircase of the leads, None while it is open; over Q they are
+    primitive integer polynomials, over F_p monic.  An
     uncapped run is the Buchberger step of Lazard's route and tail-reduces
     each new element; its generators must be homogeneous, so the local keys
     order their terms as graded lex does.
@@ -652,7 +656,8 @@ def complete_basis(
     budget = None if cost_budget is None else cost_budget[0]
     while True:
         try:
-            return _run_completion(pk, gens, cap, cost_budget)
+            completed = _run_completion(pk, gens, cap, cost_budget)
+            return None if completed is None else (pk, *completed)
         except _Overflow:
             if cost_budget is not None:
                 cost_budget[0] = budget
@@ -661,8 +666,9 @@ def complete_basis(
 
 def _run_completion(
     pk: _Packing, gens: list[Polynomial], bound: int | None, cost_budget: list[int] | None
-) -> tuple[_Packing, list[tuple]] | None:
-    """The body of complete_basis on one packing; gens come in processing order."""
+) -> tuple[list[tuple], tuple[int, int] | None] | None:
+    """The body of complete_basis on one packing, gens in processing order:
+    (elements, staircase of their leads or None)."""
     ring = pk.ring
     p, limit, guards = pk.p, pk.limit, pk.guards
     homogeneous = bound is None
@@ -670,13 +676,15 @@ def _run_completion(
     basis: list[tuple] = []  # packed elements, in insertion order
     ranked: list[tuple] = []  # the same, sorted stably by rank
     lms: list[MultiIndex] = []
+    stairs = None
     pairs: list[tuple[tuple, int, int]] = []
 
     def refresh_bound() -> None:
-        nonlocal bound, floor, ranked
+        nonlocal bound, floor, ranked, stairs
         stats = _staircase(lms, ring.nvars)
         if stats is None:
             return
+        stairs = stats
         # with s the top standard-monomial degree of the (partial) staircase,
         # the graded pieces of the quotient vanish above s, so by Nakayama
         # m^(s+1) already lies inside the ideal spanned so far
@@ -736,7 +744,7 @@ def _run_completion(
         if not insert(packed):
             return None
         if unit():
-            return pk, [pk.element({0: 1})]
+            return [pk.element({0: 1})], stairs
 
     def chain_redundant(i: int, j: int, lcm_: MultiIndex) -> bool:
         # drop the pair when a third element divides the lcm and both mixed
@@ -767,8 +775,8 @@ def _run_completion(
         if not insert(s):
             return None
         if unit():
-            return pk, [pk.element({0: 1})]
-    return pk, basis
+            return [pk.element({0: 1})], stairs
+    return basis, stairs
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +831,7 @@ def lazard_standard_basis(generators: Sequence[Polynomial], ring: RingContext) -
         return _reduced_basis(_Packing.sized(ring, 0), [], None, None)
     # on equal leads, the generators' own term lists order them
     homogenized = sorted(first_per_scalar_class(homogenized), key=lambda p: poly_sort_key(p, GRADED_LEX), reverse=True)
-    hpk, raw = complete_basis(homogenized, GRADED_LEX)
+    hpk, raw, _ = complete_basis(homogenized, GRADED_LEX)
     dehomogenized = [{hpk.monomial(k)[1:]: c for k, c in _terms(el).items()} for el in raw]
     top = max(sum(a) for terms in dehomogenized for a in terms)
     pk = _Packing.sized(ring, ring.nvars * top)

@@ -166,6 +166,17 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", "samuel", "x^3+y^3", "x^3+y^3+x^5")
         assert code == 0
 
+    @pytest.mark.parametrize("g, code, verdict", [
+        ("x^3+y^3+x^5", 0, "congruent"),
+        ("x^3+y^3+x^3", 1, "not congruent"),
+    ])
+    def test_samuel_json(self, capsys, g, code, verdict):
+        # one sort-keys object, with the text form's exit codes
+        got, out, _ = run(capsys, "check", "samuel", "x^3+y^3", g, "--json")
+        assert got == code
+        assert out == json.dumps({"f": "x^3 + y^3", "g": str(parse_polynomial(g, RingContext(("x", "y"), QQ))),
+                                  "verdict": verdict}, sort_keys=True) + "\n"
+
     def test_randomized_seed_reported(self, capsys):
         code, out, _ = run(
             capsys, "check", "invariance", "x^2+y^3", "--trials", "2", "--seed", "11"

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from nashblowup.algebras import tjurina_number
 from nashblowup.equivalence import (
     ContactTransform,
     HarnessConfig,
@@ -14,11 +17,11 @@ from nashblowup.equivalence import (
     run_invariance_harness,
     samuel_hypothesis,
 )
-from nashblowup.fields import GF
-from nashblowup.ideals import Ideal
-from nashblowup.polynomials import RingContext
+from nashblowup.fields import GF, QQ
+from nashblowup.ideals import INFINITE, Ideal
+from nashblowup.polynomials import Polynomial, RingContext
 
-from conftest import P, identity_automorphism
+from conftest import P, identity_automorphism, nonzero_polynomial_strategy
 
 
 def auto(ring, *texts):
@@ -98,6 +101,22 @@ class TestIdentityChecks:
         assert check_contact_invariance(f, t, 2)
         t2 = ContactTransform(auto(ring_q2, "x+y^2", "y"), UnitElement(P("1", ring_q2)))
         assert check_contact_invariance(P("x*y", ring_q2), t2, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_contact_invariance_of_random_isolated_germs(self, data):
+        # the paper's theorem as an oracle: phi((f) + J_n(f)) = (g) + J_n(g)
+        # for g = u * phi(f), on germs of finite Tjurina number, every
+        # verdict decided (MembershipUndecided fails the test)
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        ring = RingContext(("x", "y")[:data.draw(st.integers(1, 2))], field)
+        drawn = data.draw(nonzero_polynomial_strategy(ring, max_terms=4, max_degree=4))
+        # singular germs: a linear term makes every ideal here the unit ideal
+        f = Polynomial(ring, {a: c for a, c in drawn.terms.items() if sum(a) >= 2})
+        assume(not f.is_zero() and tjurina_number(f) is not INFINITE)
+        seeds = st.integers(0, 10**6)
+        transform = ContactTransform(random_automorphism(ring, data.draw(seeds)), random_unit(ring, data.draw(seeds)))
+        assert check_contact_invariance(f, transform, data.draw(st.integers(1, 2)))
 
     def test_char_p_covariance(self):
         ring = RingContext(("x", "y"), GF(5))

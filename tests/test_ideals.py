@@ -18,11 +18,11 @@ from nashblowup.fields import GF, QQ
 from nashblowup.ideals import (
     INFINITE,
     Ideal,
+    _certificate_layers,
     _complete_local_by_homogenization,
     _finish_primary,
     _Generators,
     _intake,
-    _linear_membership_certificate,
     _minimalize,
     _moved,
     _Overflow,
@@ -81,16 +81,22 @@ def homogenized_tuple(gens):
     return _Generators(hgens[0].ring, hgens)
 
 
+def with_packing(pk, completed):
+    """A run's (elements, staircase) after the packing that holds them; None passes through."""
+    return None if completed is None else (pk, *completed)
+
+
 def homogenized_completion(hgens, cost_budget=None):
     """The Buchberger step of Lazard's route on a homogenized_tuple: its intake
     moved to a local packing and the uncapped run there, restarted wider on
-    overflow, as packed elements with their packing."""
+    overflow, as (packing, packed elements, staircase)."""
     entries = _intake(hgens)
     pk = _Packing.sized(hgens.ring, 8 * max(g.total_degree() for g in hgens))
     budget = None if cost_budget is None else cost_budget[0]
     while True:
         try:
-            return _run_completion(pk, [_moved(hgens.packing, pk, terms) for terms in entries], None, cost_budget)
+            return with_packing(pk, _run_completion(
+                pk, [_moved(hgens.packing, pk, terms) for terms in entries], None, cost_budget))
         except _Overflow:
             if cost_budget is not None:
                 cost_budget[0] = budget
@@ -100,16 +106,18 @@ def homogenized_completion(hgens, cost_budget=None):
 def homogenized_reduced_basis(gens):
     """The reduced graded-lex Groebner basis of the homogenized generators, monic,
     as the uncapped run on local keys completes it."""
-    pk, raw = homogenized_completion(homogenized_tuple(gens))
+    pk, raw, _ = homogenized_completion(homogenized_tuple(gens))
     return [el[2] for el in _reduced_elements(pk, _minimalize(pk, raw), None, None)]
 
 
 def capped_completion(gens, cap, cost_budget=None):
     """One capped run on the intake of the generators, on their packing, which
-    holds them and every cap of their schedule, so no step overflows."""
+    holds them and every cap of their schedule, so no step overflows; as
+    (packing, packed elements, staircase)."""
     generators = _Generators(gens[0].ring, gens)
-    assert cap - 1 <= generators.packing.limit
-    return _run_completion(generators.packing, _intake(generators), cap, cost_budget)
+    pk = generators.packing
+    assert cap - 1 <= pk.limit
+    return with_packing(pk, _run_completion(pk, _intake(generators), cap, cost_budget))
 
 
 def unpacked(completed):
@@ -123,10 +131,10 @@ def packed_basis(basis, pk):
 
 
 def certificate(f, gens, degree_bound):
-    """_linear_membership_certificate on f and the generators packed on a
-    packing that holds their degrees plus the bound."""
+    """Whether one of _certificate_layers up to ``degree_bound`` certifies f over the
+    generators, packed on a packing that holds their degrees plus the bound."""
     pk = _Packing.sized(f.ring, max(g.total_degree() for g in (f, *gens)) + degree_bound)
-    return _linear_membership_certificate(pk, pk.pack(f), [pk.pack(g) for g in gens], degree_bound)
+    return any(itertools.islice(_certificate_layers(pk, pk.pack(f), [pk.pack(g) for g in gens]), degree_bound + 1))
 
 
 class TestStandardBasis:
@@ -466,9 +474,25 @@ class TestCompletionAgainstReference:
 
         def both(run_mine, run_reference):
             mine, reference = [budget], [budget]
-            got, want = unpacked(run_mine(mine)), unpacked(run_reference(reference))
-            assert got == want
+            got, want = run_mine(mine), run_reference(reference)
+            assert unpacked(got) == unpacked(want)
             assert mine == reference
+            if got is None:
+                return
+            pk, elements, stairs = got
+            assert stairs == want[2]
+            if stairs is not None:
+                # the count the run took of its leads, recounted by brute
+                # force on the minimal ones: no standard monomial has degree
+                # top + 1, and one has degree top
+                leads = [pk.monomial(el[0]) for el in _minimalize(pk, elements)]
+                count, top = stairs
+
+                def below(degree):
+                    return brute_standard_monomial_count(leads, pk.ring.nvars, degree) if degree > 0 else 0
+
+                assert below(top + 2) == count
+                assert count == 0 or below(top) < count
 
         if not capped:
             # the Buchberger step of Lazard's route: the generators
@@ -484,7 +508,7 @@ class TestCompletionAgainstReference:
         generators = _Generators(ring, gens)
         pk, packed = generators.packing, _intake(generators)
         for c in caps:
-            both(lambda b: _run_completion(pk, packed, c, b),
+            both(lambda b: with_packing(pk, _run_completion(pk, packed, c, b)),
                  lambda b: reference_complete_basis(distinct, LOCAL_DEGREE, c, b))
 
     def test_duplicate_charges_no_budget(self, ring_q2):
@@ -593,20 +617,29 @@ def record_packs_inside_escalations(monkeypatch):
 
 def test_escalation_out_of_rounds_raises_membership_undecided(ring_q2, monkeypatch):
     # neither side ever settles: no certificate, and nothing left to refute;
-    # the generators come packed, on a packing that is widened to hold each
-    # round's cap, and no generator is packed inside the escalation
-    caps = []
+    # the generators come packed, the escalation moves them once to one
+    # packing that holds the last round's cap and certificate layer, and no
+    # generator is packed inside the escalation
+    caps, packings, drawn = [], [], []
     f = P("x^3*y", ring_q2)
     gens = Ideal(ring_q2, [P("x^2*y", ring_q2)]).generators
     # packed as the walk before every escalation packs them
     assert gens.reducers.reducers
 
+    def layers(pk, target, rows):
+        packings.append(pk)
+        for e in itertools.count():
+            assert max(pk.degree(min(terms)) for terms in (target, *rows)) + e <= pk.limit
+            drawn.append(e)
+            yield False
+
     def capped(pk, span, cap, budget):
         assert cap - 1 <= pk.limit
+        packings.append(pk)
         caps.append(cap)
-        return pk, []
+        return [], None
 
-    monkeypatch.setattr(ideals, "_linear_membership_certificate", lambda pk, target, rows, bound: False)
+    monkeypatch.setattr(ideals, "_certificate_layers", layers)
     monkeypatch.setattr(ideals, "_run_completion", capped)
     monkeypatch.setattr(ideals, "_normal_form", lambda *args: {})
     packed = record_packs_inside_escalations(monkeypatch)
@@ -614,8 +647,11 @@ def test_escalation_out_of_rounds_raises_membership_undecided(ring_q2, monkeypat
         ideals._escalated_membership(f, gens)
     assert isinstance(caught.value, RuntimeError)
     assert (caught.value.rounds, caught.value.cap) == (len(caps), caps[-1]) == (12, 549)
-    # only f, the certificate's target and its truncation at each cap
-    assert packed and all(poly == f for poly in packed)
+    # one echelon, drawn layer by layer up to degree 4 * 12, on one packing
+    assert drawn == list(range(49))
+    assert all(pk is packings[0] for pk in packings)
+    # only f, the certificate's target, which each refutation truncates
+    assert packed == [f]
 
 
 def test_escalation_packs_only_f(ring_q2, monkeypatch):
@@ -802,7 +838,10 @@ class TestHandOver:
         packed = i.generators.reducers
         pk = packed.packing
         assert (pk.width > carried.width) == high
-        assert packed.reducers == sorted(map(pk.element, map(pk.pack, i.generators)), key=ideals._rank)
+        # the walks read the span basis of the survivors, sorted stably by rank
+        survivors = first_per_scalar_class(simplify_generators(i.generators, LOCAL_DEGREE))
+        span = _span_basis(pk.p, intake_of(pk, survivors, LOCAL_DEGREE))
+        assert packed.reducers == sorted(map(pk.element, span), key=ideals._rank)
 
     @staticmethod
     def assert_hand_over_exact(f, n):
