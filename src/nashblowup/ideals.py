@@ -521,9 +521,18 @@ class _Generators(tuple):
         return self
 
     @classmethod
-    def of(cls, ring: RingContext, generators: Sequence[Polynomial]) -> "_Generators":
-        """``generators`` when it is a _Generators, else them with none handed over."""
-        return generators if isinstance(generators, cls) else cls(ring, generators)
+    def of(cls, ring: RingContext, generators: Iterable[Polynomial]) -> "_Generators":
+        """``generators`` when it is a _Generators, else its nonzero members with
+        none handed over; generators of another ring raise ValueError."""
+        if isinstance(generators, cls):
+            # a tuple this package built (jacobian minors, sums): nonzero, all of its ring
+            if generators.ring != ring:
+                raise ValueError("generator lives in a different ring context")
+            return generators
+        generators = tuple(generators)
+        if any(g.ring != ring for g in generators):
+            raise ValueError("generator lives in a different ring context")
+        return cls(ring, [g for g in generators if not g.is_zero()])
 
     def join(self, other: "_Generators") -> "_Generators":
         """self + other, keeping what either side carries packed."""
@@ -1269,15 +1278,7 @@ class Ideal:
     def __init__(self, ring: RingContext, generators: Iterable[Polynomial]):
         self.ring = ring
         self._basis: ReducedStandardBasis | None = None
-        if not isinstance(generators, _Generators):
-            generators = tuple(generators)
-            if any(g.ring != ring for g in generators):
-                raise ValueError("generator lives in a different ring context")
-            generators = _Generators(ring, [g for g in generators if not g.is_zero()])
-        elif generators.ring != ring:
-            # a tuple this package built (jacobian minors, sums): nonzero, all of its ring
-            raise ValueError("generator lives in a different ring context")
-        self.generators: _Generators = generators
+        self.generators = _Generators.of(ring, generators)
 
     # -- construction helpers
 

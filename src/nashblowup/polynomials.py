@@ -3,12 +3,18 @@
 A polynomial is a finite map from exponent tuples to nonzero field
 coefficients, canonical by construction: two polynomials are equal iff
 their ring contexts and term maps are equal.  All arithmetic is exact.
+
+Arithmetic has one normalization point, ``_reduced``: every result's
+coefficients are computed with plain ``+``, ``-`` and ``*`` on the field's
+representatives (ints over F_p, ``Fraction``s over Q), then reduced mod p
+with zero terms dropped, once per result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from .fields import QQ, CoefficientField
@@ -177,49 +183,30 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
-        field = self.ring.field
         out = dict(self.terms)
         for alpha, c in other.terms.items():
-            s = field.add(out.get(alpha, 0), c) if alpha in out else c
-            if s:
-                out[alpha] = s
-            else:
-                out.pop(alpha, None)
-        return Polynomial(self.ring, out, _canonical=True)
+            out[alpha] = out[alpha] + c if alpha in out else c
+        return _reduced(self.ring, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        neg = self.ring.field.neg
-        return Polynomial(self.ring, {a: neg(c) for a, c in self.terms.items()}, _canonical=True)
+        return _reduced(self.ring, {a: -c for a, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
-        field = self.ring.field
-        mul, add = field.mul, field.add
         out: dict = {}
         for a1, c1 in self.terms.items():
             for a2, c2 in other.terms.items():
-                m = tuple(x + y for x, y in zip(a1, a2))
-                c = mul(c1, c2)
-                if m in out:
-                    s = add(out[m], c)
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-                elif c:
-                    out[m] = c
-        return Polynomial(self.ring, out, _canonical=True)
+                m, c = tuple(map(add, a1, a2)), c1 * c2
+                # a new key takes c as it is: over Q, 0 + c costs a Fraction addition
+                out[m] = out[m] + c if m in out else c
+        return _reduced(self.ring, out)
 
     def scalar_mul(self, scalar) -> "Polynomial":
-        field = self.ring.field
-        c0 = field.coerce(scalar)
-        if not c0:
-            return self.ring.zero()
-        mul = field.mul
-        return Polynomial(self.ring, {a: mul(c, c0) for a, c in self.terms.items()}, _canonical=True)
+        c0 = self.ring.field.coerce(scalar)
+        return _reduced(self.ring, {a: c * c0 for a, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -254,24 +241,13 @@ class Polynomial:
         """
         if len(gamma) != self.ring.nvars:
             raise ValueError(f"multi-index length {len(gamma)} != {self.ring.nvars}")
-        field = self.ring.field
-        out: dict = {}
-        for beta, c in self.terms.items():
-            if any(b < g for b, g in zip(beta, gamma)):
-                continue
-            binom = 1
-            for b, g in zip(beta, gamma):
-                binom *= math.comb(b, g)
-            factor = field.coerce(binom)
-            if not factor:
-                continue
-            target = tuple(b - g for b, g in zip(beta, gamma))
-            s = field.add(out.get(target, 0), field.mul(c, factor)) if target in out else field.mul(c, factor)
-            if s:
-                out[target] = s
-            else:
-                out.pop(target, None)
-        return Polynomial(self.ring, out, _canonical=True)
+        # beta -> beta - gamma is injective, so each target is written once; a
+        # term with some beta_i < gamma_i gets C(beta_i, gamma_i) = 0, which
+        # _reduced drops
+        return _reduced(
+            self.ring,
+            {tuple(map(sub, beta, gamma)): c * math.prod(map(math.comb, beta, gamma)) for beta, c in self.terms.items()},
+        )
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Exact composition f(images); images share this polynomial's ring."""
@@ -300,13 +276,22 @@ def _substitute_all(
 
     out = []
     for f in polys:
-        total = ring.zero()
+        total: dict = {}
         for alpha, c in f.terms.items():
             part = ring.constant(c)
             for i, e in enumerate(alpha):
                 if e:
                     part = part * var_power(i, e)
-            total = total + part
-        out.append(total)
+            for a, d in part.terms.items():
+                total[a] = total[a] + d if a in total else d
+        out.append(_reduced(ring, total))
     return out
 
+
+def _reduced(ring: RingContext, terms: dict) -> Polynomial:
+    """The polynomial of ``terms``, whose coefficients were computed with plain
+    +, - and * on the field's representatives: reduced mod p, zero terms dropped."""
+    p = ring.field.characteristic
+    if p:
+        return Polynomial(ring, {a: r for a, c in terms.items() if (r := c % p)}, _canonical=True)
+    return Polynomial(ring, {a: c for a, c in terms.items() if c}, _canonical=True)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nashblowup.algebras import tjurina_number
+from nashblowup.algebras import nash_ideal_t, tjurina_number
 from nashblowup.equivalence import (
     ContactTransform,
     HarnessConfig,
@@ -18,10 +18,11 @@ from nashblowup.equivalence import (
     samuel_hypothesis,
 )
 from nashblowup.fields import GF, QQ
-from nashblowup.ideals import INFINITE, Ideal
+from nashblowup.ideals import INFINITE, Ideal, maximal_ideal_power
+from nashblowup.jacobian import higher_jacobian_ideal, jacobian_ideal
 from nashblowup.polynomials import Polynomial, RingContext
 
-from conftest import P, identity_automorphism, nonzero_polynomial_strategy
+from conftest import P, identity_automorphism, monomial_strategy, nonzero_polynomial_strategy
 
 
 def auto(ring, *texts):
@@ -154,6 +155,30 @@ class TestSamuelHypothesis:
         f = ring_q2.constant(3)
         assert samuel_hypothesis(f, f)
         assert not samuel_hypothesis(f, f + P("x^5", ring_q2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_samuel_direction_on_random_isolated_germs(self, data):
+        # the paper's converse through Samuel (1956): g - f in m * j(f)^2
+        # makes g equivalent to f, so (f) + J_n(f) and (g) + J_n(g) have
+        # equal colength, and so have J_n(f) and J_n(g); asserted over Q only.
+        # J_2 is left out: one run in 31 drew a g, 3*y^3+4*x^3*y-6*x*y^3
+        # plus a tail with coefficients up to 960, whose J_2 falls to
+        # Lazard's route, which has no budget and runs for minutes
+        ring = RingContext(("x", "y")[:data.draw(st.integers(1, 2))], QQ)
+        drawn = data.draw(nonzero_polynomial_strategy(ring, max_terms=4, max_degree=4))
+        f = Polynomial(ring, {a: c for a, c in drawn.terms.items() if sum(a) >= 2})
+        assume(not f.is_zero() and tjurina_number(f) is not INFINITE)
+        generators = (maximal_ideal_power(ring, 1) * jacobian_ideal(f) ** 2).generators
+        h = ring.zero()
+        for _ in range(data.draw(st.integers(1, 3))):
+            c = data.draw(st.sampled_from([-2, -1, 1, 2]))
+            h = h + ring.monomial(data.draw(monomial_strategy(ring.nvars, 2)), c) * data.draw(st.sampled_from(generators))
+        g = f + h
+        assert samuel_hypothesis(f, g)
+        for n in (1, 2):
+            assert nash_ideal_t(f, n).dimension() == nash_ideal_t(g, n).dimension()
+        assert higher_jacobian_ideal(f, 1).dimension() == higher_jacobian_ideal(g, 1).dimension()
 
 
 class TestRandomGenerators:

@@ -1290,13 +1290,20 @@ class TestIdealArithmetic:
     def test_generators_from_another_ring_are_refused(self, ring_q2, foreign):
         # handed over packed or as a plain list: J_2(x^30 + y^31) from Q[x,y]
         # once gave Q[x,y,z] an ideal of dimension 0 with z, and (f) + J_2(f)
-        # of x^3/5 + y^4 made F_5[x,y] raise TypeError on its Fractions
+        # of x^3/5 + y^4 made F_5[x,y] raise TypeError on its Fractions; the
+        # two basis functions once returned wrong bases (or None) for both
         f = P("x^30+y^31" if foreign.nvars == 3 else "1/5*x^3+y^4", ring_q2)
         generators = (higher_jacobian_ideal(f, 2) if foreign.nvars == 3 else nash_ideal_t(f, 2)).generators
         assert any(generators.handed)
-        for handed in (generators, list(generators)):
-            with pytest.raises(ValueError, match="different ring context"):
-                Ideal(foreign, handed)
+        builders = (
+            lambda gens: Ideal(foreign, gens),
+            lambda gens: compute_standard_basis(gens, foreign),
+            lambda gens: try_primary_standard_basis(gens, foreign),
+        )
+        for build in builders:
+            for handed in (generators, list(generators)):
+                with pytest.raises(ValueError, match="different ring context"):
+                    build(handed)
 
 
 class TestQuotientDimension:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from nashblowup.fields import GF, QQ, CoefficientField
 from nashblowup.polynomials import (
+    Polynomial,
     RingContext,
     multi_indices_in_range,
 )
@@ -173,6 +175,68 @@ class TestSubstitution:
     def test_wrong_image_count(self, ring_q2):
         with pytest.raises(ValueError):
             P("x", ring_q2).substitute([P("x", ring_q2)])
+
+
+class TestArithmeticAgainstSympy:
+    """+, -, *, scalar_mul and substitute against sympy's Poly, an independent
+    engine, on pairs that cancel; every result in canonical form."""
+
+    @staticmethod
+    def draw_polynomial(data, ring, max_terms, max_degree):
+        coeffs = st.fractions(-4, 4, max_denominator=4) if ring.field.characteristic == 0 else st.integers(-4, 4)
+        terms = st.dictionaries(monomial_strategy(ring.nvars, max_degree), coeffs, max_size=max_terms)
+        return Polynomial(ring, data.draw(terms))
+
+    @staticmethod
+    def assert_canonical(f):
+        p = f.ring.field.characteristic
+        for c in f.terms.values():
+            assert c
+            if p:
+                assert type(c) is int and 0 <= c < p
+            else:
+                assert type(c) is Fraction
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_operations_match_sympy(self, data):
+        sympy = pytest.importorskip("sympy")
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        ring = RingContext(("x", "y", "z")[:data.draw(st.integers(1, 3))], field)
+        p = field.characteristic
+        syms = sympy.symbols(ring.variables)
+        domain = sympy.GF(p) if p else sympy.QQ
+
+        def theirs(f):
+            terms = {a: c if p else sympy.Rational(c.numerator, c.denominator) for a, c in f.terms.items()}
+            return sympy.Poly.from_dict(terms or {(0,) * ring.nvars: 0}, *syms, domain=domain)
+
+        def ours(poly):
+            return Polynomial(ring, {m: int(c) if p else Fraction(int(c.p), int(c.q)) for m, c in poly.terms()})
+
+        f = self.draw_polynomial(data, ring, 5, 4)
+        g = self.draw_polynomial(data, ring, 5, 4)
+        # pairs that cancel: f + (g - f) = g, f - f = 0 and f + (-f) = 0
+        g = data.draw(st.sampled_from([g, g - f, f, -f]))
+        scalar = data.draw(st.fractions(-3, 3, max_denominator=3) if not p else st.integers(-6, 6))
+        images = [self.draw_polynomial(data, ring, 3, 2) for _ in range(ring.nvars)]
+        tf, tg, timages = theirs(f), theirs(g), [theirs(h) for h in images]
+        substituted = theirs(ring.zero())
+        for a, c in f.terms.items():
+            term = theirs(ring.constant(c))
+            for h, e in zip(timages, a):
+                term = term * h**e
+            substituted = substituted + term
+        expected_scalar = tf.mul_ground(domain.convert(scalar if p else sympy.Rational(scalar.numerator, scalar.denominator)))
+        for got, expected in [
+            (f + g, tf + tg),
+            (f - g, tf - tg),
+            (f * g, tf * tg),
+            (f.scalar_mul(scalar), expected_scalar),
+            (f.substitute(images), substituted),
+        ]:
+            self.assert_canonical(got)
+            assert got == ours(expected)
 
 
 class TestMultiplicity:
