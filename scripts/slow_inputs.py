@@ -3,8 +3,11 @@
 
 The inputs are the four plane germs whose `check inclusions -n 3` wedged
 the membership escalation (over Q and F_32003), the space germ
-`4*y*z+3*x*z^2-3*y^3`, and a random contact draw on `2*x*y^2` whose
-certificate rounds dominate (over Q, F_5 and F_32003).  For each invocation
+`4*y*z+3*x*z^2-3*y^3`, a random contact draw on `2*x*y^2` whose
+certificate rounds dominate (over Q, F_5 and F_32003), and three Samuel
+perturbations whose `ideal mn --dim` sits in Lazard's route, which has no
+budget (J_2 over Q, J_3 over F_5 and over F_3; the Q germ starts with a
+minus sign, hence the `--` before it).  For each invocation
 the script prints the exit code ("> 60" when it ran out of a 60 s
 --timeout), the md5 of its stdout followed by its stderr, and the wall
 time, so two checkouts can be compared line by line: the same exit codes
@@ -30,11 +33,18 @@ WEDGES = (
     "x^4*y^2+3*x^2*y^5+2*x^5",
 )
 CONTACT = ("check", "invariance", "2*x*y^2", "--auto=-x+x*y+y^2;2*x+y+y^3", "--unit=-2-2*x^2", "-n", "2")
+LAZARD_WEDGES = (
+    ("ideal", "mn", "-n", "2", "--dim", "--",
+     "-3*x^3-4*x*y^3-216*x^4*y^2-162*x^6*y-96*x^2*y^5-144*x^4*y^4+288*x^3*y^6-32*x^2*y^7"),
+    ("ideal", "mn", "3*y^3+3*x^3*y+2*x^2*y^4+4*x^5*y^2+2*x^4*y^4+4*x^7*y^2", "-n", "3", "--dim", "--char", "5"),
+    ("ideal", "mn", "x^2+x^3+2*x*y^3+2*x^2*y^4+2*x^6*y+x*y^7+2*x^5*y^4", "-n", "3", "--dim", "--char", "3"),
+)
 
 INVOCATIONS = (
     *[("check", "inclusions", germ, "-n", "3", "--char", char) for char in ("0", "32003") for germ in WEDGES],
     ("check", "inclusions", "4*y*z+3*x*z^2-3*y^3", "-n", "3"),
     *[CONTACT + ("--char", char) for char in ("0", "5", "32003")],
+    *LAZARD_WEDGES,
 )
 
 

@@ -13,7 +13,6 @@ import functools
 import json
 import shutil
 import sys
-from dataclasses import dataclass
 
 from .algebras import check_inclusions, dimension_json, invariant_report, nash_ideal_m, nash_ideal_t, tjurina_ideal
 from .corpus import run_corpus
@@ -56,24 +55,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass(frozen=True)
-class CommandConfig:
-    variables: tuple[str, ...]
-    characteristic: int
-    json_output: bool
-    seed: int
-
-    @property
-    def ring(self) -> RingContext:
-        return RingContext(self.variables, CoefficientField(self.characteristic))
-
-
 def _infer_variables(texts: list[str]) -> tuple[str, ...]:
     used = [name for name in DEFAULT_VARIABLE_POOL if any(name in t for t in texts)]
     return tuple(used) if used else ("x",)
 
 
-def _build_config(args, poly_texts: list[str]) -> CommandConfig:
+def _ring(args, poly_texts: list[str]) -> RingContext:
     if args.vars:
         variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
         if not variables:
@@ -83,24 +70,19 @@ def _build_config(args, poly_texts: list[str]) -> CommandConfig:
     else:
         variables = _infer_variables(poly_texts)
     try:
-        CoefficientField(args.char)
+        field = CoefficientField(args.char)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return CommandConfig(
-        variables=variables,
-        characteristic=args.char,
-        json_output=args.json,
-        seed=args.seed,
-    )
+    return RingContext(variables, field)
 
 
-def _print_ideal(ideal: Ideal, label: str, args, config: CommandConfig) -> None:
+def _print_ideal(ideal: Ideal, label: str, args) -> None:
     basis = ideal.standard_basis() if args.reduced else None
-    if config.json_output:
+    if args.json:
         obj = {
             "kind": label,
-            "char": config.characteristic,
-            "vars": list(config.variables),
+            "char": args.char,
+            "vars": list(ideal.ring.variables),
             "generators": [str(g) for g in ideal.generators],
         }
         if args.reduced:
@@ -125,12 +107,12 @@ def _print_ideal(ideal: Ideal, label: str, args, config: CommandConfig) -> None:
 
 
 def cmd_matrix(args) -> int:
-    config = _build_config(args, [args.f])
+    ring = _ring(args, [args.f])
     if args.n < 1:
         raise ConfigError("n must be >= 1")
-    f = parse_polynomial(args.f, config.ring)
+    f = parse_polynomial(args.f, ring)
     matrix = jac_matrix(f, args.n)
-    if config.json_output:
+    if args.json:
         print(json.dumps(matrix.to_json_obj(), sort_keys=True))
     else:
         print(matrix.pretty())
@@ -138,8 +120,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_ideal(args) -> int:
-    config = _build_config(args, [args.f])
-    f = parse_polynomial(args.f, config.ring)
+    f = parse_polynomial(args.f, _ring(args, [args.f]))
     if args.kind == "tjurina":
         if args.k < 0:
             raise ConfigError("k must be >= 0")
@@ -153,20 +134,20 @@ def cmd_ideal(args) -> int:
         else:
             ideal = nash_ideal_m(f, args.n)
         label = f"{args.kind}[n={args.n}]"
-    _print_ideal(ideal, label, args, config)
+    _print_ideal(ideal, label, args)
     return EXIT_OK
 
 
 def cmd_invariants(args) -> int:
-    config = _build_config(args, [args.f])
+    ring = _ring(args, [args.f])
     if args.n_max < 1 or args.k_max < 0:
         raise ConfigError("invalid range: need n-max >= 1 and k-max >= 0")
-    f = parse_polynomial(args.f, config.ring)
+    f = parse_polynomial(args.f, ring)
     report = invariant_report(f, args.n_max, args.k_max)
-    if config.json_output:
+    if args.json:
         print(json.dumps(report.to_json_obj(), sort_keys=True))
         return EXIT_OK
-    print(f"f = {report.f}   (char {config.characteristic})")
+    print(f"f = {report.f}   (char {args.char})")
     print(f"mt  = {report.mt}")
     print(f"tau = {report.tau}")
     for n, v in report.dim_tn.items():
@@ -189,8 +170,7 @@ def cmd_check(args) -> int:
         texts.extend(args.auto.split(";"))
     if args.unit:
         texts.append(args.unit)
-    config = _build_config(args, texts)
-    ring = config.ring
+    ring = _ring(args, texts)
     f = parse_polynomial(args.f, ring)
 
     if args.what == "samuel":
@@ -199,7 +179,7 @@ def cmd_check(args) -> int:
         g = parse_polynomial(args.g, ring)
         ok = samuel_hypothesis(f, g)
         verdict = "congruent" if ok else "not congruent"
-        print(json.dumps({"f": str(f), "g": str(g), "verdict": verdict}, sort_keys=True) if config.json_output
+        print(json.dumps({"f": str(f), "g": str(g), "verdict": verdict}, sort_keys=True) if args.json
               else f"samuel hypothesis for g - f: {verdict}")
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -208,7 +188,7 @@ def cmd_check(args) -> int:
             raise ConfigError("inclusions need n >= 2")
         report = check_inclusions(f, args.n)
         all_ok = report.all_asserted_hold()
-        if config.json_output:
+        if args.json:
             obj = {
                 "f": str(f),
                 "n": args.n,
@@ -254,7 +234,7 @@ def cmd_check(args) -> int:
     else:
         trials = args.trials
         harness = HarnessConfig(
-            seed=config.seed,
+            seed=args.seed,
             covariance_trials=trials,
             unit_trials=trials,
             contact_trials=max(1, trials // 2),
@@ -262,7 +242,7 @@ def cmd_check(args) -> int:
         )
         report = run_invariance_harness(ring, harness, germ_pool=(args.f,))
     ok = not report["failures"]
-    if config.json_output:
+    if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
         for c in report["checks"]:
@@ -271,13 +251,12 @@ def cmd_check(args) -> int:
             print(f"{mark} {c['kind']} f={c['f']} n={c['n']} seed={seed}")
         if not ok:
             print("identity check failed: implementation bug suspected")
-        print(f"seed: {config.seed}")
+        print(f"seed: {args.seed}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_corpus(args) -> int:
-    fields = tuple(CoefficientField(p) for p in (0, 3, 5))
-    results = run_corpus(fields=fields, name_filter=args.filter)
+    results = run_corpus(name_filter=args.filter)
     ok = all(r.passed for r in results)
     if args.json:
         obj = {

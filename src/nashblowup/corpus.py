@@ -27,7 +27,7 @@ class CorpusEntry:
     name: str
     text: str
     variables: tuple[str, ...]
-    tau_q: int | None = None  # known dimension over the rationals, None if not pinned
+    tau_q: int
 
     def polynomial(self, field: CoefficientField) -> Polynomial:
         return parse_polynomial(self.text, RingContext(self.variables, field))
@@ -152,8 +152,6 @@ def gradient_fixtures(field: CoefficientField) -> Iterable[FixtureResult]:
 
 def tjurina_fixtures() -> Iterable[FixtureResult]:
     for entry in SINGULARITY_CORPUS:
-        if entry.tau_q is None:
-            continue
         f = entry.polynomial(QQ)
         got = tjurina_number(f)
         yield FixtureResult(
@@ -240,8 +238,6 @@ def pair_fixtures() -> Iterable[FixtureResult]:
 
 def gp_bound_fixtures() -> Iterable[FixtureResult]:
     for entry in SINGULARITY_CORPUS:
-        if entry.tau_q is None:
-            continue
         f = entry.polynomial(QQ)
         mt = f.multiplicity()
         if mt < 2:

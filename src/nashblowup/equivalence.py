@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .algebras import nash_ideal_t
 from .ideals import Ideal, maximal_ideal_power
 from .jacobian import higher_jacobian_ideal, jacobian_ideal
 from .parsing import parse_polynomial
@@ -118,24 +119,15 @@ def check_unit_stability(f: Polynomial, unit: UnitElement, n: int) -> bool:
     """(f) + J_n(f) == (u f) + J_n(u f); an identity, so False flags a bug."""
     if not unit.is_valid():
         raise ValueError("not a unit of the local ring")
-    ring = f.ring
-    g = unit.u * f
-    left = Ideal(ring, [f]) + higher_jacobian_ideal(f, n)
-    right = Ideal(ring, [g]) + higher_jacobian_ideal(g, n)
-    return left.equals(right)
+    return nash_ideal_t(f, n).equals(nash_ideal_t(unit.u * f, n))
 
 
 def check_contact_invariance(f: Polynomial, transform: ContactTransform, n: int) -> bool:
     """phi((f) + J_n(f)) == (g) + J_n(g) for g = u * phi(f)."""
     if not transform.is_valid():
         raise ValueError("not a contact transform")
-    ring = f.ring
-    g = transform.apply(f)
-    left = apply_to_ideal(
-        transform.phi, Ideal(ring, [f]) + higher_jacobian_ideal(f, n)
-    )
-    right = Ideal(ring, [g]) + higher_jacobian_ideal(g, n)
-    return left.equals(right)
+    left = apply_to_ideal(transform.phi, nash_ideal_t(f, n))
+    return left.equals(nash_ideal_t(transform.apply(f), n))
 
 
 def samuel_hypothesis(f: Polynomial, g: Polynomial) -> bool:

@@ -58,12 +58,15 @@ completion runs on them too.  Coefficients are residues over F_p; over Q a
 polynomial is packed as its positive multiple with coprime integer
 coefficients, and every step keeps coefficients integral (cross-multiplied
 reductions), which changes results only by positive scalars that the
-unpacked results do not show.  Width rule: w is sized from the input's
-largest total degree (and truncation degree) with room for it to double; a
-stored monomial may not exceed degree 2^w - 1, so no exponent reaches its
-guard bit.  A step that could store a monomial past that limit raises
-_Overflow, and the entry point starts over with fields twice as wide, so
-keys never wrap.  The completion keys a pair by ``(deg << S) | fields`` of
+unpacked results do not show.  The weak normal form and the certificate's
+echelon cancel a lead term by one step, _eliminate; the tail reduction
+keeps its own loop, since it cancels inner terms and over Q rescales its
+finished part with every cross-multiplication.  Width rule: w is sized
+from the input's largest total degree (and truncation degree) with room
+for it to double; a stored monomial may not exceed degree 2^w - 1, so no
+exponent reaches its guard bit.  A step that could store a monomial past
+that limit raises _Overflow, and the entry point starts over with fields
+twice as wide, so keys never wrap.  The completion keys a pair by ``(deg << S) | fields`` of
 its lcm, which sorts like (total degree, exponent tuple), from guard-bit
 arithmetic on the fields.  Every term of an s-polynomial has at least its
 lcm's degree, pairs come off the heap by ascending lcm degree and the bound
@@ -135,41 +138,18 @@ from .polynomials import (
 )
 
 
-class _InfiniteDimension:
-    """Singleton for infinite-dimensional quotients; compares above every int."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+class _Infinite(float):
+    """The float infinity, printed as "infinite": the dimension of an infinite quotient."""
 
     def __repr__(self) -> str:
         return "infinite"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _InfiniteDimension)
-
-    def __hash__(self) -> int:
-        return hash("infinite-dimension")
-
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, _InfiniteDimension)
-
-    def __ge__(self, other) -> bool:
-        return True
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return isinstance(other, _InfiniteDimension)
+    __str__ = __repr__
 
 
-INFINITE = _InfiniteDimension()
+INFINITE = _Infinite("inf")
 
-QuotientDimension = int | _InfiniteDimension
+QuotientDimension = int | _Infinite
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +282,34 @@ def _add_shifted(
     return dropped
 
 
+def _eliminate(
+    h: dict[int, int], lead: int, lc_g: int, tail_g: tuple, shift: int, floor: int, p: int
+) -> dict[int, int]:
+    """Cancel h's term at ``lead`` against x^shift * g on the keys at or above floor.
+
+    g is lc_g * x^(lead - shift) + tail_g.  Over F_p this is h - (c / lc_g)
+    * x^shift * g mod p, c being h's coefficient at ``lead``.  Over Q it is
+    lc_g * h - c * x^shift * g over their gcd, divided by the content of the
+    result and of the tail coefficients the floor drops, so it stays
+    fraction-free.  Takes over h.
+    """
+    c = h.pop(lead)
+    if p:
+        # pivots and completed elements are monic: no inverse to take
+        mult = p - c if lc_g == 1 else -c * pow(lc_g, -1, p) % p
+        _add_shifted(h, tail_g, shift, mult, floor, p)
+        return h
+    g0 = gcd(lc_g, c)
+    a, b = lc_g // g0, c // g0
+    if a != 1:
+        h = {k: v * a for k, v in h.items()}
+    dropped = _add_shifted(h, tail_g, shift, -b, floor, 0)
+    content = gcd(*h.values(), b * dropped)
+    if content > 1:
+        h = {k: v // content for k, v in h.items()}
+    return h
+
+
 def _normal_form(
     pk: _Packing,
     h: dict[int, int],
@@ -321,6 +329,7 @@ def _normal_form(
     if not h or not reducers:
         return h
     p, guards, limit, deg_shift = pk.p, pk.guards, pk.limit, pk.deg_shift
+    given = h
     floor = pk.floor(bound)
     # below the limit anyway when the bound truncates everything under it
     unbounded = bound is None or bound - 1 > limit
@@ -355,22 +364,8 @@ def _normal_form(
                 insort(extra, (lm, (ecart, len(h)), lc, tail), key=_rank)
         if unbounded and pk.degree(lm) + ecart_g > limit:
             raise _Overflow
-        shift = lm - lead_g
-        if p:
-            h = h.copy()
-            del h[lm]
-            _add_shifted(h, tail_g, shift, -lc * pow(lc_g, -1, p) % p, floor, p)
-        else:
-            # lc_g * h - lc * x^shift * g over their gcd, then content-stripped
-            # as a whole: the terms the bound drops count towards the content
-            g0 = gcd(lc_g, lc)
-            a, b = lc_g // g0, lc // g0
-            h = {k: c * a for k, c in h.items()} if a != 1 else h.copy()
-            del h[lm]
-            dropped = _add_shifted(h, tail_g, shift, -b, floor, 0)
-            content = gcd(*h.values(), b * dropped)
-            if content > 1:
-                h = {k: c // content for k, c in h.items()}
+        # the caller's dict stays as it was: its copy is taken over
+        h = _eliminate(h.copy() if h is given else h, lm, lc_g, tail_g, lm - lead_g, floor, p)
     return h
 
 
@@ -511,7 +506,8 @@ class _Generators(tuple):
     colength record is ``open_axes`` (_open_axes of the generators) and
     ``certified`` (the capped runs' basis or None); each is taken at most
     once per tuple.  A tuple is one ideal's generators, so its facts hold
-    for every ideal that shares it.
+    for every ideal that shares it.  The minors come ``handed`` because
+    repacking them from their polynomials cost ``high-order`` about 8 %.
     """
 
     def __new__(cls, ring: RingContext, polys: Iterable[Polynomial], handed: Sequence[tuple | None] = ()):
@@ -885,17 +881,7 @@ class _Echelon:
             if pivot is None:
                 return row
             lc, tail = pivot
-            c = row.pop(lead)
-            if p:
-                _add_shifted(row, tail, 0, p - c, -inf, p)
-                continue
-            # lc * row - c * pivot over their gcd, then content-stripped
-            g0 = gcd(lc, c)
-            a = lc // g0
-            if a != 1:
-                row = {k: v * a for k, v in row.items()}
-            _add_shifted(row, tail, 0, -(c // g0), -inf, 0)
-            row = _primitive(row)
+            row = _eliminate(row, lead, lc, tail, 0, -inf, p)
         return row
 
     def insert(self, row: dict[int, int]) -> bool:

@@ -280,8 +280,6 @@ def test_criterion_11_contact_order_bound():
     start = time.monotonic()
     bad = []
     for e in SINGULARITY_CORPUS:
-        if e.tau_q is None:
-            continue
         f = e.polynomial(QQ)
         mt = f.multiplicity()
         if mt < 2:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nashblowup.algebras import (
     check_inclusions,
+    dimension_json,
     gp_bound,
     invariant_report,
     nash_ideal_m,
@@ -356,6 +357,31 @@ class TestSamuelGap:
                 if combo.is_zero():
                     continue
                 assert combo.multiplicity() >= 1 + 2 * (mt - 1)
+
+
+class TestInfinite:
+    """INFINITE, the dimension of an infinite quotient, orders and prints as the CLI and JSON read it."""
+
+    def test_above_every_int(self):
+        for n in (0, 1, -5, 10**18, 10**400):
+            assert INFINITE > n and n < INFINITE
+            assert INFINITE >= n and not INFINITE <= n
+            assert INFINITE != n
+
+    def test_equal_to_itself_and_a_key(self):
+        assert INFINITE == INFINITE and INFINITE >= INFINITE and not INFINITE > INFINITE
+        assert {INFINITE: 1}[INFINITE] == 1
+        assert len({INFINITE, INFINITE, 3}) == 2
+        assert sorted([7, INFINITE, 0, 10**400]) == [0, 7, 10**400, INFINITE]
+        assert sorted([7, INFINITE, 0])[-1] is INFINITE
+
+    def test_prints_as_infinite(self):
+        assert str(INFINITE) == repr(INFINITE) == f"{INFINITE}" == "infinite"
+        assert f"dimension: {INFINITE}" == "dimension: infinite"
+
+    def test_json_reads_inf(self):
+        assert dimension_json(INFINITE) == "inf"
+        assert dimension_json(7) == 7
 
 
 class TestInvariantReport:

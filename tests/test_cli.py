@@ -144,6 +144,28 @@ class TestInvariantsCommand:
         assert "characteristic" in err
 
 
+class TestVariables:
+    @pytest.mark.parametrize("verb", [("matrix",), ("ideal", "mn"), ("invariants",), ("check", "samuel")])
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (",", "configuration error: --vars must name at least one variable"),
+            ("x,x", "configuration error: --vars must be distinct"),
+            ("1x", "error: invalid variable name '1x'"),
+        ],
+    )
+    def test_invalid_vars_are_config_errors(self, capsys, verb, names, message):
+        code, out, err = run(capsys, *verb, "x", "--vars", names)
+        assert code == 3
+        assert out == ""
+        assert err == message + "\n"
+
+    def test_empty_names_are_skipped(self, capsys):
+        code, out, _ = run(capsys, "ideal", "mn", "x*y", "--vars", "x,,y", "--json")
+        assert code == 0
+        assert json.loads(out)["vars"] == ["x", "y"]
+
+
 class TestCheckCommand:
     def test_explicit_invariance_passes(self, capsys):
         code, out, _ = run(
