@@ -11,14 +11,9 @@ Usage:
 
 import argparse
 
-from nashblowup.algebras import invariant_report
+from nashblowup.algebras import dimension_json, invariant_report
 from nashblowup.corpus import SINGULARITY_CORPUS
 from nashblowup.fields import CoefficientField
-from nashblowup.ideals import INFINITE
-
-
-def fmt(value) -> str:
-    return "inf" if value is INFINITE else str(value)
 
 
 def main() -> int:
@@ -36,8 +31,8 @@ def main() -> int:
         for entry in SINGULARITY_CORPUS:
             f = entry.polynomial(field)
             rep = invariant_report(f, n_max=args.n_max, k_max=0)
-            row = [entry.name, str(p), entry.text, str(rep.mt), fmt(rep.tau)]
-            row += [fmt(rep.dim_tn[n]) for n in range(1, args.n_max + 1)]
+            row = [entry.name, str(p), entry.text, str(rep.mt), str(dimension_json(rep.tau))]
+            row += [str(dimension_json(rep.dim_tn[n])) for n in range(1, args.n_max + 1)]
             row += [str(rep.gp) if rep.gp is not None else "-"]
             rows.append(row)
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]

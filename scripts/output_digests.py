@@ -8,8 +8,9 @@ produce byte-identical output for every invocation in the list.  The list
 covers ``ideal tn|mn|tjurina --reduced --dim --json``, ``invariants``,
 ``check inclusions`` and ``check samuel`` over Q, F_2, F_3 and F_5, for
 isolated and non-isolated plane and space germs, then ``matrix`` in text and
-``--json`` form over the plane germs, then help and error text of the top
-level and of every verb.  Help text wraps at the terminal width, so compare
+``--json`` form over the plane germs, then ``corpus --json`` and the seeded
+``check invariance`` harness over the default germ pool over Q and F_3,
+then help and error text of the top level and of every verb.  Help text wraps at the terminal width, so compare
 runs with the same ``COLUMNS`` (or both with output redirected).
 
 Usage (compare two checkouts):
@@ -25,6 +26,7 @@ import sys
 import time
 
 from nashblowup.cli import main as cli_main
+from nashblowup.equivalence import DEFAULT_GERM_POOL
 
 CHARS = (0, 2, 3, 5)
 
@@ -139,6 +141,11 @@ def invocations() -> list[list[str]]:
             for n in range(1, n_max + 1):
                 out.append(["matrix", f, "-n", str(n)] + common)
                 out.append(["matrix", f, "-n", str(n), "--json"] + common)
+    out.append(["corpus", "--json"])
+    for p in (0, 3):
+        for f in DEFAULT_GERM_POOL:
+            out.append(["check", "invariance", f, "--trials", "6", "--seed", "3", "--json", "--vars", "x,y",
+                        "--char", str(p)])
     out.extend(list(argv) for argv in PARSER_ERRORS)
     return out
 

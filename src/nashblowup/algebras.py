@@ -56,7 +56,7 @@ def gp_bound(
     dropping to 0 only when the caller asserts the field is algebraically
     closed (closure is not decidable from the field descriptor).
     """
-    if tau is INFINITE:
+    if tau == INFINITE:
         raise ValueError("bound requires a finite Tjurina number")
     if mt < 2:
         raise ValueError("bound requires multiplicity >= 2")
@@ -138,8 +138,8 @@ def check_inclusions(f: Polynomial, n: int) -> InclusionReport:
 
 
 def dimension_json(value: QuotientDimension) -> int | str:
-    """A quotient dimension as JSON reads it: the int, or "inf"."""
-    return "inf" if value is INFINITE else value
+    """A quotient dimension as JSON reads it: the int, or "inf" for any float infinity."""
+    return "inf" if value == INFINITE else value
 
 
 @dataclass(frozen=True)
@@ -175,6 +175,6 @@ def invariant_report(f: Polynomial, n_max: int = 2, k_max: int = 1) -> Invariant
     # the k = 0 ideal is the Tjurina ideal, whose dimension is tau
     dim_tk = {k: tau if k == 0 else tjurina_ideal(f, k).dimension() for k in range(0, k_max + 1)}
     gp = None
-    if tau is not INFINITE and mt >= 2:
+    if tau != INFINITE and mt >= 2:
         gp = gp_bound(tau, mt, f.ring.field.characteristic)
     return InvariantReport(f, mt, tau, dim_tn, dim_tk, gp)

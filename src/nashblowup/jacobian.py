@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .ideals import Ideal, _Generators, _Packing, _scalar_class
+from .ideals import Ideal, _Packing, _scalar_class
 from .polynomials import MultiIndex, Polynomial, RingContext, multi_indices_in_range
 
 
@@ -109,7 +109,7 @@ def jac_matrix(f: Polynomial, n: int) -> JacobianMatrix:
 # structural zeros are never stored.  The expansion runs on the monomial keys
 # of a local ideals._Packing and on integer coefficients, so a product of two
 # terms is one int addition and one int multiplication.  The packing is the
-# one the capped completion of the minors would choose (ideals._Generators.packing),
+# one the capped completion of the minors would choose (ideals.Ideal._packing),
 # so each kept minor is handed over with its packed terms and reaches the
 # capped runs without being packed again.  Over Q every entry is scaled by the
 # lcm D of all denominators, so a minor comes out D^k times the true one: the
@@ -127,7 +127,7 @@ def _packed_cells(
     top = max((sum(alpha) for terms in distinct.values() for alpha in terms), default=0)
     # a minor has degree at most D = k * top, so keys add without carries;
     # the packing of the capped runs on generators of degree at most D
-    # (ideals._Generators.packing) holds it, so the minors reach them on its keys
+    # (ideals.Ideal._packing) holds it, so the minors reach them on its keys
     pk = _Packing.capped(ring, k * top)
     p = pk.p
     den = 1 if p else math.lcm(*(c.denominator for terms in distinct.values() for c in terms.values()))
@@ -186,8 +186,8 @@ def _minor_dets(
 
 def _distinct_minors(
     entries: Sequence[Sequence[Polynomial]], k: int, ring: RingContext
-) -> _Generators:
-    """The nonzero k x k minors up to a scalar, first kept: row subsets, then columns, in lex order.
+) -> Ideal:
+    """The ideal of the nonzero k x k minors up to a scalar, first kept: row subsets, then columns, in lex order.
 
     Each is unpacked once and handed over with its packed terms.
     """
@@ -209,7 +209,7 @@ def _distinct_minors(
                 coeffs = [Fraction(c, scale) for c in det.values()]
                 polys.append(Polynomial(ring, dict(zip(map(pk.monomial, det), coeffs)), _canonical=True))
             packed.append((pk, det, key))
-    return _Generators(ring, polys, packed)
+    return Ideal(ring, polys, _handed=packed)
 
 
 def higher_jacobian_ideal(f: Polynomial, n: int) -> Ideal:
@@ -219,7 +219,7 @@ def higher_jacobian_ideal(f: Polynomial, n: int) -> Ideal:
     order.  Every call builds a new Ideal; nothing is shared between calls.
     """
     matrix = jac_matrix(f, n)
-    return Ideal(f.ring, _distinct_minors(matrix.entries, len(matrix.rows), f.ring))
+    return _distinct_minors(matrix.entries, len(matrix.rows), f.ring)
 
 
 def jacobian_ideal(f: Polynomial) -> Ideal:

@@ -42,7 +42,6 @@ from nashblowup.ideals import (
     MembershipUndecided,
     ReducedStandardBasis,
     _add_shifted,
-    _Generators,
     _Echelon,
     _finish_primary,
     _minimalize,
@@ -574,7 +573,7 @@ def escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
     certifies: most members need 0 to 2.  The certificate runs first; the
     opposite order was measured slower on the contact and covariance
     checks.  The refutations complete the span basis of the generators
-    (_Generators.span), taken once for every round: a basis of I + m^cap
+    (Ideal._span), taken once for every round: a basis of I + m^cap
     from any generators of I decides membership modulo m^cap.
     """
     cap = f.total_degree() + 2
@@ -586,8 +585,8 @@ def escalated_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
         if packed_membership_certificate(f, gens, degree_bound):
             return True
         if not r:
-            generators = _Generators(f.ring, gens)
-            pk, span = generators.packing, generators.span[1]
+            ideal = Ideal(f.ring, gens)
+            pk, span = ideal._packing, ideal._span[1]
         if cap - 1 > pk.limit:
             # the packing holds every degree below the cap, so neither the
             # run nor the normal form can overflow

@@ -1,4 +1,7 @@
 import contextlib
+import copy
+import json
+import math
 import random
 import signal
 
@@ -16,7 +19,7 @@ from nashblowup.algebras import (
     tjurina_ideal,
     tjurina_number,
 )
-from nashblowup import ideals
+from nashblowup import algebras, ideals
 from nashblowup.ideals import INFINITE, Ideal, maximal_ideal_power
 from nashblowup.fields import GF, QQ
 from nashblowup.jacobian import jacobian_ideal
@@ -181,6 +184,13 @@ class TestGpBound:
         with pytest.raises(ValueError):
             gp_bound(3, 1, 0)
 
+    @pytest.mark.parametrize("tau", [math.inf, float("inf"), copy.copy(INFINITE)])
+    def test_rejects_every_float_infinity(self, tau):
+        # infinity is compared by value, not by identity with INFINITE
+        for p in (0, 5):
+            with pytest.raises(ValueError, match="finite Tjurina number"):
+                gp_bound(tau, 2, p)
+
 
 class TestInclusions:
     def test_all_hold_for_cubic(self, ring_q2):
@@ -328,8 +338,8 @@ class TestIdealPower:
     ))
     def test_same_certified_basis_as_repeated_products(self, base):
         for k in range(4):
-            want = power_by_products(base, k)._certified_primary_basis()
-            got = (base ** k)._certified_primary_basis()
+            want = power_by_products(base, k)._certified
+            got = (base ** k)._certified
             assert (got is None) == (want is None)
             if got is not None:
                 assert got.elements == want.elements
@@ -383,6 +393,12 @@ class TestInfinite:
         assert dimension_json(INFINITE) == "inf"
         assert dimension_json(7) == 7
 
+    @pytest.mark.parametrize("value", [math.inf, copy.copy(INFINITE)])
+    def test_json_reads_inf_for_every_float_infinity(self, value):
+        # json.dumps writes a bare float infinity as Infinity, which is not JSON
+        assert dimension_json(value) == "inf"
+        assert json.dumps(dimension_json(value)) == '"inf"'
+
 
 class TestInvariantReport:
     def test_cusp_profile(self, ring_q2):
@@ -410,6 +426,13 @@ class TestInvariantReport:
         assert obj["tau"] == "inf"
         assert obj["dimTn"]["1"] == "inf"
         assert obj["gpBound"] is None
+
+    def test_an_infinite_tau_of_another_object_has_no_bound(self, ring_f3, monkeypatch):
+        # an infinite Tjurina number that is not the INFINITE object itself
+        monkeypatch.setattr(algebras, "tjurina_number", lambda f: math.inf)
+        report = invariant_report(P("x^3+y^2", ring_f3), 1, 0)
+        assert report.gp is None
+        assert json.loads(json.dumps(report.to_json_obj()))["tau"] == "inf"
 
     def test_tjurina_ideal_completed_once(self, ring_q2, monkeypatch):
         # tau, dim T_0 and the Nash algebra T_1 are the same ideal: one

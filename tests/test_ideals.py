@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import nashblowup
 from nashblowup import ideals
-from nashblowup.algebras import nash_ideal_t
+from nashblowup.algebras import nash_ideal_t, tjurina_ideal
 from nashblowup.jacobian import higher_jacobian_ideal
 from nashblowup.fields import GF, QQ
 from nashblowup.ideals import (
@@ -21,7 +21,6 @@ from nashblowup.ideals import (
     _certificate_layers,
     _complete_local_by_homogenization,
     _finish_primary,
-    _Generators,
     _intake,
     _minimalize,
     _moved,
@@ -75,10 +74,10 @@ def ideal(ring, *texts):
     return Ideal(ring, [P(t, ring) for t in texts])
 
 
-def homogenized_tuple(gens):
-    """The generators homogenized by a first variable t, as one generator tuple."""
+def homogenized_ideal(gens):
+    """The ideal of the generators homogenized by a first variable t."""
     hgens = homogenized(gens, gens[0].ring)
-    return _Generators(hgens[0].ring, hgens)
+    return Ideal(hgens[0].ring, hgens)
 
 
 def with_packing(pk, completed):
@@ -87,16 +86,16 @@ def with_packing(pk, completed):
 
 
 def homogenized_completion(hgens, cost_budget=None):
-    """The Buchberger step of Lazard's route on a homogenized_tuple: its intake
+    """The Buchberger step of Lazard's route on a homogenized_ideal: its intake
     moved to a local packing and the uncapped run there, restarted wider on
     overflow, as (packing, packed elements, staircase)."""
     entries = _intake(hgens)
-    pk = _Packing.sized(hgens.ring, 8 * max(g.total_degree() for g in hgens))
+    pk = _Packing.sized(hgens.ring, 8 * max(g.total_degree() for g in hgens.generators))
     budget = None if cost_budget is None else cost_budget[0]
     while True:
         try:
             return with_packing(pk, _run_completion(
-                pk, [_moved(hgens.packing, pk, terms) for terms in entries], None, cost_budget))
+                pk, [_moved(hgens._packing, pk, terms) for terms in entries], None, cost_budget))
         except _Overflow:
             if cost_budget is not None:
                 cost_budget[0] = budget
@@ -106,7 +105,7 @@ def homogenized_completion(hgens, cost_budget=None):
 def homogenized_reduced_basis(gens):
     """The reduced graded-lex Groebner basis of the homogenized generators, monic,
     as the uncapped run on local keys completes it."""
-    pk, raw, _ = homogenized_completion(homogenized_tuple(gens))
+    pk, raw, _ = homogenized_completion(homogenized_ideal(gens))
     return [el[2] for el in _reduced_elements(pk, _minimalize(pk, raw), None, None)]
 
 
@@ -114,8 +113,8 @@ def capped_completion(gens, cap, cost_budget=None):
     """One capped run on the intake of the generators, on their packing, which
     holds them and every cap of their schedule, so no step overflows; as
     (packing, packed elements, staircase)."""
-    generators = _Generators(gens[0].ring, gens)
-    pk = generators.packing
+    generators = Ideal(gens[0].ring, gens)
+    pk = generators._packing
     assert cap - 1 <= pk.limit
     return with_packing(pk, _run_completion(pk, _intake(generators), cap, cost_budget))
 
@@ -418,9 +417,9 @@ class TestFieldWidening:
         if not gens:
             return
         budget = data.draw(st.none() | st.integers(0, 2000))
-        # the first run resolves the tuple's intake on roomy fields, the
+        # the first run resolves the ideal's intake on roomy fields, the
         # second reads it and moves it to the narrow ones
-        hgens = homogenized_tuple(gens)
+        hgens = homogenized_ideal(gens)
 
         def run():
             left = None if budget is None else [budget]
@@ -498,15 +497,15 @@ class TestCompletionAgainstReference:
             # the Buchberger step of Lazard's route: the generators
             # homogenized, a single term replaced by its monomial, uncapped
             distinct = first_per_scalar_class(simplify_generators(homogenized(gens, ring), LOCAL_DEGREE))
-            both(lambda b: homogenized_completion(homogenized_tuple(gens), b),
+            both(lambda b: homogenized_completion(homogenized_ideal(gens), b),
                  lambda b: reference_complete_basis(distinct, LOCAL_DEGREE, None, b))
             return
         # the capped route: monomial * unit replaced, packed once on a packing
         # that holds the top degree and the last cap, then cut at each cap in turn
         distinct = first_per_scalar_class(simplify_generators(gens, LOCAL_DEGREE))
         caps = sorted(data.draw(st.lists(st.integers(1, 10), min_size=2, max_size=2)))
-        generators = _Generators(ring, gens)
-        pk, packed = generators.packing, _intake(generators)
+        generators = Ideal(ring, gens)
+        pk, packed = generators._packing, _intake(generators)
         for c in caps:
             both(lambda b: with_packing(pk, _run_completion(pk, packed, c, b)),
                  lambda b: reference_complete_basis(distinct, LOCAL_DEGREE, c, b))
@@ -561,18 +560,18 @@ class TestOpenAxis:
         ring = RingContext(("x", "y", "z")[:nvars], field)
         polys = st.lists(nonzero_polynomial_strategy(ring, max_terms=3, max_degree=4), min_size=1, max_size=3)
         gens = data.draw(polys)
-        axes = ideals._open_axes(gens, nvars)
+        axes = ideals._open_axes_of(gens, nvars)
         powers = [ring.monomial(tuple(data.draw(st.integers(1, 4)) if i == v else 0 for i in range(nvars)))
                   for v in range(nvars)]
-        assert not ideals._open_axes(gens + powers, nvars)
+        assert not ideals._open_axes_of(gens + powers, nvars)
         if not axes:
             return
         assert try_primary_standard_basis(gens, ring) is None
         assert compute_standard_basis(gens, ring).staircase is None
         f = data.draw(nonzero_polynomial_strategy(ring, max_terms=3, max_degree=4))
-        if not axes <= ideals._open_axes([f], nvars):
+        if not axes <= ideals._open_axes_of([f], nvars):
             assert not Ideal(ring, gens).contains_element(f)
-            assert not ideals._escalated_membership(f, Ideal(ring, gens).generators)
+            assert not ideals._escalated_membership(f, Ideal(ring, gens))
 
     @pytest.mark.parametrize("texts, axes", [
         (("x*y", "x*z + y^3"), {0, 2}),
@@ -583,7 +582,7 @@ class TestOpenAxis:
         (("1 + x*y",), set()),
     ])
     def test_known_axes(self, ring_q3, texts, axes):
-        assert ideals._open_axes([P(t, ring_q3) for t in texts], 3) == axes
+        assert ideals._open_axes_of([P(t, ring_q3) for t in texts], 3) == axes
 
     def test_refutes_a_term_on_the_axis(self, ring_q3, monkeypatch):
         # z^3 + x*y lies outside (x^2 + y^2*z), which lies in (x, y); so does 3 + x
@@ -622,9 +621,9 @@ def test_escalation_out_of_rounds_raises_membership_undecided(ring_q2, monkeypat
     # generator is packed inside the escalation
     caps, packings, drawn = [], [], []
     f = P("x^3*y", ring_q2)
-    gens = Ideal(ring_q2, [P("x^2*y", ring_q2)]).generators
+    gens = Ideal(ring_q2, [P("x^2*y", ring_q2)])
     # packed as the walk before every escalation packs them
-    assert gens.reducers.reducers
+    assert gens._reducers.reducers
 
     def layers(pk, target, rows):
         packings.append(pk)
@@ -707,7 +706,7 @@ class TestEscalationAgainstReference:
             reject()
         if member:
             assert reduced.is_zero()
-        assert ideals._escalated_membership(f, Ideal(ring, gens).generators) == reduced.is_zero()
+        assert ideals._escalated_membership(f, Ideal(ring, gens)) == reduced.is_zero()
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -751,7 +750,7 @@ class TestEscalationAgainstReference:
 
         # both sides escalate over the survivors of the scalar-class check
         survivors = first_per_scalar_class(simplify_generators(gens, LOCAL_DEGREE))
-        assert verdict(ideals._escalated_membership, Ideal(ring, gens).generators) == verdict(
+        assert verdict(ideals._escalated_membership, Ideal(ring, gens)) == verdict(
             reference_escalation, survivors)
 
 
@@ -769,10 +768,10 @@ def intake_of(pk, survivors, order):
 def test_simplify_drops_nonzero_scalar_multiples(field):
     ring = RingContext(("x", "y"), field)
     gens = [P(t, ring) for t in ("x^2+y^3", "-3*x^2-3*y^3", "x^2+2*y^3", "2*x*y", "x^2+y^3", "-x*y")]
-    generators = _Generators(ring, gens)
+    generators = Ideal(ring, gens)
     # 2*x*y enters as its monomial x*y, which -x*y repeats
     survivors = simplify_generators([gens[0], gens[2], gens[3]], LOCAL_DEGREE)
-    assert _intake(generators) == intake_of(generators.packing, survivors, LOCAL_DEGREE)
+    assert _intake(generators) == intake_of(generators._packing, survivors, LOCAL_DEGREE)
 
 
 class TestIntake:
@@ -790,9 +789,9 @@ class TestIntake:
             scalar = st.integers(1, field.characteristic - 1)
         picks = st.tuples(st.integers(0, len(base) - 1), scalar)
         gens = [base[i].scalar_mul(c) for i, c in data.draw(st.lists(picks, min_size=1, max_size=8))]
-        generators = _Generators(ring, gens)
+        generators = Ideal(ring, gens)
         survivors = first_per_scalar_class(simplify_generators(gens, LOCAL_DEGREE))
-        assert _intake(generators) == intake_of(generators.packing, survivors, LOCAL_DEGREE)
+        assert _intake(generators) == intake_of(generators._packing, survivors, LOCAL_DEGREE)
 
 
 class TestHandOver:
@@ -831,11 +830,11 @@ class TestHandOver:
     def test_packed_generators_reuse_the_handed_terms(self, field, high):
         ring = RingContext(("x", "y"), field)
         i = nash_ideal_t(P("x^3+x*y^4", ring).scalar_mul(Fraction(-2, 9) if field is QQ else 1), 3)
-        carried = i.generators.handed[-1][0]
+        carried = i._handed[-1][0]
         if high:
             # a generator too high for the minors' packing: their terms move
             i = Ideal(ring, [ring.monomial((0, 300))]) + i
-        packed = i.generators.reducers
+        packed = i._reducers
         pk = packed.packing
         assert (pk.width > carried.width) == high
         # the walks read the span basis of the survivors, sorted stably by rank
@@ -847,16 +846,15 @@ class TestHandOver:
     def assert_hand_over_exact(f, n):
         """The capped intake of (f) + J_n(f) from handed-over keys, against its polynomials."""
         ideal = nash_ideal_t(f, n)
-        generators = ideal.generators
-        survivors = first_per_scalar_class(simplify_generators(generators, LOCAL_DEGREE))
-        assert _intake(generators) == intake_of(generators.packing, survivors, LOCAL_DEGREE)
+        survivors = first_per_scalar_class(simplify_generators(ideal.generators, LOCAL_DEGREE))
+        assert _intake(ideal) == intake_of(ideal._packing, survivors, LOCAL_DEGREE)
         # another width: a generator too high for the minors' packing moves
         # the handed-over keys by way of exponent tuples
         ring = f.ring
-        high = (ideal + Ideal(ring, [ring.monomial((0,) * (ring.nvars - 1) + (300,))])).generators
-        assert high.packing.width > generators.packing.width
-        survivors = first_per_scalar_class(simplify_generators(high, LOCAL_DEGREE))
-        assert _intake(high) == intake_of(high.packing, survivors, LOCAL_DEGREE)
+        high = ideal + Ideal(ring, [ring.monomial((0,) * (ring.nvars - 1) + (300,))])
+        assert high._packing.width > ideal._packing.width
+        survivors = first_per_scalar_class(simplify_generators(high.generators, LOCAL_DEGREE))
+        assert _intake(high) == intake_of(high._packing, survivors, LOCAL_DEGREE)
 
     @staticmethod
     def rank(rows, p):
@@ -896,8 +894,8 @@ class TestHandOver:
             g = sum((base[i].scalar_mul(c) for i, c in picks), ring.zero())
             if not g.is_zero():
                 gens.insert(data.draw(st.integers(0, len(gens))), g)
-        generators = _Generators(ring, gens)
-        p = generators.packing.p
+        generators = Ideal(ring, gens)
+        p = generators._packing.p
         rows = _intake(generators)
         expected = [e for i, e in enumerate(rows) if self.rank(rows[:i + 1], p) > self.rank(rows[:i], p)]
         assert _span_basis(p, rows) == expected
@@ -906,7 +904,7 @@ class TestHandOver:
         # its 3,335 generators span 832 dimensions over Q; on the full list
         # both capped runs ran out of budget and Lazard's route took 24-55 s
         ideal = nash_ideal_t(P("x^2+y^3+x*z^3", ring_q3), 3)
-        basis = try_primary_standard_basis(ideal.generators, ring_q3)
+        basis = try_primary_standard_basis(ideal, ring_q3)
         assert basis is not None
         assert basis.dimension() == 386
 
@@ -916,7 +914,7 @@ class TestHandOver:
 def test_an_ideal_packs_each_generator_once(field, kind, monkeypatch):
     # (x^2 + y^2) and T_2(x^2*y) have infinite colength: the capped runs,
     # the walks, the escalations and Lazard's route all read the one
-    # resolution of the generator tuple, so the plain generator is packed once
+    # resolution of the ideal's generators, so the plain generator is packed once
     ring = RingContext(("x", "y"), field)
     ideal = Ideal(ring, [P("x^2+y^2", ring)]) if kind == "principal" else nash_ideal_t(P("x^2*y", ring), 2)
     g = ideal.generators[0]
@@ -932,7 +930,7 @@ def test_an_ideal_packs_each_generator_once(field, kind, monkeypatch):
 @pytest.mark.parametrize("field, kind", [(QQ, "principal"), (GF(5), "principal"), (QQ, "nash")])
 def test_each_capped_run_happens_once_per_ideal(field, kind, completion_runs):
     # outside the escalation's refutations only the capped route passes a
-    # budget; a failed attempt is kept in the generator tuple's record, so
+    # budget; a failed attempt is kept in the ideal's record, so
     # standard_basis() goes on to Lazard's route
     ring = RingContext(("x", "y"), field)
     ideal = Ideal(ring, [P("x^2+y^2", ring)]) if kind == "principal" else nash_ideal_t(P("x^2*y", ring), 2)
@@ -946,10 +944,32 @@ def test_each_capped_run_happens_once_per_ideal(field, kind, completion_runs):
         assert caps == [4, 8]
 
 
+def test_an_m_primary_basis_from_lazards_route_decides_membership_and_equality(ring_q2, monkeypatch):
+    # the capped runs do not certify the Tjurina ideal of this germ, and
+    # Lazard's route finds it m-primary: once computed, that basis is the
+    # ideal's record, so no query takes the route of infinite colength
+    f = P("x^31+y^29+x^2*y^3", ring_q2)
+    ideal, again = tjurina_ideal(f), tjurina_ideal(f)
+    assert try_primary_standard_basis(ideal, ring_q2) is None
+    assert ideal.standard_basis().dimension() == 90
+    again.standard_basis()
+
+    def undecided(*args):
+        raise AssertionError("membership left to the route of infinite colength")
+
+    monkeypatch.setattr(ideals, "_uncertified_membership", undecided)
+    assert ideal.contains_element(f)
+    assert ideal.contains_element(P("y^28", ring_q2) * P("x^3", ring_q2))
+    assert not ideal.contains_element(P("x", ring_q2))
+    assert not ideal.contains_element(P("y^27", ring_q2))
+    assert ideal.equals(again)
+    assert not ideal.equals(maximal_ideal_power(ring_q2, 1))
+
+
 def test_an_open_axis_answers_dimension_without_completing(ring_q3, monkeypatch):
     # no term of T_2(x^2 + y^2*z) is a power of z alone: the z-axis lies in V(I)
     ideal = nash_ideal_t(P("x^2+y^2*z", ring_q3), 2)
-    assert ideal.generators.open_axes
+    assert ideal._open_axes
     runs = []
     original = ideals._run_completion
     monkeypatch.setattr(ideals, "_run_completion", lambda *args: runs.append(args[2]) or original(*args))
@@ -989,8 +1009,8 @@ class TestInfiniteColengthBasisMembership:
         assert basis.contains(f) is True
         # on the tail-reduced elements these took 4.5 s to more than 270 s
         assert time.perf_counter() - start < 1.0
-        # the walks read the tuple's packed basis, the escalations the tuple
-        read = {"weak_normal_form": ideal.generators.reducers, "_escalated_membership": ideal.generators}
+        # the walks read the ideal's packed span basis, the escalations the ideal
+        read = {"weak_normal_form": ideal._reducers, "_escalated_membership": ideal}
         assert seen and all(gens is read[name] for name, gens in seen)
 
     @settings(max_examples=60, deadline=None)
@@ -1068,7 +1088,7 @@ class TestCompletionOutput:
         gens = [g for g in data.draw(polys) if not g.is_zero()]
         if not gens:
             return
-        for raw in (unpacked(capped_completion(gens, 8)), unpacked(homogenized_completion(homogenized_tuple(gens)))):
+        for raw in (unpacked(capped_completion(gens, 8)), unpacked(homogenized_completion(homogenized_ideal(gens)))):
             for q in raw:
                 assert q.terms and q == Polynomial(q.ring, dict(q.terms))
                 if field.is_prime_field:
@@ -1293,17 +1313,14 @@ class TestIdealArithmetic:
         # of x^3/5 + y^4 made F_5[x,y] raise TypeError on its Fractions; the
         # two basis functions once returned wrong bases (or None) for both
         f = P("x^30+y^31" if foreign.nvars == 3 else "1/5*x^3+y^4", ring_q2)
-        generators = (higher_jacobian_ideal(f, 2) if foreign.nvars == 3 else nash_ideal_t(f, 2)).generators
-        assert any(generators.handed)
-        builders = (
-            lambda gens: Ideal(foreign, gens),
-            lambda gens: compute_standard_basis(gens, foreign),
-            lambda gens: try_primary_standard_basis(gens, foreign),
-        )
-        for build in builders:
-            for handed in (generators, list(generators)):
+        ideal = higher_jacobian_ideal(f, 2) if foreign.nvars == 3 else nash_ideal_t(f, 2)
+        assert any(ideal._handed)
+        with pytest.raises(ValueError, match="different ring context"):
+            Ideal(foreign, ideal.generators)
+        for build in (compute_standard_basis, try_primary_standard_basis):
+            for given in (ideal, ideal.generators):
                 with pytest.raises(ValueError, match="different ring context"):
-                    build(handed)
+                    build(given, foreign)
 
 
 class TestQuotientDimension:
@@ -1468,7 +1485,7 @@ class TestCappedMoraAgainstLazard:
         capped = try_primary_standard_basis(gens, ring)
         if capped is None:
             return
-        pk, raw = _complete_local_by_homogenization(_Generators(ring, gens))
+        pk, raw = _complete_local_by_homogenization(Ideal(ring, gens))
         minimal = _minimalize(pk, raw)
         stats = _staircase([pk.monomial(el[0]) for el in minimal], nvars)
         lazard = _finish_primary(pk, minimal, stats)
@@ -1554,7 +1571,7 @@ class TestFinishedBasis:
             # pure powers: a staircase with corners
             gens += [ring.monomial(tuple(data.draw(st.integers(1, 5)) if j == i else 0 for j in range(nvars)))
                      for i in range(nvars)]
-        pk, raw = _complete_local_by_homogenization(_Generators(ring, gens))
+        pk, raw = _complete_local_by_homogenization(Ideal(ring, gens))
         minimal = _minimalize(pk, raw)
         stats = _staircase([pk.monomial(el[0]) for el in minimal], nvars)
         bases = [_finish_primary(pk, minimal, stats)]
@@ -1580,7 +1597,9 @@ class TestLazardRouteAgainstReference:
 
     @staticmethod
     def assert_same_basis(gens, ring):
-        want = lazard_standard_basis(gens, ring)
+        """``gens`` is a list of polynomials or an Ideal, its hand-over entries kept."""
+        polys = gens.generators if isinstance(gens, Ideal) else gens
+        want = lazard_standard_basis(polys, ring)
         got = compute_standard_basis(gens, ring)
         assert (got.elements, got.truncation) == (want.elements, want.truncation)
         # the staircase the completion counted is the one of the elements' leads
@@ -1595,7 +1614,7 @@ class TestLazardRouteAgainstReference:
         # the homogenized generators reach the uncapped run in the order
         # poly_sort_key gives the homogenized polynomials, with their charges
         pk, handed = runs[-1]
-        assert handed == intake_of(pk, first_per_scalar_class(homogenized_generators(gens, ring)), GRADED_LEX)
+        assert handed == intake_of(pk, first_per_scalar_class(homogenized_generators(polys, ring)), GRADED_LEX)
 
     @staticmethod
     def assert_same_basis_renamed(gens, ring):
@@ -1669,9 +1688,9 @@ class TestLazardRouteAgainstReference:
         # (f) + J_n(f) of non-isolated germs reach Lazard's route packed
         ring = RingContext(("x", "y", "z") if "z" in text else ("x", "y"), field)
         f = P(text, ring)
-        generators = nash_ideal_t(f.scalar_mul(Fraction(-2, 9)) if field is QQ else f, n).generators
-        assert any(generators.handed)
-        self.assert_same_basis(generators, ring)
+        ideal = nash_ideal_t(f.scalar_mul(Fraction(-2, 9)) if field is QQ else f, n)
+        assert any(ideal._handed)
+        self.assert_same_basis(ideal, ring)
 
 
 def test_no_module_level_caches():

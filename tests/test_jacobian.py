@@ -175,7 +175,7 @@ class TestPackedKernel:
         got = all_minors(rows, k, ring)
         assert got == expected
         assert [str(det) for det in got] == [str(det) for det in expected]
-        assert list(_distinct_minors(rows, k, ring)) == first_per_scalar_class(expected)
+        assert list(_distinct_minors(rows, k, ring).generators) == first_per_scalar_class(expected)
 
 
 # str(g) of every generator, in order: `ideal ... --json` prints these lists,
@@ -247,8 +247,8 @@ class TestGeneratorLists:
         second = higher_jacobian_ideal(f, 2)
         assert first is not second
         first.standard_basis()
-        assert first._basis is not None
-        assert second._basis is None
+        assert "_basis" in vars(first)
+        assert "_basis" not in vars(second)
 
 
 class TestFittingIdeals:
@@ -257,7 +257,7 @@ class TestFittingIdeals:
 
     @staticmethod
     def minor_ideal(rows, k, ring):
-        return Ideal(ring, _distinct_minors(rows, k, ring))
+        return _distinct_minors(rows, k, ring)
 
     def test_single_entry(self, ring_q2):
         assert self.minor_ideal([[P("x", ring_q2)]], 1, ring_q2).equals(ideal(ring_q2, "x"))
@@ -315,7 +315,7 @@ class TestHigherJacobianIdeals:
             rng.shuffle(rows)
             rng.shuffle(cols)
             shuffled = [[m.entries[i][j] for j in cols] for i in rows]
-            assert Ideal(ring_q2, _distinct_minors(shuffled, 3, ring_q2)).equals(reference)
+            assert _distinct_minors(shuffled, 3, ring_q2).equals(reference)
 
 
 class TestJacobianIdeal:
