@@ -225,6 +225,7 @@ def cmd_check(args) -> int:
             unit = UnitElement(parse_polynomial(args.unit, ring))
             checks.append(("unit-stability", check_unit_stability(f, unit, n)))
         report = {
+            "char": ring.field.characteristic,
             "checks": [
                 {"kind": kind, "seed": None, "f": str(f), "n": n, "pass": ok}
                 for kind, ok in checks

@@ -220,7 +220,8 @@ def run_invariance_harness(
     config: HarnessConfig = HarnessConfig(),
     germ_pool: tuple[str, ...] = DEFAULT_GERM_POOL,
 ) -> dict:
-    """Run the seeded covariance / unit / contact checks; JSON-ready report."""
+    """Run the seeded covariance / unit / contact checks; JSON-ready report of
+    the field's characteristic (``char``), the checks and the failed ones."""
     germs = [parse_polynomial(text, ring) for text in germ_pool]
     degree = config.max_degree
     # (kind, trials, prefix of the seed that picks f and n, check of one trial)
@@ -241,6 +242,7 @@ def run_invariance_harness(
             n = rng.choice(config.orders)
             checks.append({"kind": kind, "seed": seed, "f": str(f), "n": n, "pass": check(f, n, seed)})
     return {
+        "char": ring.field.characteristic,
         "checks": checks,
         "failures": [c for c in checks if not c["pass"]],
     }

@@ -76,10 +76,10 @@ bound: every pair left would truncate to zero, uncharged.
 Conversion boundary.  A basis of polynomials is packed once on entry to
 weak_normal_form.  An Ideal resolves its generators once, on first use,
 into one view: one packing (Ideal._packing), which holds the capped runs'
-last cap (_Packing.capped) or the widest packing a generator was handed
-over on, and on it the survivors of the scalar-class rule (_kept): the
-first generator of each scalar class in the caller's order, monomial *
-unit replaced by the monomial.  The survivors feed only
+caps up to twice the base cap (_Packing.capped) or the widest packing a
+generator was handed over on, and on it the survivors of the scalar-class
+rule (_kept): the first generator of each scalar class in the caller's
+order, monomial * unit replaced by the monomial.  The survivors feed only
 their span basis (_span) and Lazard's route, whose printed bases of
 infinite colength depend on the full list.  The span basis is the
 survivors sorted by lead key alone, the caller's order kept on equal leads
@@ -89,10 +89,11 @@ and canonical basis, which no processing order changes.  Every membership
 test reads it: the capped runs and the escalation's refutations complete
 it, the budgeted walks reduce by it (_reducers), and the escalation's
 certificate takes it as its rows.  So each generator is packed at most
-once per Ideal.  The maximal minors of a Jacobian matrix
-(jacobian._minor_dets) run on a packing wide enough for the capped runs'
-last cap; each minor kept by the scalar-class rule is unpacked once, for
-the printed generators, and handed over with its packed terms, a positive
+once per Ideal; a cap past that packing moves the span basis once, to a
+packing that holds it.  The maximal minors of a Jacobian matrix
+(jacobian._minor_dets) run on a packing wide enough for twice the capped
+runs' base cap; each minor kept by the scalar-class rule is unpacked once,
+for the printed generators, and handed over with its packed terms, a positive
 multiple of it, on the Ideal (kept by Ideal.__add__), so (f) + J_n(f)
 reaches the capped runs without a Polynomial round trip; the multiple's
 scale stays in jacobian.  Terms handed over on another width move by way
@@ -189,8 +190,8 @@ class _Packing:
     @classmethod
     def capped(cls, ring: RingContext, top: int) -> "_Packing":
         """Fields for generators up to total degree ``top`` and every degree a
-        capped run on them stores: below the last cap of _cap_schedule(top)."""
-        return cls.sized(ring, _cap_schedule(top)[-1] - 1)
+        capped run on them stores up to twice the base cap, _base_cap(top)."""
+        return cls.sized(ring, 2 * _base_cap(top) - 1)
 
     def wider(self) -> "_Packing":
         return _Packing(self.ring, 2 * self.width)
@@ -978,16 +979,9 @@ def _reduced_basis(
     )
 
 
-def _cap_schedule(multiplicity: int) -> list[int]:
-    """The caps of the capped runs, from the largest generator multiplicity."""
-    # Both caps earn their place (benchmark plans, seed 7): the first certifies
-    # most `verdicts` bases, the second most `high-degree` ones.  One pass
-    # bounded only by the staircase instead of the first cap took the
-    # criterion-5 harness from 0.5 s to 23 s; instead of the second, it made
-    # contact checks 10-31 % slower, because on non-isolated germs it runs far
-    # longer than the doubled cap takes to give up.
-    base = max(4, 2 + multiplicity)
-    return [base, 2 * base]
+def _base_cap(multiplicity: int) -> int:
+    """The first capped run's cap, from the largest lead degree among the generators."""
+    return max(4, 2 + multiplicity)
 
 
 # The fixed limits: the escalation gives up after _ESCALATION_ROUNDS rounds,
@@ -1102,10 +1096,19 @@ def try_primary_standard_basis(
     Completes modulo m^cap, then certifies m^(cap-1) lies in the ideal (top
     standard degree + 2 <= cap, by Nakayama, on the staircase the run
     counted); on success the capped basis, minimalized, is exact and
-    canonical.  Returns None when no cap in the schedule certifies, which
-    covers every ideal of infinite colength; when some variable has no pure
-    power among the generators' terms (Ideal._open_axes), that is decided
-    before anything is packed or completed.
+    canonical.  The first cap is _base_cap of the largest lead degree, and
+    each run that does not certify reads the next one off what it found.
+    Below its cap, an element of I + m^cap has the terms of its part in I,
+    so every lead a run finds is a lead of I: when those leads close a
+    staircase of top t, the ideal's lies inside it and a run at cap t + 2
+    certifies, budget permitting.  A run whose staircase stays open doubles
+    the cap after the base cap, or when some span generator has a term at or
+    above the cap, which the run cut; otherwise no cap certifies and this
+    returns None, which covers every ideal of infinite colength.  When some
+    variable has no pure power among the generators' terms
+    (Ideal._open_axes), that is decided before anything is packed or
+    completed.  Each run is charged _WORK_BUDGET afresh, and one that
+    spends it returns None.
     The runs complete the ideal's span basis (Ideal._span), the first
     survivor of each new pivot in processing order: the same ideal, so the
     same canonical basis.  Each call runs the capped runs afresh; an
@@ -1114,20 +1117,35 @@ def try_primary_standard_basis(
     ideal = _ideal_of(generators, ring)
     if ideal.generators and ideal._open_axes:
         return None
-    # one span basis for every cap; the packing holds the last cap, so no
+    # one span basis for every cap, on a packing that holds the cap, so no
     # run overflows
     pk = ideal._packing
     multiplicity, gens = ideal._span
     if not gens:
         return _reduced_basis(pk, [], None, None)
-    for cap in _cap_schedule(multiplicity):
+    base = cap = _base_cap(multiplicity)
+    while True:
+        if cap - 1 > pk.limit:
+            wide = _Packing.sized(ring, cap - 1)
+            gens = [_moved(pk, wide, terms) for terms in gens]
+            pk = wide
         completed = _run_completion(pk, gens, cap, [_WORK_BUDGET])
         if completed is None:
             return None
         raw, stairs = completed
-        if stairs is not None and stairs[1] + 2 <= cap:
-            return _finish_primary(pk, _minimalize(pk, raw), stairs)
-    return None
+        if stairs is not None:
+            if stairs[1] + 2 <= cap:
+                return _finish_primary(pk, _minimalize(pk, raw), stairs)
+            # every lead found below the cap is a lead of the ideal, so the
+            # ideal's staircase lies inside this one: top + 2 certifies
+            cap = stairs[1] + 2
+        elif cap == base or min(map(min, gens)) < pk.floor(cap):
+            # the doubled base cap certifies most `high-degree` bases; past
+            # it only a run that cut generator terms doubles, since on ideals
+            # of infinite colength every further run only delays Lazard's route
+            cap *= 2
+        else:
+            return None
 
 
 def compute_standard_basis(generators: Ideal | Sequence[Polynomial], ring: RingContext) -> ReducedStandardBasis:
@@ -1168,12 +1186,13 @@ class Ideal:
     _scalar_class of the terms, as jacobian._distinct_minors hands over its
     minors, which come handed because repacking them from their
     polynomials cost ``high-order`` about 8 %.  ``_packing`` holds every
-    generator and every degree the capped runs on them store:
-    _Packing.capped for the highest degree among the generators packed here
-    (no multiplicity exceeds it, so it holds the last cap of the schedule),
-    or the widest packing a generator came on when that is wider; the width
-    changes no key order.  ``_kept``, the survivors, feeds only ``_span``
-    and Lazard's route; ``_span``, their one span basis, is what every
+    generator and every degree the capped runs on them store up to twice
+    their base cap: _Packing.capped for the highest degree among the
+    generators packed here (no multiplicity exceeds it), or the widest
+    packing a generator came on when that is wider; the width changes no key
+    order.  A larger cap moves the span basis to a packing that holds it.
+    ``_kept``, the survivors, feeds only ``_span`` and Lazard's route;
+    ``_span``, their one span basis, is what every
     membership test reads: the capped runs, the escalation and, packed and
     sorted stably by rank as ``_reducers``, the walks.  The colength
     record is ``_open_axes`` (_open_axes_of the generators) and

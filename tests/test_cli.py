@@ -213,7 +213,15 @@ class TestCheckCommand:
         assert out1 == out2
         obj = json.loads(out1)
         assert obj["failures"] == []
+        assert obj["char"] == 0
         assert all(set(c) == {"kind", "seed", "f", "n", "pass"} for c in obj["checks"])
+
+    @pytest.mark.parametrize("extra", [(), ("--auto", "x+y^2;y"), ("--unit", "1+x")])
+    def test_json_names_the_field(self, capsys, extra):
+        # over Q and F_3 the checks of x^3+y^3 pass alike; the report tells the runs apart
+        args = ("check", "invariance", "x^3+y^3", "--trials", "2", "--seed", "3", "--json", *extra)
+        chars = [json.loads(run(capsys, *args, "--char", p)[1])["char"] for p in ("0", "3")]
+        assert chars == [0, 3]
 
     def test_unknown_flag_is_config_error(self, capsys):
         code, _, err = run(capsys, "check", "invariance", "x*y", "--bogus")

@@ -209,6 +209,7 @@ class TestHarness:
     def test_small_run_all_pass(self, ring_q2):
         config = HarnessConfig(seed=5, covariance_trials=4, unit_trials=4, contact_trials=2)
         report = run_invariance_harness(ring_q2, config)
+        assert report["char"] == 0
         assert len(report["checks"]) == 10
         assert report["failures"] == []
         kinds = {c["kind"] for c in report["checks"]}

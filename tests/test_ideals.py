@@ -7,12 +7,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import nashblowup
 from nashblowup import ideals
-from nashblowup.algebras import nash_ideal_t, tjurina_ideal
+from nashblowup.algebras import invariant_report, nash_ideal_t, tjurina_ideal, tjurina_number
 from nashblowup.jacobian import higher_jacobian_ideal
 from nashblowup.fields import GF, QQ
 from nashblowup.ideals import (
@@ -945,13 +945,14 @@ def test_each_capped_run_happens_once_per_ideal(field, kind, completion_runs):
 
 
 def test_an_m_primary_basis_from_lazards_route_decides_membership_and_equality(ring_q2, monkeypatch):
-    # the capped runs do not certify the Tjurina ideal of this germ, and
+    # (x^8 + y^20, x^21) has leads x^8, x^5*y^40 and y^60: no capped run
+    # closes its staircase (caps 23 and 46, no generator term cut), and
     # Lazard's route finds it m-primary: once computed, that basis is the
     # ideal's record, so no query takes the route of infinite colength
-    f = P("x^31+y^29+x^2*y^3", ring_q2)
-    ideal, again = tjurina_ideal(f), tjurina_ideal(f)
+    f = P("x^8+y^20", ring_q2)
+    ideal, again = (Ideal(ring_q2, [f, P("x^21", ring_q2)]) for _ in range(2))
     assert try_primary_standard_basis(ideal, ring_q2) is None
-    assert ideal.standard_basis().dimension() == 90
+    assert ideal.standard_basis().dimension() == 420
     again.standard_basis()
 
     def undecided(*args):
@@ -959,9 +960,9 @@ def test_an_m_primary_basis_from_lazards_route_decides_membership_and_equality(r
 
     monkeypatch.setattr(ideals, "_uncertified_membership", undecided)
     assert ideal.contains_element(f)
-    assert ideal.contains_element(P("y^28", ring_q2) * P("x^3", ring_q2))
+    assert ideal.contains_element(P("y^20", ring_q2) * P("x^13", ring_q2))
     assert not ideal.contains_element(P("x", ring_q2))
-    assert not ideal.contains_element(P("y^27", ring_q2))
+    assert not ideal.contains_element(P("y^59", ring_q2))
     assert ideal.equals(again)
     assert not ideal.equals(maximal_ideal_power(ring_q2, 1))
 
@@ -1491,6 +1492,101 @@ class TestCappedMoraAgainstLazard:
         lazard = _finish_primary(pk, minimal, stats)
         assert capped.elements == lazard.elements
         assert capped.truncation == lazard.truncation
+
+
+class TestCapsReadOffTheStaircase:
+    """Every lead a capped run finds below its cap is a lead of the ideal, so
+    the ideal's staircase lies inside a closed one of top t, and a run at cap
+    t + 2 certifies: try_primary_standard_basis reads its next cap there."""
+
+    KINDS = {
+        "T": tjurina_ideal,
+        "T_2": lambda f: nash_ideal_t(f, 2),
+        "T[1]": lambda f: tjurina_ideal(f, 1),
+    }
+
+    @staticmethod
+    def certifies(completed, cap) -> bool:
+        return completed is not None and completed[1] is not None and completed[1][1] + 2 <= cap
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_closed_staircase_certifies_two_above_its_top(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        ring = RingContext(("x", "y"), field)
+        kind = data.draw(st.sampled_from(sorted(self.KINDS)))
+        # the pure powers set the top of the staircase; a drawn tail of order
+        # at least 2 moves it.  The reference's homogenized run on T_2 over Q
+        # takes seconds from degree 7 on
+        hi = 6 if kind == "T_2" else 10
+        a, b = data.draw(st.integers(2, hi)), data.draw(st.integers(2, hi))
+        drawn = data.draw(polynomial_strategy(ring, max_terms=3, max_degree=hi))
+        f = P(f"x^{a}+y^{b}", ring) + Polynomial(ring, {e: c for e, c in drawn.terms.items() if sum(e) >= 2})
+        assume(not f.is_zero() and tjurina_number(f) is not INFINITE)
+        ideal = self.KINDS[kind](f)
+        want = lazard_standard_basis(list(ideal.generators), ring)
+        assert want.staircase is not None
+
+        # the rule at every cap below the one that certifies, on a packing
+        # that holds every cap it leads to
+        pk = _Packing.sized(ring, 2 * want.truncation)
+        gens = [_moved(ideal._packing, pk, terms) for terms in ideal._span[1]]
+        for cap in range(2, want.truncation + 1):
+            stairs = _run_completion(pk, gens, cap, None)[1]
+            if stairs is not None and not stairs[1] + 2 <= cap:
+                again = _run_completion(pk, gens, stairs[1] + 2, None)
+                assert self.certifies(again, stairs[1] + 2)
+                assert again[1] == want.staircase
+
+        # the capped route follows the rule, and its basis is Lazard's
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            original = ideals._run_completion
+            mp.setattr(ideals, "_run_completion",
+                       lambda pk, gens, cap, budget: runs.append((cap, original(pk, gens, cap, budget))) or runs[-1][1])
+            capped = try_primary_standard_basis(ideal, ring)
+        for (cap, completed), following in zip(runs, runs[1:] + [None]):
+            if completed is not None and completed[1] is not None and not self.certifies(completed, cap):
+                top = completed[1][1]
+                assert following is not None and following[0] == top + 2
+                assert following[1] is None or self.certifies(following[1], top + 2)
+        if capped is not None:
+            assert (capped.elements, capped.truncation, capped.staircase) == (
+                want.elements, want.truncation, want.staircase)
+
+        # y times the generators leaves the x-axis open: no run at all
+        y = P("y", ring)
+        open_ideal = Ideal(ring, [g * y for g in ideal.generators])
+        assert open_ideal._open_axes
+        runs.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ideals, "_run_completion", lambda *args: runs.append(args))
+            assert try_primary_standard_basis(open_ideal, ring) is None
+        assert runs == []
+
+    def test_a_cap_past_the_packing_moves_the_span_basis(self):
+        # the base run (cap 122) closes the staircase of the five pure powers
+        # with top 595, so the next cap, 597, outgrows the ideal's 9-bit packing
+        ring = RingContext(tuple(f"x{i}" for i in range(1, 6)), QQ)
+        ideal = Ideal(ring, [P(f"x{i}^120", ring) for i in range(1, 6)])
+        basis = try_primary_standard_basis(ideal, ring)
+        assert ideal._packing.limit < 596 <= basis.packed.packing.limit
+        assert sorted(basis.elements, key=str) == sorted(ideal.generators, key=str)
+        assert (basis.truncation, basis.dimension()) == (596, 120 ** 5)
+
+    @pytest.mark.parametrize("text, dims", [
+        ("x^60+y^71+x^5*y^5", (509, 1562, 511)),
+        ("x^31+y^29+x^2*y^3", (90, 277, 92)),
+    ])
+    def test_perturbed_brieskorn_pham_germs_stay_off_lazards_route(self, text, dims, ring_q2, monkeypatch):
+        # the pure powers set the top standard degree far above the base caps
+        # (12 and 24 for tau of the first germ, against a top of 73); the runs
+        # cut generator terms at every cap up to the germ's degree, so the cap
+        # doubles on until a run certifies (96 for that tau)
+        lazard = TestLazardFallback.spy(monkeypatch, "_complete_local_by_homogenization")
+        report = invariant_report(P(text, ring_q2))
+        assert (report.tau, report.dim_tn[2], report.dim_tk[1]) == dims
+        assert lazard == []
 
 
 class TestLazardFallback:

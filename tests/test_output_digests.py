@@ -12,7 +12,7 @@ import importlib.util
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_digests.py"
-PINNED = "599c14b5d9e7b715b315661be9ec7311"
+PINNED = "90148470fbea21845b9815a6b189a521"
 
 
 def test_cli_output_digests_match_the_pin():
