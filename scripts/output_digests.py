@@ -10,7 +10,9 @@ covers ``ideal tn|mn|tjurina --reduced --dim --json``, ``invariants``,
 isolated and non-isolated plane and space germs, then ``matrix`` in text and
 ``--json`` form over the plane germs, then ``corpus --json`` and the seeded
 ``check invariance`` harness over the default germ pool over Q and F_3,
-then help and error text of the top level and of every verb.  Help text wraps at the terminal width, so compare
+then three reduced bases of infinite colength that depend on the
+generators Lazard's route receives, then help and error text of the top
+level and of every verb.  Help text wraps at the terminal width, so compare
 runs with the same ``COLUMNS`` (or both with output redirected).
 
 Usage (compare two checkouts):
@@ -112,6 +114,14 @@ SAMUEL_PAIRS = (
     ("x^3+y^4", "x^3+y^4+y^5"),
     ("x^2+y^2+z^2", "x^2+y^2+z^2+x^3"),
 )
+# (germ, char): reduced Tjurina bases of infinite colength that depend on
+# which generators Lazard's route homogenizes; handing it only the span basis
+# of the survivors, not every survivor, prints other bases for these three
+LAZARD_GENERATORS = (
+    ("2*x*y^2+6*y^3-x^4*y^4", 0),
+    ("x*y^3-y^4-x^2*y^4", 0),
+    ("x^4*y+2*x^3+2*x^2*y", 5),
+)
 
 
 def invocations() -> list[list[str]]:
@@ -146,6 +156,9 @@ def invocations() -> list[list[str]]:
         for f in DEFAULT_GERM_POOL:
             out.append(["check", "invariance", f, "--trials", "6", "--seed", "3", "--json", "--vars", "x,y",
                         "--char", str(p)])
+    for f, p in LAZARD_GENERATORS:
+        out.append(["ideal", "tjurina", f, "-k", "1", "--reduced", "--dim", "--json", "--char", str(p),
+                    "--vars", "x,y"])
     out.extend(list(argv) for argv in PARSER_ERRORS)
     return out
 

@@ -21,13 +21,15 @@ The plan runs twice.  The first pass binds the checkouts in the order
 given and lets the first go first on even ops; the second binds them the
 other way round and lets the second go first on even ops, since readings
 shift by about 1 % with the naming order.  For each pass it prints, per op
-kind and in total, the op count, each side's summed time, and the second
-label's speed-up over the first (the first's time over its time, minus
-one); then each side's ops per second over the summed times, the median and
-90th percentile of its per-op least times (nearest rank, as
-``perfbench/run.py`` reads ``op_p50_ms`` and ``op_p90_ms``), and its failed
-answers.  Last, per op kind and in total, the two passes' speed-ups and
-their mean.  Exits 1 when an answer is wrong.
+kind and stratum (``kind/stratum``, such as ``ideal-tn/n5-q``, so that a
+workload of one kind still shows which stratum moved) and in total, the op
+count, each side's summed time, and the second label's speed-up over the
+first (the first's time over its time, minus one); then each side's ops
+per second over the summed times, the median and 90th percentile of its
+per-op least times (nearest rank, as ``perfbench/run.py`` reads
+``op_p50_ms`` and ``op_p90_ms``), and its failed answers.  Last, per op
+kind and stratum and in total, the two passes' speed-ups and their mean.
+Exits 1 when an answer is wrong.
 """
 
 from __future__ import annotations
@@ -108,13 +110,13 @@ def main() -> int:
         del sides
         failed = failed or any(failures.values())
         print(f"{bound[0]} bound first")
-        print(f"{'kind':<16}{'ops':>6}{first + ' ms':>14}{second + ' ms':>14}{'change':>9}")
+        print(f"{'kind/stratum':<28}{'ops':>6}{first + ' ms':>14}{second + ' ms':>14}{'change':>9}")
         change = {}
-        for kind in sorted(count) + ["total"]:
-            n = len(ops) if kind == "total" else count[kind]
-            a, b = (sum(best[label].values()) if kind == "total" else best[label][kind] for label in roots)
-            change[kind] = (a / b - 1) * 100
-            print(f"{kind:<16}{n:>6}{a * 1e3:>14.1f}{b * 1e3:>14.1f}{change[kind]:>+8.1f}%")
+        for group in sorted(count) + ["total"]:
+            n = len(ops) if group == "total" else count[group]
+            a, b = (sum(best[label].values()) if group == "total" else best[label][group] for label in roots)
+            change[group] = (a / b - 1) * 100
+            print(f"{group:<28}{n:>6}{a * 1e3:>14.1f}{b * 1e3:>14.1f}{change[group]:>+8.1f}%")
         for label in roots:
             total = sum(best[label].values())
             p50, p90 = statistics.median(least[label]) * 1e3, percentile(least[label], 0.9) * 1e3
@@ -124,22 +126,24 @@ def main() -> int:
                 print(f"  {line}")
         changes.append(change)
     print(f"{second} over {first}, both orders")
-    print(f"{'kind':<16}{first + ' first':>16}{second + ' first':>16}{'mean':>9}")
-    for kind in changes[0]:
-        a, b = changes[0][kind], changes[1][kind]
-        print(f"{kind:<16}{a:>+15.1f}%{b:>+15.1f}%{(a + b) / 2:>+8.1f}%")
+    print(f"{'kind/stratum':<28}{first + ' first':>16}{second + ' first':>16}{'mean':>9}")
+    for group in changes[0]:
+        a, b = changes[0][group], changes[1][group]
+        print(f"{group:<28}{a:>+15.1f}%{b:>+15.1f}%{(a + b) / 2:>+8.1f}%")
     return 1 if failed else 0
 
 
 def time_ops(ops, sides, order, reps, answers, table):
-    """(best, least, count, failures): per label the summed least time per op kind,
-    the least time of each op in plan order, the op count per kind, and the
-    failed answers.  ``order[0]`` goes first on even ops."""
+    """(best, least, count, failures): per label the summed least time per op
+    kind and stratum, the least time of each op in plan order, the op count
+    per kind and stratum, and the failed answers.  ``order[0]`` goes first on
+    even ops."""
     best = {label: defaultdict(float) for label in sides}
     least = {label: [] for label in sides}
     count: dict[str, int] = defaultdict(int)
     failures = {label: [] for label in sides}
     for i, op in enumerate(ops):
+        group = f"{op.kind}/{op.stratum}"
         times = {label: [] for label in sides}
         for _ in range(reps):
             for label in (order if i % 2 == 0 else order[::-1]):
@@ -157,9 +161,9 @@ def time_ops(ops, sides, order, reps, answers, table):
                     error = answers.check(op, result, table)
                 if error is not None:
                     failures[label].append(f"op {i} {op.key} {op.extra}: {error}")
-        count[op.kind] += 1
+        count[group] += 1
         for label in sides:
-            best[label][op.kind] += min(times[label])
+            best[label][group] += min(times[label])
             least[label].append(min(times[label]))
     return best, least, count, failures
 

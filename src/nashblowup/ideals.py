@@ -75,11 +75,11 @@ bound: every pair left would truncate to zero, uncharged.
 
 Conversion boundary.  A basis of polynomials is packed once on entry to
 weak_normal_form.  An Ideal resolves its generators once, on first use,
-into one view: one packing (Ideal._packing), which holds the capped runs'
-caps up to twice the base cap (_Packing.capped) or the widest packing a
-generator was handed over on, and on it the survivors of the scalar-class
-rule (_kept): the first generator of each scalar class in the caller's
-order, monomial * unit replaced by the monomial.  The survivors feed only
+into one view: one packing (Ideal._packing), _Packing.sized for the
+generators packed there or the widest packing a generator was handed over
+on, and on it the survivors of the scalar-class rule (_kept): the first
+generator of each scalar class in the caller's order, monomial * unit
+replaced by the monomial.  The survivors feed only
 their span basis (_span) and Lazard's route, whose printed bases of
 infinite colength depend on the full list.  The span basis is the
 survivors sorted by lead key alone, the caller's order kept on equal leads
@@ -89,20 +89,20 @@ and canonical basis, which no processing order changes.  Every membership
 test reads it: the capped runs and the escalation's refutations complete
 it, the budgeted walks reduce by it (_reducers), and the escalation's
 certificate takes it as its rows.  So each generator is packed at most
-once per Ideal; a cap past that packing moves the span basis once, to a
-packing that holds it.  The maximal minors of a Jacobian matrix
-(jacobian._minor_dets) run on a packing wide enough for twice the capped
-runs' base cap; each minor kept by the scalar-class rule is unpacked once,
-for the printed generators, and handed over with its packed terms, a positive
-multiple of it, on the Ideal (kept by Ideal.__add__), so (f) + J_n(f)
-reaches the capped runs without a Polynomial round trip; the multiple's
-scale stays in jacobian.  Terms handed over on another width move by way
-of their exponent tuples; the width changes no key order, so no result.
-The escalation's caps depend only on deg f, so it moves the span basis at
-most once, to one packing that holds its last cap and certificate layer,
-and packs only f.  Each capped run cuts the span basis at its key floor,
-and every step of a budgeted walk or capped run charges its budget by one
-rule, on the packed lead coefficient.  Lazard's route homogenizes the
+once per Ideal, and one method (Ideal._span_on) moves the span basis to a
+packing that holds a degree past that packing: a capped run's cap, or the
+escalation's last cap and certificate layer, which depend only on deg f,
+so the escalation moves it at most once and packs only f.  The maximal
+minors of a Jacobian matrix (jacobian._minor_dets) run on a packing that
+holds their degree; Ideal._from_packed keeps the first minor of each
+scalar class, unpacks it once, for the printed generators, and hands it
+over with its packed terms, a positive multiple of it (kept by
+Ideal.__add__), so (f) + J_n(f) reaches the capped runs without a
+Polynomial round trip.  Terms handed over on another width move by way of
+their exponent tuples; the width changes no key order, so no result.
+Each capped run cuts the span basis at its key floor, and every step of a
+budgeted walk or capped run charges its budget by one rule, on the packed
+lead coefficient.  Lazard's route homogenizes the
 survivors' keys and processes them in the order graded lex gives the
 homogenized polynomials, ties broken by each generator's own term list; it
 moves the keys from the packing of (t, x_1, ..., x_d) its completion runs
@@ -186,12 +186,6 @@ class _Packing:
     def sized(cls, ring: RingContext, top: int) -> "_Packing":
         """Fields for monomials up to total degree ``top``, with room to double."""
         return cls(ring, max(8, (2 * top + 1).bit_length()))
-
-    @classmethod
-    def capped(cls, ring: RingContext, top: int) -> "_Packing":
-        """Fields for generators up to total degree ``top`` and every degree a
-        capped run on them stores up to twice the base cap, _base_cap(top)."""
-        return cls.sized(ring, 2 * _base_cap(top) - 1)
 
     def wider(self) -> "_Packing":
         return _Packing(self.ring, 2 * self.width)
@@ -842,19 +836,16 @@ def _escalated_membership(f: Polynomial, ideal: Ideal) -> bool:
     certifies: most members need 0 to 2.  The certificate runs first; the
     opposite order was measured slower on the contact and covariance checks.
     A basis of I + m^cap from any generators of I decides membership modulo
-    m^cap.  The caps depend only on deg f, so one packing, chosen here,
+    m^cap.  The caps depend only on deg f, so one packing (Ideal._span_on)
     holds the last cap and certificate layer; only f is packed here.
     """
     src = ideal._packing
-    span = ideal._span[1]
     caps = [f.total_degree() + 2]
     while len(caps) < _ESCALATION_ROUNDS:
         caps.append(caps[-1] + max(4, caps[-1] // 2))
-    top = max([f.total_degree(), *(src.degree(min(terms)) for terms in span)])
+    top = max([f.total_degree(), *(src.degree(min(terms)) for terms in ideal._span[1])])
     # neither side overflows: every degree below the last cap, and the last layer's shifts
-    need = max(caps[-1] - 1, top + 4 * _ESCALATION_ROUNDS)
-    pk = src if need <= src.limit else _Packing.sized(f.ring, need)
-    span = [_moved(src, pk, terms) for terms in span]
+    pk, span = ideal._span_on(max(caps[-1] - 1, top + 4 * _ESCALATION_ROUNDS))
     target = pk.pack(f)
     layers = _certificate_layers(pk, target, span)
     for r, cap in enumerate(caps):
@@ -979,11 +970,6 @@ def _reduced_basis(
     )
 
 
-def _base_cap(multiplicity: int) -> int:
-    """The first capped run's cap, from the largest lead degree among the generators."""
-    return max(4, 2 + multiplicity)
-
-
 # The fixed limits: the escalation gives up after _ESCALATION_ROUNDS rounds,
 # and a membership walk, a capped run and an escalation's refutation run each
 # stop after charging _WORK_BUDGET units by _normal_form's one rule.
@@ -1096,7 +1082,7 @@ def try_primary_standard_basis(
     Completes modulo m^cap, then certifies m^(cap-1) lies in the ideal (top
     standard degree + 2 <= cap, by Nakayama, on the staircase the run
     counted); on success the capped basis, minimalized, is exact and
-    canonical.  The first cap is _base_cap of the largest lead degree, and
+    canonical.  The first cap is max(4, 2 + the largest lead degree), and
     each run that does not certify reads the next one off what it found.
     Below its cap, an element of I + m^cap has the terms of its part in I,
     so every lead a run finds is a lead of I: when those leads close a
@@ -1117,18 +1103,15 @@ def try_primary_standard_basis(
     ideal = _ideal_of(generators, ring)
     if ideal.generators and ideal._open_axes:
         return None
-    # one span basis for every cap, on a packing that holds the cap, so no
-    # run overflows
     pk = ideal._packing
     multiplicity, gens = ideal._span
     if not gens:
         return _reduced_basis(pk, [], None, None)
-    base = cap = _base_cap(multiplicity)
+    base = cap = max(4, 2 + multiplicity)
     while True:
+        # one span basis on a packing that holds the cap, so no run overflows
         if cap - 1 > pk.limit:
-            wide = _Packing.sized(ring, cap - 1)
-            gens = [_moved(pk, wide, terms) for terms in gens]
-            pk = wide
+            pk, gens = ideal._span_on(cap - 1)
         completed = _run_completion(pk, gens, cap, [_WORK_BUDGET])
         if completed is None:
             return None
@@ -1183,14 +1166,14 @@ class Ideal:
     ``_handed`` holds one entry per generator: None, or (packing, terms,
     scalar class) with the terms a positive multiple of the generator on
     that packing's keys (the generator itself over F_p) and the
-    _scalar_class of the terms, as jacobian._distinct_minors hands over its
-    minors, which come handed because repacking them from their
-    polynomials cost ``high-order`` about 8 %.  ``_packing`` holds every
-    generator and every degree the capped runs on them store up to twice
-    their base cap: _Packing.capped for the highest degree among the
-    generators packed here (no multiplicity exceeds it), or the widest
-    packing a generator came on when that is wider; the width changes no key
-    order.  A larger cap moves the span basis to a packing that holds it.
+    _scalar_class of the terms, as _from_packed builds them for the minors
+    of jacobian._distinct_minors, which come handed because repacking them
+    from their polynomials cost ``high-order`` about 8 %.  ``_packing``
+    holds every generator: _Packing.sized for the highest degree among the
+    generators packed here, or the widest packing a generator came on when
+    that is wider; the width changes no key order.  A degree past it, a
+    capped run's cap or the escalation's, reads the span basis moved once
+    to a packing that holds it (``_span_on``).
     ``_kept``, the survivors, feeds only ``_span`` and Lazard's route;
     ``_span``, their one span basis, is what every
     membership test reads: the capped runs, the escalation and, packed and
@@ -1222,6 +1205,28 @@ class Ideal:
     def unit(cls, ring: RingContext) -> "Ideal":
         return cls(ring, [ring.one()])
 
+    @classmethod
+    def _from_packed(cls, pk: _Packing, scale: int, packed: Iterable[dict[int, int]]) -> "Ideal":
+        """The ideal of the first of each scalar class among nonzero packed
+        polynomials, in order, over Q ``scale`` times the true ones: each is
+        unpacked once and handed over with its terms and scalar class."""
+        ring, p = pk.ring, pk.p
+        seen = set()
+        polys = []
+        handed = []
+        for terms in packed:
+            key = _scalar_class(terms, p)
+            if key in seen:
+                continue
+            seen.add(key)
+            if scale == 1:
+                polys.append(pk.polynomial(terms))
+            else:
+                coeffs = [Fraction(c, scale) for c in terms.values()]
+                polys.append(Polynomial(ring, dict(zip(map(pk.monomial, terms), coeffs)), _canonical=True))
+            handed.append((pk, terms, key))
+        return cls(ring, polys, _handed=handed)
+
     def __repr__(self) -> str:
         inner = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal({inner})"
@@ -1232,7 +1237,7 @@ class Ideal:
     def _packing(self) -> _Packing:
         handed = self._handed
         top = max((g.total_degree() for g, given in zip(self.generators, handed) if given is None), default=0)
-        pk = _Packing.capped(self.ring, top)
+        pk = _Packing.sized(self.ring, top)
         for given in handed:
             if given is not None and given[0].width > pk.width:
                 pk = given[0]
@@ -1279,6 +1284,16 @@ class Ideal:
         gens = _intake(self)
         # processing order puts the largest lead degree, the largest multiplicity, last
         return self._packing.degree(max(gens[-1])) if gens else -1, _span_basis(self._packing.p, gens)
+
+    def _span_on(self, top: int) -> tuple[_Packing, list[dict[int, int]]]:
+        """(packing, span basis) on a packing that holds degree ``top``: the
+        ideal's own when it does, else _Packing.sized(ring, top), the span
+        basis moved onto it once by way of its exponent tuples."""
+        pk, span = self._packing, self._span[1]
+        if top <= pk.limit:
+            return pk, span
+        wide = _Packing.sized(self.ring, top)
+        return wide, [_moved(pk, wide, terms) for terms in span]
 
     @cached_property
     def _reducers(self) -> _PackedBasis:

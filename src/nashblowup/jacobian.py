@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
-from .ideals import Ideal, _Packing, _scalar_class
+from .ideals import Ideal, _Packing
 from .polynomials import MultiIndex, Polynomial, RingContext, multi_indices_in_range
 
 
@@ -108,13 +107,13 @@ def jac_matrix(f: Polynomial, n: int) -> JacobianMatrix:
 # matrices, whose last rows are the sparsest, so the early states stay few;
 # structural zeros are never stored.  The expansion runs on the monomial keys
 # of a local ideals._Packing and on integer coefficients, so a product of two
-# terms is one int addition and one int multiplication.  The packing is the
-# one the capped completion of the minors would choose (ideals.Ideal._packing),
-# so each kept minor is handed over with its packed terms and reaches the
-# capped runs without being packed again.  Over Q every entry is scaled by the
-# lcm D of all denominators, so a minor comes out D^k times the true one: the
-# packed terms are handed over as they are, a positive multiple of the minor,
-# and D^k serves only to build the printed Fractions.  Over F_p coefficients
+# terms is one int addition and one int multiplication.  The packing only
+# has to hold a minor's degree, k * top; each kept minor is handed over with
+# its packed terms (ideals.Ideal._from_packed) and reaches the capped runs
+# without being packed again.  Over Q every entry is scaled by the lcm D of
+# all denominators, so a minor comes out D^k times the true one: the packed
+# terms are handed over as they are, a positive multiple of the minor, and
+# D^k serves only to build the printed Fractions.  Over F_p coefficients
 # stay in 0..p-1 and sums are reduced once per state.
 
 
@@ -125,10 +124,9 @@ def _packed_cells(
     # Jacobian matrices repeat one derivative in many cells: pack each once
     distinct = {id(e): e.terms for row in entries for e in row if e.terms}
     top = max((sum(alpha) for terms in distinct.values() for alpha in terms), default=0)
-    # a minor has degree at most D = k * top, so keys add without carries;
-    # the packing of the capped runs on generators of degree at most D
-    # (ideals.Ideal._packing) holds it, so the minors reach them on its keys
-    pk = _Packing.capped(ring, k * top)
+    # a minor has degree at most k * top, so on a packing that holds that
+    # degree keys add without carries
+    pk = _Packing.sized(ring, k * top)
     p = pk.p
     den = 1 if p else math.lcm(*(c.denominator for terms in distinct.values() for c in terms.values()))
     packed = {
@@ -189,27 +187,12 @@ def _distinct_minors(
 ) -> Ideal:
     """The ideal of the nonzero k x k minors up to a scalar, first kept: row subsets, then columns, in lex order.
 
-    Each is unpacked once and handed over with its packed terms.
+    Each is unpacked once and handed over with its packed terms (Ideal._from_packed).
     """
     pk, scale, cells = _packed_cells(entries, k, ring)
-    p = pk.p
     cols = range(len(cells[0]))
-    seen = set()
-    polys = []
-    packed = []
-    for rows in combinations(range(len(cells)), k):
-        for det in _minor_dets(cells, p, rows, cols):
-            key = _scalar_class(det, p)
-            if key in seen:
-                continue
-            seen.add(key)
-            if scale == 1:
-                polys.append(pk.polynomial(det))
-            else:
-                coeffs = [Fraction(c, scale) for c in det.values()]
-                polys.append(Polynomial(ring, dict(zip(map(pk.monomial, det), coeffs)), _canonical=True))
-            packed.append((pk, det, key))
-    return Ideal(ring, polys, _handed=packed)
+    minors = chain.from_iterable(_minor_dets(cells, pk.p, rows, cols) for rows in combinations(range(len(cells)), k))
+    return Ideal._from_packed(pk, scale, minors)
 
 
 def higher_jacobian_ideal(f: Polynomial, n: int) -> Ideal:
