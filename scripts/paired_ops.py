@@ -30,11 +30,22 @@ per-op least times (nearest rank, as ``perfbench/run.py`` reads
 ``op_p50_ms`` and ``op_p90_ms``), and its failed answers.  Last, per op
 kind and stratum and in total, the two passes' speed-ups and their mean.
 Exits 1 when an answer is wrong.
+
+``--time MODULE.FUNC[,...]`` (a module of the package, such as
+``ideals._finish_primary`` or ``cli.build_parser``) also reports, for each
+side and pass, the calls per op and the wall time per op spent inside each
+named function, and that time's share of the side's op time over every
+rep.  Only outermost calls count, so a function that recurses or calls
+itself again is timed once.  Every copy of the function bound in the
+side's modules is rebound, as ``perfbench/spans.py`` does, and a name a
+side does not define reads ``-``.  The wrappers add their own cost to the
+op times, so take speed-ups from a run without ``--time``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import statistics
 import sys
@@ -67,6 +78,45 @@ def bind(root: Path, make_runner):
     return run, {n: m for n, m in sys.modules.items() if is_library(n)}
 
 
+def timed(fn, cell: list):
+    """``fn`` adding the calls and seconds of its outermost calls to ``cell``."""
+    depth = 0
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        nonlocal depth
+        if depth:
+            return fn(*args, **kwargs)
+        depth = 1
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            cell[0] += 1
+            cell[1] += time.perf_counter() - t0
+            depth = 0
+
+    return wrapper
+
+
+def install_timers(modules: dict, names: list[str]) -> dict:
+    """{name: [calls, seconds]} for each MODULE.FUNC the side defines, the
+    function rebound in every one of its modules that holds it."""
+    spent = {}
+    for name in names:
+        mod_name, _, attr = name.rpartition(".")
+        original = getattr(modules.get(f"nashblowup.{mod_name}"), attr, None)
+        if original is None:
+            continue
+        spent[name] = [0, 0.0]
+        wrapper = timed(original, spent[name])
+        for mod in modules.values():
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    setattr(mod, key, wrapper)
+    return spent
+
+
 def percentile(values: list[float], q: float) -> float:
     """Nearest-rank percentile."""
     ordered = sorted(values)
@@ -80,7 +130,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--ops", type=int, required=True)
     parser.add_argument("--reps", type=int, default=3)
+    parser.add_argument("--time", metavar="MODULE.FUNC[,...]",
+                        help="also report the calls and time per op inside these functions")
     args = parser.parse_args()
+    names = args.time.split(",") if args.time else []
     if args.ops < 1 or args.reps < 1:
         parser.error("--ops and --reps must be at least 1")
     roots = {}
@@ -106,7 +159,8 @@ def main() -> int:
     for bound in ([first, second], [second, first]):
         # the side bound first also goes first on even ops
         sides = {label: bind(roots[label], make_runner) for label in bound}
-        best, least, count, failures = time_ops(ops, sides, bound, args.reps, answers, table)
+        spent = {label: install_timers(sides[label][1], names) for label in bound}
+        best, least, count, failures, busy = time_ops(ops, sides, bound, args.reps, answers, table)
         del sides
         failed = failed or any(failures.values())
         print(f"{bound[0]} bound first")
@@ -124,6 +178,18 @@ def main() -> int:
                   f"{len(failures[label])} failed")
             for line in failures[label][:10]:
                 print(f"  {line}")
+        if names:
+            runs = len(ops) * args.reps
+            print(f"{'timed, per op over every rep':<36}{'calls':>8}{'ms':>10}{'share':>8}")
+            for name in names:
+                for label in roots:
+                    cell = spent[label].get(name)
+                    row = f"{label + ' ' + name:<36}"
+                    if cell is None:
+                        print(f"{row}{'-':>8}{'-':>10}{'-':>8}")
+                    else:
+                        print(f"{row}{cell[0] / runs:>8.2f}{cell[1] * 1e3 / runs:>10.4f}"
+                              f"{cell[1] / busy[label] * 100:>7.1f}%")
         changes.append(change)
     print(f"{second} over {first}, both orders")
     print(f"{'kind/stratum':<28}{first + ' first':>16}{second + ' first':>16}{'mean':>9}")
@@ -134,14 +200,15 @@ def main() -> int:
 
 
 def time_ops(ops, sides, order, reps, answers, table):
-    """(best, least, count, failures): per label the summed least time per op
-    kind and stratum, the least time of each op in plan order, the op count
-    per kind and stratum, and the failed answers.  ``order[0]`` goes first on
-    even ops."""
+    """(best, least, count, failures, busy): per label the summed least time
+    per op kind and stratum, the least time of each op in plan order, the op
+    count per kind and stratum, the failed answers, and the summed time of
+    every rep.  ``order[0]`` goes first on even ops."""
     best = {label: defaultdict(float) for label in sides}
     least = {label: [] for label in sides}
     count: dict[str, int] = defaultdict(int)
     failures = {label: [] for label in sides}
+    busy = dict.fromkeys(sides, 0.0)
     for i, op in enumerate(ops):
         group = f"{op.kind}/{op.stratum}"
         times = {label: [] for label in sides}
@@ -165,7 +232,8 @@ def time_ops(ops, sides, order, reps, answers, table):
         for label in sides:
             best[label][group] += min(times[label])
             least[label].append(min(times[label]))
-    return best, least, count, failures
+            busy[label] += sum(times[label])
+    return best, least, count, failures, busy
 
 
 if __name__ == "__main__":

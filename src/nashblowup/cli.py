@@ -281,16 +281,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
 
 
-def _add_matrix(subs) -> None:
-    m = subs.add_parser("matrix", help="print a higher Jacobian matrix")
+def _add_matrix(m: argparse.ArgumentParser) -> None:
     m.add_argument("f")
     m.add_argument("-n", type=int, default=1)
     _add_common(m)
     m.set_defaults(func=cmd_matrix)
 
 
-def _add_ideal(subs) -> None:
-    i = subs.add_parser("ideal", help="print a derived ideal")
+def _add_ideal(i: argparse.ArgumentParser) -> None:
     i.add_argument("kind", choices=("mn", "tn", "tjurina"))
     i.add_argument("f")
     i.add_argument("-n", type=int, default=1)
@@ -301,8 +299,7 @@ def _add_ideal(subs) -> None:
     i.set_defaults(func=cmd_ideal)
 
 
-def _add_invariants(subs) -> None:
-    v = subs.add_parser("invariants", help="numerical profile of a germ")
+def _add_invariants(v: argparse.ArgumentParser) -> None:
     v.add_argument("f")
     v.add_argument("--n-max", type=int, default=2)
     v.add_argument("--k-max", type=int, default=1)
@@ -310,8 +307,7 @@ def _add_invariants(subs) -> None:
     v.set_defaults(func=cmd_invariants)
 
 
-def _add_check(subs) -> None:
-    c = subs.add_parser("check", help="verify an invariance / inclusion / congruence property")
+def _add_check(c: argparse.ArgumentParser) -> None:
     c.add_argument("what", choices=("invariance", "inclusions", "samuel"))
     c.add_argument("f")
     c.add_argument("g", nargs="?", help="second germ (samuel check)")
@@ -323,48 +319,60 @@ def _add_check(subs) -> None:
     c.set_defaults(func=cmd_check)
 
 
-def _add_corpus(subs) -> None:
-    r = subs.add_parser("corpus", help="run the built-in verification corpus")
+def _add_corpus(r: argparse.ArgumentParser) -> None:
     r.add_argument("--filter", help="substring filter on fixture ids")
     r.add_argument("--json", action="store_true")
     r.set_defaults(func=cmd_corpus)
 
 
-# verb name -> the helper that declares its subparser, in help order
+# verb name -> (its help line in the top-level help, the helper that declares
+# its arguments on a parser), in help order.  build_parser hangs one
+# subparser per verb off the top level; _verb_parser builds one verb's
+# parser alone, with the prog and formatter that add_parser gives it there
 _VERBS = {
-    "matrix": _add_matrix,
-    "ideal": _add_ideal,
-    "invariants": _add_invariants,
-    "check": _add_check,
-    "corpus": _add_corpus,
+    "matrix": ("print a higher Jacobian matrix", _add_matrix),
+    "ideal": ("print a derived ideal", _add_ideal),
+    "invariants": ("numerical profile of a germ", _add_invariants),
+    "check": ("verify an invariance / inclusion / congruence property", _add_check),
+    "corpus": ("run the built-in verification corpus", _add_corpus),
 }
 
 
-def _parser(*add_verbs) -> _Parser:
+def _formatter():
     # argparse makes a HelpFormatter for every argument, and each one reads
     # the terminal size; read it once (HelpFormatter's own default width)
-    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
+def build_parser() -> _Parser:
+    formatter = _formatter()
     parser = _Parser(prog="nashblowup", description=__doc__, formatter_class=formatter)
     subs = parser.add_subparsers(
         dest="command", required=True, parser_class=functools.partial(_Parser, formatter_class=formatter)
     )
-    for add in add_verbs:
-        add(subs)
+    for name, (help_line, add) in _VERBS.items():
+        add(subs.add_parser(name, help=help_line))
     return parser
 
 
-def build_parser() -> _Parser:
-    return _parser(*_VERBS.values())
+def _verb_parser(verb: str) -> _Parser:
+    parser = _Parser(prog=f"nashblowup {verb}", formatter_class=_formatter())
+    _VERBS[verb][1](parser)
+    return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a known verb parses as under the full parser: the other verbs show
-    # only in top-level help and in the invalid-verb error, so anything
-    # but a known verb (none, -h, an unknown name or prefix, --) gets it
-    add_verb = _VERBS.get(argv[0]) if argv else None
-    parser = _parser(add_verb) if add_verb else build_parser()
+    # a known verb parses its own arguments on the one parser the full parser
+    # would hand them to, so help and errors print the same bytes: the other
+    # verbs show only in top-level help and in the invalid-verb error, so
+    # anything but a known verb (none, -h, an unknown name or prefix, --)
+    # goes to the full parser
+    if argv and argv[0] in _VERBS:
+        parser, argv = _verb_parser(argv[0]), argv[1:]
+    else:
+        parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -107,13 +107,14 @@ survivors' keys and processes them in the order graded lex gives the
 homogenized polynomials, ties broken by each generator's own term list; it
 moves the keys from the packing of (t, x_1, ..., x_d) its completion runs
 on to one of the ring's by way of their exponent tuples.  Completions
-return packed elements, with the staircase of their leads; minimalization,
-the truncation and the tail reduction of a finished basis run on those
-same keys, and each element is unpacked once, monic, when the
-ReducedStandardBasis is built.  The basis keeps the tail-reduced terms, a
-nonzero multiple of each element, and builds its reducers from them on its
-first query, so a computed basis is never packed again; its membership
-test reads whether the packed normal form is zero, which no scale changes.
+return packed elements, with the staircase of their leads, which is all a
+dimension reads.  Minimalization, the truncation and the tail reduction of
+a finished basis run on those same keys, and each element is unpacked
+once, monic, when the ReducedStandardBasis is first read for its
+elements.  The basis keeps the tail-reduced terms, a nonzero multiple of
+each element, and builds its reducers from them on its first query, so a
+computed basis is never packed again; its membership test reads whether
+the packed normal form is zero, which no scale changes.
 A basis of infinite colength decides membership over the Ideal it was
 completed from.  Every public signature and every printed result is the
 one the tuple/Fraction arithmetic gives.
@@ -123,13 +124,13 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations_with_replacement, count, islice
 from math import gcd, inf, lcm, prod
 from operator import itemgetter, lshift
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .polynomials import (
     MultiIndex,
@@ -878,7 +879,7 @@ def _uncertified_membership(f: Polynomial, ideal: Ideal) -> bool:
     return _escalated_membership(f, ideal)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ReducedStandardBasis:
     """Monic, minimal, tail-reduced local standard basis, sorted leading-first.
 
@@ -889,17 +890,49 @@ class ReducedStandardBasis:
     monomials, None when there are infinitely many: the count the completion
     took of its leads, which generate the monomial ideal of the elements'
     leads.  A basis of infinite colength keeps the Ideal it was completed
-    from.  Built only by _reduced_basis.
+    from.  Built only by _reduced_basis, with a finisher in place of the
+    finished entries.  ``ring``, ``truncation``, ``staircase``,
+    ``is_m_primary`` and ``dimension()`` are known from construction, so a
+    colength reads nothing finished.  The elements and their packed terms
+    are finished once, on the first read of ``elements`` or ``packed``
+    (which ``contains`` reads unless f truncates to zero), or of ==, hash()
+    or repr(), which compare, hash and show (ring, elements, truncation).
     """
 
     ring: RingContext
-    elements: tuple[Polynomial, ...]
     truncation: int | None
-    staircase: tuple[int, int] | None = dc_field(compare=False, repr=False)
-    # (packing, terms): terms[i] is a nonzero multiple of elements[i] on the
-    # packing's keys, so no query packs an element again
-    _packed_terms: tuple[_Packing, tuple[dict[int, int], ...]] = dc_field(compare=False, repr=False)
-    _ideal: Ideal | None = dc_field(default=None, compare=False, repr=False)
+    staircase: tuple[int, int] | None
+    # the finisher returns the (leading key, packed terms, monic element)
+    # entries, leading-first: the terms a nonzero multiple of the element on
+    # _packing's keys, so no query packs an element again
+    _packing: _Packing
+    _finish: Callable[[], list[tuple]]
+    _ideal: Ideal | None = None
+
+    @cached_property
+    def _finished(self) -> tuple[tuple[Polynomial, ...], tuple[dict[int, int], ...]]:
+        """(elements, their packed terms), finished on first read."""
+        entries = self._finish()
+        return tuple(el[2] for el in entries), tuple(el[1] for el in entries)
+
+    @cached_property
+    def elements(self) -> tuple[Polynomial, ...]:
+        return self._finished[0]
+
+    @property
+    def _packed_terms(self) -> tuple[_Packing, tuple[dict[int, int], ...]]:
+        return self._packing, self._finished[1]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.elements, self.truncation) == (other.ring, other.elements, other.truncation)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.elements, self.truncation))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(ring={self.ring!r}, elements={self.elements!r}, truncation={self.truncation!r})"
 
     @cached_property
     def packed(self) -> _PackedBasis:
@@ -920,9 +953,9 @@ class ReducedStandardBasis:
         """
         if f.ring != self.ring:
             raise ValueError("polynomial lives in a different ring context")
-        if not self.elements:
-            return f.is_zero()
         if not self.is_m_primary:
+            if not self.elements:
+                return f.is_zero()
             return _uncertified_membership(f, self._ideal)
         h = f.truncate_at_degree(self.truncation)
         if h.is_zero():
@@ -934,40 +967,44 @@ class ReducedStandardBasis:
         return INFINITE if self.staircase is None else self.staircase[0]
 
 
-def _finish_primary(pk: _Packing, minimal: list[tuple], staircase: tuple[int, int]) -> ReducedStandardBasis:
-    """Canonical truncated form of an m-primary standard basis, from its minimal packed elements.
+def _finish_primary(pk: _Packing, elements: list[tuple], staircase: tuple[int, int]) -> ReducedStandardBasis:
+    """Canonical truncated form of an m-primary standard basis, from its packed elements, finished on first read.
 
-    ``staircase`` is the (count, top degree) of their leading monomials.
-    Everything of degree >= B := top + 1 lies in the ideal (Nakayama), and
-    m^B in the leading ideal, so no minimal lead has degree above B.  The
-    elements led below B are truncated at B and tail-reduced; those led at
-    B enter as their bare monic leads, the monomials of degree B outside
+    ``staircase`` is the (count, top degree) of their leading monomials, so
+    the truncation B := top + 1 and the dimension need nothing finished.
+    Everything of degree >= B lies in the ideal (Nakayama), and m^B in the
+    leading ideal, so no minimal lead has degree above B.  The finisher
+    keeps the minimal elements (_minimalize; a minimal list stays as it
+    is); those led below B are truncated at B and tail-reduced; those led
+    at B enter as their bare monic leads, the monomials of degree B outside
     the ideal of the lower leads, making the result a function of the ideal
     alone rather than of the generator list.  The packing must hold degree
     B and the elements' degrees.
     """
     B = max(staircase[1] + 1, 1)
-    floor = pk.floor(B)
-    below = [pk.element({k: c for k, c in _terms(el).items() if k >= floor}) for el in minimal if el[0] >= floor]
-    elements = _reduced_elements(pk, below, B, None)
-    elements += [(el[0], {el[0]: 1}, pk.polynomial({el[0]: 1})) for el in minimal if el[0] < floor]
-    elements.sort(key=_lead, reverse=True)
-    return _reduced_basis(pk, elements, B, staircase)
+
+    def finish() -> list[tuple]:
+        minimal = _minimalize(pk, elements)
+        floor = pk.floor(B)
+        below = [pk.element({k: c for k, c in _terms(el).items() if k >= floor}) for el in minimal if el[0] >= floor]
+        entries = _reduced_elements(pk, below, B, None)
+        entries += [(el[0], {el[0]: 1}, pk.polynomial({el[0]: 1})) for el in minimal if el[0] < floor]
+        entries.sort(key=_lead, reverse=True)
+        return entries
+
+    return _reduced_basis(pk, finish, B, staircase)
 
 
 def _reduced_basis(
     pk: _Packing,
-    elements: list[tuple],
+    finish: Callable[[], list[tuple]],
     truncation: int | None,
     staircase: tuple[int, int] | None,
     ideal: Ideal | None = None,
 ) -> ReducedStandardBasis:
-    """The basis of (leading key, packed terms, element) entries, keeping the terms, the staircase
-    and, for infinite colength, the Ideal."""
-    return ReducedStandardBasis(
-        pk.ring, tuple(el[2] for el in elements), truncation, staircase, (pk, tuple(el[1] for el in elements)),
-        ideal,
-    )
+    """The basis that ``finish()`` finishes on first read into (leading key, terms on ``pk``'s keys,
+    element) entries, keeping the staircase and, for infinite colength, the Ideal."""
+    return ReducedStandardBasis(pk.ring, truncation, staircase, pk, finish, ideal)
 
 
 # The fixed limits: the escalation gives up after _ESCALATION_ROUNDS rounds,
@@ -1082,7 +1119,10 @@ def try_primary_standard_basis(
     Completes modulo m^cap, then certifies m^(cap-1) lies in the ideal (top
     standard degree + 2 <= cap, by Nakayama, on the staircase the run
     counted); on success the capped basis, minimalized, is exact and
-    canonical.  The first cap is max(4, 2 + the largest lead degree), and
+    canonical.  The certifying run's raw elements are handed to
+    _finish_primary, which minimalizes and finishes them on first read: its
+    staircase and truncation (top + 1) are the run's, and need nothing
+    finished.  The first cap is max(4, 2 + the largest lead degree), and
     each run that does not certify reads the next one off what it found.
     Below its cap, an element of I + m^cap has the terms of its part in I,
     so every lead a run finds is a lead of I: when those leads close a
@@ -1106,7 +1146,8 @@ def try_primary_standard_basis(
     pk = ideal._packing
     multiplicity, gens = ideal._span
     if not gens:
-        return _reduced_basis(pk, [], None, None)
+        # the zero ideal: its finisher returns no entries
+        return _reduced_basis(pk, list, None, None)
     base = cap = max(4, 2 + multiplicity)
     while True:
         # one span basis on a packing that holds the cap, so no run overflows
@@ -1118,7 +1159,7 @@ def try_primary_standard_basis(
         raw, stairs = completed
         if stairs is not None:
             if stairs[1] + 2 <= cap:
-                return _finish_primary(pk, _minimalize(pk, raw), stairs)
+                return _finish_primary(pk, raw, stairs)
             # every lead found below the cap is a lead of the ideal, so the
             # ideal's staircase lies inside this one: top + 2 certifies
             cap = stairs[1] + 2
@@ -1138,7 +1179,7 @@ def compute_standard_basis(generators: Ideal | Sequence[Polynomial], ring: RingC
     runs are read from its record (Ideal._certified), so they run at most
     once per Ideal, and a basis of Lazard's route that comes out m-primary
     is stored there.  A basis of infinite colength keeps the Ideal for its
-    membership queries.
+    membership queries, and its bounded tail reduction runs on first read.
     """
     ideal = _ideal_of(generators, ring)
     basis = ideal._certified
@@ -1154,7 +1195,7 @@ def compute_standard_basis(generators: Ideal | Sequence[Polynomial], ring: RingC
     # infinite colength: cap tail growth at the largest degree present
     # (local keys: the highest degree has the lowest key)
     cap = pk.degree(min(k for el in minimal for k in _terms(el)))
-    return _reduced_basis(pk, _reduced_elements(pk, minimal, None, cap), None, None, ideal)
+    return _reduced_basis(pk, partial(_reduced_elements, pk, minimal, None, cap), None, None, ideal)
 
 
 class Ideal:
@@ -1344,7 +1385,9 @@ class Ideal:
         a = self._certified
         b = other._certified
         if a is not None and b is not None:
-            return a.elements == b.elements
+            # equal ideals have equal leading ideals, hence equal staircases,
+            # so differing ones refute before either basis is finished
+            return a.staircase == b.staircase and a.elements == b.elements
         # an uncertified side may still have finite colength with a deep
         # staircase, so mutual containment is the only safe route
         return self.contains_ideal(other) and other.contains_ideal(self)

@@ -12,7 +12,8 @@ standard-basis completion is checked against its earlier pair loop on
 exponent tuples, Lazard's route against its earlier form on polynomials,
 the text form of a polynomial against its first formatter, and a finished
 basis's staircase and degree-B layer against a recount of its leads and
-the slicing walk that built that layer.  The monomial orders and the
+the slicing walk that built that layer, and a basis finished on first read
+against the eager finishing it replaced.  The monomial orders and the
 polynomial helpers only these oracles and the tests use live here too.
 """
 
@@ -22,7 +23,7 @@ import heapq
 import itertools
 import math
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import lshift
@@ -44,6 +45,7 @@ from nashblowup.ideals import (
     _add_shifted,
     _Echelon,
     _finish_primary,
+    _lead,
     _minimalize,
     _moved,
     _normal_form,
@@ -827,7 +829,7 @@ def homogenized_generators(generators: Sequence[Polynomial], ring: RingContext) 
 def lazard_standard_basis(generators: Sequence[Polynomial], ring: RingContext) -> ReducedStandardBasis:
     homogenized = homogenized_generators(generators, ring)
     if not homogenized:
-        return _reduced_basis(_Packing.sized(ring, 0), [], None, None)
+        return _reduced_basis(_Packing.sized(ring, 0), list, None, None)
     # on equal leads, the generators' own term lists order them
     homogenized = sorted(first_per_scalar_class(homogenized), key=lambda p: poly_sort_key(p, GRADED_LEX), reverse=True)
     hpk, raw, _ = complete_basis(homogenized, GRADED_LEX)
@@ -839,7 +841,52 @@ def lazard_standard_basis(generators: Sequence[Polynomial], ring: RingContext) -
     if stats is not None:
         return _finish_primary(pk, minimal, stats)
     cap = pk.degree(min(k for el in minimal for k in _terms(el)))
-    return _reduced_basis(pk, _reduced_elements(pk, minimal, None, cap), None, None)
+    return _reduced_basis(pk, lambda: _reduced_elements(pk, minimal, None, cap), None, None)
+
+
+# ---------------------------------------------------------------------------
+# reference eager finishing
+#
+# A basis used to be finished when it was built: _finish_primary (and the
+# infinite-colength branch of compute_standard_basis) tail-reduced and
+# unpacked every element up front, into a frozen dataclass whose equality,
+# hash and repr are those of (ring, elements, truncation).  That body and
+# that class, kept verbatim bar the name, are the reference for the basis
+# finished on first read.
+
+
+@dataclass(frozen=True)
+class EagerReducedStandardBasis:
+    ring: RingContext
+    elements: tuple[Polynomial, ...]
+    truncation: int | None
+    staircase: tuple[int, int] | None = field(compare=False, repr=False)
+    _packed_terms: tuple[_Packing, tuple[dict[int, int], ...]] = field(compare=False, repr=False)
+
+
+def eager_reduced_basis(
+    pk: _Packing, elements: list[tuple], truncation: int | None, staircase: tuple[int, int] | None
+) -> EagerReducedStandardBasis:
+    return EagerReducedStandardBasis(
+        pk.ring, tuple(el[2] for el in elements), truncation, staircase, (pk, tuple(el[1] for el in elements))
+    )
+
+
+def eager_finish_primary(pk: _Packing, minimal: list[tuple], staircase: tuple[int, int]) -> EagerReducedStandardBasis:
+    """_finish_primary as it finished an m-primary basis from its minimal packed elements at once."""
+    B = max(staircase[1] + 1, 1)
+    floor = pk.floor(B)
+    below = [pk.element({k: c for k, c in _terms(el).items() if k >= floor}) for el in minimal if el[0] >= floor]
+    elements = _reduced_elements(pk, below, B, None)
+    elements += [(el[0], {el[0]: 1}, pk.polynomial({el[0]: 1})) for el in minimal if el[0] < floor]
+    elements.sort(key=_lead, reverse=True)
+    return eager_reduced_basis(pk, elements, B, staircase)
+
+
+def eager_infinite_basis(pk: _Packing, minimal: list[tuple]) -> EagerReducedStandardBasis:
+    """compute_standard_basis's basis of infinite colength, finished at once."""
+    cap = pk.degree(min(k for el in minimal for k in _terms(el)))
+    return eager_reduced_basis(pk, _reduced_elements(pk, minimal, None, cap), None, None)
 
 
 # ---------------------------------------------------------------------------

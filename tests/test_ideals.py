@@ -50,6 +50,8 @@ from conftest import (
     P,
     border,
     brute_standard_monomial_count,
+    eager_finish_primary,
+    eager_infinite_basis,
     first_per_scalar_class,
     homogeneous_polynomial_strategy,
     homogenized,
@@ -1813,3 +1815,118 @@ class TestLeadingIdeal:
 
     def test_zero(self, ring_q2):
         assert leading_monomials(Ideal(ring_q2, []).standard_basis()) == ()
+
+
+class TestFinishedOnFirstRead:
+    """A basis keeps its staircase, truncation and dimension from construction
+    and is finished once, on the first read of its elements, packed terms,
+    membership, ==, hash() or repr(), into the basis the eager finishing gave
+    (conftest.eager_finish_primary and eager_infinite_basis)."""
+
+    READS = {
+        "elements": lambda b: b.elements,
+        "packed terms": lambda b: b._packed_terms,
+        "packed": lambda b: b.packed,
+        "==": lambda b: b == b,
+        "hash": hash,
+        "repr": repr,
+        # m-primary only: 1 lies below the truncation, so its normal form is read
+        "contains": lambda b: b.contains(b.ring.one()),
+    }
+
+    @staticmethod
+    def spy(mp, name):
+        """A list that collects the arguments of each call of ideals.<name>."""
+        calls = []
+        original = getattr(ideals, name)
+        mp.setattr(ideals, name, lambda *args: calls.append(args) or original(*args))
+        return calls
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_lazy_basis_matches_the_eager_reference(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        nvars = data.draw(st.integers(1, 3))
+        ring = RingContext(("x", "y", "z")[:nvars], field)
+        gens = data.draw(st.lists(nonzero_polynomial_strategy(ring, max_terms=4, max_degree=5), min_size=1, max_size=3))
+        if data.draw(st.booleans()):
+            # pure powers make the ideal m-primary; without them it may not be
+            gens += [ring.monomial(tuple(data.draw(st.integers(1, 5)) if j == i else 0 for j in range(nvars)))
+                     for i in range(nvars)]
+        pairs = []  # (lazy basis, eager reference)
+        with pytest.MonkeyPatch.context() as mp:
+            finishing = self.spy(mp, "_finish_primary")
+            finished = self.spy(mp, "_reduced_elements")
+            capped = try_primary_standard_basis(gens, ring)
+            if capped is not None:
+                pk, elements, staircase = finishing[-1]
+                pairs.append((capped, eager_finish_primary(pk, _minimalize(pk, elements), staircase)))
+            mp.setattr(ideals, "try_primary_standard_basis", lambda generators, ring: None)
+            lazard = compute_standard_basis(gens, ring)
+            if lazard.is_m_primary:
+                pk, elements, staircase = finishing[-1]
+                pairs.append((lazard, eager_finish_primary(pk, _minimalize(pk, elements), staircase)))
+            else:
+                pk, raw = _complete_local_by_homogenization(Ideal(ring, gens))
+                pairs.append((lazard, eager_infinite_basis(pk, _minimalize(pk, raw))))
+            # the references finish through conftest's own import, so the spy
+            # counts only the lazy bases: none is finished yet
+            for basis, want in pairs:
+                assert (basis.truncation, basis.staircase) == (want.truncation, want.staircase)
+                assert basis.dimension() == (INFINITE if want.staircase is None else want.staircase[0])
+                assert basis.is_m_primary == (want.staircase is not None)
+            assert finished == []
+            for basis, want in pairs:
+                reads = [name for name in self.READS if basis.is_m_primary or name != "contains"]
+                before = len(finished)
+                self.READS[data.draw(st.sampled_from(reads))](basis)
+                assert len(finished) == before + 1
+                for name in reads:
+                    self.READS[name](basis)
+                assert len(finished) == before + 1
+                assert basis.elements == want.elements
+                (pk, terms), (want_pk, want_terms) = basis._packed_terms, want._packed_terms
+                assert (pk.ring, pk.width, terms) == (want_pk.ring, want_pk.width, want_terms)
+                assert hash(basis) == hash(want)
+                assert repr(basis) == repr(want).replace("EagerReducedStandardBasis(", "ReducedStandardBasis(", 1)
+            # a basis computed afresh and not yet read compares as the references do
+            again = Ideal(ring, gens).standard_basis()
+            for (a, want_a), (b, want_b) in itertools.product(pairs + [(again, pairs[0][1])], pairs):
+                assert (a == b) == (want_a == want_b)
+
+    @pytest.mark.parametrize("field", [QQ, GF(3)])
+    def test_invariant_report_and_dimension_finish_no_basis(self, field, monkeypatch):
+        ring = RingContext(("x", "y"), field)
+        finished = self.spy(monkeypatch, "_reduced_elements")
+        f = P("x^5+y^7+x^2*y^3", ring)
+        report = invariant_report(f, 3, 2)
+        assert report.tau != INFINITE and INFINITE not in report.dim_tn.values()
+        t2 = nash_ideal_t(f, 2)
+        assert t2.dimension() == report.dim_tn[2]
+        assert t2.standard_basis().truncation == t2.standard_basis().staircase[1] + 1
+        assert finished == []
+        t2.standard_basis().elements
+        assert len(finished) == 1
+
+    def test_dimension_from_lazards_route_finishes_no_basis(self, ring_q2, monkeypatch):
+        # (x^8+y^20, x^21) over Q is open at both capped runs with no cut, so
+        # Lazard's route decides it, m-primary
+        i = ideal(ring_q2, "x^8+y^20", "x^21")
+        finished = self.spy(monkeypatch, "_reduced_elements")
+        lazard = self.spy(monkeypatch, "_complete_local_by_homogenization")
+        assert i.dimension() == 420
+        assert len(lazard) == 1 and finished == []
+
+    def test_equals_refutes_by_staircase_before_finishing(self, ring_q2, monkeypatch):
+        finished = self.spy(monkeypatch, "_reduced_elements")
+        a = ideal(ring_q2, "x^2", "y^3")  # colength 6
+        b = ideal(ring_q2, "x^3", "x*y", "y^2")  # colength 4
+        assert not a.equals(b) and not b.equals(a)
+        assert finished == []
+        # the same ideal from another generator list
+        assert a.equals(ideal(ring_q2, "x^2+y^3", "y^3"))
+        assert finished
+        # the same staircase, (6, 3), but another ideal: the elements decide
+        c = ideal(ring_q2, "x^2+x*y^2", "y^3")
+        assert a._certified.staircase == c._certified.staircase
+        assert not a.equals(c) and not c.equals(a)
