@@ -31,15 +31,21 @@ per-op least times (nearest rank, as ``perfbench/run.py`` reads
 kind and stratum and in total, the two passes' speed-ups and their mean.
 Exits 1 when an answer is wrong.
 
-``--time MODULE.FUNC[,...]`` (a module of the package, such as
-``ideals._finish_primary`` or ``cli.build_parser``) also reports, for each
-side and pass, the calls per op and the wall time per op spent inside each
-named function, and that time's share of the side's op time over every
-rep.  Only outermost calls count, so a function that recurses or calls
-itself again is timed once.  Every copy of the function bound in the
-side's modules is rebound, as ``perfbench/spans.py`` does, and a name a
-side does not define reads ``-``.  The wrappers add their own cost to the
-op times, so take speed-ups from a run without ``--time``.
+``--time NAME[,...]`` also reports, for each side and pass, the calls per
+op and the wall time per op spent inside each named function, and that
+time's share of the side's op time over every rep.  A name is
+``MODULE.FUNC``, a function of a module of the package such as
+``ideals._finish_primary`` or ``cli.build_parser``, or
+``MODULE.CLASS.ATTR``, a method, classmethod, staticmethod, property or
+cached property of a class, such as ``ideals.Ideal._from_packed`` or
+``ideals.Ideal.generators`` (a property's getter is timed).  Only
+outermost calls count, so a function that recurses or calls itself again
+is timed once.  Every copy of a module function bound in the side's
+modules is rebound, as ``perfbench/spans.py`` does, and a class attribute
+is replaced on its class; the timers go in before ``make_runner`` binds
+its names, so the functions it imports are timed too.  A name a side does
+not define reads ``-``.  The wrappers add their own cost to the op times,
+so take speed-ups from a run without ``--time``.
 """
 
 from __future__ import annotations
@@ -60,8 +66,10 @@ def is_library(name: str) -> bool:
     return name == "nashblowup" or name.startswith("nashblowup.")
 
 
-def bind(root: Path, make_runner):
-    """(run, modules) for the ``nashblowup`` under ``root/src``, imported afresh."""
+def bind(root: Path, make_runner, names: list[str]):
+    """(run, modules, spent) for the ``nashblowup`` under ``root/src``,
+    imported afresh, with the timers of ``names`` installed before the
+    runner binds its names (install_timers)."""
     for name in [n for n in sys.modules if is_library(n)]:
         del sys.modules[name]
     src = str(root / "src")
@@ -72,10 +80,12 @@ def bind(root: Path, make_runner):
 
         if Path(nashblowup.__file__).resolve().parent != root / "src" / "nashblowup":
             raise SystemExit(f"imported nashblowup from {nashblowup.__file__}, not from {root}")
+        modules = {n: m for n, m in sys.modules.items() if is_library(n)}
+        spent = install_timers(modules, names)
         run = make_runner()
     finally:
         sys.path.remove(src)
-    return run, {n: m for n, m in sys.modules.items() if is_library(n)}
+    return run, modules, spent
 
 
 def timed(fn, cell: list):
@@ -99,13 +109,38 @@ def timed(fn, cell: list):
     return wrapper
 
 
+def timed_attribute(raw, cell: list):
+    """The class attribute ``raw`` (as the class's ``__dict__`` holds it) with its function timed."""
+    if isinstance(raw, (classmethod, staticmethod)):
+        return type(raw)(timed(raw.__func__, cell))
+    if isinstance(raw, property):
+        return property(timed(raw.fget, cell), raw.fset, raw.fdel, raw.__doc__)
+    if isinstance(raw, functools.cached_property):
+        return functools.cached_property(timed(raw.func, cell))
+    return timed(raw, cell)
+
+
 def install_timers(modules: dict, names: list[str]) -> dict:
-    """{name: [calls, seconds]} for each MODULE.FUNC the side defines, the
-    function rebound in every one of its modules that holds it."""
+    """{name: [calls, seconds]} for each MODULE.FUNC or MODULE.CLASS.ATTR the
+    side defines: a function rebound in every one of its modules that holds
+    it, a class attribute replaced on its class."""
     spent = {}
     for name in names:
-        mod_name, _, attr = name.rpartition(".")
-        original = getattr(modules.get(f"nashblowup.{mod_name}"), attr, None)
+        mod_name, *path = name.split(".")
+        owner = modules.get(f"nashblowup.{mod_name}")
+        if len(path) == 2:
+            cls = getattr(owner, path[0], None)
+            raw = vars(cls).get(path[1]) if isinstance(cls, type) else None
+            if raw is None:
+                continue
+            spent[name] = [0, 0.0]
+            wrapper = timed_attribute(raw, spent[name])
+            setattr(cls, path[1], wrapper)
+            if isinstance(wrapper, functools.cached_property):
+                # only class creation names a cached property
+                wrapper.__set_name__(cls, path[1])
+            continue
+        original = getattr(owner, path[0], None) if len(path) == 1 else None
         if original is None:
             continue
         spent[name] = [0, 0.0]
@@ -130,8 +165,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--ops", type=int, required=True)
     parser.add_argument("--reps", type=int, default=3)
-    parser.add_argument("--time", metavar="MODULE.FUNC[,...]",
-                        help="also report the calls and time per op inside these functions")
+    parser.add_argument("--time", metavar="NAME[,...]",
+                        help="also report the calls and time per op inside these functions "
+                             "(MODULE.FUNC or MODULE.CLASS.ATTR)")
     args = parser.parse_args()
     names = args.time.split(",") if args.time else []
     if args.ops < 1 or args.reps < 1:
@@ -158,8 +194,8 @@ def main() -> int:
     failed = False
     for bound in ([first, second], [second, first]):
         # the side bound first also goes first on even ops
-        sides = {label: bind(roots[label], make_runner) for label in bound}
-        spent = {label: install_timers(sides[label][1], names) for label in bound}
+        sides = {label: bind(roots[label], make_runner, names) for label in bound}
+        spent = {label: sides[label][2] for label in bound}
         best, least, count, failures, busy = time_ops(ops, sides, bound, args.reps, answers, table)
         del sides
         failed = failed or any(failures.values())
@@ -180,11 +216,12 @@ def main() -> int:
                 print(f"  {line}")
         if names:
             runs = len(ops) * args.reps
-            print(f"{'timed, per op over every rep':<36}{'calls':>8}{'ms':>10}{'share':>8}")
+            width = max(36, max(len(f"{label} {name} ") for label in roots for name in names))
+            print(f"{'timed, per op over every rep':<{width}}{'calls':>8}{'ms':>10}{'share':>8}")
             for name in names:
                 for label in roots:
                     cell = spent[label].get(name)
-                    row = f"{label + ' ' + name:<36}"
+                    row = f"{label + ' ' + name:<{width}}"
                     if cell is None:
                         print(f"{row}{'-':>8}{'-':>10}{'-':>8}")
                     else:
@@ -214,7 +251,7 @@ def time_ops(ops, sides, order, reps, answers, table):
         times = {label: [] for label in sides}
         for _ in range(reps):
             for label in (order if i % 2 == 0 else order[::-1]):
-                run, modules = sides[label]
+                run, modules, _ = sides[label]
                 sys.modules.update(modules)
                 t0 = time.perf_counter()
                 try:

@@ -92,14 +92,20 @@ certificate takes it as its rows.  So each generator is packed at most
 once per Ideal, and one method (Ideal._span_on) moves the span basis to a
 packing that holds a degree past that packing: a capped run's cap, or the
 escalation's last cap and certificate layer, which depend only on deg f,
-so the escalation moves it at most once and packs only f.  The maximal
-minors of a Jacobian matrix (jacobian._minor_dets) run on a packing that
-holds their degree; Ideal._from_packed keeps the first minor of each
-scalar class, unpacks it once, for the printed generators, and hands it
-over with its packed terms, a positive multiple of it (kept by
-Ideal.__add__), so (f) + J_n(f) reaches the capped runs without a
-Polynomial round trip.  Terms handed over on another width move by way of
-their exponent tuples; the width changes no key order, so no result.
+so the escalation moves it at most once and packs only f.  A Jacobian
+matrix is built as its derivative table, on integer coefficients and on a
+packing that holds the degree of its maximal minors (jacobian.jac_matrix),
+and the minors (jacobian._minor_dets) run on its cells.
+Ideal._from_packed keeps the first minor of each scalar class as its
+hand-over entry: its packed terms, a positive multiple of it, and the
+scale that unpacks them (kept by Ideal.__add__).  Ideal.generators
+unpacks the entries on its first read, once per Ideal; the colength
+record (the open axes read off the packed keys), sums and every
+membership test in the ideal read the entries, so (f) + J_n(f) reaches
+the capped runs without a Polynomial round trip, and an ideal whose
+generators nothing prints, substitutes or tests for membership elsewhere
+builds none.  Terms handed over on another width move by way of their
+exponent tuples; the width changes no key order, so no result.
 Each capped run cuts the span basis at its key floor, and every step of a
 budgeted walk or capped run charges its budget by one rule, on the packed
 lead coefficient.  Lazard's route homogenizes the
@@ -221,8 +227,8 @@ class _Packing:
         content = gcd(*nums)
         return dict(zip(keys, (n // content for n in nums)))
 
-    def polynomial(self, terms: dict[int, int], monic: bool = False) -> Polynomial:
-        """The unpacked polynomial, or its monic multiple."""
+    def polynomial(self, terms: dict[int, int], monic: bool = False, scale: int = 1) -> Polynomial:
+        """The unpacked polynomial, its monic multiple, or over Q the terms over ``scale``."""
         p = self.p
         coeffs = terms.values()
         if monic:
@@ -233,7 +239,7 @@ class _Packing:
             else:
                 coeffs = [Fraction(c, lc) for c in coeffs]
         elif not p:
-            coeffs = map(Fraction, coeffs)
+            coeffs = map(Fraction, coeffs) if scale == 1 else [Fraction(c, scale) for c in coeffs]
         return Polynomial(self.ring, dict(zip(map(self.monomial, terms), coeffs)), _canonical=True)
 
     def element(self, terms: dict[int, int]) -> tuple:
@@ -1037,10 +1043,10 @@ def _complete_local_by_homogenization(ideal: Ideal) -> tuple[_Packing, list[tupl
     pk, ring = ideal._packing, ideal.ring
 
     def rank(item: tuple) -> tuple:
-        lead, terms, g = item
+        lead, terms, entry = item
         # a generator's lowest key has its top degree; the monomial of a
         # monomial * unit has coefficient 1
-        own = sorted([(k, 1 if g is None else g.terms[pk.monomial(k)]) for k in terms])
+        own = sorted([(k, 1 if entry is None else _coefficient(entry, pk.monomial(k))) for k in terms])
         return pk.degree(min(terms)), lead, own
 
     gens = [item[1] for item in sorted(ideal._kept, key=rank, reverse=True)]
@@ -1090,15 +1096,53 @@ def _open_axes_of(polys: Iterable[Polynomial], nvars: int) -> frozenset[int]:
     """
     axes = set(range(nvars))
     for g in polys:
-        for alpha in g.terms:
-            if alpha.count(0) >= nvars - 1:
-                top = max(alpha)
-                if not top:
-                    return frozenset()
-                axes.discard(alpha.index(top))
-                if not axes:
-                    return frozenset()
+        if _close_axes(axes, g.terms, nvars):
+            break
     return frozenset(axes)
+
+
+def _close_axes(axes: set[int], exponents: Iterable[MultiIndex], nvars: int) -> bool:
+    """Drop from ``axes`` each x_v with a pure power among the exponent tuples
+    (all of them at the constant term); True once none is left."""
+    for alpha in exponents:
+        if alpha.count(0) >= nvars - 1:
+            top = max(alpha)
+            if not top:
+                axes.clear()
+                return True
+            axes.discard(alpha.index(top))
+            if not axes:
+                return True
+    return False
+
+
+def _close_packed_axes(axes: set[int], pk: _Packing, keys: Iterable[int]) -> bool:
+    """_close_axes on packed keys: x_v^e has the fields e << shift_v, so a key
+    is a pure power iff its fields are its degree shifted onto the field
+    that holds their lowest set bit."""
+    step, last, deg_shift = pk.width + 1, pk.ring.nvars - 1, pk.deg_shift
+    for key in keys:
+        if not key:
+            axes.clear()
+            return True
+        deg = -(key >> deg_shift)
+        fields = key + (deg << deg_shift)
+        low = (fields & -fields).bit_length() - 1
+        shift = low - low % step
+        if fields == deg << shift:
+            axes.discard(last - shift // step)
+            if not axes:
+                return True
+    return False
+
+
+def _coefficient(entry: Polynomial | tuple, alpha: MultiIndex):
+    """The coefficient of x^alpha, a term of the generator of a hand-over entry."""
+    if isinstance(entry, tuple):
+        pk, terms, _, scale = entry
+        c = terms[pk.key(alpha)]
+        return c if pk.p else Fraction(c, scale)
+    return entry.terms[alpha]
 
 
 def _ideal_of(generators: Ideal | Sequence[Polynomial], ring: RingContext) -> Ideal:
@@ -1141,7 +1185,7 @@ def try_primary_standard_basis(
     Ideal's ``_certified`` keeps the one result its queries read.
     """
     ideal = _ideal_of(generators, ring)
-    if ideal.generators and ideal._open_axes:
+    if ideal._handed and ideal._open_axes:
         return None
     pk = ideal._packing
     multiplicity, gens = ideal._span
@@ -1204,41 +1248,47 @@ class Ideal:
 
     ``generators`` is a tuple of nonzero polynomials of the ring.  The
     record is taken from them once, on first use, each fact at most once.
-    ``_handed`` holds one entry per generator: None, or (packing, terms,
-    scalar class) with the terms a positive multiple of the generator on
-    that packing's keys (the generator itself over F_p) and the
+    ``_handed`` holds one hand-over entry per generator: the generator
+    itself when it came as a polynomial, or (packing, terms, scalar class,
+    scale) with the terms ``scale`` times the generator on that packing's
+    keys over Q (the generator itself over F_p, scale 1) and the
     _scalar_class of the terms, as _from_packed builds them for the minors
     of jacobian._distinct_minors, which come handed because repacking them
-    from their polynomials cost ``high-order`` about 8 %.  ``_packing``
-    holds every generator: _Packing.sized for the highest degree among the
-    generators packed here, or the widest packing a generator came on when
-    that is wider; the width changes no key order.  A degree past it, a
-    capped run's cap or the escalation's, reads the span basis moved once
-    to a packing that holds it (``_span_on``).
+    from their polynomials cost ``high-order`` about 8 %.  Such an entry is
+    unpacked only when ``generators`` is first read; the colength record,
+    sums and every membership test in the ideal read the entries.
+    ``_packing`` holds every generator: _Packing.sized for the highest
+    degree among the generators packed here, or the widest packing a
+    generator came on when that is wider; the width changes no key order.
+    A degree past it, a capped run's cap or the escalation's, reads the
+    span basis moved once to a packing that holds it (``_span_on``).
     ``_kept``, the survivors, feeds only ``_span`` and Lazard's route;
     ``_span``, their one span basis, is what every
     membership test reads: the capped runs, the escalation and, packed and
     sorted stably by rank as ``_reducers``, the walks.  The colength
-    record is ``_open_axes`` (_open_axes_of the generators) and
+    record is ``_open_axes`` (_open_axes_of the generators, a hand-over
+    entry read off its packed keys) and
     ``_certified``, the m-primary basis or None: the capped runs' basis,
     or Lazard's when compute_standard_basis finds that one m-primary.
     ``_basis`` is the standard basis, computed on its first query.
     """
 
-    def __init__(self, ring: RingContext, generators: Iterable[Polynomial], _handed: Sequence[tuple | None] = ()):
-        """Generators from outside the package are checked for their ring
-        (ValueError) and cleared of zeros; with ``_handed`` (internal: the
-        minors, and sums) they are nonzero and of the ring already."""
-        self.ring = ring
-        if _handed:
-            self.generators = tuple(generators)
-            self._handed = tuple(_handed)
-            return
+    def __init__(self, ring: RingContext, generators: Iterable[Polynomial]):
+        """Generators are checked for their ring (ValueError) and cleared of zeros."""
         generators = tuple(generators)
         if any(g.ring != ring for g in generators):
             raise ValueError("generator lives in a different ring context")
-        self.generators = tuple([g for g in generators if not g.is_zero()])
-        self._handed = (None,) * len(self.generators)
+        self.ring = ring
+        self.generators = self._handed = tuple([g for g in generators if not g.is_zero()])
+
+    @classmethod
+    def _of_handed(cls, ring: RingContext, handed: Sequence[Polynomial | tuple]) -> "Ideal":
+        """The ideal of hand-over entries (internal: the minors, and sums) of
+        nonzero generators of the ring; ``generators`` unpacks them on first read."""
+        ideal = cls.__new__(cls)
+        ideal.ring = ring
+        ideal._handed = tuple(handed)
+        return ideal
 
     # -- construction helpers
 
@@ -1250,23 +1300,20 @@ class Ideal:
     def _from_packed(cls, pk: _Packing, scale: int, packed: Iterable[dict[int, int]]) -> "Ideal":
         """The ideal of the first of each scalar class among nonzero packed
         polynomials, in order, over Q ``scale`` times the true ones: each is
-        unpacked once and handed over with its terms and scalar class."""
-        ring, p = pk.ring, pk.p
+        handed over with its terms, scalar class and scale."""
         seen = set()
-        polys = []
         handed = []
         for terms in packed:
-            key = _scalar_class(terms, p)
-            if key in seen:
-                continue
-            seen.add(key)
-            if scale == 1:
-                polys.append(pk.polynomial(terms))
-            else:
-                coeffs = [Fraction(c, scale) for c in terms.values()]
-                polys.append(Polynomial(ring, dict(zip(map(pk.monomial, terms), coeffs)), _canonical=True))
-            handed.append((pk, terms, key))
-        return cls(ring, polys, _handed=handed)
+            key = _scalar_class(terms, pk.p)
+            if key not in seen:
+                seen.add(key)
+                handed.append((pk, terms, key, scale))
+        return cls._of_handed(pk.ring, handed)
+
+    @cached_property
+    def generators(self) -> tuple[Polynomial, ...]:
+        # only an ideal built from hand-over entries gets here, once
+        return tuple([e[0].polynomial(e[1], scale=e[3]) if isinstance(e, tuple) else e for e in self._handed])
 
     def __repr__(self) -> str:
         inner = ", ".join(str(g) for g in self.generators) or "0"
@@ -1277,46 +1324,44 @@ class Ideal:
     @cached_property
     def _packing(self) -> _Packing:
         handed = self._handed
-        top = max((g.total_degree() for g, given in zip(self.generators, handed) if given is None), default=0)
+        top = max((entry.total_degree() for entry in handed if not isinstance(entry, tuple)), default=0)
         pk = _Packing.sized(self.ring, top)
-        for given in handed:
-            if given is not None and given[0].width > pk.width:
-                pk = given[0]
+        for entry in handed:
+            if isinstance(entry, tuple) and entry[0].width > pk.width:
+                pk = entry[0]
         return pk
 
     @cached_property
     def _kept(self) -> list[tuple]:
-        """(lead, terms, polynomial or None) of the first generator of each
-        scalar class, in order: terms on ``_packing``'s keys, primitive over Q.
+        """(lead, terms, hand-over entry or None) of the first generator of
+        each scalar class, in order: terms on ``_packing``'s keys, primitive over Q.
 
         One of the shape monomial * unit, whose lead divides every term,
-        becomes that monomial, with no polynomial.  A generator handed over on
+        becomes that monomial, with no entry.  A generator handed over on
         a packing of this width brings its scalar class along.
         """
         pk = self._packing
         guards = pk.guards
         seen = set()
         kept = []
-        for g, given in zip(self.generators, self._handed):
-            if given is None:
-                terms, key = pk.pack(g), None
-                if not terms:
-                    continue
-            else:
-                src, carried, key = given
+        for entry in self._handed:
+            if isinstance(entry, tuple):
+                src, carried, key, _ = entry
                 terms = _moved(src, pk, carried)
                 if terms is not carried:
                     key = None
                 if not pk.p:
                     terms = _primitive(terms)
+            else:
+                terms, key = pk.pack(entry), None
             lead = max(terms)
             if lead and all(not (k - lead) & guards for k in terms):
-                terms, g, key = {lead: 1}, None, None
+                terms, entry, key = {lead: 1}, None, None
             if key is None:
                 key = _scalar_class(terms, pk.p)
             if key not in seen:
                 seen.add(key)
-                kept.append((lead, terms, g))
+                kept.append((lead, terms, entry))
         return kept
 
     @cached_property
@@ -1345,7 +1390,16 @@ class Ideal:
 
     @cached_property
     def _open_axes(self) -> frozenset[int]:
-        return _open_axes_of(self.generators, self.ring.nvars)
+        nvars = self.ring.nvars
+        axes = set(range(nvars))
+        for entry in self._handed:
+            if isinstance(entry, tuple):
+                closed = _close_packed_axes(axes, entry[0], entry[1])
+            else:
+                closed = _close_axes(axes, entry.terms, nvars)
+            if closed:
+                break
+        return frozenset(axes)
 
     @cached_property
     def _certified(self) -> ReducedStandardBasis | None:
@@ -1367,7 +1421,7 @@ class Ideal:
             raise ValueError("polynomial lives in a different ring context")
         if f.is_zero():
             return True
-        if not self.generators:
+        if not self._handed:
             return False
         basis = self._certified
         if basis is not None:
@@ -1401,7 +1455,7 @@ class Ideal:
     def __add__(self, other: "Ideal") -> "Ideal":
         self._check_ring(other)
         # both sides' hand-over entries are kept, so packed minors stay packed
-        return Ideal(self.ring, self.generators + other.generators, _handed=self._handed + other._handed)
+        return Ideal._of_handed(self.ring, self._handed + other._handed)
 
     def __mul__(self, other: "Ideal") -> "Ideal":
         self._check_ring(other)

@@ -10,23 +10,68 @@ order-n Jacobian ideal is generated by its maximal minors.
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
+from math import comb, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .ideals import Ideal, _Packing
 from .polynomials import MultiIndex, Polynomial, RingContext, multi_indices_in_range
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class JacobianMatrix:
+    """The order-n Jacobian matrix of f, kept as its packed derivative table.
+
+    ``_cells`` holds each entry as (key, int coefficient) pairs on
+    ``_packing``'s keys, one tuple per distinct derivative shared by all of
+    its cells, over Q ``_scale`` times the entry (``_scale`` is the lcm of
+    f's denominators, 1 over F_p).  ``entries`` is unpacked from them on
+    its first read, which only the ``matrix`` output and tests make, or
+    on that of ==, hash() or repr(), which compare, hash and show
+    (f, n, rows, cols, entries).
+    """
+
     f: Polynomial
     n: int
     rows: tuple[MultiIndex, ...]
     cols: tuple[MultiIndex, ...]
-    entries: tuple[tuple[Polynomial, ...], ...]
+    _packing: _Packing
+    _scale: int
+    _cells: tuple[tuple[tuple, ...], ...]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
+        pk, scale, zero = self._packing, self._scale, self.ring.zero()
+        # one polynomial per distinct derivative, shared by its cells
+        unpacked: dict[int, Polynomial] = {}
+
+        def entry(cell: tuple) -> Polynomial:
+            if not cell:
+                return zero
+            got = unpacked.get(id(cell))
+            if got is None:
+                got = unpacked[id(cell)] = pk.polynomial(dict(cell), scale=scale)
+            return got
+
+        return tuple(tuple(map(entry, row)) for row in self._cells)
+
+    def _key(self) -> tuple:
+        return (self.f, self.n, self.rows, self.cols, self.entries)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(f={self.f!r}, n={self.n!r}, rows={self.rows!r}, "
+                f"cols={self.cols!r}, entries={self.entries!r})")
 
     @property
     def ring(self) -> RingContext:
@@ -72,29 +117,64 @@ def _label(alpha: MultiIndex) -> str:
 
 
 def jac_matrix(f: Polynomial, n: int) -> JacobianMatrix:
-    """The order-n Jacobian matrix of f (n >= 1, f != 0)."""
+    """The order-n Jacobian matrix of f (n >= 1, f != 0).
+
+    Builds the derivative table on integer coefficients: each D^gamma f
+    with 1 <= |gamma| <= n once, over Q scaled by the lcm D of f's
+    denominators (binomials are integers, so every entry is an integer
+    polynomial over D), over F_p reduced mod p.  Its terms are keyed on a
+    packing that holds the degree of a maximal minor, k * top with k the
+    row count and top the largest degree of a nonzero entry, so the minors
+    kernel reads the cells as they are.  x^beta goes to x^(beta - gamma),
+    whose key is key(beta) - key(gamma): keys are linear in the exponents.
+    Each nonzero derivative is placed at (row beta, column beta + gamma)
+    through the columns' positions.
+    """
     if f.is_zero():
         raise ValueError("Jacobian matrix of the zero polynomial")
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = f.ring.nvars
-    rows = tuple(multi_indices_in_range(d, 0, n - 1))
-    cols = tuple(multi_indices_in_range(d, 1, n))
-    zero = f.ring.zero()
-    derivative_cache: dict[MultiIndex, Polynomial] = {}
-
-    def entry(beta: MultiIndex, alpha: MultiIndex) -> Polynomial:
-        gamma = tuple(map(operator.sub, alpha, beta))
-        if min(gamma) < 0 or not any(gamma):
-            return zero
-        got = derivative_cache.get(gamma)
-        if got is None:
-            got = f.hasse_derivative(gamma)
-            derivative_cache[gamma] = got
-        return got
-
-    entries = tuple(tuple(entry(b, a) for a in cols) for b in rows)
-    return JacobianMatrix(f, n, rows, cols, entries)
+    ring = f.ring
+    d, p = ring.nvars, ring.field.characteristic
+    # reading order puts the rows, degree below n, first and 0 alone in front
+    indices = multi_indices_in_range(d, 0, n)
+    rows, cols = tuple(indices[: comb(d + n - 1, d)]), tuple(indices[1:])
+    if p:
+        scale = 1
+        terms = [(beta, sum(beta), c) for beta, c in f.terms.items()]
+    else:
+        scale = lcm(*(c.denominator for c in f.terms.values()))
+        terms = [(beta, sum(beta), c.numerator * (scale // c.denominator)) for beta, c in f.terms.items()]
+    # (column, |gamma|, [(beta, coefficient)]) of each nonzero D^gamma f, in f's term order
+    table = []
+    top = 0
+    for j, gamma in enumerate(cols):
+        g = sum(gamma)
+        found = []
+        for beta, deg, c in terms:
+            c *= prod(map(comb, beta, gamma))
+            if p:
+                c %= p
+            if c:
+                found.append((beta, c))
+                top = max(top, deg - g)
+        if found:
+            table.append((j, g, found))
+    pk = _Packing.sized(ring, len(rows) * top)
+    # keys are linear, key(alpha) = sum of alpha_i * weight_i, and need no
+    # room for f's own degree; the column of beta + gamma is found by key
+    weights = [(1 << s) - (1 << pk.deg_shift) for s in pk.shifts]
+    keys = [sum(map(mul, alpha, weights)) for alpha in indices]
+    position = {key: j for j, key in enumerate(keys[1:])}
+    term_keys = {beta: sum(map(mul, beta, weights)) for beta, _, _ in terms}
+    cells = [[()] * len(cols) for _ in rows]
+    for j, g, found in table:
+        shift = keys[j + 1]
+        cell = tuple([(term_keys[beta] - shift, c) for beta, c in found])
+        # the rows of degree at most n - |gamma|
+        for row, key in zip(cells, keys[: comb(d + n - g, d)]):
+            row[position[key + shift]] = cell
+    return JacobianMatrix(f, n, rows, cols, pk, scale, tuple(map(tuple, cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -105,37 +185,18 @@ def jac_matrix(f: Polynomial, n: int) -> JacobianMatrix:
 # the rows taken so far on those columns} computes each maximal minor once,
 # as the Laplace expansion along its top row.  Bottom-up suits Jacobian
 # matrices, whose last rows are the sparsest, so the early states stay few;
-# structural zeros are never stored.  The expansion runs on the monomial keys
-# of a local ideals._Packing and on integer coefficients, so a product of two
-# terms is one int addition and one int multiplication.  The packing only
-# has to hold a minor's degree, k * top; each kept minor is handed over with
-# its packed terms (ideals.Ideal._from_packed) and reaches the capped runs
-# without being packed again.  Over Q every entry is scaled by the lcm D of
-# all denominators, so a minor comes out D^k times the true one: the packed
-# terms are handed over as they are, a positive multiple of the minor, and
-# D^k serves only to build the printed Fractions.  Over F_p coefficients
-# stay in 0..p-1 and sums are reduced once per state.
-
-
-def _packed_cells(
-    entries: Sequence[Sequence[Polynomial]], k: int, ring: RingContext
-) -> tuple[_Packing, int, list[list[tuple]]]:
-    """(packing, D^k, cells), each entry as (key, int coefficient) pairs, for products of k entries."""
-    # Jacobian matrices repeat one derivative in many cells: pack each once
-    distinct = {id(e): e.terms for row in entries for e in row if e.terms}
-    top = max((sum(alpha) for terms in distinct.values() for alpha in terms), default=0)
-    # a minor has degree at most k * top, so on a packing that holds that
-    # degree keys add without carries
-    pk = _Packing.sized(ring, k * top)
-    p = pk.p
-    den = 1 if p else math.lcm(*(c.denominator for terms in distinct.values() for c in terms.values()))
-    packed = {
-        cell: tuple(
-            (pk.key(alpha), c if p else c.numerator * (den // c.denominator)) for alpha, c in terms.items()
-        )
-        for cell, terms in distinct.items()
-    }
-    return pk, den**k, [[packed.get(id(e), ()) for e in row] for row in entries]
+# structural zeros are never stored.  The expansion runs on the cells of
+# jac_matrix's derivative table: monomial keys of a local ideals._Packing and
+# integer coefficients, so a product of two terms is one int addition and one
+# int multiplication.  The packing only has to hold a minor's degree, k * top;
+# each kept minor is handed over with its packed terms
+# (ideals.Ideal._from_packed) and reaches the capped runs without being
+# packed again or unpacked.  Over Q every entry is scaled by the lcm D of f's
+# denominators, so a minor comes out D^k times the true one: the packed terms
+# are handed over as they are, a positive multiple of the minor, and D^k
+# serves only to build the printed Fractions, when the generators are first
+# read.  Over F_p coefficients stay in 0..p-1 and sums are reduced once per
+# state.
 
 
 def _minor_dets(
@@ -182,14 +243,15 @@ def _minor_dets(
     return [state[mask] for mask in sorted(state, reverse=True)]
 
 
-def _distinct_minors(
-    entries: Sequence[Sequence[Polynomial]], k: int, ring: RingContext
-) -> Ideal:
-    """The ideal of the nonzero k x k minors up to a scalar, first kept: row subsets, then columns, in lex order.
+def _distinct_minors(pk: _Packing, scale: int, cells: Sequence[Sequence[tuple]], k: int) -> Ideal:
+    """The ideal of the nonzero k x k minors of packed cells up to a scalar, first kept: row
+    subsets, then columns, in lex order.
 
-    Each is unpacked once and handed over with its packed terms (Ideal._from_packed).
+    ``pk`` must hold the minors' degree, and over Q the minors come out
+    ``scale`` times the true ones.  Each is handed over with its packed
+    terms (Ideal._from_packed) and unpacked on the first read of the
+    generators.
     """
-    pk, scale, cells = _packed_cells(entries, k, ring)
     cols = range(len(cells[0]))
     minors = chain.from_iterable(_minor_dets(cells, pk.p, rows, cols) for rows in combinations(range(len(cells)), k))
     return Ideal._from_packed(pk, scale, minors)
@@ -199,10 +261,12 @@ def higher_jacobian_ideal(f: Polynomial, n: int) -> Ideal:
     """The order-n Jacobian ideal: maximal minors of the order-n Jacobian matrix.
 
     Generators are the distinct nonzero minors up to a scalar, in column-lex
-    order.  Every call builds a new Ideal; nothing is shared between calls.
+    order, taken on the matrix's derivative table.  Every call builds a new
+    Ideal; nothing is shared between calls.
     """
     matrix = jac_matrix(f, n)
-    return _distinct_minors(matrix.entries, len(matrix.rows), f.ring)
+    k = len(matrix.rows)
+    return _distinct_minors(matrix._packing, matrix._scale**k, matrix._cells, k)
 
 
 def jacobian_ideal(f: Polynomial) -> Ideal:

@@ -7,14 +7,18 @@ their ring contexts and term maps are equal.  All arithmetic is exact.
 Arithmetic has one normalization point, ``_reduced``: every result's
 coefficients are computed with plain ``+``, ``-`` and ``*`` on the field's
 representatives (ints over F_p, ``Fraction``s over Q), then reduced mod p
-with zero terms dropped, once per result.
+with zero terms dropped, once per result.  Substitution
+(``_substitute_all``) runs on integers instead, over Q scaled so that no
+denominator is left, and each result term takes one ``Fraction`` (or one
+reduction mod p) at the end; so does the Jacobian matrix's derivative
+table (``jacobian.jac_matrix``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .fields import QQ, CoefficientField
@@ -257,35 +261,78 @@ class Polynomial:
 def _substitute_all(
     ring: RingContext, polys: Iterable[Polynomial], images: Sequence[Polynomial]
 ) -> list[Polynomial]:
-    """Each of polys (in ``ring``) composed with images, each power of an image computed once."""
+    """Each of polys (in ``ring``) composed with images, each power of an image computed once.
+
+    Runs on integers.  Monomials are the packed kernel's keys (ideals._Packing)
+    on a packing that holds the largest degree a product reaches, so a
+    product of monomials is one int addition.  Over Q the images are scaled
+    by the lcm e of their denominators, and a term c * x^alpha of f, with L
+    the lcm of f's denominators, enters as the integer c * L * e^(deg f -
+    |alpha|): every product is an integer, and f(images) comes out
+    L * e^(deg f) times the true one.  Each result term then takes one
+    Fraction over that scale, or one reduction mod p; image powers are
+    reduced mod p as they are cached.
+    """
+    # ideals imports this module, so its packing is imported on use
+    from .ideals import _Packing
+
     if len(images) != ring.nvars:
         raise ValueError(f"expected {ring.nvars} images, got {len(images)}")
     for g in images:
         if g.ring != ring:
             raise ValueError("operands live in different ring contexts")
-    power_cache: dict[tuple[int, int], Polynomial] = {}
+    polys = list(polys)
+    p = ring.field.characteristic
+    degrees = [max(g.total_degree(), 0) for g in images]
+    top = max((sum(map(mul, alpha, degrees)) for f in polys for alpha in f.terms), default=0)
+    pk = _Packing.sized(ring, top)
+    e = 1 if p else math.lcm(*(c.denominator for g in images for c in g.terms.values()))
+    powers = [[{0: 1}, {pk.key(a): c if p else c.numerator * (e // c.denominator) for a, c in g.terms.items()}]
+              for g in images]
 
-    def var_power(i: int, e: int) -> Polynomial:
-        if e == 0:
-            return ring.one()
-        got = power_cache.get((i, e))
-        if got is None:
-            got = var_power(i, e - 1) * images[i]
-            power_cache[(i, e)] = got
-        return got
+    def power(i: int, k: int) -> dict[int, int]:
+        cached = powers[i]
+        while len(cached) <= k:
+            cached.append(_packed_product(cached[-1], cached[1], p))
+        return cached[k]
 
     out = []
     for f in polys:
-        total: dict = {}
-        for alpha, c in f.terms.items():
-            part = ring.constant(c)
-            for i, e in enumerate(alpha):
-                if e:
-                    part = part * var_power(i, e)
-            for a, d in part.terms.items():
-                total[a] = total[a] + d if a in total else d
-        out.append(_reduced(ring, total))
+        if p:
+            scale, scaled = 1, f.terms.items()
+        else:
+            deg = f.total_degree()
+            den = math.lcm(*(c.denominator for c in f.terms.values()))
+            scale = den * e**deg
+            scaled = [(alpha, c.numerator * (den // c.denominator) * e ** (deg - sum(alpha))) for alpha, c in f.terms.items()]
+        total: dict[int, int] = {}
+        get = total.get
+        for alpha, c in scaled:
+            part = {0: c}
+            for i, k in enumerate(alpha):
+                if k:
+                    part = _packed_product(part, power(i, k), 0)
+            for key, v in part.items():
+                total[key] = get(key, 0) + v
+        if p:
+            total = {key: r for key, v in total.items() if (r := v % p)}
+        else:
+            total = {key: v for key, v in total.items() if v}
+        out.append(pk.polynomial(total, scale=scale))
     return out
+
+
+def _packed_product(a: dict[int, int], b: dict[int, int], p: int) -> dict[int, int]:
+    """The product of two packed integer polynomials, reduced mod p when p is set."""
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    if p:
+        return {k: r for k, c in out.items() if (r := c % p)}
+    return {k: c for k, c in out.items() if c}
 
 
 def _reduced(ring: RingContext, terms: dict) -> Polynomial:

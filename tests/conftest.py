@@ -12,8 +12,10 @@ standard-basis completion is checked against its earlier pair loop on
 exponent tuples, Lazard's route against its earlier form on polynomials,
 the text form of a polynomial against its first formatter, and a finished
 basis's staircase and degree-B layer against a recount of its leads and
-the slicing walk that built that layer, and a basis finished on first read
-against the eager finishing it replaced.  The monomial orders and the
+the slicing walk that built that layer, a basis finished on first read
+against the eager finishing it replaced, and the Jacobian matrix's integer
+derivative table against its cell-by-cell construction from
+``Polynomial.hasse_derivative`` and the packing of its entries.  The monomial orders and the
 polynomial helpers only these oracles and the tests use live here too.
 """
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,7 +62,7 @@ from nashblowup.ideals import (
     _terms,
     maximal_ideal_power,
 )
-from nashblowup.jacobian import higher_jacobian_ideal, jacobian_ideal
+from nashblowup.jacobian import _distinct_minors, higher_jacobian_ideal, jacobian_ideal
 from nashblowup.polynomials import (
     MultiIndex,
     Polynomial,
@@ -302,6 +305,60 @@ def perm_det(rows: list[list[Polynomial]]) -> Polynomial:
             term = term * rows[i][perm[i]]
         total = total + (term if inversions % 2 == 0 else -term)
     return total
+
+
+def reference_jac_entries(f: Polynomial, n: int) -> tuple[tuple[Polynomial, ...], ...]:
+    """The order-n Jacobian matrix's entries, cell by cell from Hasse derivatives,
+    as jac_matrix built them before its derivative table."""
+    d = f.ring.nvars
+    rows = tuple(multi_indices_in_range(d, 0, n - 1))
+    cols = tuple(multi_indices_in_range(d, 1, n))
+    zero = f.ring.zero()
+    derivative_cache: dict[MultiIndex, Polynomial] = {}
+
+    def entry(beta: MultiIndex, alpha: MultiIndex) -> Polynomial:
+        gamma = tuple(map(operator.sub, alpha, beta))
+        if min(gamma) < 0 or not any(gamma):
+            return zero
+        got = derivative_cache.get(gamma)
+        if got is None:
+            got = f.hasse_derivative(gamma)
+            derivative_cache[gamma] = got
+        return got
+
+    return tuple(tuple(entry(b, a) for a in cols) for b in rows)
+
+
+def packed_cells(
+    entries: Sequence[Sequence[Polynomial]], k: int, ring: RingContext
+) -> tuple[_Packing, int, list[list[tuple]]]:
+    """(packing, D^k, cells), each entry as (key, int coefficient) pairs, for products of k entries.
+
+    The packer of polynomial entries that the minors kernel read before the
+    derivative table: D is the lcm of all the entries' denominators.
+    """
+    # Jacobian matrices repeat one derivative in many cells: pack each once
+    distinct = {id(e): e.terms for row in entries for e in row if e.terms}
+    top = max((sum(alpha) for terms in distinct.values() for alpha in terms), default=0)
+    # a minor has degree at most k * top, so on a packing that holds that
+    # degree keys add without carries
+    pk = _Packing.sized(ring, k * top)
+    p = pk.p
+    den = 1 if p else math.lcm(*(c.denominator for terms in distinct.values() for c in terms.values()))
+    packed = {
+        cell: tuple(
+            (pk.key(alpha), c if p else c.numerator * (den // c.denominator)) for alpha, c in terms.items()
+        )
+        for cell, terms in distinct.items()
+    }
+    return pk, den**k, [[packed.get(id(e), ()) for e in row] for row in entries]
+
+
+def minor_ideal(rows: Sequence[Sequence[Polynomial]], k: int, ring: RingContext) -> Ideal:
+    """The ideal of the distinct nonzero k x k minors of polynomial entries,
+    through the library's one minors kernel on packed_cells."""
+    pk, scale, cells = packed_cells(rows, k, ring)
+    return _distinct_minors(pk, scale, cells, k)
 
 
 def first_per_scalar_class(polys: Sequence[Polynomial]) -> list[Polynomial]:

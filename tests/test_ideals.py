@@ -1317,7 +1317,7 @@ class TestIdealArithmetic:
         # two basis functions once returned wrong bases (or None) for both
         f = P("x^30+y^31" if foreign.nvars == 3 else "1/5*x^3+y^4", ring_q2)
         ideal = higher_jacobian_ideal(f, 2) if foreign.nvars == 3 else nash_ideal_t(f, 2)
-        assert any(ideal._handed)
+        assert any(isinstance(entry, tuple) for entry in ideal._handed)
         with pytest.raises(ValueError, match="different ring context"):
             Ideal(foreign, ideal.generators)
         for build in (compute_standard_basis, try_primary_standard_basis):
@@ -1787,7 +1787,7 @@ class TestLazardRouteAgainstReference:
         ring = RingContext(("x", "y", "z") if "z" in text else ("x", "y"), field)
         f = P(text, ring)
         ideal = nash_ideal_t(f.scalar_mul(Fraction(-2, 9)) if field is QQ else f, n)
-        assert any(ideal._handed)
+        assert any(isinstance(entry, tuple) for entry in ideal._handed)
         self.assert_same_basis(ideal, ring)
 
 

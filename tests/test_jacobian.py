@@ -5,15 +5,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nashblowup.algebras import nash_ideal_t
 from nashblowup.fields import GF, QQ, CoefficientField
-from nashblowup.ideals import Ideal
+from nashblowup.ideals import Ideal, _open_axes_of
 from nashblowup.jacobian import (
-    _distinct_minors,
     _minor_dets,
-    _packed_cells,
     higher_jacobian_ideal,
     j2_plane_closed_form,
     jac_matrix,
@@ -21,7 +20,7 @@ from nashblowup.jacobian import (
 )
 from nashblowup.polynomials import Polynomial, RingContext
 
-from conftest import P, first_per_scalar_class, perm_det
+from conftest import P, first_per_scalar_class, minor_ideal, packed_cells, perm_det, reference_jac_entries
 
 
 def ideal(ring, *texts):
@@ -30,7 +29,7 @@ def ideal(ring, *texts):
 
 def packed_minors(rows, k, ring, row_subsets):
     """The nonzero k x k minors on each row subset, columns in lex order, unpacked."""
-    pk, scale, cells = _packed_cells(rows, k, ring)
+    pk, scale, cells = packed_cells(rows, k, ring)
     out = []
     for rs in row_subsets:
         for det in _minor_dets(cells, pk.p, rs, range(len(rows[0]))):
@@ -82,6 +81,55 @@ class TestMatrixConstruction:
         text = jac_matrix(P("x*y", ring_q2), 2).pretty()
         assert text.splitlines()[0] == "3 x 5"
         assert "(0,1)" in text
+
+    def test_entries_unpacked_on_first_read(self, ring_q2):
+        f = P("1/2*x^3+3/7*y^4", ring_q2)
+        m, other = jac_matrix(f, 2), jac_matrix(f, 2)
+        higher_jacobian_ideal(f, 2)
+        assert "entries" not in vars(m)
+        # ==, hash() and repr() read (f, n, rows, cols, entries)
+        assert m == other and hash(m) == hash(other)
+        assert "entries" in vars(m) and "entries" in vars(other)
+        assert m != jac_matrix(f, 1) and m != jac_matrix(P("x^3+y^4", ring_q2), 2)
+        assert repr(m) == (f"JacobianMatrix(f={f!r}, n=2, rows={m.rows!r}, cols={m.cols!r}, "
+                           f"entries={m.entries!r})")
+        # each derivative is one polynomial, shared by its cells
+        assert m.entries[0][0] is m.entries[1][2] is m.entries[2][3]
+
+
+@st.composite
+def germ_strategy(draw):
+    """(f, n): f over Q with non-integer coefficients, or over F_2, F_3 or F_5
+    with terms such as x^p whose first binomials vanish mod p; n <= 3, and
+    n <= 2 in three variables."""
+    field = draw(st.sampled_from((QQ, GF(2), GF(3), GF(5))))
+    nvars = draw(st.integers(1, 3))
+    ring = RingContext(("x", "y", "z")[:nvars], field)
+    p = field.characteristic
+    exponent = st.sampled_from((0, 1, 2, 3, p, p + 1, 2 * p)) if p else st.integers(0, 5)
+    if p:
+        coeff = st.integers(1, 6)
+    else:
+        coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from((1, 2, 3, 4, 7)))
+    f = Polynomial(ring, draw(st.dictionaries(st.tuples(*[exponent] * nvars), coeff, min_size=1, max_size=4)))
+    assume(not f.is_zero())
+    return f, draw(st.integers(1, 3 if nvars < 3 else 2))
+
+
+class TestDerivativeTable:
+    """jac_matrix's integer derivative table against the cell-by-cell
+    construction from Hasse derivatives and the packer of its entries."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(germ_strategy())
+    def test_matches_cell_by_cell_construction(self, germ):
+        f, n = germ
+        expected = reference_jac_entries(f, n)
+        got = jac_matrix(f, n)
+        assert got.entries == expected
+        assert [[str(e) for e in row] for row in got.entries] == [[str(e) for e in row] for row in expected]
+        reference = minor_ideal(expected, len(expected), f.ring)
+        assert [str(g) for g in higher_jacobian_ideal(f, n).generators] == [str(g) for g in reference.generators]
 
 
 class TestMinors:
@@ -175,7 +223,7 @@ class TestPackedKernel:
         got = all_minors(rows, k, ring)
         assert got == expected
         assert [str(det) for det in got] == [str(det) for det in expected]
-        assert list(_distinct_minors(rows, k, ring).generators) == first_per_scalar_class(expected)
+        assert list(minor_ideal(rows, k, ring).generators) == first_per_scalar_class(expected)
 
 
 # str(g) of every generator, in order: `ideal ... --json` prints these lists,
@@ -251,13 +299,69 @@ class TestGeneratorLists:
         assert "_basis" not in vars(second)
 
 
+class TestGeneratorsUnpackedOnFirstRead:
+    """J_n's generators stay packed until something reads them."""
+
+    @pytest.mark.parametrize("text", ["x^3+y^4", "x^2*y", "x*y^2+y^5"])
+    def test_queries_unpack_nothing(self, ring_q2, text):
+        f = P(text, ring_q2)
+        jn, sum_ = higher_jacobian_ideal(f, 2), nash_ideal_t(f, 2)
+        jn.dimension()
+        sum_.dimension()
+        # equals of certified ideals compares their bases
+        first, second = higher_jacobian_ideal(f, 3), higher_jacobian_ideal(f, 3)
+        if first._certified is not None:
+            assert first.equals(second)
+        # membership in a J_n container, certified or not
+        for element in ("x^12", "y^12", "x^2*y^2", "x+y"):
+            jn.contains_element(P(element, ring_q2))
+        for ideal in (jn, sum_, first, second):
+            assert "generators" not in vars(ideal)
+
+    @pytest.mark.parametrize("field", [QQ, GF(3)])
+    @pytest.mark.parametrize("text, scalar, n", [
+        ("2*x^3+7*y^4", Fraction(3, 14), 2), ("x^2*y", Fraction(-2, 9), 3), ("x*y*z+z^3", Fraction(1, 5), 2),
+    ])
+    def test_generators_equal_the_eager_unpack(self, field, text, scalar, n):
+        ring = RingContext(("x", "y", "z") if "z" in text else ("x", "y"), field)
+        f = P(text, ring)
+        ideal = nash_ideal_t(f.scalar_mul(scalar) if field is QQ else f, n)
+        eager = []
+        for entry in ideal._handed:
+            if isinstance(entry, Polynomial):
+                eager.append(entry)
+                continue
+            # as the minors were unpacked when they were handed over
+            pk, terms, _, scale = entry
+            if scale == 1:
+                eager.append(pk.polynomial(terms))
+            else:
+                coeffs = [Fraction(c, scale) for c in terms.values()]
+                eager.append(Polynomial(ring, dict(zip(map(pk.monomial, terms), coeffs)), _canonical=True))
+        assert "generators" not in vars(ideal)
+        assert ideal.generators == tuple(eager)
+        assert [str(g) for g in ideal.generators] == [str(g) for g in eager]
+        assert ideal.generators is ideal.generators
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+    @pytest.mark.parametrize("text", ["x^2*y", "x*y*z", "x^3+y^4", "x^2+y^2*z", "x*y", "x^3+x*y^3", "x^2*y+y^4*z"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_open_axes_read_off_the_packed_keys(self, field, text, n):
+        ring = RingContext(("x", "y", "z") if "z" in text else ("x", "y"), field)
+        f = P(text, ring)
+        for ideal in (higher_jacobian_ideal(f, n), nash_ideal_t(f, n)):
+            axes = ideal._open_axes
+            assert "generators" not in vars(ideal)
+            assert axes == _open_axes_of(ideal.generators, ring.nvars)
+
+
 class TestFittingIdeals:
     """Ideals of the k x k minors: the Fitting ideals of the module the
     matrix presents on its columns."""
 
     @staticmethod
     def minor_ideal(rows, k, ring):
-        return _distinct_minors(rows, k, ring)
+        return minor_ideal(rows, k, ring)
 
     def test_single_entry(self, ring_q2):
         assert self.minor_ideal([[P("x", ring_q2)]], 1, ring_q2).equals(ideal(ring_q2, "x"))
@@ -315,7 +419,7 @@ class TestHigherJacobianIdeals:
             rng.shuffle(rows)
             rng.shuffle(cols)
             shuffled = [[m.entries[i][j] for j in cols] for i in rows]
-            assert _distinct_minors(shuffled, 3, ring_q2).equals(reference)
+            assert minor_ideal(shuffled, 3, ring_q2).equals(reference)
 
 
 class TestJacobianIdeal:

@@ -9,6 +9,7 @@ from nashblowup.fields import GF, QQ, CoefficientField
 from nashblowup.polynomials import (
     Polynomial,
     RingContext,
+    _substitute_all,
     multi_indices_in_range,
 )
 
@@ -237,6 +238,46 @@ class TestArithmeticAgainstSympy:
         ]:
             self.assert_canonical(got)
             assert got == ours(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_substitute_all_matches_sympy(self, data):
+        # several polynomials through shared images, over Q with denominators
+        # in both the polynomials and the images, so that the scaled integer
+        # path runs
+        sympy = pytest.importorskip("sympy")
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+        ring = RingContext(("x", "y", "z")[:data.draw(st.integers(1, 3))], field)
+        p = field.characteristic
+        syms = sympy.symbols(ring.variables)
+        domain = sympy.GF(p) if p else sympy.QQ
+
+        def theirs(f):
+            terms = {a: c if p else sympy.Rational(c.numerator, c.denominator) for a, c in f.terms.items()}
+            return sympy.Poly.from_dict(terms or {(0,) * ring.nvars: 0}, *syms, domain=domain)
+
+        def ours(poly):
+            return Polynomial(ring, {m: int(c) if p else Fraction(int(c.p), int(c.q)) for m, c in poly.terms()})
+
+        polys = [self.draw_polynomial(data, ring, 4, 4) for _ in range(data.draw(st.integers(1, 4)))]
+        images = [self.draw_polynomial(data, ring, 3, 2) for _ in range(ring.nvars)]
+        if not p:
+            denominator = st.sampled_from([Fraction(1, 3), Fraction(-5, 2), Fraction(7, 6)])
+            polys = [f.scalar_mul(data.draw(denominator)) for f in polys]
+            images[0] = images[0].scalar_mul(data.draw(denominator))
+        timages = [theirs(h) for h in images]
+        got = _substitute_all(ring, polys, images)
+        assert len(got) == len(polys)
+        for f, g in zip(polys, got):
+            expected = theirs(ring.zero())
+            for a, c in f.terms.items():
+                term = theirs(ring.constant(c))
+                for h, e in zip(timages, a):
+                    term = term * h**e
+                expected = expected + term
+            self.assert_canonical(g)
+            assert g == ours(expected)
+            assert g == f.substitute(images)
 
 
 class TestMultiplicity:
