@@ -15,8 +15,9 @@ basis's staircase and degree-B layer against a recount of its leads and
 the slicing walk that built that layer, a basis finished on first read
 against the eager finishing it replaced, and the Jacobian matrix's integer
 derivative table against its cell-by-cell construction from
-``Polynomial.hasse_derivative`` and the packing of its entries.  The monomial orders and the
-polynomial helpers only these oracles and the tests use live here too.
+``Polynomial.hasse_derivative`` and the packing of its entries.  The
+monomial orders and the polynomial helpers only these oracles and the
+tests use live here too.
 """
 
 from __future__ import annotations

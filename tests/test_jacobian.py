@@ -130,6 +130,17 @@ class TestDerivativeTable:
         assert [[str(e) for e in row] for row in got.entries] == [[str(e) for e in row] for row in expected]
         reference = minor_ideal(expected, len(expected), f.ring)
         assert [str(g) for g in higher_jacobian_ideal(f, n).generators] == [str(g) for g in reference.generators]
+        assert got._packing.width == packed_cells(expected, len(expected), f.ring)[0].width
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)])
+    @pytest.mark.parametrize("text, n", [("x^44+y^3", 3), ("x^43+y^3", 3), ("x^5*y^7+y^80", 2)])
+    def test_packing_is_the_one_the_minors_need(self, field, text, n):
+        # k * top crosses a width boundary: 6 * 43 needs 10 bits, 6 * 42 only 9
+        f = P(text, RingContext(("x", "y"), field))
+        expected = reference_jac_entries(f, n)
+        got = jac_matrix(f, n)
+        assert got._packing.width == packed_cells(expected, len(expected), f.ring)[0].width
+        assert got.entries == expected
 
 
 class TestMinors:
