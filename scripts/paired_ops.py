@@ -116,7 +116,10 @@ def timed_attribute(raw, cell: list):
     if isinstance(raw, property):
         return property(timed(raw.fget, cell), raw.fset, raw.fdel, raw.__doc__)
     if isinstance(raw, functools.cached_property):
-        return functools.cached_property(timed(raw.func, cell))
+        wrapped = functools.cached_property(timed(raw.func, cell))
+        # only class creation names a cached property
+        wrapped.attrname = raw.attrname
+        return wrapped
     return timed(raw, cell)
 
 
@@ -134,11 +137,7 @@ def install_timers(modules: dict, names: list[str]) -> dict:
             if raw is None:
                 continue
             spent[name] = [0, 0.0]
-            wrapper = timed_attribute(raw, spent[name])
-            setattr(cls, path[1], wrapper)
-            if isinstance(wrapper, functools.cached_property):
-                # only class creation names a cached property
-                wrapper.__set_name__(cls, path[1])
+            setattr(cls, path[1], timed_attribute(raw, spent[name]))
             continue
         original = getattr(owner, path[0], None) if len(path) == 1 else None
         if original is None:
