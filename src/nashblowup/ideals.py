@@ -46,7 +46,8 @@ MembershipUndecided (a RuntimeError) instead of answering.
 
 Packed kernel.  The weak normal form, the completion, the tail reduction
 and the linear membership certificate run on packed polynomials: dicts from
-int monomial keys to int coefficients.  There is one key layout: one field
+int monomial keys to int coefficients.  There is one key layout
+(polynomials._Packing, which substitution shares): one field
 of w bits per variable, x_1 highest, each with a guard bit above it, less
 the total degree shifted above all fields, ``fields - (deg << S)``.  So the
 local leading term is ``max(keys)``, a product of monomials is the sum of
@@ -100,7 +101,7 @@ Ideal._from_packed keeps the first minor of each scalar class as its
 hand-over entry: its packed terms, a positive multiple of it, and the
 scale that unpacks them (kept by Ideal.__add__).  Ideal.generators
 unpacks the entries on its first read, once per Ideal; the colength
-record (the open axes read off the packed keys), sums and every
+record (the open axes read off the keys' exponents), sums and every
 membership test in the ideal read the entries, so (f) + J_n(f) reaches
 the capped runs without a Polynomial round trip, and an ideal whose
 generators nothing prints, substitutes or tests for membership elsewhere
@@ -134,14 +135,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations_with_replacement, count, islice
-from math import gcd, inf, lcm, prod
-from operator import itemgetter, lshift
+from math import gcd, inf, prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .polynomials import (
     MultiIndex,
     Polynomial,
     RingContext,
+    _Overflow,
+    _Packing,
     multi_indices_in_range,
 )
 
@@ -161,93 +164,8 @@ QuotientDimension = int | _Infinite
 
 
 # ---------------------------------------------------------------------------
-# packed kernel (layout, width rule and boundary: see the module docstring)
-
-
-class _Overflow(Exception):
-    """A step could store a monomial past the packing's degree limit."""
-
-
-class _Packing:
-    """Local monomial keys and integer coefficients for one ring and width."""
-
-    __slots__ = ("ring", "p", "width", "limit", "shifts", "deg_shift", "guards", "far")
-
-    def __init__(self, ring: RingContext, width: int):
-        self.ring = ring
-        self.p = ring.field.characteristic
-        self.width = width
-        # largest total degree of a stored monomial; every exponent is at most
-        # the total degree, so no field of a stored key reaches its guard bit
-        self.limit = (1 << width) - 1
-        step = width + 1
-        d = ring.nvars
-        self.shifts = tuple(step * (d - 1 - i) for i in range(d))
-        self.deg_shift = step * d
-        self.guards = sum(1 << (s + width) for s in self.shifts)
-        # -far lies below every key a step can form: fields are nonnegative
-        # and degrees stay below 4 * 2^w
-        self.far = 1 << (self.deg_shift + width + 3)
-
-    @classmethod
-    def sized(cls, ring: RingContext, top: int) -> "_Packing":
-        """Fields for monomials up to total degree ``top``, with room to double."""
-        return cls(ring, max(8, (2 * top + 1).bit_length()))
-
-    def wider(self) -> "_Packing":
-        return _Packing(self.ring, 2 * self.width)
-
-    def key(self, alpha: MultiIndex) -> int:
-        deg = sum(alpha)
-        if deg > self.limit:
-            raise _Overflow
-        return sum(map(lshift, alpha, self.shifts)) - (deg << self.deg_shift)
-
-    def degree(self, key: int) -> int:
-        return -(key >> self.deg_shift)
-
-    def monomial(self, key: int) -> MultiIndex:
-        mask = self.limit
-        return tuple([(key >> s) & mask for s in self.shifts])
-
-    def floor(self, bound: int | None) -> int:
-        """The threshold such that key >= it iff the key's degree is below bound."""
-        return -self.far if bound is None else (1 - bound) << self.deg_shift
-
-    def pack(self, poly: Polynomial) -> dict[int, int]:
-        """poly's terms by key; over Q its positive multiple with coprime integer coefficients."""
-        terms = poly.terms
-        if not terms:
-            return {}
-        keys = map(self.key, terms)
-        if self.p:
-            return dict(zip(keys, terms.values()))
-        den = lcm(*(c.denominator for c in terms.values()))
-        nums = [c.numerator * (den // c.denominator) for c in terms.values()]
-        content = gcd(*nums)
-        return dict(zip(keys, (n // content for n in nums)))
-
-    def polynomial(self, terms: dict[int, int], monic: bool = False, scale: int = 1) -> Polynomial:
-        """The unpacked polynomial, its monic multiple, or over Q the terms over ``scale``."""
-        p = self.p
-        coeffs = terms.values()
-        if monic:
-            lc = terms[max(terms)]
-            if p:
-                inv = pow(lc, -1, p)
-                coeffs = [c * inv % p for c in coeffs]
-            else:
-                coeffs = [Fraction(c, lc) for c in coeffs]
-        elif not p:
-            coeffs = map(Fraction, coeffs) if scale == 1 else [Fraction(c, scale) for c in coeffs]
-        return Polynomial(self.ring, dict(zip(map(self.monomial, terms), coeffs)), _canonical=True)
-
-    def element(self, terms: dict[int, int]) -> tuple:
-        """(lead, (ecart, length), lead coefficient, tail items) of nonzero packed terms."""
-        lead = max(terms)
-        # the lowest key has the highest degree
-        ecart = (lead >> self.deg_shift) - (min(terms) >> self.deg_shift)
-        return (lead, (ecart, len(terms)), terms[lead], tuple([kv for kv in terms.items() if kv[0] != lead]))
+# packed kernel (layout, width rule and boundary: see the module docstring;
+# the keys are polynomials._Packing's)
 
 
 _lead = itemgetter(0)
@@ -1116,26 +1034,6 @@ def _close_axes(axes: set[int], exponents: Iterable[MultiIndex], nvars: int) -> 
     return False
 
 
-def _close_packed_axes(axes: set[int], pk: _Packing, keys: Iterable[int]) -> bool:
-    """_close_axes on packed keys: x_v^e has the fields e << shift_v, so a key
-    is a pure power iff its fields are its degree shifted onto the field
-    that holds their lowest set bit."""
-    step, last, deg_shift = pk.width + 1, pk.ring.nvars - 1, pk.deg_shift
-    for key in keys:
-        if not key:
-            axes.clear()
-            return True
-        deg = -(key >> deg_shift)
-        fields = key + (deg << deg_shift)
-        low = (fields & -fields).bit_length() - 1
-        shift = low - low % step
-        if fields == deg << shift:
-            axes.discard(last - shift // step)
-            if not axes:
-                return True
-    return False
-
-
 def _coefficient(entry: Polynomial | tuple, alpha: MultiIndex):
     """The coefficient of x^alpha, a term of the generator of a hand-over entry."""
     if isinstance(entry, tuple):
@@ -1267,7 +1165,7 @@ class Ideal:
     membership test reads: the capped runs, the escalation and, packed and
     sorted stably by rank as ``_reducers``, the walks.  The colength
     record is ``_open_axes`` (_open_axes_of the generators, a hand-over
-    entry read off its packed keys) and
+    entry read off its keys' exponents) and
     ``_certified``, the m-primary basis or None: the capped runs' basis,
     or Lazard's when compute_standard_basis finds that one m-primary.
     ``_basis`` is the standard basis, computed on its first query.
@@ -1393,11 +1291,8 @@ class Ideal:
         nvars = self.ring.nvars
         axes = set(range(nvars))
         for entry in self._handed:
-            if isinstance(entry, tuple):
-                closed = _close_packed_axes(axes, entry[0], entry[1])
-            else:
-                closed = _close_axes(axes, entry.terms, nvars)
-            if closed:
+            exponents = map(entry[0].monomial, entry[1]) if isinstance(entry, tuple) else entry.terms
+            if _close_axes(axes, exponents, nvars):
                 break
         return frozenset(axes)
 

@@ -17,8 +17,8 @@ from math import comb, lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .ideals import Ideal, _Packing
-from .polynomials import MultiIndex, Polynomial, RingContext, multi_indices_in_range
+from .ideals import Ideal
+from .polynomials import MultiIndex, Polynomial, RingContext, _Packing, multi_indices_in_range
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -161,9 +161,9 @@ def jac_matrix(f: Polynomial, n: int) -> JacobianMatrix:
         if found:
             table.append((j, g, found))
     pk = _Packing.sized(ring, len(rows) * top)
-    # keys are linear, key(alpha) = sum of alpha_i * weight_i, and need no
+    # keys are linear in the exponents (_Packing.weights), so they need no
     # room for f's own degree; the column of beta + gamma is found by key
-    weights = [(1 << s) - (1 << pk.deg_shift) for s in pk.shifts]
+    weights = pk.weights
     keys = [sum(map(mul, alpha, weights)) for alpha in indices]
     position = {key: j for j, key in enumerate(keys[1:])}
     term_keys = {beta: sum(map(mul, beta, weights)) for beta, _, _ in terms}
@@ -186,7 +186,7 @@ def jac_matrix(f: Polynomial, n: int) -> JacobianMatrix:
 # as the Laplace expansion along its top row.  Bottom-up suits Jacobian
 # matrices, whose last rows are the sparsest, so the early states stay few;
 # structural zeros are never stored.  The expansion runs on the cells of
-# jac_matrix's derivative table: monomial keys of a local ideals._Packing and
+# jac_matrix's derivative table: monomial keys of a local polynomials._Packing and
 # integer coefficients, so a product of two terms is one int addition and one
 # int multiplication.  The packing only has to hold a minor's degree, k * top;
 # each kept minor is handed over with its packed terms

@@ -11,13 +11,16 @@ with zero terms dropped, once per result.  Substitution
 (``_substitute_all``) runs on integers instead, over Q scaled so that no
 denominator is left, and each result term takes one ``Fraction`` (or one
 reduction mod p) at the end; so does the Jacobian matrix's derivative
-table (``jacobian.jac_matrix``).
+table (``jacobian.jac_matrix``).  Both key monomials as the packed kernel
+of ``ideals`` does, on ``_Packing``, which lives here, below every module
+that computes on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -258,12 +261,107 @@ class Polynomial:
         return _substitute_all(self.ring, (self,), images)[0]
 
 
+# ---------------------------------------------------------------------------
+# packed monomial keys (layout and width rule: see the ideals module docstring)
+
+
+class _Overflow(Exception):
+    """A step could store a monomial past the packing's degree limit."""
+
+
+class _Packing:
+    """Local monomial keys and integer coefficients for one ring and width."""
+
+    __slots__ = ("ring", "p", "width", "limit", "shifts", "deg_shift", "weights", "guards", "far")
+
+    def __init__(self, ring: RingContext, width: int):
+        self.ring = ring
+        self.p = ring.field.characteristic
+        self.width = width
+        # largest total degree of a stored monomial; every exponent is at most
+        # the total degree, so no field of a stored key reaches its guard bit
+        self.limit = (1 << width) - 1
+        step = width + 1
+        d = ring.nvars
+        self.shifts = tuple(step * (d - 1 - i) for i in range(d))
+        self.deg_shift = step * d
+        # key(alpha) = fields - (deg << deg_shift) is linear in alpha, the sum
+        # of alpha_i * weights[i]: key(a) - key(b) is key(a - b) even when a
+        # lies past the limit
+        self.weights = tuple((1 << s) - (1 << self.deg_shift) for s in self.shifts)
+        self.guards = sum(1 << (s + width) for s in self.shifts)
+        # -far lies below every key a step can form: fields are nonnegative
+        # and degrees stay below 4 * 2^w
+        self.far = 1 << (self.deg_shift + width + 3)
+
+    @classmethod
+    def sized(cls, ring: RingContext, top: int) -> "_Packing":
+        """Fields for monomials up to total degree ``top``, with room to double."""
+        return cls(ring, max(8, (2 * top + 1).bit_length()))
+
+    def wider(self) -> "_Packing":
+        return _Packing(self.ring, 2 * self.width)
+
+    def key(self, alpha: MultiIndex) -> int:
+        if sum(alpha) > self.limit:
+            raise _Overflow
+        return sum(map(mul, alpha, self.weights))
+
+    def degree(self, key: int) -> int:
+        return -(key >> self.deg_shift)
+
+    def monomial(self, key: int) -> MultiIndex:
+        mask = self.limit
+        return tuple([(key >> s) & mask for s in self.shifts])
+
+    def floor(self, bound: int | None) -> int:
+        """The threshold such that key >= it iff the key's degree is below bound."""
+        return -self.far if bound is None else (1 - bound) << self.deg_shift
+
+    def pack(self, poly: Polynomial) -> dict[int, int]:
+        """poly's terms by key; over Q its positive multiple with coprime integer coefficients."""
+        terms = poly.terms
+        if not terms:
+            return {}
+        keys = map(self.key, terms)
+        if self.p:
+            return dict(zip(keys, terms.values()))
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        nums = [c.numerator * (den // c.denominator) for c in terms.values()]
+        content = math.gcd(*nums)
+        return dict(zip(keys, (n // content for n in nums)))
+
+    def polynomial(self, terms: dict[int, int], monic: bool = False, scale: int = 1) -> Polynomial:
+        """The unpacked polynomial, its monic multiple, or over Q the terms over ``scale``."""
+        p = self.p
+        coeffs = terms.values()
+        if monic:
+            lc = terms[max(terms)]
+            if p:
+                inv = pow(lc, -1, p)
+                coeffs = [c * inv % p for c in coeffs]
+            else:
+                coeffs = [Fraction(c, lc) for c in coeffs]
+        elif not p:
+            coeffs = map(Fraction, coeffs) if scale == 1 else [Fraction(c, scale) for c in coeffs]
+        return Polynomial(self.ring, dict(zip(map(self.monomial, terms), coeffs)), _canonical=True)
+
+    def element(self, terms: dict[int, int]) -> tuple:
+        """(lead, (ecart, length), lead coefficient, tail items) of nonzero packed terms."""
+        lead = max(terms)
+        # the lowest key has the highest degree
+        ecart = (lead >> self.deg_shift) - (min(terms) >> self.deg_shift)
+        return (lead, (ecart, len(terms)), terms[lead], tuple([kv for kv in terms.items() if kv[0] != lead]))
+
+
+
+
 def _substitute_all(
     ring: RingContext, polys: Iterable[Polynomial], images: Sequence[Polynomial]
 ) -> list[Polynomial]:
     """Each of polys (in ``ring``) composed with images, each power of an image computed once.
 
-    Runs on integers.  Monomials are the packed kernel's keys (ideals._Packing)
+    Runs on integers.  Monomials are the packed kernel's keys (_Packing)
     on a packing that holds the largest degree a product reaches, so a
     product of monomials is one int addition.  Over Q the images are scaled
     by the lcm e of their denominators, and a term c * x^alpha of f, with L
@@ -273,9 +371,6 @@ def _substitute_all(
     Fraction over that scale, or one reduction mod p; image powers are
     reduced mod p as they are cached.
     """
-    # ideals imports this module, so its packing is imported on use
-    from .ideals import _Packing
-
     if len(images) != ring.nvars:
         raise ValueError(f"expected {ring.nvars} images, got {len(images)}")
     for g in images:
@@ -284,7 +379,8 @@ def _substitute_all(
     polys = list(polys)
     p = ring.field.characteristic
     degrees = [max(g.total_degree(), 0) for g in images]
-    top = max((sum(map(mul, alpha, degrees)) for f in polys for alpha in f.terms), default=0)
+    # every image is packed, used or not, so its own degree counts too
+    top = max(0, *degrees, *(sum(map(mul, alpha, degrees)) for f in polys for alpha in f.terms))
     pk = _Packing.sized(ring, top)
     e = 1 if p else math.lcm(*(c.denominator for g in images for c in g.terms.values()))
     powers = [[{0: 1}, {pk.key(a): c if p else c.numerator * (e // c.denominator) for a, c in g.terms.items()}]

@@ -173,6 +173,23 @@ class TestSubstitution:
         images = [P("x", ring_q2), P("y+x^2", ring_q2)]
         assert f.substitute(images) == P("x*y+x^3", ring_q2)
 
+    @pytest.mark.parametrize("field", [QQ, GF(3)])
+    @pytest.mark.parametrize("text", ["x^2", "3", "2*x^3-x+1"])
+    def test_high_degree_image_of_an_unused_variable(self, field, text):
+        # y's image is past every packing's limit at the narrowest width
+        # (degree 255), although no term of f contains y
+        ring = RingContext(("x", "y"), field)
+        f = P(text, ring)
+        images = [P("x+x^2", ring), P("y+y^300", ring)]
+        want = ring.zero()
+        for alpha, c in f.terms.items():
+            term = ring.constant(c)
+            for image, k in zip(images, alpha):
+                term = term * image**k
+            want = want + term
+        assert f.substitute(images) == want
+        assert _substitute_all(ring, [f, f + ring.one()], images) == [want, want + ring.one()]
+
     def test_wrong_image_count(self, ring_q2):
         with pytest.raises(ValueError):
             P("x", ring_q2).substitute([P("x", ring_q2)])
