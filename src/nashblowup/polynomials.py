@@ -288,7 +288,8 @@ class _Packing:
         # key(alpha) = fields - (deg << deg_shift) is linear in alpha, the sum
         # of alpha_i * weights[i]: key(a) - key(b) is key(a - b) even when a
         # lies past the limit
-        self.weights = tuple((1 << s) - (1 << self.deg_shift) for s in self.shifts)
+        low = 1 << self.deg_shift
+        self.weights = tuple([(1 << s) - low for s in self.shifts])
         self.guards = sum(1 << (s + width) for s in self.shifts)
         # -far lies below every key a step can form: fields are nonnegative
         # and degrees stay below 4 * 2^w
