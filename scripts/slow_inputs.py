@@ -4,14 +4,17 @@
 The inputs are the four plane germs whose `check inclusions -n 3` wedged
 the membership escalation (over Q and F_32003), the space germ
 `4*y*z+3*x*z^2-3*y^3`, a random contact draw on `2*x*y^2` whose
-certificate rounds dominate (over Q, F_5 and F_32003), and three Samuel
+certificate rounds dominate (over Q, F_5 and F_32003), three Samuel
 perturbations whose `ideal mn --dim` sits in Lazard's route, which has no
 budget (J_2 over Q, J_3 over F_5 and over F_3; the Q germ starts with a
-minus sign, hence the `--` before it).  For each invocation
-the script prints the exit code ("> 60" when it ran out of a 60 s
---timeout), the md5 of its stdout followed by its stderr, and the wall
-time, so two checkouts can be compared line by line: the same exit codes
-and md5s mean the same answers.  None of this runs in tier-1.
+minus sign, hence the `--` before it), and six three-variable germs whose
+(f) + J_3(f) has about 3,000 generators (`ideal tn -n 3 --dim`, five over
+Q, one over F_3).  For each invocation the script prints the exit
+code ("> 60" when it ran out of a 60 s --timeout), the md5 of its stdout
+followed by its stderr, and the wall time, so two checkouts can be
+compared line by line: the same exit codes and md5s mean the same
+answers.  None of this runs in tier-1, which only parses each invocation
+(tests/test_cli.py).
 
 Usage (compare two checkouts):
     PYTHONPATH=src python3 scripts/slow_inputs.py
@@ -39,12 +42,22 @@ LAZARD_WEDGES = (
     ("ideal", "mn", "3*y^3+3*x^3*y+2*x^2*y^4+4*x^5*y^2+2*x^4*y^4+4*x^7*y^2", "-n", "3", "--dim", "--char", "5"),
     ("ideal", "mn", "x^2+x^3+2*x*y^3+2*x^2*y^4+2*x^6*y+x*y^7+2*x^5*y^4", "-n", "3", "--dim", "--char", "3"),
 )
+# (germ, characteristic): order 3 in x, y, z
+THREE_VARIABLE = (
+    ("x*y*z+x^3+y^3+z^3", "0"),
+    ("x^2+y^3+x*z^3", "0"),
+    ("x*y*z+x^4+y^4+z^4", "0"),
+    ("x^3+y^3+z^3+x*y*z^2", "0"),
+    ("x*y*z+x^5+y^5+z^5", "0"),
+    ("x*y*z+x^5+y^5+z^5", "3"),
+)
 
 INVOCATIONS = (
     *[("check", "inclusions", germ, "-n", "3", "--char", char) for char in ("0", "32003") for germ in WEDGES],
     ("check", "inclusions", "4*y*z+3*x*z^2-3*y^3", "-n", "3"),
     *[CONTACT + ("--char", char) for char in ("0", "5", "32003")],
     *LAZARD_WEDGES,
+    *[("ideal", "tn", germ, "-n", "3", "--dim", "--char", char) for germ, char in THREE_VARIABLE],
 )
 
 

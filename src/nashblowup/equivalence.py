@@ -155,12 +155,13 @@ def _random_coeff(rng: random.Random, ring: RingContext):
             return c
 
 
-def _random_tail(rng: random.Random, ring: RingContext, lo: int, hi: int, max_terms: int = 2) -> Polynomial:
+def _random_tail(rng: random.Random, ring: RingContext, lo: int, hi: int) -> Polynomial:
+    """Up to two random terms of degree lo..hi."""
     tail = ring.zero()
     if hi < lo:
         return tail
     candidates = multi_indices_in_range(ring.nvars, lo, hi)
-    for _ in range(rng.randint(0, max_terms)):
+    for _ in range(rng.randint(0, 2)):
         alpha = rng.choice(candidates)
         tail = tail + ring.monomial(alpha, _random_coeff(rng, ring))
     return tail

@@ -96,8 +96,8 @@ escalation's last cap and certificate layer, which depend only on deg f,
 so the escalation moves it at most once and packs only f.  A Jacobian
 matrix is built as its derivative table, on integer coefficients and on a
 packing that holds the degree of its maximal minors (jacobian.jac_matrix),
-and the minors (jacobian._minor_dets) run on its cells.
-Ideal._from_packed keeps the first minor of each scalar class as its
+and the maximal minors (jacobian._minor_dets) run on its cells in one
+call.  Ideal._from_packed keeps the first minor of each scalar class as its
 hand-over entry: its packed terms, a positive multiple of it, and the
 scale that unpacks them (kept by Ideal.__add__).  Ideal.generators
 unpacks the entries on its first read, once per Ideal; the colength
@@ -105,8 +105,10 @@ record (the open axes read off the keys' exponents), sums and every
 membership test in the ideal read the entries, so (f) + J_n(f) reaches
 the capped runs without a Polynomial round trip, and an ideal whose
 generators nothing prints, substitutes or tests for membership elsewhere
-builds none.  Terms handed over on another width move by way of their
-exponent tuples; the width changes no key order, so no result.
+builds none.  The open axes are computed there alone (Ideal._open_axes);
+a membership refutation tests f against a copy of them.  Terms handed over
+on another width move by way of their exponent tuples; the width changes
+no key order, so no result.
 Each capped run cuts the span basis at its key floor, and every step of a
 budgeted walk or capped run charges its budget by one rule, on the packed
 lead coefficient.  Lazard's route homogenizes the
@@ -122,8 +124,9 @@ elements.  The basis keeps the tail-reduced terms, a nonzero multiple of
 each element, and builds its reducers from them on its first query, so a
 computed basis is never packed again; its membership test reads whether
 the packed normal form is zero, which no scale changes.
-A basis of infinite colength decides membership over the Ideal it was
-completed from.  Every public signature and every printed result is the
+A basis that is not m-primary (the zero ideal's too) hands membership to
+the Ideal it was completed from (Ideal.contains_element), unfinished.
+Every public signature and every printed result is the
 one the tuple/Fraction arithmetic gives.
 """
 
@@ -790,13 +793,19 @@ def _escalated_membership(f: Polynomial, ideal: Ideal) -> bool:
 def _uncertified_membership(f: Polynomial, ideal: Ideal) -> bool:
     """Membership of f in the ideal when no m-primary basis decides it.
 
-    An open axis of the ideal on which f has a term refutes: f lies outside
-    the prime (x_i : i != v), which contains the ideal.  Otherwise a Mora
-    walk over the generators' span basis, charged _WORK_BUDGET, certifies a
-    zero, and the escalation decides the rest over the same packed span.
+    An open axis x_v of the ideal (Ideal._open_axes) on which f has a term,
+    one in k[x_v], refutes: f lies outside the prime (x_i : i != v), which
+    contains the ideal; _close_axes drops such axes from a copy.  Otherwise
+    a Mora walk over the generators' span basis, charged _WORK_BUDGET,
+    certifies a zero, and the escalation decides the rest over the same
+    packed span.
     """
-    if not ideal._open_axes <= _open_axes_of((f,), ideal.ring.nvars):
-        return False
+    open_axes = ideal._open_axes
+    if open_axes:
+        axes = set(open_axes)
+        _close_axes(axes, f.terms, ideal.ring.nvars)
+        if axes != open_axes:
+            return False
     h = weak_normal_form(f, ideal._reducers, budget=_WORK_BUDGET)
     if h is not None and h.is_zero():
         return True
@@ -813,14 +822,15 @@ class ReducedStandardBasis:
     infinite colength.  ``staircase`` is (count, top degree) of the standard
     monomials, None when there are infinitely many: the count the completion
     took of its leads, which generate the monomial ideal of the elements'
-    leads.  A basis of infinite colength keeps the Ideal it was completed
-    from.  Built only by _reduced_basis, with a finisher in place of the
-    finished entries.  ``ring``, ``truncation``, ``staircase``,
-    ``is_m_primary`` and ``dimension()`` are known from construction, so a
-    colength reads nothing finished.  The elements and their packed terms
-    are finished once, on the first read of ``elements`` or ``packed``
-    (which ``contains`` reads unless f truncates to zero), or of ==, hash()
-    or repr(), which compare, hash and show (ring, elements, truncation).
+    leads.  A basis that is not m-primary keeps the Ideal it was completed
+    from (the zero ideal's included), which answers its memberships.  Built
+    with a finisher in place of the finished entries.  ``ring``,
+    ``truncation``, ``staircase``, ``is_m_primary`` and ``dimension()`` are
+    known from construction, so a colength reads nothing finished.  The
+    elements and their packed terms are finished once, on the first read of
+    ``elements`` or ``packed`` (which ``contains`` reads on an m-primary
+    basis unless f truncates to zero), or of ==, hash() or repr(), which
+    compare, hash and show (ring, elements, truncation).
     """
 
     ring: RingContext
@@ -843,10 +853,6 @@ class ReducedStandardBasis:
     def elements(self) -> tuple[Polynomial, ...]:
         return self._finished[0]
 
-    @property
-    def _packed_terms(self) -> tuple[_Packing, tuple[dict[int, int], ...]]:
-        return self._packing, self._finished[1]
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -861,7 +867,7 @@ class ReducedStandardBasis:
     @cached_property
     def packed(self) -> _PackedBasis:
         """The elements' packed reducers, built on the first query."""
-        return _PackedBasis(*self._packed_terms)
+        return _PackedBasis(self._packing, self._finished[1])
 
     @property
     def is_m_primary(self) -> bool:
@@ -872,15 +878,13 @@ class ReducedStandardBasis:
 
         Finite colength reads whether the packed normal form of f, truncated
         at the truncation degree, is zero; the packing holds that degree.
-        Infinite colength is decided as the Ideal the basis was completed
-        from decides it (_uncertified_membership).
+        Any other basis asks the Ideal it was completed from
+        (Ideal.contains_element), so it is not finished for the answer.
         """
+        if not self.is_m_primary:
+            return self._ideal.contains_element(f)
         if f.ring != self.ring:
             raise ValueError("polynomial lives in a different ring context")
-        if not self.is_m_primary:
-            if not self.elements:
-                return f.is_zero()
-            return _uncertified_membership(f, self._ideal)
         h = f.truncate_at_degree(self.truncation)
         if h.is_zero():
             return True
@@ -903,7 +907,8 @@ def _finish_primary(pk: _Packing, elements: list[tuple], staircase: tuple[int, i
     at B enter as their bare monic leads, the monomials of degree B outside
     the ideal of the lower leads, making the result a function of the ideal
     alone rather than of the generator list.  The packing must hold degree
-    B and the elements' degrees.
+    B and the elements' degrees.  The basis keeps no Ideal: its own packed
+    normal form decides membership.
     """
     B = max(staircase[1] + 1, 1)
 
@@ -916,19 +921,7 @@ def _finish_primary(pk: _Packing, elements: list[tuple], staircase: tuple[int, i
         entries.sort(key=_lead, reverse=True)
         return entries
 
-    return _reduced_basis(pk, finish, B, staircase)
-
-
-def _reduced_basis(
-    pk: _Packing,
-    finish: Callable[[], list[tuple]],
-    truncation: int | None,
-    staircase: tuple[int, int] | None,
-    ideal: Ideal | None = None,
-) -> ReducedStandardBasis:
-    """The basis that ``finish()`` finishes on first read into (leading key, terms on ``pk``'s keys,
-    element) entries, keeping the staircase and, for infinite colength, the Ideal."""
-    return ReducedStandardBasis(pk.ring, truncation, staircase, pk, finish, ideal)
+    return ReducedStandardBasis(pk.ring, B, staircase, pk, finish)
 
 
 # The fixed limits: the escalation gives up after _ESCALATION_ROUNDS rounds,
@@ -1003,22 +996,6 @@ def _span_basis(p: int, gens: list[dict[int, int]]) -> list[dict[int, int]]:
     return [terms for terms in gens if echelon.insert(dict(terms))]
 
 
-def _open_axes_of(polys: Iterable[Polynomial], nvars: int) -> frozenset[int]:
-    """The variables x_v none of whose pure powers is a term of the polys (1 = x_v^0 counts).
-
-    Each such x_v leaves every poly inside the prime P_v = (x_i : i != v):
-    the x_v-axis lies in the zero set of the ideal they generate, whose
-    quotient is therefore infinite-dimensional over any field, and a
-    polynomial with a term in k[x_v] lies outside P_v, hence outside the
-    ideal.  One pass over the terms, stopping once every variable is seen.
-    """
-    axes = set(range(nvars))
-    for g in polys:
-        if _close_axes(axes, g.terms, nvars):
-            break
-    return frozenset(axes)
-
-
 def _close_axes(axes: set[int], exponents: Iterable[MultiIndex], nvars: int) -> bool:
     """Drop from ``axes`` each x_v with a pure power among the exponent tuples
     (all of them at the constant term); True once none is left."""
@@ -1088,8 +1065,8 @@ def try_primary_standard_basis(
     pk = ideal._packing
     multiplicity, gens = ideal._span
     if not gens:
-        # the zero ideal: its finisher returns no entries
-        return _reduced_basis(pk, list, None, None)
+        # the zero ideal: its finisher returns no entries, its Ideal answers membership
+        return ReducedStandardBasis(pk.ring, None, None, pk, list, ideal)
     base = cap = max(4, 2 + multiplicity)
     while True:
         # one span basis on a packing that holds the cap, so no run overflows
@@ -1120,8 +1097,9 @@ def compute_standard_basis(generators: Ideal | Sequence[Polynomial], ring: RingC
     One Ideal, its generators packed once, serves both routes.  The capped
     runs are read from its record (Ideal._certified), so they run at most
     once per Ideal, and a basis of Lazard's route that comes out m-primary
-    is stored there.  A basis of infinite colength keeps the Ideal for its
-    membership queries, and its bounded tail reduction runs on first read.
+    is stored there.  A basis of infinite colength keeps the Ideal, which
+    answers its membership queries, and its bounded tail reduction runs on
+    first read.
     """
     ideal = _ideal_of(generators, ring)
     basis = ideal._certified
@@ -1137,7 +1115,7 @@ def compute_standard_basis(generators: Ideal | Sequence[Polynomial], ring: RingC
     # infinite colength: cap tail growth at the largest degree present
     # (local keys: the highest degree has the lowest key)
     cap = pk.degree(min(k for el in minimal for k in _terms(el)))
-    return _reduced_basis(pk, partial(_reduced_elements, pk, minimal, None, cap), None, None, ideal)
+    return ReducedStandardBasis(pk.ring, None, None, pk, partial(_reduced_elements, pk, minimal, None, cap), ideal)
 
 
 class Ideal:
@@ -1150,11 +1128,12 @@ class Ideal:
     itself when it came as a polynomial, or (packing, terms, scalar class,
     scale) with the terms ``scale`` times the generator on that packing's
     keys over Q (the generator itself over F_p, scale 1) and the
-    _scalar_class of the terms, as _from_packed builds them for the minors
-    of jacobian._distinct_minors, which come handed because repacking them
-    from their polynomials cost ``high-order`` about 8 %.  Such an entry is
-    unpacked only when ``generators`` is first read; the colength record,
-    sums and every membership test in the ideal read the entries.
+    _scalar_class of the terms, as _from_packed builds them for the maximal
+    minors of jacobian.higher_jacobian_ideal, which come handed because
+    repacking them from their polynomials cost ``high-order`` about 8 %.
+    Such an entry is unpacked only when ``generators`` is first read; the
+    colength record, sums and every membership test in the ideal read the
+    entries.
     ``_packing`` holds every generator: _Packing.sized for the highest
     degree among the generators packed here, or the widest packing a
     generator came on when that is wider; the width changes no key order.
@@ -1164,11 +1143,13 @@ class Ideal:
     ``_span``, their one span basis, is what every
     membership test reads: the capped runs, the escalation and, packed and
     sorted stably by rank as ``_reducers``, the walks.  The colength
-    record is ``_open_axes`` (_open_axes_of the generators, a hand-over
-    entry read off its keys' exponents) and
+    record is ``_open_axes`` (the variables with no pure power among the
+    generators' terms, computed here alone, a hand-over entry read off its
+    keys' exponents) and
     ``_certified``, the m-primary basis or None: the capped runs' basis,
     or Lazard's when compute_standard_basis finds that one m-primary.
-    ``_basis`` is the standard basis, computed on its first query.
+    ``_basis`` is the standard basis, computed on its first query; one that
+    is not m-primary keeps this Ideal and asks it for memberships.
     """
 
     def __init__(self, ring: RingContext, generators: Iterable[Polynomial]):

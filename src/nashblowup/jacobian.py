@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
 from math import comb, lcm, prod
 from operator import mul
 from typing import Sequence
@@ -243,30 +242,21 @@ def _minor_dets(
     return [state[mask] for mask in sorted(state, reverse=True)]
 
 
-def _distinct_minors(pk: _Packing, scale: int, cells: Sequence[Sequence[tuple]], k: int) -> Ideal:
-    """The ideal of the nonzero k x k minors of packed cells up to a scalar, first kept: row
-    subsets, then columns, in lex order.
-
-    ``pk`` must hold the minors' degree, and over Q the minors come out
-    ``scale`` times the true ones.  Each is handed over with its packed
-    terms (Ideal._from_packed) and unpacked on the first read of the
-    generators.
-    """
-    cols = range(len(cells[0]))
-    minors = chain.from_iterable(_minor_dets(cells, pk.p, rows, cols) for rows in combinations(range(len(cells)), k))
-    return Ideal._from_packed(pk, scale, minors)
-
-
 def higher_jacobian_ideal(f: Polynomial, n: int) -> Ideal:
     """The order-n Jacobian ideal: maximal minors of the order-n Jacobian matrix.
 
     Generators are the distinct nonzero minors up to a scalar, in column-lex
-    order, taken on the matrix's derivative table.  Every call builds a new
-    Ideal; nothing is shared between calls.
+    order, taken in one _minor_dets call on the matrix's derivative table:
+    a maximal minor takes every row.  The packing holds the minors' degree,
+    and over Q they come out ``_scale**k`` times the true ones.  Each is
+    handed over with its packed terms (Ideal._from_packed) and unpacked on
+    the first read of the generators.  Every call builds a new Ideal;
+    nothing is shared between calls.
     """
     matrix = jac_matrix(f, n)
-    k = len(matrix.rows)
-    return _distinct_minors(matrix._packing, matrix._scale**k, matrix._cells, k)
+    k, pk = len(matrix.rows), matrix._packing
+    minors = _minor_dets(matrix._cells, pk.p, range(k), range(len(matrix.cols)))
+    return Ideal._from_packed(pk, matrix._scale**k, minors)
 
 
 def jacobian_ideal(f: Polynomial) -> Ideal:

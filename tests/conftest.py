@@ -29,6 +29,7 @@ import operator
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from operator import lshift
 from typing import Iterable, Sequence
@@ -56,14 +57,13 @@ from nashblowup.ideals import (
     _Overflow,
     _Packing,
     _rank,
-    _reduced_basis,
     _reduced_elements,
     _staircase,
     _tail_reduce,
     _terms,
     maximal_ideal_power,
 )
-from nashblowup.jacobian import _distinct_minors, higher_jacobian_ideal, jacobian_ideal
+from nashblowup.jacobian import _minor_dets, higher_jacobian_ideal, jacobian_ideal
 from nashblowup.polynomials import (
     MultiIndex,
     Polynomial,
@@ -356,10 +356,13 @@ def packed_cells(
 
 
 def minor_ideal(rows: Sequence[Sequence[Polynomial]], k: int, ring: RingContext) -> Ideal:
-    """The ideal of the distinct nonzero k x k minors of polynomial entries,
-    through the library's one minors kernel on packed_cells."""
+    """The ideal of the distinct nonzero k x k minors of polynomial entries up
+    to a scalar, first kept: row subsets, then columns, in lex order, through
+    the library's one minors kernel (jacobian._minor_dets) on packed_cells."""
     pk, scale, cells = packed_cells(rows, k, ring)
-    return _distinct_minors(pk, scale, cells, k)
+    cols = range(len(cells[0]))
+    minors = (_minor_dets(cells, pk.p, row_ids, cols) for row_ids in itertools.combinations(range(len(cells)), k))
+    return Ideal._from_packed(pk, scale, itertools.chain.from_iterable(minors))
 
 
 def first_per_scalar_class(polys: Sequence[Polynomial]) -> list[Polynomial]:
@@ -887,7 +890,7 @@ def homogenized_generators(generators: Sequence[Polynomial], ring: RingContext) 
 def lazard_standard_basis(generators: Sequence[Polynomial], ring: RingContext) -> ReducedStandardBasis:
     homogenized = homogenized_generators(generators, ring)
     if not homogenized:
-        return _reduced_basis(_Packing.sized(ring, 0), list, None, None)
+        return ReducedStandardBasis(ring, None, None, _Packing.sized(ring, 0), list, Ideal(ring, generators))
     # on equal leads, the generators' own term lists order them
     homogenized = sorted(first_per_scalar_class(homogenized), key=lambda p: poly_sort_key(p, GRADED_LEX), reverse=True)
     hpk, raw, _ = complete_basis(homogenized, GRADED_LEX)
@@ -899,7 +902,8 @@ def lazard_standard_basis(generators: Sequence[Polynomial], ring: RingContext) -
     if stats is not None:
         return _finish_primary(pk, minimal, stats)
     cap = pk.degree(min(k for el in minimal for k in _terms(el)))
-    return _reduced_basis(pk, lambda: _reduced_elements(pk, minimal, None, cap), None, None)
+    finish = partial(_reduced_elements, pk, minimal, None, cap)
+    return ReducedStandardBasis(ring, None, None, pk, finish, Ideal(ring, generators))
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +913,8 @@ def lazard_standard_basis(generators: Sequence[Polynomial], ring: RingContext) -
 # infinite-colength branch of compute_standard_basis) tail-reduced and
 # unpacked every element up front, into a frozen dataclass whose equality,
 # hash and repr are those of (ring, elements, truncation).  That body and
-# that class, kept verbatim bar the name, are the reference for the basis
+# that class, kept verbatim bar the names and the packed terms split into
+# their packing and the elements' terms, are the reference for the basis
 # finished on first read.
 
 
@@ -919,14 +924,15 @@ class EagerReducedStandardBasis:
     elements: tuple[Polynomial, ...]
     truncation: int | None
     staircase: tuple[int, int] | None = field(compare=False, repr=False)
-    _packed_terms: tuple[_Packing, tuple[dict[int, int], ...]] = field(compare=False, repr=False)
+    _packing: _Packing = field(compare=False, repr=False)
+    element_terms: tuple[dict[int, int], ...] = field(compare=False, repr=False)
 
 
-def eager_reduced_basis(
+def eager_basis(
     pk: _Packing, elements: list[tuple], truncation: int | None, staircase: tuple[int, int] | None
 ) -> EagerReducedStandardBasis:
     return EagerReducedStandardBasis(
-        pk.ring, tuple(el[2] for el in elements), truncation, staircase, (pk, tuple(el[1] for el in elements))
+        pk.ring, tuple(el[2] for el in elements), truncation, staircase, pk, tuple(el[1] for el in elements)
     )
 
 
@@ -938,13 +944,13 @@ def eager_finish_primary(pk: _Packing, minimal: list[tuple], staircase: tuple[in
     elements = _reduced_elements(pk, below, B, None)
     elements += [(el[0], {el[0]: 1}, pk.polynomial({el[0]: 1})) for el in minimal if el[0] < floor]
     elements.sort(key=_lead, reverse=True)
-    return eager_reduced_basis(pk, elements, B, staircase)
+    return eager_basis(pk, elements, B, staircase)
 
 
 def eager_infinite_basis(pk: _Packing, minimal: list[tuple]) -> EagerReducedStandardBasis:
     """compute_standard_basis's basis of infinite colength, finished at once."""
     cap = pk.degree(min(k for el in minimal for k in _terms(el)))
-    return eager_reduced_basis(pk, _reduced_elements(pk, minimal, None, cap), None, None)
+    return eager_basis(pk, _reduced_elements(pk, minimal, None, cap), None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -428,3 +430,19 @@ class TestOneVerbParser:
         monkeypatch.setattr("sys.argv", ["nashblowup", "invariants", "x^3+y^2", "--json"])
         assert main() == 0
         assert json.loads(capsys.readouterr().out)["tau"] == 2
+
+
+def slow_invocations() -> tuple[tuple[str, ...], ...]:
+    """The invocations of scripts/slow_inputs.py, read without running them."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "slow_inputs.py"
+    spec = importlib.util.spec_from_file_location("slow_inputs", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.INVOCATIONS
+
+
+@pytest.mark.parametrize("argv", slow_invocations(), ids=" ".join)
+def test_every_slow_input_parses(argv):
+    # parsing only: a mistyped flag raises ConfigError, and nothing is computed
+    args = cli._verb_parser(argv[0]).parse_args(argv[1:])
+    assert args.func is getattr(cli, f"cmd_{argv[0]}")

@@ -104,7 +104,7 @@ def homogenized_completion(hgens, cost_budget=None):
             pk = pk.wider()
 
 
-def homogenized_reduced_basis(gens):
+def homogenized_groebner_basis(gens):
     """The reduced graded-lex Groebner basis of the homogenized generators, monic,
     as the uncapped run on local keys completes it."""
     pk, raw, _ = homogenized_completion(homogenized_ideal(gens))
@@ -168,7 +168,7 @@ class TestStandardBasis:
     def test_global_reduced_groebner(self, ring_q2):
         # the Buchberger step of Lazard's route on (x^2 - t*y, x*y - t^2):
         # the reduced graded-lex Groebner basis in (t, x, y), as sympy gives it
-        got = {str(e) for e in homogenized_reduced_basis([P("x^2-y", ring_q2), P("x*y-1", ring_q2)])}
+        got = {str(e) for e in homogenized_groebner_basis([P("x^2-y", ring_q2), P("x*y-1", ring_q2)])}
         assert got == {"t^2 - x*y", "t*y - x^2", "t*x^2 - x*y^2", "x^4 - x*y^3"}
 
 
@@ -562,16 +562,16 @@ class TestOpenAxis:
         ring = RingContext(("x", "y", "z")[:nvars], field)
         polys = st.lists(nonzero_polynomial_strategy(ring, max_terms=3, max_degree=4), min_size=1, max_size=3)
         gens = data.draw(polys)
-        axes = ideals._open_axes_of(gens, nvars)
+        axes = Ideal(ring, gens)._open_axes
         powers = [ring.monomial(tuple(data.draw(st.integers(1, 4)) if i == v else 0 for i in range(nvars)))
                   for v in range(nvars)]
-        assert not ideals._open_axes_of(gens + powers, nvars)
+        assert not Ideal(ring, gens + powers)._open_axes
         if not axes:
             return
         assert try_primary_standard_basis(gens, ring) is None
         assert compute_standard_basis(gens, ring).staircase is None
         f = data.draw(nonzero_polynomial_strategy(ring, max_terms=3, max_degree=4))
-        if not axes <= ideals._open_axes_of([f], nvars):
+        if not axes <= Ideal(ring, [f])._open_axes:
             assert not Ideal(ring, gens).contains_element(f)
             assert not ideals._escalated_membership(f, Ideal(ring, gens))
 
@@ -584,7 +584,7 @@ class TestOpenAxis:
         (("1 + x*y",), set()),
     ])
     def test_known_axes(self, ring_q3, texts, axes):
-        assert ideals._open_axes_of([P(t, ring_q3) for t in texts], 3) == axes
+        assert Ideal(ring_q3, [P(t, ring_q3) for t in texts])._open_axes == axes
 
     def test_refutes_a_term_on_the_axis(self, ring_q3, monkeypatch):
         # z^3 + x*y lies outside (x^2 + y^2*z), which lies in (x, y); so does 3 + x
@@ -1064,7 +1064,7 @@ class TestPackedOnce:
         if not basis.elements:
             return
         # every element keeps its terms, the bare monomials of degree B too
-        assert None not in basis._packed_terms[1]
+        assert None not in basis._finished[1]
         pk = basis.packed.packing
         # each reducer is a nonzero multiple of the element packed afresh
         fresh = sorted(map(pk.element, map(pk.pack, basis.elements)), key=ideals._rank)
@@ -1118,7 +1118,7 @@ class TestGlobalBasisAgainstSympy:
             return int(c) % p if p else Fraction(int(c.p), int(c.q))
 
         expected = {frozenset((m, coeff(c)) for m, c in q.terms()) for q in theirs.polys}
-        assert {frozenset(e.terms.items()) for e in homogenized_reduced_basis(gens)} == expected
+        assert {frozenset(e.terms.items()) for e in homogenized_groebner_basis(gens)} == expected
 
     def test_negative_leading_reducer(self, ring_q2):
         # the tail reduction inside the completion meets a reducer with a
@@ -1819,13 +1819,13 @@ class TestLeadingIdeal:
 
 class TestFinishedOnFirstRead:
     """A basis keeps its staircase, truncation and dimension from construction
-    and is finished once, on the first read of its elements, packed terms,
-    membership, ==, hash() or repr(), into the basis the eager finishing gave
-    (conftest.eager_finish_primary and eager_infinite_basis)."""
+    and is finished once, on the first read of its elements, packed
+    reducers, membership in an m-primary basis, ==, hash() or repr(), into
+    the basis the eager finishing gave (conftest.eager_finish_primary and
+    eager_infinite_basis).  Membership in any other basis finishes nothing."""
 
     READS = {
         "elements": lambda b: b.elements,
-        "packed terms": lambda b: b._packed_terms,
         "packed": lambda b: b.packed,
         "==": lambda b: b == b,
         "hash": hash,
@@ -1885,8 +1885,8 @@ class TestFinishedOnFirstRead:
                     self.READS[name](basis)
                 assert len(finished) == before + 1
                 assert basis.elements == want.elements
-                (pk, terms), (want_pk, want_terms) = basis._packed_terms, want._packed_terms
-                assert (pk.ring, pk.width, terms) == (want_pk.ring, want_pk.width, want_terms)
+                pk, want_pk = basis._packing, want._packing
+                assert (pk.ring, pk.width, basis._finished[1]) == (want_pk.ring, want_pk.width, want.element_terms)
                 assert hash(basis) == hash(want)
                 assert repr(basis) == repr(want).replace("EagerReducedStandardBasis(", "ReducedStandardBasis(", 1)
             # a basis computed afresh and not yet read compares as the references do
@@ -1930,3 +1930,19 @@ class TestFinishedOnFirstRead:
         c = ideal(ring_q2, "x^2+x*y^2", "y^3")
         assert a._certified.staircase == c._certified.staircase
         assert not a.equals(c) and not c.equals(a)
+
+    @pytest.mark.parametrize("field", [QQ, GF(3)])
+    @pytest.mark.parametrize("generators", [("x^2 + y^2*z",), ("x*y - x*y*z", "x*z^2"), ()])
+    def test_basis_of_infinite_colength_answers_membership_unfinished(self, field, generators, monkeypatch):
+        # the basis hands membership to its Ideal, the zero ideal's basis too
+        ring = RingContext(("x", "y", "z"), field)
+        finished = self.spy(monkeypatch, "_reduced_elements")
+        basis = Ideal(ring, [P(t, ring) for t in generators]).standard_basis()
+        assert not basis.is_m_primary
+        # (1 + x) * g1 for the first list, y * g1 + z * g2 for the second
+        texts = ("0", "x^2 + y^2*z", "x^2 + y^2*z + x^3 + x*y^2*z", "x*y^2 - x*y^2*z + x*z^3",
+                 "z^3 + x*y", "3 + x", "x^2", "x*y")
+        verdicts = [basis.contains(P(t, ring)) for t in texts]
+        assert "_finished" not in vars(basis) and finished == []
+        fresh = Ideal(ring, [P(t, ring) for t in generators])
+        assert verdicts == [fresh.contains_element(P(t, ring)) for t in texts]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nashblowup.algebras import nash_ideal_t
 from nashblowup.fields import GF, QQ, CoefficientField
-from nashblowup.ideals import Ideal, _open_axes_of
+from nashblowup.ideals import Ideal
 from nashblowup.jacobian import (
     _minor_dets,
     higher_jacobian_ideal,
@@ -363,7 +363,7 @@ class TestGeneratorsUnpackedOnFirstRead:
         for ideal in (higher_jacobian_ideal(f, n), nash_ideal_t(f, n)):
             axes = ideal._open_axes
             assert "generators" not in vars(ideal)
-            assert axes == _open_axes_of(ideal.generators, ring.nvars)
+            assert axes == Ideal(ring, ideal.generators)._open_axes
 
 
 class TestFittingIdeals:
