@@ -1146,8 +1146,9 @@ class Ideal:
     record is ``_open_axes`` (the variables with no pure power among the
     generators' terms, computed here alone, a hand-over entry read off its
     keys' exponents) and
-    ``_certified``, the m-primary basis or None: the capped runs' basis,
-    or Lazard's when compute_standard_basis finds that one m-primary.
+    ``_certified``, the m-primary basis (the zero ideal's basis for the
+    zero ideal) or None: the capped runs' basis, or Lazard's when
+    compute_standard_basis finds that one m-primary.
     ``_basis`` is the standard basis, computed on its first query; one that
     is not m-primary keeps this Ideal and asks it for memberships.
     """
